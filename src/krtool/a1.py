@@ -24,12 +24,18 @@ from .gf2 import (
     left_kernel_basis,
     rank,
     row_basis,
-    solve,
     solve_row,
     span_contains,
     subquotient_basis,
 )
-from .graded import GradedSpace, GradedMap, Window
+from .graded import (
+    GradedMap,
+    GradedSpace,
+    OperatorPair,
+    Window,
+    hom_space,
+    identity_map,
+)
 
 # Completeness bound meaning "exact in every degree in that direction".
 INF = 10 ** 6
@@ -578,103 +584,23 @@ def _submodule(m: A1Module, rows: dict[int, F2Matrix], prefix: str) -> A1Module:
 def _retraction_kernel(m: A1Module, cyc: dict[int, F2Matrix]) -> dict[int, F2Matrix]:
     """Kernel of a module retraction onto the free cyclic summand ``cyc``.
 
-    The retraction is found by linear solving (identity on the summand
-    plus commutation with both operations); self-injectivity of the
+    The retraction is the module map onto the summand that is the identity
+    on it, solved on the complete range; self-injectivity of the
     8-dimensional algebra guarantees a solution.
     """
-    band = sorted(cyc)
-    offsets: dict[int, int] = {}
-    nvars = 0
-    for d in band:
-        offsets[d] = nvars
-        nvars += m.dim(d) * cyc[d].nrows
-
-    def var(d: int, i: int, j: int) -> int:
-        return offsets[d] + i * cyc[d].nrows + j
-
-    cyc_blocks: dict[tuple[int, int], F2Matrix] = {}
-    for d in band:
-        for reach in (1, 2):
-            tgt = cyc.get(d + reach)
-            tdim = tgt.nrows if tgt else 0
-            rows = []
-            for v in cyc[d].rows:
-                img = m.apply_sq1(d, v) if reach == 1 else m.apply_sq2(d, v)
-                c = solve_row(img, tgt) if (img and tgt) else 0
-                rows.append(c or 0)
-            cyc_blocks[(d, reach)] = F2Matrix.from_rows(rows, tdim)
-
-    eqs: list[int] = []
-    rhs_bits = 0
-
-    def push(row: int, r: int) -> None:
-        nonlocal rhs_bits
-        if row or r:
-            if r:
-                rhs_bits |= 1 << len(eqs)
-            eqs.append(row)
-
-    # identity on the summand
-    for d in band:
-        for j, v in enumerate(cyc[d].rows):
-            for jj in range(cyc[d].nrows):
-                row = 0
-                for i in range(m.dim(d)):
-                    if (v >> i) & 1:
-                        row ^= 1 << var(d, i, jj)
-                push(row, 1 if jj == j else 0)
-
-    # commutation with both operations wherever the data is trustable
-    for reach in (1, 2):
-        for d in range(min(band) - 2, max(band) + 1):
-            if d + reach > m.complete_hi:
-                continue
-            if d < m.complete_lo and not m.is_complete_below():
-                continue
-            sdim = m.dim(d)
-            if sdim == 0:
-                continue
-            cdim_t = cyc[d + reach].nrows if d + reach in cyc else 0
-            cdim_s = cyc[d].nrows if d in cyc else 0
-            if cdim_t == 0 and cdim_s == 0:
-                continue
-            blk = cyc_blocks.get((d, reach))
-            for i in range(sdim):
-                img = (m.apply_sq1(d, 1 << i) if reach == 1
-                       else m.apply_sq2(d, 1 << i))
-                for j in range(max(cdim_t, 1) if cdim_t else 0):
-                    row = 0
-                    if d + reach in offsets:
-                        tdim = m.dim(d + reach)
-                        for p in range(tdim):
-                            if (img >> p) & 1:
-                                row ^= 1 << var(d + reach, p, j)
-                    if d in offsets and blk is not None and blk.ncols:
-                        for q in range(cdim_s):
-                            if blk.entry(q, j):
-                                row ^= 1 << var(d, i, q)
-                    push(row, 0)
-                if cdim_t == 0 and d in offsets and blk is not None and blk.ncols:
-                    pass  # nothing to constrain: target side of cyc is zero
-
-    sol = solve(F2Matrix.from_rows(eqs, nvars), rhs_bits) if nvars else 0
-    if sol is None:
+    sub = _submodule(m, cyc, "c")
+    space, sub_space = m.space(), sub.space()
+    inclusion = GradedMap(sub_space, space, (0, 0),
+                          {(d, 0): b for d, b in cyc.items()})
+    ops = [OperatorPair("sq1", m.sq1_map(), sub.sq1_map()),
+           OperatorPair("sq2", m.sq2_map(), sub.sq2_map())]
+    retraction = hom_space(space, sub_space, (0, 0), ops,
+                           Window(m.complete_lo, m.complete_hi, 0, 0),
+                           unit=(inclusion, identity_map(sub_space)))
+    if retraction is None:
         raise RuntimeError("retraction system unsolvable; summand not split")
-
-    kernel_rows: dict[int, F2Matrix] = {}
-    for d in m.degrees():
-        if d not in offsets:
-            kernel_rows[d] = F2Matrix.identity(m.dim(d))
-            continue
-        rows = []
-        for i in range(m.dim(d)):
-            bits = 0
-            for j in range(cyc[d].nrows):
-                if (sol >> var(d, i, j)) & 1:
-                    bits |= 1 << j
-            rows.append(bits)
-        kernel_rows[d] = left_kernel_basis(F2Matrix.from_rows(rows, cyc[d].nrows))
-    return kernel_rows
+    return {d: left_kernel_basis(retraction.block((d, 0))) if d in cyc
+            else F2Matrix.identity(m.dim(d)) for d in m.degrees()}
 
 
 def reduce(m: A1Module) -> ReduceResult:
@@ -848,8 +774,6 @@ def iso_search(a: A1Module, b: A1Module, lo: int, hi: int,
     operations on [lo, hi].  Exponential in the solution-space dimension,
     so the enumeration is capped by ``budget``; None means none found
     within the cap (or dimensions already disagree)."""
-    from .graded import OperatorPair, Window, hom_space
-
     for d in range(lo, hi + 1):
         if a.dim(d) != b.dim(d):
             return None

@@ -7,7 +7,6 @@ Common options: ``--window M_LO M_HI K_LO K_HI``, ``--out PATH``,
 ``--format tsv|txt|svg``, ``--builtin NAME``, ``--in FILE``, ``--bv N``,
 ``--layers J``, ``--seed S``, ``--which q0|q1``, ``--n N``.
 Builtin module names: A1, F, P, P0..P3, BV<n>, RP<n>, HP.
-The environment variable KRTOOL_THREADS caps verifier parallelism.
 """
 
 from __future__ import annotations
@@ -32,6 +31,7 @@ from .a1 import (
 from .emod import EModule, h01, rel_ext
 from .graded import Window
 from .io import (
+    ParseError,
     a1_to_module_file_text,
     module_file_to_a1,
     module_file_to_e,
@@ -269,7 +269,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     pc.set_defaults(func=cmd_compute)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ParseError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -20,17 +20,19 @@ from .gf2 import (
     left_kernel_basis,
     rank,
     row_basis,
-    solve,
     solve_row,
 )
 from .graded import (
     Degree,
     GradedMap,
     GradedSpace,
+    OperatorPair,
     Subquotient,
     Window,
     add_deg,
     dual_space,
+    hom_space,
+    identity_map,
     neg_deg,
     sub_deg,
 )
@@ -402,70 +404,11 @@ class LesReport:
 
 
 def find_lambda0_splitting(g: GradedMap, region: Window,
-                           q0_b: GradedMap, q0_c: GradedMap) -> Optional[dict[Degree, F2Matrix]]:
+                           q0_b: GradedMap, q0_c: GradedMap) -> Optional[GradedMap]:
     """Section of ``g`` commuting with the (1,0) differential, if any."""
-    degrees = [d for d in g.target.degrees() if region.contains(d)]
-    offsets: dict[Degree, int] = {}
-    nvars = 0
-    for d in degrees:
-        offsets[d] = nvars
-        nvars += g.target.dim(d) * g.source.dim(d)
-
-    def var(d: Degree, i: int, j: int) -> int:
-        return offsets[d] + i * g.source.dim(d) + j
-
-    eqs: list[int] = []
-    rhs_bits = 0
-
-    def push(row: int, r: int) -> None:
-        nonlocal rhs_bits
-        if row or r:
-            if r:
-                rhs_bits |= 1 << len(eqs)
-            eqs.append(row)
-
-    for d in degrees:
-        gb = g.block(d)
-        cd, bd = g.target.dim(d), g.source.dim(d)
-        # g after s = identity
-        for i in range(cd):
-            for j in range(cd):
-                row = 0
-                for p in range(bd):
-                    if gb.entry(p, j):
-                        row ^= 1 << var(d, i, p)
-                push(row, 1 if i == j else 0)
-        # commutation with q0
-        d2 = add_deg(d, Q0_SHIFT)
-        if d2 in offsets:
-            qc = q0_c.block(d)
-            qb = q0_b.block(d)
-            for i in range(cd):
-                for j in range(g.source.dim(d2)):
-                    row = 0
-                    for p in range(g.target.dim(d2)):
-                        if qc.entry(i, p):
-                            row ^= 1 << var(d2, p, j)
-                    for q in range(bd):
-                        if qb.entry(q, j):
-                            row ^= 1 << var(d, i, q)
-                    push(row, 0)
-    if nvars == 0:
-        return {}
-    sol = solve(F2Matrix.from_rows(eqs, nvars), rhs_bits)
-    if sol is None:
-        return None
-    out: dict[Degree, F2Matrix] = {}
-    for d in degrees:
-        rows = []
-        for i in range(g.target.dim(d)):
-            bits = 0
-            for j in range(g.source.dim(d)):
-                if (sol >> var(d, i, j)) & 1:
-                    bits |= 1 << j
-            rows.append(bits)
-        out[d] = F2Matrix.from_rows(rows, g.source.dim(d))
-    return out
+    return hom_space(g.target, g.source, (0, 0),
+                     [OperatorPair("q0", q0_c, q0_b)], region,
+                     unit=(identity_map(g.target), g))
 
 
 def les_h01(a: EModule, b: EModule, c: EModule,
@@ -510,7 +453,7 @@ def les_h01(a: EModule, b: EModule, c: EModule,
         reps = hc.sub.reps(d)
         rows = []
         for v in reps.rows:
-            lift = split[d].vec_mul(v) if d in split else 0
+            lift = split.apply(d, v)
             q1l = b.q1.apply(d, lift)
             # pull back along f
             td = add_deg(d, Q1_SHIFT)

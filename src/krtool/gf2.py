@@ -202,7 +202,6 @@ def subquotient_basis(a: F2Matrix, b: F2Matrix) -> F2Matrix:
     if a.ncols != b.ncols:
         raise ValueError("ambient dimension mismatch")
     rb, pb = rref(b)
-    ra = rref(a)[0]
     for v in rb.rows[: len(pb)]:
         if not span_contains(a, v):
             raise ValueError("second span not contained in the first")

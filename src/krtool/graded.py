@@ -19,6 +19,7 @@ from .gf2 import (
     left_kernel_basis,
     rank,
     row_basis,
+    solve,
     solve_row,
     subquotient_basis,
 )
@@ -411,86 +412,120 @@ def _components(degrees: list[Degree], shifts: list[Degree]) -> list[list[Degree
     return list(comps.values())
 
 
+def _spread(bits: int, width: int) -> int:
+    """Move bit ``p`` of ``bits`` to position ``p * width``."""
+    out = 0
+    while bits:
+        low = bits & -bits
+        out |= 1 << ((low.bit_length() - 1) * width)
+        bits ^= low
+    return out
+
+
 def hom_space(source: GradedSpace, target: GradedSpace, shift: Degree,
-              operators: list[OperatorPair], region: Window) -> list[GradedMap]:
-    """Basis of maps ``source -> target`` of the given degree shift that
-    commute with every named operator, solved on ``region`` only.
+              operators: list[OperatorPair], region: Window,
+              unit: Optional[tuple[GradedMap, GradedMap]] = None,
+              ) -> list[GradedMap] | Optional[GradedMap]:
+    """Maps ``phi: source -> target`` of the given degree shift that commute
+    with every named operator, solved on ``region`` only.
+
+    Without ``unit`` the result is a basis of all such maps.  With
+    ``unit=(before, after)``, maps ``before: X -> source`` and
+    ``after: target -> X`` whose shifts add up with ``shift`` to zero, the
+    result is one map with ``before . phi . after`` the identity of ``X`` at
+    every region degree, free coordinates set to zero, or None when no such
+    map exists.  A section of ``g`` passes ``(identity, g)``; a retraction
+    onto a subspace passes ``(inclusion, identity)``.
 
     A map variable exists at each region degree where both the source and
     the shifted target are nonzero; everywhere else the map is the zero
-    matrix.  Commutation is imposed at every source degree whose operator
+    matrix.  Variables are ordered by degree, then source row, then target
+    column.  Commutation is imposed at every source degree whose operator
     image stays inside the region, so truncated data is never trusted.
-    The system splits into independent components along operator shifts.
+    The system splits into independent components along operator shifts;
+    since elimination is leftmost-pivot, neither the split nor the order of
+    the equations changes the answer.
     """
+    def tdim(d: Degree) -> int:
+        return target.dim(add_deg(d, shift))
+
     var_degrees = [d for d in source.degrees()
-                   if region.contains(d) and source.dim(d)
-                   and target.dim(add_deg(d, shift))]
+                   if region.contains(d) and tdim(d)]
     op_shifts = [op.on_source.shift for op in operators]
-    constraint_sites = []
+    comps = [sorted(c) for c in _components(
+        var_degrees, op_shifts + [neg_deg(s) for s in op_shifts])]
+    where: dict[Degree, tuple[int, int]] = {}   # degree -> (component, offset)
+    nvars = [0] * len(comps)
+    for c, comp in enumerate(comps):
+        for d in comp:
+            where[d] = (c, nvars[c])
+            nvars[c] += source.dim(d) * tdim(d)
+    eqs: list[list[int]] = [[] for _ in comps]
+    rhs = [0] * len(comps)
+
     for op in operators:
-        s_op = op.on_source.shift
         for d in source.degrees():
-            if not region.contains(d) or not source.dim(d):
+            d2 = add_deg(d, op.on_source.shift)
+            if not (region.contains(d) and region.contains(d2)):
                 continue
-            d2 = add_deg(d, s_op)
-            if region.contains(d2):
-                constraint_sites.append((op, d, d2))
-
-    total: list[GradedMap] = []
-    for comp in _components(var_degrees, op_shifts + [neg_deg(s) for s in op_shifts]):
-        compset = set(comp)
-        offsets: dict[Degree, int] = {}
-        nvars = 0
-        for d in sorted(comp):
-            offsets[d] = nvars
-            nvars += source.dim(d) * target.dim(add_deg(d, shift))
-        if nvars == 0:
-            continue
-        eq_rows: list[int] = []
-        for op, d, d2 in constraint_sites:
-            if d not in compset and d2 not in compset:
+            at1, at2 = where.get(d), where.get(d2)
+            if at1 is None and at2 is None:
                 continue
-            a = op.on_source.block(d)                  # source_d -> source_d2
-            b = op.on_target.block(add_deg(d, shift))  # shifted target blocks
-            rs = source.dim(d)
-            cs = target.dim(add_deg(d, shift))
-            rt = source.dim(d2)
-            ct = target.dim(add_deg(d2, shift))
-            off2 = offsets.get(d2)
-            off1 = offsets.get(d)
-            for i in range(rs):
+            # phi_d2 at row p, column j is bit off2 + p*ct + j, and phi_d at
+            # row i, column q is bit off1 + i*cs + q: one equation per (i, j)
+            # reads (a . phi_d2)[i, j] = (phi_d . b)[i, j].
+            c = (at1 if at1 is not None else at2)[0]
+            a = op.on_source.block(d)
+            bt = op.on_target.block(add_deg(d, shift)).transpose().rows
+            cs, ct = tdim(d), tdim(d2)
+            for i in range(source.dim(d)):
+                spread = _spread(a.rows[i], ct) if at2 is not None else 0
                 for j in range(ct):
-                    row = 0
-                    if off2 is not None:
-                        for p in range(rt):
-                            if a.entry(i, p):
-                                row ^= 1 << (off2 + p * ct + j)
-                    if off1 is not None:
-                        for q in range(cs):
-                            if b.entry(q, j):
-                                row ^= 1 << (off1 + i * cs + q)
+                    row = spread << (at2[1] + j) if at2 is not None else 0
+                    if at1 is not None:
+                        row ^= bt[j] << (at1[1] + i * cs)
                     if row:
-                        eq_rows.append(row)
-        system = F2Matrix.from_rows(eq_rows, nvars)
-        null = kernel_basis(system)
-        for sol in null.rows:
-            blocks: dict[Degree, F2Matrix] = {}
-            for d in comp:
-                rs = source.dim(d)
-                cs = target.dim(add_deg(d, shift))
-                off = offsets[d]
-                rows = []
-                for i in range(rs):
-                    bits = 0
-                    for q in range(cs):
-                        if (sol >> (off + i * cs + q)) & 1:
-                            bits |= 1 << q
-                    rows.append(bits)
-                blocks[d] = F2Matrix.from_rows(rows, cs)
-            total.append(GradedMap(source, target, shift, blocks))
-    return total
+                        eqs[c].append(row)
 
+    if unit is not None:
+        before, after = unit
+        if add_deg(add_deg(before.shift, shift), after.shift) != (0, 0):
+            raise ValueError("unit maps must compose to degree zero")
+        for d in before.source.degrees():
+            if not region.contains(d):
+                continue
+            e = add_deg(d, before.shift)
+            at = where.get(e)
+            if at is None:
+                return None            # phi vanishes here, so no identity
+            c, off = at
+            b = before.block(d)
+            after_cols = after.block(add_deg(e, shift)).transpose().rows
+            cs = tdim(e)
+            for x in range(b.nrows):
+                spread = _spread(b.rows[x], cs)
+                for y, col in enumerate(after_cols):
+                    if x == y:
+                        rhs[c] |= 1 << len(eqs[c])
+                    eqs[c].append((spread * col) << off)
 
-def hom_space_dim(source: GradedSpace, target: GradedSpace, shift: Degree,
-                  operators: list[OperatorPair], region: Window) -> int:
-    return len(hom_space(source, target, shift, operators, region))
+    def unpack(comp: list[Degree], sol: int) -> dict[Degree, F2Matrix]:
+        blocks = {}
+        for d in comp:
+            cs, off = tdim(d), where[d][1]
+            mask = (1 << cs) - 1
+            blocks[d] = F2Matrix.from_rows(
+                [(sol >> (off + i * cs)) & mask for i in range(source.dim(d))], cs)
+        return blocks
+
+    if unit is not None:
+        found: dict[Degree, F2Matrix] = {}
+        for c, comp in enumerate(comps):
+            sol = solve(F2Matrix.from_rows(eqs[c], nvars[c]), rhs[c])
+            if sol is None:
+                return None
+            found.update(unpack(comp, sol))
+        return GradedMap(source, target, shift, found)
+    return [GradedMap(source, target, shift, unpack(comp, sol))
+            for c, comp in enumerate(comps)
+            for sol in kernel_basis(F2Matrix.from_rows(eqs[c], nvars[c])).rows]

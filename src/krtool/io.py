@@ -10,11 +10,11 @@ byte exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
-from .a1 import A1Module
-from .emod import EModule
+from .a1 import A1Module, validate as validate_a1
+from .emod import EModule, validate as validate_e
 from .gf2 import F2Matrix
 from .graded import GradedMap, GradedSpace, Window, add_deg
 from .towers import Summand, XTowerSpec
@@ -29,6 +29,16 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
+def _ints(line_no: int, head: str, fields: list[str], count: int) -> list[int]:
+    if len(fields) != count:
+        raise ParseError(line_no, f"{head} needs {count} integer(s)")
+    try:
+        return [int(x) for x in fields]
+    except ValueError:
+        raise ParseError(line_no, f"{head} needs integers, got "
+                                  f"{' '.join(fields)!r}") from None
+
+
 @dataclass
 class ModuleFile:
     kind: str
@@ -37,12 +47,14 @@ class ModuleFile:
     actions: dict[tuple[str, str], tuple[str, ...]]   # (op, name) -> targets
     tower: Optional[XTowerSpec] = None
     tower_levels: tuple[int, int] = (0, 0)
+    gen_lines: dict[str, int] = field(default_factory=dict)
 
 
 def parse_module_file(text: str) -> ModuleFile:
     kind = ""
     window: Optional[Window] = None
     gens: dict[str, tuple[int, int]] = {}
+    gen_lines: dict[str, int] = {}
     actions: dict[tuple[str, str], tuple[str, ...]] = {}
     xdeg = 1
     levels = (0, 0)
@@ -70,9 +82,9 @@ def parse_module_file(text: str) -> ModuleFile:
             name = parts[1]
             if name in gens:
                 raise ParseError(line_no, f"duplicate generator {name}")
-            m = int(parts[2])
-            k = int(parts[3]) if len(parts) == 4 else 0
-            gens[name] = (m, k)
+            deg = _ints(line_no, "gen", parts[2:], len(parts) - 2)
+            gens[name] = (deg[0], deg[1] if len(deg) == 2 else 0)
+            gen_lines[name] = line_no
         elif head in A1_OPS or head in E_OPS:
             body = " ".join(parts[1:])
             if "=" not in body:
@@ -96,14 +108,18 @@ def parse_module_file(text: str) -> ModuleFile:
                                  f"target {tname} sits at {td}")
             actions[(head, lhs)] = targets
         elif head == "xdeg":
-            xdeg = int(parts[1])
+            (xdeg,) = _ints(line_no, head, parts[1:], 1)
         elif head == "levels":
-            levels = (int(parts[1]), int(parts[2]))
+            lo, hi = _ints(line_no, head, parts[1:], 2)
+            levels = (lo, hi)
         elif head == "summand":
-            if parts[1] == "cyclic":
-                summands.append(Summand("cyclic", int(parts[2]), int(parts[3])))
-            elif parts[1] == "free":
-                summands.append(Summand("free", int(parts[2])))
+            kind_word = parts[1] if len(parts) > 1 else ""
+            if kind_word == "cyclic":
+                shift, order = _ints(line_no, "summand cyclic", parts[2:], 2)
+                summands.append(Summand("cyclic", shift, order))
+            elif kind_word == "free":
+                (shift,) = _ints(line_no, "summand free", parts[2:], 1)
+                summands.append(Summand("free", shift))
             else:
                 raise ParseError(line_no, "summand must be cyclic or free")
         else:
@@ -113,7 +129,16 @@ def parse_module_file(text: str) -> ModuleFile:
     if window is None:
         raise ParseError(0, "missing window header")
     tower = XTowerSpec(xdeg, tuple(summands)) if kind == "tower" else None
-    return ModuleFile(kind, window, gens, actions, tower, levels)
+    return ModuleFile(kind, window, gens, actions, tower, levels, gen_lines)
+
+
+def _reject_broken_relations(mf: ModuleFile, violations: list) -> None:
+    """Raise on the first violated relation, at the line declaring the
+    element it fails on."""
+    if violations:
+        v = violations[0]
+        raise ParseError(mf.gen_lines.get(v.element, 0),
+                         f"module breaks a relation: {v}")
 
 
 def module_file_to_a1(mf: ModuleFile) -> A1Module:
@@ -139,8 +164,10 @@ def module_file_to_a1(mf: ModuleFile) -> A1Module:
         return out
 
     w = mf.window
-    return A1Module(sorted_basis, blocks("sq1", 1), blocks("sq2", 2),
-                    w.m_lo, w.m_hi, w.m_lo, w.m_hi)
+    m = A1Module(sorted_basis, blocks("sq1", 1), blocks("sq2", 2),
+                 w.m_lo, w.m_hi, w.m_lo, w.m_hi)
+    _reject_broken_relations(mf, validate_a1(m))
+    return m
 
 
 def a1_to_module_file_text(m: A1Module) -> str:
@@ -189,9 +216,11 @@ def module_file_to_e(mf: ModuleFile) -> EModule:
 
     has_a = any(op == "a" for op, _ in mf.actions)
     has_s = any(op == "s" for op, _ in mf.actions)
-    return EModule(space, build("q0"), build("q1"), w,
-                   act_a=build("a") if has_a else None,
-                   act_s=build("s") if has_s else None)
+    m = EModule(space, build("q0"), build("q1"), w,
+                act_a=build("a") if has_a else None,
+                act_s=build("s") if has_s else None)
+    _reject_broken_relations(mf, validate_e(m))
+    return m
 
 
 def e_to_module_file_text(m: EModule) -> str:

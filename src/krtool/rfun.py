@@ -26,8 +26,11 @@ from .graded import (
     Degree,
     GradedMap,
     GradedSpace,
+    OperatorPair,
     Window,
     add_deg,
+    hom_space,
+    identity_map,
     sub_deg,
 )
 
@@ -468,7 +471,7 @@ def check_sec_r(f: A1Map, g: A1Map, w: Window,
     # splitness over the first factor: the quotient must be q0-free
     mg = margolis(c, "q0")
     if mg:
-        split = _sq1_section(f, g)
+        split = _sq1_section(g)
         if split is None:
             return SecRResult(
                 False, f"quotient not q0-acyclic (witness {min(mg)}) and no "
@@ -483,66 +486,15 @@ def check_sec_r(f: A1Map, g: A1Map, w: Window,
     return SecRResult(rep.ok, rep.detail, rep)
 
 
-def _sq1_section(f: A1Map, g: A1Map) -> Optional[dict[int, F2Matrix]]:
-    """Section of ``g`` commuting with Sq1, by linear solving."""
+def _sq1_section(g: A1Map) -> Optional[GradedMap]:
+    """Section of ``g`` commuting with Sq1 on the common complete range."""
     b, c = g.source, g.target
     lo = max(b.complete_lo, c.complete_lo)
     hi = min(b.complete_hi, c.complete_hi)
-    degrees = [d for d in c.degrees() if lo <= d <= hi]
-    offsets: dict[int, int] = {}
-    nvars = 0
-    for d in degrees:
-        offsets[d] = nvars
-        nvars += c.dim(d) * b.dim(d)
-
-    def var(d: int, i: int, j: int) -> int:
-        return offsets[d] + i * b.dim(d) + j
-
-    eqs: list[int] = []
-    rhs = 0
-
-    def push(row: int, r: int) -> None:
-        nonlocal rhs
-        if row or r:
-            if r:
-                rhs |= 1 << len(eqs)
-            eqs.append(row)
-
-    for d in degrees:
-        gb = g.block(d)
-        for i in range(c.dim(d)):
-            for j in range(c.dim(d)):
-                row = 0
-                for p in range(b.dim(d)):
-                    if gb.entry(p, j):
-                        row ^= 1 << var(d, i, p)
-                push(row, 1 if i == j else 0)
-        if d + 1 in offsets:
-            for i in range(c.dim(d)):
-                for j in range(b.dim(d + 1)):
-                    row = 0
-                    csq = c.sq1_block(d)
-                    for p in range(c.dim(d + 1)):
-                        if csq.entry(i, p):
-                            row ^= 1 << var(d + 1, p, j)
-                    bsq = b.sq1_block(d)
-                    for q in range(b.dim(d)):
-                        if bsq.entry(q, j):
-                            row ^= 1 << var(d, i, q)
-                    push(row, 0)
-    if nvars == 0:
-        return {}
-    sol = solve(F2Matrix.from_rows(eqs, nvars), rhs)
-    if sol is None:
-        return None
-    out = {}
-    for d in degrees:
-        rows = []
-        for i in range(c.dim(d)):
-            bits = 0
-            for j in range(b.dim(d)):
-                if (sol >> var(d, i, j)) & 1:
-                    bits |= 1 << j
-            rows.append(bits)
-        out[d] = F2Matrix.from_rows(rows, b.dim(d))
-    return out
+    # zero blocks are dropped first: callers may give them any shape
+    g_map = GradedMap(b.space(), c.space(), (0, 0),
+                      {(d, 0): blk for d, blk in g.blocks.items()
+                       if not blk.is_zero()})
+    return hom_space(c.space(), b.space(), (0, 0),
+                     [OperatorPair("sq1", c.sq1_map(), b.sq1_map())],
+                     Window(lo, hi, 0, 0), unit=(identity_map(c.space()), g_map))

@@ -7,7 +7,6 @@ the command-line driver and the test suite both run these.
 
 from __future__ import annotations
 
-import os
 import random
 import time
 from dataclasses import dataclass
@@ -265,10 +264,4 @@ def run_suite(name: str) -> VerifyResult:
 
 
 def run_all(names: list[str] | None = None) -> list[VerifyResult]:
-    names = names or list(SUITES)
-    threads = int(os.environ.get("KRTOOL_THREADS", "1"))
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run_suite, names))
-    return [run_suite(n) for n in names]
+    return [run_suite(n) for n in names or list(SUITES)]

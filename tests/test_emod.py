@@ -5,6 +5,7 @@ from krtool.emod import (
     EModule,
     _lambda1_tensor,
     dual_e,
+    find_lambda0_splitting,
     h01,
     h01_dual_dims,
     is_rel_projective,
@@ -16,7 +17,7 @@ from krtool.emod import (
     validate,
 )
 from krtool.gf2 import F2Matrix
-from krtool.graded import GradedMap, GradedSpace, Window, zero_map
+from krtool.graded import GradedMap, GradedSpace, Window, identity_map, zero_map
 from krtool.rfun import A1Map, apply_r, check_sec_r
 
 
@@ -188,6 +189,40 @@ def test_les_h01_split_sequence():
     g = A1Map(s, b, gb)
     out = check_sec_r(f, g, Window(-8, 10, -4, 4))
     assert out.ok, out.detail
+
+
+def test_lambda0_splitting_commutes_where_quotient_vanishes():
+    # B: b0 -> b1 under q0, C: c0 alone, g: b0 -> c0.  The only candidate
+    # s(c0) = b0 has q0 s(c0) = b1 while s(q0 c0) = 0, so no section exists
+    # even though C is zero in degree (1, 0).
+    w = Window(-2, 3, -1, 1)
+    b = GradedSpace(w, {(0, 0): ["b0"], (1, 0): ["b1"]})
+    c = GradedSpace(w, {(0, 0): ["c0"]})
+    q0_b = GradedMap(b, b, (1, 0), {(0, 0): F2Matrix.identity(1)})
+    g = GradedMap(b, c, (0, 0), {(0, 0): F2Matrix.identity(1)})
+    assert find_lambda0_splitting(g, w, q0_b, zero_map(c, c, (1, 0))) is None
+    # with the q0 action removed, the identity section exists
+    split = find_lambda0_splitting(g, w, zero_map(b, b, (1, 0)),
+                                   zero_map(c, c, (1, 0)))
+    assert split is not None and split.compose(g) == identity_map(c)
+
+
+def test_sec_r_cover_of_trivial_module_has_no_sq1_section():
+    # a section would send the generator to 1 in the free module, but
+    # Sq1 of 1 is nonzero while Sq1 of the generator is zero
+    from krtool.a1 import A1Module
+    from krtool.rfun import _sq1_section
+    res = proj_cover_and_loop(std_f(0))
+    assert _sq1_section(A1Map(res.cover, std_f(0), res.epi_blocks)) is None
+    # the same module known on [-20, 20] only, so that the degreewise
+    # exactness check before the section search stays short
+    base = A1Module({0: ("i0",)}, {}, {}, 0, 0, -20, 20)
+    res = proj_cover_and_loop(base)
+    f = A1Map(res.loop, res.cover, res.loop_rows)
+    g = A1Map(res.cover, base, res.epi_blocks)
+    out = check_sec_r(f, g, Window(-6, 8, -3, 3))
+    assert not out.ok
+    assert "no sq1-linear section" in out.detail
 
 
 def test_sec_r_rejects_non_split():

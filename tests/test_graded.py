@@ -1,13 +1,17 @@
 """Graded spaces and maps: tensor counting, duality, twist truncation,
 operator-commuting map solving."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from krtool.a1 import std_a1
-from krtool.gf2 import F2Matrix
+from krtool.gf2 import F2Matrix, rank
 from krtool.graded import (
     GradedMap,
     GradedSpace,
     OperatorPair,
     Window,
+    add_deg,
     dual_space,
     hom_space,
     identity_map,
@@ -111,3 +115,126 @@ def test_hom_space_with_operator_constraint():
     assert sols[0] == identity_map(s)
     free = hom_space(s, s, (0, 0), [], w)
     assert len(free) == 2
+
+
+# -- brute-force check of the solver on tiny problems ------------------------
+
+TINY = Window(-1, 4, 0, 0)
+
+
+def tiny_dims(draw, n, choices=(2, 1, 0)):
+    return draw(st.lists(st.sampled_from(choices), min_size=n, max_size=n))
+
+
+def tiny_space(dims, tag):
+    return GradedSpace(TINY, {(d, 0): [f"{tag}{d}_{i}" for i in range(n)]
+                              for d, n in enumerate(dims)})
+
+
+def random_map(draw, src, tgt, shift):
+    blocks = {}
+    for d in src.degrees():
+        ncols = tgt.dim(add_deg(d, shift))
+        blocks[d] = F2Matrix.from_rows(
+            [draw(st.integers(0, (1 << ncols) - 1)) for _ in range(src.dim(d))],
+            ncols)
+    return GradedMap(src, tgt, shift, blocks)
+
+
+@st.composite
+def hom_problems(draw):
+    # planted: target = source with the same operators, so the identity
+    # commutes and satisfies the unit condition (identity, identity)
+    planted = draw(st.booleans())
+    shift = (0, 0) if planted else (draw(st.sampled_from([0, 1])), 0)
+    # three source degrees and target dimensions of at most 2: at most
+    # 3 * 2 * 2 = 12 map variables
+    source = tiny_space(tiny_dims(draw, 3, (2, 1)), "s")
+    target = source if planted else tiny_space(tiny_dims(draw, 4), "t")
+    lo = draw(st.integers(-1, 1))
+    region = Window(lo, draw(st.integers(max(lo + 1, 2), 3)), 0, 0)
+    ops = []
+    for reach in draw(st.lists(st.sampled_from([1, 2]), min_size=1, max_size=2)):
+        on_source = random_map(draw, source, source, (reach, 0))
+        on_target = (on_source if planted
+                     else random_map(draw, target, target, (reach, 0)))
+        ops.append(OperatorPair(f"op{reach}", on_source, on_target))
+    form = "planted" if planted else draw(
+        st.sampled_from(["section", "retraction", "general"]))
+    if form == "planted":
+        before, after = identity_map(source), identity_map(source)
+    elif form == "section":
+        before = identity_map(source)
+        after = random_map(draw, target, source, (-shift[0], 0))
+    elif form == "retraction" and shift == (0, 0):   # else the general form
+        before = random_map(draw, target, source, (0, 0))
+        after = identity_map(target)
+    else:
+        x = tiny_space(tiny_dims(draw, 3), "x")
+        before = random_map(draw, x, source, (0, 0))
+        after = random_map(draw, target, x, (-shift[0], 0))
+    return source, target, shift, ops, region, (before, after)
+
+
+def map_cells(source, target, shift, region):
+    return [(d, i, j) for d in source.degrees() if region.contains(d)
+            for i in range(source.dim(d))
+            for j in range(target.dim(add_deg(d, shift)))]
+
+
+def map_from_mask(source, target, shift, cells, mask):
+    rows = {d: [0] * source.dim(d) for d in source.degrees()}
+    for bit, (d, i, j) in enumerate(cells):
+        if (mask >> bit) & 1:
+            rows[d][i] |= 1 << j
+    return GradedMap(source, target, shift, {
+        d: F2Matrix.from_rows(r, target.dim(add_deg(d, shift)))
+        for d, r in rows.items()})
+
+
+def commutes(phi, ops, region):
+    for op in ops:
+        for d in phi.source.degrees():
+            d2 = add_deg(d, op.on_source.shift)
+            if region.contains(d) and region.contains(d2):
+                lhs = op.on_source.block(d).mul(phi.block(d2))
+                rhs = phi.block(d).mul(op.on_target.block(add_deg(d, phi.shift)))
+                if lhs != rhs:
+                    return False
+    return True
+
+
+def is_unit(phi, before, after, region):
+    return all(before.block(d).mul(phi.block(d)).mul(
+                   after.block(add_deg(d, phi.shift)))
+               == F2Matrix.identity(before.source.dim(d))
+               for d in before.source.degrees() if region.contains(d))
+
+
+@settings(max_examples=100, deadline=None)
+@given(hom_problems())
+def test_hom_space_matches_enumeration(problem):
+    source, target, shift, ops, region, (before, after) = problem
+    cells = map_cells(source, target, shift, region)
+    assert len(cells) <= 12
+    n_commuting = 0
+    unit_exists = False
+    for mask in range(1 << len(cells)):
+        phi = map_from_mask(source, target, shift, cells, mask)
+        if commutes(phi, ops, region):
+            n_commuting += 1
+            unit_exists = unit_exists or is_unit(phi, before, after, region)
+
+    basis = hom_space(source, target, shift, ops, region)
+    assert all(commutes(phi, ops, region) for phi in basis)
+    coords = [sum(phi.block(d).entry(i, j) << bit
+                  for bit, (d, i, j) in enumerate(cells)) for phi in basis]
+    assert rank(F2Matrix.from_rows(coords, len(cells))) == len(basis)
+    assert 1 << len(basis) == n_commuting
+
+    found = hom_space(source, target, shift, ops, region, unit=(before, after))
+    assert (found is not None) == unit_exists
+    if found is not None:
+        assert commutes(found, ops, region)
+        assert is_unit(found, before, after, region)
+        assert all(region.contains(d) for d in found.blocks)

@@ -42,6 +42,54 @@ def test_parse_rejects_degree_mismatch():
     assert "degree mismatch" in str(err.value)
 
 
+@pytest.mark.parametrize("line", [
+    "gen x1 one",
+    "gen x1 0 k",
+    "xdeg",
+    "xdeg two",
+    "levels 1",
+    "levels 1 x",
+    "summand cyclic 1",
+    "summand free",
+    "summand free z",
+    "summand",
+])
+def test_parse_rejects_bad_integer_fields(line):
+    text = f"kind tower\nwindow 0 4 0 0\n{line}\n"
+    with pytest.raises(ParseError) as err:
+        parse_module_file(text)
+    assert err.value.line_no == 3
+
+
+def test_a1_file_breaking_a_relation_is_rejected():
+    text = ("kind a1\nwindow 0 4 0 0\ngen x1 0\ngen x2 1\ngen x3 2\n"
+            "sq1 x1 = x2\nsq1 x2 = x3\n")
+    with pytest.raises(ParseError) as err:
+        module_file_to_a1(parse_module_file(text))
+    assert err.value.line_no == 3
+    assert "Sq1 Sq1 = 0 fails at degree 0 on x1" in str(err.value)
+
+
+def test_e_file_breaking_a_relation_is_rejected():
+    text = ("kind e\nwindow 0 4 0 2\ngen u 0 0\ngen v 1 0\ngen w 2 0\n"
+            "q0 u = v\nq0 v = w\n")
+    with pytest.raises(ParseError) as err:
+        module_file_to_e(parse_module_file(text))
+    assert err.value.line_no == 3
+    assert "q0 q0 = 0 fails at (0, 0) on u" in str(err.value)
+
+
+def test_cli_rejects_module_file_breaking_a_relation(tmp_path):
+    src = tmp_path / "bad.a1"
+    src.write_text("kind a1\nwindow 0 4 0 0\ngen x1 0\ngen x2 1\n"
+                   "gen x3 2\nsq1 x1 = x2\nsq1 x2 = x3\n")
+    out = run_cli("compute", "socle", "--in", str(src),
+                  "--window", "0", "4", "0", "0")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "line 3: module breaks a relation: Sq1 Sq1 = 0" in out.stderr
+
+
 def test_parse_comments_and_zero_lines():
     text = ("# a tiny module\nkind a1\nwindow 0 4 0 0\n"
             "gen a 0\ngen b 1\nsq1 a = b\nsq2 a = 0\n")
