@@ -4,8 +4,10 @@ An ``A1Module`` is a finite window of a Z-graded module together with the
 two generating operations.  The ``complete`` range records where the data
 agrees with the untruncated module: the basis is exact on
 ``[complete_lo, complete_hi]`` and every action block whose source and
-target both lie in that range is exact.  Every operation states where its
-output can be trusted.
+target both lie in that range is exact.  A bound of ``-math.inf`` or
+``math.inf`` means exact in every degree in that direction.  Every
+operation states where its output can be trusted, and degree loops run
+over populated degrees only (``A1Module.trusted_degrees``).
 
 Standard modules: the trivial module, the free rank-one module, the
 reduced projective-space module ``P = x F[x]`` and its loop companions
@@ -15,6 +17,7 @@ elementary abelian 2-groups assembled by tensoring copies of ``P``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -36,9 +39,6 @@ from .graded import (
     hom_space,
     identity_map,
 )
-
-# Completeness bound meaning "exact in every degree in that direction".
-INF = 10 ** 6
 
 # Basis words of the free rank-one module and their degrees.
 A1_WORDS: tuple[tuple[str, int], ...] = (
@@ -72,7 +72,7 @@ class A1Module:
 
     def __init__(self, basis: dict[int, Iterable[str]],
                  sq1: dict[int, F2Matrix], sq2: dict[int, F2Matrix],
-                 lo: int, hi: int, complete_lo: int, complete_hi: int):
+                 lo: int, hi: int, complete_lo: float, complete_hi: float):
         self.basis: dict[int, tuple[str, ...]] = {
             d: tuple(names) for d, names in basis.items() if tuple(names)
         }
@@ -155,8 +155,15 @@ class A1Module:
 
     def is_complete_below(self) -> bool:
         """True when the untruncated module is known to vanish below the
-        window (the exactness range extends strictly below it)."""
+        window (the exactness range extends strictly below it, for
+        instance to ``-math.inf``)."""
         return self.complete_lo < self.lo or not self.basis
+
+    def trusted_degrees(self, reach: int = 0) -> list[int]:
+        """Populated degrees d with d and d + reach in the complete range,
+        so that actions from d reaching ``reach`` up are exact."""
+        return [d for d in self.degrees()
+                if self.complete_lo <= d and d + reach <= self.complete_hi]
 
     def incoming_ok(self, d: int, reach: int) -> bool:
         """All actions landing in degree d from ``reach`` below are faithful."""
@@ -181,10 +188,17 @@ class A1Module:
                 f"complete=[{self.complete_lo},{self.complete_hi}])")
 
 
+def degrees_between(lo: float, hi: float, *degree_sets: Iterable[int]
+                    ) -> list[int]:
+    """Sorted degrees in ``[lo, hi]`` (bounds may be infinite) found in any
+    of the collections, such as module bases or degreewise tables."""
+    return sorted({d for ds in degree_sets for d in ds if lo <= d <= hi})
+
+
 def _sorted_module(basis: dict[int, list[str]],
                    images1: dict[tuple[int, str], tuple[str, ...]],
                    images2: dict[tuple[int, str], tuple[str, ...]],
-                   lo: int, hi: int, c_lo: int, c_hi: int) -> A1Module:
+                   lo: int, hi: int, c_lo: float, c_hi: float) -> A1Module:
     """Assemble a module from name-level action tables (targets clipped)."""
     mod_basis = {d: tuple(sorted(set(names))) for d, names in basis.items() if names}
     idx = {d: {n: i for i, n in enumerate(names)} for d, names in mod_basis.items()}
@@ -214,7 +228,7 @@ def _sorted_module(basis: dict[int, list[str]],
 def std_f(shift: int = 0) -> A1Module:
     """The trivial one-dimensional module, optionally suspended."""
     name = f"i{shift}"
-    return _sorted_module({shift: [name]}, {}, {}, shift, shift, -INF, INF)
+    return _sorted_module({shift: [name]}, {}, {}, shift, shift, -math.inf, math.inf)
 
 
 def std_a1(shift: int = 0) -> A1Module:
@@ -229,7 +243,7 @@ def std_a1(shift: int = 0) -> A1Module:
         basis.setdefault(d + shift, []).append(nm(w))
         im1[(d + shift, nm(w))] = tuple(nm(t) for t in A1_SQ1[w])
         im2[(d + shift, nm(w))] = tuple(nm(t) for t in A1_SQ2[w])
-    return _sorted_module(basis, im1, im2, shift, shift + 6, -INF, INF)
+    return _sorted_module(basis, im1, im2, shift, shift + 6, -math.inf, math.inf)
 
 
 def _p_sq1(s: int) -> bool:
@@ -254,7 +268,7 @@ def std_p(lo: int, hi: int) -> A1Module:
         if _p_sq2(s):
             im2[(s, f"x{s}")] = (f"x{s + 2}",)
     eff_lo = min(lo, 1)
-    return _sorted_module(basis, im1, im2, eff_lo, hi, -INF, hi)
+    return _sorted_module(basis, im1, im2, eff_lo, hi, -math.inf, hi)
 
 
 def std_pn(n: int, lo: int, hi: int) -> A1Module:
@@ -317,7 +331,7 @@ def std_pn(n: int, lo: int, hi: int) -> A1Module:
     if hi < bottom:
         raise ValueError("window too small to contain any generator")
     eff_lo = min(lo, bottom)
-    return _sorted_module(basis, im1, im2, eff_lo, hi, -INF, hi)
+    return _sorted_module(basis, im1, im2, eff_lo, hi, -math.inf, hi)
 
 
 def suspend(m: A1Module, t: int) -> A1Module:
@@ -377,12 +391,11 @@ def tensor_a1(a: A1Module, b: A1Module, hi: Optional[int] = None,
     if ab is None or bb is None:
         raise ValueError("tensor with the zero module")
 
-    def sat(x: int, y: int) -> int:
-        return INF if x >= INF else x + y
-
-    a_top, b_top = max(a.degrees()), max(b.degrees())
-    cap = min(sat(a.complete_hi, bb), sat(b.complete_hi, ab), a_top + b_top)
-    hi = hi if hi is not None else cap
+    # degree d is exact when both factors are exact in every pair of
+    # degrees summing to d; nothing is populated above ``top``
+    exact_hi = min(a.complete_hi + bb, b.complete_hi + ab)
+    top = max(a.degrees()) + max(b.degrees())
+    hi = hi if hi is not None else min(exact_hi, top)
     lo = ab + bb
     basis: dict[int, list[str]] = {}
     im1: dict[tuple[int, str], tuple[str, ...]] = {}
@@ -417,10 +430,9 @@ def tensor_a1(a: A1Module, b: A1Module, hi: Optional[int] = None,
                                            db + 1, b.apply_sq1(db, 1 << j))
                               + pair_names(da, 1 << i, db + 2, b.apply_sq2(db, 1 << j)))
                         im2[(d, name)] = _cancel(t2)
-    c_hi = min(cap, hi)
-    if a.complete_hi >= INF and b.complete_hi >= INF and hi >= a_top + b_top:
-        c_hi = INF
-    return _sorted_module(basis, im1, im2, lo, hi, -INF, c_hi)
+    # a truncation at or above the top degree cuts nothing off
+    c_hi = min(exact_hi, hi if hi < top else math.inf)
+    return _sorted_module(basis, im1, im2, lo, hi, -math.inf, c_hi)
 
 
 def _cancel(names: list[str]) -> tuple[str, ...]:
@@ -471,21 +483,20 @@ class Violation:
 
 def validate(m: A1Module) -> list[Violation]:
     """Check Sq1 Sq1 = 0 and Sq2 Sq2 = Sq1 Sq2 Sq1 on the trustable range."""
-    out: list[Violation] = []
-    for d in m.degrees():
-        if d < m.complete_lo:
-            continue
-        if d + 2 <= m.complete_hi:
-            for i, name in enumerate(m.names(d)):
-                if m.apply_sq1(d + 1, m.apply_sq1(d, 1 << i)):
-                    out.append(Violation("Sq1 Sq1 = 0", d, name))
-        if d + 4 <= m.complete_hi:
-            for i, name in enumerate(m.names(d)):
-                lhs = m.apply_sq2(d + 2, m.apply_sq2(d, 1 << i))
-                rhs = m.apply_sq1(d + 3, m.apply_sq2(d + 1, m.apply_sq1(d, 1 << i)))
-                if lhs != rhs:
-                    out.append(Violation("Sq2 Sq2 = Sq1 Sq2 Sq1", d, name))
-    return out
+    def sq1sq1(d: int, v: int) -> int:
+        return m.apply_sq1(d + 1, m.apply_sq1(d, v))
+
+    def adem(d: int, v: int) -> int:
+        return (m.apply_sq2(d + 2, m.apply_sq2(d, v))
+                ^ m.apply_sq1(d + 3, m.apply_sq2(d + 1, m.apply_sq1(d, v))))
+
+    # ordered by degree, then relation, then basis element
+    out = [Violation(relation, d, name)
+           for relation, reach, defect in (("Sq1 Sq1 = 0", 2, sq1sq1),
+                                           ("Sq2 Sq2 = Sq1 Sq2 Sq1", 4, adem))
+           for d in m.trusted_degrees(reach)
+           for i, name in enumerate(m.names(d)) if defect(d, 1 << i)]
+    return sorted(out, key=lambda v: v.degree)
 
 
 def margolis(m: A1Module, which: str) -> dict[int, int]:
@@ -497,9 +508,7 @@ def margolis(m: A1Module, which: str) -> dict[int, int]:
         return m.apply_sq1(d, bits) if which == "q0" else m.apply_q1(d, bits)
 
     out: dict[int, int] = {}
-    for d in m.degrees():
-        if d + reach > m.complete_hi or d < m.complete_lo:
-            continue
+    for d in m.trusted_degrees(reach):
         if not m.incoming_ok(d, reach):
             continue
         mat = F2Matrix.from_rows([op(d, 1 << i) for i in range(m.dim(d))],
@@ -516,9 +525,7 @@ def margolis(m: A1Module, which: str) -> dict[int, int]:
 def socle(m: A1Module) -> dict[int, F2Matrix]:
     """Degreewise basis of Ker Sq1 intersected with Ker Sq2."""
     out: dict[int, F2Matrix] = {}
-    for d in m.degrees():
-        if d + 2 > m.complete_hi or d < m.complete_lo:
-            continue
+    for d in m.trusted_degrees(2):
         k1 = left_kernel_basis(m.sq1_block(d))
         k2 = left_kernel_basis(m.sq2_block(d))
         inter = intersect_row_spaces(k1, k2)
@@ -537,7 +544,7 @@ def socle_dims(m: A1Module) -> dict[int, int]:
 class ReduceResult:
     module: A1Module
     free_gens: list[int]          # degrees of split-off free generators
-    certified_hi: int             # theta known to vanish up to here
+    certified_hi: float           # theta known to vanish up to here
 
 
 def _cyclic_span(m: A1Module, d0: int, bits: int) -> dict[int, F2Matrix]:
@@ -619,9 +626,7 @@ def reduce(m: A1Module) -> ReduceResult:
     progress = True
     while progress:
         progress = False
-        for d in cur.degrees():
-            if d < cur.complete_lo or d + 6 > cur.complete_hi:
-                continue
+        for d in cur.trusted_degrees(6):
             hit = None
             for i in range(cur.dim(d)):
                 if cur.apply_theta(d, 1 << i):
@@ -641,9 +646,7 @@ def reduce(m: A1Module) -> ReduceResult:
 
 
 def is_reduced(m: A1Module) -> bool:
-    for d in m.degrees():
-        if d < m.complete_lo or d + 6 > m.complete_hi:
-            continue
+    for d in m.trusted_degrees(6):
         for i in range(m.dim(d)):
             if m.apply_theta(d, 1 << i):
                 return False
@@ -664,9 +667,7 @@ class CoverResult:
 def generator_degrees(m: A1Module) -> dict[int, F2Matrix]:
     """Representatives of M / (Sq1 M + Sq2 M), degreewise where trustable."""
     out: dict[int, F2Matrix] = {}
-    for d in m.degrees():
-        if d > m.complete_hi or d < m.complete_lo:
-            continue
+    for d in m.trusted_degrees():
         if not m.incoming_ok(d, 2):
             continue
         img_rows = [m.apply_sq1(d - 1, 1 << i) for i in range(m.dim(d - 1))]
@@ -804,13 +805,11 @@ def stable_evidence(a: A1Module, b: A1Module) -> EvidenceReport:
     """Compare reduced graded dimensions and both Margolis homologies on
     the common certified range."""
     ra, rb = reduce(a), reduce(b)
-    lo = max(ra.module.complete_lo, rb.module.complete_lo)
-    if ra.module.is_complete_below() and rb.module.is_complete_below():
-        bots = [x for x in (ra.module.bottom(), rb.module.bottom()) if x is not None]
-        if bots:
-            lo = min(lo, min(bots))
+    # a module known to vanish below its window is exact in every lower degree
+    lo = max(-math.inf if m.is_complete_below() else m.complete_lo
+             for m in (ra.module, rb.module))
     hi = min(ra.certified_hi, rb.certified_hi)
-    for d in range(lo, hi + 1):
+    for d in degrees_between(lo, hi, ra.module.basis, rb.module.basis):
         if ra.module.dim(d) != rb.module.dim(d):
             return EvidenceReport(
                 False, f"reduced dimensions differ at degree {d}: "
@@ -818,7 +817,7 @@ def stable_evidence(a: A1Module, b: A1Module) -> EvidenceReport:
     for which in ("q0", "q1"):
         ma = margolis(ra.module, which)
         mb = margolis(rb.module, which)
-        for d in range(lo, hi - 3 + 1):
+        for d in degrees_between(lo, hi - 3, ma, mb):
             if ma.get(d, 0) != mb.get(d, 0):
                 return EvidenceReport(
                     False, f"{which}-homology differs at degree {d}")

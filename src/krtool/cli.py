@@ -12,6 +12,7 @@ Builtin module names: A1, F, P, P0..P3, BV<n>, RP<n>, HP.
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 from typing import Optional
@@ -189,7 +190,8 @@ def cmd_compute(args) -> int:
         for g in sorted(set(red.free_gens)):
             lines.append(f"{g}\t{red.free_gens.count(g)}")
         lines.append(f"# reduced dims: {red.module.dims()}")
-        lines.append(f"# certified through degree {red.certified_hi}")
+        lines.append("# certified in every degree" if red.certified_hi == math.inf
+                     else f"# certified through degree {red.certified_hi}")
         _emit("\n".join(lines) + "\n", args.out)
     elif task == "h01":
         em = _load_e(args, w)
@@ -200,12 +202,7 @@ def cmd_compute(args) -> int:
     elif task == "tower-detect":
         rng = random.Random(args.seed)
         spec = random_x_tower_spec(rng)
-        d = spec.xdeg
-        shifts = [s.shift for s in spec.summands]
-        orders = [s.order for s in spec.summands if s.kind == "cyclic"]
-        tw = Window(min(shifts) - 2 * d - 1,
-                    max(shifts) + (max(orders, default=1) + 10) * d + 2, 0, 0)
-        t = build_x_tower(spec, tw, -2, 4)
+        t = build_x_tower(spec, spec.window(-2, 4), -2, 4)
         bad = validate_tower(t)
         lines = [f"# seed {args.seed}: {spec}"]
         lines.append(f"valid\t{not bad}")

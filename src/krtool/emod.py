@@ -417,16 +417,16 @@ def les_h01(a: EModule, b: EModule, c: EModule,
     kernel-intersection homology induced by a short exact sequence split
     over the first exterior factor."""
     # 1. degreewise short exactness
+    fg = f.compose(g)
     for d in region.degrees():
-        fa = f.block(d)
-        gb = g.block(d)
-        if rank(fa) != a.dim(d):
+        rank_f, rank_g = rank(f.block(d)), rank(g.block(d))
+        if rank_f != a.dim(d):
             return LesReport(False, f"first map not injective at {d}", 0)
-        if rank(gb) != c.dim(d):
+        if rank_g != c.dim(d):
             return LesReport(False, f"second map not surjective at {d}", 0)
-        if rank(fa) + rank(gb) != b.dim(d):
+        if rank_f + rank_g != b.dim(d):
             return LesReport(False, f"not exact in the middle at {d}", 0)
-        if not f.compose(g).block(d).is_zero():
+        if not fg.block(d).is_zero():
             return LesReport(False, f"composite nonzero at {d}", 0)
 
     # 2. splitness over the first factor

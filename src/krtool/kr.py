@@ -52,7 +52,7 @@ def compute_f1(n: int, w: Window) -> dict[Degree, int]:
 @dataclass
 class F2Part:
     gens: list[int]               # degrees of free generators, with multiplicity
-    certified_hi: int
+    certified_hi: float           # every degree when math.inf
 
     def class_dims(self, w: Window) -> dict[Degree, int]:
         out: dict[Degree, int] = {}

@@ -14,11 +14,12 @@ ring is empty), which is validated rather than assumed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import coeff as cf
-from .a1 import A1Module, dual_a1, margolis
+from .a1 import A1Module, degrees_between, dual_a1, margolis
 from .coeff import A, CoeffMonomial, S, multiply, q0_coeff, q1_coeff
 from .emod import EModule, H01Result, h01, les_h01, LesReport
 from .gf2 import F2Matrix, rank, solve
@@ -73,10 +74,12 @@ def apply_r(m: A1Module, w: Window) -> RModule:
     """Build the coefficient extension of ``m`` on the window ``w``."""
     _check_base_window(m, w)
 
+    monos = {k: list(cf.monomials_with_twist(k, -math.inf, math.inf))
+             for k in range(w.k_lo, w.k_hi + 1)}
     basis: dict[Degree, list[str]] = {}
     for mm in range(w.m_lo, w.m_hi + 1):
         for k in range(w.k_lo, w.k_hi + 1):
-            for mono in cf.monomials_with_twist(k, -10 ** 9, 10 ** 9):
+            for mono in monos[k]:
                 xd = mm - mono.degree()[0]
                 for xn in m.names(xd):
                     basis.setdefault((mm, k), []).append(f"{mono.name()}|{xn}")
@@ -395,6 +398,11 @@ class A1Map:
     target: A1Module
     blocks: dict[int, F2Matrix]
 
+    def __post_init__(self) -> None:
+        for d, m in self.blocks.items():
+            if m.nrows != self.source.dim(d) or m.ncols != self.target.dim(d):
+                raise ValueError(f"block shape mismatch at {d}")
+
     def block(self, d: int) -> F2Matrix:
         return self.blocks.get(d) or F2Matrix.zero(self.source.dim(d),
                                                    self.target.dim(d))
@@ -404,20 +412,13 @@ class A1Map:
 
     def commutes(self) -> bool:
         s, t = self.source, self.target
-        lo = max(s.complete_lo, t.complete_lo)
-        hi = min(s.complete_hi, t.complete_hi)
-        for d in s.degrees():
-            for reach in (1, 2):
-                if d < lo or d + reach > hi:
-                    continue
+        for reach, s_op, t_op in ((1, s.apply_sq1, t.apply_sq1),
+                                  (2, s.apply_sq2, t.apply_sq2)):
+            for d in degrees_between(t.complete_lo, t.complete_hi - reach,
+                                     s.trusted_degrees(reach)):
                 for i in range(s.dim(d)):
-                    img = (s.apply_sq1(d, 1 << i) if reach == 1
-                           else s.apply_sq2(d, 1 << i))
-                    lhs = self.apply(d + reach, img)
-                    v = self.apply(d, 1 << i)
-                    rhs = (t.apply_sq1(d, v) if reach == 1
-                           else t.apply_sq2(d, v))
-                    if lhs != rhs:
+                    lhs = self.apply(d + reach, s_op(d, 1 << i))
+                    if lhs != t_op(d, self.apply(d, 1 << i)):
                         return False
         return True
 
@@ -462,10 +463,10 @@ def check_sec_r(f: A1Map, g: A1Map, w: Window,
         return SecRResult(False, "maps do not commute with the operations", None)
     lo = max(a.complete_lo, b.complete_lo, c.complete_lo)
     hi = min(a.complete_hi, b.complete_hi, c.complete_hi)
-    for d in range(lo, hi + 1):
-        fa, gb = f.block(d), g.block(d)
-        if rank(fa) != a.dim(d) or rank(gb) != c.dim(d) \
-                or rank(fa) + rank(gb) != b.dim(d):
+    # a degree where all three modules vanish is trivially short exact
+    for d in degrees_between(lo, hi, a.basis, b.basis, c.basis):
+        rank_f, rank_g = rank(f.block(d)), rank(g.block(d))
+        if rank_f != a.dim(d) or rank_g != c.dim(d) or rank_f + rank_g != b.dim(d):
             return SecRResult(False, f"not short exact at degree {d}", None)
 
     # splitness over the first factor: the quotient must be q0-free
@@ -491,10 +492,8 @@ def _sq1_section(g: A1Map) -> Optional[GradedMap]:
     b, c = g.source, g.target
     lo = max(b.complete_lo, c.complete_lo)
     hi = min(b.complete_hi, c.complete_hi)
-    # zero blocks are dropped first: callers may give them any shape
     g_map = GradedMap(b.space(), c.space(), (0, 0),
-                      {(d, 0): blk for d, blk in g.blocks.items()
-                       if not blk.is_zero()})
+                      {(d, 0): blk for d, blk in g.blocks.items()})
     return hom_space(c.space(), b.space(), (0, 0),
                      [OperatorPair("sq1", c.sq1_map(), b.sq1_map())],
                      Window(lo, hi, 0, 0), unit=(identity_map(c.space()), g_map))

@@ -81,10 +81,9 @@ def validate_tower(t: TowerData) -> list[TowerWitness]:
     out: list[TowerWitness] = []
     for n in range(t.level_lo + 1, t.level_hi + 1):
         lev, prev = t.levels[n], t.levels[n - 1]
+        through = lev.e.compose(prev.f)
         for d in t.region.degrees():
-            lhs = lev.e.compose(prev.f).block(d)
-            rhs = lev.f.block(d)
-            if lhs != rhs:
+            if through.block(d) != lev.f.block(d):
                 out.append(TowerWitness(n, d, "colimit maps do not commute"))
                 break
     for n in range(t.level_lo, t.level_hi):
@@ -338,6 +337,14 @@ class XTowerSpec:
     def max_order(self) -> int:
         orders = [s.order for s in self.summands if s.kind == "cyclic"]
         return max(orders) if orders else 0
+
+    def window(self, level_lo: int, level_hi: int) -> Window:
+        """Window for the tower levels ``level_lo..level_hi``: from the lowest
+        summand moved ``level_lo`` steps of x to the highest moved past the
+        largest torsion order by ``level_hi + 6`` steps, plus a degree or two."""
+        d, shifts = self.xdeg, [s.shift for s in self.summands]
+        top = max(shifts) + ((self.max_order() or 1) + level_hi + 6) * d
+        return Window(min(shifts) + level_lo * d - 1, top + 2, 0, 0)
 
 
 def _module_names(spec: XTowerSpec, mdeg: int) -> list[str]:

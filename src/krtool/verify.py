@@ -170,12 +170,7 @@ def _suite_towers(seed: int = 20260808, count: int = 100) -> tuple[bool, str]:
     homology_checks = 0
     for i in range(count):
         spec = random_x_tower_spec(rng)
-        d = spec.xdeg
-        shifts = [s.shift for s in spec.summands]
-        orders = [s.order for s in spec.summands if s.kind == "cyclic"]
-        w = Window(min(shifts) - 2 * d - 1,
-                   max(shifts) + (max(orders, default=1) + 10) * d + 2, 0, 0)
-        t = build_x_tower(spec, w, -2, 4)
+        t = build_x_tower(spec, spec.window(-2, 4), -2, 4)
         if validate_tower(t):
             return False, f"instance {i} fails validation"
         for h in (1, 2):

@@ -1,6 +1,7 @@
 """Module layer over the Sq1/Sq2 algebra: standard modules, duality,
 reduction, covers and loops, checked against direct evaluation oracles."""
 
+import math
 from math import comb
 
 from krtool.a1 import (
@@ -151,6 +152,27 @@ def test_margolis_p_acyclic():
 
 def test_margolis_f():
     assert margolis(std_f(), "q0") == {0: 1}
+
+
+def test_suspension_keeps_unbounded_range():
+    m = suspend(std_f(0), -3)
+    assert (m.complete_lo, m.complete_hi) == (-math.inf, math.inf)
+    assert m.trusted_degrees(6) == [-3]
+
+
+def test_tensor_with_negatively_suspended_factor_is_exact_everywhere():
+    for t in (-1, 1):
+        m = tensor_a1(suspend(std_a1(), t), std_a1())
+        assert m.complete_hi == math.inf, t
+        assert validate(m) == []
+
+
+def test_trusted_degrees_respect_the_complete_range():
+    p = std_p(1, 12)
+    assert p.trusted_degrees() == list(range(1, 13))
+    assert p.trusted_degrees(6) == list(range(1, 7))
+    assert reduce(p).certified_hi == 6
+    assert reduce(std_a1()).certified_hi == math.inf
 
 
 def test_tensor_validates_and_margolis_matches_companion():

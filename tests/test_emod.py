@@ -1,5 +1,9 @@
 """Relative homological algebra over the exterior pair."""
 
+import math
+
+import pytest
+
 from krtool.a1 import std_a1, std_f, std_p, std_pn, proj_cover_and_loop
 from krtool.emod import (
     EModule,
@@ -214,33 +218,36 @@ def test_sec_r_cover_of_trivial_module_has_no_sq1_section():
     from krtool.rfun import _sq1_section
     res = proj_cover_and_loop(std_f(0))
     assert _sq1_section(A1Map(res.cover, std_f(0), res.epi_blocks)) is None
-    # the same module known on [-20, 20] only, so that the degreewise
-    # exactness check before the section search stays short
-    base = A1Module({0: ("i0",)}, {}, {}, 0, 0, -20, 20)
-    res = proj_cover_and_loop(base)
-    f = A1Map(res.loop, res.cover, res.loop_rows)
-    g = A1Map(res.cover, base, res.epi_blocks)
-    out = check_sec_r(f, g, Window(-6, 8, -3, 3))
-    assert not out.ok
-    assert "no sq1-linear section" in out.detail
+    # the module exact in every degree, and the same module known on
+    # [-20, 20] only
+    for base in (std_f(0), A1Module({0: ("i0",)}, {}, {}, 0, 0, -20, 20)):
+        res = proj_cover_and_loop(base)
+        f = A1Map(res.loop, res.cover, res.loop_rows)
+        g = A1Map(res.cover, base, res.epi_blocks)
+        out = check_sec_r(f, g, Window(-6, 8, -3, 3))
+        assert not out.ok
+        assert "no sq1-linear section" in out.detail
 
 
 def test_sec_r_rejects_non_split():
     # the nontrivial extension of the trivial module by its suspension
     # is not split over the first generator
-    lam0 = std_a1()  # stand-in construction below uses a two-class module
     from krtool.a1 import A1Module
     basis = {0: ("u",), 1: ("v",)}
     sq1 = {0: F2Matrix.from_rows([1], 1)}
-    lam = A1Module(basis, sq1, {}, 0, 1, -10 ** 6, 10 ** 6)
-    top = std_f(1)
-    bottom = std_f(0)
-    fb = {0: F2Matrix.from_rows([1], 1)}
-    gb = {0: F2Matrix.from_rows([0], 1), 1: F2Matrix.from_rows([1], 1)}
-    f = A1Map(bottom, lam, fb)
-    g = A1Map(lam, top, gb)
+    lam = A1Module(basis, sq1, {}, 0, 1, -math.inf, math.inf)
+    f = A1Map(std_f(1), lam, {1: F2Matrix.from_rows([1], 1)})
+    g = A1Map(lam, std_f(0), {0: F2Matrix.from_rows([1], 1)})
     out = check_sec_r(f, g, Window(-6, 6, -3, 3))
     assert not out.ok
+    assert "no sq1-linear section" in out.detail
+
+
+def test_a1_map_rejects_block_of_wrong_shape():
+    # std_f(1) is zero in degree 0, so a map into it has a 1x0 block there
+    with pytest.raises(ValueError, match="block shape mismatch at 0"):
+        A1Map(std_f(0), std_f(1), {0: F2Matrix.from_rows([1], 1)})
+    A1Map(std_f(0), std_f(1), {0: F2Matrix.zero(1, 0)})
 
 
 def test_les_trivial_shapes():

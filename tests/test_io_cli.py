@@ -172,6 +172,16 @@ def test_cli_compute_socle():
     assert "0\t0\t1" in out.stdout
 
 
+def test_cli_reduce_module_exact_in_every_degree():
+    out = run_cli("compute", "reduce", "--builtin", "F")
+    assert out.returncode == 0
+    assert "999994" not in out.stdout
+    assert "# certified in every degree" in out.stdout
+    out = run_cli("compute", "reduce", "--builtin", "P",
+                  "--window", "-4", "8", "0", "0")
+    assert "# certified through degree 2" in out.stdout
+
+
 def test_cli_kr_table():
     out = run_cli("compute", "kr-table", "--bv", "1",
                   "--window", "-8", "8", "-4", "4", "--layers", "2")

@@ -3,7 +3,6 @@ torsion-order criterion as the independent oracle."""
 
 import random
 
-from krtool.graded import Window
 from krtool.towers import (
     Summand,
     XTowerSpec,
@@ -18,18 +17,9 @@ from krtool.towers import (
 )
 
 
-def window_for(spec, levels):
-    d = spec.xdeg
-    shifts = [s.shift for s in spec.summands]
-    orders = [s.order for s in spec.summands if s.kind == "cyclic"]
-    m_lo = min(shifts) + min(levels) * d - 1
-    m_hi = max(shifts) + (max(orders, default=1) + 3 + max(levels) + 3) * d + 2
-    return Window(m_lo, m_hi, 0, 0)
-
-
 def constant_free_tower(levels=(-2, 3)):
     spec = XTowerSpec(1, (Summand("free", 0),))
-    return spec, build_x_tower(spec, window_for(spec, levels), *levels)
+    return spec, build_x_tower(spec, spec.window(*levels), *levels)
 
 
 def test_validate_free_tower():
@@ -40,13 +30,13 @@ def test_validate_free_tower():
 def test_validate_mixed_tower():
     spec = XTowerSpec(2, (Summand("cyclic", 1, 2), Summand("free", 0),
                           Summand("cyclic", -1, 3)))
-    t = build_x_tower(spec, window_for(spec, (-2, 4)), -2, 4)
+    t = build_x_tower(spec, spec.window(-2, 4), -2, 4)
     assert validate_tower(t) == []
 
 
 def test_broken_tower_is_caught():
     spec = XTowerSpec(1, (Summand("cyclic", 0, 2),))
-    t = build_x_tower(spec, window_for(spec, (-2, 3)), -2, 3)
+    t = build_x_tower(spec, spec.window(-2, 3), -2, 3)
     lev = t.levels[0]
     from krtool.graded import zero_map
     lev.delta = zero_map(lev.layer, t.levels[1].space, (1, 0))
@@ -61,7 +51,7 @@ def test_torsion_free_tower_detects_height_one():
 
 def test_filtration_on_truncated_polynomial_tower():
     spec = XTowerSpec(1, (Summand("cyclic", 0, 3),))
-    t = build_x_tower(spec, window_for(spec, (-2, 4)), -2, 4)
+    t = build_x_tower(spec, spec.window(-2, 4), -2, 4)
     fil = filtration(t, 0)
     # the colimit vanishes, so the comparison kernel is everything
     assert fil.dims("T")
@@ -76,7 +66,7 @@ def test_filtration_on_truncated_polynomial_tower():
 
 def test_spec_example_order_two_and_one():
     spec = XTowerSpec(1, (Summand("cyclic", 0, 2), Summand("cyclic", 0, 1)))
-    t = build_x_tower(spec, window_for(spec, (-2, 4)), -2, 4)
+    t = build_x_tower(spec, spec.window(-2, 4), -2, 4)
     assert validate_tower(t) == []
     assert not detect(t, 1, 0).holds
     assert detect(t, 2, 0).holds
@@ -87,7 +77,7 @@ def test_monotonicity_of_detection():
     for _ in range(10):
         spec = random_x_tower_spec(rng)
         levels = (-2, 4)
-        t = build_x_tower(spec, window_for(spec, levels), *levels)
+        t = build_x_tower(spec, spec.window(*levels), *levels)
         if detect(t, 1, 0).holds:
             assert detect(t, 2, 0).holds
 
@@ -98,7 +88,7 @@ def test_detection_matches_oracle_randomized():
     for _ in range(100):
         spec = random_x_tower_spec(rng)
         levels = (-2, 4)
-        t = build_x_tower(spec, window_for(spec, levels), *levels)
+        t = build_x_tower(spec, spec.window(*levels), *levels)
         assert validate_tower(t) == []
         for h in (1, 2):
             got = all(detect(t, h, n).holds for n in (0, 1))
@@ -111,7 +101,7 @@ def test_iota_always_injective():
     rng = random.Random(7)
     for _ in range(20):
         spec = random_x_tower_spec(rng)
-        t = build_x_tower(spec, window_for(spec, (-2, 4)), -2, 4)
+        t = build_x_tower(spec, spec.window(-2, 4), -2, 4)
         assert iota_injective(t, 0)
 
 
@@ -121,7 +111,7 @@ def test_chain_complex_homology_matches_image_filtration():
     for _ in range(40):
         spec = random_x_tower_spec(rng)
         levels = (-2, 4)
-        t = build_x_tower(spec, window_for(spec, levels), *levels)
+        t = build_x_tower(spec, spec.window(*levels), *levels)
         rep = chain_complex_at(t, 1)
         assert rep.ok, rep.detail
         assert rep.homology_dims == rep.phi_quotient_dims
@@ -135,6 +125,6 @@ def test_chain_complex_homology_matches_image_filtration():
 def test_zero_structure_maps_detect_trivially():
     # a tower whose structure maps vanish satisfies height-one detection
     spec = XTowerSpec(1, (Summand("cyclic", 0, 1),))  # x acts by zero
-    t = build_x_tower(spec, window_for(spec, (-2, 3)), -2, 3)
+    t = build_x_tower(spec, spec.window(-2, 3), -2, 3)
     for n in (-1, 0, 1):
         assert detect(t, 1, n).holds
