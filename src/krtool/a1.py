@@ -22,13 +22,12 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .gf2 import (
+    Echelon,
     F2Matrix,
     intersect_row_spaces,
     left_kernel_basis,
     rank,
     row_basis,
-    solve_row,
-    span_contains,
     subquotient_basis,
 )
 from .graded import (
@@ -550,40 +549,47 @@ class ReduceResult:
 def _cyclic_span(m: A1Module, d0: int, bits: int) -> dict[int, F2Matrix]:
     """Row basis of the submodule generated by one vector of degree d0."""
     vecs: dict[int, list[int]] = {d0: [bits]}
+    spans = {d0: Echelon(vecs[d0])}
     frontier = [(d0, bits)]
     while frontier:
         d, v = frontier.pop()
         for reach in (1, 2):
             img = m.apply_sq1(d, v) if reach == 1 else m.apply_sq2(d, v)
-            if img:
-                cur = vecs.setdefault(d + reach, [])
-                if not span_contains(F2Matrix.from_rows(cur, m.dim(d + reach)), img):
-                    cur.append(img)
-                    frontier.append((d + reach, img))
+            if img and spans.setdefault(d + reach, Echelon()).add(img):
+                vecs.setdefault(d + reach, []).append(img)
+                frontier.append((d + reach, img))
     return {d: row_basis(F2Matrix.from_rows(v, m.dim(d)))
             for d, v in vecs.items()}
 
 
 def _submodule(m: A1Module, rows: dict[int, F2Matrix], prefix: str) -> A1Module:
-    """Module structure on per-degree row spans (closed under the action
-    wherever the ambient data is trustable)."""
+    """Module structure on per-degree row spans.
+
+    The spans must be closed under the action wherever the ambient data is
+    trustable: an image outside the target span raises ``ValueError`` there
+    and is written as zero elsewhere.
+    """
     kept = {d: b for d, b in rows.items() if b.nrows}
     basis = {d: tuple(f"{prefix}{d}_{i:04d}" for i in range(b.nrows))
              for d, b in kept.items()}
+    spans = {d: Echelon(b.rows) for d, b in kept.items()}
     sq1: dict[int, F2Matrix] = {}
     sq2: dict[int, F2Matrix] = {}
     for d, b in kept.items():
-        for reach, store in ((1, sq1), (2, sq2)):
-            tgt = kept.get(d + reach)
-            tdim = tgt.nrows if tgt else 0
+        for reach, store, op in ((1, sq1, "Sq1"), (2, sq2, "Sq2")):
+            tgt = spans.get(d + reach, Echelon())
+            tdim = kept[d + reach].nrows if d + reach in kept else 0
+            trusted = m.complete_lo <= d and d + reach <= m.complete_hi
             out_rows = []
             for v in b.rows:
                 img = m.apply_sq1(d, v) if reach == 1 else m.apply_sq2(d, v)
-                if img == 0 or tgt is None:
-                    out_rows.append(0)
-                    continue
-                c = solve_row(img, tgt)
-                out_rows.append(c if c is not None else 0)
+                c = tgt.coords(img)
+                if c is None and trusted:
+                    raise ValueError(
+                        f"span at degree {d} not closed under {op}: the image "
+                        f"of {m.vector_name(d, v)} leaves the span at degree "
+                        f"{d + reach}")
+                out_rows.append(c or 0)
             store[d] = F2Matrix.from_rows(out_rows, tdim)
     return A1Module(basis, sq1, sq2, m.lo, m.hi, m.complete_lo, m.complete_hi)
 

@@ -43,10 +43,6 @@ def soc_has(n: int, d: int) -> bool:
     return dd == 7 or (dd >= 8 and dd % 4 == 0)
 
 
-def soc_degrees(n: int, lo: int, hi: int) -> list[int]:
-    return [d for d in range(lo, hi + 1) if soc_has(n, d)]
-
-
 def _class_name(n: int, d: Degree) -> str:
     m, k = d
     h = _euler_height(n, d)
@@ -96,71 +92,6 @@ def h01_pn_closed(n: int, w: Window) -> GradedSpace:
 def hp_dim(d: Degree) -> int:
     """Dimension of the periodic closed-form model at a bidegree."""
     return borel_pn_dim(0, d)
-
-
-def hp_space(w: Window) -> GradedSpace:
-    basis: dict[Degree, list[str]] = {}
-    for d in w.degrees():
-        if hp_dim(d):
-            basis[d] = [_class_name(0, d)]
-    return GradedSpace(w, basis)
-
-
-def _euler_map(space: GradedSpace, heights: dict[Degree, int | None]) -> GradedMap:
-    """Multiplication by the Euler class: up the towers, zero elsewhere."""
-    blocks: dict[Degree, F2Matrix] = {}
-    for d in space.degrees():
-        td = add_deg(d, (0, 1))
-        rows = []
-        for name in space.names(d):
-            h = heights.get(d)
-            bits = 0
-            if h is not None and h < 2 and space.dim(td):
-                th = heights.get(td)
-                if th == h + 1:
-                    # towers are one-dimensional per degree here; the
-                    # stacked sum map below handles multiplicities
-                    idx = _tower_partner_index(space, d, name, td)
-                    if idx is not None:
-                        bits = 1 << idx
-            rows.append(bits)
-        blocks[d] = F2Matrix.from_rows(rows, space.dim(td))
-    return GradedMap(space, space, (0, 1), blocks)
-
-
-def _tower_partner_index(space: GradedSpace, d: Degree, name: str,
-                         td: Degree) -> int | None:
-    """Match a tower class to its Euler multiple by copy tag."""
-    tag = name.split(":", 1)[0] if ":" in name else ""
-    for i, tn in enumerate(space.names(td)):
-        ttag = tn.split(":", 1)[0] if ":" in tn else ""
-        if ttag == tag:
-            return i
-    return None
-
-
-def borel_pn_space(n: int, w: Window, tag: str = "") -> tuple[GradedSpace,
-                                                              dict[Degree, int | None]]:
-    basis: dict[Degree, list[str]] = {}
-    heights: dict[Degree, int | None] = {}
-    for d in w.degrees():
-        if borel_pn_dim(n, d):
-            basis[d] = [tag + _class_name(n, d)]
-            heights[d] = _euler_height(n, d)
-    return GradedSpace(w, basis), heights
-
-
-def hv_closed(n: int, w: Window) -> GradedSpace:
-    """The non-free part for the rank-n group: binomial many copies of
-    each companion pattern."""
-    basis: dict[Degree, list[str]] = {}
-    for i in range(1, n + 1):
-        for c in range(comb(n, i)):
-            for d in w.degrees():
-                if h01_pn_dim(i, d):
-                    basis.setdefault(d, []).append(
-                        f"b{i}c{c}:{_class_name(i, d)}")
-    return GradedSpace(w, basis)
 
 
 def hv_closed_dims(n: int, w: Window) -> dict[Degree, int]:

@@ -15,12 +15,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .gf2 import (
+    Echelon,
     F2Matrix,
     intersect_row_spaces,
     left_kernel_basis,
     rank,
     row_basis,
-    solve_row,
 )
 from .graded import (
     Degree,
@@ -451,16 +451,16 @@ def les_h01(a: EModule, b: EModule, c: EModule,
 
     def connecting(d: Degree) -> Optional[F2Matrix]:
         reps = hc.sub.reps(d)
+        td = add_deg(d, Q1_SHIFT)
+        f_span = Echelon(f.block(td).rows)
         rows = []
         for v in reps.rows:
             lift = split.apply(d, v)
-            q1l = b.q1.apply(d, lift)
             # pull back along f
-            td = add_deg(d, Q1_SHIFT)
-            pre = solve_row(q1l, f.block(td)) if q1l else 0
+            pre = f_span.coords(b.q1.apply(d, lift))
             if pre is None:
                 return None
-            cexp = ha.sub.express(td, pre or 0)
+            cexp = ha.sub.express(td, pre)
             if cexp is None:
                 return None
             rows.append(cexp)
@@ -502,11 +502,6 @@ def q0_acyclic_on(m: EModule, region: Window) -> bool:
     return True
 
 
-def margolis_q1_nonzero_on(m: EModule, region: Window) -> bool:
-    hom = margolis_q1(m)
-    return any(region.contains(d) for d in hom)
-
-
 # -- duality ---------------------------------------------------------------------
 
 def dual_e(m: EModule) -> EModule:
@@ -522,24 +517,6 @@ def dual_e(m: EModule) -> EModule:
 
     comp = m.complete.negate()
     return EModule(sp, dual_map(m.q0), dual_map(m.q1), comp)
-
-
-def shift_emod(m: EModule, s: Degree, out: Window) -> EModule:
-    """Regrade by ``s`` and clip to ``out``."""
-    sp = m.space.shifted(s).restrict(out)
-
-    def shift_map(mp: GradedMap) -> GradedMap:
-        blocks = {}
-        for d, blk in mp.blocks.items():
-            nd = add_deg(d, s)
-            if out.contains(nd) and out.contains(add_deg(nd, mp.shift)):
-                blocks[nd] = blk
-        return GradedMap(sp, sp, mp.shift, blocks)
-
-    comp = m.complete.shift(s).intersect(out)
-    if comp is None:
-        comp = Window(out.m_lo, out.m_lo, out.k_lo, out.k_lo)
-    return EModule(sp, shift_map(m.q0), shift_map(m.q1), comp)
 
 
 def h01_dual_dims(m: EModule) -> dict[Degree, int]:

@@ -1,15 +1,20 @@
 """Bit-packed linear algebra over the two-element field.
 
 A matrix row is a Python integer used as a bit vector (bit ``j`` is column
-``j``), so every row operation is a single big-int XOR.  All values are
-immutable; all functions are pure.  Pivoting is always leftmost, so results
-are deterministic and reproducible byte for byte.
+``j``), so every row operation is a single big-int XOR.  Matrices are
+immutable and the functions are pure.  Pivoting is always leftmost, so
+results are deterministic and reproducible byte for byte.
+
+``Echelon`` is the factored solver: it eliminates a list of rows once and
+then answers membership and coordinate questions for any number of vectors,
+each in one pass over the pivots the vector touches.  Loops that solve many
+right-hand sides against one fixed basis build one ``Echelon`` for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -42,17 +47,6 @@ class F2Matrix:
     def from_rows(rows: Sequence[int], ncols: int) -> "F2Matrix":
         return F2Matrix(len(rows), ncols, tuple(rows))
 
-    @staticmethod
-    def from_entries(entries: Sequence[Sequence[int]], ncols: int) -> "F2Matrix":
-        rows = []
-        for e in entries:
-            r = 0
-            for j, v in enumerate(e):
-                if v & 1:
-                    r |= 1 << j
-            rows.append(r)
-        return F2Matrix(len(rows), ncols, tuple(rows))
-
     # -- basic queries -----------------------------------------------------
 
     def entry(self, i: int, j: int) -> int:
@@ -60,9 +54,6 @@ class F2Matrix:
 
     def is_zero(self) -> bool:
         return all(r == 0 for r in self.rows)
-
-    def row_list(self) -> list[int]:
-        return list(self.rows)
 
     # -- algebra -----------------------------------------------------------
 
@@ -139,16 +130,66 @@ def row_basis(m: F2Matrix) -> F2Matrix:
     return F2Matrix(len(piv), m.ncols, r.rows[: len(piv)])
 
 
-def _reduce_vector(v: int, ech_rows: Sequence[int], pivots: Sequence[int]) -> int:
-    for r, p in zip(ech_rows, pivots):
-        if (v >> p) & 1:
-            v ^= r
-    return v
+class Echelon:
+    """The row span of a list of rows, eliminated once for many solves.
+
+    Rows are inserted in order.  A row that enlarges the span is stored
+    reduced and keyed by its lowest set bit, its pivot.  The stored rows are
+    kept fully reduced (no stored row has a bit at another one's pivot), and
+    each records which input rows it sums, so reducing a vector takes one
+    XOR per pivot bit the vector has.
+    """
+
+    def __init__(self, rows: Iterable[int] = ()) -> None:
+        self._rows: dict[int, tuple[int, int]] = {}  # pivot bit -> (row, inputs)
+        self._pivots = 0                               # union of the pivot bits
+        self._inserted = 0
+        for r in rows:
+            self.add(r)
+
+    def _reduce(self, v: int) -> tuple[int, int]:
+        """``v`` with every pivot bit cleared, and the inputs it took."""
+        used = 0
+        hits = v & self._pivots
+        while hits:
+            low = hits & -hits
+            row, inputs = self._rows[low]
+            v ^= row
+            used ^= inputs
+            hits ^= low
+        return v, used
+
+    def add(self, v: int) -> bool:
+        """Insert the next input row; True when it enlarges the span."""
+        w, used = self._reduce(v)
+        used ^= 1 << self._inserted
+        self._inserted += 1
+        if not w:
+            return False
+        low = w & -w
+        rows = self._rows
+        for key, (row, inputs) in rows.items():
+            if row & low:
+                rows[key] = (row ^ w, inputs ^ used)
+        rows[low] = (w, used)
+        self._pivots |= low
+        return True
+
+    def remainder(self, v: int) -> int:
+        """``v`` reduced modulo the span: zero exactly when ``v`` lies in it.
+        It depends only on the span, not on the rows that span it."""
+        return self._reduce(v)[0]
+
+    def coords(self, v: int) -> Optional[int]:
+        """Coefficients ``c`` over the input rows whose sum is ``v``, or None
+        when ``v`` is outside the span.  Rows that did not enlarge the span
+        when inserted get coefficient zero, so the coefficients are unique."""
+        w, used = self._reduce(v)
+        return None if w else used
 
 
 def span_contains(m: F2Matrix, v: int) -> bool:
-    r, piv = rref(m)
-    return _reduce_vector(v, r.rows[: len(piv)], piv) == 0
+    return Echelon(m.rows).remainder(v) == 0
 
 
 def kernel_basis(m: F2Matrix) -> F2Matrix:
@@ -191,7 +232,9 @@ def solve(m: F2Matrix, b: int) -> Optional[int]:
 
 def solve_row(v: int, basis: F2Matrix) -> Optional[int]:
     """Coefficients c with ``v = c . basis`` (rows of basis), or None."""
-    return solve(basis.transpose(), v)
+    if v >> basis.ncols:
+        raise ValueError("vector longer than the basis rows")
+    return Echelon(basis.rows).coords(v)
 
 
 def subquotient_basis(a: F2Matrix, b: F2Matrix) -> F2Matrix:
@@ -201,22 +244,16 @@ def subquotient_basis(a: F2Matrix, b: F2Matrix) -> F2Matrix:
     """
     if a.ncols != b.ncols:
         raise ValueError("ambient dimension mismatch")
-    rb, pb = rref(b)
-    for v in rb.rows[: len(pb)]:
-        if not span_contains(a, v):
-            raise ValueError("second span not contained in the first")
-    acc_rows = list(rb.rows[: len(pb)])
-    acc_piv = list(pb)
+    inside = Echelon(a.rows)
+    if any(inside.remainder(v) for v in b.rows):
+        raise ValueError("second span not contained in the first")
+    acc = Echelon(b.rows)
     out = []
     for v in a.rows:
-        w = _reduce_vector(v, acc_rows, acc_piv)
+        w = acc.remainder(v)
         if w:
             out.append(w)
-            acc_rows.append(w)
-            acc_piv.append((w & -w).bit_length() - 1)
-            order = sorted(range(len(acc_rows)), key=lambda i: acc_piv[i])
-            acc_rows = [acc_rows[i] for i in order]
-            acc_piv = [acc_piv[i] for i in order]
+            acc.add(w)
     return F2Matrix(len(out), a.ncols, tuple(out))
 
 

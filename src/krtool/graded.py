@@ -10,17 +10,17 @@ complete, so downstream comparisons never read truncation artifacts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional
 
 from .gf2 import (
+    Echelon,
     F2Matrix,
     kernel_basis,
     left_kernel_basis,
     rank,
     row_basis,
     solve,
-    solve_row,
     subquotient_basis,
 )
 
@@ -173,18 +173,6 @@ def truncate_twist(a: GradedSpace, mode: str, t: int) -> GradedSpace:
     return GradedSpace(a.window, keep)
 
 
-def direct_sum(a: GradedSpace, b: GradedSpace, out: Window,
-               tag_a: str = "", tag_b: str = "") -> GradedSpace:
-    basis: dict[Degree, list[str]] = {}
-    for d, names in a.basis.items():
-        if out.contains(d):
-            basis.setdefault(d, []).extend(tag_a + n for n in names)
-    for d, names in b.basis.items():
-        if out.contains(d):
-            basis.setdefault(d, []).extend(tag_b + n for n in names)
-    return GradedSpace(out, basis)
-
-
 def tensor(a: GradedSpace, b: GradedSpace, out: Window,
            sep: str = "*") -> GradedSpace:
     """Graded tensor product clipped to ``out``; names are pair names."""
@@ -294,48 +282,51 @@ def identity_map(space: GradedSpace) -> GradedMap:
                       for d in space.degrees()})
 
 
-def map_from_images(source: GradedSpace, target: GradedSpace, shift: Degree,
-                    images: Callable[[Degree, str], Iterable[str]]) -> GradedMap:
-    """Build a map from a name-level image function (sum of target names)."""
-    blocks: dict[Degree, F2Matrix] = {}
-    for d in source.degrees():
-        td = add_deg(d, shift)
-        tdim = target.dim(td)
-        rows = []
-        for name in source.names(d):
-            bits = 0
-            for out in images(d, name):
-                if out == "0" or out == "":
-                    continue
-                if target.window.contains(td):
-                    bits ^= 1 << target.index(td, out)
-            rows.append(bits)
-        if tdim or rows:
-            blocks[d] = F2Matrix.from_rows(rows, tdim)
-    return GradedMap(source, target, shift, blocks)
-
-
 # -- subquotient helpers -----------------------------------------------------
 
 @dataclass
 class Subquotient:
-    """Numerator/denominator row bases per degree in an ambient space."""
+    """Numerator/denominator row bases per degree in an ambient space.
+
+    Representatives are computed once per degree and cached together with
+    the elimination that ``express`` solves against, so the numerator and
+    denominator tables must not change after the first call.
+    """
 
     ambient: GradedSpace
     numerators: dict[Degree, F2Matrix]
     denominators: dict[Degree, F2Matrix]
+    _solved: dict[Degree, tuple[F2Matrix, Echelon]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+
+    def _solver(self, d: Degree) -> tuple[F2Matrix, Echelon]:
+        """Representatives at ``d``, and the elimination of the
+        representatives followed by the denominator rows."""
+        got = self._solved.get(d)
+        if got is None:
+            num = self.numerators.get(d)
+            den = self.denominators.get(d)
+            if num is None:
+                reps = F2Matrix.zero(0, self.ambient.dim(d))
+            elif den is None or den.nrows == 0:
+                reps = row_basis(num)
+            else:
+                reps = subquotient_basis(num.stack(den), den)
+            den_rows = den.rows if den is not None else ()
+            got = self._solved[d] = (reps, Echelon(reps.rows + den_rows))
+        return got
 
     def reps(self, d: Degree) -> F2Matrix:
-        num = self.numerators.get(d)
-        if num is None:
-            return F2Matrix.zero(0, self.ambient.dim(d))
-        den = self.denominators.get(d)
-        if den is None or den.nrows == 0:
-            return row_basis(num)
-        return subquotient_basis(num.stack(den), den)
+        return self._solver(d)[0]
 
     def dim(self, d: Degree) -> int:
-        return self.reps(d).nrows
+        num = self.numerators.get(d)
+        if num is None:
+            return 0
+        den = self.denominators.get(d)
+        if den is None:
+            return rank(num)
+        return rank(num.stack(den)) - rank(den)
 
     def dims(self) -> dict[Degree, int]:
         out = {}
@@ -353,29 +344,11 @@ class Subquotient:
 
     def express(self, d: Degree, vec: int) -> Optional[int]:
         """Coordinates of an ambient vector in the rep basis, mod denominator."""
-        reps = self.reps(d)
-        den = self.denominators.get(d, F2Matrix.zero(0, self.ambient.dim(d)))
-        full = reps.stack(den)
-        c = solve_row(vec, full)
+        reps, span = self._solver(d)
+        c = span.coords(vec)
         if c is None:
             return None
         return c & ((1 << reps.nrows) - 1)
-
-
-def induced_block(f: GradedMap, src: Subquotient, dst: Subquotient,
-                  d: Degree) -> Optional[F2Matrix]:
-    """Matrix of the map induced by ``f`` between subquotients at degree d."""
-    reps = src.reps(d)
-    td = add_deg(d, f.shift)
-    tdim = dst.dim(td)
-    rows = []
-    for v in reps.rows:
-        w = f.apply(d, v)
-        c = dst.express(td, w)
-        if c is None:
-            return None
-        rows.append(c)
-    return F2Matrix.from_rows(rows, tdim)
 
 
 # -- solver for operator-commuting graded maps -------------------------------

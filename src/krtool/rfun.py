@@ -22,7 +22,7 @@ from . import coeff as cf
 from .a1 import A1Module, degrees_between, dual_a1, margolis
 from .coeff import A, CoeffMonomial, S, multiply, q0_coeff, q1_coeff
 from .emod import EModule, H01Result, h01, les_h01, LesReport
-from .gf2 import F2Matrix, rank, solve
+from .gf2 import Echelon, F2Matrix, rank
 from .graded import (
     Degree,
     GradedMap,
@@ -356,6 +356,8 @@ def bockstein_d1(m: A1Module, w: Window) -> BocksteinD1:
         td = add_deg(d, (2, 0))
         if td not in hom.region:
             continue
+        # the Euler class acts from td to td + (0, 1)
+        euler = Echelon(rplus.act_a.block(td).rows)
         rows = []
         ok = True
         for v in reps.rows:
@@ -366,20 +368,18 @@ def bockstein_d1(m: A1Module, w: Window) -> BocksteinD1:
                     lift ^= 1 << rplus.space.index(d, name)
             q1l = rplus.q1.apply(d, lift)
             # divide by the Euler class
-            ad = add_deg(d, (2, 0))
-            ablk = rplus.act_a.block(ad)
-            u = solve(ablk.transpose(), q1l) if q1l else 0
+            u = euler.coords(q1l)
             if u is None:
                 ok = False
                 break
             # reduce modulo the Euler class: keep exponent-zero lines
             proj = 0
-            for i, name in enumerate(rplus.space.names(ad)):
+            for i, name in enumerate(rplus.space.names(td)):
                 if (u >> i) & 1:
                     mono, _ = _decompose(name)
                     if mono.e1 == 0:
-                        if fm.space.has(ad, name):
-                            proj ^= 1 << fm.space.index(ad, name)
+                        if fm.space.has(td, name):
+                            proj ^= 1 << fm.space.index(td, name)
             c = hom.sub.express(td, proj)
             if c is None:
                 ok = False

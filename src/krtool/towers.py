@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .gf2 import (
+    Echelon,
     F2Matrix,
     intersect_row_spaces,
     rank,
-    solve_row,
 )
 from .graded import (
     Degree,
@@ -61,10 +61,6 @@ class TowerData:
             return None
         return dn.compose(self.levels[n + 1].c)
 
-    def boundary_levels(self) -> tuple[int, int]:
-        """The two edge levels, where only partial checks are possible."""
-        return (self.level_lo, self.level_hi)
-
 
 @dataclass
 class TowerWitness:
@@ -92,28 +88,27 @@ def validate_tower(t: TowerData) -> list[TowerWitness]:
             if not t.region.contains(add_deg(d, (1, 0))):
                 continue
             # exactness at k_n: image of e_{n+1} = kernel of c_n
-            img = above.e.image_at(d)
-            ker = lev.c.kernel_at(d)
-            if rank(img) != ker.nrows or not all(
-                    solve_row(v, ker) is not None for v in img.rows):
+            if not _same_span(above.e.image_at(d), lev.c.kernel_at(d)):
                 out.append(TowerWitness(n, d, "not exact at the level space"))
                 break
             # exactness at C_n: image of c_n = kernel of delta_n
-            img_c = lev.c.image_at(d)
-            ker_d = lev.delta.kernel_at(d)
-            if rank(img_c) != ker_d.nrows or not all(
-                    solve_row(v, ker_d) is not None for v in img_c.rows):
+            if not _same_span(lev.c.image_at(d), lev.delta.kernel_at(d)):
                 out.append(TowerWitness(n, d, "not exact at the layer"))
                 break
             # exactness at k_{n+1}: image of delta_n = kernel of e_{n+1}
             dd = add_deg(d, (1, 0))
-            img_d = lev.delta.image_at(dd)
-            ker_e = above.e.kernel_at(dd)
-            if rank(img_d) != ker_e.nrows or not all(
-                    solve_row(v, ker_e) is not None for v in img_d.rows):
+            if not _same_span(lev.delta.image_at(dd), above.e.kernel_at(dd)):
                 out.append(TowerWitness(n, d, "not exact at the next level"))
                 break
     return out
+
+
+def _same_span(a: F2Matrix, b: F2Matrix) -> bool:
+    """Whether two matrices of independent rows span the same space."""
+    if a.nrows != b.nrows:
+        return False
+    span = Echelon(b.rows)
+    return not any(span.remainder(v) for v in a.rows)
 
 
 @dataclass
@@ -171,13 +166,13 @@ def detect(t: TowerData, h: int, n: int) -> DetectReport:
     if not (t.level_lo + 1 <= n and n + h <= t.level_hi):
         raise ValueError("level out of range for this height")
     lev = t.levels[n]
+    comp = t.levels[n + h].e
+    for step in range(h - 1, 0, -1):
+        comp = comp.compose(t.levels[n + step].e)
     for d in t.region.degrees():
         tn = lev.f.kernel_at(d)
         if tn.nrows == 0:
             continue
-        comp = t.levels[n + h].e
-        for step in range(h - 1, 0, -1):
-            comp = comp.compose(t.levels[n + step].e)
         img = comp.image_at(d)
         inter = intersect_row_spaces(tn, img)
         if inter.nrows:
@@ -195,10 +190,10 @@ def iota_injective(t: TowerData, n: int) -> bool:
         src = fil_n.f0[d]
         if src.nrows == 0:
             continue
-        e = t.levels[n + 1].e
+        e_span = Echelon(t.levels[n + 1].e.block(d).rows)
         rows = []
         for v in src.rows:
-            pre = _preimage(e, d, v)
+            pre = e_span.coords(v)
             if pre is None:
                 return False
             cexp = fil_n1.f2.express(d, pre)
@@ -209,11 +204,6 @@ def iota_injective(t: TowerData, n: int) -> bool:
         if rank(mat) != src.nrows:
             return False
     return True
-
-
-def _preimage(mp: GradedMap, d: Degree, v: int) -> Optional[int]:
-    blk = mp.block(d)
-    return solve_row(v, blk) if blk.nrows else (0 if v == 0 else None)
 
 
 @dataclass
@@ -244,6 +234,7 @@ def chain_complex_at(t: TowerData, n: int) -> ChainComplexReport:
         mid_num[d] = th_n.kernel_at(d)
         mid_den[d] = th_prev.image_at(d)
     middle = Subquotient(lev.layer, mid_num, mid_den)
+    f0_next = Subquotient(t.levels[n + 1].space, fil_next.f0, {})
 
     hom_dims: dict[Degree, int] = {}
     phi_dims: dict[Degree, int] = {}
@@ -276,7 +267,6 @@ def chain_complex_at(t: TowerData, n: int) -> ChainComplexReport:
         # second map: middle reps through the boundary into F0_{n+1}
         mid_reps = middle.reps(d)
         dd = add_deg(d, (1, 0))
-        f0_next = Subquotient(t.levels[n + 1].space, fil_next.f0, {})
         rows2 = []
         for v in mid_reps.rows:
             dv = lev.delta.apply(d, v)

@@ -2,9 +2,14 @@
 reduction, covers and loops, checked against direct evaluation oracles."""
 
 import math
+import time
 from math import comb
 
+import pytest
+
 from krtool.a1 import (
+    A1Module,
+    _submodule,
     dual_a1,
     is_reduced,
     loop_power,
@@ -22,6 +27,7 @@ from krtool.a1 import (
     tensor_a1,
     validate,
 )
+from krtool.gf2 import F2Matrix
 
 
 def total_square_sq(i, s):
@@ -209,6 +215,28 @@ def test_reduce_idempotent_on_tensor_square():
     p2 = std_pn(2, 0, 24)
     for d in range(2, r.certified_hi + 1):
         assert r.module.dim(d) == p2.dim(d), f"degree {d}"
+
+
+def test_reduce_rank_three_within_budget():
+    start = time.perf_counter()
+    r = reduce(std_bv(3, 1, 14))
+    seconds = time.perf_counter() - start
+    assert r.free_gens == [4] * 8 + [5] * 3 + [6] * 6 + [7] * 3 + [8] * 15
+    assert seconds < 8, f"reduce took {seconds:.1f}s"
+
+
+def test_submodule_rejects_span_not_closed_under_sq1():
+    m = std_a1()
+    rows = {2: F2Matrix.from_rows([1 << m.index(2, "Sq2")], 1),
+            3: F2Matrix.from_rows([1 << m.index(3, "Q1")], 2)}
+    # Sq1 Sq2 is not in the span of Q1 at degree 3
+    with pytest.raises(ValueError, match="degree 2 not closed under Sq1: "
+                                         "the image of Sq2 "):
+        _submodule(m, rows, "s")
+    # where Sq1 from degree 2 is not trusted, the image is written as zero
+    cut = A1Module(m.basis, m.sq1, m.sq2, m.lo, m.hi, -math.inf, 2)
+    sub = _submodule(cut, rows, "s")
+    assert sub.sq1_block(2).is_zero()
 
 
 def test_validate_reduced_tensor_square():

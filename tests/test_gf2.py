@@ -3,12 +3,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from krtool.gf2 import (
+    Echelon,
     F2Matrix,
     intersect_row_spaces,
     kernel_basis,
     rank,
+    row_basis,
     rref,
     solve,
     solve_row,
@@ -22,18 +26,19 @@ def random_matrix(rng, nrows, ncols):
                               ncols)
 
 
+def combine(rows, mask):
+    """Sum of the rows picked by the bits of ``mask``."""
+    acc = 0
+    while mask:
+        i = (mask & -mask).bit_length() - 1
+        acc ^= rows[i]
+        mask &= mask - 1
+    return acc
+
+
 def span_vectors(m):
     """Every vector in the row span, by enumerating row combinations."""
-    out = set()
-    for mask in range(1 << m.nrows):
-        acc = 0
-        r = mask
-        while r:
-            i = (r & -r).bit_length() - 1
-            acc ^= m.rows[i]
-            r &= r - 1
-        out.add(acc)
-    return out
+    return {combine(m.rows, mask) for mask in range(1 << m.nrows)}
 
 
 def test_rref_identity():
@@ -175,6 +180,52 @@ def test_solve_row_and_span_contains():
     c = solve_row(0b101, m)
     assert c == 0b11
     assert solve_row(0b001, m) is None
+    with pytest.raises(ValueError):
+        solve_row(0b1000, m)
+
+
+@st.composite
+def bases(draw):
+    """Small matrices whose rows may be zero or sums of earlier rows."""
+    ncols = draw(st.integers(0, 6))
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(("random", "zero", "dependent")))
+        if kind == "random":
+            rows.append(draw(st.integers(0, (1 << ncols) - 1)))
+        elif kind == "zero":
+            rows.append(0)
+        else:
+            rows.append(combine(rows, draw(st.integers(0, (1 << len(rows)) - 1))))
+    return F2Matrix.from_rows(rows, ncols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bases())
+def test_echelon_matches_solve_and_enumeration(basis):
+    ech = Echelon(basis.rows)
+    # rows that enlarge the span of the rows before them, found by enumeration
+    independent = 0
+    for i, r in enumerate(basis.rows):
+        if r not in span_vectors(F2Matrix.from_rows(basis.rows[:i], basis.ncols)):
+            independent |= 1 << i
+    span = span_vectors(basis)
+    canonical = Echelon(row_basis(basis).rows)
+    for v in range(1 << basis.ncols):   # every vector, in and outside the span
+        c = ech.coords(v)
+        assert c == solve(basis.transpose(), v)
+        assert (c is not None) == (v in span)
+        assert (ech.remainder(v) == 0) == (v in span)
+        assert ech.remainder(v) == canonical.remainder(v)
+        if c is not None:
+            # the one combination of the independent rows that gives v
+            hits = [mask for mask in range(1 << basis.nrows)
+                    if mask & ~independent == 0 and combine(basis.rows, mask) == v]
+            assert hits == [c]
+    grown = Echelon()
+    for i, r in enumerate(basis.rows):
+        assert grown.add(r) == bool((independent >> i) & 1)
+    assert all(grown.coords(v) == ech.coords(v) for v in range(1 << basis.ncols))
 
 
 def test_transpose_involution():

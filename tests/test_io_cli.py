@@ -1,7 +1,9 @@
 """File formats and the command line surface."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -117,10 +119,15 @@ def test_tower_file_round_trip():
     assert mf.tower_levels == (-1, 3)
 
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
 def run_cli(*argv):
+    """Run the command line of this checkout in a fresh interpreter."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "krtool.cli", *argv],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
 
 
 def test_cli_verify_single_suite():
