@@ -122,10 +122,12 @@ class A1Module:
         return self.sq2.get(d) or F2Matrix.zero(self.dim(d), self.dim(d + 2))
 
     def apply_sq1(self, d: int, bits: int) -> int:
-        return self.sq1_block(d).vec_mul(bits)
+        got = self.sq1.get(d)
+        return 0 if got is None else got.vec_mul(bits)
 
     def apply_sq2(self, d: int, bits: int) -> int:
-        return self.sq2_block(d).vec_mul(bits)
+        got = self.sq2.get(d)
+        return 0 if got is None else got.vec_mul(bits)
 
     def apply_q1(self, d: int, bits: int) -> int:
         """The degree-3 derived operation Sq1 Sq2 + Sq2 Sq1."""

@@ -166,28 +166,26 @@ class CoeffRing:
 
     def __init__(self, window: Window):
         self.window = window
-        basis: dict[Degree, list[str]] = {}
-        self.monos: dict[Degree, list[CoeffMonomial]] = {}
+        found: dict[Degree, list[CoeffMonomial]] = {}
         for k in range(window.k_lo, window.k_hi + 1):
             for mono in monomials_with_twist(k, window.m_lo, window.m_hi):
-                d = mono.degree()
-                basis.setdefault(d, []).append(mono.name())
-        self.space = GradedSpace(window, basis)
-        for d in self.space.degrees():
-            ms = [CoeffMonomial.parse(n) for n in self.space.names(d)]
-            self.monos[d] = ms
+                found.setdefault(mono.degree(), []).append(mono)
+        # in the order of the space's sorted names
+        self.monos = {d: sorted(ms, key=CoeffMonomial.name)
+                      for d, ms in sorted(found.items())}
+        self.space = GradedSpace(window, {d: [x.name() for x in ms]
+                                          for d, ms in self.monos.items()})
+        # each monomial lies in one degree, so one index serves them all
+        index = {x: i for ms in self.monos.values() for i, x in enumerate(ms)}
 
         def monomial_map(shift: Degree, rule) -> GradedMap:
             blocks: dict[Degree, F2Matrix] = {}
-            for d in self.space.degrees():
+            for d, ms in self.monos.items():
                 td = add_deg(d, shift)
                 rows = []
-                for mono in self.monos[d]:
+                for mono in ms:
                     out = rule(mono)
-                    bits = 0
-                    if out is not None and self.space.has(td, out.name()):
-                        bits = 1 << self.space.index(td, out.name())
-                    rows.append(bits)
+                    rows.append(1 << index[out] if out in index else 0)
                 blocks[d] = F2Matrix.from_rows(rows, self.space.dim(td))
             return GradedMap(self.space, self.space, shift, blocks)
 

@@ -216,7 +216,8 @@ class GradedMap:
         return F2Matrix.zero(self.source.dim(d), self.target.dim(td))
 
     def apply(self, d: Degree, bits: int) -> int:
-        return self.block(d).vec_mul(bits)
+        got = self.blocks.get(d)
+        return 0 if got is None else got.vec_mul(bits)
 
     def is_zero(self) -> bool:
         return not self.blocks
@@ -259,17 +260,26 @@ class GradedMap:
             out[neg_deg(td)] = m.transpose()
         return GradedMap(target_dual, source_dual, self.shift, out)
 
+    # Without a stored block the three answers below are those of the zero
+    # block, given without building or eliminating it.
+
     def kernel_at(self, d: Degree) -> F2Matrix:
         """Rows spanning the kernel at source degree d."""
-        return left_kernel_basis(self.block(d))
+        got = self.blocks.get(d)
+        if got is None:
+            return F2Matrix.identity(self.source.dim(d))
+        return left_kernel_basis(got)
 
     def image_at(self, d: Degree) -> F2Matrix:
         """Rows spanning the image inside target degree ``d``."""
-        sd = sub_deg(d, self.shift)
-        return row_basis(self.block(sd))
+        got = self.blocks.get(sub_deg(d, self.shift))
+        if got is None:
+            return F2Matrix(0, self.target.dim(d), ())
+        return row_basis(got)
 
     def rank_at(self, d: Degree) -> int:
-        return rank(self.block(d))
+        got = self.blocks.get(d)
+        return 0 if got is None else rank(got)
 
 
 def zero_map(source: GradedSpace, target: GradedSpace, shift: Degree) -> GradedMap:

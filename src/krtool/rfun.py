@@ -10,13 +10,24 @@ second follows the Cartan rule
 with all coefficient products taken in the window model.  The positive
 and negative cones never interact (the twist -1 column of the coefficient
 ring is empty), which is validated rather than assumed.
+
+Block layout.  The basis vector ``h | x`` is named ``"mono|x"``.  Since
+``|`` occurs in no monomial name, two such names with different monomials
+compare as ``mono.name() + "|"`` does, and two with the same monomial
+compare as the module names do, which ``A1Module`` keeps sorted.  So the
+sorted basis ``GradedSpace`` stores at each degree is a run of contiguous
+blocks, one per monomial in the order of ``name() + "|"``, each holding one
+module degree in module order.  The ``Layout`` records ``(monomial, module
+degree, offset)`` per degree, and every operator is built block by block:
+the coefficient rule runs once per monomial, and the module's rows at that
+degree, computed once per call, are shifted to the target block's offset.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from . import coeff as cf
 from .a1 import A1Module, degrees_between, dual_a1, margolis
@@ -35,6 +46,13 @@ from .graded import (
     sub_deg,
 )
 
+# (coefficient monomial, module degree, offset of its block) per degree
+Layout = dict[Degree, list[tuple[CoeffMonomial, int, int]]]
+# a block rule: (monomial, module degree) -> terms (target monomial or None,
+# one row per module basis vector, empty when the operation vanishes)
+BlockRule = Callable[[CoeffMonomial, int],
+                     list[tuple[Optional[CoeffMonomial], Sequence[int]]]]
+
 
 def cone_of_name(name: str) -> str:
     return "-" if name[0] in "AS" else "+"
@@ -44,6 +62,7 @@ def cone_of_name(name: str) -> str:
 class RModule:
     base: A1Module
     emod: EModule
+    layout: Layout
 
     def space(self) -> GradedSpace:
         return self.emod.space
@@ -70,73 +89,100 @@ def _decompose(name: str) -> tuple[CoeffMonomial, str]:
     return CoeffMonomial.parse(mono), x
 
 
+def _extension_basis(m: A1Module, w: Window,
+                     monos: dict[int, list[CoeffMonomial]]
+                     ) -> tuple[GradedSpace, Layout]:
+    """The basis ``mono|x`` for the monomials of each twist, and its layout."""
+    basis: dict[Degree, list[str]] = {}
+    layout: Layout = {}
+    for k, ms in monos.items():
+        tagged = sorted((mono.name() + "|", mono) for mono in ms)
+        for mm in range(w.m_lo, w.m_hi + 1):
+            names: list[str] = []
+            blocks = []
+            for tag, mono in tagged:
+                xd = mm - mono.degree()[0]
+                xs = m.names(xd)
+                if xs:
+                    blocks.append((mono, xd, len(names)))
+                    names.extend(tag + x for x in xs)
+            if blocks:
+                basis[(mm, k)] = names
+                layout[(mm, k)] = blocks
+    return GradedSpace(w, basis), layout
+
+
+def _module_rows(m: A1Module) -> Callable[[str, int], Sequence[int]]:
+    """``rows(op, d)``: the images of the basis of ``m`` at ``d`` under
+    ``op`` ("1", "sq1", "sq2" or "q1"), computed once each and empty where
+    ``op`` vanishes."""
+    ops = {"1": lambda d, v: v, "sq1": m.apply_sq1, "sq2": m.apply_sq2,
+           "q1": m.apply_q1}
+    cache: dict[tuple[str, int], Sequence[int]] = {}
+
+    def rows(op: str, d: int) -> Sequence[int]:
+        got = cache.get((op, d))
+        if got is None:
+            got = [ops[op](d, 1 << i) for i in range(m.dim(d))]
+            got = cache[op, d] = got if any(got) else ()
+        return got
+    return rows
+
+
+def _build(src: tuple[GradedSpace, Layout], dst: tuple[GradedSpace, Layout],
+           shift: Degree, rule: BlockRule) -> GradedMap:
+    """The map sending row i of block (mono, xd) to the sum of the rows i
+    of its terms, each placed at the block of the term's monomial in the
+    target degree; a monomial without a block there contributes nothing."""
+    (source, src_layout), (target, dst_layout) = src, dst
+    blocks: dict[Degree, F2Matrix] = {}
+    for d, entries in src_layout.items():
+        td = add_deg(d, shift)
+        offsets = {mono: off for mono, _, off in dst_layout.get(td, ())}
+        if not offsets:
+            continue
+        rows = [0] * source.dim(d)
+        for mono, xd, off in entries:
+            for tmono, trows in rule(mono, xd):
+                toff = offsets.get(tmono)
+                if toff is not None:
+                    for i, r in enumerate(trows, off):
+                        rows[i] ^= r << toff
+        blocks[d] = F2Matrix.from_rows(rows, target.dim(td))
+    return GradedMap(source, target, shift, blocks)
+
+
+def _times(h: CoeffMonomial, rows: Callable[[str, int], Sequence[int]]
+           ) -> BlockRule:
+    """Multiplication by ``h`` on the coefficients."""
+    return lambda mono, xd: [(multiply(h, mono), rows("1", xd))]
+
+
 def apply_r(m: A1Module, w: Window) -> RModule:
     """Build the coefficient extension of ``m`` on the window ``w``."""
     _check_base_window(m, w)
+    space, layout = _extension_basis(
+        m, w, {k: list(cf.monomials_with_twist(k, -math.inf, math.inf))
+               for k in range(w.k_lo, w.k_hi + 1)})
+    rows = _module_rows(m)
+    ext = (space, layout)
 
-    monos = {k: list(cf.monomials_with_twist(k, -math.inf, math.inf))
-             for k in range(w.k_lo, w.k_hi + 1)}
-    basis: dict[Degree, list[str]] = {}
-    for mm in range(w.m_lo, w.m_hi + 1):
-        for k in range(w.k_lo, w.k_hi + 1):
-            for mono in monos[k]:
-                xd = mm - mono.degree()[0]
-                for xn in m.names(xd):
-                    basis.setdefault((mm, k), []).append(f"{mono.name()}|{xn}")
-    space = GradedSpace(w, basis)
+    def q0_rule(mono, xd):
+        return [(q0_coeff(mono), rows("1", xd)), (mono, rows("sq1", xd))]
 
-    def image_bits(td: Degree, terms: list[tuple[Optional[CoeffMonomial], int, int]]
-                   ) -> int:
-        # terms: (monomial or None, module degree, module bits)
-        bits = 0
-        for mono, xd, xb in terms:
-            if mono is None or xb == 0:
-                continue
-            names = m.names(xd)
-            for i in range(len(names)):
-                if (xb >> i) & 1:
-                    nm = f"{mono.name()}|{names[i]}"
-                    if space.has(td, nm):
-                        bits ^= 1 << space.index(td, nm)
-        return bits
-
-    def build(shift: Degree, rule: Callable[[CoeffMonomial, int, int],
-                                            list[tuple[Optional[CoeffMonomial], int, int]]]
-              ) -> GradedMap:
-        blocks: dict[Degree, F2Matrix] = {}
-        for d in space.degrees():
-            td = add_deg(d, shift)
-            rows = []
-            for name in space.names(d):
-                mono, xn = _decompose(name)
-                xd = d[0] - mono.degree()[0]
-                xi = m.index(xd, xn)
-                rows.append(image_bits(td, rule(mono, xd, 1 << xi)))
-            blocks[d] = F2Matrix.from_rows(rows, space.dim(td))
-        return GradedMap(space, space, shift, blocks)
-
-    def q0_rule(mono, xd, xb):
-        return [(q0_coeff(mono), xd, xb), (mono, xd + 1, m.apply_sq1(xd, xb))]
-
-    def q1_rule(mono, xd, xb):
+    def q1_rule(mono, xd):
         q0m = q0_coeff(mono)
-        return [
-            (q1_coeff(mono), xd, xb),
-            (multiply(A, q0m) if q0m else None, xd + 1, m.apply_sq1(xd, xb)),
-            (multiply(A, mono), xd + 2, m.apply_sq2(xd, xb)),
-            (multiply(S, mono), xd + 3, m.apply_q1(xd, xb)),
-        ]
+        return [(q1_coeff(mono), rows("1", xd)),
+                (multiply(A, q0m) if q0m else None, rows("sq1", xd)),
+                (multiply(A, mono), rows("sq2", xd)),
+                (multiply(S, mono), rows("q1", xd))]
 
-    def a_rule(mono, xd, xb):
-        return [(multiply(A, mono), xd, xb)]
-
-    def s_rule(mono, xd, xb):
-        return [(multiply(S, mono), xd, xb)]
-
-    em = EModule(space, build((1, 0), q0_rule), build((2, 1), q1_rule), w,
-                 act_a=build((0, 1), a_rule), act_s=build((-1, 1), s_rule),
+    em = EModule(space, _build(ext, ext, (1, 0), q0_rule),
+                 _build(ext, ext, (2, 1), q1_rule), w,
+                 act_a=_build(ext, ext, (0, 1), _times(A, rows)),
+                 act_s=_build(ext, ext, (-1, 1), _times(S, rows)),
                  s_compat_cartan=True)
-    return RModule(m, em)
+    return RModule(m, em, layout)
 
 
 def check_cone_separation(rm: RModule) -> bool:
@@ -154,43 +200,24 @@ def check_cone_separation(rm: RModule) -> bool:
     return True
 
 
-def restrict_by_names(em: EModule, keep: Callable[[str], bool]) -> EModule:
-    """Sub- or quotient module spanned by the kept basis lines.
-
-    Valid when the complementary lines are not linked to the kept ones by
-    any stored operator (checked by the caller's context).
-    """
-    sp = em.space
-    basis = {d: tuple(n for n in sp.names(d) if keep(n)) for d in sp.degrees()}
-    new = GradedSpace(sp.window, {d: ns for d, ns in basis.items() if ns})
+def cone_part(rm: RModule, which: str) -> EModule:
+    """The positive or negative cone summand: the degrees of twist >= 0 or
+    <= -2.  The twist -1 column is empty and no operator lowers the twist
+    or raises it by more than one, so no stored block leaves a cone."""
+    plus = which in ("+", "plus")
+    em = rm.emod
+    new = GradedSpace(em.space.window, {d: ns for d, ns in em.space.basis.items()
+                                        if (d[1] >= 0) == plus})
 
     def cut(mp: Optional[GradedMap]) -> Optional[GradedMap]:
         if mp is None:
             return None
-        blocks: dict[Degree, F2Matrix] = {}
-        for d in new.degrees():
-            td = add_deg(d, mp.shift)
-            blk = mp.block(d)
-            rows = []
-            for n in new.names(d):
-                v = blk.rows[sp.index(d, n)]
-                bits = 0
-                for tn in new.names(td):
-                    if (v >> sp.index(td, tn)) & 1:
-                        bits |= 1 << new.index(td, tn)
-                rows.append(bits)
-            blocks[d] = F2Matrix.from_rows(rows, new.dim(td))
-        return GradedMap(new, new, mp.shift, blocks)
+        return GradedMap(new, new, mp.shift, {d: b for d, b in mp.blocks.items()
+                                              if (d[1] >= 0) == plus})
 
     return EModule(new, cut(em.q0), cut(em.q1), em.complete,
                    act_a=cut(em.act_a), act_s=cut(em.act_s),
                    s_compat_cartan=em.s_compat_cartan)
-
-
-def cone_part(rm: RModule, which: str) -> EModule:
-    """The positive or negative cone summand."""
-    sign = "+" if which in ("+", "plus") else "-"
-    return restrict_by_names(rm.emod, lambda n: cone_of_name(n) == sign)
 
 
 def mod_a(m: A1Module, w: Window) -> EModule:
@@ -200,38 +227,15 @@ def mod_a(m: A1Module, w: Window) -> EModule:
     orientation times the derived degree-3 operation as the second.
     """
     _check_base_window(m, w)
-    basis: dict[Degree, list[str]] = {}
-    for mm in range(w.m_lo, w.m_hi + 1):
-        for k in range(max(0, w.k_lo), w.k_hi + 1):
-            mono = CoeffMonomial("+", 0, k)
-            for xn in m.names(mm + k):
-                basis.setdefault((mm, k), []).append(f"{mono.name()}|{xn}")
-    space = GradedSpace(w, basis)
-
-    def build(shift: Degree, rule) -> GradedMap:
-        blocks: dict[Degree, F2Matrix] = {}
-        for d in space.degrees():
-            td = add_deg(d, shift)
-            rows = []
-            for name in space.names(d):
-                mono, xn = _decompose(name)
-                xd = d[0] + mono.e2
-                tm, txd, txb = rule(mono.e2, xd, 1 << m.index(xd, xn))
-                bits = 0
-                names = m.names(txd)
-                for i in range(len(names)):
-                    if (txb >> i) & 1:
-                        nm = f"{CoeffMonomial('+', 0, tm).name()}|{names[i]}"
-                        if space.has(td, nm):
-                            bits ^= 1 << space.index(td, nm)
-                rows.append(bits)
-            blocks[d] = F2Matrix.from_rows(rows, space.dim(td))
-        return GradedMap(space, space, shift, blocks)
-
-    q0 = build((1, 0), lambda n, xd, xb: (n, xd + 1, m.apply_sq1(xd, xb)))
-    q1 = build((2, 1), lambda n, xd, xb: (n + 1, xd + 3, m.apply_q1(xd, xb)))
-    act_s = build((-1, 1), lambda n, xd, xb: (n + 1, xd, xb))
-    return EModule(space, q0, q1, w, act_s=act_s)
+    ext = _extension_basis(m, w, {k: [CoeffMonomial("+", 0, k)]
+                                  for k in range(max(0, w.k_lo), w.k_hi + 1)})
+    rows = _module_rows(m)
+    return EModule(
+        ext[0],
+        _build(ext, ext, (1, 0), lambda mono, xd: [(mono, rows("sq1", xd))]),
+        _build(ext, ext, (2, 1),
+               lambda mono, xd: [(multiply(S, mono), rows("q1", xd))]),
+        w, act_s=_build(ext, ext, (-1, 1), _times(S, rows)))
 
 
 # -- duality -----------------------------------------------------------------------
@@ -345,9 +349,20 @@ def bockstein_d1(m: A1Module, w: Window) -> BocksteinD1:
     # homology region reaches twist zero
     w = Window(w.m_lo, w.m_hi, min(w.k_lo, -2), w.k_hi)
     rm = apply_r(m, w)
-    rplus = cone_part(rm, "+")
     fm = mod_a(m, w)
     hom = h01(fm)
+
+    def unit_block(d: Degree) -> tuple[int, int]:
+        """Offset and width of the block ``s^k|x`` at ``d``, whose lines
+        are those of the quotient at ``d``."""
+        one = CoeffMonomial("+", 0, d[1])
+        for mono, xd, off in rm.layout.get(d, ()):
+            if mono == one:
+                return off, m.dim(xd)
+        return 0, 0
+
+    # every degree of twist >= 0 lies wholly in the positive cone, so the
+    # extension's blocks there are those of the positive cone
     d1: dict[Degree, F2Matrix] = {}
     for d in hom.region:
         reps = hom.sub.reps(d)
@@ -357,30 +372,21 @@ def bockstein_d1(m: A1Module, w: Window) -> BocksteinD1:
         if td not in hom.region:
             continue
         # the Euler class acts from td to td + (0, 1)
-        euler = Echelon(rplus.act_a.block(td).rows)
+        euler = Echelon(rm.emod.act_a.block(td).rows)
+        lift_at = unit_block(d)[0]
+        proj_at, width = unit_block(td)
         rows = []
         ok = True
         for v in reps.rows:
             # lift to the positive cone by the identity on monomial lines
-            lift = 0
-            for i, name in enumerate(fm.space.names(d)):
-                if (v >> i) & 1:
-                    lift ^= 1 << rplus.space.index(d, name)
-            q1l = rplus.q1.apply(d, lift)
+            q1l = rm.emod.q1.apply(d, v << lift_at)
             # divide by the Euler class
             u = euler.coords(q1l)
             if u is None:
                 ok = False
                 break
             # reduce modulo the Euler class: keep exponent-zero lines
-            proj = 0
-            for i, name in enumerate(rplus.space.names(td)):
-                if (u >> i) & 1:
-                    mono, _ = _decompose(name)
-                    if mono.e1 == 0:
-                        if fm.space.has(td, name):
-                            proj ^= 1 << fm.space.index(td, name)
-            c = hom.sub.express(td, proj)
+            c = hom.sub.express(td, (u >> proj_at) & ((1 << width) - 1))
             if c is None:
                 ok = False
                 break
@@ -408,7 +414,8 @@ class A1Map:
                                                    self.target.dim(d))
 
     def apply(self, d: int, bits: int) -> int:
-        return self.block(d).vec_mul(bits)
+        got = self.blocks.get(d)
+        return 0 if got is None else got.vec_mul(bits)
 
     def commutes(self) -> bool:
         s, t = self.source, self.target
@@ -425,23 +432,12 @@ class A1Map:
 
 def lift_map(f: A1Map, src: RModule, dst: RModule) -> GradedMap:
     """The extension applied to a degree-zero module map."""
-    ssp, tsp = src.emod.space, dst.emod.space
-    blocks: dict[Degree, F2Matrix] = {}
-    for d in ssp.degrees():
-        rows = []
-        for name in ssp.names(d):
-            mono, xn = _decompose(name)
-            xd = d[0] - mono.degree()[0]
-            img = f.apply(xd, 1 << f.source.index(xd, xn))
-            bits = 0
-            for i, tn in enumerate(f.target.names(xd)):
-                if (img >> i) & 1:
-                    nm = f"{mono.name()}|{tn}"
-                    if tsp.has(d, nm):
-                        bits ^= 1 << tsp.index(d, nm)
-            rows.append(bits)
-        blocks[d] = F2Matrix.from_rows(rows, tsp.dim(d))
-    return GradedMap(ssp, tsp, (0, 0), blocks)
+    def rows(xd: int) -> Sequence[int]:
+        blk = f.blocks.get(xd)
+        return blk.rows if blk is not None else ()
+
+    return _build((src.space(), src.layout), (dst.space(), dst.layout), (0, 0),
+                  lambda mono, xd: [(mono, rows(xd))])
 
 
 @dataclass

@@ -37,8 +37,8 @@ CRITERIA = [
 ]
 
 RUNTIME_BUDGET = {
-    "01": 1, "02": 5, "03": 60, "05": 30, "08": 5, "09": 30, "10": 10,
-    "11": 120, "12": 30,
+    "01": 1, "02": 5, "03": 10, "05": 30, "08": 5, "09": 10, "10": 10,
+    "11": 10, "12": 10,
 }
 
 

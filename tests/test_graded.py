@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from krtool.a1 import std_a1
-from krtool.gf2 import F2Matrix, rank
+from krtool.gf2 import F2Matrix, left_kernel_basis, rank, row_basis
 from krtool.graded import (
     GradedMap,
     GradedSpace,
@@ -238,3 +238,25 @@ def test_hom_space_matches_enumeration(problem):
         assert commutes(found, ops, region)
         assert is_unit(found, before, after, region)
         assert all(region.contains(d) for d in found.blocks)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 5),
+       st.sampled_from([(0, 0), (1, 0), (2, 1), (-1, 1)]))
+def test_missing_block_answers_as_the_zero_block(n_src, n_tgt, shift):
+    w = Window(-4, 4, -4, 4)
+    d = (0, 0)
+    td = add_deg(d, shift)
+    basis = {}
+    if n_src:
+        basis[d] = [f"s{i}" for i in range(n_src)]
+    if n_tgt:
+        basis[td] = basis.get(td, []) + [f"t{i}" for i in range(n_tgt)]
+    sp = GradedSpace(w, basis)
+    zero = F2Matrix.zero(sp.dim(d), sp.dim(td))
+    for mp in (GradedMap(sp, sp, shift, {}), GradedMap(sp, sp, shift, {d: zero})):
+        assert d not in mp.blocks
+        assert mp.kernel_at(d) == left_kernel_basis(zero)
+        assert mp.image_at(td) == row_basis(zero)
+        assert mp.rank_at(d) == rank(zero) == 0
+        assert mp.apply(d, (1 << sp.dim(d)) - 1) == 0

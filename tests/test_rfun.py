@@ -1,19 +1,39 @@
 """The coefficient extension functor: structure validation, the two-class
 computation for the free module, cone behavior, duality, Bockstein."""
 
-import pytest
+import math
+import time
 
-from krtool.a1 import std_a1, std_f, std_p, std_pn
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from krtool import coeff as cf
+from krtool.a1 import (
+    direct_sum_a1,
+    std_a1,
+    std_bv,
+    std_f,
+    std_p,
+    std_pn,
+    suspend,
+    tensor_a1,
+)
 from krtool.closedform import h01_pn_dim
+from krtool.coeff import A, CoeffMonomial, S, multiply, q0_coeff, q1_coeff
 from krtool.emod import h01, is_rel_projective, validate
-from krtool.graded import Window
+from krtool.gf2 import F2Matrix
+from krtool.graded import GradedMap, GradedSpace, Window, add_deg
 from krtool.rfun import (
+    A1Map,
     apply_r,
     bockstein_d1,
     check_cone_separation,
     cone_part,
+    lift_map,
     mod_a,
     psi_duality,
+    required_top,
 )
 
 
@@ -180,3 +200,214 @@ def test_q0_acyclic_base_gives_q0_acyclic_extension():
     rm = apply_r(std_p(1, 14), w)
     inner = Window(-6, 6, -3, 3)
     assert q0_acyclic_on(rm.emod, inner)
+
+
+def test_apply_r_rank_two_large_window_within_budget():
+    # the large rank-2 window: 53.5k basis vectors
+    m = std_bv(2, 1, 36)
+    w = Window(-24, 24, -12, 12)
+    start = time.perf_counter()
+    rm = apply_r(m, w)
+    seconds = time.perf_counter() - start
+    assert rm.emod.space.total_dim() == 53534
+    assert seconds < 1, f"apply_r took {seconds:.2f}s"
+
+
+# -- the block builders against a name-keyed reference -------------------------------
+#
+# The reference builds every row by formatting the name ``mono|x`` of each
+# image vector and looking it up in the extension's basis.
+
+
+def _ref_decompose(name):
+    mono, x = name.split("|", 1)
+    return CoeffMonomial.parse(mono), x
+
+
+def _ref_build(space, shift, row_of):
+    blocks = {}
+    for d in space.degrees():
+        td = add_deg(d, shift)
+        rows = []
+        for name in space.names(d):
+            bits = 0
+            for tname in row_of(d, name):
+                if space.has(td, tname):
+                    bits ^= 1 << space.index(td, tname)
+            rows.append(bits)
+        blocks[d] = F2Matrix.from_rows(rows, space.dim(td))
+    return GradedMap(space, space, shift, blocks)
+
+
+def _ref_names(m, mono, xd, bits):
+    if mono is None:
+        return []
+    names = m.names(xd)
+    return [f"{mono.name()}|{names[i]}" for i in range(len(names))
+            if (bits >> i) & 1]
+
+
+def _ref_apply_r(m, w):
+    basis = {}
+    for mm in range(w.m_lo, w.m_hi + 1):
+        for k in range(w.k_lo, w.k_hi + 1):
+            for mono in cf.monomials_with_twist(k, -math.inf, math.inf):
+                for xn in m.names(mm - mono.degree()[0]):
+                    basis.setdefault((mm, k), []).append(f"{mono.name()}|{xn}")
+    space = GradedSpace(w, basis)
+
+    def by(rule):
+        def row_of(d, name):
+            mono, xn = _ref_decompose(name)
+            xd = d[0] - mono.degree()[0]
+            out = []
+            for tmono, txd, tbits in rule(mono, xd, 1 << m.index(xd, xn)):
+                out += _ref_names(m, tmono, txd, tbits)
+            return out
+        return row_of
+
+    def q1_rule(mono, xd, xb):
+        q0m = q0_coeff(mono)
+        return [(q1_coeff(mono), xd, xb),
+                (multiply(A, q0m) if q0m else None, xd + 1, m.apply_sq1(xd, xb)),
+                (multiply(A, mono), xd + 2, m.apply_sq2(xd, xb)),
+                (multiply(S, mono), xd + 3, m.apply_q1(xd, xb))]
+
+    return space, {
+        "q0": _ref_build(space, (1, 0), by(lambda mono, xd, xb: [
+            (q0_coeff(mono), xd, xb), (mono, xd + 1, m.apply_sq1(xd, xb))])),
+        "q1": _ref_build(space, (2, 1), by(q1_rule)),
+        "act_a": _ref_build(space, (0, 1), by(
+            lambda mono, xd, xb: [(multiply(A, mono), xd, xb)])),
+        "act_s": _ref_build(space, (-1, 1), by(
+            lambda mono, xd, xb: [(multiply(S, mono), xd, xb)])),
+    }
+
+
+def _ref_mod_a(m, w):
+    basis = {}
+    for mm in range(w.m_lo, w.m_hi + 1):
+        for k in range(max(0, w.k_lo), w.k_hi + 1):
+            mono = CoeffMonomial("+", 0, k)
+            for xn in m.names(mm + k):
+                basis.setdefault((mm, k), []).append(f"{mono.name()}|{xn}")
+    space = GradedSpace(w, basis)
+
+    def by(rule):
+        def row_of(d, name):
+            mono, xn = _ref_decompose(name)
+            xd = d[0] + mono.e2
+            tn, txd, txb = rule(mono.e2, xd, 1 << m.index(xd, xn))
+            return _ref_names(m, CoeffMonomial("+", 0, tn), txd, txb)
+        return row_of
+
+    return space, {
+        "q0": _ref_build(space, (1, 0), by(
+            lambda n, xd, xb: (n, xd + 1, m.apply_sq1(xd, xb)))),
+        "q1": _ref_build(space, (2, 1), by(
+            lambda n, xd, xb: (n + 1, xd + 3, m.apply_q1(xd, xb)))),
+        "act_s": _ref_build(space, (-1, 1), by(
+            lambda n, xd, xb: (n + 1, xd, xb))),
+    }
+
+
+def _ref_lift_map(f, ssp, tsp):
+    blocks = {}
+    for d in ssp.degrees():
+        rows = []
+        for name in ssp.names(d):
+            mono, xn = _ref_decompose(name)
+            xd = d[0] - mono.degree()[0]
+            img = f.apply(xd, 1 << f.source.index(xd, xn))
+            bits = 0
+            for i, tn in enumerate(f.target.names(xd)):
+                nm = f"{mono.name()}|{tn}"
+                if (img >> i) & 1 and tsp.has(d, nm):
+                    bits ^= 1 << tsp.index(d, nm)
+            rows.append(bits)
+        blocks[d] = F2Matrix.from_rows(rows, tsp.dim(d))
+    return GradedMap(ssp, tsp, (0, 0), blocks)
+
+
+@st.composite
+def windows(draw):
+    """Small windows; some reach twist -2 and below, some reach the twists
+    >= 10 where exponents have two digits, so that names such as ``a1.s9``
+    and ``a10`` share a degree."""
+    k_lo = draw(st.integers(-6, 10))
+    k_hi = draw(st.integers(k_lo, min(k_lo + 3, 12)))
+    m_lo = draw(st.integers(-4, 8))
+    m_hi = draw(st.integers(m_lo, m_lo + 6))
+    return Window(m_lo, m_hi, k_lo, k_hi)
+
+
+@st.composite
+def base_modules(draw, top):
+    """Direct sums, tensors and suspensions of the standard modules, exact
+    through degree ``top``."""
+    hi = top + 4
+
+    def leaf():
+        which = draw(st.sampled_from(["f", "a1", "p", "pn"]))
+        if which == "f":
+            return std_f(draw(st.integers(-3, 3)))
+        if which == "a1":
+            return std_a1(draw(st.integers(-6, 2)))
+        if which == "p":
+            return std_p(1, max(hi, 1))
+        return std_pn(draw(st.integers(0, 3)), -8, max(hi, 8))
+
+    m = leaf()
+    shape = draw(st.sampled_from(["leaf", "suspend", "sum", "tensor"]))
+    if shape == "suspend":
+        m = suspend(m, draw(st.integers(-3, 3)))
+    elif shape == "sum":
+        m = direct_sum_a1([m, leaf()], ["u.", "v."])
+    elif shape == "tensor":
+        other = draw(st.sampled_from([std_f(0), std_a1(), std_p(1, max(hi, 1))]))
+        m = tensor_a1(m, other, hi=hi + 6)
+    return m
+
+
+def _same_maps(got, want):
+    for name, ref in want.items():
+        mp = getattr(got, name)
+        assert mp.shift == ref.shift, name
+        assert mp.blocks == ref.blocks, name
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_block_builders_match_name_keyed_reference(data):
+    w = data.draw(windows())
+    m = data.draw(base_modules(required_top(w)))
+    if m.complete_hi < required_top(w):
+        with pytest.raises(ValueError, match="rebuild the module"):
+            apply_r(m, w)
+        return
+    rm = apply_r(m, w)
+    space, maps = _ref_apply_r(m, w)
+    assert rm.emod.space.basis == space.basis
+    _same_maps(rm.emod, maps)
+
+    fm = mod_a(m, w)
+    space, maps = _ref_mod_a(m, w)
+    assert fm.space.basis == space.basis
+    assert fm.act_a is None
+    _same_maps(fm, maps)
+
+    # a random degree-zero map into a second module, extended
+    n = data.draw(base_modules(required_top(w)))
+    if n.complete_hi < required_top(w):
+        return
+    blocks = {}
+    for d in m.degrees():
+        if n.dim(d):
+            rows = data.draw(st.lists(st.integers(0, (1 << n.dim(d)) - 1),
+                                      min_size=m.dim(d), max_size=m.dim(d)))
+            blocks[d] = F2Matrix.from_rows(rows, n.dim(d))
+    f = A1Map(m, n, blocks)
+    rn = apply_r(n, w)
+    got = lift_map(f, rm, rn)
+    want = _ref_lift_map(f, rm.emod.space, rn.emod.space)
+    assert got.shift == want.shift and got.blocks == want.blocks
