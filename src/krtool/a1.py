@@ -25,6 +25,7 @@ from .gf2 import (
     Echelon,
     F2Matrix,
     intersect_row_spaces,
+    kernel_basis,
     left_kernel_basis,
     rank,
     row_basis,
@@ -36,7 +37,6 @@ from .graded import (
     OperatorPair,
     Window,
     hom_space,
-    identity_map,
 )
 
 # Basis words of the free rank-one module and their degrees.
@@ -548,22 +548,6 @@ class ReduceResult:
     certified_hi: float           # theta known to vanish up to here
 
 
-def _cyclic_span(m: A1Module, d0: int, bits: int) -> dict[int, F2Matrix]:
-    """Row basis of the submodule generated by one vector of degree d0."""
-    vecs: dict[int, list[int]] = {d0: [bits]}
-    spans = {d0: Echelon(vecs[d0])}
-    frontier = [(d0, bits)]
-    while frontier:
-        d, v = frontier.pop()
-        for reach in (1, 2):
-            img = m.apply_sq1(d, v) if reach == 1 else m.apply_sq2(d, v)
-            if img and spans.setdefault(d + reach, Echelon()).add(img):
-                vecs.setdefault(d + reach, []).append(img)
-                frontier.append((d + reach, img))
-    return {d: row_basis(F2Matrix.from_rows(v, m.dim(d)))
-            for d, v in vecs.items()}
-
-
 def _submodule(m: A1Module, rows: dict[int, F2Matrix], prefix: str) -> A1Module:
     """Module structure on per-degree row spans.
 
@@ -596,61 +580,71 @@ def _submodule(m: A1Module, rows: dict[int, F2Matrix], prefix: str) -> A1Module:
     return A1Module(basis, sq1, sq2, m.lo, m.hi, m.complete_lo, m.complete_hi)
 
 
-def _retraction_kernel(m: A1Module, cyc: dict[int, F2Matrix]) -> dict[int, F2Matrix]:
-    """Kernel of a module retraction onto the free cyclic summand ``cyc``.
-
-    The retraction is the module map onto the summand that is the identity
-    on it, solved on the complete range; self-injectivity of the
-    8-dimensional algebra guarantees a solution.
-    """
-    sub = _submodule(m, cyc, "c")
-    space, sub_space = m.space(), sub.space()
-    inclusion = GradedMap(sub_space, space, (0, 0),
-                          {(d, 0): b for d, b in cyc.items()})
-    ops = [OperatorPair("sq1", m.sq1_map(), sub.sq1_map()),
-           OperatorPair("sq2", m.sq2_map(), sub.sq2_map())]
-    retraction = hom_space(space, sub_space, (0, 0), ops,
-                           Window(m.complete_lo, m.complete_hi, 0, 0),
-                           unit=(inclusion, identity_map(sub_space)))
-    if retraction is None:
-        raise RuntimeError("retraction system unsolvable; summand not split")
-    return {d: left_kernel_basis(retraction.block((d, 0))) if d in cyc
-            else F2Matrix.identity(m.dim(d)) for d in m.degrees()}
-
-
 def reduce(m: A1Module) -> ReduceResult:
-    """Split off free summands until the top operation acts by zero.
+    """Split off every free summand in one pass over the trusted degrees.
 
-    Scans the basis in canonical order for a vector not killed by
-    Sq2 Sq2 Sq2; the cyclic module it generates is free and splits off.
+    The algebra is a finite-dimensional Hopf algebra, hence Frobenius
+    (Larson and Sweedler, Amer. J. Math. 91, 1969), with socle spanned by
+    theta = Sq2 Sq2 Sq2.  So a vector g with theta g != 0 generates a free
+    summand, and the free summands generated in degree d number the rank
+    of theta: M_d -> M_{d+6} (Margolis, *Spectra and the Steenrod Algebra*,
+    1983).  In each degree d with d + 6 in the complete range, the
+    generators g_j are the basis vectors whose theta-images enlarge the
+    span of the earlier ones, the functionals phi_i on M_{d+6} satisfy
+    phi_i(theta g_j) = delta_ij, and the complement N is
+    N_x = {v in M_x : phi_i(a v) = 0 for every basis word a of degree
+    d + 6 - x} (N_x = M_x in degrees nothing constrains).
+
+    N is the kernel of the module map v -> (a -> phi_i(a v)) into
+    suspended copies of the dual of A(1), so a submodule.  That map is
+    injective on the socle theta F of F = A(1){g_j}, which every nonzero
+    submodule of the free module F meets, so N meets F only in 0.  N is
+    cut out by 8 functionals per generator, so dim N >= dim M - dim F and
+    M = F + N is a direct sum.  A codimension below 8 per generator means
+    the module breaks the algebra's relations and raises ``RuntimeError``.
     """
     certified_hi = m.complete_hi - 6
     if certified_hi < m.complete_lo and m.total_dim():
         raise ValueError(
             "window too narrow to certify reduction: need at least 7 complete "
             f"degrees, have [{m.complete_lo},{m.complete_hi}]")
-    cur = m
     gens: list[int] = []
-    progress = True
-    while progress:
-        progress = False
-        for d in cur.trusted_degrees(6):
-            hit = None
-            for i in range(cur.dim(d)):
-                if cur.apply_theta(d, 1 << i):
-                    hit = 1 << i
-                    break
-            if hit is None:
-                continue
-            cyc = _cyclic_span(cur, d, hit)
-            if sum(b.nrows for b in cyc.values()) != 8:
-                raise RuntimeError("cyclic module with nonzero top not free")
-            ker = _retraction_kernel(cur, cyc)
-            cur = _submodule(cur, ker, "r")
-            gens.append(d)
-            progress = True
-            break
-    return ReduceResult(cur, sorted(gens), certified_hi)
+    constraints: dict[int, list[int]] = {}  # independent functionals on M_x
+    spans: dict[int, Echelon] = {}
+    dependent: list[int] = []               # generator degrees at fault
+    for d in m.trusted_degrees(6):
+        theta = Echelon()
+        images = [t for t in (m.apply_theta(d, 1 << i) for i in range(m.dim(d)))
+                  if theta.add(t)]
+        if not images:
+            continue
+        gens += [d] * len(images)
+        # bit i of dual.coords(w) is phi_i(w): the coefficient of images[i]
+        # over a basis of M_{d+6} completing the images with unit vectors
+        top = m.dim(d + 6)
+        dual = Echelon(images + [1 << k for k in range(top)])
+        for word, wd in A1_WORDS:
+            x = d + 6 - wd
+            values = [dual.coords(m.apply_word(word, x, 1 << k))
+                      for k in range(m.dim(x))]
+            pulled = F2Matrix.from_rows(values, len(images) + top).transpose()
+            for row in pulled.rows[: len(images)]:
+                if spans.setdefault(x, Echelon()).add(row):
+                    constraints.setdefault(x, []).append(row)
+                else:
+                    dependent.append(d)
+    if not gens:
+        return ReduceResult(m, [], certified_hi)
+    kept = {x: kernel_basis(F2Matrix.from_rows(constraints.get(x, []), m.dim(x)))
+            for x in m.degrees()}
+    codim = sum(m.dim(x) - b.nrows for x, b in kept.items())
+    if codim != 8 * len(gens):
+        raise RuntimeError(
+            f"free summands not split: the constraints of the generators in "
+            f"degree {dependent[0]} are dependent, so the complement has "
+            f"codimension {codim}, not {8 * len(gens)}; the module breaks the "
+            f"algebra's relations")
+    return ReduceResult(_submodule(m, kept, "r"), gens, certified_hi)
 
 
 def is_reduced(m: A1Module) -> bool:
