@@ -24,7 +24,7 @@ from typing import Iterable, Optional
 from .gf2 import (
     Echelon,
     F2Matrix,
-    intersect_row_spaces,
+    common_kernel,
     kernel_basis,
     left_kernel_basis,
     rank,
@@ -527,9 +527,7 @@ def socle(m: A1Module) -> dict[int, F2Matrix]:
     """Degreewise basis of Ker Sq1 intersected with Ker Sq2."""
     out: dict[int, F2Matrix] = {}
     for d in m.trusted_degrees(2):
-        k1 = left_kernel_basis(m.sq1_block(d))
-        k2 = left_kernel_basis(m.sq2_block(d))
-        inter = intersect_row_spaces(k1, k2)
+        inter = common_kernel(m.sq1_block(d), m.sq2_block(d))
         if inter.nrows:
             out[d] = inter
     return out

@@ -17,7 +17,7 @@ from typing import Optional
 from .gf2 import (
     Echelon,
     F2Matrix,
-    intersect_row_spaces,
+    common_kernel,
     left_kernel_basis,
     rank,
     row_basis,
@@ -175,15 +175,9 @@ def h01(m: EModule) -> H01Result:
     for d in region:
         if m.dim(d) == 0:
             continue
-        k0 = m.q0.kernel_at(d)
-        k1 = m.q1.kernel_at(d)
-        num = intersect_row_spaces(k0, k1)
+        nums[d] = common_kernel(m.q0.block(d), m.q1.block(d))
         prev = sub_deg(d, Q1_SHIFT)
-        k0p = m.q0.kernel_at(prev)
-        den_rows = [m.q1.apply(prev, v) for v in k0p.rows]
-        den = row_basis(F2Matrix.from_rows(den_rows, m.dim(d)))
-        nums[d] = num
-        dens[d] = den
+        dens[d] = row_basis(m.q0.kernel_at(prev).mul(m.q1.block(prev)))
     return H01Result(Subquotient(m.space, nums, dens), region)
 
 
@@ -334,7 +328,7 @@ def kerker_space(m: EModule) -> Subquotient:
             continue
         if not m.trusted(add_deg(d, Q0_SHIFT), add_deg(d, Q1_SHIFT)):
             continue
-        nums[d] = intersect_row_spaces(m.q0.kernel_at(d), m.q1.kernel_at(d))
+        nums[d] = common_kernel(m.q0.block(d), m.q1.block(d))
     return Subquotient(m.space, nums, {})
 
 
@@ -374,8 +368,7 @@ def rel_ext_tate(m: EModule, n: int) -> dict[Degree, int]:
         out_mat = F2Matrix.from_rows([dn.apply(d, v) for v in reps.rows],
                                      t.terms[-n - 1].dim(d))
         ker_coeff = left_kernel_basis(out_mat)
-        kernel_vecs = row_basis(F2Matrix.from_rows(
-            [_xor_all(reps.rows, c) for c in ker_coeff.rows], mid.dim(d)))
+        kernel_vecs = row_basis(ker_coeff.mul(reps))
         up = t.diffs[-n + 1]
         src_reps = kk_up.reps(d)
         img = row_basis(F2Matrix.from_rows(
@@ -384,14 +377,6 @@ def rel_ext_tate(m: EModule, n: int) -> dict[Degree, int]:
         if h:
             out[add_deg(d, shift)] = h
     return out
-
-
-def _xor_all(rows: tuple[int, ...] | list[int], coeff: int) -> int:
-    acc = 0
-    for j, r in enumerate(rows):
-        if (coeff >> j) & 1:
-            acc ^= r
-    return acc
 
 
 # -- long exact sequence ------------------------------------------------------------

@@ -5,10 +5,13 @@ A matrix row is a Python integer used as a bit vector (bit ``j`` is column
 immutable and the functions are pure.  Pivoting is always leftmost, so
 results are deterministic and reproducible byte for byte.
 
-``Echelon`` is the factored solver: it eliminates a list of rows once and
-then answers membership and coordinate questions for any number of vectors,
-each in one pass over the pivots the vector touches.  Loops that solve many
-right-hand sides against one fixed basis build one ``Echelon`` for it.
+Every elimination runs through ``Echelon``, which inserts rows one at a
+time: ``rref`` sorts its rows, left kernels are the relations it records,
+and ``solve`` reads coordinates from it.  It eliminates a list of rows once
+and then answers membership and coordinate questions for any number of
+vectors, each in one pass over the pivots the vector touches.  Loops that
+solve many right-hand sides against one fixed basis build one ``Echelon``
+for it.
 """
 
 from __future__ import annotations
@@ -98,26 +101,10 @@ class F2Matrix:
 
 def rref(m: F2Matrix) -> tuple[F2Matrix, tuple[int, ...]]:
     """Reduced row echelon form; shape preserved, nonzero rows first."""
-    work = list(m.rows)
-    pivots: list[int] = []
-    row = 0
-    for col in range(m.ncols):
-        sel = None
-        for r in range(row, len(work)):
-            if (work[r] >> col) & 1:
-                sel = r
-                break
-        if sel is None:
-            continue
-        work[row], work[sel] = work[sel], work[row]
-        for r in range(len(work)):
-            if r != row and ((work[r] >> col) & 1):
-                work[r] ^= work[row]
-        pivots.append(col)
-        row += 1
-        if row == len(work):
-            break
-    return F2Matrix(m.nrows, m.ncols, tuple(work)), tuple(pivots)
+    rows = Echelon(m.rows).reduced_rows()
+    pivots = tuple((r & -r).bit_length() - 1 for r in rows)
+    rows += [0] * (m.nrows - len(rows))
+    return F2Matrix(m.nrows, m.ncols, tuple(rows)), pivots
 
 
 def rank(m: F2Matrix) -> int:
@@ -137,13 +124,19 @@ class Echelon:
     reduced and keyed by its lowest set bit, its pivot.  The stored rows are
     kept fully reduced (no stored row has a bit at another one's pivot), and
     each records which input rows it sums, so reducing a vector takes one
-    XOR per pivot bit the vector has.
+    XOR per pivot bit the vector has.  Fully reduced rows with distinct
+    lowest bits are the unique leftmost-pivot reduced echelon form.
+
+    An input row that reduces to zero leaves a relation: itself plus the
+    unique sum of the earlier rows that enlarged the span.  In insertion
+    order, the relations are the left kernel basis of the input rows.
     """
 
     def __init__(self, rows: Iterable[int] = ()) -> None:
         self._rows: dict[int, tuple[int, int]] = {}  # pivot bit -> (row, inputs)
         self._pivots = 0                               # union of the pivot bits
         self._inserted = 0
+        self.relations: list[int] = []
         for r in rows:
             self.add(r)
 
@@ -165,6 +158,7 @@ class Echelon:
         used ^= 1 << self._inserted
         self._inserted += 1
         if not w:
+            self.relations.append(used)
             return False
         low = w & -w
         rows = self._rows
@@ -174,6 +168,10 @@ class Echelon:
         rows[low] = (w, used)
         self._pivots |= low
         return True
+
+    def reduced_rows(self) -> list[int]:
+        """The stored rows sorted by pivot: the nonzero rref rows."""
+        return [self._rows[low][0] for low in sorted(self._rows)]
 
     def remainder(self, v: int) -> int:
         """``v`` reduced modulo the span: zero exactly when ``v`` lies in it.
@@ -208,8 +206,21 @@ def kernel_basis(m: F2Matrix) -> F2Matrix:
 
 
 def left_kernel_basis(m: F2Matrix) -> F2Matrix:
-    """Rows v with ``v . m = 0``; the kernel for row-vector conventions."""
-    return kernel_basis(m.transpose())
+    """Rows v with ``v . m = 0``; the kernel for row-vector conventions.
+
+    Equal to ``kernel_basis(m.transpose())``, found without transposing."""
+    rel = Echelon(m.rows).relations
+    return F2Matrix(len(rel), m.nrows, tuple(rel))
+
+
+def common_kernel(a: F2Matrix, b: F2Matrix) -> F2Matrix:
+    """Canonical basis of the rows v with ``v . a = 0`` and ``v . b = 0``:
+    the left kernel of the side-by-side matrix ``[a | b]``."""
+    if a.nrows != b.nrows:
+        raise ValueError("row count mismatch")
+    side = F2Matrix(a.nrows, a.ncols + b.ncols,
+                    tuple(x | (y << a.ncols) for x, y in zip(a.rows, b.rows)))
+    return row_basis(left_kernel_basis(side))
 
 
 def solve(m: F2Matrix, b: int) -> Optional[int]:
@@ -219,15 +230,7 @@ def solve(m: F2Matrix, b: int) -> Optional[int]:
     """
     if b >> m.nrows:
         raise ValueError("right-hand side longer than row count")
-    aug = tuple(r | (((b >> i) & 1) << m.ncols) for i, r in enumerate(m.rows))
-    r, piv = rref(F2Matrix(m.nrows, m.ncols + 1, aug))
-    x = 0
-    for i, p in enumerate(piv):
-        if p == m.ncols:
-            return None
-        if (r.rows[i] >> m.ncols) & 1:
-            x |= 1 << p
-    return x
+    return Echelon(m.transpose().rows).coords(b)
 
 
 def solve_row(v: int, basis: F2Matrix) -> Optional[int]:

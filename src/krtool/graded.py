@@ -134,10 +134,6 @@ class GradedSpace:
     def __repr__(self) -> str:
         return f"GradedSpace(dim={self.total_dim()}, window={self.window})"
 
-    def restrict(self, window: Window) -> "GradedSpace":
-        return GradedSpace(window, {d: n for d, n in self.basis.items()
-                                    if window.contains(d)})
-
     def shifted(self, s: Degree, rename: Callable[[str], str] | None = None) -> "GradedSpace":
         f = rename or (lambda n: n)
         return GradedSpace(self.window.shift(s),

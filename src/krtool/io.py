@@ -56,6 +56,8 @@ def parse_module_file(text: str) -> ModuleFile:
     gens: dict[str, tuple[int, int]] = {}
     gen_lines: dict[str, int] = {}
     actions: dict[tuple[str, str], tuple[str, ...]] = {}
+    action_lines: dict[tuple[str, str], int] = {}
+    bad: list[tuple[int, str]] = []     # (line, fault) raised in a1 and e files
     xdeg = 1
     levels = (0, 0)
     summands: list[Summand] = []
@@ -106,6 +108,10 @@ def parse_module_file(text: str) -> ModuleFile:
                         line_no, f"degree mismatch: {head} moves {src} to "
                                  f"{(src[0] + shift[0], src[1] + shift[1])}, "
                                  f"target {tname} sits at {td}")
+            first = action_lines.setdefault((head, lhs), line_no)
+            if first != line_no:
+                bad.append((line_no, f"second {head} line for {lhs}, first "
+                                     f"at line {first}"))
             actions[(head, lhs)] = targets
         elif head == "xdeg":
             (xdeg,) = _ints(line_no, head, parts[1:], 1)
@@ -128,6 +134,15 @@ def parse_module_file(text: str) -> ModuleFile:
         raise ParseError(0, "missing kind header")
     if window is None:
         raise ParseError(0, "missing window header")
+    ops = {"a1": A1_OPS, "e": E_OPS}.get(kind)
+    if ops is not None:         # tower files ignore generator and action lines
+        held = window if kind == "e" else Window(window.m_lo, window.m_hi, 0, 0)
+        bad += [(gen_lines[n], f"generator {n} at {d} lies outside {held}")
+                for n, d in gens.items() if not held.contains(d)]
+        bad += [(line, f"{op} is not an operation of {kind} modules")
+                for (op, _), line in action_lines.items() if op not in ops]
+        if bad:
+            raise ParseError(*min(bad))
     tower = XTowerSpec(xdeg, tuple(summands)) if kind == "tower" else None
     return ModuleFile(kind, window, gens, actions, tower, levels, gen_lines)
 

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from krtool.gf2 import (
     Echelon,
     F2Matrix,
+    common_kernel,
     intersect_row_spaces,
     kernel_basis,
+    left_kernel_basis,
     rank,
     row_basis,
     rref,
@@ -34,6 +36,29 @@ def combine(rows, mask):
         acc ^= rows[i]
         mask &= mask - 1
     return acc
+
+
+def column_scan_rref(m):
+    """Reduced row echelon form by scanning columns left to right: the
+    elimination ``rref`` used before it ran on ``Echelon``, kept as an
+    independent oracle."""
+    work = list(m.rows)
+    pivots = []
+    row = 0
+    for col in range(m.ncols):
+        sel = next((r for r in range(row, len(work)) if (work[r] >> col) & 1),
+                   None)
+        if sel is None:
+            continue
+        work[row], work[sel] = work[sel], work[row]
+        for r in range(len(work)):
+            if r != row and ((work[r] >> col) & 1):
+                work[r] ^= work[row]
+        pivots.append(col)
+        row += 1
+        if row == len(work):
+            break
+    return F2Matrix(m.nrows, m.ncols, tuple(work)), tuple(pivots)
 
 
 def span_vectors(m):
@@ -185,11 +210,11 @@ def test_solve_row_and_span_contains():
 
 
 @st.composite
-def bases(draw):
+def bases(draw, nrows=None):
     """Small matrices whose rows may be zero or sums of earlier rows."""
     ncols = draw(st.integers(0, 6))
     rows = []
-    for _ in range(draw(st.integers(0, 7))):
+    for _ in range(draw(st.integers(0, 7)) if nrows is None else nrows):
         kind = draw(st.sampled_from(("random", "zero", "dependent")))
         if kind == "random":
             rows.append(draw(st.integers(0, (1 << ncols) - 1)))
@@ -201,9 +226,20 @@ def bases(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(bases())
-def test_echelon_matches_solve_and_enumeration(basis):
+@given(bases(), st.data())
+def test_echelon_matches_solve_and_enumeration(basis, data):
     ech = Echelon(basis.rows)
+    assert rref(basis) == column_scan_rref(basis)
+    assert left_kernel_basis(basis) == kernel_basis(basis.transpose())
+    other = data.draw(bases(nrows=basis.nrows))
+    both = common_kernel(basis, other)
+    assert both == intersect_row_spaces(left_kernel_basis(basis),
+                                        left_kernel_basis(other))
+    # every row combination that both matrices send to zero, enumerated
+    killed = {mask for mask in range(1 << basis.nrows)
+              if combine(basis.rows, mask) == 0 == combine(other.rows, mask)}
+    assert span_vectors(both) == killed
+    assert both == row_basis(both) and 1 << both.nrows == len(killed)
     # rows that enlarge the span of the rows before them, found by enumeration
     independent = 0
     for i, r in enumerate(basis.rows):

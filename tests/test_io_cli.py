@@ -6,8 +6,20 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from krtool.a1 import std_pn, validate
+from krtool.a1 import (
+    direct_sum_a1,
+    dual_a1,
+    std_a1,
+    std_f,
+    std_p,
+    std_pn,
+    suspend,
+    tensor_a1,
+    validate,
+)
 from krtool.io import (
     ParseError,
     a1_to_module_file_text,
@@ -18,6 +30,7 @@ from krtool.io import (
     tower_to_module_file_text,
 )
 from krtool.graded import Window
+from krtool.rfun import apply_r, required_top
 from krtool.towers import Summand, XTowerSpec
 
 
@@ -63,6 +76,39 @@ def test_parse_rejects_bad_integer_fields(line):
     assert err.value.line_no == 3
 
 
+@pytest.mark.parametrize("text, line_no, message", [
+    ("kind e\nwindow 0 2 0 2\ngen x 5 0\n", 3,
+     "generator x at (5, 0) lies outside"),
+    ("kind e\nwindow 0 2 0 2\ngen x 1 3\n", 3,
+     "generator x at (1, 3) lies outside"),
+    ("kind a1\nwindow 0 4 0 0\ngen x 0\ngen y 7\n", 4,
+     "generator y at (7, 0) lies outside"),
+    ("kind a1\nwindow 0 4 0 0\ngen x 1 2\n", 3,
+     "generator x at (1, 2) lies outside Window(m_lo=0, m_hi=4, k_lo=0, k_hi=0)"),
+    ("kind a1\nwindow 0 4 0 0\ngen x 0\ngen y 1\nq0 x = y\n", 5,
+     "q0 is not an operation of a1 modules"),
+    ("kind e\nwindow 0 4 0 2\ngen x 0 0\ngen y 1 0\nsq1 x = y\n", 5,
+     "sq1 is not an operation of e modules"),
+    ("kind a1\nwindow 0 4 0 0\ngen x 0\ngen y 1\nsq1 x = y\nsq1 x = 0\n", 6,
+     "second sq1 line for x, first at line 5"),
+    ("kind e\nwindow 0 4 0 2\ngen x 0 0\ngen y 1 0\nq0 x = y\nq0 x = y\n", 6,
+     "second q0 line for x, first at line 5"),
+])
+def test_parse_rejects_what_the_kind_cannot_hold(text, line_no, message):
+    with pytest.raises(ParseError) as err:
+        mf = parse_module_file(text)
+        (module_file_to_a1 if mf.kind == "a1" else module_file_to_e)(mf)
+    assert err.value.line_no == line_no
+    assert message in str(err.value)
+
+
+def test_tower_file_keeps_generator_lines_unchecked():
+    mf = parse_module_file("kind tower\nwindow 0 4 0 0\ngen x 9 3\n"
+                           "sq1 x = 0\nsq1 x = 0\nsummand free 0\n")
+    assert mf.gens == {"x": (9, 3)}
+    assert mf.tower == XTowerSpec(1, (Summand("free", 0),))
+
+
 def test_a1_file_breaking_a_relation_is_rejected():
     text = ("kind a1\nwindow 0 4 0 0\ngen x1 0\ngen x2 1\ngen x3 2\n"
             "sq1 x1 = x2\nsq1 x2 = x3\n")
@@ -92,6 +138,15 @@ def test_cli_rejects_module_file_breaking_a_relation(tmp_path):
     assert "line 3: module breaks a relation: Sq1 Sq1 = 0" in out.stderr
 
 
+def test_cli_rejects_e_generator_outside_the_window(tmp_path):
+    src = tmp_path / "outside.e"
+    src.write_text("kind e\nwindow 0 2 0 2\ngen x 5 0\n")
+    out = run_cli("compute", "h01", "--in", str(src))
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "line 3: generator x at (5, 0) lies outside" in out.stderr
+
+
 def test_parse_comments_and_zero_lines():
     text = ("# a tiny module\nkind a1\nwindow 0 4 0 0\n"
             "gen a 0\ngen b 1\nsq1 a = b\nsq2 a = 0\n")
@@ -117,6 +172,104 @@ def test_tower_file_round_trip():
     mf = parse_module_file(text)
     assert mf.tower == spec
     assert mf.tower_levels == (-1, 3)
+
+
+@st.composite
+def a1_modules(draw):
+    """Sums, tensors, suspensions and duals of the standard modules."""
+    hi = draw(st.integers(4, 10))
+
+    def leaf():
+        which = draw(st.sampled_from(["f", "a1", "p", "pn"]))
+        if which == "f":
+            return std_f(draw(st.integers(-3, 3)))
+        if which == "a1":
+            return std_a1(draw(st.integers(-4, 2)))
+        if which == "p":
+            return std_p(1, hi)
+        return std_pn(draw(st.integers(-1, 3)), -4, hi)
+
+    m = leaf()
+    for _ in range(draw(st.integers(0, 2))):
+        shape = draw(st.sampled_from(["suspend", "sum", "tensor"]))
+        if shape == "suspend":
+            m = suspend(m, draw(st.integers(-3, 3)))
+        elif shape == "sum":
+            m = direct_sum_a1([m, leaf()], ["u.", "v."])
+        else:
+            m = tensor_a1(m, leaf(), hi=hi)
+    # last, since a dual is no longer complete at the bottom for tensors
+    return dual_a1(m) if draw(st.booleans()) else m
+
+
+@st.composite
+def e_modules(draw):
+    """Coefficient extensions of standard modules on small windows."""
+    m_lo, k_lo = draw(st.integers(-4, 0)), draw(st.integers(-2, 0))
+    w = Window(m_lo, m_lo + draw(st.integers(0, 5)),
+               k_lo, k_lo + draw(st.integers(0, 2)))
+    which = draw(st.sampled_from(["f", "a1", "pn"]))
+    if which == "f":
+        base = std_f(draw(st.integers(-2, 2)))
+    elif which == "a1":
+        base = std_a1(draw(st.integers(-4, 2)))
+    else:
+        base = std_pn(draw(st.integers(0, 3)), w.m_lo - 1, required_top(w) + 8)
+    return apply_r(base, w).emod
+
+
+@settings(max_examples=60, deadline=None)
+@given(a1_modules(), e_modules())
+def test_module_files_round_trip_names_and_blocks(a, e):
+    assume(a.lo <= a.hi)        # a tensor cut off below its bottom is empty
+    back = module_file_to_a1(parse_module_file(a1_to_module_file_text(a)))
+    assert back.basis == a.basis
+    assert back.sq1 == a.sq1 and back.sq2 == a.sq2
+    back = module_file_to_e(parse_module_file(e_to_module_file_text(e)))
+    assert back.space == e.space
+    assert back.q0 == e.q0 and back.q1 == e.q1
+    # a zero action prints no line, so it reads back as absent
+    for got, want in ((back.act_a, e.act_a), (back.act_s, e.act_s)):
+        assert (got.blocks if got else {}) == (want.blocks if want else {})
+
+
+@st.composite
+def module_texts(draw):
+    """Module files of every kind with small degrees, a few names and every
+    operation: mostly well formed, now and then with a malformed line."""
+    name = st.sampled_from(["x", "y", "z", "0"])
+    degree = st.integers(-2, 5).map(str)
+    lo = st.integers(-1, 2)
+    span = st.integers(0, 2)
+    m_lo, k_lo = draw(lo), draw(lo)
+    lines = [f"kind {draw(st.sampled_from(['a1', 'e', 'tower']))}",
+             f"window {m_lo} {m_lo + draw(span)} {k_lo} {k_lo + draw(span)}"]
+    for _ in range(draw(st.integers(0, 4))):
+        lines.append(" ".join(["gen", draw(name)]
+                              + draw(st.lists(degree, min_size=1, max_size=2))))
+    for _ in range(draw(st.integers(0, 4))):
+        targets = " + ".join(draw(st.lists(name, max_size=2))) or "0"
+        op = draw(st.sampled_from(["sq1", "sq2", "q0", "q1", "a", "s"]))
+        lines.append(f"{op} {draw(name)} = {targets}")
+    junk = st.sampled_from(["gen x one", "window 0 1", "window 2 0 0 0",
+                            "kind b", "xdeg", "levels 1 x", "summand free 0",
+                            "sq1 x y", "!"])
+    for _ in range(draw(st.integers(0, 1))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(junk))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(module_texts())
+def test_malformed_module_files_fail_only_with_parse_error(text):
+    try:
+        mf = parse_module_file(text)
+        if mf.kind == "a1":
+            module_file_to_a1(mf)
+        elif mf.kind == "e":
+            module_file_to_e(mf)
+    except ParseError:
+        pass
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")

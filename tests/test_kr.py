@@ -1,5 +1,7 @@
 """Pipeline pieces and the assembled report."""
 
+import time
+
 from krtool.graded import Window
 from krtool.kr import (
     assemble_kr,
@@ -74,6 +76,15 @@ def test_cross_check_rank_one():
     w = Window(-10, 10, -5, 5)
     rep = cross_check_hv(1, w)
     assert rep.ok, rep.detail()
+
+
+def test_cross_check_rank_three_within_budget():
+    start = time.perf_counter()
+    rep = cross_check_hv(3, Window(-14, 14, -7, 7))
+    seconds = time.perf_counter() - start
+    assert rep.ok, rep.detail()
+    assert len(rep.region) == 325
+    assert seconds < 3, f"cross-check took {seconds:.1f}s"
 
 
 def test_assemble_kr_rank_one():
