@@ -1,6 +1,6 @@
 """Command line front end: verification driver, computations, charts.
 
-    krtool verify [SUITE ...]             run acceptance suites (default all)
+    krtool verify [SUITE ...] [--json]    run acceptance suites (default all)
     krtool compute TASK [options]         run one computation, emit a table
 
 Common options: ``--window M_LO M_HI K_LO K_HI``, ``--out PATH``,
@@ -12,6 +12,8 @@ Builtin module names: A1, F, P, P0..P3, BV<n>, RP<n>, HP.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
 import math
 import random
 import sys
@@ -163,10 +165,14 @@ def cmd_verify(args) -> int:
     worst = 0
     for r in results:
         status = "PASS" if r.ok else "FAIL"
-        print(f"{status} {r.name} ({r.seconds:.2f}s): {r.detail}")
+        if not args.json:
+            print(f"{status} {r.name} ({r.seconds:.2f}s): {r.detail}")
         rows.append(f"{r.name}\t{status}\t{r.seconds:.2f}\t{r.detail}")
         if not r.ok:
             worst = 1
+    if args.json:
+        json.dump([dataclasses.asdict(r) for r in results], sys.stdout, indent=1)
+        print()
     if args.out:
         with open(args.out, "w") as fh:
             fh.write("\n".join(rows) + "\n")
@@ -245,6 +251,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     pv.add_argument("suites", nargs="*", metavar="SUITE",
                     help=f"suites to run (default all): {', '.join(SUITES)}")
     pv.add_argument("--out", help="write a TSV summary")
+    pv.add_argument("--json", action="store_true",
+                    help="print a JSON list with one object per suite: "
+                         "name, ok, seconds, detail")
     pv.set_defaults(func=cmd_verify)
 
     pc = sub.add_parser("compute", help="run one computation")

@@ -121,6 +121,7 @@ def validate(m: EModule) -> list[EViolation]:
               [(0, 0), (0, 1), (1, 0), (1, 1)])
         check("q1 a = a q1", m.act_a.compose(m.q1), m.q1.compose(m.act_a),
               [(0, 0), (0, 1), (2, 1), (2, 2)])
+    # with no Euler action the Cartan relations are the plain ones
     if m.act_s is not None and m.s_compat_cartan and m.act_a is not None:
         lhs = m.act_s.compose(m.q0)
         rhs = m.q0.compose(m.act_s).add(m.act_a)
@@ -131,7 +132,7 @@ def validate(m: EModule) -> list[EViolation]:
             m.q0.compose(m.act_a).compose(m.act_a))
         check("q1 s = s q1 + a a q0", lhs, rhs,
               [(0, 0), (-1, 1), (2, 1), (1, 2), (1, 0), (1, 1)])
-    if m.act_s is not None and m.act_a is None:
+    elif m.act_s is not None:
         check("q0 s = s q0", m.act_s.compose(m.q0), m.q0.compose(m.act_s),
               [(0, 0), (-1, 1), (1, 0), (0, 1)])
         check("q1 s = s q1", m.act_s.compose(m.q1), m.q1.compose(m.act_s),

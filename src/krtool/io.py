@@ -6,6 +6,12 @@ The grammar is deliberately small: a ``kind`` header, a ``window`` line,
 canonical: generators sorted by degree then name, action lines sorted the
 same way with sorted right-hand sides, so parse-print round-trips are
 byte exact.
+
+An ``e`` file may declare its optional structure on one ``ops`` line:
+``a`` and ``s`` when those actions are present (even if zero), and
+``cartan`` when ``s`` obeys the relations twisted by ``a``.  The printer
+always writes it.  Without the line, an action is present when some line
+gives it and ``s`` commutes with both differentials.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from .towers import Summand, XTowerSpec
 
 A1_OPS = {"sq1": 1, "sq2": 2}
 E_OPS = {"q0": (1, 0), "q1": (2, 1), "a": (0, 1), "s": (-1, 1)}
+E_OPTIONAL = {"a", "s", "cartan"}     # words of an e file's ``ops`` line
 
 
 class ParseError(ValueError):
@@ -48,6 +55,7 @@ class ModuleFile:
     tower: Optional[XTowerSpec] = None
     tower_levels: tuple[int, int] = (0, 0)
     gen_lines: dict[str, int] = field(default_factory=dict)
+    ops: Optional[frozenset[str]] = None    # the ``ops`` line of an e file
 
 
 def parse_module_file(text: str) -> ModuleFile:
@@ -61,6 +69,8 @@ def parse_module_file(text: str) -> ModuleFile:
     xdeg = 1
     levels = (0, 0)
     summands: list[Summand] = []
+    declared: Optional[frozenset[str]] = None
+    declared_line = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -113,6 +123,15 @@ def parse_module_file(text: str) -> ModuleFile:
                 bad.append((line_no, f"second {head} line for {lhs}, first "
                                      f"at line {first}"))
             actions[(head, lhs)] = targets
+        elif head == "ops":
+            words = parts[1:]
+            if declared is not None:
+                raise ParseError(line_no, f"second ops line, first at line "
+                                          f"{declared_line}")
+            if not set(words) <= E_OPTIONAL or len(set(words)) != len(words):
+                raise ParseError(line_no, "ops takes a, s and cartan, each at "
+                                          "most once")
+            declared, declared_line = frozenset(words), line_no
         elif head == "xdeg":
             (xdeg,) = _ints(line_no, head, parts[1:], 1)
         elif head == "levels":
@@ -141,10 +160,17 @@ def parse_module_file(text: str) -> ModuleFile:
                 for n, d in gens.items() if not held.contains(d)]
         bad += [(line, f"{op} is not an operation of {kind} modules")
                 for (op, _), line in action_lines.items() if op not in ops]
+        if kind == "a1" and declared is not None:
+            bad.append((declared_line, "ops lines belong to e files"))
+        if kind == "e" and declared is not None:
+            bad += [(line, f"{op} is not declared on the ops line")
+                    for (op, _), line in action_lines.items()
+                    if op in E_OPTIONAL and op not in declared]
         if bad:
             raise ParseError(*min(bad))
     tower = XTowerSpec(xdeg, tuple(summands)) if kind == "tower" else None
-    return ModuleFile(kind, window, gens, actions, tower, levels, gen_lines)
+    return ModuleFile(kind, window, gens, actions, tower, levels, gen_lines,
+                      declared)
 
 
 def _reject_broken_relations(mf: ModuleFile, violations: list) -> None:
@@ -186,6 +212,9 @@ def module_file_to_a1(mf: ModuleFile) -> A1Module:
 
 
 def a1_to_module_file_text(m: A1Module) -> str:
+    if m.lo > m.hi:
+        raise ValueError(f"module has the empty window {m.lo}..{m.hi}, "
+                         f"which no module file can state")
     lines = ["kind a1", f"window {m.lo} {m.hi} 0 0"]
     entries = []
     for d in m.degrees():
@@ -229,18 +258,21 @@ def module_file_to_e(mf: ModuleFile) -> EModule:
             blocks[d] = F2Matrix.from_rows(rows, space.dim(td))
         return GradedMap(space, space, shift, blocks)
 
-    has_a = any(op == "a" for op, _ in mf.actions)
-    has_s = any(op == "s" for op, _ in mf.actions)
+    ops = mf.ops if mf.ops is not None else {op for op, _ in mf.actions}
     m = EModule(space, build("q0"), build("q1"), w,
-                act_a=build("a") if has_a else None,
-                act_s=build("s") if has_s else None)
+                act_a=build("a") if "a" in ops else None,
+                act_s=build("s") if "s" in ops else None,
+                s_compat_cartan="cartan" in ops)
     _reject_broken_relations(mf, validate_e(m))
     return m
 
 
 def e_to_module_file_text(m: EModule) -> str:
+    declared = [op for op, mp in (("a", m.act_a), ("s", m.act_s))
+                if mp is not None] + ["cartan"] * m.s_compat_cartan
     lines = ["kind e", f"window {m.space.window.m_lo} {m.space.window.m_hi} "
-                       f"{m.space.window.k_lo} {m.space.window.k_hi}"]
+                       f"{m.space.window.k_lo} {m.space.window.k_hi}",
+             " ".join(["ops"] + declared)]
     entries = []
     for d in m.space.degrees():
         for name in m.space.names(d):

@@ -8,15 +8,25 @@ step per layer, the image-of-q1 part carries torsion order one, and the
 top-operation part is doubled by its Bott companion with torsion order at
 most two.  Unfiltered action values beyond that are deliberately not
 asserted.
+
+Everything the report and its cross-check read about one (rank, window)
+pair lives on one ``Chart``: the group cohomology module, its coefficient
+extension and its free-summand split, each built on first use and then
+kept.  ``chart(n, w)`` memoises the last chart asked for, one slot only,
+so ``compute kr-table`` followed by ``cross_check_hv`` on the same rank
+and window builds each piece once, and a chart for another pair drops
+the previous one as soon as it is created.  The functions below return
+fresh containers, never the chart's own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from math import comb
 
 from . import closedform as cfm
-from .a1 import A1Module, reduce, std_bv
+from .a1 import A1Module, ReduceResult, reduce, std_bv
 from .emod import h01
 from .gf2 import F2Matrix, rank
 from .graded import (
@@ -28,16 +38,43 @@ from .graded import (
     add_deg,
     hom_space,
 )
-from .rfun import apply_r, required_top
+from .rfun import RModule, apply_r, required_top
 
 
 def bv_module(n: int, w: Window) -> A1Module:
     return std_bv(n, 1, required_top(w))
 
 
+class Chart:
+    """The rank-``n`` group cohomology on the window ``w``, its coefficient
+    extension and its free-summand split, each built once on first use."""
+
+    def __init__(self, n: int, w: Window):
+        self.n = n
+        self.w = w
+
+    @cached_property
+    def module(self) -> A1Module:
+        return bv_module(self.n, self.w)
+
+    @cached_property
+    def extension(self) -> RModule:
+        return apply_r(self.module, self.w)
+
+    @cached_property
+    def reduced(self) -> ReduceResult:
+        return reduce(self.module)
+
+
+@lru_cache(maxsize=1)
+def chart(n: int, w: Window) -> Chart:
+    """The chart of the rank and window, shared until another is asked for."""
+    return Chart(n, w)
+
+
 def compute_f1(n: int, w: Window) -> dict[Degree, int]:
     """Degreewise rank of the second differential on the extension."""
-    rm = apply_r(bv_module(n, w), w)
+    rm = chart(n, w).extension
     out: dict[Degree, int] = {}
     for d in w.degrees():
         src = (d[0] - 2, d[1] - 1)
@@ -82,8 +119,8 @@ class F2Part:
 
 def compute_f2(n: int, w: Window) -> F2Part:
     """Free generators of the group cohomology, shifted to the top class."""
-    red = reduce(bv_module(n, w))
-    return F2Part(red.free_gens, red.certified_hi)
+    red = chart(n, w).reduced
+    return F2Part(list(red.free_gens), red.certified_hi)
 
 
 @dataclass
@@ -288,11 +325,10 @@ class CrossCheckReport:
 def cross_check_hv(n: int, w: Window) -> CrossCheckReport:
     """Brute-force homology of the extension of the group cohomology
     against the closed form plus the free-part contribution."""
-    m = bv_module(n, w)
-    rm = apply_r(m, w)
-    hom = h01(rm.emod)
+    c = chart(n, w)
+    hom = h01(c.extension.emod)
     brute = hom.dims()
-    red = reduce(m)
+    red = c.reduced
     closed: dict[Degree, int] = dict(cfm.hv_closed_dims(n, w))
     for g in red.free_gens:
         for d in ((g + 6, 0), (g + 3, -2)):

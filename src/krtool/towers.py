@@ -151,7 +151,7 @@ def filtration(t: TowerData, n: int) -> Filtration:
     t_n: dict[Degree, F2Matrix] = {}
     ker_e: dict[Degree, F2Matrix] = {}
     f0: dict[Degree, F2Matrix] = {}
-    for d in t.region.degrees():
+    for d in _region_order(t.region, lev.space.basis):
         tn = lev.f.kernel_at(d)
         ke = lev.e.kernel_at(d)
         ime = above.e.image_at(d)
@@ -180,7 +180,7 @@ def detect(t: TowerData, h: int, n: int) -> DetectReport:
     comp = t.levels[n + h].e
     for step in range(h - 1, 0, -1):
         comp = comp.compose(t.levels[n + step].e)
-    for d in t.region.degrees():
+    for d in _region_order(t.region, lev.space.basis):
         tn = lev.f.kernel_at(d)
         if tn.nrows == 0:
             continue
@@ -196,7 +196,7 @@ def iota_injective(t: TowerData, n: int) -> bool:
     level's top quotient is injective (dimension check)."""
     fil_n = filtration(t, n)
     fil_n1 = filtration(t, n + 1)
-    for d in t.region.degrees():
+    for d in _region_order(t.region, t.levels[n].space.basis):
         # iota sends F0_n into F2_{n+1} by choosing a preimage along e_{n+1}
         src = fil_n.f0[d]
         if src.nrows == 0:
@@ -238,10 +238,15 @@ def chain_complex_at(t: TowerData, n: int) -> ChainComplexReport:
     th_prev = t.theta(n - 1)
     fil = filtration(t, n)
     fil_next = filtration(t, n + 1)
+    # every space read at d is empty unless d is one of these; the last set
+    # keeps the degrees whose only data is the bottom step of the next level
+    below = [sub_deg(d, (1, 0)) for d in t.levels[n + 1].space.basis]
+    degrees = _region_order(t.region, lev.layer.basis, lev.space.basis,
+                            t.colimit.basis, below)
 
     mid_num: dict[Degree, F2Matrix] = {}
     mid_den: dict[Degree, F2Matrix] = {}
-    for d in t.region.degrees():
+    for d in degrees:
         mid_num[d] = th_n.kernel_at(d)
         mid_den[d] = th_prev.image_at(d)
     middle = Subquotient(lev.layer, mid_num, mid_den)
@@ -253,7 +258,7 @@ def chain_complex_at(t: TowerData, n: int) -> ChainComplexReport:
     ok = True
     injective = True
     surjective = True
-    for d in t.region.degrees():
+    for d in degrees:
         if not t.region.contains(add_deg(d, (1, 0))):
             continue
         # first map: F2 reps through the projection c_n

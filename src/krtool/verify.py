@@ -28,7 +28,7 @@ from .a1 import (
 )
 from .emod import h01, rel_ext, rel_ext_tate
 from .graded import Window
-from .kr import assemble_kr, cross_check_hv, detection_h1_borel
+from .kr import assemble_kr, compute_f2, cross_check_hv, detection_h1_borel
 from .rfun import A1Map, apply_r, check_sec_r, psi_duality, required_top
 from .towers import (
     build_x_tower,
@@ -215,14 +215,14 @@ def _suite_kr_table() -> tuple[bool, str]:
             return False, f"rank {n}: layer periodicity fails"
         if not rep.doubling_ok():
             return False, f"rank {n}: companion doubling fails"
+        # read before the cross-check on the other window replaces the chart
+        partners = compute_f2(n, w).partner_dims(w)
         cc = cross_check_hv(n, wcc)
         if not cc.ok:
             return False, f"rank {n}: column check input disagrees"
         # column sums: layer zero plus the doubled free classes reproduce
         # the brute-force homology on the common region
         f2cls = rep.f2_classes
-        from .kr import compute_f2
-        partners = compute_f2(n, w).partner_dims(w)
         for d in cc.region:
             total = rep.layers[0].get(d, 0) + f2cls.get(d, 0) \
                 + partners.get(d, 0)

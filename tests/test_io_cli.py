@@ -1,12 +1,13 @@
 """File formats and the command line surface."""
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from krtool.a1 import (
@@ -93,6 +94,13 @@ def test_parse_rejects_bad_integer_fields(line):
      "second sq1 line for x, first at line 5"),
     ("kind e\nwindow 0 4 0 2\ngen x 0 0\ngen y 1 0\nq0 x = y\nq0 x = y\n", 6,
      "second q0 line for x, first at line 5"),
+    ("kind e\nwindow 0 4 0 2\nops s\ngen x 0 0\ngen y 0 1\na x = y\n", 6,
+     "a is not declared on the ops line"),
+    ("kind e\nwindow 0 4 0 2\nops a\nops a\n", 4,
+     "second ops line, first at line 3"),
+    ("kind e\nwindow 0 4 0 2\nops a q0\n", 3,
+     "ops takes a, s and cartan"),
+    ("kind a1\nwindow 0 4 0 0\nops\n", 3, "ops lines belong to e files"),
 ])
 def test_parse_rejects_what_the_kind_cannot_hold(text, line_no, message):
     with pytest.raises(ParseError) as err:
@@ -221,16 +229,59 @@ def e_modules(draw):
 @settings(max_examples=60, deadline=None)
 @given(a1_modules(), e_modules())
 def test_module_files_round_trip_names_and_blocks(a, e):
-    assume(a.lo <= a.hi)        # a tensor cut off below its bottom is empty
-    back = module_file_to_a1(parse_module_file(a1_to_module_file_text(a)))
-    assert back.basis == a.basis
-    assert back.sq1 == a.sq1 and back.sq2 == a.sq2
+    if a.lo > a.hi:             # a tensor cut off below its bottom is empty
+        with pytest.raises(ValueError, match="empty window"):
+            a1_to_module_file_text(a)
+    else:
+        back = module_file_to_a1(parse_module_file(a1_to_module_file_text(a)))
+        assert back.basis == a.basis
+        assert back.sq1 == a.sq1 and back.sq2 == a.sq2
     back = module_file_to_e(parse_module_file(e_to_module_file_text(e)))
     assert back.space == e.space
     assert back.q0 == e.q0 and back.q1 == e.q1
-    # a zero action prints no line, so it reads back as absent
+    assert back.s_compat_cartan == e.s_compat_cartan
+    # the ops line keeps a zero action present
     for got, want in ((back.act_a, e.act_a), (back.act_s, e.act_s)):
+        assert (got is None) == (want is None)
         assert (got.blocks if got else {}) == (want.blocks if want else {})
+
+
+def test_a1_file_text_rejects_an_empty_window():
+    m = tensor_a1(std_f(2), std_f(3), hi=4)
+    assert (m.lo, m.hi) == (5, 4)
+    with pytest.raises(ValueError, match="empty window 5..4"):
+        a1_to_module_file_text(m)
+
+
+def test_e_file_keeps_zero_actions_and_the_cartan_flag():
+    em = apply_r(std_f(0), Window(0, 0, 0, 0)).emod
+    text = e_to_module_file_text(em)
+    assert text.splitlines()[2] == "ops a s cartan"
+    back = module_file_to_e(parse_module_file(text))
+    assert back.act_a is not None and back.act_s is not None
+    assert back.s_compat_cartan
+    em = apply_r(std_a1(0), Window(-2, 4, -1, 1)).emod
+    back = module_file_to_e(parse_module_file(e_to_module_file_text(em)))
+    assert em.s_compat_cartan and back.s_compat_cartan
+
+
+def test_e_file_without_ops_line_reads_actions_from_their_lines():
+    text = ("kind e\nwindow 0 2 0 2\ngen x 1 0\ngen y 0 1\ns x = y\n")
+    m = module_file_to_e(parse_module_file(text))
+    assert m.act_a is None and m.act_s is not None
+    assert not m.s_compat_cartan
+
+
+def test_e_file_s_relations_are_checked():
+    # q0 x = y and s y = z, but s x = 0: s fails to commute with q0 at x
+    body = ("window -1 2 0 2\ngen x 0 0\ngen y 1 0\ngen z 0 1\n"
+            "q0 x = y\ns y = z\n")
+    for ops in ("ops s\n", "ops a s\n", "ops s cartan\n"):
+        with pytest.raises(ParseError, match="q0 s = s q0 fails"):
+            module_file_to_e(parse_module_file("kind e\n" + ops + body))
+    # the Cartan relation q0 s = s q0 + a holds once a x = z
+    module_file_to_e(parse_module_file(
+        "kind e\nops a s cartan\n" + body + "a x = z\n"))
 
 
 @st.composite
@@ -287,6 +338,27 @@ def test_cli_verify_single_suite():
     out = run_cli("verify", "a1-structure")
     assert out.returncode == 0
     assert "PASS a1-structure" in out.stdout
+
+
+def test_cli_verify_json_lists_each_suite():
+    out = run_cli("verify", "a1-structure", "h01-a1", "--json")
+    assert out.returncode == 0
+    got = json.loads(out.stdout)
+    assert [r["name"] for r in got] == ["a1-structure", "h01-a1"]
+    for r in got:
+        assert set(r) == {"name", "ok", "seconds", "detail"}
+        assert r["ok"] is True and r["seconds"] >= 0 and r["detail"]
+
+
+def test_cli_verify_json_keeps_the_failing_exit_status(monkeypatch, capsys):
+    from krtool import cli
+    from krtool.verify import VerifyResult
+    monkeypatch.setattr(cli, "run_all", lambda names: [
+        VerifyResult("a1-structure", False, "broken at 3", 0.5)])
+    assert cli.main(["verify", "a1-structure", "--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == [
+        {"name": "a1-structure", "ok": False, "seconds": 0.5,
+         "detail": "broken at 3"}]
 
 
 def test_cli_verify_unknown_suite():

@@ -2,10 +2,14 @@
 
 import time
 
+import pytest
+
+from krtool import kr
 from krtool.graded import Window
 from krtool.kr import (
     assemble_kr,
     bv_module,
+    chart,
     compute_f1,
     compute_f2,
     cross_check_hv,
@@ -119,3 +123,61 @@ def test_assemble_kr_torsion_annotations_bounded():
         for note in notes:
             if "torsion" in note:
                 assert "order 1" in note or "order 2" in note
+
+
+def _counted(monkeypatch, name):
+    calls = []
+    real = getattr(kr, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(kr, name, wrapper)
+    return calls
+
+
+def test_chart_builds_extension_and_reduction_once(monkeypatch):
+    chart.cache_clear()
+    applied = _counted(monkeypatch, "apply_r")
+    reduced = _counted(monkeypatch, "reduce")
+    built = _counted(monkeypatch, "bv_module")
+    w = Window(-8, 8, -4, 4)
+    assemble_kr(2, w)
+    assert cross_check_hv(2, w).ok
+    t_map(2, w)
+    assert (len(applied), len(reduced), len(built)) == (1, 1, 1)
+
+
+def test_chart_for_another_window_evicts_the_previous_one():
+    w, other = Window(-6, 6, -3, 3), Window(-6, 8, -3, 3)
+    first = chart(1, w)
+    assert chart(1, w) is first
+    second = chart(1, other)
+    assert second is not first
+    assert chart.cache_info().currsize == 1
+    assert chart(1, w) is not first
+
+
+def test_results_do_not_alias_the_chart():
+    w = Window(-10, 14, -5, 5)
+    f2 = compute_f2(2, w)
+    gens = list(f2.gens)
+    f2.gens.append(99)
+    f2.gens[0] = -99
+    assert compute_f2(2, w).gens == gens
+    f1 = compute_f1(2, w)
+    want = dict(f1)
+    f1.clear()
+    assert compute_f1(2, w) == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cleared_chart_gives_the_same_results(n):
+    for w in (Window(-6, 6, -3, 3), Window(-4, 8, -2, 3)):
+        tsv = assemble_kr(n, w).to_tsv()
+        cc = cross_check_hv(n, w)
+        chart.cache_clear()
+        assert cross_check_hv(n, w) == cc
+        chart.cache_clear()
+        assert assemble_kr(n, w).to_tsv() == tsv
