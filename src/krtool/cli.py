@@ -46,8 +46,16 @@ from .towers import build_x_tower, detect, random_x_tower_spec, validate_tower
 from .verify import SUITES, run_all
 
 
+class UsageError(Exception):
+    """Bad command-line input: reported on one line, exit status 2."""
+
+
 def _window(args) -> Window:
-    return Window(*args.window)
+    try:
+        return Window(*args.window)
+    except ValueError:
+        raise UsageError("empty window --window "
+                         + " ".join(map(str, args.window))) from None
 
 
 def _builtin_a1(name: str, w: Window) -> Optional[A1Module]:
@@ -60,7 +68,7 @@ def _builtin_a1(name: str, w: Window) -> Optional[A1Module]:
         return std_p(w.m_lo, max(top, w.m_hi))
     if name.startswith("P") and name[1:].isdigit():
         return std_pn(int(name[1:]), w.m_lo - 1, max(top, w.m_hi))
-    if name.startswith("BV") and name[2:].isdigit():
+    if name.startswith("BV") and name[2:].isdigit() and int(name[2:]) >= 1:
         return std_bv(int(name[2:]), 1, max(top, w.m_hi))
     return None
 
@@ -69,12 +77,12 @@ def _load_a1(args, w: Window) -> A1Module:
     if args.builtin:
         m = _builtin_a1(args.builtin, w)
         if m is None:
-            raise SystemExit(f"unknown builtin module {args.builtin!r}")
+            raise UsageError(f"unknown builtin module {args.builtin!r}")
         return m
     if args.infile:
-        mf = parse_module_file(open(args.infile).read())
-        return module_file_to_a1(mf)
-    raise SystemExit("need --builtin or --in")
+        with open(args.infile) as fh:
+            return module_file_to_a1(parse_module_file(fh.read()))
+    raise UsageError("need --builtin or --in")
 
 
 def _load_e(args, w: Window) -> EModule:
@@ -86,13 +94,14 @@ def _load_e(args, w: Window) -> EModule:
         base = _builtin_a1(args.builtin, w)
         if base is not None:
             return apply_r(base, w).emod
-        raise SystemExit(f"unknown builtin module {args.builtin!r}")
+        raise UsageError(f"unknown builtin module {args.builtin!r}")
     if args.infile:
-        mf = parse_module_file(open(args.infile).read())
+        with open(args.infile) as fh:
+            mf = parse_module_file(fh.read())
         if mf.kind == "e":
             return module_file_to_e(mf)
         return apply_r(module_file_to_a1(mf), w).emod
-    raise SystemExit("need --builtin or --in")
+    raise UsageError("need --builtin or --in")
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -217,6 +226,8 @@ def cmd_compute(args) -> int:
             lines.append(f"height{h}\t{'holds' if holds else 'fails'}")
         _emit("\n".join(lines) + "\n", args.out)
     elif task == "kr-table":
+        if args.bv < 1:
+            raise UsageError(f"group rank --bv {args.bv} must be at least 1")
         rep = assemble_kr(args.bv, w, max_layer=args.layers)
         _emit(rep.to_tsv(), args.out)
     elif task == "chart":
@@ -277,7 +288,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

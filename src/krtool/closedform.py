@@ -26,8 +26,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .gf2 import F2Matrix
-from .graded import Degree, GradedMap, GradedSpace, Window, add_deg
+from .graded import Degree, GradedSpace, Window, add_deg, pair_map
 
 
 def soc_has(n: int, d: int) -> bool:
@@ -111,38 +110,22 @@ class BorelClosedForm:
     def __init__(self, n: int, w: Window):
         self.window = w
         basis: dict[Degree, list[str]] = {}
-        tower_pos: dict[tuple[str, Degree], int | None] = {}
-        names_heights: dict[Degree, list[int | None]] = {}
+        # (degree, class, its partner one Euler step up the same tower)
+        pairs: list[tuple[Degree, str, str]] = []
         for i in range(1, n + 1):
             for c in range(comb(n, i)):
                 tag = f"b{i}c{c}:"
                 for d in w.degrees():
-                    if borel_pn_dim(i, d):
-                        basis.setdefault(d, []).append(tag + _class_name(i, d))
+                    if not borel_pn_dim(i, d):
+                        continue
+                    name = tag + _class_name(i, d)
+                    basis.setdefault(d, []).append(name)
+                    up = add_deg(d, (0, 1))
+                    if _euler_height(i, d) in (0, 1) and w.contains(up) \
+                            and borel_pn_dim(i, up):
+                        pairs.append((d, name, tag + _class_name(i, up)))
         self.space = GradedSpace(w, basis)
-
-        def height_of(name: str, d: Degree) -> int | None:
-            tag = name.split(":", 1)[0]
-            i = int(tag.split("c")[0][1:])
-            return _euler_height(i, d)
-
-        blocks: dict[Degree, F2Matrix] = {}
-        for d in self.space.degrees():
-            td = add_deg(d, (0, 1))
-            rows = []
-            for name in self.space.names(d):
-                h = height_of(name, d)
-                bits = 0
-                if h is not None and h < 2:
-                    tag = name.split(":", 1)[0]
-                    for j, tn in enumerate(self.space.names(td)):
-                        if tn.split(":", 1)[0] == tag \
-                                and height_of(tn, td) == h + 1:
-                            bits = 1 << j
-                            break
-                rows.append(bits)
-            blocks[d] = F2Matrix.from_rows(rows, self.space.dim(td))
-        self.act_a = GradedMap(self.space, self.space, (0, 1), blocks)
+        self.act_a = pair_map(self.space, (0, 1), pairs)
 
     def dims(self) -> dict[Degree, int]:
         return self.space.dims()

@@ -215,69 +215,48 @@ class TateComplex:
 
 
 def _lambda1_tensor(m: EModule, susp: Degree, tag: int) -> EModule:
-    """The free-over-Lambda1 module on ``m``, suspended by ``susp``."""
-    w = m.space.window
-    basis: dict[Degree, list[str]] = {}
-    for d in m.space.degrees():
-        for n in m.space.names(d):
-            d0 = add_deg(d, susp)
-            d1 = add_deg(d0, Q1_SHIFT)
-            if w.contains(d0):
-                basis.setdefault(d0, []).append(f"u{tag}|{n}")
-            if w.contains(d1):
-                basis.setdefault(d1, []).append(f"v{tag}|{n}")
-    space = GradedSpace(w, basis)
+    """The free-over-Lambda1 module on ``m``, suspended by ``susp``.
 
-    def build(shift: Degree, rule) -> GradedMap:
+    At each degree ``d`` the basis is the block ``u{tag}|x`` for ``x`` in
+    ``m`` at ``d - susp`` followed by the block ``v{tag}|x`` for ``x`` at
+    ``d - susp - (2,1)``: ``u`` sorts before ``v`` and both blocks keep the
+    (sorted) order of ``m``, so the ``v`` block starts at offset
+    ``m.dim(d - susp)``.  Both differentials are those of ``m`` placed
+    block by block; the second one adds the unit from ``u|x`` to ``v|x``.
+    """
+    w = m.space.window
+    vsusp = add_deg(susp, Q1_SHIFT)
+    degrees = {add_deg(d, s) for d in m.space.degrees() for s in (susp, vsusp)}
+    space = GradedSpace(w, {
+        d: [f"u{tag}|{x}" for x in m.space.names(sub_deg(d, susp))]
+        + [f"v{tag}|{x}" for x in m.space.names(sub_deg(d, vsusp))]
+        for d in degrees if w.contains(d)})
+
+    def build(op: GradedMap, unit: bool) -> GradedMap:
         blocks: dict[Degree, F2Matrix] = {}
         for d in space.degrees():
-            td = add_deg(d, shift)
-            rows = []
-            for name in space.names(d):
-                lam, base = name.split("|", 1)
-                rows.append(rule(d, td, lam, base))
+            td = add_deg(d, op.shift)
+            if not w.contains(td):
+                continue
+            u, off = sub_deg(d, susp), m.dim(sub_deg(td, susp))
+            rows = list(op.block(u).rows)
+            if unit:
+                rows = [r ^ (1 << (off + i)) for i, r in enumerate(rows)]
+            rows += [r << off for r in op.block(sub_deg(d, vsusp)).rows]
             blocks[d] = F2Matrix.from_rows(rows, space.dim(td))
-        return GradedMap(space, space, shift, blocks)
+        return GradedMap(space, space, op.shift, blocks)
 
-    def expand(td: Degree, lam: str, src_deg: Degree, bits: int) -> int:
-        out = 0
-        names = m.space.names(src_deg)
-        for i in range(len(names)):
-            if (bits >> i) & 1:
-                nm = f"{lam}|{names[i]}"
-                if space.has(td, nm):
-                    out |= 1 << space.index(td, nm)
-        return out
-
-    def q0_rule(d: Degree, td: Degree, lam: str, base: str) -> int:
-        off = susp if lam.startswith("u") else add_deg(susp, Q1_SHIFT)
-        sd = sub_deg(d, off)
-        bits = m.q0.apply(sd, 1 << m.space.index(sd, base))
-        return expand(td, lam, add_deg(sd, Q0_SHIFT), bits)
-
-    def q1_rule(d: Degree, td: Degree, lam: str, base: str) -> int:
-        off = susp if lam.startswith("u") else add_deg(susp, Q1_SHIFT)
-        sd = sub_deg(d, off)
-        bits = m.q1.apply(sd, 1 << m.space.index(sd, base))
-        out = expand(td, lam, add_deg(sd, Q1_SHIFT), bits)
-        if lam.startswith("u"):
-            nm = f"v{lam[1:]}|{base}"
-            if space.has(td, nm):
-                out ^= 1 << space.index(td, nm)
-        return out
-
-    comp = m.complete.shift(susp).intersect(
-        m.complete.shift(add_deg(susp, Q1_SHIFT)))
+    comp = m.complete.shift(susp).intersect(m.complete.shift(vsusp))
     comp = comp and comp.intersect(w)
     if comp is None:
         comp = Window(w.m_lo, w.m_lo, w.k_lo, w.k_lo)
-    return EModule(space, build(Q0_SHIFT, q0_rule), build(Q1_SHIFT, q1_rule),
-                   comp)
+    return EModule(space, build(m.q0, False), build(m.q1, True), comp)
 
 
 def tate_complex(m: EModule, lo: int, hi: int) -> TateComplex:
     """Terms ``Sigma^{i(2,1)} (Lambda1 tensor m)`` with the multiplication
-    differential, for slots lo..hi."""
+    differential, for slots lo..hi: the unit from slot ``i``'s ``u`` block
+    to slot ``i-1``'s ``v`` block, at offset ``m.dim(d - (2i-2, i-1))``."""
     terms: dict[int, EModule] = {}
     flags: list[str] = []
     for i in range(lo, hi + 1):
@@ -286,20 +265,14 @@ def tate_complex(m: EModule, lo: int, hi: int) -> TateComplex:
             flags.append(f"term {i} empty in window")
     diffs: dict[int, GradedMap] = {}
     for i in range(lo + 1, hi + 1):
-        src, tgt = terms[i], terms[i - 1]
+        src, tgt = terms[i].space, terms[i - 1].space
         blocks: dict[Degree, F2Matrix] = {}
-        for d in src.space.degrees():
-            rows = []
-            for name in src.space.names(d):
-                lam, base = name.split("|", 1)
-                bits = 0
-                if lam.startswith("u"):
-                    nm = f"v{i - 1}|{base}"
-                    if tgt.space.has(d, nm):
-                        bits = 1 << tgt.space.index(d, nm)
-                rows.append(bits)
-            blocks[d] = F2Matrix.from_rows(rows, tgt.space.dim(d))
-        diffs[i] = GradedMap(src.space, tgt.space, (0, 0), blocks)
+        for d in src.degrees():
+            off = m.dim(sub_deg(d, (2 * i - 2, i - 1)))
+            units = [1 << (off + r) for r in range(m.dim(sub_deg(d, (2 * i, i))))]
+            blocks[d] = F2Matrix.from_rows(
+                units + [0] * (src.dim(d) - len(units)), tgt.dim(d))
+        diffs[i] = GradedMap(src, tgt, (0, 0), blocks)
     return TateComplex(terms, diffs, flags)
 
 

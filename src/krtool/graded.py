@@ -288,6 +288,20 @@ def identity_map(space: GradedSpace) -> GradedMap:
                       for d in space.degrees()})
 
 
+def pair_map(space: GradedSpace, shift: Degree,
+             pairs: Iterable[tuple[Degree, str, str]]) -> GradedMap:
+    """The endomorphism of degree ``shift`` sending the basis vector ``a``
+    at ``d`` to ``b`` at ``d + shift`` for each ``(d, a, b)`` and every
+    other basis vector to zero."""
+    rows: dict[Degree, list[int]] = {}
+    for d, a, b in pairs:
+        rows.setdefault(d, [0] * space.dim(d))[space.index(d, a)] = \
+            1 << space.index(add_deg(d, shift), b)
+    return GradedMap(space, space, shift, {
+        d: F2Matrix.from_rows(r, space.dim(add_deg(d, shift)))
+        for d, r in rows.items()})
+
+
 # -- subquotient helpers -----------------------------------------------------
 
 @dataclass

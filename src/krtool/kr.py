@@ -21,6 +21,7 @@ fresh containers, never the chart's own.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
@@ -37,6 +38,7 @@ from .graded import (
     Window,
     add_deg,
     hom_space,
+    pair_map,
 )
 from .rfun import RModule, apply_r, required_top
 
@@ -193,30 +195,17 @@ def t_map(n: int, w: Window) -> TMapReport:
                 if cfm.h01_pn_dim(i, d):
                     basis.setdefault(d, []).append(
                         f"b{i}c{c}:{cfm._class_name(i, d)}")
-    gens_by_deg: dict[int, int] = {}
-    for g in f2.gens:
-        gens_by_deg[g] = gens_by_deg.get(g, 0) + 1
-    for g, mult in gens_by_deg.items():
-        for i in range(mult):
-            for d, tag in (((g + 6, 0), "th"), ((g + 3, -2), "sg")):
+    pairs: list[tuple[Degree, str, str]] = []    # (degree, sg class, th class)
+    for g, mult in Counter(f2.gens).items():
+        for c in range(mult):
+            top, partner = (g + 6, 0), (g + 3, -2)
+            for d, tag in ((top, "th"), (partner, "sg")):
                 if w.contains(d):
-                    basis.setdefault(d, []).append(f"{tag}:g{g}c{i}")
+                    basis.setdefault(d, []).append(f"{tag}:g{g}c{c}")
+            if w.contains(top) and w.contains(partner):
+                pairs.append((partner, f"sg:g{g}c{c}", f"th:g{g}c{c}"))
     space = GradedSpace(w, basis)
-    blocks: dict[Degree, F2Matrix] = {}
-    pairs = 0
-    for d in space.degrees():
-        td = add_deg(d, (3, 2))
-        rows = []
-        for name in space.names(d):
-            bits = 0
-            if name.startswith("sg:"):
-                partner = "th:" + name.split(":", 1)[1]
-                if space.has(td, partner):
-                    bits = 1 << space.index(td, partner)
-                    pairs += 1
-            rows.append(bits)
-        blocks[d] = F2Matrix.from_rows(rows, space.dim(td))
-    return TMapReport(space, GradedMap(space, space, (3, 2), blocks), pairs)
+    return TMapReport(space, pair_map(space, (3, 2), pairs), len(pairs))
 
 
 @dataclass
@@ -278,17 +267,9 @@ def assemble_kr(n: int, w: Window, max_layer: int = 3) -> KRReport:
     """Associated-graded report for the rank-n group on the window."""
     f1 = compute_f1(n, w)
     f2 = compute_f2(n, w)
-    layers = []
-    for j in range(max_layer + 1):
-        layer: dict[Degree, int] = {}
-        for i in range(1, n + 1):
-            mult = comb(n, i)
-            for d in w.degrees():
-                src = (d[0] - j, d[1] - j)
-                v = cfm.h01_pn_dim(i, src) * mult
-                if v:
-                    layer[d] = layer.get(d, 0) + v
-        layers.append(layer)
+    layers = [{add_deg(d, (j, j)): v
+               for d, v in cfm.hv_closed_dims(n, w.shift((-j, -j))).items()}
+              for j in range(max_layer + 1)]
     annotations: dict[Degree, list[str]] = {}
     for d in f1:
         annotations.setdefault(d, []).append("v1-torsion order 1")

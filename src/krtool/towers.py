@@ -7,6 +7,15 @@ kernel of the colimit comparison inject into the cokernel of ``h``
 consecutive structure maps; for the multiplication-by-x towers built here
 this is equivalent to all torsion orders being at most ``h``, which the
 randomized tests exploit as an independent oracle.
+
+In the synthetic towers each basis vector is keyed by its summand: ``i``
+on the level spaces and the colimit, ``("g", i)`` or ``("q", i)`` on the
+layers, and a key occurs at most once in each degree.  Every structure map sends a key to the corresponding key of the target
+degree where that key is present (``e`` and ``f`` send ``i`` to ``i``,
+``c`` sends ``i`` to ``("q", i)``, ``delta`` sends ``("g", i)`` to ``i``),
+so its matrix is read off the key positions.  Names carry ``i`` padded to
+the width of the summand count, so the order ``GradedSpace`` sorts them
+into is the key order.
 """
 
 from __future__ import annotations
@@ -353,27 +362,35 @@ class XTowerSpec:
         return Window(min(shifts) + level_lo * d - 1, top + 2, 0, 0)
 
 
-def _module_names(spec: XTowerSpec, mdeg: int) -> list[str]:
-    out = []
-    for i, s in enumerate(spec.summands):
-        if (mdeg - s.shift) % spec.xdeg:
-            continue
-        j = (mdeg - s.shift) // spec.xdeg
-        if j < 0:
-            continue
-        if s.kind == "cyclic" and j >= s.order:
-            continue
-        out.append(f"{'t' if s.kind == 'cyclic' else 'f'}{i}p{j}")
-    return sorted(out)
+# a space with its basis keys: the position of each key at each degree
+Keyed = tuple[GradedSpace, dict[Degree, dict]]
 
 
-def _x_image(spec: XTowerSpec, name: str) -> Optional[str]:
-    i = int(name[1:name.index("p")])
-    j = int(name[name.index("p") + 1:])
-    s = spec.summands[i]
-    if s.kind == "cyclic" and j + 1 >= s.order:
-        return None
-    return f"{name[0]}{i}p{j + 1}"
+def _keyed_space(window: Window, keys: dict[Degree, list], name) -> Keyed:
+    """The space with one basis vector ``name(key)`` per key; ``name`` must
+    sort as the keys do."""
+    pos = {dg: {k: p for p, k in enumerate(sorted(ks))}
+           for dg, ks in keys.items() if window.contains(dg)}
+    return GradedSpace(window, {dg: [name(k) for k in ps]
+                                for dg, ps in pos.items()}), pos
+
+
+def _key_map(src: Keyed, tgt: Keyed, shift: Degree,
+             to=lambda k: k) -> GradedMap:
+    """The map sending the basis vector of each key ``k`` to that of
+    ``to(k)`` in the shifted degree, or to zero where that key is absent."""
+    (source, src_pos), (target, tgt_pos) = src, tgt
+    blocks: dict[Degree, F2Matrix] = {}
+    for dg, pos in src_pos.items():
+        tpos = tgt_pos.get(add_deg(dg, shift), {})
+        rows = [0] * len(pos)
+        for k, p in pos.items():
+            t = tpos.get(to(k))
+            if t is not None:
+                rows[p] = 1 << t
+        if any(rows):
+            blocks[dg] = F2Matrix.from_rows(rows, len(tpos))
+    return GradedMap(source, target, shift, blocks)
 
 
 def build_x_tower(spec: XTowerSpec, window: Window,
@@ -382,90 +399,43 @@ def build_x_tower(spec: XTowerSpec, window: Window,
     d = spec.xdeg
     if window.k_lo != 0 or window.k_hi != 0:
         raise ValueError("multiplication towers are singly graded")
+    width = len(str(len(spec.summands)))
 
-    def level_space(n: int) -> GradedSpace:
-        basis = {}
+    def powers(prefix: str, n: int, member) -> Keyed:
+        """Key ``i`` wherever ``member(summand, j)`` holds for the power
+        ``x^j`` of summand ``i`` moved ``n`` steps of x."""
+        keys: dict[Degree, list] = {}
         for m in range(window.m_lo, window.m_hi + 1):
-            names = [f"L{n}.{x}" for x in _module_names(spec, m - n * d)]
-            if names:
-                basis[(m, 0)] = names
-        return GradedSpace(window, basis)
+            for i, s in enumerate(spec.summands):
+                j, r = divmod(m - n * d - s.shift, d)
+                if r == 0 and member(s, j):
+                    keys.setdefault((m, 0), []).append(i)
+        return _keyed_space(window, keys, lambda i: f"{prefix}.{i:0{width}}")
 
-    colim_basis: dict[Degree, list[str]] = {}
-    for m in range(window.m_lo, window.m_hi + 1):
-        names = []
+    def layer(n: int) -> Keyed:
+        keys: dict[Degree, list] = {}
         for i, s in enumerate(spec.summands):
-            if s.kind == "free" and (m - s.shift) % d == 0:
-                names.append(f"K.f{i}p{(m - s.shift) // d}")
-        if names:
-            colim_basis[(m, 0)] = names
-    colim = GradedSpace(window, colim_basis)
-
-    spaces = {n: level_space(n) for n in range(level_lo, level_hi + 1)}
-
-    def layer_space(n: int) -> GradedSpace:
-        basis: dict[Degree, list[str]] = {}
-        for i, s in enumerate(spec.summands):
-            gdeg = s.shift + n * d
-            if window.m_lo <= gdeg <= window.m_hi:
-                tag = "t" if s.kind == "cyclic" else "f"
-                basis.setdefault((gdeg, 0), []).append(f"C{n}.q.{tag}{i}p0")
+            keys.setdefault((s.shift + n * d, 0), []).append(("q", i))
             if s.kind == "cyclic":
-                tdeg = s.shift + (s.order - 1) * d + (n + 1) * d - 1
-                if window.m_lo <= tdeg <= window.m_hi:
-                    basis.setdefault((tdeg, 0), []).append(
-                        f"C{n}.g.t{i}p{s.order - 1}")
-        return GradedSpace(window, basis)
+                top = s.shift + (s.order + n) * d - 1
+                keys.setdefault((top, 0), []).append(("g", i))
+        return _keyed_space(window, keys,
+                            lambda k: f"C{n}.{k[0]}.{k[1]:0{width}}")
 
-    layers = {n: layer_space(n) for n in range(level_lo, level_hi + 1)}
-
-    def name_map(src: GradedSpace, tgt: GradedSpace, shift: Degree, fn) -> GradedMap:
-        blocks: dict[Degree, F2Matrix] = {}
-        for dg in src.degrees():
-            td = add_deg(dg, shift)
-            rows = []
-            for nm in src.names(dg):
-                out = fn(dg, nm)
-                bits = 0
-                if out is not None and tgt.has(td, out):
-                    bits = 1 << tgt.index(td, out)
-                rows.append(bits)
-            blocks[dg] = F2Matrix.from_rows(rows, tgt.dim(td))
-        return GradedMap(src, tgt, shift, blocks)
-
+    colim = powers("K", 0, lambda s, j: s.kind == "free")
+    spaces = {n: powers(f"L{n}", n, lambda s, j: j >= 0 and (
+        s.kind == "free" or j < s.order)) for n in range(level_lo, level_hi + 1)}
     levels: dict[int, TowerLevel] = {}
-    for n in range(level_lo, level_hi + 1):
-        sp = spaces[n]
-
-        def e_fn(dg: Degree, nm: str, n=n) -> Optional[str]:
-            img = _x_image(spec, nm.split(".", 1)[1])
-            return f"L{n - 1}.{img}" if img else None
-
-        def f_fn(dg: Degree, nm: str, n=n) -> Optional[str]:
-            base = nm.split(".", 1)[1]
-            if base[0] != "f":
-                return None
-            i = int(base[1:base.index("p")])
-            j = int(base[base.index("p") + 1:])
-            return f"K.f{i}p{j + n}"
-
-        def c_fn(dg: Degree, nm: str, n=n) -> Optional[str]:
-            base = nm.split(".", 1)[1]
-            j = int(base[base.index("p") + 1:])
-            return f"C{n}.q.{base}" if j == 0 else None
-
-        def delta_fn(dg: Degree, nm: str, n=n) -> Optional[str]:
-            kind, base = nm.split(".", 2)[1:]
-            return f"L{n + 1}.{base}" if kind == "g" else None
-
-        e = name_map(sp, spaces[n - 1], (0, 0), e_fn) if n - 1 >= level_lo else None
-        f = name_map(sp, colim, (0, 0), f_fn)
-        c = name_map(sp, layers[n], (0, 0), c_fn)
-        delta = (name_map(layers[n], spaces[n + 1], (1, 0), delta_fn)
-                 if n + 1 <= level_hi else None)
-        levels[n] = TowerLevel(sp, layers[n], e, f, c, delta)
-
-    return TowerData(levels, colim, level_lo, level_hi, window)
+    for n, sp in spaces.items():
+        lay = layer(n)
+        e = _key_map(sp, spaces[n - 1], (0, 0)) if n > level_lo else None
+        delta = (_key_map(lay, spaces[n + 1], (1, 0),
+                          lambda k: k[1] if k[0] == "g" else None)
+                 if n < level_hi else None)
+        levels[n] = TowerLevel(sp[0], lay[0], e, _key_map(sp, colim, (0, 0)),
+                               _key_map(sp, lay, (0, 0), lambda i: ("q", i)),
+                               delta)
+    return TowerData(levels, colim[0], level_lo, level_hi, window)
 
 
 def random_x_tower_spec(rng: random.Random, max_summands: int = 4,

@@ -4,6 +4,8 @@ from math import comb
 
 from krtool.a1 import loop_power, socle_dims, std_pn
 from krtool.closedform import (
+    _class_name,
+    _euler_height,
     borel_hv_closed,
     borel_pn_dim,
     h01_pn_closed,
@@ -13,7 +15,8 @@ from krtool.closedform import (
     sigma4_shift_bijective,
     soc_has,
 )
-from krtool.graded import Window
+from krtool.gf2 import F2Matrix
+from krtool.graded import Degree, GradedMap, GradedSpace, Window, add_deg
 
 
 def test_soc_patterns_match_module_tables():
@@ -126,3 +129,54 @@ def test_borel_euler_action_per_class_model():
                 assert row == 0, name
             else:
                 assert row != 0, name
+
+
+def _ref_borel(n: int, w: Window) -> tuple[GradedSpace, GradedMap]:
+    """The Borel model and its Euler action as built before the Euler
+    partners were recorded with the basis: each partner is found by
+    splitting the tag off every target name at the next twist."""
+    basis: dict[Degree, list[str]] = {}
+    for i in range(1, n + 1):
+        for c in range(comb(n, i)):
+            tag = f"b{i}c{c}:"
+            for d in w.degrees():
+                if borel_pn_dim(i, d):
+                    basis.setdefault(d, []).append(tag + _class_name(i, d))
+    space = GradedSpace(w, basis)
+
+    def height_of(name, d):
+        tag = name.split(":", 1)[0]
+        i = int(tag.split("c")[0][1:])
+        return _euler_height(i, d)
+
+    blocks: dict[Degree, F2Matrix] = {}
+    for d in space.degrees():
+        td = add_deg(d, (0, 1))
+        rows = []
+        for name in space.names(d):
+            h = height_of(name, d)
+            bits = 0
+            if h is not None and h < 2:
+                tag = name.split(":", 1)[0]
+                for j, tn in enumerate(space.names(td)):
+                    if tn.split(":", 1)[0] == tag \
+                            and height_of(tn, td) == h + 1:
+                        bits = 1 << j
+                        break
+            rows.append(bits)
+        blocks[d] = F2Matrix.from_rows(rows, space.dim(td))
+    return space, GradedMap(space, space, (0, 1), blocks)
+
+
+def test_borel_model_matches_name_keyed_reference():
+    for n, w in ((1, Window(-12, 12, -6, 6)), (2, Window(-12, 12, -8, 8)),
+                 (3, Window(-9, 7, -5, 3)), (4, Window(-8, 8, -4, 4)),
+                 (5, Window(-6, 10, -3, 5)), (6, Window(-4, 8, -2, 4))):
+        b = borel_hv_closed(n, w)
+        space, act_a = _ref_borel(n, w)
+        assert b.space.basis == space.basis and b.act_a == act_a, n
+    # with comb(6, 2) = 15 copies the tag b2c10 sorts before b2c2
+    src, tgt = b.space.names((2, 2)), b.space.names((2, 3))
+    assert tgt.index("b2c10:e1(2,3)") < tgt.index("b2c2:e1(2,3)")
+    assert b.act_a.block((2, 2)).rows[src.index("b2c10:e0(2,2)")] == \
+        1 << tgt.index("b2c10:e1(2,3)")

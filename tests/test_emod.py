@@ -6,7 +6,10 @@ import pytest
 
 from krtool.a1 import std_a1, std_f, std_p, std_pn, proj_cover_and_loop
 from krtool.emod import (
+    Q0_SHIFT,
+    Q1_SHIFT,
     EModule,
+    TateComplex,
     _lambda1_tensor,
     dual_e,
     find_lambda0_splitting,
@@ -21,7 +24,16 @@ from krtool.emod import (
     validate,
 )
 from krtool.gf2 import F2Matrix
-from krtool.graded import GradedMap, GradedSpace, Window, identity_map, zero_map
+from krtool.graded import (
+    Degree,
+    GradedMap,
+    GradedSpace,
+    Window,
+    add_deg,
+    identity_map,
+    sub_deg,
+    zero_map,
+)
 from krtool.rfun import A1Map, apply_r, check_sec_r
 
 
@@ -279,3 +291,118 @@ def test_dual_e_validates():
     m = apply_r(std_pn(1, 0, 14), w).emod
     d = dual_e(m)
     assert validate(d) == []
+
+
+# -- name-keyed reference for the Tate complex ---------------------------------
+# The terms and differentials as they were built before their blocks were
+# placed by offset: each image vector's name is formatted, split and looked
+# up in the target space.
+
+def _ref_lambda1_tensor(m: EModule, susp: Degree, tag: int) -> EModule:
+    w = m.space.window
+    basis: dict[Degree, list[str]] = {}
+    for d in m.space.degrees():
+        for n in m.space.names(d):
+            d0 = add_deg(d, susp)
+            d1 = add_deg(d0, Q1_SHIFT)
+            if w.contains(d0):
+                basis.setdefault(d0, []).append(f"u{tag}|{n}")
+            if w.contains(d1):
+                basis.setdefault(d1, []).append(f"v{tag}|{n}")
+    space = GradedSpace(w, basis)
+
+    def build(shift, rule) -> GradedMap:
+        blocks: dict[Degree, F2Matrix] = {}
+        for d in space.degrees():
+            td = add_deg(d, shift)
+            rows = []
+            for name in space.names(d):
+                lam, base = name.split("|", 1)
+                rows.append(rule(d, td, lam, base))
+            blocks[d] = F2Matrix.from_rows(rows, space.dim(td))
+        return GradedMap(space, space, shift, blocks)
+
+    def expand(td, lam, src_deg, bits) -> int:
+        out = 0
+        names = m.space.names(src_deg)
+        for i in range(len(names)):
+            if (bits >> i) & 1:
+                nm = f"{lam}|{names[i]}"
+                if space.has(td, nm):
+                    out |= 1 << space.index(td, nm)
+        return out
+
+    def q0_rule(d, td, lam, base) -> int:
+        off = susp if lam.startswith("u") else add_deg(susp, Q1_SHIFT)
+        sd = sub_deg(d, off)
+        bits = m.q0.apply(sd, 1 << m.space.index(sd, base))
+        return expand(td, lam, add_deg(sd, Q0_SHIFT), bits)
+
+    def q1_rule(d, td, lam, base) -> int:
+        off = susp if lam.startswith("u") else add_deg(susp, Q1_SHIFT)
+        sd = sub_deg(d, off)
+        bits = m.q1.apply(sd, 1 << m.space.index(sd, base))
+        out = expand(td, lam, add_deg(sd, Q1_SHIFT), bits)
+        if lam.startswith("u"):
+            nm = f"v{lam[1:]}|{base}"
+            if space.has(td, nm):
+                out ^= 1 << space.index(td, nm)
+        return out
+
+    comp = m.complete.shift(susp).intersect(
+        m.complete.shift(add_deg(susp, Q1_SHIFT)))
+    comp = comp and comp.intersect(w)
+    if comp is None:
+        comp = Window(w.m_lo, w.m_lo, w.k_lo, w.k_lo)
+    return EModule(space, build(Q0_SHIFT, q0_rule), build(Q1_SHIFT, q1_rule),
+                   comp)
+
+
+def _ref_tate_complex(m: EModule, lo: int, hi: int) -> TateComplex:
+    terms: dict[int, EModule] = {}
+    flags: list[str] = []
+    for i in range(lo, hi + 1):
+        terms[i] = _ref_lambda1_tensor(m, (2 * i, i), i)
+        if terms[i].space.total_dim() == 0:
+            flags.append(f"term {i} empty in window")
+    diffs: dict[int, GradedMap] = {}
+    for i in range(lo + 1, hi + 1):
+        src, tgt = terms[i], terms[i - 1]
+        blocks: dict[Degree, F2Matrix] = {}
+        for d in src.space.degrees():
+            rows = []
+            for name in src.space.names(d):
+                lam, base = name.split("|", 1)
+                bits = 0
+                if lam.startswith("u"):
+                    nm = f"v{i - 1}|{base}"
+                    if tgt.space.has(d, nm):
+                        bits = 1 << tgt.space.index(d, nm)
+                rows.append(bits)
+            blocks[d] = F2Matrix.from_rows(rows, tgt.space.dim(d))
+        diffs[i] = GradedMap(src.space, tgt.space, (0, 0), blocks)
+    return TateComplex(terms, diffs, flags)
+
+
+def _same_emodule(a: EModule, b: EModule) -> bool:
+    return (a.space.basis == b.space.basis and a.space == b.space
+            and a.q0 == b.q0 and a.q1 == b.q1 and a.complete == b.complete)
+
+
+def test_tate_complex_matches_name_keyed_reference():
+    small = Window(-8, 8, -4, 4)
+    wide = Window(-10, 10, -5, 5)
+    modules = [trivial_emodule(small), free_e(small),
+               apply_r(std_pn(1, 0, 14), Window(-6, 8, -3, 4)).emod,
+               apply_r(std_a1(), wide).emod, apply_r(std_p(1, 16), wide).emod]
+    for m in modules:
+        for susp, tag in (((0, 0), 0), ((3, 1), 7), ((-4, -2), -2),
+                          ((30, 15), 1)):
+            assert _same_emodule(_lambda1_tensor(m, susp, tag),
+                                 _ref_lambda1_tensor(m, susp, tag)), susp
+        for lo, hi in ((-2, 2), (-3, -1), (0, 1), (4, 5)):
+            got, want = tate_complex(m, lo, hi), _ref_tate_complex(m, lo, hi)
+            assert got.boundary_flags == want.boundary_flags
+            assert got.diffs == want.diffs, (lo, hi)
+            assert all(_same_emodule(got.terms[i], want.terms[i])
+                       for i in range(lo, hi + 1)), (lo, hi)

@@ -426,3 +426,24 @@ def test_cli_tower_detect():
     out = run_cli("compute", "tower-detect", "--seed", "5")
     assert out.returncode == 0
     assert "height1" in out.stdout and "valid\tTrue" in out.stdout
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("compute", "h01", "--in", "/nonexistent/module.txt"),
+     "/nonexistent/module.txt"),
+    (("compute", "kr-table", "--bv", "0"), "--bv 0"),
+    (("compute", "kr-table", "--builtin", "BV0"), "--bv 0"),
+    (("compute", "chart", "--builtin", "BV0"), "'BV0'"),
+    (("compute", "socle", "--window", "4", "-4", "0", "0"),
+     "--window 4 -4 0 0"),
+    (("compute", "socle"), "--builtin or --in"),
+    (("compute", "socle", "--builtin", "P0", "--out", "/nonexistent/x.tsv"),
+     "/nonexistent/x.tsv"),
+])
+def test_cli_rejects_bad_input_on_one_line(argv, named):
+    out = run_cli(*argv)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert named in lines[0]

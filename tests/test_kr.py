@@ -1,11 +1,14 @@
 """Pipeline pieces and the assembled report."""
 
 import time
+from math import comb
 
 import pytest
 
+from krtool import closedform as cfm
 from krtool import kr
-from krtool.graded import Window
+from krtool.gf2 import F2Matrix
+from krtool.graded import Degree, GradedMap, GradedSpace, Window, add_deg
 from krtool.kr import (
     assemble_kr,
     bv_module,
@@ -181,3 +184,51 @@ def test_cleared_chart_gives_the_same_results(n):
         assert cross_check_hv(n, w) == cc
         chart.cache_clear()
         assert assemble_kr(n, w).to_tsv() == tsv
+
+
+def _ref_t_map(n: int, w: Window) -> tuple[GradedSpace, GradedMap, int]:
+    """The connecting map as built before the (sg, th) pairs were recorded
+    with the basis: each partner name is found by scanning for the ``sg:``
+    prefix and splitting it off."""
+    f2 = compute_f2(n, w)
+    basis: dict[Degree, list[str]] = {}
+    for d in w.degrees():
+        for i in range(1, n + 1):
+            for c in range(comb(n, i)):
+                if cfm.h01_pn_dim(i, d):
+                    basis.setdefault(d, []).append(
+                        f"b{i}c{c}:{cfm._class_name(i, d)}")
+    gens_by_deg: dict[int, int] = {}
+    for g in f2.gens:
+        gens_by_deg[g] = gens_by_deg.get(g, 0) + 1
+    for g, mult in gens_by_deg.items():
+        for i in range(mult):
+            for d, tag in (((g + 6, 0), "th"), ((g + 3, -2), "sg")):
+                if w.contains(d):
+                    basis.setdefault(d, []).append(f"{tag}:g{g}c{i}")
+    space = GradedSpace(w, basis)
+    blocks: dict[Degree, F2Matrix] = {}
+    pairs = 0
+    for d in space.degrees():
+        td = add_deg(d, (3, 2))
+        rows = []
+        for name in space.names(d):
+            bits = 0
+            if name.startswith("sg:"):
+                partner = "th:" + name.split(":", 1)[1]
+                if space.has(td, partner):
+                    bits = 1 << space.index(td, partner)
+                    pairs += 1
+            rows.append(bits)
+        blocks[d] = F2Matrix.from_rows(rows, space.dim(td))
+    return space, GradedMap(space, space, (3, 2), blocks), pairs
+
+
+def test_t_map_matches_name_keyed_reference():
+    # on the rank-3 window generators above degree 6 have no top class
+    for n, w in ((1, Window(-10, 14, -5, 5)), (2, Window(-10, 14, -5, 5)),
+                 (3, Window(-6, 12, -4, 4))):
+        rep = t_map(n, w)
+        space, t, pairs = _ref_t_map(n, w)
+        assert (rep.space.basis, rep.t, rep.free_pairs) == \
+            (space.basis, t, pairs), n
