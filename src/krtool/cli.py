@@ -58,6 +58,15 @@ def _window(args) -> Window:
                          + " ".join(map(str, args.window))) from None
 
 
+def _group_rank(bv: Optional[int]) -> int:
+    """The group rank ``--bv``, counting an absent one as 0; below 1 is
+    rejected."""
+    n = 0 if bv is None else bv
+    if n < 1:
+        raise UsageError(f"group rank --bv {n} must be at least 1")
+    return n
+
+
 def _builtin_a1(name: str, w: Window) -> Optional[A1Module]:
     top = required_top(w)
     if name == "A1":
@@ -226,9 +235,7 @@ def cmd_compute(args) -> int:
             lines.append(f"height{h}\t{'holds' if holds else 'fails'}")
         _emit("\n".join(lines) + "\n", args.out)
     elif task == "kr-table":
-        if args.bv < 1:
-            raise UsageError(f"group rank --bv {args.bv} must be at least 1")
-        rep = assemble_kr(args.bv, w, max_layer=args.layers)
+        rep = assemble_kr(_group_rank(args.bv), w, max_layer=args.layers)
         _emit(rep.to_tsv(), args.out)
     elif task == "chart":
         if args.builtin == "HP":
@@ -236,8 +243,8 @@ def cmd_compute(args) -> int:
         elif args.builtin and args.builtin.startswith("RP"):
             em = _load_e(args, w)
             dims = h01(em).dims()
-        elif args.bv:
-            dims = cfm.hv_closed_dims(args.bv, w)
+        elif args.bv is not None:
+            dims = cfm.hv_closed_dims(_group_rank(args.bv), w)
         else:
             em = _load_e(args, w)
             dims = em.space.dims()
@@ -278,7 +285,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     pc.add_argument("--in", dest="infile", help="module file")
     pc.add_argument("--out", help="output path (default stdout)")
     pc.add_argument("--format", choices=["tsv", "txt", "svg"], default="tsv")
-    pc.add_argument("--bv", type=int, default=0, help="group rank")
+    pc.add_argument("--bv", type=int, help="group rank")
     pc.add_argument("--layers", type=int, default=3)
     pc.add_argument("--seed", type=int, default=1)
     pc.add_argument("--which", choices=["q0", "q1"], default="q0")

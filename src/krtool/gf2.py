@@ -6,12 +6,15 @@ immutable and the functions are pure.  Pivoting is always leftmost, so
 results are deterministic and reproducible byte for byte.
 
 Every elimination runs through ``Echelon``, which inserts rows one at a
-time: ``rref`` sorts its rows, left kernels are the relations it records,
-and ``solve`` reads coordinates from it.  It eliminates a list of rows once
-and then answers membership and coordinate questions for any number of
-vectors, each in one pass over the pivots the vector touches.  Loops that
-solve many right-hand sides against one fixed basis build one ``Echelon``
-for it.
+time and keeps them semi-reduced: a new row is reduced against the stored
+ones, which are left as they are.  ``rref`` sorts its rows after one
+back-substitution, left kernels are the relations it records, and
+``solve`` reads coordinates from it; none of these answers depends on how
+far the stored rows are reduced.  It eliminates a list of rows once and
+then answers membership and coordinate questions for any number of
+vectors, each by clearing the pivots the vector reaches.  Loops that solve
+many right-hand sides against one fixed basis build one ``Echelon`` for
+it.
 """
 
 from __future__ import annotations
@@ -120,21 +123,31 @@ def row_basis(m: F2Matrix) -> F2Matrix:
 class Echelon:
     """The row span of a list of rows, eliminated once for many solves.
 
-    Rows are inserted in order.  A row that enlarges the span is stored
-    reduced and keyed by its lowest set bit, its pivot.  The stored rows are
-    kept fully reduced (no stored row has a bit at another one's pivot), and
-    each records which input rows it sums, so reducing a vector takes one
-    XOR per pivot bit the vector has.  Fully reduced rows with distinct
-    lowest bits are the unique leftmost-pivot reduced echelon form.
+    Rows are inserted in order.  A row that enlarges the span is reduced
+    against the stored rows, stored and keyed by its lowest set bit, its
+    pivot; the stored rows are not touched.  So the stored rows are
+    semi-reduced: each has no bit below its pivot and none at a pivot stored
+    before it, but may have bits at pivots stored later.  Each records which
+    input rows it sums.  ``reduced_rows`` back-substitutes once, from the
+    highest pivot down, when some stored row has a bit at another one's
+    pivot; fully reduced rows with distinct lowest bits are the unique
+    leftmost-pivot reduced echelon form.
 
-    An input row that reduces to zero leaves a relation: itself plus the
-    unique sum of the earlier rows that enlarged the span.  In insertion
-    order, the relations are the left kernel basis of the input rows.
+    Reducing a vector clears its lowest pivot bit until none is left, so the
+    answers depend only on the span and the insertion order, not on how far
+    the stored rows are reduced: ``remainder`` is the unique vector with no
+    pivot bit congruent to the input; ``coords`` and the relations are sums
+    over the input rows that enlarged the span, which are independent.  An
+    input row that reduces to zero leaves a relation: itself plus the unique
+    sum of the earlier rows that enlarged the span.  In insertion order, the
+    relations are the left kernel basis of the input rows.
     """
 
     def __init__(self, rows: Iterable[int] = ()) -> None:
         self._rows: dict[int, tuple[int, int]] = {}  # pivot bit -> (row, inputs)
         self._pivots = 0                               # union of the pivot bits
+        self._cover = 0                                # union of the stored rows
+        self._stale = False      # some stored row has a bit at another's pivot
         self._inserted = 0
         self.relations: list[int] = []
         for r in rows:
@@ -143,13 +156,13 @@ class Echelon:
     def _reduce(self, v: int) -> tuple[int, int]:
         """``v`` with every pivot bit cleared, and the inputs it took."""
         used = 0
-        hits = v & self._pivots
+        pivots = self._pivots
+        hits = v & pivots
         while hits:
-            low = hits & -hits
-            row, inputs = self._rows[low]
+            row, inputs = self._rows[hits & -hits]
             v ^= row
             used ^= inputs
-            hits ^= low
+            hits = v & pivots
         return v, used
 
     def add(self, v: int) -> bool:
@@ -161,17 +174,35 @@ class Echelon:
             self.relations.append(used)
             return False
         low = w & -w
-        rows = self._rows
-        for key, (row, inputs) in rows.items():
-            if row & low:
-                rows[key] = (row ^ w, inputs ^ used)
-        rows[low] = (w, used)
+        if self._cover & low:
+            self._stale = True
+        self._cover |= w
+        self._rows[low] = (w, used)
         self._pivots |= low
         return True
 
     def reduced_rows(self) -> list[int]:
-        """The stored rows sorted by pivot: the nonzero rref rows."""
-        return [self._rows[low][0] for low in sorted(self._rows)]
+        """The stored rows, fully reduced, sorted by pivot: the nonzero rref
+        rows.  The reduction is kept, so later answers read it too."""
+        rows = self._rows
+        order = sorted(rows)
+        if self._stale:
+            self._cover = 0
+            # the rows with higher pivots are fully reduced by now, so adding
+            # one clears its pivot bit and sets no other pivot bit
+            for low in reversed(order):
+                row, inputs = rows[low]
+                hits = (row ^ low) & self._pivots
+                while hits:
+                    h = hits & -hits
+                    r, i = rows[h]
+                    row ^= r
+                    inputs ^= i
+                    hits ^= h
+                rows[low] = (row, inputs)
+                self._cover |= row
+            self._stale = False
+        return [rows[low][0] for low in order]
 
     def remainder(self, v: int) -> int:
         """``v`` reduced modulo the span: zero exactly when ``v`` lies in it.

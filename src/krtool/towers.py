@@ -101,16 +101,15 @@ def validate_tower(t: TowerData) -> list[TowerWitness]:
             if not t.region.contains(add_deg(d, (1, 0))):
                 continue
             # exactness at k_n: image of e_{n+1} = kernel of c_n
-            if not _same_span(above.e.image_at(d), lev.c.kernel_at(d)):
+            if not _exact_at(above.e, lev.c, d):
                 out.append(TowerWitness(n, d, "not exact at the level space"))
                 break
             # exactness at C_n: image of c_n = kernel of delta_n
-            if not _same_span(lev.c.image_at(d), lev.delta.kernel_at(d)):
+            if not _exact_at(lev.c, lev.delta, d):
                 out.append(TowerWitness(n, d, "not exact at the layer"))
                 break
             # exactness at k_{n+1}: image of delta_n = kernel of e_{n+1}
-            dd = add_deg(d, (1, 0))
-            if not _same_span(lev.delta.image_at(dd), above.e.kernel_at(dd)):
+            if not _exact_at(lev.delta, above.e, add_deg(d, (1, 0))):
                 out.append(TowerWitness(n, d, "not exact at the next level"))
                 break
     return out
@@ -123,12 +122,15 @@ def _region_order(region: Window, *degree_sets: Iterable[Degree]
     return sorted({d for ds in degree_sets for d in ds if region.contains(d)})
 
 
-def _same_span(a: F2Matrix, b: F2Matrix) -> bool:
-    """Whether two matrices of independent rows span the same space."""
-    if a.nrows != b.nrows:
+def _exact_at(f: GradedMap, g: GradedMap, d: Degree) -> bool:
+    """Whether the image of ``f`` is the kernel of ``g`` in degree ``d`` of
+    their common space: ``f`` then ``g`` is zero there, and by rank-nullity
+    the ranks of ``f`` into and ``g`` out of ``d`` add up to its dimension."""
+    src = sub_deg(d, f.shift)
+    into, out = f.blocks.get(src), g.blocks.get(d)
+    if into is not None and out is not None and not into.mul(out).is_zero():
         return False
-    span = Echelon(b.rows)
-    return not any(span.remainder(v) for v in a.rows)
+    return f.rank_at(src) + g.rank_at(d) == g.source.dim(d)
 
 
 @dataclass

@@ -7,10 +7,11 @@ the command-line driver and the test suite both run these.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 from . import closedform as cfm
 from .a1 import (
@@ -28,7 +29,13 @@ from .a1 import (
 )
 from .emod import h01, rel_ext, rel_ext_tate
 from .graded import Window
-from .kr import assemble_kr, compute_f2, cross_check_hv, detection_h1_borel
+from .kr import (
+    CrossCheckReport,
+    assemble_kr,
+    compute_f2,
+    cross_check_hv,
+    detection_h1_borel,
+)
 from .rfun import A1Map, apply_r, check_sec_r, psi_duality, required_top
 from .towers import (
     build_x_tower,
@@ -197,39 +204,52 @@ def _suite_borel_detect() -> tuple[bool, str]:
                  "the unconstrained count is nonzero"
 
 
+@functools.cache
+def _hv_report(n: int) -> CrossCheckReport:
+    """The rank-``n`` cross-check on m -14..14, k -7..7, which the hv and
+    kr-table suites share; only the small report is kept, not the chart."""
+    return cross_check_hv(n, Window(-14, 14, -7, 7))
+
+
 def _suite_hv() -> tuple[bool, str]:
-    w = Window(-14, 14, -7, 7)
     for n in (1, 2):
-        rep = cross_check_hv(n, w)
+        rep = _hv_report(n)
         if not rep.ok:
             return False, f"rank {n}: {rep.detail()}"
     return True, "brute force equals closed form plus free part, ranks 1 and 2"
 
 
 def _suite_kr_table() -> tuple[bool, str]:
-    w = Window(-16, 16, -8, 8)
-    wcc = Window(-14, 14, -7, 7)
     for n in (1, 2):
-        rep = assemble_kr(n, w, max_layer=3)
-        if not rep.layer_periodicity_ok():
-            return False, f"rank {n}: layer periodicity fails"
-        if not rep.doubling_ok():
-            return False, f"rank {n}: companion doubling fails"
-        # read before the cross-check on the other window replaces the chart
-        partners = compute_f2(n, w).partner_dims(w)
-        cc = cross_check_hv(n, wcc)
-        if not cc.ok:
-            return False, f"rank {n}: column check input disagrees"
-        # column sums: layer zero plus the doubled free classes reproduce
-        # the brute-force homology on the common region
-        f2cls = rep.f2_classes
-        for d in cc.region:
-            total = rep.layers[0].get(d, 0) + f2cls.get(d, 0) \
-                + partners.get(d, 0)
-            if total != cc.brute.get(d, 0):
-                return False, f"rank {n}: column sum fails at {d}"
+        failure = _kr_table_failure(n)
+        if failure:
+            return False, f"rank {n}: {failure}"
     return True, "layer periodicity, doubling, and column sums against the " \
                  "brute-force homology, ranks 1 and 2"
+
+
+def _kr_table_failure(n: int) -> Optional[str]:
+    """What fails in the rank-``n`` chart on m -16..16, k -8..8, or None.
+    A function of its own so that one rank's table is freed before the
+    next rank's chart is built."""
+    w = Window(-16, 16, -8, 8)
+    rep = assemble_kr(n, w, max_layer=3)
+    if not rep.layer_periodicity_ok():
+        return "layer periodicity fails"
+    if not rep.doubling_ok():
+        return "companion doubling fails"
+    partners = compute_f2(n, w).partner_dims(w)
+    cc = _hv_report(n)
+    if not cc.ok:
+        return "column check input disagrees"
+    # column sums: layer zero plus the doubled free classes reproduce
+    # the brute-force homology on the common region
+    f2cls = rep.f2_classes
+    for d in cc.region:
+        total = rep.layers[0].get(d, 0) + f2cls.get(d, 0) + partners.get(d, 0)
+        if total != cc.brute.get(d, 0):
+            return f"column sum fails at {d}"
+    return None
 
 
 SUITES: dict[str, Callable[[], tuple[bool, str]]] = {

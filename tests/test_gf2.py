@@ -264,6 +264,56 @@ def test_echelon_matches_solve_and_enumeration(basis, data):
     assert all(grown.coords(v) == ech.coords(v) for v in range(1 << basis.ncols))
 
 
+@st.composite
+def large_matrices(draw):
+    """Matrices up to 40x40 mixing dense, sparse and permutation-like rows
+    with rows that depend on earlier ones, so stored rows often carry bits
+    at pivots found later."""
+    ncols = draw(st.integers(1, 40))
+    top = (1 << ncols) - 1
+    bit = st.integers(0, ncols - 1)
+    rows = []
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.sampled_from(("dense", "sparse", "permutation",
+                                     "dependent")))
+        if kind == "dense":
+            rows.append(draw(st.integers(0, top)))
+        elif kind == "sparse":
+            rows.append(sum({1 << b for b in draw(st.lists(bit, max_size=3))}))
+        elif kind == "permutation":
+            rows.append(1 << draw(bit))
+        else:
+            rows.append(combine(rows, draw(st.integers(0, (1 << len(rows)) - 1))))
+    return F2Matrix.from_rows(rows, ncols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(large_matrices(), st.randoms(use_true_random=False), st.data())
+def test_echelon_on_large_matrices(m, rng, data):
+    assert rref(m) == column_scan_rref(m)
+    assert left_kernel_basis(m) == kernel_basis(m.transpose())
+    shuffled = list(m.rows)
+    rng.shuffle(shuffled)
+    ech, other = Echelon(m.rows), Echelon(shuffled)
+    vectors = [rng.getrandbits(m.ncols) for _ in range(10)]
+    vectors += [combine(m.rows, rng.getrandbits(m.nrows)) for _ in range(10)]
+    for v in vectors:
+        assert ech.remainder(v) == other.remainder(v)
+        c = ech.coords(v)
+        assert (c is None) == (ech.remainder(v) != 0)
+        if c is not None:
+            assert combine(m.rows, c) == v
+    # reading the rref part way through leaves later answers unchanged
+    cut = data.draw(st.integers(0, m.nrows))
+    grown = Echelon(m.rows[:cut])
+    grown.reduced_rows()
+    for r in m.rows[cut:]:
+        grown.add(r)
+    assert grown.relations == ech.relations
+    assert grown.reduced_rows() == ech.reduced_rows()
+    assert all(grown.coords(v) == ech.coords(v) for v in vectors)
+
+
 def test_transpose_involution():
     rng = random.Random(29)
     m = random_matrix(rng, 4, 7)

@@ -204,7 +204,7 @@ def a1_modules(draw):
             m = suspend(m, draw(st.integers(-3, 3)))
         elif shape == "sum":
             m = direct_sum_a1([m, leaf()], ["u.", "v."])
-        else:
+        elif m.bottom() is not None:    # tensor_a1 rejects the zero module
             m = tensor_a1(m, leaf(), hi=hi)
     # last, since a dual is no longer complete at the bottom for tensors
     return dual_a1(m) if draw(st.booleans()) else m
@@ -439,6 +439,8 @@ def test_cli_tower_detect():
     (("compute", "socle"), "--builtin or --in"),
     (("compute", "socle", "--builtin", "P0", "--out", "/nonexistent/x.tsv"),
      "/nonexistent/x.tsv"),
+    (("compute", "chart", "--bv", "-1"), "--bv -1"),
+    (("compute", "chart", "--bv", "0"), "--bv 0"),
 ])
 def test_cli_rejects_bad_input_on_one_line(argv, named):
     out = run_cli(*argv)

@@ -94,6 +94,15 @@ def test_cross_check_rank_three_within_budget():
     assert seconds < 3, f"cross-check took {seconds:.1f}s"
 
 
+def test_cross_check_rank_four_within_budget():
+    start = time.perf_counter()
+    rep = cross_check_hv(4, Window(-12, 12, -6, 6))
+    seconds = time.perf_counter() - start
+    assert rep.ok, rep.detail()
+    assert len(rep.region) == 231
+    assert seconds < 4, f"cross-check took {seconds:.1f}s"
+
+
 def test_assemble_kr_rank_one():
     w = Window(-10, 10, -5, 5)
     rep = assemble_kr(1, w, max_layer=3)
