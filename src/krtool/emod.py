@@ -168,17 +168,46 @@ def _h01_region(m: EModule) -> list[Degree]:
     return out
 
 
+def _q1_on_q0_kernel(m: EModule, e: Degree) -> tuple[F2Matrix, Echelon]:
+    """``Ker q0`` at ``e`` and the elimination of its rows times ``q1``."""
+    k0 = m.q0.kernel_at(e)
+    return k0, Echelon(k0.mul(m.q1.block(e)).rows)
+
+
+def _q1_image(m: EModule, span: Echelon, e: Degree) -> F2Matrix:
+    """q1 of ``Ker q0`` at ``e``, in rref, inside degree ``e + (2,1)``."""
+    return F2Matrix.from_rows(span.reduced_rows(),
+                              m.dim(add_deg(e, Q1_SHIFT)))
+
+
 def h01(m: EModule) -> H01Result:
-    """Degreewise (Ker q1 and Ker q0) modulo q1 of Ker q0."""
+    """Degreewise (Ker q1 and Ker q0) modulo q1 of Ker q0.
+
+    One pass eliminates each block once.  At a degree ``e`` the kernel
+    ``K0`` of q0 is the relations of the q0 rows, and the rows of
+    ``K0 . q1`` are eliminated once.  Their relations times ``K0`` span the
+    kernel intersection at ``e``: the numerator, put in rref.  Their rref
+    rows span q1 of ``Ker q0``: the denominator at ``e + (2,1)``, kept
+    until that degree is reached and then dropped.  A degree whose
+    ``(2,1)``-predecessor is not visited (outside the region, or zero)
+    eliminates that predecessor for its denominator alone.
+    """
     nums: dict[Degree, F2Matrix] = {}
     dens: dict[Degree, F2Matrix] = {}
     region = _h01_region(m)
-    for d in region:
-        if m.dim(d) == 0:
-            continue
-        nums[d] = common_kernel(m.q0.block(d), m.q1.block(d))
-        prev = sub_deg(d, Q1_SHIFT)
-        dens[d] = row_basis(m.q0.kernel_at(prev).mul(m.q1.block(prev)))
+    wanted = {d for d in region if m.dim(d)}
+    pending: dict[Degree, F2Matrix] = {}   # denominators not yet reached
+    for d in sorted(wanted):
+        den = pending.pop(d, None)
+        if den is None:
+            prev = sub_deg(d, Q1_SHIFT)
+            den = _q1_image(m, _q1_on_q0_kernel(m, prev)[1], prev)
+        dens[d] = den
+        k0, span = _q1_on_q0_kernel(m, d)
+        nums[d] = row_basis(
+            F2Matrix.from_rows(span.relations, k0.nrows).mul(k0))
+        if add_deg(d, Q1_SHIFT) in wanted:
+            pending[add_deg(d, Q1_SHIFT)] = _q1_image(m, span, d)
     return H01Result(Subquotient(m.space, nums, dens), region)
 
 
@@ -378,7 +407,7 @@ def les_h01(a: EModule, b: EModule, c: EModule,
     # 1. degreewise short exactness
     fg = f.compose(g)
     for d in region.degrees():
-        rank_f, rank_g = rank(f.block(d)), rank(g.block(d))
+        rank_f, rank_g = f.rank_at(d), g.rank_at(d)
         if rank_f != a.dim(d):
             return LesReport(False, f"first map not injective at {d}", 0)
         if rank_g != c.dim(d):
@@ -396,24 +425,11 @@ def les_h01(a: EModule, b: EModule, c: EModule,
 
     ha, hb, hc = h01(a), h01(b), h01(c)
 
-    def induced(src: H01Result, dst: H01Result, mp: GradedMap,
-                d: Degree) -> Optional[F2Matrix]:
-        reps = src.sub.reps(d)
-        rows = []
-        for v in reps.rows:
-            w = mp.apply(d, v)
-            cexp = dst.sub.express(add_deg(d, mp.shift), w)
-            if cexp is None:
-                return None
-            rows.append(cexp)
-        return F2Matrix.from_rows(rows, dst.sub.dim(add_deg(d, mp.shift)))
-
     def connecting(d: Degree) -> Optional[F2Matrix]:
-        reps = hc.sub.reps(d)
         td = add_deg(d, Q1_SHIFT)
         f_span = Echelon(f.block(td).rows)
         rows = []
-        for v in reps.rows:
+        for v in hc.sub.reps(d).rows:
             lift = split.apply(d, v)
             # pull back along f
             pre = f_span.coords(b.q1.apply(d, lift))
@@ -423,7 +439,7 @@ def les_h01(a: EModule, b: EModule, c: EModule,
             if cexp is None:
                 return None
             rows.append(cexp)
-        return F2Matrix.from_rows(rows, ha.sub.dim(add_deg(d, Q1_SHIFT)))
+        return F2Matrix.from_rows(rows, ha.sub.dim(td))
 
     slots = 0
     inner = [d for d in region.degrees()
@@ -431,21 +447,29 @@ def les_h01(a: EModule, b: EModule, c: EModule,
              and add_deg(d, Q1_SHIFT) in ha.region
              and sub_deg(d, Q1_SHIFT) in hc.region
              and region.contains(sub_deg(d, Q1_SHIFT))]
+    ahead = set(inner)
+    # the connecting map out of d, kept for d + (2,1) where it comes in
+    kept: dict[Degree, F2Matrix] = {}
     for d in inner:
-        mf = induced(ha, hb, f, d)
-        mg = induced(hb, hc, g, d)
+        mf = ha.sub.induced(f, hb.sub, d)
+        mg = hb.sub.induced(g, hc.sub, d)
         dd = connecting(d)
-        dprev = connecting(sub_deg(d, Q1_SHIFT))
+        dprev = kept.pop(sub_deg(d, Q1_SHIFT), None)
+        if dprev is None:
+            dprev = connecting(sub_deg(d, Q1_SHIFT))
         if None in (mf, mg, dd, dprev):
             return LesReport(False, f"induced map failed at {d}", slots)
+        if add_deg(d, Q1_SHIFT) in ahead:
+            kept[d] = dd
+        rank_mf, rank_mg = rank(mf), rank(mg)
         # exactness at h01(a): ker(mf) = im(dprev)
-        if mf.nrows - rank(mf) != rank(dprev):
+        if mf.nrows - rank_mf != rank(dprev):
             return LesReport(False, f"not exact at first slot, degree {d}", slots)
         # exactness at h01(b): ker(mg) = im(mf)
-        if mg.nrows - rank(mg) != rank(mf):
+        if mg.nrows - rank_mg != rank_mf:
             return LesReport(False, f"not exact at middle slot, degree {d}", slots)
         # exactness at h01(c): ker(dd) = im(mg)
-        if dd.nrows - rank(dd) != rank(mg):
+        if dd.nrows - rank(dd) != rank_mg:
             return LesReport(False, f"not exact at last slot, degree {d}", slots)
         slots += 3
     return LesReport(True, f"exact at {slots} slots", slots)

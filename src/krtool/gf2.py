@@ -14,7 +14,12 @@ far the stored rows are reduced.  It eliminates a list of rows once and
 then answers membership and coordinate questions for any number of
 vectors, each by clearing the pivots the vector reaches.  Loops that solve
 many right-hand sides against one fixed basis build one ``Echelon`` for
-it.
+it.  A count needs no back-substitution: ``Echelon.rank`` is the number of
+stored rows, and the rank a second list of rows adds to a span is the growth
+of that count as they are inserted.  One elimination can serve several
+answers at once: the kernel-intersection homology eliminates the rows of
+``Ker q0 . q1`` once per degree and reads the numerator off its relations
+and the next degree's denominator off its echelon rows.
 """
 
 from __future__ import annotations
@@ -180,6 +185,11 @@ class Echelon:
         self._rows[low] = (w, used)
         self._pivots |= low
         return True
+
+    @property
+    def rank(self) -> int:
+        """The dimension of the span: the count of stored rows."""
+        return len(self._rows)
 
     def reduced_rows(self) -> list[int]:
         """The stored rows, fully reduced, sorted by pivot: the nonzero rref

@@ -18,7 +18,6 @@ from .gf2 import (
     F2Matrix,
     kernel_basis,
     left_kernel_basis,
-    rank,
     row_basis,
     solve,
     subquotient_basis,
@@ -275,7 +274,7 @@ class GradedMap:
 
     def rank_at(self, d: Degree) -> int:
         got = self.blocks.get(d)
-        return 0 if got is None else rank(got)
+        return 0 if got is None else Echelon(got.rows).rank
 
 
 def zero_map(source: GradedSpace, target: GradedSpace, shift: Degree) -> GradedMap:
@@ -340,13 +339,17 @@ class Subquotient:
         return self._solver(d)[0]
 
     def dim(self, d: Degree) -> int:
+        """rank(num + den) - rank(den): the rank the numerator rows add to
+        the eliminated denominator, which need not lie in the numerator."""
         num = self.numerators.get(d)
         if num is None:
             return 0
         den = self.denominators.get(d)
-        if den is None:
-            return rank(num)
-        return rank(num.stack(den)) - rank(den)
+        span = Echelon(den.rows if den is not None else ())
+        base = span.rank
+        for v in num.rows:
+            span.add(v)
+        return span.rank - base
 
     def dims(self) -> dict[Degree, int]:
         out = {}
@@ -369,6 +372,20 @@ class Subquotient:
         if c is None:
             return None
         return c & ((1 << reps.nrows) - 1)
+
+    def induced(self, mp: GradedMap, dst: "Subquotient",
+                d: Degree) -> Optional[F2Matrix]:
+        """The matrix of ``mp`` from this subquotient at ``d`` to ``dst`` at
+        ``d + mp.shift``, in the two rep bases, or None when the image of
+        some representative is not in ``dst``'s numerator plus denominator."""
+        td = add_deg(d, mp.shift)
+        rows = []
+        for v in self.reps(d).rows:
+            c = dst.express(td, mp.apply(d, v))
+            if c is None:
+                return None
+            rows.append(c)
+        return F2Matrix.from_rows(rows, dst.dim(td))
 
 
 # -- solver for operator-commuting graded maps -------------------------------

@@ -331,7 +331,7 @@ def composite_modules(draw):
             m = suspend(m, draw(st.integers(-3, 3)))
         elif shape == "sum":
             m = direct_sum_a1([m, leaf()], ["u.", "v."])
-        else:
+        elif m.bottom() is not None:    # tensor_a1 rejects the zero module
             m = tensor_a1(m, leaf(), hi=hi)
     return m
 

@@ -1,15 +1,28 @@
 """Relative homological algebra over the exterior pair."""
 
 import math
+import time
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from krtool.a1 import std_a1, std_f, std_p, std_pn, proj_cover_and_loop
+from krtool.a1 import (
+    direct_sum_a1,
+    proj_cover_and_loop,
+    std_a1,
+    std_f,
+    std_p,
+    std_pn,
+    suspend,
+    tensor_a1,
+)
 from krtool.emod import (
     Q0_SHIFT,
     Q1_SHIFT,
     EModule,
     TateComplex,
+    _h01_region,
     _lambda1_tensor,
     dual_e,
     find_lambda0_splitting,
@@ -23,18 +36,20 @@ from krtool.emod import (
     tate_exactness_report,
     validate,
 )
-from krtool.gf2 import F2Matrix
+from krtool.gf2 import F2Matrix, common_kernel, rank, row_basis
 from krtool.graded import (
     Degree,
     GradedMap,
     GradedSpace,
+    Subquotient,
     Window,
     add_deg,
     identity_map,
     sub_deg,
     zero_map,
 )
-from krtool.rfun import A1Map, apply_r, check_sec_r
+from krtool.kr import bv_module
+from krtool.rfun import A1Map, apply_r, check_sec_r, required_top
 
 
 def trivial_emodule(w):
@@ -406,3 +421,115 @@ def test_tate_complex_matches_name_keyed_reference():
             assert got.diffs == want.diffs, (lo, hi)
             assert all(_same_emodule(got.terms[i], want.terms[i])
                        for i in range(lo, hi + 1)), (lo, hi)
+
+
+# -- reference route for the kernel-intersection homology -----------------------
+# ``h01`` as it was computed before one elimination per degree served both
+# the numerator and the next degree's denominator: the common kernel of the
+# two blocks side by side, and q1 of a second elimination of the q0 kernel
+# at the (2,1)-predecessor.  ``back`` is where the denominator is read from.
+
+def _ref_h01(m: EModule, back: Degree = Q1_SHIFT) -> Subquotient:
+    nums: dict[Degree, F2Matrix] = {}
+    dens: dict[Degree, F2Matrix] = {}
+    for d in _h01_region(m):
+        if m.dim(d) == 0:
+            continue
+        nums[d] = common_kernel(m.q0.block(d), m.q1.block(d))
+        prev = sub_deg(d, back)
+        dens[d] = row_basis(m.q0.kernel_at(prev).mul(m.q1.block(prev)))
+    return Subquotient(m.space, nums, dens)
+
+
+def _ref_dims(sub: Subquotient) -> dict[Degree, int]:
+    out = {}
+    for d, num in sub.numerators.items():
+        den = sub.denominators[d]
+        n = rank(num.stack(den)) - rank(den)
+        if n:
+            out[d] = n
+    return out
+
+
+def _same_h01(got: Subquotient, want: Subquotient) -> bool:
+    return (got.numerators == want.numerators
+            and got.denominators == want.denominators
+            and got.dims() == _ref_dims(want)
+            and all(got.reps(d) == want.reps(d) for d in want.numerators))
+
+
+@st.composite
+def small_extensions(draw):
+    """The extension of a sum, tensor or suspension of standard modules on a
+    small window, or its dual."""
+    k_lo = draw(st.integers(-4, 3))
+    m_lo = draw(st.integers(-6, 4))
+    # wide enough for degrees with both (2,1)-neighbours inside
+    w = Window(m_lo, m_lo + draw(st.integers(6, 12)),
+               k_lo, k_lo + draw(st.integers(3, 5)))
+    hi = required_top(w) + 12
+
+    def leaf():
+        which = draw(st.sampled_from(["f", "a1", "p", "pn"]))
+        if which == "f":
+            return std_f(draw(st.integers(-3, 3)))
+        if which == "a1":
+            return std_a1(draw(st.integers(-6, 2)))
+        if which == "p":
+            return std_p(1, hi)
+        return std_pn(draw(st.integers(0, 3)), -8, hi)
+
+    m = leaf()
+    for _ in range(draw(st.integers(0, 2))):
+        shape = draw(st.sampled_from(["suspend", "sum", "tensor"]))
+        if shape == "suspend":
+            m = suspend(m, draw(st.integers(-3, 3)))
+        elif shape == "sum":
+            m = direct_sum_a1([m, leaf()], ["u.", "v."])
+        elif m.bottom() is not None:    # tensor_a1 rejects the zero module
+            m = tensor_a1(m, leaf(), hi=hi)
+    assume(m.complete_hi >= required_top(w))
+    e = apply_r(m, w).emod
+    return dual_e(e) if draw(st.booleans()) else e
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_extensions())
+def test_h01_matches_two_elimination_reference(m):
+    got = h01(m)
+    assert got.region == _h01_region(m)
+    assert _same_h01(got.sub, _ref_h01(m))
+
+
+def test_h01_reference_comparison_sees_a_misplaced_denominator():
+    w = Window(-10, 10, -5, 5)
+    for m in (apply_r(std_p(1, 20), w).emod, apply_r(std_a1(), w).emod):
+        got = h01(m).sub
+        assert _same_h01(got, _ref_h01(m))
+        for back in ((0, 0), (4, 2), (1, 0)):
+            assert not _same_h01(got, _ref_h01(m, back)), back
+
+
+def test_induced_map_of_the_identity_is_the_identity():
+    w = Window(-10, 10, -5, 5)
+    m = apply_r(std_p(1, 16), w).emod
+    h = h01(m).sub
+    nothing = Subquotient(m.space, {}, {})
+    ident = identity_map(m.space)
+    classes = [d for d in h.numerators if h.dim(d)]
+    assert classes
+    for d in classes:
+        assert h.induced(ident, h, d) == F2Matrix.identity(h.dim(d))
+        # a representative's image outside the target's span has no matrix
+        assert h.induced(ident, nothing, d) is None
+        assert nothing.induced(ident, h, d) == F2Matrix(0, h.dim(d), ())
+
+
+def test_h01_rank_three_within_budget():
+    w = Window(-14, 14, -7, 7)
+    m = apply_r(bv_module(3, w), w).emod
+    start = time.perf_counter()
+    dims = h01(m).dims()
+    seconds = time.perf_counter() - start
+    assert sum(dims.values()) > 0
+    assert seconds < 1, f"h01 took {seconds:.2f}s"

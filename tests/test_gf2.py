@@ -314,6 +314,19 @@ def test_echelon_on_large_matrices(m, rng, data):
     assert all(grown.coords(v) == ech.coords(v) for v in vectors)
 
 
+@settings(max_examples=150, deadline=None)
+@given(large_matrices())
+def test_echelon_rank_counts_the_rref_pivots(m):
+    grown = Echelon()
+    for i, r in enumerate(m.rows):
+        grown.add(r)
+        prefix = F2Matrix.from_rows(m.rows[: i + 1], m.ncols)
+        assert grown.rank == len(rref(prefix)[1])
+    assert grown.rank == rank(m) == len(rref(m)[1])
+    grown.reduced_rows()
+    assert grown.rank == rank(m)
+
+
 def test_transpose_involution():
     rng = random.Random(29)
     m = random_matrix(rng, 4, 7)

@@ -10,6 +10,7 @@ from krtool.graded import (
     GradedMap,
     GradedSpace,
     OperatorPair,
+    Subquotient,
     Window,
     add_deg,
     dual_space,
@@ -260,3 +261,50 @@ def test_missing_block_answers_as_the_zero_block(n_src, n_tgt, shift):
         assert mp.image_at(td) == row_basis(zero)
         assert mp.rank_at(d) == rank(zero) == 0
         assert mp.apply(d, (1 << sp.dim(d)) - 1) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_rank_at_is_the_rank_of_the_block(data):
+    src = tiny_space(tiny_dims(data.draw, 5, (3, 2, 1, 0)), "s")
+    tgt = tiny_space(tiny_dims(data.draw, 5, (3, 2, 1, 0)), "t")
+    shift = data.draw(st.sampled_from([(0, 0), (1, 0), (2, 0), (-1, 0)]))
+    mp = random_map(data.draw, src, tgt, shift)
+    # drop some blocks, so that they are missing rather than zero
+    dropped = data.draw(st.sets(st.sampled_from(sorted(TINY.degrees()))))
+    mp = GradedMap(src, tgt, shift,
+                   {d: b for d, b in mp.blocks.items() if d not in dropped})
+    for d in list(TINY.degrees()) + [(-3, 0), (9, 0), (0, 2)]:
+        assert mp.rank_at(d) == rank(mp.block(d)), d
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 7), st.data())
+def test_subquotient_dim_is_the_rank_the_numerator_adds(ncols, data):
+    d = (0, 0)
+    sp = GradedSpace(TINY, {d: [f"e{i}" for i in range(ncols)]})
+    vector = st.integers(0, (1 << ncols) - 1)
+    num = F2Matrix.from_rows(data.draw(st.lists(vector, max_size=6)), ncols)
+    # denominator rows are sums of numerator rows or any vector at all
+    inside = st.integers(0, (1 << num.nrows) - 1).map(num.vec_mul)
+    den = data.draw(st.none() | st.lists(inside | vector, max_size=6).map(
+        lambda rows: F2Matrix.from_rows(rows, ncols)))
+    sub = Subquotient(sp, {d: num}, {} if den is None else {d: den})
+    want = rank(num) if den is None else rank(num.stack(den)) - rank(den)
+    assert sub.dim(d) == want
+    assert sub.dims() == ({d: want} if want else {})
+    assert sub.dim((1, 0)) == 0
+
+
+def test_subquotient_dim_counts_past_a_denominator_outside_the_numerator():
+    d = (0, 0)
+    sp = GradedSpace(TINY, {d: ["e0", "e1", "e2"]})
+
+    def dim(num, den):
+        return Subquotient(sp, {d: F2Matrix.from_rows(num, 3)},
+                           {d: F2Matrix.from_rows(den, 3)}).dim(d)
+
+    # rank(num + den) - rank(den), with den outside num in each case
+    assert dim([0b001], [0b010]) == 1
+    assert dim([0b001], [0b001, 0b010]) == 0
+    assert dim([0b011, 0b100], [0b110]) == 3 - 1
