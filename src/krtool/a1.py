@@ -13,17 +13,24 @@ Standard modules: the trivial module, the free rank-one module, the
 reduced projective-space module ``P = x F[x]`` and its loop companions
 ``P0..P3`` (period eight under four loops), and the reduced cohomology of
 elementary abelian 2-groups assembled by tensoring copies of ``P``.
+
+Modules are built from blocks: suspension re-keys the ``sq1``/``sq2``
+blocks, the dual transposes them, the direct sum places them on the
+diagonal and the tensor product writes the Cartan formula as Kronecker
+products of rows.  One assembler sorts each degree's names and permutes
+rows and columns to match; only the standard diagrams are name tables.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .gf2 import (
     Echelon,
     F2Matrix,
+    _spread,
     common_kernel,
     kernel_basis,
     left_kernel_basis,
@@ -36,6 +43,7 @@ from .graded import (
     GradedSpace,
     OperatorPair,
     Window,
+    _dual_name,
     hom_space,
 )
 
@@ -196,55 +204,91 @@ def degrees_between(lo: float, hi: float, *degree_sets: Iterable[int]
     return sorted({d for ds in degree_sets for d in ds if lo <= d <= hi})
 
 
+def _assemble(names: dict[int, list[str]],
+              sq1_rows: dict[int, Sequence[int]],
+              sq2_rows: dict[int, Sequence[int]],
+              lo: int, hi: int, c_lo: float, c_hi: float) -> A1Module:
+    """Build a module from each degree's names and action rows, both in
+    construction order: row ``i`` of ``sq1_rows[d]`` is the image of
+    ``names[d][i]``, with bit ``j`` for ``names[d + 1][j]`` (likewise for
+    ``sq2_rows`` and ``d + 2``); a degree without rows acts by zero.
+
+    Each degree's names are sorted once, and its rows and the columns that
+    point into it are permuted to match; a degree already in order is left
+    as it is.  Names are never merged, so a repeated name raises
+    ``ValueError``.
+    """
+    order: dict[int, list[int]] = {}       # sorted position -> made index
+    place: dict[int, dict[int, int]] = {}  # made index -> sorted position
+    for d, ns in names.items():
+        o = sorted(range(len(ns)), key=ns.__getitem__)
+        if o != list(range(len(ns))):
+            order[d], place[d] = o, {old: new for new, old in enumerate(o)}
+
+    def permuted(bits: int, to: dict[int, int]) -> int:
+        out = 0
+        while bits:
+            low = bits & -bits
+            out |= 1 << to[low.bit_length() - 1]
+            bits ^= low
+        return out
+
+    def blocks(rows_at: dict[int, Sequence[int]], reach: int
+               ) -> dict[int, F2Matrix]:
+        out = {}
+        for d, rows in rows_at.items():
+            if d in order:
+                rows = [rows[i] for i in order[d]]
+            to = place.get(d + reach)
+            if to is not None:
+                rows = [permuted(r, to) for r in rows]
+            out[d] = F2Matrix.from_rows(rows, len(names.get(d + reach, ())))
+        return out
+
+    basis = {d: [ns[i] for i in order[d]] if d in order else ns
+             for d, ns in names.items()}
+    return A1Module(basis, blocks(sq1_rows, 1), blocks(sq2_rows, 2),
+                    lo, hi, c_lo, c_hi)
+
+
 def _sorted_module(basis: dict[int, list[str]],
                    images1: dict[tuple[int, str], tuple[str, ...]],
                    images2: dict[tuple[int, str], tuple[str, ...]],
                    lo: int, hi: int, c_lo: float, c_hi: float) -> A1Module:
-    """Assemble a module from name-level action tables (targets clipped)."""
-    mod_basis = {d: tuple(sorted(set(names))) for d, names in basis.items() if names}
-    idx = {d: {n: i for i, n in enumerate(names)} for d, names in mod_basis.items()}
+    """Assemble a standard module from its diagram: names per degree and
+    name-level action tables (targets outside the basis are clipped)."""
+    where = {d: {n: i for i, n in enumerate(ns)} for d, ns in basis.items()}
 
-    def build(images: dict[tuple[int, str], tuple[str, ...]], reach: int
-              ) -> dict[int, F2Matrix]:
+    def rows(images: dict[tuple[int, str], tuple[str, ...]], reach: int
+             ) -> dict[int, list[int]]:
         out = {}
-        for d, names in mod_basis.items():
-            td = d + reach
-            tnames = mod_basis.get(td, ())
-            rows = []
-            for n in names:
-                bits = 0
-                for t in images.get((d, n), ()):
-                    if t in idx.get(td, {}):
-                        bits ^= 1 << idx[td][t]
-                rows.append(bits)
-            out[d] = F2Matrix.from_rows(rows, len(tnames))
+        for d, ns in basis.items():
+            tgt = where.get(d + reach, {})
+            out[d] = [sum(1 << tgt[t] for t in images.get((d, n), ()) if t in tgt)
+                      for n in ns]
         return out
 
-    return A1Module(mod_basis, build(images1, 1), build(images2, 2),
-                    lo, hi, c_lo, c_hi)
+    return _assemble(basis, rows(images1, 1), rows(images2, 2), lo, hi, c_lo, c_hi)
 
 
 # -- standard modules ---------------------------------------------------------
 
 def std_f(shift: int = 0) -> A1Module:
     """The trivial one-dimensional module, optionally suspended."""
-    name = f"i{shift}"
-    return _sorted_module({shift: [name]}, {}, {}, shift, shift, -math.inf, math.inf)
+    return A1Module({shift: [f"i{shift}"]}, {}, {}, shift, shift,
+                    -math.inf, math.inf)
 
 
 def std_a1(shift: int = 0) -> A1Module:
     """The free rank-one module (dimension 8, degrees 0..6), suspended."""
-    def nm(w: str) -> str:
-        return w if shift == 0 else f"{w}@{shift}"
-
+    if shift:
+        return suspend(std_a1(), shift)
     basis: dict[int, list[str]] = {}
-    im1: dict[tuple[int, str], tuple[str, ...]] = {}
-    im2: dict[tuple[int, str], tuple[str, ...]] = {}
     for w, d in A1_WORDS:
-        basis.setdefault(d + shift, []).append(nm(w))
-        im1[(d + shift, nm(w))] = tuple(nm(t) for t in A1_SQ1[w])
-        im2[(d + shift, nm(w))] = tuple(nm(t) for t in A1_SQ2[w])
-    return _sorted_module(basis, im1, im2, shift, shift + 6, -math.inf, math.inf)
+        basis.setdefault(d, []).append(w)
+    return _sorted_module(basis, {(d, w): A1_SQ1[w] for w, d in A1_WORDS},
+                          {(d, w): A1_SQ2[w] for w, d in A1_WORDS},
+                          0, 6, -math.inf, math.inf)
 
 
 def _p_sq1(s: int) -> bool:
@@ -259,17 +303,10 @@ def std_p(lo: int, hi: int) -> A1Module:
     """Truncation of the reduced projective-space module x F[x]."""
     if hi < 1:
         raise ValueError("window too small to contain any generator")
-    basis: dict[int, list[str]] = {}
-    im1: dict[tuple[int, str], tuple[str, ...]] = {}
-    im2: dict[tuple[int, str], tuple[str, ...]] = {}
-    for s in range(1, hi + 1):
-        basis.setdefault(s, []).append(f"x{s}")
-        if _p_sq1(s):
-            im1[(s, f"x{s}")] = (f"x{s + 1}",)
-        if _p_sq2(s):
-            im2[(s, f"x{s}")] = (f"x{s + 2}",)
-    eff_lo = min(lo, 1)
-    return _sorted_module(basis, im1, im2, eff_lo, hi, -math.inf, hi)
+    return _assemble({s: [f"x{s}"] for s in range(1, hi + 1)},
+                     {s: [1] for s in range(1, hi) if _p_sq1(s)},
+                     {s: [1] for s in range(1, hi - 1) if _p_sq2(s)},
+                     min(lo, 1), hi, -math.inf, hi)
 
 
 def std_pn(n: int, lo: int, hi: int) -> A1Module:
@@ -286,13 +323,9 @@ def std_pn(n: int, lo: int, hi: int) -> A1Module:
 
     def add(name: str, d: int, t1: tuple[str, ...], t2: tuple[str, ...]) -> None:
         d += s8
-        if not (d <= hi):
-            return
-        basis.setdefault(d, []).append(name)
-        if t1:
-            im1[(d, name)] = t1
-        if t2:
-            im2[(d, name)] = t2
+        if d <= hi:
+            basis.setdefault(d, []).append(name)
+            im1[d, name], im2[d, name] = t1, t2
 
     def x(s: int) -> str:
         return f"x{s + s8}"
@@ -336,56 +369,53 @@ def std_pn(n: int, lo: int, hi: int) -> A1Module:
 
 
 def suspend(m: A1Module, t: int) -> A1Module:
-    """Degree shift by ``t``; names are tagged to stay distinct."""
+    """Degree shift by ``t``: the blocks move up by ``t`` and each name is
+    tagged ``@t`` to stay distinct."""
     if t == 0:
         return m
-
-    def nm(n: str) -> str:
-        return f"{n}@{t}"
-
-    basis: dict[int, list[str]] = {}
-    im1: dict[tuple[int, str], tuple[str, ...]] = {}
-    im2: dict[tuple[int, str], tuple[str, ...]] = {}
-    for d in m.degrees():
-        for i, n in enumerate(m.names(d)):
-            basis.setdefault(d + t, []).append(nm(n))
-            v1 = m.apply_sq1(d, 1 << i)
-            v2 = m.apply_sq2(d, 1 << i)
-            im1[(d + t, nm(n))] = tuple(nm(x) for j, x in enumerate(m.names(d + 1))
-                                        if (v1 >> j) & 1)
-            im2[(d + t, nm(n))] = tuple(nm(x) for j, x in enumerate(m.names(d + 2))
-                                        if (v2 >> j) & 1)
-    return _sorted_module(basis, im1, im2, m.lo + t, m.hi + t,
-                          m.complete_lo + t, m.complete_hi + t)
+    return _assemble({d + t: [f"{n}@{t}" for n in ns] for d, ns in m.basis.items()},
+                     {d + t: b.rows for d, b in m.sq1.items()},
+                     {d + t: b.rows for d, b in m.sq2.items()},
+                     m.lo + t, m.hi + t, m.complete_lo + t, m.complete_hi + t)
 
 
-def direct_sum_a1(mods: list[A1Module], tags: Optional[list[str]] = None) -> A1Module:
+def direct_sum_a1(mods: list[A1Module], tags: list[str]) -> A1Module:
+    """Block-diagonal sum: each summand's names get its tag, one distinct tag
+    per summand, as a prefix, and its rows are shifted to the summand's
+    offset in each target degree."""
     if not mods:
         raise ValueError("empty direct sum")
-    tags = tags or [f"s{i}." for i in range(len(mods))]
-    lo = min(m.lo for m in mods)
-    hi = max(m.hi for m in mods)
-    basis: dict[int, list[str]] = {}
-    im1: dict[tuple[int, str], tuple[str, ...]] = {}
-    im2: dict[tuple[int, str], tuple[str, ...]] = {}
+    if len(tags) != len(mods):
+        raise ValueError(f"{len(tags)} tags for {len(mods)} summands")
+    if len(set(tags)) < len(tags):
+        repeated = next(t for i, t in enumerate(tags) if t in tags[:i])
+        raise ValueError(f"repeated tag {repeated!r}")
+    names: dict[int, list[str]] = {}
+    sq1: dict[int, list[int]] = {}
+    sq2: dict[int, list[int]] = {}
     for tag, m in zip(tags, mods):
-        for d in m.degrees():
-            for i, n in enumerate(m.names(d)):
-                basis.setdefault(d, []).append(tag + n)
-                v1 = m.apply_sq1(d, 1 << i)
-                v2 = m.apply_sq2(d, 1 << i)
-                im1[(d, tag + n)] = tuple(tag + x for j, x in
-                                          enumerate(m.names(d + 1)) if (v1 >> j) & 1)
-                im2[(d, tag + n)] = tuple(tag + x for j, x in
-                                          enumerate(m.names(d + 2)) if (v2 >> j) & 1)
-    c_lo = max(m.complete_lo for m in mods)
-    c_hi = min(m.complete_hi for m in mods)
-    return _sorted_module(basis, im1, im2, lo, hi, c_lo, c_hi)
+        offset = {d: len(names.get(d, ())) for d in m.basis}
+        for d, ns in m.basis.items():
+            names.setdefault(d, []).extend(tag + n for n in ns)
+            for rows, blocks, reach in ((sq1, m.sq1, 1), (sq2, m.sq2, 2)):
+                b = blocks.get(d)
+                shift = offset.get(d + reach, 0)
+                rows.setdefault(d, []).extend(
+                    [r << shift for r in b.rows] if b else [0] * len(ns))
+    return _assemble(names, sq1, sq2,
+                     min(m.lo for m in mods), max(m.hi for m in mods),
+                     max(m.complete_lo for m in mods),
+                     min(m.complete_hi for m in mods))
 
 
-def tensor_a1(a: A1Module, b: A1Module, hi: Optional[int] = None,
-              sep: str = "*") -> A1Module:
-    """Tensor product with the diagonal action (Cartan rule)."""
+def tensor_a1(a: A1Module, b: A1Module, hi: Optional[int] = None) -> A1Module:
+    """Tensor product with the diagonal action (Cartan rule).
+
+    The names of degree ``d`` are ``x*y`` in blocks, one per degree pair
+    ``(da, db)`` with ``da + db = d``, row-major in the two factors' bases.
+    Sq1 = Sq1*1 + 1*Sq1 and Sq2 = Sq2*1 + Sq1*Sq1 + 1*Sq2, each term a
+    Kronecker product of rows placed at its target block's offset.
+    """
     if not (a.is_complete_below() and b.is_complete_below()):
         raise ValueError("tensor factors must be complete at the bottom")
     ab, bb = a.bottom(), b.bottom()
@@ -397,77 +427,49 @@ def tensor_a1(a: A1Module, b: A1Module, hi: Optional[int] = None,
     exact_hi = min(a.complete_hi + bb, b.complete_hi + ab)
     top = max(a.degrees()) + max(b.degrees())
     hi = hi if hi is not None else min(exact_hi, top)
-    lo = ab + bb
-    basis: dict[int, list[str]] = {}
-    im1: dict[tuple[int, str], tuple[str, ...]] = {}
-    im2: dict[tuple[int, str], tuple[str, ...]] = {}
-
-    def pair_names(da: int, va: int, db: int, vb: int) -> list[str]:
-        out = []
-        for p, na in enumerate(a.names(da)):
-            if not (va >> p) & 1:
-                continue
-            for q, nb in enumerate(b.names(db)):
-                if (vb >> q) & 1:
-                    out.append(na + sep + nb)
-        return out
-
+    names: dict[int, list[str]] = {}
+    offset: dict[tuple[int, int], int] = {}
     for da in a.degrees():
         for db in b.degrees():
-            d = da + db
-            if d > hi:
-                continue
-            for i, na in enumerate(a.names(da)):
-                for j, nb in enumerate(b.names(db)):
-                    name = na + sep + nb
-                    basis.setdefault(d, []).append(name)
-                    if d + 1 <= hi:
-                        t1 = (pair_names(da + 1, a.apply_sq1(da, 1 << i), db, 1 << j)
-                              + pair_names(da, 1 << i, db + 1, b.apply_sq1(db, 1 << j)))
-                        im1[(d, name)] = _cancel(t1)
-                    if d + 2 <= hi:
-                        t2 = (pair_names(da + 2, a.apply_sq2(da, 1 << i), db, 1 << j)
-                              + pair_names(da + 1, a.apply_sq1(da, 1 << i),
-                                           db + 1, b.apply_sq1(db, 1 << j))
-                              + pair_names(da, 1 << i, db + 2, b.apply_sq2(db, 1 << j)))
-                        im2[(d, name)] = _cancel(t2)
+            if da + db <= hi:
+                got = names.setdefault(da + db, [])
+                offset[da, db] = len(got)
+                got.extend(x + "*" + y for x in a.names(da) for y in b.names(db))
+
+    sq1: dict[int, list[int]] = {}
+    sq2: dict[int, list[int]] = {}
+    for da, db in offset:
+        d = da + db
+        w0, w1, w2 = b.dim(db), b.dim(db + 1), b.dim(db + 2)
+        a1, a2 = a.sq1_block(da).rows, a.sq2_block(da).rows
+        b1, b2 = b.sq1_block(db).rows, b.sq2_block(db).rows
+        # offsets of the target blocks; a missing block only meets zero rows
+        o10, o01 = offset.get((da + 1, db), 0), offset.get((da, db + 1), 0)
+        o20, o11, o02 = (offset.get((da + 2, db), 0), offset.get((da + 1, db + 1), 0),
+                         offset.get((da, db + 2), 0))
+        for i in range(a.dim(da)):
+            if d + 1 <= hi:
+                s10 = _spread(a1[i], w0) << o10
+                sq1.setdefault(d, []).extend(
+                    (s10 << j) ^ (b1[j] << (o01 + i * w1)) for j in range(w0))
+            if d + 2 <= hi:
+                s20 = _spread(a2[i], w0) << o20
+                s11 = _spread(a1[i], w1)
+                sq2.setdefault(d, []).extend(
+                    (s20 << j) ^ ((s11 * b1[j]) << o11) ^ (b2[j] << (o02 + i * w2))
+                    for j in range(w0))
     # a truncation at or above the top degree cuts nothing off
     c_hi = min(exact_hi, hi if hi < top else math.inf)
-    return _sorted_module(basis, im1, im2, lo, hi, -math.inf, c_hi)
+    return _assemble(names, sq1, sq2, ab + bb, hi, -math.inf, c_hi)
 
 
-def _cancel(names: list[str]) -> tuple[str, ...]:
-    out = []
-    for n in names:
-        if n in out:
-            out.remove(n)
-        else:
-            out.append(n)
-    return tuple(out)
-
-
-def dual_a1(m: A1Module, mark: str = "^") -> A1Module:
-    """Linear dual: transposed actions on the negated grading."""
-    def nm(n: str) -> str:
-        return n[: -len(mark)] if n.endswith(mark) else n + mark
-
-    basis: dict[int, list[str]] = {}
-    im1: dict[tuple[int, str], tuple[str, ...]] = {}
-    im2: dict[tuple[int, str], tuple[str, ...]] = {}
-    for d in m.degrees():
-        for n in m.names(d):
-            basis.setdefault(-d, []).append(nm(n))
-    for d in m.degrees():
-        for reach, im in ((1, im1), (2, im2)):
-            blk = m.sq1_block(d) if reach == 1 else m.sq2_block(d)
-            # dual of block (d -> d+reach) acts (-d-reach) -> (-d)
-            for j, tn in enumerate(m.names(d + reach)):
-                targets = [nm(sn) for i, sn in enumerate(m.names(d))
-                           if blk.entry(i, j)]
-                if targets:
-                    im[(-d - reach, nm(tn))] = tuple(targets)
-    return _sorted_module(basis, im1, im2, -m.hi, -m.lo,
-                          -m.complete_hi, -m.complete_lo)
+def dual_a1(m: A1Module) -> A1Module:
+    """Linear dual: each block transposed onto the negated degrees (the dual
+    of the block from d to d + r acts from -d - r to -d), with dual names."""
+    return _assemble({-d: [_dual_name(n) for n in ns] for d, ns in m.basis.items()},
+                     {-d - 1: b.transpose().rows for d, b in m.sq1.items()},
+                     {-d - 2: b.transpose().rows for d, b in m.sq2.items()},
+                     -m.hi, -m.lo, -m.complete_hi, -m.complete_lo)
 
 
 # -- validation and homological functionals -----------------------------------
@@ -554,8 +556,11 @@ def _submodule(m: A1Module, rows: dict[int, F2Matrix], prefix: str) -> A1Module:
     and is written as zero elsewhere.
     """
     kept = {d: b for d, b in rows.items() if b.nrows}
-    basis = {d: tuple(f"{prefix}{d}_{i:04d}" for i in range(b.nrows))
-             for d, b in kept.items()}
+    basis = {}
+    for d, b in kept.items():
+        # one index width per degree, so that the names sort in index order
+        width = max(4, len(str(b.nrows - 1)))
+        basis[d] = tuple(f"{prefix}{d}_{i:0{width}d}" for i in range(b.nrows))
     spans = {d: Echelon(b.rows) for d, b in kept.items()}
     sq1: dict[int, F2Matrix] = {}
     sq2: dict[int, F2Matrix] = {}
@@ -746,19 +751,13 @@ def std_bv(n: int, lo: int, hi: int) -> A1Module:
     binomially many tensor powers of the projective module."""
     if n < 1:
         raise ValueError("rank must be at least 1")
-    from math import comb
-
     p = std_p(lo, hi)
     powers: dict[int, A1Module] = {1: p}
     for i in range(2, n + 1):
         powers[i] = tensor_a1(powers[i - 1], p, hi=hi)
-    parts: list[A1Module] = []
-    tags: list[str] = []
-    for i in range(1, n + 1):
-        for c in range(comb(n, i)):
-            parts.append(powers[i])
-            tags.append(f"B{i}c{c}.")
-    return direct_sum_a1(parts, tags)
+    parts = [(f"B{i}c{c}.", powers[i]) for i in range(1, n + 1)
+             for c in range(math.comb(n, i))]
+    return direct_sum_a1([m for _, m in parts], [tag for tag, _ in parts])
 
 
 # -- stable comparison ---------------------------------------------------------

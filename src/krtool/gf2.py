@@ -107,6 +107,20 @@ class F2Matrix:
         return F2Matrix(self.nrows + other.nrows, self.ncols, self.rows + other.rows)
 
 
+def _spread(bits: int, width: int) -> int:
+    """Move bit ``p`` of ``bits`` to position ``p * width``.  For ``v`` of
+    at most ``width`` bits, ``_spread(u, width) * v`` is the Kronecker
+    product of the rows ``u`` and ``v``: bit ``p * width + q`` is set when
+    bits ``p`` of ``u`` and ``q`` of ``v`` are (the shifted copies of ``v``
+    do not overlap, so nothing carries)."""
+    out = 0
+    while bits:
+        low = bits & -bits
+        out |= 1 << ((low.bit_length() - 1) * width)
+        bits ^= low
+    return out
+
+
 def rref(m: F2Matrix) -> tuple[F2Matrix, tuple[int, ...]]:
     """Reduced row echelon form; shape preserved, nonzero rows first."""
     rows = Echelon(m.rows).reduced_rows()

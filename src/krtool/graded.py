@@ -16,6 +16,7 @@ from typing import Callable, Iterable, Iterator, Optional
 from .gf2 import (
     Echelon,
     F2Matrix,
+    _spread,
     kernel_basis,
     left_kernel_basis,
     row_basis,
@@ -144,15 +145,17 @@ class GradedSpace:
         return "+".join(names[i] for i in range(len(names)) if (bits >> i) & 1) or "0"
 
 
-def dual_space(a: GradedSpace, mark: str = "^") -> GradedSpace:
-    """Dual with negated grading; names get a dual marker (involutive)."""
+def _dual_name(n: str) -> str:
+    """The name of a dual basis vector: the dual marker ``^`` is added, or
+    taken off (involutive)."""
+    return n[:-1] if n.endswith("^") else n + "^"
 
-    def dualname(n: str) -> str:
-        return n[: -len(mark)] if n.endswith(mark) else n + mark
 
+def dual_space(a: GradedSpace) -> GradedSpace:
+    """Dual with negated grading and dual names (``_dual_name``)."""
     return GradedSpace(
         a.window.negate(),
-        {neg_deg(d): tuple(dualname(n) for n in names)
+        {neg_deg(d): tuple(_dual_name(n) for n in names)
          for d, names in a.basis.items()},
     )
 
@@ -166,20 +169,6 @@ def truncate_twist(a: GradedSpace, mode: str, t: int) -> GradedSpace:
     else:
         raise ValueError("mode must be '>=' or '<='")
     return GradedSpace(a.window, keep)
-
-
-def tensor(a: GradedSpace, b: GradedSpace, out: Window,
-           sep: str = "*") -> GradedSpace:
-    """Graded tensor product clipped to ``out``; names are pair names."""
-    basis: dict[Degree, list[str]] = {}
-    for da, names_a in a.basis.items():
-        for db, names_b in b.basis.items():
-            d = add_deg(da, db)
-            if not out.contains(d):
-                continue
-            basis.setdefault(d, []).extend(
-                na + sep + nb for na in names_a for nb in names_b)
-    return GradedSpace(out, basis)
 
 
 class GradedMap:
@@ -420,16 +409,6 @@ def _components(degrees: list[Degree], shifts: list[Degree]) -> list[list[Degree
     for d in degrees:
         comps.setdefault(find(d), []).append(d)
     return list(comps.values())
-
-
-def _spread(bits: int, width: int) -> int:
-    """Move bit ``p`` of ``bits`` to position ``p * width``."""
-    out = 0
-    while bits:
-        low = bits & -bits
-        out |= 1 << ((low.bit_length() - 1) * width)
-        bits ^= low
-    return out
 
 
 def hom_space(source: GradedSpace, target: GradedSpace, shift: Degree,

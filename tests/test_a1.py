@@ -10,6 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from krtool.a1 import (
+    A1_SQ1,
+    A1_SQ2,
+    A1_WORDS,
     A1Module,
     ReduceResult,
     _submodule,
@@ -310,29 +313,36 @@ def reference_reduce(m):
 
 
 @st.composite
-def composite_modules(draw):
-    """Direct sums, tensors and suspensions of the standard modules."""
+def leaf_modules(draw, hi):
+    """A standard module, suspended at random where it has a shift."""
+    which = draw(st.sampled_from(["f", "a1", "p", "pn"]))
+    if which == "f":
+        return std_f(draw(st.integers(-3, 3)))
+    if which == "a1":
+        return std_a1(draw(st.integers(-6, 4)))
+    if which == "p":
+        return std_p(1, hi)
+    return std_pn(draw(st.integers(-1, 4)), -8, hi)
+
+
+@st.composite
+def composite_modules(draw, duals=False):
+    """Direct sums, tensors and suspensions (and duals, if asked for) of
+    the standard modules."""
     hi = draw(st.integers(8, 16))
-
-    def leaf():
-        which = draw(st.sampled_from(["f", "a1", "p", "pn"]))
-        if which == "f":
-            return std_f(draw(st.integers(-3, 3)))
-        if which == "a1":
-            return std_a1(draw(st.integers(-6, 4)))
-        if which == "p":
-            return std_p(1, hi)
-        return std_pn(draw(st.integers(-1, 4)), -8, hi)
-
-    m = leaf()
+    shapes = ["suspend", "sum", "tensor"] + (["dual"] if duals else [])
+    m = draw(leaf_modules(hi))
     for _ in range(draw(st.integers(0, 2))):
-        shape = draw(st.sampled_from(["suspend", "sum", "tensor"]))
+        shape = draw(st.sampled_from(shapes))
         if shape == "suspend":
             m = suspend(m, draw(st.integers(-3, 3)))
+        elif shape == "dual":
+            m = dual_a1(m)
         elif shape == "sum":
-            m = direct_sum_a1([m, leaf()], ["u.", "v."])
-        elif m.bottom() is not None:    # tensor_a1 rejects the zero module
-            m = tensor_a1(m, leaf(), hi=hi)
+            m = direct_sum_a1([m, draw(leaf_modules(hi))], ["u.", "v."])
+        # tensor_a1 rejects the zero module and factors cut off below
+        elif m.bottom() is not None and m.is_complete_below():
+            m = tensor_a1(m, draw(leaf_modules(hi)), hi=hi)
     return m
 
 
@@ -357,6 +367,235 @@ def test_reduce_matches_per_summand_retraction_reference(m):
     assert rep.consistent, rep.detail
 
 
+# -- the name-keyed builders, kept as the reference for the block builders --
+
+def _ref_module(basis, images1, images2, lo, hi, c_lo, c_hi):
+    """Sort each degree's names and look every action target up by name."""
+    names = {d: tuple(sorted(ns)) for d, ns in basis.items() if ns}
+    where = {d: {n: i for i, n in enumerate(ns)} for d, ns in names.items()}
+
+    def blocks(images, reach):
+        out = {}
+        for d, ns in names.items():
+            tgt = where.get(d + reach, {})
+            rows = []
+            for n in ns:
+                bits = 0
+                for t in images.get((d, n), ()):
+                    bits ^= 1 << tgt[t]
+                rows.append(bits)
+            out[d] = F2Matrix.from_rows(rows, len(tgt))
+        return out
+
+    return A1Module(names, blocks(images1, 1), blocks(images2, 2),
+                    lo, hi, c_lo, c_hi)
+
+
+def _ref_named(m, d, bits, rename):
+    return tuple(rename(n) for j, n in enumerate(m.names(d)) if (bits >> j) & 1)
+
+
+def _ref_copy(m, t, rename, basis, im1, im2):
+    """Add ``m`` shifted by ``t`` and renamed to the name-level tables."""
+    for d in m.degrees():
+        for i, n in enumerate(m.names(d)):
+            name = rename(n)
+            basis.setdefault(d + t, []).append(name)
+            im1[d + t, name] = _ref_named(m, d + 1, m.apply_sq1(d, 1 << i), rename)
+            im2[d + t, name] = _ref_named(m, d + 2, m.apply_sq2(d, 1 << i), rename)
+
+
+def ref_suspend(m, t):
+    if t == 0:
+        return m
+    basis, im1, im2 = {}, {}, {}
+    _ref_copy(m, t, lambda n: f"{n}@{t}", basis, im1, im2)
+    return _ref_module(basis, im1, im2, m.lo + t, m.hi + t,
+                       m.complete_lo + t, m.complete_hi + t)
+
+
+def ref_direct_sum(mods, tags):
+    basis, im1, im2 = {}, {}, {}
+    for tag, m in zip(tags, mods):
+        _ref_copy(m, 0, lambda n, tag=tag: tag + n, basis, im1, im2)
+    return _ref_module(basis, im1, im2, min(m.lo for m in mods),
+                       max(m.hi for m in mods),
+                       max(m.complete_lo for m in mods),
+                       min(m.complete_hi for m in mods))
+
+
+def ref_tensor(a, b, hi=None):
+    """Every pair name and its Cartan images, cancelling repeated names."""
+    if not (a.is_complete_below() and b.is_complete_below()):
+        raise ValueError("tensor factors must be complete at the bottom")
+    ab, bb = a.bottom(), b.bottom()
+    if ab is None or bb is None:
+        raise ValueError("tensor with the zero module")
+    exact_hi = min(a.complete_hi + bb, b.complete_hi + ab)
+    top = max(a.degrees()) + max(b.degrees())
+    hi = hi if hi is not None else min(exact_hi, top)
+
+    def pairs(da, va, db, vb):
+        return [x + "*" + y for x in _ref_named(a, da, va, str)
+                for y in _ref_named(b, db, vb, str)]
+
+    def cancel(names):
+        return tuple(n for n in dict.fromkeys(names) if names.count(n) % 2)
+
+    basis, im1, im2 = {}, {}, {}
+    for da in a.degrees():
+        for db in b.degrees():
+            d = da + db
+            if d > hi:
+                continue
+            for i, x in enumerate(a.names(da)):
+                for j, y in enumerate(b.names(db)):
+                    name, u, v = x + "*" + y, 1 << i, 1 << j
+                    basis.setdefault(d, []).append(name)
+                    a1, b1 = a.apply_sq1(da, u), b.apply_sq1(db, v)
+                    if d + 1 <= hi:
+                        im1[d, name] = cancel(pairs(da + 1, a1, db, v)
+                                              + pairs(da, u, db + 1, b1))
+                    if d + 2 <= hi:
+                        im2[d, name] = cancel(
+                            pairs(da + 2, a.apply_sq2(da, u), db, v)
+                            + pairs(da + 1, a1, db + 1, b1)
+                            + pairs(da, u, db + 2, b.apply_sq2(db, v)))
+    c_hi = min(exact_hi, hi if hi < top else math.inf)
+    return _ref_module(basis, im1, im2, ab + bb, hi, -math.inf, c_hi)
+
+
+def ref_dual(m):
+    def nm(n):
+        return n[:-1] if n.endswith("^") else n + "^"
+
+    basis, im1, im2 = {}, {}, {}
+    for d in m.degrees():
+        basis[-d] = [nm(n) for n in m.names(d)]
+    for d in m.degrees():
+        for reach, im in ((1, im1), (2, im2)):
+            blk = m.sq1_block(d) if reach == 1 else m.sq2_block(d)
+            for j, tn in enumerate(m.names(d + reach)):
+                im[-d - reach, nm(tn)] = tuple(
+                    nm(sn) for i, sn in enumerate(m.names(d)) if blk.entry(i, j))
+    return _ref_module(basis, im1, im2, -m.hi, -m.lo,
+                       -m.complete_hi, -m.complete_lo)
+
+
+def ref_std_bv(n, lo, hi):
+    p = std_p(lo, hi)
+    powers = {1: p}
+    for i in range(2, n + 1):
+        powers[i] = ref_tensor(powers[i - 1], p, hi=hi)
+    parts = [(f"B{i}c{c}.", powers[i]) for i in range(1, n + 1)
+             for c in range(comb(n, i))]
+    return ref_direct_sum([m for _, m in parts], [t for t, _ in parts])
+
+
+def assert_same_module(got, want):
+    assert got.basis == want.basis
+    assert got.sq1 == want.sq1
+    assert got.sq2 == want.sq2
+    assert ((got.lo, got.hi, got.complete_lo, got.complete_hi)
+            == (want.lo, want.hi, want.complete_lo, want.complete_hi))
+
+
+@settings(max_examples=80, deadline=None)
+@given(composite_modules(duals=True), st.data())
+def test_block_builders_match_name_keyed_reference(m, data):
+    hi = data.draw(st.integers(8, 16))
+    other = data.draw(leaf_modules(hi))
+    t = data.draw(st.integers(-3, 3))
+    assert_same_module(suspend(m, t), ref_suspend(m, t))
+    assert_same_module(dual_a1(m), ref_dual(m))
+    assert_same_module(direct_sum_a1([m, other], ["u.", "v."]),
+                       ref_direct_sum([m, other], ["u.", "v."]))
+    top = data.draw(st.one_of(st.none(), st.just(hi)))
+    for a, b in ((m, other), (other, m)):
+        try:
+            want = ref_tensor(a, b, hi=top)
+        except ValueError as e:
+            with pytest.raises(ValueError, match=str(e)):
+                tensor_a1(a, b, hi=top)
+        else:
+            assert_same_module(tensor_a1(a, b, hi=top), want)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(leaf_modules(12), min_size=11, max_size=13))
+def test_direct_sum_of_many_summands_matches_reference(mods):
+    tags = [f"s{i}." for i in range(len(mods))]
+    assert sorted(tags) != tags                 # "s10." sorts before "s2."
+    assert_same_module(direct_sum_a1(mods, tags), ref_direct_sum(mods, tags))
+
+
+def test_suffixes_reorder_names_like_the_reference():
+    # "x1" sorts before "x10", but "x10@t" before "x1@t" and "x10^" before
+    # "x1^": the renamed degree must be permuted, rows and columns alike
+    m = A1Module({0: ["w"], 1: ["x1", "x10"], 2: ["y"], 3: ["z"]},
+                 {0: F2Matrix.from_rows([0b10], 2),
+                  1: F2Matrix.from_rows([1, 0], 1)},
+                 {0: F2Matrix.from_rows([1], 1),
+                  1: F2Matrix.from_rows([0, 1], 1)},
+                 0, 3, -math.inf, math.inf)
+    assert suspend(m, 2).names(3) == ("x10@2", "x1@2")
+    assert dual_a1(m).names(-1) == ("x10^", "x1^")
+    p = std_p(1, 16)
+    for mod in (m, p, direct_sum_a1([p, m], ["", "q"])):
+        for t in (-9, 1, 12):
+            assert_same_module(suspend(mod, t), ref_suspend(mod, t))
+            assert_same_module(dual_a1(suspend(mod, t)),
+                               ref_dual(ref_suspend(mod, t)))
+        assert_same_module(dual_a1(mod), ref_dual(mod))
+        assert_same_module(dual_a1(dual_a1(mod)), mod)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_std_bv_matches_name_keyed_reference(n):
+    assert_same_module(std_bv(n, 1, 21), ref_std_bv(n, 1, 21))
+
+
+def test_std_bv_rank_four_within_budget():
+    start = time.process_time()
+    m = std_bv(4, 1, 21)
+    seconds = time.process_time() - start
+    assert m.total_dim() == sum(comb(d + 3, 3) for d in range(1, 22))
+    assert seconds < 0.5, f"std_bv took {seconds:.2f}s"
+
+
+def test_suspended_free_module_matches_its_name_table():
+    # the cover's epimorphism reads the word back from the name "tag.word@t"
+    for t in (-6, 0, 3):
+        def nm(w):
+            return w if t == 0 else f"{w}@{t}"
+
+        basis, im1, im2 = {}, {}, {}
+        for w, d in A1_WORDS:
+            basis.setdefault(d + t, []).append(nm(w))
+            im1[d + t, nm(w)] = tuple(nm(x) for x in A1_SQ1[w])
+            im2[d + t, nm(w)] = tuple(nm(x) for x in A1_SQ2[w])
+        assert_same_module(std_a1(t), _ref_module(basis, im1, im2, t, t + 6,
+                                                  -math.inf, math.inf))
+
+
+def test_direct_sum_refuses_a_repeated_tag_or_a_tag_count_mismatch():
+    with pytest.raises(ValueError, match="repeated tag 'a.'"):
+        direct_sum_a1([std_a1(), std_a1()], ["a.", "a."])
+    with pytest.raises(ValueError, match="1 tags for 2 summands"):
+        direct_sum_a1([std_a1(), std_a1()], ["a."])
+    with pytest.raises(ValueError, match="3 tags for 2 summands"):
+        direct_sum_a1([std_a1(), std_a1()], ["a.", "b.", "c."])
+    assert direct_sum_a1([std_a1(), std_a1()], ["a.", "b."]).total_dim() == 16
+
+
+def test_block_builders_refuse_a_repeated_name():
+    # tags "a" and "ab" give "ab" + "x" twice: the sum is refused, not merged
+    one = A1Module({0: ["bx"]}, {}, {}, 0, 0, -math.inf, math.inf)
+    other = A1Module({0: ["x"]}, {}, {}, 0, 0, -math.inf, math.inf)
+    with pytest.raises(ValueError, match="basis at 0 not sorted or not unique"):
+        direct_sum_a1([one, other], ["a", "ab"])
+
+
 def test_submodule_rejects_span_not_closed_under_sq1():
     m = std_a1()
     rows = {2: F2Matrix.from_rows([1 << m.index(2, "Sq2")], 1),
@@ -369,6 +608,20 @@ def test_submodule_rejects_span_not_closed_under_sq1():
     cut = A1Module(m.basis, m.sq1, m.sq2, m.lo, m.hi, -math.inf, 2)
     sub = _submodule(cut, rows, "s")
     assert sub.sq1_block(2).is_zero()
+
+
+def test_submodule_names_sort_past_ten_thousand_vectors():
+    n = 10_001
+    m = A1Module({0: [f"e{i:05d}" for i in range(n)]}, {}, {}, 0, 0,
+                 -math.inf, math.inf)
+    sub = _submodule(m, {0: F2Matrix.identity(n)}, "r")
+    assert sub.dim(0) == n
+    assert sub.names(0)[:2] == ("r0_00000", "r0_00001")
+    assert sub.names(0)[-1] == "r0_10000"
+    # up to 10,000 vectors an index keeps its four digits
+    sub = _submodule(m, {0: F2Matrix.from_rows([1 << i for i in range(10_000)], n)},
+                     "r")
+    assert sub.names(0)[-1] == "r0_9999"
 
 
 def test_validate_reduced_tensor_square():

@@ -1,5 +1,5 @@
-"""Graded spaces and maps: tensor counting, duality, twist truncation,
-operator-commuting map solving."""
+"""Graded spaces and maps: duality, twist truncation and operator-commuting
+map solving."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,49 +16,12 @@ from krtool.graded import (
     dual_space,
     hom_space,
     identity_map,
-    tensor,
     truncate_twist,
 )
 
 
 def line(window, d, name="e"):
     return GradedSpace(window, {d: [name]})
-
-
-def test_tensor_unit():
-    w = Window(-4, 8, -4, 4)
-    a = line(w, (0, 0))
-    b = GradedSpace(w, {(d, 0): [f"x{d}"] for d in range(1, 8)})
-    t = tensor(a, b, w)
-    assert t.dims() == b.dims()
-
-
-def test_tensor_pair_counting():
-    w = Window(0, 12, 0, 0)
-    p = GradedSpace(w, {(d, 0): [f"x{d}"] for d in range(1, 13)})
-    t = tensor(p, p, w)
-    for nn in range(2, 13):
-        assert t.dim((nn, 0)) == nn - 1
-
-
-def test_tensor_triple_counting():
-    w = Window(0, 8, 0, 0)
-    p = GradedSpace(w, {(d, 0): [f"x{d}"] for d in range(1, 9)})
-    t = tensor(tensor(p, p, w), p, w)
-    assert t.dim((6, 0)) == 10  # compositions of 6 into three positive parts
-
-
-def test_tensor_convolution_invariant():
-    w = Window(-2, 6, -2, 2)
-    a = GradedSpace(w, {(0, 0): ["u"], (1, 1): ["v"], (2, -1): ["w", "z"]})
-    b = GradedSpace(w, {(0, 0): ["p"], (1, 0): ["q"]})
-    t = tensor(a, b, w)
-    for d in w.degrees():
-        total = 0
-        for da in a.degrees():
-            db = (d[0] - da[0], d[1] - da[1])
-            total += a.dim(da) * b.dim(db)
-        assert t.dim(d) == total
 
 
 def test_dual_space_involution_and_reversal():
