@@ -86,8 +86,8 @@ class A1Module:
         for d, names in self.basis.items():
             if list(names) != sorted(names) or len(set(names)) != len(names):
                 raise ValueError(f"basis at {d} not sorted or not unique")
-        self._index = {d: {n: i for i, n in enumerate(names)}
-                       for d, names in self.basis.items()}
+        # name -> position, built per degree on its first lookup
+        self._index: dict[int, dict[str, int]] = {}
         self.lo, self.hi = lo, hi
         self.complete_lo, self.complete_hi = complete_lo, complete_hi
         self.sq1 = {d: m for d, m in sq1.items() if not m.is_zero()}
@@ -108,7 +108,10 @@ class A1Module:
         return self.basis.get(d, ())
 
     def index(self, d: int, name: str) -> int:
-        return self._index[d][name]
+        got = self._index.get(d)
+        if got is None:
+            got = self._index[d] = {n: i for i, n in enumerate(self.basis[d])}
+        return got[name]
 
     def degrees(self) -> list[int]:
         return sorted(self.basis)

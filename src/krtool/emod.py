@@ -12,7 +12,7 @@ is detected by vanishing of the degree-(2,1) Margolis homology.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional, Union
 
 from .gf2 import (
     Echelon,
@@ -43,6 +43,10 @@ A_SHIFT: Degree = (0, 1)
 S_SHIFT: Degree = (-1, 1)
 
 
+# a coefficient action, or a zero-argument function building it (or None)
+Action = Union[GradedMap, Callable[[], Optional[GradedMap]], None]
+
+
 class EModule:
     """Bigraded module with commuting square-zero differentials.
 
@@ -50,21 +54,37 @@ class EModule:
     When the coefficient actions are present, ``q0 . act_s`` differs from
     ``act_s . q0`` by ``act_a`` and ``q1 . act_s`` from ``act_s . q1`` by
     ``act_a^2 . q0``; these relations are recorded and re-checked.
+
+    Each action is given as a map, as None when absent, or as a function
+    of no arguments that builds it: the coefficient extension reads the
+    actions far less often than its differentials.  A function is called
+    when its attribute is first read, and its result is kept.
     """
 
     def __init__(self, space: GradedSpace, q0: GradedMap, q1: GradedMap,
-                 complete: Window, act_a: Optional[GradedMap] = None,
-                 act_s: Optional[GradedMap] = None,
+                 complete: Window, act_a: Action = None, act_s: Action = None,
                  s_compat_cartan: bool = False):
         if q0.shift != Q0_SHIFT or q1.shift != Q1_SHIFT:
             raise ValueError("differential shifts must be (1,0) and (2,1)")
         self.space = space
         self.q0 = q0
         self.q1 = q1
-        self.act_a = act_a
-        self.act_s = act_s
+        self._act_a = act_a
+        self._act_s = act_s
         self.s_compat_cartan = s_compat_cartan
         self.complete = complete
+
+    @property
+    def act_a(self) -> Optional[GradedMap]:
+        if callable(self._act_a):
+            self._act_a = self._act_a()
+        return self._act_a
+
+    @property
+    def act_s(self) -> Optional[GradedMap]:
+        if callable(self._act_s):
+            self._act_s = self._act_s()
+        return self._act_s
 
     def window(self) -> Window:
         return self.space.window

@@ -5,18 +5,19 @@ A matrix row is a Python integer used as a bit vector (bit ``j`` is column
 immutable and the functions are pure.  Pivoting is always leftmost, so
 results are deterministic and reproducible byte for byte.
 
-Every elimination runs through ``Echelon``, which inserts rows one at a
-time and keeps them semi-reduced: a new row is reduced against the stored
-ones, which are left as they are.  ``rref`` sorts its rows after one
-back-substitution, left kernels are the relations it records, and
+Every elimination runs through ``Echelon``, whose one insertion loop,
+``extend``, takes rows in order and keeps them semi-reduced: a new row is
+reduced against the stored ones, which are left as they are.  The
+constructor and ``add`` run that loop too.  ``rref`` sorts its rows after
+one back-substitution, left kernels are the relations it records, and
 ``solve`` reads coordinates from it; none of these answers depends on how
 far the stored rows are reduced.  It eliminates a list of rows once and
 then answers membership and coordinate questions for any number of
 vectors, each by clearing the pivots the vector reaches.  Loops that solve
 many right-hand sides against one fixed basis build one ``Echelon`` for
 it.  A count needs no back-substitution: ``Echelon.rank`` is the number of
-stored rows, and the rank a second list of rows adds to a span is the growth
-of that count as they are inserted.  One elimination can serve several
+stored rows, and the rank a second list of rows adds to a span is what
+``extend`` returns for them.  One elimination can serve several
 answers at once: the kernel-intersection homology eliminates the rows of
 ``Ker q0 . q1`` once per degree and reads the numerator off its relations
 and the next degree's denominator off its echelon rows.
@@ -169,8 +170,7 @@ class Echelon:
         self._stale = False      # some stored row has a bit at another's pivot
         self._inserted = 0
         self.relations: list[int] = []
-        for r in rows:
-            self.add(r)
+        self.extend(rows)
 
     def _reduce(self, v: int) -> tuple[int, int]:
         """``v`` with every pivot bit cleared, and the inputs it took."""
@@ -184,21 +184,39 @@ class Echelon:
             hits = v & pivots
         return v, used
 
+    def extend(self, rows: Iterable[int]) -> int:
+        """Insert the next input rows in order; the count of them that
+        enlarged the span.  ``rows`` must not read this elimination while
+        it is consumed."""
+        table, relations = self._rows, self.relations
+        pivots, cover, stale = self._pivots, self._cover, self._stale
+        inserted, grew = self._inserted, 0
+        for v in rows:
+            used = 1 << inserted
+            inserted += 1
+            hits = v & pivots
+            while hits:
+                row, inputs = table[hits & -hits]
+                v ^= row
+                used ^= inputs
+                hits = v & pivots
+            if not v:
+                relations.append(used)
+                continue
+            low = v & -v
+            if cover & low:
+                stale = True
+            cover |= v
+            table[low] = (v, used)
+            pivots |= low
+            grew += 1
+        self._pivots, self._cover, self._stale = pivots, cover, stale
+        self._inserted = inserted
+        return grew
+
     def add(self, v: int) -> bool:
         """Insert the next input row; True when it enlarges the span."""
-        w, used = self._reduce(v)
-        used ^= 1 << self._inserted
-        self._inserted += 1
-        if not w:
-            self.relations.append(used)
-            return False
-        low = w & -w
-        if self._cover & low:
-            self._stale = True
-        self._cover |= w
-        self._rows[low] = (w, used)
-        self._pivots |= low
-        return True
+        return self.extend((v,)) == 1
 
     @property
     def rank(self) -> int:

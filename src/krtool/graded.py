@@ -101,10 +101,8 @@ class GradedSpace:
                 if len(set(names)) != len(names):
                     raise ValueError(f"duplicate names at {d}")
                 self.basis[d] = names
-        self._index: dict[Degree, dict[str, int]] = {
-            d: {n: i for i, n in enumerate(names)}
-            for d, names in self.basis.items()
-        }
+        # name -> position, built per degree on its first lookup
+        self._index: dict[Degree, dict[str, int]] = {}
 
     def dim(self, d: Degree) -> int:
         return len(self.basis.get(d, ()))
@@ -112,11 +110,18 @@ class GradedSpace:
     def names(self, d: Degree) -> tuple[str, ...]:
         return self.basis.get(d, ())
 
+    def _positions(self, d: Degree) -> dict[str, int]:
+        """The name -> position table at ``d``; KeyError when ``d`` is empty."""
+        got = self._index.get(d)
+        if got is None:
+            got = self._index[d] = {n: i for i, n in enumerate(self.basis[d])}
+        return got
+
     def index(self, d: Degree, name: str) -> int:
-        return self._index[d][name]
+        return self._positions(d)[name]
 
     def has(self, d: Degree, name: str) -> bool:
-        return name in self._index.get(d, {})
+        return d in self.basis and name in self._positions(d)
 
     def degrees(self) -> list[Degree]:
         return sorted(self.basis)
@@ -335,10 +340,7 @@ class Subquotient:
             return 0
         den = self.denominators.get(d)
         span = Echelon(den.rows if den is not None else ())
-        base = span.rank
-        for v in num.rows:
-            span.add(v)
-        return span.rank - base
+        return span.extend(num.rows)
 
     def dims(self) -> dict[Degree, int]:
         out = {}

@@ -76,16 +76,10 @@ def chart(n: int, w: Window) -> Chart:
 
 def compute_f1(n: int, w: Window) -> dict[Degree, int]:
     """Degreewise rank of the second differential on the extension."""
-    rm = chart(n, w).extension
-    out: dict[Degree, int] = {}
-    for d in w.degrees():
-        src = (d[0] - 2, d[1] - 1)
-        if not w.contains(src):
-            continue
-        r = rm.emod.q1.rank_at(src)
-        if r:
-            out[d] = r
-    return out
+    q1 = chart(n, w).extension.emod.q1
+    # only the stored blocks are nonzero, and each maps between two degrees
+    # of the window; sorted sources give the targets in window order
+    return {add_deg(src, q1.shift): q1.rank_at(src) for src in sorted(q1.blocks)}
 
 
 @dataclass

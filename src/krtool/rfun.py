@@ -21,6 +21,11 @@ module degree in module order.  The ``Layout`` records ``(monomial, module
 degree, offset)`` per degree, and every operator is built block by block:
 the coefficient rule runs once per monomial, and the module's rows at that
 degree, computed once per call, are shifted to the target block's offset.
+
+The two differentials are built at once.  The coefficient actions by
+``a`` and ``s`` are handed to ``EModule`` as builders and built on first
+read: only the Bockstein, the cone split, validation and file output read
+them, and no chart does.
 """
 
 from __future__ import annotations
@@ -159,7 +164,8 @@ def _times(h: CoeffMonomial, rows: Callable[[str, int], Sequence[int]]
 
 
 def apply_r(m: A1Module, w: Window) -> RModule:
-    """Build the coefficient extension of ``m`` on the window ``w``."""
+    """Build the coefficient extension of ``m`` on the window ``w``; its
+    actions by ``a`` and ``s`` are built when first read."""
     _check_base_window(m, w)
     space, layout = _extension_basis(
         m, w, {k: list(cf.monomials_with_twist(k, -math.inf, math.inf))
@@ -179,8 +185,8 @@ def apply_r(m: A1Module, w: Window) -> RModule:
 
     em = EModule(space, _build(ext, ext, (1, 0), q0_rule),
                  _build(ext, ext, (2, 1), q1_rule), w,
-                 act_a=_build(ext, ext, (0, 1), _times(A, rows)),
-                 act_s=_build(ext, ext, (-1, 1), _times(S, rows)),
+                 act_a=lambda: _build(ext, ext, (0, 1), _times(A, rows)),
+                 act_s=lambda: _build(ext, ext, (-1, 1), _times(S, rows)),
                  s_compat_cartan=True)
     return RModule(m, em, layout)
 
@@ -216,7 +222,7 @@ def cone_part(rm: RModule, which: str) -> EModule:
                                               if (d[1] >= 0) == plus})
 
     return EModule(new, cut(em.q0), cut(em.q1), em.complete,
-                   act_a=cut(em.act_a), act_s=cut(em.act_s),
+                   act_a=lambda: cut(em.act_a), act_s=lambda: cut(em.act_s),
                    s_compat_cartan=em.s_compat_cartan)
 
 
@@ -235,7 +241,7 @@ def mod_a(m: A1Module, w: Window) -> EModule:
         _build(ext, ext, (1, 0), lambda mono, xd: [(mono, rows("sq1", xd))]),
         _build(ext, ext, (2, 1),
                lambda mono, xd: [(multiply(S, mono), rows("q1", xd))]),
-        w, act_s=_build(ext, ext, (-1, 1), _times(S, rows)))
+        w, act_s=lambda: _build(ext, ext, (-1, 1), _times(S, rows)))
 
 
 # -- duality -----------------------------------------------------------------------

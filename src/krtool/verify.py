@@ -52,7 +52,7 @@ class VerifyResult:
     name: str
     ok: bool
     detail: str
-    seconds: float
+    seconds: float        # elapsed time, read off a monotonic clock
 
 
 def _suite_a1_structure() -> tuple[bool, str]:
@@ -270,12 +270,12 @@ SUITES: dict[str, Callable[[], tuple[bool, str]]] = {
 
 def run_suite(name: str) -> VerifyResult:
     fn = SUITES[name]
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         ok, detail = fn()
     except Exception as exc:  # a crash is a failure with a witness
-        return VerifyResult(name, False, f"exception: {exc}", time.time() - t0)
-    return VerifyResult(name, ok, detail, time.time() - t0)
+        return VerifyResult(name, False, f"exception: {exc}", time.perf_counter() - t0)
+    return VerifyResult(name, ok, detail, time.perf_counter() - t0)
 
 
 def run_all(names: list[str] | None = None) -> list[VerifyResult]:

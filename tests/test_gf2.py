@@ -331,3 +331,112 @@ def test_transpose_involution():
     rng = random.Random(29)
     m = random_matrix(rng, 4, 7)
     assert m.transpose().transpose() == m
+
+
+class RefEchelon:
+    """``Echelon`` as it was before its one insertion loop: each row goes
+    through ``add`` on its own.  Kept as the reference that ``extend`` and
+    the constructor must match answer for answer."""
+
+    def __init__(self, rows=()):
+        self._rows = {}
+        self._pivots = 0
+        self._cover = 0
+        self._stale = False
+        self._inserted = 0
+        self.relations = []
+        for r in rows:
+            self.add(r)
+
+    def _reduce(self, v):
+        used = 0
+        hits = v & self._pivots
+        while hits:
+            row, inputs = self._rows[hits & -hits]
+            v ^= row
+            used ^= inputs
+            hits = v & self._pivots
+        return v, used
+
+    def add(self, v):
+        w, used = self._reduce(v)
+        used ^= 1 << self._inserted
+        self._inserted += 1
+        if not w:
+            self.relations.append(used)
+            return False
+        low = w & -w
+        if self._cover & low:
+            self._stale = True
+        self._cover |= w
+        self._rows[low] = (w, used)
+        self._pivots |= low
+        return True
+
+    @property
+    def rank(self):
+        return len(self._rows)
+
+    def reduced_rows(self):
+        rows = self._rows
+        order = sorted(rows)
+        if self._stale:
+            self._cover = 0
+            for low in reversed(order):
+                row, inputs = rows[low]
+                hits = (row ^ low) & self._pivots
+                while hits:
+                    h = hits & -hits
+                    r, i = rows[h]
+                    row ^= r
+                    inputs ^= i
+                    hits ^= h
+                rows[low] = (row, inputs)
+                self._cover |= row
+            self._stale = False
+        return [rows[low][0] for low in order]
+
+    def remainder(self, v):
+        return self._reduce(v)[0]
+
+    def coords(self, v):
+        w, used = self._reduce(v)
+        return None if w else used
+
+
+def _same_answers(got, want, vectors):
+    assert got.relations == want.relations
+    assert got.rank == want.rank
+    for v in vectors:
+        assert got.remainder(v) == want.remainder(v)
+        assert got.coords(v) == want.coords(v)
+    assert got.reduced_rows() == want.reduced_rows()
+
+
+@settings(max_examples=200, deadline=None)
+@given(large_matrices(), st.randoms(use_true_random=False), st.data())
+def test_extend_matches_the_per_row_reference(m, rng, data):
+    rows = list(m.rows)
+    inside = [combine(rows, rng.getrandbits(m.nrows)) for _ in range(8)]
+    vectors = inside + [rng.getrandbits(m.ncols) for _ in range(8)]
+    ref = RefEchelon(rows)
+    _same_answers(Echelon(rows), ref, vectors)
+    _same_answers(Echelon(iter(rows)), ref, vectors)
+
+    # a first part row by row, the rest in one call, the rref perhaps read
+    # in between; then an empty call that changes nothing
+    cut = data.draw(st.integers(0, m.nrows))
+    read_between = data.draw(st.booleans())
+    grown, ref = Echelon(), RefEchelon()
+    for r in rows[:cut]:
+        assert grown.add(r) == ref.add(r)
+    if read_between:
+        assert grown.reduced_rows() == ref.reduced_rows()
+    assert grown.extend(rows[cut:]) == sum(ref.add(r) for r in rows[cut:])
+    assert grown.extend(()) == 0
+    _same_answers(grown, ref, vectors)
+    # the same rows again add nothing and leave one relation each
+    assert grown.extend(rows) == 0
+    for r in rows:
+        ref.add(r)
+    _same_answers(grown, ref, vectors)

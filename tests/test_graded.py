@@ -1,10 +1,11 @@
 """Graded spaces and maps: duality, twist truncation and operator-commuting
 map solving."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from krtool.a1 import std_a1
+from krtool.a1 import A1Module, std_a1
 from krtool.gf2 import F2Matrix, left_kernel_basis, rank, row_basis
 from krtool.graded import (
     GradedMap,
@@ -271,3 +272,31 @@ def test_subquotient_dim_counts_past_a_denominator_outside_the_numerator():
     assert dim([0b001], [0b010]) == 1
     assert dim([0b001], [0b001, 0b010]) == 0
     assert dim([0b011, 0b100], [0b110]) == 3 - 1
+
+
+def test_name_lookups_build_their_tables_on_demand():
+    w = Window(-3, 3, -2, 2)
+    basis = {(0, 0): ["b", "a", "c"], (1, 1): ["x"], (2, 0): []}
+    s = GradedSpace(w, basis)
+    assert s.index((0, 0), "c") == 2 and s.index((1, 1), "x") == 0
+    assert s.has((0, 0), "a") and not s.has((0, 0), "z")
+    for d, name in (((0, 0), "z"), ((2, 0), "a"), ((3, 3), "a")):
+        assert not s.has(d, name)
+        with pytest.raises(KeyError):
+            s.index(d, name)
+    # equality reads the bases, not which tables a lookup has built
+    fresh = GradedSpace(w, basis)
+    assert fresh == s and s == fresh
+    assert s == GradedSpace(w, {(0, 0): ["a", "b", "c"], (1, 1): ["x"]})
+    with pytest.raises(ValueError, match="duplicate names at"):
+        GradedSpace(w, {(0, 0): ["a", "b", "a"]})
+
+    m = std_a1()
+    assert m.index(3, "Q1") == m.names(3).index("Q1")
+    for d, name in ((3, "Sq1"), (9, "1")):
+        with pytest.raises(KeyError):
+            m.index(d, name)
+    with pytest.raises(ValueError, match="not sorted or not unique"):
+        A1Module({0: ["a", "a"]}, {}, {}, 0, 0, 0, 0)
+    with pytest.raises(ValueError, match="not sorted or not unique"):
+        A1Module({0: ["b", "a"]}, {}, {}, 0, 0, 0, 0)

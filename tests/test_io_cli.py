@@ -361,6 +361,15 @@ def test_cli_verify_json_keeps_the_failing_exit_status(monkeypatch, capsys):
          "detail": "broken at 3"}]
 
 
+def test_verify_times_suites_on_a_monotonic_clock(monkeypatch):
+    from krtool import verify
+    # the wall clock is set back by a day while the suite runs
+    readings = iter([86400.0, 0.0])
+    monkeypatch.setattr(verify.time, "time", lambda: next(readings, 0.0))
+    got = verify.run_suite("a1-structure")
+    assert got.ok and 0 <= got.seconds < 3600
+
+
 def test_cli_verify_unknown_suite():
     out = run_cli("verify", "bogus")
     assert out.returncode == 2

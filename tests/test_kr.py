@@ -241,3 +241,18 @@ def test_t_map_matches_name_keyed_reference():
         space, t, pairs = _ref_t_map(n, w)
         assert (rep.space.basis, rep.t, rep.free_pairs) == \
             (space.basis, t, pairs), n
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_f1_from_stored_blocks_matches_the_window_scan(n):
+    """The ranks read off the stored ``q1`` blocks equal, in the same order,
+    a scan of every window degree whose ``(2,1)``-predecessor lies in it."""
+    for w in (Window(-6, 6, -3, 3), Window(-4, 9, -1, 4)):
+        q1 = apply_r(kr.bv_module(n, w), w).emod.q1
+        want = {}
+        for d in w.degrees():
+            src = (d[0] - 2, d[1] - 1)
+            if w.contains(src) and q1.rank_at(src):
+                want[d] = q1.rank_at(src)
+        got = compute_f1(n, w)
+        assert list(got.items()) == list(want.items())

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from krtool import cli, rfun
 from krtool import coeff as cf
 from krtool.a1 import (
     direct_sum_a1,
@@ -24,6 +25,7 @@ from krtool.coeff import A, CoeffMonomial, S, multiply, q0_coeff, q1_coeff
 from krtool.emod import h01, is_rel_projective, validate
 from krtool.gf2 import F2Matrix
 from krtool.graded import GradedMap, GradedSpace, Window, add_deg
+from krtool.kr import chart, cross_check_hv
 from krtool.rfun import (
     A1Map,
     apply_r,
@@ -411,3 +413,44 @@ def test_block_builders_match_name_keyed_reference(data):
     got = lift_map(f, rm, rn)
     want = _ref_lift_map(f, rm.emod.space, rn.emod.space)
     assert got.shift == want.shift and got.blocks == want.blocks
+
+
+def _counted_builds(monkeypatch):
+    """The shifts of the maps ``rfun._build`` makes from now on."""
+    shifts = []
+    real = rfun._build
+
+    def counted(src, dst, shift, rule):
+        shifts.append(shift)
+        return real(src, dst, shift, rule)
+
+    monkeypatch.setattr(rfun, "_build", counted)
+    return shifts
+
+
+def test_charts_build_only_the_two_differentials(monkeypatch, capsys):
+    chart.cache_clear()
+    shifts = _counted_builds(monkeypatch)
+    w = Window(-8, 8, -4, 4)
+    assert cli.main(["compute", "kr-table", "--bv", "2", "--layers", "3",
+                     "--window", "-8", "8", "-4", "4"]) == 0
+    assert capsys.readouterr().out
+    assert cross_check_hv(2, w).ok
+    assert shifts == [(1, 0), (2, 1)]
+    chart.cache_clear()
+
+
+def test_actions_are_built_once_on_first_read(monkeypatch):
+    shifts = _counted_builds(monkeypatch)
+    w = Window(-6, 8, -3, 3)
+    em = apply_r(std_bv(2, 1, required_top(w)), w).emod
+    assert shifts == [(1, 0), (2, 1)]
+    a = em.act_a
+    assert em.act_a is a and a.shift == (0, 1) and shifts[2:] == [(0, 1)]
+    # validation reads both actions many times; only ``s`` is still to build
+    assert validate(em) == []
+    assert em.act_s is em.act_s and shifts[2:] == [(0, 1), (-1, 1)]
+    fm = mod_a(std_p(1, required_top(w)), w)
+    assert fm.act_a is None and fm.act_s is fm.act_s
+    plus = cone_part(apply_r(std_p(1, required_top(w)), w), "+")
+    assert plus.act_a is plus.act_a
