@@ -34,7 +34,6 @@ from .gf2 import (
     common_kernel,
     kernel_basis,
     left_kernel_basis,
-    rank,
     row_basis,
     subquotient_basis,
 )
@@ -522,7 +521,7 @@ def margolis(m: A1Module, which: str) -> dict[int, int]:
         ker = left_kernel_basis(mat)
         prev = F2Matrix.from_rows(
             [op(d - reach, 1 << i) for i in range(m.dim(d - reach))], m.dim(d))
-        h = ker.nrows - rank(prev)
+        h = ker.nrows - Echelon(prev.rows).rank
         if h:
             out[d] = h
     return out
@@ -794,7 +793,7 @@ def iso_search(a: A1Module, b: A1Module, lo: int, hi: int,
             for i, t in enumerate(sols):
                 if (mask >> i) & 1:
                     acc = acc.add(t.block((d, 0)))
-            if rank(acc) != a.dim(d):
+            if Echelon(acc.rows).rank != a.dim(d):
                 good = False
                 break
             blocks[d] = acc

@@ -40,10 +40,10 @@ class F2Matrix:
     def __post_init__(self) -> None:
         if len(self.rows) != self.nrows:
             raise ValueError("row count mismatch")
-        mask = (1 << self.ncols) - 1
-        for r in self.rows:
-            if r & ~mask:
-                raise ValueError("bits outside declared columns")
+        # a row is negative or has a bit at or above ``ncols``
+        rows = self.rows
+        if rows and (max(rows) >> self.ncols or min(rows) < 0):
+            raise ValueError("bits outside declared columns")
 
     # -- constructors ------------------------------------------------------
 

@@ -221,15 +221,17 @@ class GradedMap:
         return all(self.block(d) == other.block(d) for d in degs)
 
     def compose(self, then: "GradedMap") -> "GradedMap":
-        """self followed by ``then`` (shifts add)."""
+        """self followed by ``then`` (shifts add).  The middle dimensions
+        must agree at every source degree; only stored block pairs are
+        multiplied, since a missing block is zero."""
         out: dict[Degree, F2Matrix] = {}
-        for d in self.source.degrees():
+        for d in self.source.basis:
             mid = add_deg(d, self.shift)
-            b1 = self.block(d)
-            b2 = then.block(mid)
-            if b1.ncols != b2.nrows:
+            if self.target.dim(mid) != then.source.dim(mid):
                 raise ValueError("composition block mismatch")
-            out[d] = b1.mul(b2)
+            b1, b2 = self.blocks.get(d), then.blocks.get(mid)
+            if b1 is not None and b2 is not None:
+                out[d] = b1.mul(b2)
         return GradedMap(self.source, then.target,
                          add_deg(self.shift, then.shift), out)
 

@@ -19,8 +19,9 @@ sorted basis ``GradedSpace`` stores at each degree is a run of contiguous
 blocks, one per monomial in the order of ``name() + "|"``, each holding one
 module degree in module order.  The ``Layout`` records ``(monomial, module
 degree, offset)`` per degree, and every operator is built block by block:
-the coefficient rule runs once per monomial, and the module's rows at that
-degree, computed once per call, are shifted to the target block's offset.
+a build runs the coefficient rule once per monomial it reads, each term of
+the rule names the module rows it takes, computed once per module degree,
+and those rows are shifted to the target block's offset.
 
 The two differentials are built at once.  The coefficient actions by
 ``a`` and ``s`` are handed to ``EModule`` as builders and built on first
@@ -32,13 +33,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Optional, Sequence
 
 from . import coeff as cf
 from .a1 import A1Module, degrees_between, dual_a1, margolis
 from .coeff import A, CoeffMonomial, S, multiply, q0_coeff, q1_coeff
 from .emod import EModule, H01Result, h01, les_h01, LesReport
-from .gf2 import Echelon, F2Matrix, rank
+from .gf2 import Echelon, F2Matrix
 from .graded import (
     Degree,
     GradedMap,
@@ -53,10 +55,12 @@ from .graded import (
 
 # (coefficient monomial, module degree, offset of its block) per degree
 Layout = dict[Degree, list[tuple[CoeffMonomial, int, int]]]
-# a block rule: (monomial, module degree) -> terms (target monomial or None,
-# one row per module basis vector, empty when the operation vanishes)
-BlockRule = Callable[[CoeffMonomial, int],
-                     list[tuple[Optional[CoeffMonomial], Sequence[int]]]]
+# module rows: module degree -> one row per basis vector, empty when the
+# operation vanishes there
+Rows = Callable[[int], Sequence[int]]
+# a block rule: monomial -> terms (target monomial or None, module rows)
+BlockRule = Callable[[CoeffMonomial],
+                     list[tuple[Optional[CoeffMonomial], Rows]]]
 
 
 def cone_of_name(name: str) -> str:
@@ -117,29 +121,29 @@ def _extension_basis(m: A1Module, w: Window,
     return GradedSpace(w, basis), layout
 
 
-def _module_rows(m: A1Module) -> Callable[[str, int], Sequence[int]]:
-    """``rows(op, d)``: the images of the basis of ``m`` at ``d`` under
+def _module_rows(m: A1Module) -> dict[str, Rows]:
+    """``rows[op]``: the images of the basis of ``m`` at each degree under
     ``op`` ("1", "sq1", "sq2" or "q1"), computed once each and empty where
     ``op`` vanishes."""
-    ops = {"1": lambda d, v: v, "sq1": m.apply_sq1, "sq2": m.apply_sq2,
-           "q1": m.apply_q1}
-    cache: dict[tuple[str, int], Sequence[int]] = {}
-
-    def rows(op: str, d: int) -> Sequence[int]:
-        got = cache.get((op, d))
-        if got is None:
-            got = [ops[op](d, 1 << i) for i in range(m.dim(d))]
-            got = cache[op, d] = got if any(got) else ()
-        return got
-    return rows
+    def table(op: Callable[[int, int], int]) -> Rows:
+        @cache
+        def rows(d: int) -> Sequence[int]:
+            got = [op(d, 1 << i) for i in range(m.dim(d))]
+            return got if any(got) else ()
+        return rows
+    return {"1": table(lambda d, v: v), "sq1": table(m.apply_sq1),
+            "sq2": table(m.apply_sq2), "q1": table(m.apply_q1)}
 
 
 def _build(src: tuple[GradedSpace, Layout], dst: tuple[GradedSpace, Layout],
            shift: Degree, rule: BlockRule) -> GradedMap:
     """The map sending row i of block (mono, xd) to the sum of the rows i
-    of its terms, each placed at the block of the term's monomial in the
-    target degree; a monomial without a block there contributes nothing."""
+    at ``xd`` of the terms of ``rule(mono)``, each placed at the block of
+    the term's monomial in the target degree; a monomial without a block
+    there contributes nothing.  ``rule`` runs once for each monomial of a
+    source degree whose target degree is populated."""
     (source, src_layout), (target, dst_layout) = src, dst
+    terms: dict[CoeffMonomial, list] = {}
     blocks: dict[Degree, F2Matrix] = {}
     for d, entries in src_layout.items():
         td = add_deg(d, shift)
@@ -148,19 +152,21 @@ def _build(src: tuple[GradedSpace, Layout], dst: tuple[GradedSpace, Layout],
             continue
         rows = [0] * source.dim(d)
         for mono, xd, off in entries:
-            for tmono, trows in rule(mono, xd):
+            got = terms.get(mono)
+            if got is None:
+                got = terms[mono] = rule(mono)
+            for tmono, take in got:
                 toff = offsets.get(tmono)
                 if toff is not None:
-                    for i, r in enumerate(trows, off):
+                    for i, r in enumerate(take(xd), off):
                         rows[i] ^= r << toff
         blocks[d] = F2Matrix.from_rows(rows, target.dim(td))
     return GradedMap(source, target, shift, blocks)
 
 
-def _times(h: CoeffMonomial, rows: Callable[[str, int], Sequence[int]]
-           ) -> BlockRule:
+def _times(h: CoeffMonomial, rows: dict[str, Rows]) -> BlockRule:
     """Multiplication by ``h`` on the coefficients."""
-    return lambda mono, xd: [(multiply(h, mono), rows("1", xd))]
+    return lambda mono: [(multiply(h, mono), rows["1"])]
 
 
 def apply_r(m: A1Module, w: Window) -> RModule:
@@ -173,15 +179,15 @@ def apply_r(m: A1Module, w: Window) -> RModule:
     rows = _module_rows(m)
     ext = (space, layout)
 
-    def q0_rule(mono, xd):
-        return [(q0_coeff(mono), rows("1", xd)), (mono, rows("sq1", xd))]
+    def q0_rule(mono):
+        return [(q0_coeff(mono), rows["1"]), (mono, rows["sq1"])]
 
-    def q1_rule(mono, xd):
+    def q1_rule(mono):
         q0m = q0_coeff(mono)
-        return [(q1_coeff(mono), rows("1", xd)),
-                (multiply(A, q0m) if q0m else None, rows("sq1", xd)),
-                (multiply(A, mono), rows("sq2", xd)),
-                (multiply(S, mono), rows("q1", xd))]
+        return [(q1_coeff(mono), rows["1"]),
+                (multiply(A, q0m) if q0m else None, rows["sq1"]),
+                (multiply(A, mono), rows["sq2"]),
+                (multiply(S, mono), rows["q1"])]
 
     em = EModule(space, _build(ext, ext, (1, 0), q0_rule),
                  _build(ext, ext, (2, 1), q1_rule), w,
@@ -238,9 +244,9 @@ def mod_a(m: A1Module, w: Window) -> EModule:
     rows = _module_rows(m)
     return EModule(
         ext[0],
-        _build(ext, ext, (1, 0), lambda mono, xd: [(mono, rows("sq1", xd))]),
+        _build(ext, ext, (1, 0), lambda mono: [(mono, rows["sq1"])]),
         _build(ext, ext, (2, 1),
-               lambda mono, xd: [(multiply(S, mono), rows("q1", xd))]),
+               lambda mono: [(multiply(S, mono), rows["q1"])]),
         w, act_s=lambda: _build(ext, ext, (-1, 1), _times(S, rows)))
 
 
@@ -332,7 +338,7 @@ class BocksteinD1:
             if n == 0:
                 continue
             mat = self.d1.get(d, F2Matrix.zero(n, 0))
-            out[d] = n - rank(mat)
+            out[d] = n - Echelon(mat.rows).rank
         return {d: v for d, v in out.items() if v}
 
     def squares_to_zero(self) -> bool:
@@ -443,7 +449,7 @@ def lift_map(f: A1Map, src: RModule, dst: RModule) -> GradedMap:
         return blk.rows if blk is not None else ()
 
     return _build((src.space(), src.layout), (dst.space(), dst.layout), (0, 0),
-                  lambda mono, xd: [(mono, rows(xd))])
+                  lambda mono: [(mono, rows)])
 
 
 @dataclass
@@ -467,7 +473,7 @@ def check_sec_r(f: A1Map, g: A1Map, w: Window,
     hi = min(a.complete_hi, b.complete_hi, c.complete_hi)
     # a degree where all three modules vanish is trivially short exact
     for d in degrees_between(lo, hi, a.basis, b.basis, c.basis):
-        rank_f, rank_g = rank(f.block(d)), rank(g.block(d))
+        rank_f, rank_g = (Echelon(x.block(d).rows).rank for x in (f, g))
         if rank_f != a.dim(d) or rank_g != c.dim(d) or rank_f + rank_g != b.dim(d):
             return SecRResult(False, f"not short exact at degree {d}", None)
 

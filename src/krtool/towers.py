@@ -22,14 +22,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
-from .gf2 import (
-    Echelon,
-    F2Matrix,
-    intersect_row_spaces,
-    rank,
-)
+from .gf2 import Echelon, F2Matrix, intersect_row_spaces
 from .graded import (
     Degree,
     GradedMap,
@@ -88,8 +84,9 @@ def validate_tower(t: TowerData) -> list[TowerWitness]:
     for n in range(t.level_lo + 1, t.level_hi + 1):
         lev, prev = t.levels[n], t.levels[n - 1]
         through = lev.e.compose(prev.f)
+        # zero blocks are never stored, so stored blocks compare as blocks
         for d in _region_order(t.region, through.blocks, lev.f.blocks):
-            if through.block(d) != lev.f.block(d):
+            if through.blocks.get(d) != lev.f.blocks.get(d):
                 out.append(TowerWitness(n, d, "colimit maps do not commute"))
                 break
     # where all three compared spaces are empty every span below is empty,
@@ -128,18 +125,49 @@ def _exact_at(f: GradedMap, g: GradedMap, d: Degree) -> bool:
     the ranks of ``f`` into and ``g`` out of ``d`` add up to its dimension."""
     src = sub_deg(d, f.shift)
     into, out = f.blocks.get(src), g.blocks.get(d)
-    if into is not None and out is not None and not into.mul(out).is_zero():
+    if into is not None and out is not None and any(map(out.vec_mul, into.rows)):
         return False
     return f.rank_at(src) + g.rank_at(d) == g.source.dim(d)
 
 
-@dataclass
 class Filtration:
-    t_n: dict[Degree, F2Matrix]
-    ker_e: dict[Degree, F2Matrix]
-    f0: dict[Degree, F2Matrix]
-    f1: Subquotient
-    f2: Subquotient
+    """The colimit kernel of one level and its three-step filtration.
+
+    Each piece is a table over the region's degrees of the level space
+    ``k_n``, built on first read, so a caller pays only for what it reads:
+
+    - ``t_n``: the kernel of the colimit map ``f_n``;
+    - ``ker_e``: the kernel of the structure map ``e_n``;
+    - ``f0``: ``ker_e`` meet the image of ``e_{n+1}``;
+    - ``f1``: the subquotient ``ker_e / f0``;
+    - ``f2``: the subquotient ``t_n / ker_e``.
+    """
+
+    def __init__(self, lev: TowerLevel, above: TowerLevel,
+                 degrees: list[Degree]):
+        self._lev, self._above, self._degrees = lev, above, degrees
+
+    @cached_property
+    def t_n(self) -> dict[Degree, F2Matrix]:
+        return {d: self._lev.f.kernel_at(d) for d in self._degrees}
+
+    @cached_property
+    def ker_e(self) -> dict[Degree, F2Matrix]:
+        return {d: self._lev.e.kernel_at(d) for d in self._degrees}
+
+    @cached_property
+    def f0(self) -> dict[Degree, F2Matrix]:
+        image = self._above.e.image_at
+        return {d: intersect_row_spaces(ke, image(d))
+                for d, ke in self.ker_e.items()}
+
+    @cached_property
+    def f1(self) -> Subquotient:
+        return Subquotient(self._lev.space, self.ker_e, self.f0)
+
+    @cached_property
+    def f2(self) -> Subquotient:
+        return Subquotient(self._lev.space, self.t_n, self.ker_e)
 
     def dims(self, which: str) -> dict[Degree, int]:
         if which == "T":
@@ -154,25 +182,14 @@ class Filtration:
 
 
 def filtration(t: TowerData, n: int) -> Filtration:
-    """Colimit kernel and its three-step filtration at level ``n``."""
+    """Colimit kernel and its three-step filtration at level ``n``, which
+    needs the levels ``n - 1`` and ``n + 1``; the pieces are built when
+    first read."""
     if not (t.level_lo + 1 <= n <= t.level_hi - 1):
         raise ValueError(f"level {n} lacks neighbors in [{t.level_lo},{t.level_hi}]")
     lev = t.levels[n]
-    above = t.levels[n + 1]
-    t_n: dict[Degree, F2Matrix] = {}
-    ker_e: dict[Degree, F2Matrix] = {}
-    f0: dict[Degree, F2Matrix] = {}
-    for d in _region_order(t.region, lev.space.basis):
-        tn = lev.f.kernel_at(d)
-        ke = lev.e.kernel_at(d)
-        ime = above.e.image_at(d)
-        t_n[d] = tn
-        ker_e[d] = ke
-        f0[d] = intersect_row_spaces(ke, ime)
-    amb = lev.space
-    f1 = Subquotient(amb, ker_e, f0)
-    f2 = Subquotient(amb, t_n, ker_e)
-    return Filtration(t_n, ker_e, f0, f1, f2)
+    return Filtration(lev, t.levels[n + 1],
+                      _region_order(t.region, lev.space.basis))
 
 
 @dataclass
@@ -222,8 +239,7 @@ def iota_injective(t: TowerData, n: int) -> bool:
             if cexp is None:
                 return False
             rows.append(cexp)
-        mat = F2Matrix.from_rows(rows, fil_n1.f2.dim(d))
-        if rank(mat) != src.nrows:
+        if Echelon(rows).rank != src.nrows:
             return False
     return True
 
@@ -244,24 +260,20 @@ def chain_complex_at(t: TowerData, n: int) -> ChainComplexReport:
     filtration quotient."""
     if not (t.level_lo + 1 <= n - 1 and n + 2 <= t.level_hi):
         raise ValueError("levels out of range for the chain complex")
-    lev = t.levels[n]
+    lev, nxt = t.levels[n], t.levels[n + 1]
     th_n = t.theta(n)
     th_prev = t.theta(n - 1)
-    fil = filtration(t, n)
-    fil_next = filtration(t, n + 1)
+    # the first map reads F2 at level n, the second F0 at level n + 1
+    f2 = filtration(t, n).f2
+    f0_next = Subquotient(nxt.space, filtration(t, n + 1).f0, {})
     # every space read at d is empty unless d is one of these; the last set
     # keeps the degrees whose only data is the bottom step of the next level
-    below = [sub_deg(d, (1, 0)) for d in t.levels[n + 1].space.basis]
+    below = [sub_deg(d, (1, 0)) for d in nxt.space.basis]
     degrees = _region_order(t.region, lev.layer.basis, lev.space.basis,
                             t.colimit.basis, below)
 
-    mid_num: dict[Degree, F2Matrix] = {}
-    mid_den: dict[Degree, F2Matrix] = {}
-    for d in degrees:
-        mid_num[d] = th_n.kernel_at(d)
-        mid_den[d] = th_prev.image_at(d)
-    middle = Subquotient(lev.layer, mid_num, mid_den)
-    f0_next = Subquotient(t.levels[n + 1].space, fil_next.f0, {})
+    middle = Subquotient(lev.layer, {d: th_n.kernel_at(d) for d in degrees},
+                         {d: th_prev.image_at(d) for d in degrees})
 
     hom_dims: dict[Degree, int] = {}
     phi_dims: dict[Degree, int] = {}
@@ -273,55 +285,40 @@ def chain_complex_at(t: TowerData, n: int) -> ChainComplexReport:
         if not t.region.contains(add_deg(d, (1, 0))):
             continue
         # first map: F2 reps through the projection c_n
-        f2_reps = fil.f2.reps(d)
-        rows = []
-        good = True
-        for v in f2_reps.rows:
-            cv = lev.c.apply(d, v)
-            cexp = middle.express(d, cv)
-            if cexp is None:
-                good = False
-                break
-            rows.append(cexp)
-        if not good:
+        f2_reps = f2.reps(d)
+        rows = [middle.express(d, lev.c.apply(d, v)) for v in f2_reps.rows]
+        if None in rows:
             ok = False
             detail.append(f"projection does not land in the middle at {d}")
             continue
-        cbar = F2Matrix.from_rows(rows, middle.dim(d))
-        if rank(cbar) != f2_reps.nrows:
+        rank_c = Echelon(rows).rank
+        if rank_c != f2_reps.nrows:
             # happens only when detection of height two fails
             injective = False
         # second map: middle reps through the boundary into F0_{n+1}
         mid_reps = middle.reps(d)
         dd = add_deg(d, (1, 0))
-        rows2 = []
-        for v in mid_reps.rows:
-            dv = lev.delta.apply(d, v)
-            cexp = f0_next.express(dd, dv)
-            if cexp is None:
-                rows2 = None
-                break
-            rows2.append(cexp)
-        if rows2 is None:
+        rows2 = [f0_next.express(dd, lev.delta.apply(d, v))
+                 for v in mid_reps.rows]
+        if None in rows2:
             ok = False
             detail.append(f"boundary does not land in the bottom step at {d}")
             continue
-        dbar = F2Matrix.from_rows(rows2, f0_next.dim(dd))
-        if rank(dbar) != f0_next.dim(dd):
+        rank_d = Echelon(rows2).rank
+        if rank_d != f0_next.dim(dd):
             surjective = False
             ok = False
             detail.append(f"second map not surjective at {d}")
         # composite zero
-        if not cbar.mul(dbar).is_zero():
+        dbar = F2Matrix.from_rows(rows2, f0_next.dim(dd))
+        if any(map(dbar.vec_mul, rows)):
             ok = False
             detail.append(f"composite nonzero at {d}")
-        hom = (mid_reps.nrows - rank(dbar)) - rank(cbar)
+        hom = (mid_reps.nrows - rank_d) - rank_c
         if hom:
             hom_dims[d] = hom
         # independent side: image filtration of the colimit comparison
-        phi_n = lev.f.image_at(d)
-        phi_n1 = t.levels[n + 1].f.image_at(d)
-        q = rank(phi_n) - rank(phi_n1)
+        q = lev.f.rank_at(d) - nxt.f.rank_at(d)
         if q:
             phi_dims[d] = q
         if hom != q:
@@ -407,11 +404,12 @@ def build_x_tower(spec: XTowerSpec, window: Window,
         """Key ``i`` wherever ``member(summand, j)`` holds for the power
         ``x^j`` of summand ``i`` moved ``n`` steps of x."""
         keys: dict[Degree, list] = {}
-        for m in range(window.m_lo, window.m_hi + 1):
-            for i, s in enumerate(spec.summands):
-                j, r = divmod(m - n * d - s.shift, d)
-                if r == 0 and member(s, j):
-                    keys.setdefault((m, 0), []).append(i)
+        for i, s in enumerate(spec.summands):
+            at = s.shift + n * d          # the degree of x^0
+            for j in range(-((at - window.m_lo) // d),
+                           (window.m_hi - at) // d + 1):
+                if member(s, j):
+                    keys.setdefault((at + j * d, 0), []).append(i)
         return _keyed_space(window, keys, lambda i: f"{prefix}.{i:0{width}}")
 
     def layer(n: int) -> Keyed:

@@ -174,20 +174,23 @@ def _suite_les() -> tuple[bool, str]:
 
 def _suite_towers(seed: int = 20260808, count: int = 100) -> tuple[bool, str]:
     rng = random.Random(seed)
-    homology_checks = 0
     for i in range(count):
         spec = random_x_tower_spec(rng)
         t = build_x_tower(spec, spec.window(-2, 4), -2, 4)
-        if validate_tower(t):
-            return False, f"instance {i} fails validation"
+        bad = validate_tower(t)
+        if bad:
+            return False, f"instance {i} fails validation: {bad[0]}"
         for h in (1, 2):
-            got = all(detect(t, h, n).holds for n in (0, 1))
-            if got != oracle_detect(spec, h):
-                return False, f"instance {i}: height {h} disagrees with oracle"
+            fails = next((r for r in (detect(t, h, n) for n in (0, 1))
+                          if not r.holds), None)
+            if (fails is None) != oracle_detect(spec, h):
+                seen = ("holds at levels 0 and 1" if fails is None else
+                        f"fails at level {fails.level} degree {fails.witness}")
+                return False, f"instance {i}: height {h} disagrees with " \
+                              f"oracle ({seen})"
         rep = chain_complex_at(t, 1)
         if not rep.ok or rep.homology_dims != rep.phi_quotient_dims:
-            return False, f"instance {i}: chain homology mismatch"
-        homology_checks += 1
+            return False, f"instance {i}: chain homology mismatch: {rep.detail}"
     return True, f"{count} random towers: detection matches the torsion " \
                  f"oracle, chain homology equals the image quotient"
 

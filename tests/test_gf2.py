@@ -440,3 +440,35 @@ def test_extend_matches_the_per_row_reference(m, rng, data):
     for r in rows:
         ref.add(r)
     _same_answers(grown, ref, vectors)
+
+
+# -- the bit check on construction ---------------------------------------------
+
+def _ref_bits_outside(rows, ncols):
+    """The check as a loop over the rows: a row with a bit at or above
+    ``ncols``, or a negative row (which has every high bit)."""
+    mask = (1 << ncols) - 1
+    return any(r & ~mask for r in rows)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 70), st.data())
+def test_bit_check_rejects_what_the_row_loop_rejects(ncols, data):
+    top = 1 << (ncols + 3)
+    rows = data.draw(st.lists(st.one_of(st.integers(0, (1 << ncols) - 1),
+                                        st.integers(-top, top)),
+                              max_size=6))
+    if _ref_bits_outside(rows, ncols):
+        with pytest.raises(ValueError, match="bits outside declared columns"):
+            F2Matrix.from_rows(rows, ncols)
+    else:
+        assert F2Matrix.from_rows(rows, ncols).rows == tuple(rows)
+
+
+def test_bit_check_edge_cases():
+    assert F2Matrix.from_rows([], 0).nrows == 0
+    assert F2Matrix.from_rows([0, 0], 0).ncols == 0
+    assert F2Matrix.from_rows([0b111], 3).rows == (0b111,)
+    for rows, ncols in (([1], 0), ([0b1000], 3), ([0, -1], 3), ([-8], 64)):
+        with pytest.raises(ValueError, match="bits outside declared columns"):
+            F2Matrix.from_rows(rows, ncols)

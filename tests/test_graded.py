@@ -300,3 +300,67 @@ def test_name_lookups_build_their_tables_on_demand():
         A1Module({0: ["a", "a"]}, {}, {}, 0, 0, 0, 0)
     with pytest.raises(ValueError, match="not sorted or not unique"):
         A1Module({0: ["b", "a"]}, {}, {}, 0, 0, 0, 0)
+
+
+# -- composition against the dense loop ----------------------------------------
+
+def _ref_compose(f, g):
+    """Composition as a product of full blocks, zero blocks included, at
+    every source degree."""
+    out = {}
+    for d in f.source.degrees():
+        mid = add_deg(d, f.shift)
+        b1, b2 = f.block(d), g.block(mid)
+        if b1.ncols != b2.nrows:
+            raise ValueError("composition block mismatch")
+        out[d] = b1.mul(b2)
+    return GradedMap(f.source, g.target, add_deg(f.shift, g.shift), out)
+
+
+def _drop_blocks(draw, mp):
+    """``mp`` with some blocks left out, so that they are missing."""
+    dropped = draw(st.sets(st.sampled_from(sorted(TINY.degrees()))))
+    return GradedMap(mp.source, mp.target, mp.shift,
+                     {d: b for d, b in mp.blocks.items() if d not in dropped})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_compose_matches_the_dense_loop(data):
+    shifts = st.sampled_from([(0, 0), (1, 0), (-1, 0), (2, 0)])
+    dims = (3, 2, 1, 0)
+    a = tiny_space(tiny_dims(data.draw, 5, dims), "a")
+    b_dims = tiny_dims(data.draw, 5, dims)
+    b = tiny_space(b_dims, "b")
+    c = tiny_space(tiny_dims(data.draw, 5, dims), "c")
+    s1, s2 = data.draw(shifts), data.draw(shifts)
+    f = _drop_blocks(data.draw, random_map(data.draw, a, b, s1))
+    # the second map starts from b, or from a space differing from b in
+    # one degree, where the composition must refuse
+    if data.draw(st.booleans()):
+        at = data.draw(st.integers(0, 4))
+        b_dims[at] = (b_dims[at] + 1) % 4
+        b = tiny_space(b_dims, "b")
+    g = _drop_blocks(data.draw, random_map(data.draw, b, c, s2))
+    try:
+        want = _ref_compose(f, g)
+    except ValueError:
+        with pytest.raises(ValueError, match="composition block mismatch"):
+            f.compose(g)
+        return
+    got = f.compose(g)
+    assert (got.source, got.target, got.shift) == \
+        (want.source, want.target, want.shift)
+    assert got.blocks == want.blocks
+
+
+def test_compose_refuses_mismatched_middle_without_blocks():
+    w = Window(0, 2, 0, 0)
+    a = GradedSpace(w, {(0, 0): ["x"]})
+    b = GradedSpace(w, {(1, 0): ["y"]})
+    b2 = GradedSpace(w, {(1, 0): ["y", "z"]})
+    f = GradedMap(a, b, (1, 0), {})
+    g = GradedMap(b2, b2, (0, 0), {(1, 0): F2Matrix.identity(2)})
+    with pytest.raises(ValueError, match="composition block mismatch"):
+        f.compose(g)
+    assert f.compose(GradedMap(b, b, (0, 0), {})).is_zero()

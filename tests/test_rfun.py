@@ -454,3 +454,33 @@ def test_actions_are_built_once_on_first_read(monkeypatch):
     assert fm.act_a is None and fm.act_s is fm.act_s
     plus = cone_part(apply_r(std_p(1, required_top(w)), w), "+")
     assert plus.act_a is plus.act_a
+
+
+def test_build_runs_each_rule_once_per_monomial(monkeypatch):
+    calls = []
+    real = rfun._build
+
+    def counted(src, dst, shift, rule):
+        seen = []
+        calls.append((shift, seen))
+
+        def once(mono):
+            seen.append(mono)
+            return rule(mono)
+        return real(src, dst, shift, once)
+
+    monkeypatch.setattr(rfun, "_build", counted)
+    w = Window(-8, 8, -4, 4)
+    rm = apply_r(std_bv(2, 1, required_top(w)), w)
+    assert rm.emod.act_a.shift == (0, 1) and rm.emod.act_s.shift == (-1, 1)
+    assert [shift for shift, _ in calls] == [(1, 0), (2, 1), (0, 1), (-1, 1)]
+    for shift, seen in calls:
+        # each monomial of a source degree whose target degree is populated
+        want = {mono for d, entries in rm.layout.items()
+                if add_deg(d, shift) in rm.layout for mono, _, _ in entries}
+        assert sorted(seen, key=str) == sorted(want, key=str), shift
+    rf = apply_r(std_f(0), w)
+    del calls[:]
+    lift_map(A1Map(std_f(0), std_f(0), {0: F2Matrix.identity(1)}), rf, rf)
+    (shift, seen), = calls
+    assert shift == (0, 0) and len(seen) == len(set(seen)) > 1

@@ -4,12 +4,26 @@ torsion-order criterion as the independent oracle."""
 import random
 from typing import Optional
 
-from krtool.gf2 import F2Matrix
-from krtool.graded import Degree, GradedMap, GradedSpace, Window, add_deg
+import pytest
+
+from krtool import verify
+from krtool.gf2 import F2Matrix, intersect_row_spaces, rank
+from krtool.graded import (
+    Degree,
+    GradedMap,
+    GradedSpace,
+    Subquotient,
+    Window,
+    add_deg,
+    sub_deg,
+)
 from krtool.towers import (
+    ChainComplexReport,
+    DetectReport,
     Summand,
     TowerData,
     TowerLevel,
+    TowerWitness,
     XTowerSpec,
     build_x_tower,
     chain_complex_at,
@@ -289,3 +303,237 @@ def test_tower_names_sort_in_summand_order():
     assert t.levels[0].layer.names((1, 0))[:2] == ("C0.g.00", "C0.g.01")
     # the top class of summand 10 reaches the next level's top class
     assert t.levels[0].delta.block((1, 0)).rows[10] == 1 << 10
+
+
+# -- the framework against its eager reference -----------------------------------
+# The checks as they were before the filtration pieces were built on first
+# read: both filtrations built whole, ranks read off fresh row bases, maps
+# composed and compared block by block with zero blocks built.
+
+def _ref_compose(f: GradedMap, g: GradedMap) -> GradedMap:
+    out = {}
+    for d in f.source.degrees():
+        out[d] = f.block(d).mul(g.block(add_deg(d, f.shift)))
+    return GradedMap(f.source, g.target, add_deg(f.shift, g.shift), out)
+
+
+def _ref_region_order(t: TowerData, *degree_sets) -> list:
+    return sorted({d for ds in degree_sets for d in ds if t.region.contains(d)})
+
+
+def _ref_exact_at(f: GradedMap, g: GradedMap, d: Degree) -> bool:
+    src = sub_deg(d, f.shift)
+    if not f.block(src).mul(g.block(d)).is_zero():
+        return False
+    return rank(f.block(src)) + rank(g.block(d)) == g.source.dim(d)
+
+
+def _ref_validate_tower(t: TowerData) -> list[TowerWitness]:
+    out = []
+    for n in range(t.level_lo + 1, t.level_hi + 1):
+        lev, prev = t.levels[n], t.levels[n - 1]
+        through = _ref_compose(lev.e, prev.f)
+        for d in _ref_region_order(t, through.blocks, lev.f.blocks):
+            if through.block(d) != lev.f.block(d):
+                out.append(TowerWitness(n, d, "colimit maps do not commute"))
+                break
+    for n in range(t.level_lo, t.level_hi):
+        lev, above = t.levels[n], t.levels[n + 1]
+        below = [sub_deg(d, (1, 0)) for d in above.space.basis]
+        for d in _ref_region_order(t, lev.space.basis, lev.layer.basis, below):
+            if not t.region.contains(add_deg(d, (1, 0))):
+                continue
+            if not _ref_exact_at(above.e, lev.c, d):
+                out.append(TowerWitness(n, d, "not exact at the level space"))
+                break
+            if not _ref_exact_at(lev.c, lev.delta, d):
+                out.append(TowerWitness(n, d, "not exact at the layer"))
+                break
+            if not _ref_exact_at(lev.delta, above.e, add_deg(d, (1, 0))):
+                out.append(TowerWitness(n, d, "not exact at the next level"))
+                break
+    return out
+
+
+def _ref_filtration(t: TowerData, n: int) -> dict:
+    lev, above = t.levels[n], t.levels[n + 1]
+    t_n, ker_e, f0 = {}, {}, {}
+    for d in _ref_region_order(t, lev.space.basis):
+        t_n[d] = lev.f.kernel_at(d)
+        ker_e[d] = lev.e.kernel_at(d)
+        f0[d] = intersect_row_spaces(ker_e[d], above.e.image_at(d))
+    return {"t_n": t_n, "ker_e": ker_e, "f0": f0,
+            "f1": Subquotient(lev.space, ker_e, f0),
+            "f2": Subquotient(lev.space, t_n, ker_e)}
+
+
+def _ref_detect(t: TowerData, h: int, n: int) -> DetectReport:
+    lev = t.levels[n]
+    comp = t.levels[n + h].e
+    for step in range(h - 1, 0, -1):
+        comp = _ref_compose(comp, t.levels[n + step].e)
+    for d in _ref_region_order(t, lev.space.basis):
+        tn = lev.f.kernel_at(d)
+        if tn.nrows == 0:
+            continue
+        if intersect_row_spaces(tn, comp.image_at(d)).nrows:
+            return DetectReport(False, h, n, d)
+    return DetectReport(True, h, n, None)
+
+
+def _ref_chain_complex_at(t: TowerData, n: int) -> ChainComplexReport:
+    lev = t.levels[n]
+    th_n = _ref_compose(lev.delta, t.levels[n + 1].c)
+    th_prev = _ref_compose(t.levels[n - 1].delta, lev.c)
+    fil, fil_next = _ref_filtration(t, n), _ref_filtration(t, n + 1)
+    below = [sub_deg(d, (1, 0)) for d in t.levels[n + 1].space.basis]
+    degrees = _ref_region_order(t, lev.layer.basis, lev.space.basis,
+                                t.colimit.basis, below)
+    middle = Subquotient(lev.layer, {d: th_n.kernel_at(d) for d in degrees},
+                         {d: th_prev.image_at(d) for d in degrees})
+    f0_next = Subquotient(t.levels[n + 1].space, fil_next["f0"], {})
+    hom_dims, phi_dims, detail = {}, {}, []
+    ok = injective = surjective = True
+    for d in degrees:
+        if not t.region.contains(add_deg(d, (1, 0))):
+            continue
+        f2_reps = fil["f2"].reps(d)
+        rows = [middle.express(d, lev.c.apply(d, v)) for v in f2_reps.rows]
+        if None in rows:
+            ok = False
+            detail.append(f"projection does not land in the middle at {d}")
+            continue
+        cbar = F2Matrix.from_rows(rows, middle.dim(d))
+        if rank(cbar) != f2_reps.nrows:
+            injective = False
+        mid_reps = middle.reps(d)
+        dd = add_deg(d, (1, 0))
+        rows2 = [f0_next.express(dd, lev.delta.apply(d, v))
+                 for v in mid_reps.rows]
+        if None in rows2:
+            ok = False
+            detail.append(f"boundary does not land in the bottom step at {d}")
+            continue
+        dbar = F2Matrix.from_rows(rows2, f0_next.dim(dd))
+        if rank(dbar) != f0_next.dim(dd):
+            surjective = ok = False
+            detail.append(f"second map not surjective at {d}")
+        if not cbar.mul(dbar).is_zero():
+            ok = False
+            detail.append(f"composite nonzero at {d}")
+        hom = (mid_reps.nrows - rank(dbar)) - rank(cbar)
+        if hom:
+            hom_dims[d] = hom
+        q = rank(lev.f.image_at(d)) - rank(t.levels[n + 1].f.image_at(d))
+        if q:
+            phi_dims[d] = q
+        if hom != q:
+            ok = False
+            detail.append(f"homology {hom} != filtration quotient {q} at {d}")
+    return ChainComplexReport(ok, "; ".join(detail) or "certified",
+                              hom_dims, phi_dims, injective, surjective)
+
+
+def _break(t: TowerData, rng: random.Random) -> None:
+    """Flip one entry of one structure map, so that the checks reach their
+    failure branches."""
+    maps = [(lev, name, getattr(lev, name)) for lev in t.levels.values()
+            for name in ("e", "f", "c", "delta")]
+    cells = [(lev, name, mp, d) for lev, name, mp in maps if mp is not None
+             for d in mp.source.basis if mp.target.dim(add_deg(d, mp.shift))]
+    lev, name, mp, d = rng.choice(cells)
+    blk = mp.block(d)
+    rows = list(blk.rows)
+    rows[rng.randrange(blk.nrows)] ^= 1 << rng.randrange(blk.ncols)
+    setattr(lev, name, GradedMap(mp.source, mp.target, mp.shift,
+                                 {**mp.blocks, d: F2Matrix.from_rows(rows, blk.ncols)}))
+
+
+@pytest.mark.parametrize("broken", [False, True], ids=["whole", "broken"])
+def test_checks_match_the_eager_reference(broken):
+    rng = random.Random(2026 + broken)
+    failures = 0
+    for _ in range(60):
+        spec = random_x_tower_spec(rng)
+        t = build_x_tower(spec, spec.window(-2, 4), -2, 4)
+        if broken:
+            _break(t, rng)
+        assert validate_tower(t) == _ref_validate_tower(t), spec
+        for h in (1, 2, 3):
+            for n in range(-1, 5 - h):
+                assert detect(t, h, n) == _ref_detect(t, h, n), (spec, h, n)
+        for n in (0, 1, 2):
+            got = chain_complex_at(t, n)
+            assert got == _ref_chain_complex_at(t, n), (spec, n)
+            failures += not got.ok
+        for n in range(-1, 4):
+            fil, ref = filtration(t, n), _ref_filtration(t, n)
+            for piece in ("t_n", "ker_e", "f0"):
+                assert getattr(fil, piece) == ref[piece], (spec, n, piece)
+            for piece in ("f1", "f2"):
+                sub = getattr(fil, piece)
+                assert sub.dims() == ref[piece].dims(), (spec, n, piece)
+                for d in ref["t_n"]:
+                    assert sub.reps(d) == ref[piece].reps(d), (spec, n, d)
+    # the broken towers do reach the failure branches of the chain check
+    assert (failures > 0) == broken
+
+
+def test_filtration_builds_only_the_pieces_read():
+    spec = XTowerSpec(1, (Summand("cyclic", 0, 3), Summand("free", 1)))
+    t = build_x_tower(spec, spec.window(-2, 4), -2, 4)
+    pieces = ("t_n", "ker_e", "f0", "f1", "f2")
+    fil = filtration(t, 1)
+    assert not any(p in vars(fil) for p in pieces)
+    fil.f2.reps((1, 0))
+    assert [p for p in pieces if p in vars(fil)] == ["t_n", "ker_e", "f2"]
+    assert fil.f0 is fil.f0
+    assert [p for p in pieces if p in vars(fil)] == ["t_n", "ker_e", "f0", "f2"]
+    with pytest.raises(ValueError, match="lacks neighbors"):
+        filtration(t, 4)
+
+
+# -- the verifier's towers suite ---------------------------------------------------
+
+TOWERS_OK = ("100 random towers: detection matches the torsion oracle, "
+             "chain homology equals the image quotient")
+
+
+def test_towers_suite_within_budget():
+    res = verify.run_suite("towers")
+    assert res.ok and res.detail == TOWERS_OK, res.detail
+    assert res.seconds < 1, f"towers suite took {res.seconds:.2f}s"
+
+
+def test_towers_suite_names_the_failed_relation(monkeypatch):
+    monkeypatch.setattr(verify, "validate_tower", lambda t: [
+        TowerWitness(2, (5, 0), "not exact at the layer"),
+        TowerWitness(3, (6, 0), "not exact at the next level")])
+    res = verify.run_suite("towers")
+    assert not res.ok
+    assert res.detail == ("instance 0 fails validation: "
+                          "level 2 degree (5, 0): not exact at the layer")
+
+
+def test_towers_suite_names_the_detection_witness(monkeypatch):
+    monkeypatch.setattr(verify, "detect",
+                        lambda t, h, n: DetectReport(n == 0, h, n,
+                                                     None if n == 0 else (7, 0)))
+    monkeypatch.setattr(verify, "oracle_detect", lambda spec, h: True)
+    res = verify.run_suite("towers")
+    assert res.detail == ("instance 0: height 1 disagrees with oracle "
+                          "(fails at level 1 degree (7, 0))")
+    monkeypatch.setattr(verify, "oracle_detect", lambda spec, h: h == 1)
+    monkeypatch.setattr(verify, "detect",
+                        lambda t, h, n: DetectReport(True, h, n, None))
+    res = verify.run_suite("towers")
+    assert res.detail == ("instance 0: height 2 disagrees with oracle "
+                          "(holds at levels 0 and 1)")
+
+
+def test_towers_suite_names_the_chain_detail(monkeypatch):
+    monkeypatch.setattr(verify, "chain_complex_at", lambda t, n: ChainComplexReport(
+        False, "homology 1 != filtration quotient 0 at (3, 0)", {(3, 0): 1}, {}))
+    res = verify.run_suite("towers")
+    assert res.detail == ("instance 0: chain homology mismatch: "
+                          "homology 1 != filtration quotient 0 at (3, 0)")
