@@ -18,7 +18,8 @@ Modules are built from blocks: suspension re-keys the ``sq1``/``sq2``
 blocks, the dual transposes them, the direct sum places them on the
 diagonal and the tensor product writes the Cartan formula as Kronecker
 products of rows.  One assembler sorts each degree's names and permutes
-rows and columns to match; only the standard diagrams are name tables.
+rows and columns to match; only the standard diagrams and module files
+are name tables, which ``from_table`` turns into blocks.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .graded import (
     OperatorPair,
     Window,
     _dual_name,
+    degrees_where,
     hom_space,
 )
 
@@ -199,13 +201,6 @@ class A1Module:
                 f"complete=[{self.complete_lo},{self.complete_hi}])")
 
 
-def degrees_between(lo: float, hi: float, *degree_sets: Iterable[int]
-                    ) -> list[int]:
-    """Sorted degrees in ``[lo, hi]`` (bounds may be infinite) found in any
-    of the collections, such as module bases or degreewise tables."""
-    return sorted({d for ds in degree_sets for d in ds if lo <= d <= hi})
-
-
 def _assemble(names: dict[int, list[str]],
               sq1_rows: dict[int, Sequence[int]],
               sq2_rows: dict[int, Sequence[int]],
@@ -253,22 +248,28 @@ def _assemble(names: dict[int, list[str]],
                     lo, hi, c_lo, c_hi)
 
 
-def _sorted_module(basis: dict[int, list[str]],
-                   images1: dict[tuple[int, str], tuple[str, ...]],
-                   images2: dict[tuple[int, str], tuple[str, ...]],
-                   lo: int, hi: int, c_lo: float, c_hi: float) -> A1Module:
-    """Assemble a standard module from its diagram: names per degree and
-    name-level action tables (targets outside the basis are clipped)."""
+def from_table(basis: dict[int, list[str]],
+               images1: dict[tuple[int, str], Iterable[str]],
+               images2: dict[tuple[int, str], Iterable[str]],
+               lo: int, hi: int, c_lo: float, c_hi: float) -> A1Module:
+    """Assemble a module from name-level tables: the names of each degree
+    and, under ``(d, name)``, the targets of Sq1 and Sq2 (absent means
+    zero).  Targets add over GF(2), so a repeated target cancels; targets
+    outside the basis are clipped."""
     where = {d: {n: i for i, n in enumerate(ns)} for d, ns in basis.items()}
 
-    def rows(images: dict[tuple[int, str], tuple[str, ...]], reach: int
+    def row(tgt: dict[str, int], targets: Iterable[str]) -> int:
+        bits = 0
+        for t in targets:
+            if t in tgt:
+                bits ^= 1 << tgt[t]
+        return bits
+
+    def rows(images: dict[tuple[int, str], Iterable[str]], reach: int
              ) -> dict[int, list[int]]:
-        out = {}
-        for d, ns in basis.items():
-            tgt = where.get(d + reach, {})
-            out[d] = [sum(1 << tgt[t] for t in images.get((d, n), ()) if t in tgt)
-                      for n in ns]
-        return out
+        return {d: [row(where.get(d + reach, {}), images.get((d, n), ()))
+                    for n in ns]
+                for d, ns in basis.items()}
 
     return _assemble(basis, rows(images1, 1), rows(images2, 2), lo, hi, c_lo, c_hi)
 
@@ -288,7 +289,7 @@ def std_a1(shift: int = 0) -> A1Module:
     basis: dict[int, list[str]] = {}
     for w, d in A1_WORDS:
         basis.setdefault(d, []).append(w)
-    return _sorted_module(basis, {(d, w): A1_SQ1[w] for w, d in A1_WORDS},
+    return from_table(basis, {(d, w): A1_SQ1[w] for w, d in A1_WORDS},
                           {(d, w): A1_SQ2[w] for w, d in A1_WORDS},
                           0, 6, -math.inf, math.inf)
 
@@ -367,7 +368,7 @@ def std_pn(n: int, lo: int, hi: int) -> A1Module:
     if hi < bottom:
         raise ValueError("window too small to contain any generator")
     eff_lo = min(lo, bottom)
-    return _sorted_module(basis, im1, im2, eff_lo, hi, -math.inf, hi)
+    return from_table(basis, im1, im2, eff_lo, hi, -math.inf, hi)
 
 
 def suspend(m: A1Module, t: int) -> A1Module:
@@ -688,23 +689,23 @@ def generator_degrees(m: A1Module) -> dict[int, F2Matrix]:
 
 
 def proj_cover_and_loop(m: A1Module) -> CoverResult:
-    """Minimal free cover and its kernel (the loop of the module)."""
+    """Minimal free cover and its kernel (the loop of the module).
+
+    The cover has one free summand per generator, in the order of
+    ``generator_degrees``, tagged ``g<j>.`` with ``j`` padded to one width
+    so that every degree lists the summands in that order.  So the row of
+    the epimorphism at the basis word ``a`` of summand ``j`` is ``a`` applied
+    to the ``j``-th generator."""
     if not is_reduced(m):
         raise ValueError("module has free summands; call reduce first")
     gens = generator_degrees(m)
-    summands: list[A1Module] = []
-    tags: list[str] = []
-    reps: dict[str, tuple[int, int]] = {}
-    for d in sorted(gens):
-        for i in range(gens[d].nrows):
-            tag = f"g{d}n{i}"
-            summands.append(std_a1(d))
-            tags.append(tag + ".")
-            reps[tag] = (d, gens[d].rows[i])
-    if not summands:
+    reps = [(d, v) for d in sorted(gens) for v in gens[d].rows]
+    if not reps:
         empty = A1Module({}, {}, {}, m.lo, m.hi, m.complete_lo, m.complete_hi)
         return CoverResult(empty, gens, empty, {}, {})
-    big = direct_sum_a1(summands, tags)
+    width = len(str(len(reps) - 1))
+    big = direct_sum_a1([std_a1(d) for d, _ in reps],
+                        [f"g{j:0{width}d}." for j in range(len(reps))])
     top_gen = max(d for d in gens)
     cover_hi = m.hi
     if m.complete_hi >= max(m.hi, top_gen + 6):
@@ -719,16 +720,12 @@ def proj_cover_and_loop(m: A1Module) -> CoverResult:
                      {d: b for d, b in big.sq2.items() if d + 2 <= cover_hi},
                      m.lo, cover_hi, cover_c_lo, cover_c_hi)
 
-    def epi_vec(d: int, name: str) -> int:
-        tag, word = name.split(".", 1)
-        word = word.split("@", 1)[0]
-        gd, rep = reps[tag]
-        return m.apply_word(word, gd, rep)
-
     epi_blocks: dict[int, F2Matrix] = {}
     ker_rows: dict[int, F2Matrix] = {}
     for d in cover.degrees():
-        rows = [epi_vec(d, n) for n in cover.names(d)]
+        # the words of each degree are listed in the order of A1_WORDS
+        rows = [m.apply_word(word, gd, rep) for gd, rep in reps
+                for word, wd in A1_WORDS if gd + wd == d]
         mat = F2Matrix.from_rows(rows, m.dim(d))
         epi_blocks[d] = mat
         ker_rows[d] = left_kernel_basis(mat)
@@ -770,12 +767,16 @@ class EvidenceReport:
     detail: str
 
 
-def iso_search(a: A1Module, b: A1Module, lo: int, hi: int,
-               budget: int = 4096) -> Optional[dict[int, F2Matrix]]:
+# the most combinations of solution-basis maps ``iso_search`` tries
+ISO_SEARCH_BUDGET = 4096
+
+
+def iso_search(a: A1Module, b: A1Module, lo: int, hi: int
+               ) -> Optional[dict[int, F2Matrix]]:
     """Exhaustive search for a degreewise bijection commuting with both
     operations on [lo, hi].  Exponential in the solution-space dimension,
-    so the enumeration is capped by ``budget``; None means none found
-    within the cap (or dimensions already disagree)."""
+    so the enumeration is capped by ``ISO_SEARCH_BUDGET``; None means none
+    found within the cap (or dimensions already disagree)."""
     for d in range(lo, hi + 1):
         if a.dim(d) != b.dim(d):
             return None
@@ -783,8 +784,8 @@ def iso_search(a: A1Module, b: A1Module, lo: int, hi: int,
     ops = [OperatorPair("sq1", a.sq1_map(), b.sq1_map()),
            OperatorPair("sq2", a.sq2_map(), b.sq2_map())]
     sols = hom_space(a.space(), b.space(), (0, 0), ops, region)
-    if 1 << len(sols) > budget:
-        sols = sols[: budget.bit_length() - 1]
+    if 1 << len(sols) > ISO_SEARCH_BUDGET:
+        sols = sols[: ISO_SEARCH_BUDGET.bit_length() - 1]
     for mask in range(1, 1 << len(sols)):
         blocks: dict[int, F2Matrix] = {}
         good = True
@@ -810,7 +811,8 @@ def stable_evidence(a: A1Module, b: A1Module) -> EvidenceReport:
     lo = max(-math.inf if m.is_complete_below() else m.complete_lo
              for m in (ra.module, rb.module))
     hi = min(ra.certified_hi, rb.certified_hi)
-    for d in degrees_between(lo, hi, ra.module.basis, rb.module.basis):
+    for d in degrees_where(lambda d: lo <= d <= hi,
+                           ra.module.basis, rb.module.basis):
         if ra.module.dim(d) != rb.module.dim(d):
             return EvidenceReport(
                 False, f"reduced dimensions differ at degree {d}: "
@@ -818,7 +820,7 @@ def stable_evidence(a: A1Module, b: A1Module) -> EvidenceReport:
     for which in ("q0", "q1"):
         ma = margolis(ra.module, which)
         mb = margolis(rb.module, which)
-        for d in degrees_between(lo, hi - 3, ma, mb):
+        for d in degrees_where(lambda d: lo <= d <= hi - 3, ma, mb):
             if ma.get(d, 0) != mb.get(d, 0):
                 return EvidenceReport(
                     False, f"{which}-homology differs at degree {d}")

@@ -110,8 +110,8 @@ class BorelClosedForm:
     def __init__(self, n: int, w: Window):
         self.window = w
         basis: dict[Degree, list[str]] = {}
-        # (degree, class, its partner one Euler step up the same tower)
-        pairs: list[tuple[Degree, str, str]] = []
+        # (degree, class, [its partner one Euler step up the same tower])
+        pairs: list[tuple[Degree, str, list[str]]] = []
         for i in range(1, n + 1):
             for c in range(comb(n, i)):
                 tag = f"b{i}c{c}:"
@@ -123,7 +123,7 @@ class BorelClosedForm:
                     up = add_deg(d, (0, 1))
                     if _euler_height(i, d) in (0, 1) and w.contains(up) \
                             and borel_pn_dim(i, up):
-                        pairs.append((d, name, tag + _class_name(i, up)))
+                        pairs.append((d, name, [tag + _class_name(i, up)]))
         self.space = GradedSpace(w, basis)
         self.act_a = pair_map(self.space, (0, 1), pairs)
 

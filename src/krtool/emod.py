@@ -169,7 +169,7 @@ class H01Result:
     region: list[Degree]
 
     def dims(self) -> dict[Degree, int]:
-        return {d: n for d, n in self.sub.dims().items() if n}
+        return self.sub.dims()
 
     def dim(self, d: Degree) -> int:
         return self.sub.dim(d)
@@ -509,16 +509,7 @@ def q0_acyclic_on(m: EModule, region: Window) -> bool:
 def dual_e(m: EModule) -> EModule:
     """Linear dual with transposed differentials on the negated grading."""
     sp = dual_space(m.space)
-
-    def dual_map(mp: GradedMap) -> GradedMap:
-        blocks: dict[Degree, F2Matrix] = {}
-        for d, blk in mp.blocks.items():
-            td = add_deg(d, mp.shift)
-            blocks[neg_deg(td)] = blk.transpose()
-        return GradedMap(sp, sp, mp.shift, blocks)
-
-    comp = m.complete.negate()
-    return EModule(sp, dual_map(m.q0), dual_map(m.q1), comp)
+    return EModule(sp, m.q0.dual(sp, sp), m.q1.dual(sp, sp), m.complete.negate())
 
 
 def h01_dual_dims(m: EModule) -> dict[Degree, int]:

@@ -11,7 +11,7 @@ complete, so downstream comparisons never read truncation artifacts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .gf2 import (
     Echelon,
@@ -84,6 +84,15 @@ def neg_deg(a: Degree) -> Degree:
     return (-a[0], -a[1])
 
 
+def degrees_where(keep: Callable[[Any], bool], *degree_sets: Iterable
+                  ) -> list:
+    """The degrees found in any of the collections, such as bases or
+    degreewise tables, that ``keep`` accepts (for instance
+    ``Window.contains`` or an interval test), each once and sorted: in
+    window order for bidegrees, ascending for integer degrees."""
+    return sorted({d for ds in degree_sets for d in ds if keep(d)})
+
+
 class GradedSpace:
     """Finite bigraded space with lexicographically ordered named bases."""
 
@@ -138,12 +147,6 @@ class GradedSpace:
 
     def __repr__(self) -> str:
         return f"GradedSpace(dim={self.total_dim()}, window={self.window})"
-
-    def shifted(self, s: Degree, rename: Callable[[str], str] | None = None) -> "GradedSpace":
-        f = rename or (lambda n: n)
-        return GradedSpace(self.window.shift(s),
-                           {add_deg(d, s): tuple(f(n) for n in names)
-                            for d, names in self.basis.items()})
 
     def vector_name(self, d: Degree, bits: int) -> str:
         names = self.names(d)
@@ -284,14 +287,18 @@ def identity_map(space: GradedSpace) -> GradedMap:
 
 
 def pair_map(space: GradedSpace, shift: Degree,
-             pairs: Iterable[tuple[Degree, str, str]]) -> GradedMap:
+             pairs: Iterable[tuple[Degree, str, Iterable[str]]]) -> GradedMap:
     """The endomorphism of degree ``shift`` sending the basis vector ``a``
-    at ``d`` to ``b`` at ``d + shift`` for each ``(d, a, b)`` and every
-    other basis vector to zero."""
+    at ``d`` to the sum of the basis vectors ``bs`` at ``d + shift`` for
+    each ``(d, a, bs)`` and every other basis vector to zero.  Targets add
+    over GF(2), so a repeated target cancels."""
     rows: dict[Degree, list[int]] = {}
-    for d, a, b in pairs:
-        rows.setdefault(d, [0] * space.dim(d))[space.index(d, a)] = \
-            1 << space.index(add_deg(d, shift), b)
+    for d, a, bs in pairs:
+        td = add_deg(d, shift)
+        bits = 0
+        for b in bs:
+            bits ^= 1 << space.index(td, b)
+        rows.setdefault(d, [0] * space.dim(d))[space.index(d, a)] ^= bits
     return GradedMap(space, space, shift, {
         d: F2Matrix.from_rows(r, space.dim(add_deg(d, shift)))
         for d, r in rows.items()})
@@ -345,6 +352,7 @@ class Subquotient:
         return span.extend(num.rows)
 
     def dims(self) -> dict[Degree, int]:
+        """The nonzero dimensions."""
         out = {}
         for d in set(self.numerators):
             n = self.dim(d)

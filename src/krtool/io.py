@@ -2,7 +2,8 @@
 
 The grammar is deliberately small: a ``kind`` header, a ``window`` line,
 ``gen`` lines declaring named classes with their degree, and action lines
-``op name = name [+ name]...`` (omitted lines mean zero).  Printing is
+``op name = name [+ name]...`` (omitted lines mean zero; the targets add
+over GF(2), through ``a1.from_table`` or ``graded.pair_map``).  Printing is
 canonical: generators sorted by degree then name, action lines sorted the
 same way with sorted right-hand sides, so parse-print round-trips are
 byte exact.
@@ -19,10 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .a1 import A1Module, validate as validate_a1
+from .a1 import A1Module, from_table, validate as validate_a1
 from .emod import EModule, validate as validate_e
-from .gf2 import F2Matrix
-from .graded import GradedMap, GradedSpace, Window, add_deg
+from .graded import GradedMap, GradedSpace, Window, add_deg, pair_map
 from .towers import Summand, XTowerSpec
 
 A1_OPS = {"sq1": 1, "sq2": 2}
@@ -186,27 +186,14 @@ def module_file_to_a1(mf: ModuleFile) -> A1Module:
     if mf.kind != "a1":
         raise ValueError("not an a1 module file")
     basis: dict[int, list[str]] = {}
-    for name, (m, _) in sorted(mf.gens.items(), key=lambda kv: (kv[1], kv[0])):
+    for name, (m, _) in mf.gens.items():
         basis.setdefault(m, []).append(name)
-    sorted_basis = {d: tuple(sorted(ns)) for d, ns in basis.items()}
-    idx = {d: {n: i for i, n in enumerate(ns)} for d, ns in sorted_basis.items()}
-
-    def blocks(op: str, reach: int) -> dict[int, F2Matrix]:
-        out = {}
-        for d, ns in sorted_basis.items():
-            tdim = len(sorted_basis.get(d + reach, ()))
-            rows = []
-            for nm in ns:
-                bits = 0
-                for t in mf.actions.get((op, nm), ()):
-                    bits ^= 1 << idx[d + reach][t]
-                rows.append(bits)
-            out[d] = F2Matrix.from_rows(rows, tdim)
-        return out
-
+    images = {op: {(mf.gens[n][0], n): targets
+                   for (o, n), targets in mf.actions.items() if o == op}
+              for op in A1_OPS}
     w = mf.window
-    m = A1Module(sorted_basis, blocks("sq1", 1), blocks("sq2", 2),
-                 w.m_lo, w.m_hi, w.m_lo, w.m_hi)
+    m = from_table(basis, images["sq1"], images["sq2"],
+                   w.m_lo, w.m_hi, w.m_lo, w.m_hi)
     _reject_broken_relations(mf, validate_a1(m))
     return m
 
@@ -245,18 +232,9 @@ def module_file_to_e(mf: ModuleFile) -> EModule:
     space = GradedSpace(w, basis)
 
     def build(op: str) -> GradedMap:
-        shift = E_OPS[op]
-        blocks = {}
-        for d in space.degrees():
-            td = add_deg(d, shift)
-            rows = []
-            for nm in space.names(d):
-                bits = 0
-                for t in mf.actions.get((op, nm), ()):
-                    bits ^= 1 << space.index(td, t)
-                rows.append(bits)
-            blocks[d] = F2Matrix.from_rows(rows, space.dim(td))
-        return GradedMap(space, space, shift, blocks)
+        return pair_map(space, E_OPS[op],
+                        ((mf.gens[n], n, targets)
+                         for (o, n), targets in mf.actions.items() if o == op))
 
     ops = mf.ops if mf.ops is not None else {op for op, _ in mf.actions}
     m = EModule(space, build("q0"), build("q1"), w,

@@ -82,35 +82,37 @@ def compute_f1(n: int, w: Window) -> dict[Degree, int]:
     return {add_deg(src, q1.shift): q1.rank_at(src) for src in sorted(q1.blocks)}
 
 
+# The classes a free generator of degree g contributes, at (g, 0) plus
+# these offsets: its top class, the Bott companion of the top class, and
+# the partner the connecting map sends to the top class.
+FREE_CLASS_OFFSETS: dict[str, Degree] = {
+    "top": (6, 0), "companion": (5, -1), "partner": (3, -2)}
+
+
+def free_class(g: int, which: str) -> Degree:
+    """The degree of the ``which`` class of a free generator of degree g."""
+    return add_deg((g, 0), FREE_CLASS_OFFSETS[which])
+
+
 @dataclass
 class F2Part:
     gens: list[int]               # degrees of free generators, with multiplicity
     certified_hi: float           # every degree when math.inf
 
+    def dims(self, which: str, w: Window) -> dict[Degree, int]:
+        """How many ``which`` classes lie in each degree of ``w``."""
+        return dict(Counter(d for d in (free_class(g, which) for g in self.gens)
+                            if w.contains(d)))
+
     def class_dims(self, w: Window) -> dict[Degree, int]:
-        out: dict[Degree, int] = {}
-        for g in self.gens:
-            d = (g + 6, 0)
-            if w.contains(d):
-                out[d] = out.get(d, 0) + 1
-        return out
+        return self.dims("top", w)
 
     def companion_dims(self, w: Window) -> dict[Degree, int]:
-        out: dict[Degree, int] = {}
-        for g in self.gens:
-            d = (g + 5, -1)
-            if w.contains(d):
-                out[d] = out.get(d, 0) + 1
-        return out
+        return self.dims("companion", w)
 
     def partner_dims(self, w: Window) -> dict[Degree, int]:
         """The degree (3,-2)-relative classes paired by the connecting map."""
-        out: dict[Degree, int] = {}
-        for g in self.gens:
-            d = (g + 3, -2)
-            if w.contains(d):
-                out[d] = out.get(d, 0) + 1
-        return out
+        return self.dims("partner", w)
 
 
 def compute_f2(n: int, w: Window) -> F2Part:
@@ -189,15 +191,15 @@ def t_map(n: int, w: Window) -> TMapReport:
                 if cfm.h01_pn_dim(i, d):
                     basis.setdefault(d, []).append(
                         f"b{i}c{c}:{cfm._class_name(i, d)}")
-    pairs: list[tuple[Degree, str, str]] = []    # (degree, sg class, th class)
+    pairs: list[tuple[Degree, str, list[str]]] = []  # (degree, sg, [th])
     for g, mult in Counter(f2.gens).items():
         for c in range(mult):
-            top, partner = (g + 6, 0), (g + 3, -2)
+            top, partner = free_class(g, "top"), free_class(g, "partner")
             for d, tag in ((top, "th"), (partner, "sg")):
                 if w.contains(d):
                     basis.setdefault(d, []).append(f"{tag}:g{g}c{c}")
             if w.contains(top) and w.contains(partner):
-                pairs.append((partner, f"sg:g{g}c{c}", f"th:g{g}c{c}"))
+                pairs.append((partner, f"sg:g{g}c{c}", [f"th:g{g}c{c}"]))
     space = GradedSpace(w, basis)
     return TMapReport(space, pair_map(space, (3, 2), pairs), len(pairs))
 
@@ -300,17 +302,14 @@ class CrossCheckReport:
 def cross_check_hv(n: int, w: Window) -> CrossCheckReport:
     """Brute-force homology of the extension of the group cohomology
     against the closed form plus the free-part contribution."""
-    c = chart(n, w)
-    hom = h01(c.extension.emod)
+    hom = h01(chart(n, w).extension.emod)
     brute = hom.dims()
-    red = c.reduced
-    closed: dict[Degree, int] = dict(cfm.hv_closed_dims(n, w))
-    for g in red.free_gens:
-        for d in ((g + 6, 0), (g + 3, -2)):
-            if w.contains(d):
-                closed[d] = closed.get(d, 0) + 1
+    f2 = compute_f2(n, w)
+    closed = Counter(cfm.hv_closed_dims(n, w))
+    closed.update(f2.class_dims(w))
+    closed.update(f2.partner_dims(w))
     region = [d for d in hom.region
-              if d[0] <= red.certified_hi + 3 and w.contains(d)]
+              if d[0] <= f2.certified_hi + 3 and w.contains(d)]
     mism = []
     for d in region:
         a, b = brute.get(d, 0), closed.get(d, 0)

@@ -21,7 +21,10 @@ module degree in module order.  The ``Layout`` records ``(monomial, module
 degree, offset)`` per degree, and every operator is built block by block:
 a build runs the coefficient rule once per monomial it reads, each term of
 the rule names the module rows it takes, computed once per module degree,
-and those rows are shifted to the target block's offset.
+and those rows are shifted to the target block's offset.  The checks read
+the layout too: the cone split takes each block's cone from its monomial,
+and the duality pairing matches blocks by their monomials and module
+degrees.  The names are labels only; nothing splits them.
 
 The two differentials are built at once.  The coefficient actions by
 ``a`` and ``s`` are handed to ``EModule`` as builders and built on first
@@ -37,7 +40,7 @@ from functools import cache
 from typing import Callable, Optional, Sequence
 
 from . import coeff as cf
-from .a1 import A1Module, degrees_between, dual_a1, margolis
+from .a1 import A1Module, dual_a1, margolis
 from .coeff import A, CoeffMonomial, S, multiply, q0_coeff, q1_coeff
 from .emod import EModule, H01Result, h01, les_h01, LesReport
 from .gf2 import Echelon, F2Matrix
@@ -47,10 +50,11 @@ from .graded import (
     GradedSpace,
     OperatorPair,
     Window,
+    _dual_name,
     add_deg,
+    degrees_where,
     hom_space,
     identity_map,
-    sub_deg,
 )
 
 # (coefficient monomial, module degree, offset of its block) per degree
@@ -61,10 +65,6 @@ Rows = Callable[[int], Sequence[int]]
 # a block rule: monomial -> terms (target monomial or None, module rows)
 BlockRule = Callable[[CoeffMonomial],
                      list[tuple[Optional[CoeffMonomial], Rows]]]
-
-
-def cone_of_name(name: str) -> str:
-    return "-" if name[0] in "AS" else "+"
 
 
 @dataclass
@@ -91,11 +91,6 @@ def _check_base_window(m: A1Module, w: Window) -> None:
         raise ValueError(
             f"base module exact on [{m.complete_lo},{m.complete_hi}] but the "
             f"window requires [{lo},{hi}]; rebuild the module accordingly")
-
-
-def _decompose(name: str) -> tuple[CoeffMonomial, str]:
-    mono, x = name.split("|", 1)
-    return CoeffMonomial.parse(mono), x
 
 
 def _extension_basis(m: A1Module, w: Window,
@@ -198,17 +193,19 @@ def apply_r(m: A1Module, w: Window) -> RModule:
 
 
 def check_cone_separation(rm: RModule) -> bool:
-    """No differential entry crosses between the two cones."""
-    sp = rm.emod.space
+    """No differential entry crosses between the two cones; each block's
+    cone is that of its monomial in the layout."""
+    def negative(d: Degree) -> int:
+        """The mask of the negative-cone positions at ``d``."""
+        return sum(((1 << rm.base.dim(xd)) - 1) << off
+                   for mono, xd, off in rm.layout.get(d, ()) if mono.cone == "-")
+
     for mp in (rm.emod.q0, rm.emod.q1):
         for d, blk in mp.blocks.items():
-            td = add_deg(d, mp.shift)
-            tnames = sp.names(td)
-            for i, n in enumerate(sp.names(d)):
-                cone = cone_of_name(n)
-                for j, tn in enumerate(tnames):
-                    if blk.entry(i, j) and cone_of_name(tn) != cone:
-                        return False
+            src, tgt = negative(d), negative(add_deg(d, mp.shift))
+            for i, r in enumerate(blk.rows):
+                if r & tgt != (r if (src >> i) & 1 else 0):
+                    return False
     return True
 
 
@@ -264,61 +261,70 @@ def psi_duality(m: A1Module, w: Window) -> PsiCertificate:
     shifted dual of the extension, checked to commute with both
     differentials degreewise.
 
-    A basis functional of the left side at degree d corresponds to the
-    basis vector obtained by dualizing the coefficient monomial through
-    the pairing; it sits at the reflected degree (2,-2) - d.
+    The left basis functional ``mono|x^`` at degree d pairs with the right
+    basis vector ``duality_w(mono)|x`` at the reflected degree (2,-2) - d.
+    The pairing is read from the two layouts, not from the names: the
+    block of ``mono`` at module degree ``xd`` pairs with the block of
+    ``duality_w(mono)`` at ``-xd``, permuted within by the dual module
+    names once per module degree.  So it is a permutation matrix P(d), and
+    a differential with left block L at d and right block R into the
+    reflected degree commutes with it when ``L P(d + shift) = P(d) R^T``.
     """
-    md = dual_a1(m)
-    lhs = apply_r(md, w)
+    lhs = apply_r(dual_a1(m), w)
     wref = Window(2 - w.m_hi, 2 - w.m_lo, -2 - w.k_hi, -2 - w.k_lo)
     rhs = apply_r(m, wref)
-    rsp = rhs.emod.space
+    lsp, rsp = lhs.space(), rhs.space()
 
     def reflect(d: Degree) -> Degree:
         return (2 - d[0], -2 - d[1])
 
-    def pair_name(name: str) -> str:
-        """The basis vector of the reflected extension paired with a
-        left-hand basis element ``mono|x^``."""
-        mono, xdual = _decompose(name)
-        xplain = xdual[:-1] if xdual.endswith("^") else xdual
-        return f"{cf.duality_w(mono).name()}|{xplain}"
+    @cache
+    def module_pairing(xd: int) -> Optional[list[int]]:
+        """Position at ``-xd`` of the right base paired with each basis
+        vector of the left base at ``xd``, or None if some has no pair."""
+        where = {n: i for i, n in enumerate(rhs.base.names(-xd))}
+        got = [where.get(_dual_name(n)) for n in lhs.base.names(xd)]
+        return None if None in got else got
 
-    checked = 0
+    def pairing(d: Degree) -> Optional[F2Matrix]:
+        """P(d), or None when the blocks at d and at the reflected degree
+        do not pair off."""
+        rd = reflect(d)
+        at = {(mono, xd): off for mono, xd, off in rhs.layout.get(rd, ())}
+        rows: list[int] = []
+        for mono, xd, _ in lhs.layout.get(d, ()):
+            off, perm = at.get((cf.duality_w(mono), -xd)), module_pairing(xd)
+            if off is None or perm is None:
+                return None
+            rows += [1 << (off + i) for i in perm]
+        if len(rows) != rsp.dim(rd):
+            return None
+        return F2Matrix.from_rows(rows, len(rows))
+
+    pair: dict[Degree, F2Matrix] = {}
     for d in w.degrees():
-        lnames = lhs.emod.space.names(d)
-        rnames = rsp.names(reflect(d))
-        if sorted(pair_name(n) for n in lnames) != sorted(rnames):
+        got = pairing(d)
+        if got is None:
             return PsiCertificate(False, f"pairing bijection fails at {d}",
-                                  checked)
-        checked += 1
+                                  len(pair))
+        pair[d] = got
+    checked = len(pair)
 
     for shift, lmap, rmap in (((1, 0), lhs.emod.q0, rhs.emod.q0),
                               ((2, 1), lhs.emod.q1, rhs.emod.q1)):
         for d in w.degrees():
             td = add_deg(d, shift)
-            if not w.contains(td):
+            if not w.contains(td) or not lsp.dim(d):
                 continue
-            lnames = lhs.emod.space.names(d)
-            tnames = lhs.emod.space.names(td)
-            for i, n in enumerate(lnames):
-                v = lmap.apply(d, 1 << i)
-                lhs_set = {pair_name(tn) for j, tn in enumerate(tnames)
-                           if (v >> j) & 1}
-                # dual differential: pi_y pulls back to pi_z over all z
-                # whose differential contains y
-                y = pair_name(n)
-                ydeg = reflect(d)
-                zdeg = sub_deg(ydeg, shift)
-                blk = rmap.block(zdeg)
-                yi = rsp.index(ydeg, y)
-                rhs_set = {zn for zi, zn in enumerate(rsp.names(zdeg))
-                           if blk.entry(zi, yi)}
-                if lhs_set != rhs_set:
+            # the dual differential pulls the functional of y back to those
+            # of every z whose differential contains y
+            left = lmap.block(d).mul(pair[td]).rows
+            right = pair[d].mul(rmap.block(reflect(td)).transpose()).rows
+            for i, (a, b) in enumerate(zip(left, right)):
+                if a != b:
                     return PsiCertificate(
-                        False,
-                        f"commutation with shift {shift} fails at {d} on {n}",
-                        checked)
+                        False, f"commutation with shift {shift} fails at {d} "
+                               f"on {lsp.names(d)[i]}", checked)
     return PsiCertificate(True, "bijection commuting with both differentials "
                                 f"on {checked} degrees", checked)
 
@@ -433,8 +439,9 @@ class A1Map:
         s, t = self.source, self.target
         for reach, s_op, t_op in ((1, s.apply_sq1, t.apply_sq1),
                                   (2, s.apply_sq2, t.apply_sq2)):
-            for d in degrees_between(t.complete_lo, t.complete_hi - reach,
-                                     s.trusted_degrees(reach)):
+            for d in degrees_where(
+                    lambda d: t.complete_lo <= d <= t.complete_hi - reach,
+                    s.trusted_degrees(reach)):
                 for i in range(s.dim(d)):
                     lhs = self.apply(d + reach, s_op(d, 1 << i))
                     if lhs != t_op(d, self.apply(d, 1 << i)):
@@ -459,11 +466,11 @@ class SecRResult:
     les: Optional[LesReport]
 
 
-def check_sec_r(f: A1Map, g: A1Map, w: Window,
-                les_region: Optional[Window] = None) -> SecRResult:
+def check_sec_r(f: A1Map, g: A1Map, w: Window) -> SecRResult:
     """Verify a short exact sequence of base modules split over the first
     exterior factor, extend it, and certify the induced long exact
-    sequence degreewise."""
+    sequence degreewise on ``w`` less two degrees and one twist at each
+    end."""
     a, b, c = f.source, f.target, g.target
     if g.source is not b:
         return SecRResult(False, "maps not composable", None)
@@ -472,7 +479,7 @@ def check_sec_r(f: A1Map, g: A1Map, w: Window,
     lo = max(a.complete_lo, b.complete_lo, c.complete_lo)
     hi = min(a.complete_hi, b.complete_hi, c.complete_hi)
     # a degree where all three modules vanish is trivially short exact
-    for d in degrees_between(lo, hi, a.basis, b.basis, c.basis):
+    for d in degrees_where(lambda d: lo <= d <= hi, a.basis, b.basis, c.basis):
         rank_f, rank_g = (Echelon(x.block(d).rows).rank for x in (f, g))
         if rank_f != a.dim(d) or rank_g != c.dim(d) or rank_f + rank_g != b.dim(d):
             return SecRResult(False, f"not short exact at degree {d}", None)
@@ -488,7 +495,7 @@ def check_sec_r(f: A1Map, g: A1Map, w: Window,
 
     ra, rb, rc = apply_r(a, w), apply_r(b, w), apply_r(c, w)
     rf, rg = lift_map(f, ra, rb), lift_map(g, rb, rc)
-    region = les_region or w.shrink(2, 2, 1, 1)
+    region = w.shrink(2, 2, 1, 1)
     if region is None:
         return SecRResult(False, "window too small for the sequence check", None)
     rep = les_h01(ra.emod, rb.emod, rc.emod, rf, rg, region)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Optional
 
 from .gf2 import Echelon, F2Matrix, intersect_row_spaces
 from .graded import (
@@ -33,6 +33,7 @@ from .graded import (
     Subquotient,
     Window,
     add_deg,
+    degrees_where,
     sub_deg,
 )
 
@@ -85,7 +86,7 @@ def validate_tower(t: TowerData) -> list[TowerWitness]:
         lev, prev = t.levels[n], t.levels[n - 1]
         through = lev.e.compose(prev.f)
         # zero blocks are never stored, so stored blocks compare as blocks
-        for d in _region_order(t.region, through.blocks, lev.f.blocks):
+        for d in degrees_where(t.region.contains, through.blocks, lev.f.blocks):
             if through.blocks.get(d) != lev.f.blocks.get(d):
                 out.append(TowerWitness(n, d, "colimit maps do not commute"))
                 break
@@ -94,7 +95,8 @@ def validate_tower(t: TowerData) -> list[TowerWitness]:
     for n in range(t.level_lo, t.level_hi):
         lev, above = t.levels[n], t.levels[n + 1]
         below = [sub_deg(d, (1, 0)) for d in above.space.basis]
-        for d in _region_order(t.region, lev.space.basis, lev.layer.basis, below):
+        for d in degrees_where(t.region.contains, lev.space.basis,
+                               lev.layer.basis, below):
             if not t.region.contains(add_deg(d, (1, 0))):
                 continue
             # exactness at k_n: image of e_{n+1} = kernel of c_n
@@ -110,13 +112,6 @@ def validate_tower(t: TowerData) -> list[TowerWitness]:
                 out.append(TowerWitness(n, d, "not exact at the next level"))
                 break
     return out
-
-
-def _region_order(region: Window, *degree_sets: Iterable[Degree]
-                  ) -> list[Degree]:
-    """Degrees of the region found in any of the collections, in the
-    region's own order."""
-    return sorted({d for ds in degree_sets for d in ds if region.contains(d)})
 
 
 def _exact_at(f: GradedMap, g: GradedMap, d: Degree) -> bool:
@@ -189,7 +184,7 @@ def filtration(t: TowerData, n: int) -> Filtration:
         raise ValueError(f"level {n} lacks neighbors in [{t.level_lo},{t.level_hi}]")
     lev = t.levels[n]
     return Filtration(lev, t.levels[n + 1],
-                      _region_order(t.region, lev.space.basis))
+                      degrees_where(t.region.contains, lev.space.basis))
 
 
 @dataclass
@@ -208,7 +203,7 @@ def detect(t: TowerData, h: int, n: int) -> DetectReport:
     comp = t.levels[n + h].e
     for step in range(h - 1, 0, -1):
         comp = comp.compose(t.levels[n + step].e)
-    for d in _region_order(t.region, lev.space.basis):
+    for d in degrees_where(t.region.contains, lev.space.basis):
         tn = lev.f.kernel_at(d)
         if tn.nrows == 0:
             continue
@@ -224,7 +219,7 @@ def iota_injective(t: TowerData, n: int) -> bool:
     level's top quotient is injective (dimension check)."""
     fil_n = filtration(t, n)
     fil_n1 = filtration(t, n + 1)
-    for d in _region_order(t.region, t.levels[n].space.basis):
+    for d in degrees_where(t.region.contains, t.levels[n].space.basis):
         # iota sends F0_n into F2_{n+1} by choosing a preimage along e_{n+1}
         src = fil_n.f0[d]
         if src.nrows == 0:
@@ -269,7 +264,7 @@ def chain_complex_at(t: TowerData, n: int) -> ChainComplexReport:
     # every space read at d is empty unless d is one of these; the last set
     # keeps the degrees whose only data is the bottom step of the next level
     below = [sub_deg(d, (1, 0)) for d in nxt.space.basis]
-    degrees = _region_order(t.region, lev.layer.basis, lev.space.basis,
+    degrees = degrees_where(t.region.contains, lev.layer.basis, lev.space.basis,
                             t.colimit.basis, below)
 
     middle = Subquotient(lev.layer, {d: th_n.kernel_at(d) for d in degrees},

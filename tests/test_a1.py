@@ -36,6 +36,7 @@ from krtool.a1 import (
 )
 from krtool.gf2 import Echelon, F2Matrix, left_kernel_basis, row_basis
 from krtool.graded import GradedMap, OperatorPair, Window, hom_space, identity_map
+from krtool.rfun import A1Map
 
 
 def total_square_sq(i, s):
@@ -713,3 +714,45 @@ def test_loop_power_four_is_twelve_fold_suspension():
     four = loop_power(p, 4)
     rep = stable_evidence(four, suspend(std_p(1, 14), 12))
     assert rep.consistent, rep.detail
+
+
+# -- the cover's epimorphism against a name-keyed reference ------------------------
+
+COVERED = {"P": lambda: std_p(1, 24),
+           **{f"P{n}": (lambda n=n: std_pn(n, -2, 24)) for n in range(4)},
+           # 33 summands, so tags of two digits
+           "BV2": lambda: reduce(std_bv(2, 1, 20)).module}
+
+
+def _ref_epi_rows(m, res, d):
+    """The epimorphism rows at ``d`` read by splitting each cover name
+    ``g<j>.<word>@<degree>`` into its summand and its word."""
+    reps = [(g, v) for g in sorted(res.gen_reps) for v in res.gen_reps[g].rows]
+    rows = []
+    for name in res.cover.names(d):
+        tag, word = name.split(".", 1)
+        gd, rep = reps[int(tag[1:])]
+        rows.append(m.apply_word(word.split("@", 1)[0], gd, rep))
+    return rows
+
+
+@pytest.mark.parametrize("name", list(COVERED))
+def test_cover_lists_summands_in_order_and_its_epimorphism_matches_names(name):
+    m = COVERED[name]()
+    res = proj_cover_and_loop(m)
+    count = sum(b.nrows for b in res.gen_reps.values())
+    width = len(str(count - 1))
+    for d in res.cover.degrees():
+        names = res.cover.names(d)
+        tags = [n.split(".", 1)[0] for n in names]
+        assert all(len(t) == width + 1 for t in tags), (d, names)
+        summands = [int(t[1:]) for t in tags]
+        assert summands == sorted(summands), (d, names)
+        assert list(res.epi_blocks[d].rows) == _ref_epi_rows(m, res, d), d
+        assert res.epi_blocks[d].ncols == m.dim(d)
+    # the epimorphism commutes with both operations, its kernel is the loop
+    assert A1Map(res.cover, m, res.epi_blocks).commutes()
+    assert validate(res.loop) == []
+    for d, rows in res.loop_rows.items():
+        assert all(res.epi_blocks[d].vec_mul(v) == 0 for v in rows.rows)
+

@@ -56,3 +56,23 @@ def test_acceptance(num, suite, blurb):
         assert res.seconds < budget, \
             f"criterion {num} exceeded its runtime target " \
             f"({res.seconds:.1f}s >= {budget}s)"
+
+
+def test_no_suite_reads_structure_from_a_basis_name(monkeypatch):
+    """Basis names are labels: every suite, and a rank-2 cross-check,
+    passes with the monomial-name parser disabled."""
+    from krtool import kr, verify
+    from krtool.coeff import CoeffMonomial
+    from krtool.graded import Window
+
+    def refuse(text):
+        raise AssertionError(f"basis name parsed: {text!r}")
+
+    monkeypatch.setattr(CoeffMonomial, "parse", staticmethod(refuse))
+    # rebuild what earlier tests may have left in the caches
+    verify._hv_report.cache_clear()
+    kr.chart.cache_clear()
+    for res in verify.run_all():
+        assert res.ok, f"{res.name}: {res.detail}"
+    assert kr.cross_check_hv(2, Window(-10, 10, -5, 5)).ok
+    kr.chart.cache_clear()

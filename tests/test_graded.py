@@ -17,6 +17,7 @@ from krtool.graded import (
     dual_space,
     hom_space,
     identity_map,
+    pair_map,
     truncate_twist,
 )
 
@@ -364,3 +365,15 @@ def test_compose_refuses_mismatched_middle_without_blocks():
     with pytest.raises(ValueError, match="composition block mismatch"):
         f.compose(g)
     assert f.compose(GradedMap(b, b, (0, 0), {})).is_zero()
+
+
+def test_pair_map_sums_its_targets_and_cancels_a_repeated_one():
+    w = Window(0, 1, 0, 1)
+    sp = GradedSpace(w, {(0, 0): ["a", "b", "c"], (0, 1): ["p", "q", "r"]})
+    mp = pair_map(sp, (0, 1), [((0, 0), "a", ["p", "r"]),
+                               ((0, 0), "b", ["q", "q"]),
+                               ((0, 0), "c", ["q", "r", "q"])])
+    assert mp.block((0, 0)).rows == (0b101, 0, 0b100)
+    assert pair_map(sp, (0, 1), [((0, 0), "b", ["q", "q"])]).is_zero()
+    assert pair_map(sp, (0, 1), [((0, 0), "a", ["q"])]) == GradedMap(
+        sp, sp, (0, 1), {(0, 0): F2Matrix.from_rows([0b010, 0, 0], 3)})

@@ -163,6 +163,24 @@ def test_parse_comments_and_zero_lines():
     assert m.dims() == {0: 1, 1: 1}
 
 
+def test_repeated_targets_cancel():
+    """Targets add over GF(2) in both readers: ``x = y + y`` is zero and
+    ``x = y + z + y`` is ``z``."""
+    a = module_file_to_a1(parse_module_file(
+        "kind a1\nwindow 0 2 0 0\ngen x 0\ngen y 1\ngen z 1\ngen u 2\n"
+        "sq1 x = y + y\nsq2 x = u + u + u\nsq1 y = 0\n"))
+    assert a.apply_sq1(0, 1) == 0
+    assert a.vector_name(2, a.apply_sq2(0, 1)) == "u"
+    e = module_file_to_e(parse_module_file(
+        "kind e\nwindow 0 2 0 1\ngen x 0 0\ngen y 1 0\ngen z 1 0\n"
+        "gen v 2 1\nq0 x = y + y\nq1 x = v + v\n"))
+    assert e.q0.is_zero() and e.q1.is_zero()
+    e = module_file_to_e(parse_module_file(
+        "kind e\nwindow 0 2 0 1\ngen x 0 0\ngen y 1 0\ngen z 1 0\n"
+        "q0 x = y + z + y\n"))
+    assert e.space.vector_name((1, 0), e.q0.apply((0, 0), 1)) == "z"
+
+
 def test_e_module_round_trip():
     from krtool.rfun import apply_r
     from krtool.a1 import std_f

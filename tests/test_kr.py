@@ -4,6 +4,8 @@ import time
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from krtool import closedform as cfm
 from krtool import kr
@@ -256,3 +258,20 @@ def test_f1_from_stored_blocks_matches_the_window_scan(n):
                 want[d] = q1.rank_at(src)
         got = compute_f1(n, w)
         assert list(got.items()) == list(want.items())
+
+
+@given(st.lists(st.integers(-12, 20), max_size=12))
+@settings(max_examples=100, deadline=None)
+def test_free_class_dims_match_one_loop_per_offset(gens):
+    """The three class counts of ``F2Part`` against a loop per offset."""
+    w = Window(-6, 14, -3, 3)
+    part = kr.F2Part(gens, float("inf"))
+    for method, offset in ((part.class_dims, (6, 0)),
+                           (part.companion_dims, (5, -1)),
+                           (part.partner_dims, (3, -2))):
+        want: dict = {}
+        for g in gens:
+            d = (g + offset[0], offset[1])
+            if w.contains(d):
+                want[d] = want.get(d, 0) + 1
+        assert method(w) == want

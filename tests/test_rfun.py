@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from krtool import cli, rfun
 from krtool import coeff as cf
 from krtool.a1 import (
+    A1Module,
     direct_sum_a1,
+    dual_a1,
     std_a1,
     std_bv,
     std_f,
@@ -22,7 +24,7 @@ from krtool.a1 import (
 )
 from krtool.closedform import h01_pn_dim
 from krtool.coeff import A, CoeffMonomial, S, multiply, q0_coeff, q1_coeff
-from krtool.emod import h01, is_rel_projective, validate
+from krtool.emod import EModule, h01, is_rel_projective, validate
 from krtool.gf2 import F2Matrix
 from krtool.graded import GradedMap, GradedSpace, Window, add_deg
 from krtool.kr import chart, cross_check_hv
@@ -484,3 +486,189 @@ def test_build_runs_each_rule_once_per_monomial(monkeypatch):
     lift_map(A1Map(std_f(0), std_f(0), {0: F2Matrix.identity(1)}), rf, rf)
     (shift, seen), = calls
     assert shift == (0, 0) and len(seen) == len(set(seen)) > 1
+
+
+# -- the duality and cone checks against name-keyed references --------------------
+#
+# The references read the structure off the basis names: the monomial
+# before ``|``, the dual marker ``^`` after it, and the cone from the first
+# letter of the monomial.  They call ``rfun.apply_r`` at call time, so a
+# patched builder reaches both sides of a comparison.
+
+
+def _ref_psi_duality(m, w):
+    lhs = rfun.apply_r(dual_a1(m), w)
+    wref = Window(2 - w.m_hi, 2 - w.m_lo, -2 - w.k_hi, -2 - w.k_lo)
+    rhs = rfun.apply_r(m, wref)
+    rsp = rhs.emod.space
+
+    def reflect(d):
+        return (2 - d[0], -2 - d[1])
+
+    def pair_name(name):
+        mono, xdual = _ref_decompose(name)
+        xplain = xdual[:-1] if xdual.endswith("^") else xdual
+        return f"{cf.duality_w(mono).name()}|{xplain}"
+
+    checked = 0
+    for d in w.degrees():
+        lnames = lhs.emod.space.names(d)
+        if sorted(pair_name(n) for n in lnames) != sorted(rsp.names(reflect(d))):
+            return False, f"pairing bijection fails at {d}", checked
+        checked += 1
+    for shift, lmap, rmap in (((1, 0), lhs.emod.q0, rhs.emod.q0),
+                              ((2, 1), lhs.emod.q1, rhs.emod.q1)):
+        for d in w.degrees():
+            td = add_deg(d, shift)
+            if not w.contains(td):
+                continue
+            tnames = lhs.emod.space.names(td)
+            for i, n in enumerate(lhs.emod.space.names(d)):
+                v = lmap.apply(d, 1 << i)
+                lhs_set = {pair_name(tn) for j, tn in enumerate(tnames)
+                           if (v >> j) & 1}
+                ydeg = reflect(d)
+                zdeg = (ydeg[0] - shift[0], ydeg[1] - shift[1])
+                blk = rmap.block(zdeg)
+                yi = rsp.index(ydeg, pair_name(n))
+                rhs_set = {zn for zi, zn in enumerate(rsp.names(zdeg))
+                           if blk.entry(zi, yi)}
+                if lhs_set != rhs_set:
+                    return False, (f"commutation with shift {shift} fails "
+                                   f"at {d} on {n}"), checked
+    return True, ("bijection commuting with both differentials on "
+                  f"{checked} degrees"), checked
+
+
+def _ref_cone_separation(rm):
+    def cone_of_name(name):
+        return "-" if name[0] in "AS" else "+"
+
+    sp = rm.emod.space
+    for mp in (rm.emod.q0, rm.emod.q1):
+        for d, blk in mp.blocks.items():
+            tnames = sp.names(add_deg(d, mp.shift))
+            for i, n in enumerate(sp.names(d)):
+                for j, tn in enumerate(tnames):
+                    if blk.entry(i, j) and cone_of_name(tn) != cone_of_name(n):
+                        return False
+    return True
+
+
+DUALITY_SUITE = [(std_f(), Window(-8, 8, -4, 4)),
+                 (std_a1(), Window(-10, 10, -5, 5)),
+                 (std_p(1, 26), Window(-9, 9, -4, 4))]
+# "x" < "xA" but "xA^" < "x^": the pairing permutes the dual basis
+SWAPPED = A1Module({0: ["x", "xA"], 1: ["y"]},
+                   {0: F2Matrix.from_rows([1, 0], 1)}, {}, 0, 1,
+                   -math.inf, math.inf)
+
+
+def _report(cert):
+    return cert.ok, cert.detail, cert.checked_degrees
+
+
+@pytest.mark.parametrize("m,w", DUALITY_SUITE + [(SWAPPED, Window(-6, 6, -3, 3))],
+                         ids=["F", "A1", "P", "swapped"])
+def test_psi_duality_matches_name_keyed_reference(m, w):
+    got = _report(psi_duality(m, w))
+    assert got == _ref_psi_duality(m, w)
+    assert got[0]
+
+
+@pytest.mark.parametrize("m", [dual_a1(std_p(1, 26)), dual_a1(std_a1())],
+                         ids=["dual-P", "dual-A1"])
+def test_psi_duality_holds_on_modules_named_as_duals(m):
+    """Base names ending in ``^`` pair with their duals: the name-keyed
+    version stripped the marker from the wrong side and reported a
+    failed bijection here."""
+    cert = psi_duality(m, Window(-9, 9, -4, 4))
+    assert _report(cert) == (
+        True, "bijection commuting with both differentials on 171 degrees", 171)
+
+
+def _flip(rm, which, d, i, j):
+    """``rm`` with entry (i, j) of the ``which`` block at ``d`` flipped."""
+    em = rm.emod
+    mp = getattr(em, which)
+    blk = mp.block(d)
+    rows = list(blk.rows)
+    rows[i] ^= 1 << j
+    flipped = GradedMap(mp.source, mp.target, mp.shift,
+                        {**mp.blocks, d: F2Matrix.from_rows(rows, blk.ncols)})
+    maps = {"q0": em.q0, "q1": em.q1, which: flipped}
+    return rfun.RModule(rm.base, EModule(em.space, maps["q0"], maps["q1"],
+                                         em.complete), rm.layout)
+
+
+def test_psi_duality_matches_reference_with_one_flipped_bit(monkeypatch):
+    """One entry of ``q0`` or ``q1`` flipped in either extension that the
+    check builds: both versions give the same report, and every flip is
+    caught."""
+    import random
+    real = rfun.apply_r
+    rng = random.Random(20261018)
+    caught = 0
+    for trial in range(60):
+        m, w = DUALITY_SUITE[trial % 3]
+        side, which = rng.randrange(2), rng.choice(["q0", "q1"])
+        calls = []
+
+        def patched(base, win):
+            rm = real(base, win)
+            calls.append(rm)
+            if len(calls) % 2 != side:
+                return rm
+            mp = getattr(rm.emod, which)
+            sp = rm.emod.space
+            degs = [d for d in sp.degrees() if sp.dim(add_deg(d, mp.shift))]
+            d = rng.choice(degs)
+            return _flip(rm, which, d, rng.randrange(sp.dim(d)),
+                         rng.randrange(sp.dim(add_deg(d, mp.shift))))
+
+        monkeypatch.setattr(rfun, "apply_r", patched)
+        state = rng.getstate()
+        got = _report(psi_duality(m, w))
+        rng.setstate(state)          # the reference sees the same flip
+        assert got == _ref_psi_duality(m, w), trial
+        caught += not got[0]
+    assert caught == 60
+
+
+def test_psi_duality_reports_an_unpaired_basis_like_the_reference(monkeypatch):
+    real = rfun.apply_r
+    calls = []
+
+    def patched(base, win):
+        calls.append(base)
+        # the right side built on a suspension: no block pairs off
+        return real(suspend(base, 1) if len(calls) % 2 == 0 else base, win)
+
+    monkeypatch.setattr(rfun, "apply_r", patched)
+    for m, w in DUALITY_SUITE:
+        got = _report(psi_duality(m, w))
+        assert not got[0] and "pairing bijection fails" in got[1]
+        assert got == _ref_psi_duality(m, w)
+
+
+@pytest.mark.parametrize("m,w", DUALITY_SUITE + [
+    (std_bv(2, 1, 14), Window(-6, 10, -3, 3)),
+    (dual_a1(std_p(1, 20)), Window(-10, 4, -5, 2))],
+    ids=["F", "A1", "P", "BV2", "dual-P"])
+def test_cone_separation_matches_name_keyed_reference(m, w):
+    rm = apply_r(m, w)
+    assert check_cone_separation(rm) == _ref_cone_separation(rm) is True
+
+
+def test_cone_separation_catches_a_crossing_entry():
+    """A hand-made extension whose differential sends a positive-cone
+    block into a negative-cone block."""
+    base = A1Module({0: ["x"], 1: ["y"]}, {}, {}, 0, 1, 0, 1)
+    plus, minus = CoeffMonomial("+", 0, 0), CoeffMonomial("-", 1, 0)
+    w = Window(0, 1, 0, 0)
+    space = GradedSpace(w, {(0, 0): ["1|x"], (1, 0): ["A1.S2|y"]})
+    q0 = GradedMap(space, space, (1, 0), {(0, 0): F2Matrix.from_rows([1], 1)})
+    rm = rfun.RModule(base, EModule(space, q0, GradedMap(space, space, (2, 1)),
+                                    w),
+                      {(0, 0): [(plus, 0, 0)], (1, 0): [(minus, 1, 0)]})
+    assert check_cone_separation(rm) is _ref_cone_separation(rm) is False
