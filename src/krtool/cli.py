@@ -17,7 +17,7 @@ import json
 import math
 import random
 import sys
-from typing import Optional
+from typing import Optional, Union
 
 from . import closedform as cfm
 from .a1 import (
@@ -36,6 +36,7 @@ from .graded import Window
 from .io import (
     ParseError,
     a1_to_module_file_text,
+    e_to_module_file_text,
     module_file_to_a1,
     module_file_to_e,
     parse_module_file,
@@ -82,35 +83,36 @@ def _builtin_a1(name: str, w: Window) -> Optional[A1Module]:
     return None
 
 
-def _load_a1(args, w: Window) -> A1Module:
-    if args.builtin:
-        m = _builtin_a1(args.builtin, w)
+def _load(args, w: Window) -> Union[A1Module, EModule]:
+    """The module ``--builtin`` or ``--in`` names: an e module for ``RP<n>``
+    and for a file of kind e, an A(1)-module otherwise."""
+    name = args.builtin
+    if name and name.startswith("RP") and name[2:].isdigit():
+        m = std_pn(int(name[2:]), w.m_lo - 1, required_top(w))
+        return apply_r(m, w).emod
+    if name:
+        m = _builtin_a1(name, w)
         if m is None:
-            raise UsageError(f"unknown builtin module {args.builtin!r}")
+            raise UsageError(f"unknown builtin module {name!r}")
         return m
     if args.infile:
         with open(args.infile) as fh:
-            return module_file_to_a1(parse_module_file(fh.read()))
+            mf = parse_module_file(fh.read())
+        return module_file_to_e(mf) if mf.kind == "e" else module_file_to_a1(mf)
     raise UsageError("need --builtin or --in")
+
+
+def _load_a1(args, w: Window) -> A1Module:
+    m = _load(args, w)
+    if not isinstance(m, A1Module):
+        raise UsageError(f"compute {args.task} needs an a1 module, and "
+                         f"{args.builtin or args.infile} is an e module")
+    return m
 
 
 def _load_e(args, w: Window) -> EModule:
-    if args.builtin and args.builtin.startswith("RP") \
-            and args.builtin[2:].isdigit():
-        m = std_pn(int(args.builtin[2:]), w.m_lo - 1, required_top(w))
-        return apply_r(m, w).emod
-    if args.builtin:
-        base = _builtin_a1(args.builtin, w)
-        if base is not None:
-            return apply_r(base, w).emod
-        raise UsageError(f"unknown builtin module {args.builtin!r}")
-    if args.infile:
-        with open(args.infile) as fh:
-            mf = parse_module_file(fh.read())
-        if mf.kind == "e":
-            return module_file_to_e(mf)
-        return apply_r(module_file_to_a1(mf), w).emod
-    raise UsageError("need --builtin or --in")
+    m = _load(args, w)
+    return apply_r(m, w).emod if isinstance(m, A1Module) else m
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -250,8 +252,9 @@ def cmd_compute(args) -> int:
             dims = em.space.dims()
         _emit_dims(dims, w, args)
     elif task == "print":
-        m = _load_a1(args, w)
-        _emit(a1_to_module_file_text(m), args.out)
+        m = _load(args, w)
+        _emit(a1_to_module_file_text(m) if isinstance(m, A1Module)
+              else e_to_module_file_text(m), args.out)
     else:
         raise SystemExit(f"unknown task {task!r}")
     return 0

@@ -25,6 +25,7 @@ brute-force comparison and is not used.
 from __future__ import annotations
 
 from math import comb
+from typing import Optional
 
 from .graded import Degree, GradedSpace, Window, add_deg, pair_map
 
@@ -80,14 +81,6 @@ def borel_pn_dim(n: int, d: Degree) -> int:
     return 1 if soc_has(n - k, m - k) else 0
 
 
-def h01_pn_closed(n: int, w: Window) -> GradedSpace:
-    basis: dict[Degree, list[str]] = {}
-    for d in w.degrees():
-        if h01_pn_dim(n, d):
-            basis[d] = [_class_name(n, d)]
-    return GradedSpace(w, basis)
-
-
 def hp_dim(d: Degree) -> int:
     """Dimension of the periodic closed-form model at a bidegree."""
     return borel_pn_dim(0, d)
@@ -135,15 +128,14 @@ def borel_hv_closed(n: int, w: Window) -> BorelClosedForm:
     return BorelClosedForm(n, w)
 
 
-def sigma4_shift_bijective(dims: dict[Degree, int], w: Window) -> bool:
-    """Periodicity check: translation by (-4, 4) is a bijection wherever
-    both degrees are in the window."""
-    for (m, k), v in dims.items():
-        if w.contains((m - 4, k + 4)):
-            if dims.get((m - 4, k + 4), 0) != v:
-                return False
-    for (m, k), v in dims.items():
-        if w.contains((m + 4, k - 4)):
-            if dims.get((m + 4, k - 4), 0) != v:
-                return False
-    return True
+def sigma4_shift_failure(dims: dict[Degree, int], w: Window
+                         ) -> Optional[Degree]:
+    """The first degree ``d`` where translation by (-4, 4) changes the
+    dimension, with ``d`` and ``d + (-4, 4)`` both in the window, or None
+    when the translation is a bijection there."""
+    for d in sorted(set(dims) | {add_deg(e, (4, -4)) for e in dims}):
+        up = add_deg(d, (-4, 4))
+        if w.contains(d) and w.contains(up) \
+                and dims.get(d, 0) != dims.get(up, 0):
+            return d
+    return None

@@ -14,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .gf2 import F2Matrix
-from .graded import Degree, GradedMap, GradedSpace, Window, add_deg
+from .graded import Degree
 
 
 @dataclass(frozen=True, order=True)
@@ -79,7 +78,6 @@ class CoeffMonomial:
         return CoeffMonomial("+", j, n)
 
 
-ONE = CoeffMonomial("+", 0, 0)
 A = CoeffMonomial("+", 1, 0)
 S = CoeffMonomial("+", 0, 1)
 
@@ -104,6 +102,10 @@ def q1_coeff(x: CoeffMonomial) -> Optional[CoeffMonomial]:
         if n % 4 in (2, 3):
             return CoeffMonomial("+", j + 3, n - 2)
         return None
+    # the transpose of the positive-cone action, as the pairing forces: it
+    # moves a^-m sigma^(n+2) by (2,1).  The alternative reading
+    # a^(k+1) sigma^(-n+1) has the right first coordinate but the wrong
+    # twist, so it is not a (2,1) map.
     m, n = x.e1, x.e2
     if n % 4 in (0, 1) and m >= 3:
         return CoeffMonomial("-", m - 3, n + 2)
@@ -131,68 +133,11 @@ def multiply(h: CoeffMonomial, x: CoeffMonomial) -> Optional[CoeffMonomial]:
     return CoeffMonomial("-", m, n)
 
 
-def q1_negative_discrepancy_report() -> str:
-    """Why the transpose action is used on the dual cone.
-
-    The once-printed alternative ``a^(k+1) sigma^(-n+1)`` would give the
-    second differential degree (2+n) - n = 2 in the first coordinate but
-    the wrong twist, failing the required (2,1); the transpose action is
-    the unique degree-consistent one and is what the pairing forces.
-    """
-    x = CoeffMonomial("-", 3, 0)
-    y = q1_coeff(x)
-    assert y is not None
-    d = (y.degree()[0] - x.degree()[0], y.degree()[1] - x.degree()[1])
-    return (f"transpose action: {x.name()} -> {y.name()} with degree step {d}; "
-            "the alternative reading fails the (2,1) degree count")
-
-
-def monomials_with_twist(k: int, m_lo: int, m_hi: int) -> Iterator[CoeffMonomial]:
-    """All monomials of twist ``k`` whose integer degree lies in range."""
+def monomials_with_twist(k: int) -> Iterator[CoeffMonomial]:
+    """All monomials of twist ``k``; there are none in twist -1."""
     if k >= 0:
         for n in range(0, k + 1):
-            mono = CoeffMonomial("+", k - n, n)
-            if m_lo <= mono.degree()[0] <= m_hi:
-                yield mono
+            yield CoeffMonomial("+", k - n, n)
     if k <= -2:
         for n in range(0, -k - 2 + 1):
-            mono = CoeffMonomial("-", -k - (n + 2), n)
-            if m_lo <= mono.degree()[0] <= m_hi:
-                yield mono
-
-
-class CoeffRing:
-    """Window model of the coefficient ring with its four actions."""
-
-    def __init__(self, window: Window):
-        self.window = window
-        found: dict[Degree, list[CoeffMonomial]] = {}
-        for k in range(window.k_lo, window.k_hi + 1):
-            for mono in monomials_with_twist(k, window.m_lo, window.m_hi):
-                found.setdefault(mono.degree(), []).append(mono)
-        # in the order of the space's sorted names
-        self.monos = {d: sorted(ms, key=CoeffMonomial.name)
-                      for d, ms in sorted(found.items())}
-        self.space = GradedSpace(window, {d: [x.name() for x in ms]
-                                          for d, ms in self.monos.items()})
-        # each monomial lies in one degree, so one index serves them all
-        index = {x: i for ms in self.monos.values() for i, x in enumerate(ms)}
-
-        def monomial_map(shift: Degree, rule) -> GradedMap:
-            blocks: dict[Degree, F2Matrix] = {}
-            for d, ms in self.monos.items():
-                td = add_deg(d, shift)
-                rows = []
-                for mono in ms:
-                    out = rule(mono)
-                    rows.append(1 << index[out] if out in index else 0)
-                blocks[d] = F2Matrix.from_rows(rows, self.space.dim(td))
-            return GradedMap(self.space, self.space, shift, blocks)
-
-        self.q0 = monomial_map((1, 0), q0_coeff)
-        self.q1 = monomial_map((2, 1), q1_coeff)
-        self.act_a = monomial_map((0, 1), lambda x: multiply(A, x))
-        self.act_s = monomial_map((-1, 1), lambda x: multiply(S, x))
-
-    def dim(self, d: Degree) -> int:
-        return self.space.dim(d)
+            yield CoeffMonomial("-", -k - (n + 2), n)

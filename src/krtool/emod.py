@@ -38,8 +38,6 @@ from .graded import (
 
 Q0_SHIFT: Degree = (1, 0)
 Q1_SHIFT: Degree = (2, 1)
-A_SHIFT: Degree = (0, 1)
-S_SHIFT: Degree = (-1, 1)
 
 
 # a coefficient action, or a zero-argument function building it (or None)
@@ -230,27 +228,20 @@ def h01(m: EModule) -> H01Result:
     return H01Result(Subquotient(m.space, nums, dens), region)
 
 
-def margolis_q1(m: EModule) -> dict[Degree, int]:
-    """Degreewise Ker/Im dimensions of the (2,1) differential."""
+def margolis(m: EModule, which: str) -> dict[Degree, int]:
+    """Degreewise Ker/Im dimensions of the (1,0) differential (``q0``) or
+    the (2,1) differential (``q1``), on the trusted degrees.  A module is
+    projective for the relative theory iff its ``q1`` homology vanishes."""
+    mp = m.q0 if which == "q0" else m.q1
     out: dict[Degree, int] = {}
     for d in m.complete.degrees():
-        if not m.trusted(add_deg(d, Q1_SHIFT), sub_deg(d, Q1_SHIFT)):
+        if m.dim(d) == 0 or not m.trusted(add_deg(d, mp.shift),
+                                          sub_deg(d, mp.shift)):
             continue
-        if m.dim(d) == 0:
-            continue
-        ker = m.q1.kernel_at(d)
-        h = ker.nrows - m.q1.rank_at(sub_deg(d, Q1_SHIFT))
+        h = mp.kernel_at(d).nrows - mp.rank_at(sub_deg(d, mp.shift))
         if h:
             out[d] = h
     return out
-
-
-def is_rel_projective(m: EModule) -> tuple[bool, Optional[Degree]]:
-    """Projective for the relative theory iff q1-homology vanishes."""
-    hom = margolis_q1(m)
-    if hom:
-        return False, min(hom)
-    return True, None
 
 
 # -- functorial Tate complex ------------------------------------------------------
@@ -322,23 +313,6 @@ def tate_complex(m: EModule, lo: int, hi: int) -> TateComplex:
                 units + [0] * (src.dim(d) - len(units)), tgt.dim(d))
         diffs[i] = GradedMap(src, tgt, (0, 0), blocks)
     return TateComplex(terms, diffs, flags)
-
-
-def tate_exactness_report(t: TateComplex, region: Window) -> list[str]:
-    """Check image = kernel at inner slots, degreewise on ``region``."""
-    problems = []
-    slots = sorted(t.terms)
-    for i in slots[1:-1]:
-        for d in region.degrees():
-            if not (t.terms[i].trusted(d)
-                    and t.terms[i + 1].trusted(d)
-                    and t.terms[i - 1].trusted(d)):
-                continue
-            into = t.diffs.get(i + 1)
-            ker = t.diffs[i].kernel_at(d)
-            if (into.rank_at(d) if into is not None else 0) != ker.nrows:
-                problems.append(f"slot {i} not exact at {d}")
-    return problems
 
 
 def kerker_space(m: EModule) -> Subquotient:
@@ -492,16 +466,6 @@ def les_h01(a: EModule, b: EModule, c: EModule,
             return LesReport(False, f"not exact at last slot, degree {d}", slots)
         slots += 3
     return LesReport(True, f"exact at {slots} slots", slots)
-
-
-def q0_acyclic_on(m: EModule, region: Window) -> bool:
-    for d in region.degrees():
-        if not m.trusted(add_deg(d, Q0_SHIFT), sub_deg(d, Q0_SHIFT)):
-            continue
-        ker = m.q0.kernel_at(d)
-        if ker.nrows != m.q0.rank_at(sub_deg(d, Q0_SHIFT)):
-            return False
-    return True
 
 
 # -- duality ---------------------------------------------------------------------

@@ -259,10 +259,6 @@ class Echelon:
         return None if w else used
 
 
-def span_contains(m: F2Matrix, v: int) -> bool:
-    return Echelon(m.rows).remainder(v) == 0
-
-
 def kernel_basis(m: F2Matrix) -> F2Matrix:
     """Rows form a basis of ``{v : m . v^T = 0}`` (right null space)."""
     r, piv = rref(m)
@@ -304,13 +300,6 @@ def solve(m: F2Matrix, b: int) -> Optional[int]:
     if b >> m.nrows:
         raise ValueError("right-hand side longer than row count")
     return Echelon(m.transpose().rows).coords(b)
-
-
-def solve_row(v: int, basis: F2Matrix) -> Optional[int]:
-    """Coefficients c with ``v = c . basis`` (rows of basis), or None."""
-    if v >> basis.ncols:
-        raise ValueError("vector longer than the basis rows")
-    return Echelon(basis.rows).coords(v)
 
 
 def subquotient_basis(a: F2Matrix, b: F2Matrix) -> F2Matrix:

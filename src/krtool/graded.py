@@ -168,17 +168,6 @@ def dual_space(a: GradedSpace) -> GradedSpace:
     )
 
 
-def truncate_twist(a: GradedSpace, mode: str, t: int) -> GradedSpace:
-    """Keep degrees whose twist satisfies ``>= t`` or ``<= t``."""
-    if mode == ">=":
-        keep = {d: n for d, n in a.basis.items() if d[1] >= t}
-    elif mode == "<=":
-        keep = {d: n for d, n in a.basis.items() if d[1] <= t}
-    else:
-        raise ValueError("mode must be '>=' or '<='")
-    return GradedSpace(a.window, keep)
-
-
 class GradedMap:
     """Degree-shifting linear map given per source degree.
 
@@ -274,10 +263,6 @@ class GradedMap:
     def rank_at(self, d: Degree) -> int:
         got = self.blocks.get(d)
         return 0 if got is None else Echelon(got.rows).rank
-
-
-def zero_map(source: GradedSpace, target: GradedSpace, shift: Degree) -> GradedMap:
-    return GradedMap(source, target, shift, {})
 
 
 def identity_map(space: GradedSpace) -> GradedMap:

@@ -1,4 +1,4 @@
-"""Line-based text formats for modules and synthetic towers.
+"""Line-based text formats for A(1)-modules and e modules.
 
 The grammar is deliberately small: a ``kind`` header, a ``window`` line,
 ``gen`` lines declaring named classes with their degree, and action lines
@@ -17,13 +17,12 @@ gives it and ``s`` commutes with both differentials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .a1 import A1Module, from_table, validate as validate_a1
 from .emod import EModule, validate as validate_e
 from .graded import GradedMap, GradedSpace, Window, add_deg, pair_map
-from .towers import Summand, XTowerSpec
 
 A1_OPS = {"sq1": 1, "sq2": 2}
 E_OPS = {"q0": (1, 0), "q1": (2, 1), "a": (0, 1), "s": (-1, 1)}
@@ -36,26 +35,14 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-def _ints(line_no: int, head: str, fields: list[str], count: int) -> list[int]:
-    if len(fields) != count:
-        raise ParseError(line_no, f"{head} needs {count} integer(s)")
-    try:
-        return [int(x) for x in fields]
-    except ValueError:
-        raise ParseError(line_no, f"{head} needs integers, got "
-                                  f"{' '.join(fields)!r}") from None
-
-
 @dataclass
 class ModuleFile:
     kind: str
     window: Window
     gens: dict[str, tuple[int, int]]
     actions: dict[tuple[str, str], tuple[str, ...]]   # (op, name) -> targets
-    tower: Optional[XTowerSpec] = None
-    tower_levels: tuple[int, int] = (0, 0)
-    gen_lines: dict[str, int] = field(default_factory=dict)
-    ops: Optional[frozenset[str]] = None    # the ``ops`` line of an e file
+    gen_lines: dict[str, int]
+    ops: Optional[frozenset[str]]           # the ``ops`` line of an e file
 
 
 def parse_module_file(text: str) -> ModuleFile:
@@ -65,10 +52,7 @@ def parse_module_file(text: str) -> ModuleFile:
     gen_lines: dict[str, int] = {}
     actions: dict[tuple[str, str], tuple[str, ...]] = {}
     action_lines: dict[tuple[str, str], int] = {}
-    bad: list[tuple[int, str]] = []     # (line, fault) raised in a1 and e files
-    xdeg = 1
-    levels = (0, 0)
-    summands: list[Summand] = []
+    bad: list[tuple[int, str]] = []     # (line, fault), the first raised
     declared: Optional[frozenset[str]] = None
     declared_line = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -78,8 +62,10 @@ def parse_module_file(text: str) -> ModuleFile:
         parts = line.split()
         head = parts[0]
         if head == "kind":
-            if len(parts) != 2 or parts[1] not in ("a1", "e", "tower"):
-                raise ParseError(line_no, "kind must be a1, e or tower")
+            if len(parts) != 2 or parts[1] not in ("a1", "e"):
+                raise ParseError(line_no, f"unknown kind "
+                                          f"{' '.join(parts[1:])!r}: a module "
+                                          f"file is of kind a1 or e")
             kind = parts[1]
         elif head == "window":
             if len(parts) != 5:
@@ -94,7 +80,11 @@ def parse_module_file(text: str) -> ModuleFile:
             name = parts[1]
             if name in gens:
                 raise ParseError(line_no, f"duplicate generator {name}")
-            deg = _ints(line_no, "gen", parts[2:], len(parts) - 2)
+            try:
+                deg = [int(x) for x in parts[2:]]
+            except ValueError:
+                raise ParseError(line_no, f"gen needs integers, got "
+                                          f"{' '.join(parts[2:])!r}") from None
             gens[name] = (deg[0], deg[1] if len(deg) == 2 else 0)
             gen_lines[name] = line_no
         elif head in A1_OPS or head in E_OPS:
@@ -132,45 +122,27 @@ def parse_module_file(text: str) -> ModuleFile:
                 raise ParseError(line_no, "ops takes a, s and cartan, each at "
                                           "most once")
             declared, declared_line = frozenset(words), line_no
-        elif head == "xdeg":
-            (xdeg,) = _ints(line_no, head, parts[1:], 1)
-        elif head == "levels":
-            lo, hi = _ints(line_no, head, parts[1:], 2)
-            levels = (lo, hi)
-        elif head == "summand":
-            kind_word = parts[1] if len(parts) > 1 else ""
-            if kind_word == "cyclic":
-                shift, order = _ints(line_no, "summand cyclic", parts[2:], 2)
-                summands.append(Summand("cyclic", shift, order))
-            elif kind_word == "free":
-                (shift,) = _ints(line_no, "summand free", parts[2:], 1)
-                summands.append(Summand("free", shift))
-            else:
-                raise ParseError(line_no, "summand must be cyclic or free")
         else:
             raise ParseError(line_no, f"unknown directive {head}")
     if not kind:
         raise ParseError(0, "missing kind header")
     if window is None:
         raise ParseError(0, "missing window header")
-    ops = {"a1": A1_OPS, "e": E_OPS}.get(kind)
-    if ops is not None:         # tower files ignore generator and action lines
-        held = window if kind == "e" else Window(window.m_lo, window.m_hi, 0, 0)
-        bad += [(gen_lines[n], f"generator {n} at {d} lies outside {held}")
-                for n, d in gens.items() if not held.contains(d)]
-        bad += [(line, f"{op} is not an operation of {kind} modules")
-                for (op, _), line in action_lines.items() if op not in ops]
-        if kind == "a1" and declared is not None:
-            bad.append((declared_line, "ops lines belong to e files"))
-        if kind == "e" and declared is not None:
-            bad += [(line, f"{op} is not declared on the ops line")
-                    for (op, _), line in action_lines.items()
-                    if op in E_OPTIONAL and op not in declared]
-        if bad:
-            raise ParseError(*min(bad))
-    tower = XTowerSpec(xdeg, tuple(summands)) if kind == "tower" else None
-    return ModuleFile(kind, window, gens, actions, tower, levels, gen_lines,
-                      declared)
+    ops = A1_OPS if kind == "a1" else E_OPS
+    held = window if kind == "e" else Window(window.m_lo, window.m_hi, 0, 0)
+    bad += [(gen_lines[n], f"generator {n} at {d} lies outside {held}")
+            for n, d in gens.items() if not held.contains(d)]
+    bad += [(line, f"{op} is not an operation of {kind} modules")
+            for (op, _), line in action_lines.items() if op not in ops]
+    if kind == "a1" and declared is not None:
+        bad.append((declared_line, "ops lines belong to e files"))
+    if kind == "e" and declared is not None:
+        bad += [(line, f"{op} is not declared on the ops line")
+                for (op, _), line in action_lines.items()
+                if op in E_OPTIONAL and op not in declared]
+    if bad:
+        raise ParseError(*min(bad))
+    return ModuleFile(kind, window, gens, actions, gen_lines, declared)
 
 
 def _reject_broken_relations(mf: ModuleFile, violations: list) -> None:
@@ -273,18 +245,4 @@ def e_to_module_file_text(m: EModule) -> str:
             if targets:
                 action_lines.append(f"{op} {name} = {' + '.join(targets)}")
     lines.extend(sorted(action_lines))
-    return "\n".join(lines) + "\n"
-
-
-def tower_to_module_file_text(spec: XTowerSpec, window: Window,
-                              levels: tuple[int, int]) -> str:
-    lines = ["kind tower",
-             f"window {window.m_lo} {window.m_hi} {window.k_lo} {window.k_hi}",
-             f"xdeg {spec.xdeg}",
-             f"levels {levels[0]} {levels[1]}"]
-    for s in spec.summands:
-        if s.kind == "cyclic":
-            lines.append(f"summand cyclic {s.shift} {s.order}")
-        else:
-            lines.append(f"summand free {s.shift}")
     return "\n".join(lines) + "\n"

@@ -24,7 +24,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import comb
 
 from . import closedform as cfm
 from .a1 import A1Module, ReduceResult, reduce, std_bv
@@ -32,13 +31,10 @@ from .emod import h01
 from .gf2 import F2Matrix, rank
 from .graded import (
     Degree,
-    GradedMap,
-    GradedSpace,
     OperatorPair,
     Window,
     add_deg,
     hom_space,
-    pair_map,
 )
 from .rfun import RModule, apply_r, required_top
 
@@ -170,41 +166,6 @@ def detection_h1_borel(n: int, w: Window) -> BorelDetection:
 
 
 @dataclass
-class TMapReport:
-    space: GradedSpace
-    t: GradedMap
-    free_pairs: int
-
-    def squares_to_zero(self) -> bool:
-        comp = self.t.compose(self.t)
-        return comp.is_zero()
-
-
-def t_map(n: int, w: Window) -> TMapReport:
-    """The degree (3,2) connecting map: partner class of each free
-    generator goes to its top class; zero on the non-free part."""
-    f2 = compute_f2(n, w)
-    basis: dict[Degree, list[str]] = {}
-    for d in w.degrees():
-        for i in range(1, n + 1):
-            for c in range(comb(n, i)):
-                if cfm.h01_pn_dim(i, d):
-                    basis.setdefault(d, []).append(
-                        f"b{i}c{c}:{cfm._class_name(i, d)}")
-    pairs: list[tuple[Degree, str, list[str]]] = []  # (degree, sg, [th])
-    for g, mult in Counter(f2.gens).items():
-        for c in range(mult):
-            top, partner = free_class(g, "top"), free_class(g, "partner")
-            for d, tag in ((top, "th"), (partner, "sg")):
-                if w.contains(d):
-                    basis.setdefault(d, []).append(f"{tag}:g{g}c{c}")
-            if w.contains(top) and w.contains(partner):
-                pairs.append((partner, f"sg:g{g}c{c}", [f"th:g{g}c{c}"]))
-    space = GradedSpace(w, basis)
-    return TMapReport(space, pair_map(space, (3, 2), pairs), len(pairs))
-
-
-@dataclass
 class KRReport:
     window: Window
     rank: int
@@ -239,13 +200,6 @@ class KRReport:
             if self.window.contains(up) and self.f2_classes.get(up, 0) != v:
                 return False
         return True
-
-    def total_dims(self) -> dict[Degree, int]:
-        out: dict[Degree, int] = {}
-        for part in [self.f1, self.f2_classes, self.f2_companions] + self.layers:
-            for d, v in part.items():
-                out[d] = out.get(d, 0) + v
-        return out
 
     def to_tsv(self) -> str:
         lines = ["m\tk\tdim\tpart\tnotes"]

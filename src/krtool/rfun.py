@@ -34,7 +34,6 @@ them, and no chart does.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Optional, Sequence
@@ -169,7 +168,7 @@ def apply_r(m: A1Module, w: Window) -> RModule:
     actions by ``a`` and ``s`` are built when first read."""
     _check_base_window(m, w)
     space, layout = _extension_basis(
-        m, w, {k: list(cf.monomials_with_twist(k, -math.inf, math.inf))
+        m, w, {k: list(cf.monomials_with_twist(k))
                for k in range(w.k_lo, w.k_hi + 1)})
     rows = _module_rows(m)
     ext = (space, layout)
@@ -192,8 +191,9 @@ def apply_r(m: A1Module, w: Window) -> RModule:
     return RModule(m, em, layout)
 
 
-def check_cone_separation(rm: RModule) -> bool:
-    """No differential entry crosses between the two cones; each block's
+def cone_crossing(rm: RModule) -> Optional[Degree]:
+    """The source degree of a differential entry that crosses between the
+    two cones (``q0`` searched first), or None when none does; each block's
     cone is that of its monomial in the layout."""
     def negative(d: Degree) -> int:
         """The mask of the negative-cone positions at ``d``."""
@@ -205,8 +205,8 @@ def check_cone_separation(rm: RModule) -> bool:
             src, tgt = negative(d), negative(add_deg(d, mp.shift))
             for i, r in enumerate(blk.rows):
                 if r & tgt != (r if (src >> i) & 1 else 0):
-                    return False
-    return True
+                    return d
+    return None
 
 
 def cone_part(rm: RModule, which: str) -> EModule:
@@ -347,26 +347,27 @@ class BocksteinD1:
             out[d] = n - Echelon(mat.rows).rank
         return {d: v for d, v in out.items() if v}
 
-    def squares_to_zero(self) -> bool:
-        for d, mat in self.d1.items():
+    def nonzero_square(self) -> Optional[Degree]:
+        """The first degree where d1 followed by d1 is not zero, or None."""
+        for d, mat in sorted(self.d1.items()):
             nxt = self.d1.get(add_deg(d, (2, 0)))
-            if nxt is None:
-                continue
-            if not mat.mul(nxt).is_zero():
-                return False
-        return True
+            if nxt is not None and not mat.mul(nxt).is_zero():
+                return d
+        return None
 
 
-def bockstein_d1(m: A1Module, w: Window) -> BocksteinD1:
+def bockstein_d1(rm: RModule) -> BocksteinD1:
     """First differential of the Euler-class exact couple on the mod-a
-    homology, computed mechanically from lifts."""
+    homology of the extension ``rm``, computed mechanically from lifts.
+
+    The quotient vanishes in negative twists, so the homology reaches
+    twist zero only when the extension's window reaches twist -2."""
+    m, w = rm.base, rm.emod.complete
     mg = margolis(m, "q0")
     if mg:
         raise ValueError(f"base module is not q0-acyclic (witness {min(mg)})")
-    # the quotient vanishes in negative twists; extend the window so the
-    # homology region reaches twist zero
-    w = Window(w.m_lo, w.m_hi, min(w.k_lo, -2), w.k_hi)
-    rm = apply_r(m, w)
+    if w.k_lo > -2:
+        raise ValueError(f"the extension's window {w} must reach twist -2")
     fm = mod_a(m, w)
     hom = h01(fm)
 

@@ -214,31 +214,6 @@ def detect(t: TowerData, h: int, n: int) -> DetectReport:
     return DetectReport(True, h, n, None)
 
 
-def iota_injective(t: TowerData, n: int) -> bool:
-    """The canonical map of the bottom filtration step into the next
-    level's top quotient is injective (dimension check)."""
-    fil_n = filtration(t, n)
-    fil_n1 = filtration(t, n + 1)
-    for d in degrees_where(t.region.contains, t.levels[n].space.basis):
-        # iota sends F0_n into F2_{n+1} by choosing a preimage along e_{n+1}
-        src = fil_n.f0[d]
-        if src.nrows == 0:
-            continue
-        e_span = Echelon(t.levels[n + 1].e.block(d).rows)
-        rows = []
-        for v in src.rows:
-            pre = e_span.coords(v)
-            if pre is None:
-                return False
-            cexp = fil_n1.f2.express(d, pre)
-            if cexp is None:
-                return False
-            rows.append(cexp)
-        if Echelon(rows).rank != src.nrows:
-            return False
-    return True
-
-
 @dataclass
 class ChainComplexReport:
     ok: bool

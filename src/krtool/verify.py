@@ -15,20 +15,25 @@ from typing import Callable, Optional
 
 from . import closedform as cfm
 from .a1 import (
+    dual_a1,
+    iso_search,
     loop_power,
     margolis,
     proj_cover_and_loop,
     socle_dims,
     stable_evidence,
     std_a1,
+    std_f,
     std_p,
     std_pn,
     suspend,
     tensor_a1,
     validate,
 )
-from .emod import h01, rel_ext, rel_ext_tate
-from .graded import Window
+from .closedform import borel_hv_closed, sigma4_shift_failure
+from .emod import h01, h01_dual_dims, rel_ext, rel_ext_tate
+from .emod import margolis as margolis_e
+from .graded import Window, sub_deg
 from .kr import (
     CrossCheckReport,
     assemble_kr,
@@ -36,7 +41,16 @@ from .kr import (
     cross_check_hv,
     detection_h1_borel,
 )
-from .rfun import A1Map, apply_r, check_sec_r, psi_duality, required_top
+from .rfun import (
+    A1Map,
+    apply_r,
+    bockstein_d1,
+    check_sec_r,
+    cone_crossing,
+    cone_part,
+    psi_duality,
+    required_top,
+)
 from .towers import (
     build_x_tower,
     chain_complex_at,
@@ -65,16 +79,40 @@ def _suite_a1_structure() -> tuple[bool, str]:
         return False, f"relations fail: {bad[0]}"
     if margolis(m, "q0") or margolis(m, "q1"):
         return False, "homology of the free module does not vanish"
-    return True, "dimension 8, dims [1,1,1,2,1,1,1], relations hold, acyclic"
+    # the Frobenius property behind ``reduce``'s free splitting
+    if iso_search(dual_a1(m), suspend(m, -6), -6, 0) is None:
+        return False, "dual of the free module: no isomorphism to its " \
+                      "-6 suspension on degrees -6..0"
+    return True, "dimension 8, dims [1,1,1,2,1,1,1], relations hold, " \
+                 "acyclic, dual to its -6 suspension"
 
 
 def _suite_h01_a1() -> tuple[bool, str]:
     w = Window(-12, 12, -6, 6)
-    hom = h01(apply_r(std_a1(), w).emod)
-    dims = hom.dims()
+    rm = apply_r(std_a1(), w)
+    dims = h01(rm.emod).dims()
     if dims != {(6, 0): 1, (3, -2): 1}:
         return False, f"classes at {sorted(dims)}"
-    return True, "exactly two classes, at (6,0) and (3,-2)"
+    crossing = cone_crossing(rm)
+    if crossing is not None:
+        return False, f"free module: a differential leaves its cone at " \
+                      f"{crossing}"
+    for cone, want in (("+", {(6, 0): 1}), ("-", {(3, -2): 1})):
+        got = h01(cone_part(rm, cone)).dims()
+        if got != want:
+            return False, f"free module, {cone} cone: classes at " \
+                          f"{sorted(got)}, expected {sorted(want)}"
+    bock = bockstein_d1(rm)
+    bad = bock.nonzero_square()
+    if bad is not None:
+        return False, f"free module: Bockstein d1 squares to nonzero at {bad}"
+    kernel = bock.kernel_dims()
+    if kernel != {(6, 0): 1}:
+        return False, f"free module: Bockstein kernel at {sorted(kernel)}, " \
+                      f"expected [(6, 0)]"
+    return True, "exactly two classes, at (6,0) and (3,-2), one per cone; " \
+                 "the cones do not meet; the Bockstein d1 squares to zero " \
+                 "and keeps (6,0)"
 
 
 def _suite_h01_pn() -> tuple[bool, str]:
@@ -125,7 +163,6 @@ def _suite_brown_ossa() -> tuple[bool, str]:
 
 
 def _suite_duality() -> tuple[bool, str]:
-    from .a1 import std_f
     checks = [("trivial", std_f(), Window(-8, 8, -4, 4)),
               ("free", std_a1(), Window(-10, 10, -5, 5)),
               ("projective", std_p(1, 26), Window(-9, 9, -4, 4))]
@@ -133,8 +170,25 @@ def _suite_duality() -> tuple[bool, str]:
         cert = psi_duality(m, w)
         if not cert.ok:
             return False, f"{name}: {cert.detail}"
+    # the trivial module is not q0-acyclic, and the relation fails for it
+    for name, m, w in checks[1:]:
+        em = apply_r(m, w).emod
+        inner = w.shrink(4, 4, 2, 2)
+        bad = next((d for d in sorted(margolis_e(em, "q0"))
+                    if inner.contains(d)), None)
+        if bad is not None:
+            return False, f"{name}: extension not q0-acyclic at {bad}"
+        hom, dual = h01(em).dims(), h01_dual_dims(em)
+        for d in inner.degrees():
+            below = sub_deg(d, (1, 0))
+            if hom.get(d, 0) != dual.get(below, 0):
+                return False, f"{name}: h01 at {d} is {hom.get(d, 0)} but " \
+                              f"the dual route at {below} is " \
+                              f"{dual.get(below, 0)}"
     return True, "pairing bijection commutes with both differentials " \
-                 "for the trivial, free and projective modules"
+                 "for the trivial, free and projective modules; the free " \
+                 "and projective extensions are q0-acyclic, and h01 at d " \
+                 "equals the dual route at d-(1,0)"
 
 
 def _suite_relext() -> tuple[bool, str]:
@@ -203,8 +257,12 @@ def _suite_borel_detect() -> tuple[bool, str]:
             return False, f"rank {n}: {rep.detail}"
         if rep.unconstrained_dim == 0:
             return False, f"rank {n}: sanity count vanished"
+        bad = sigma4_shift_failure(borel_hv_closed(n, w).dims(), w)
+        if bad is not None:
+            return False, f"rank {n}: Borel model not (-4,4)-periodic at {bad}"
     return True, "Euler-linear endomorphism space vanishes for ranks 1..3; " \
-                 "the unconstrained count is nonzero"
+                 "the unconstrained count is nonzero; the Borel model is " \
+                 "(-4,4)-periodic"
 
 
 @functools.cache

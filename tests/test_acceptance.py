@@ -5,15 +5,25 @@ The same suites back the command-line verifier, so `krtool verify all`
 reproduces this module outside pytest.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
+from krtool import verify
+from krtool.a1 import std_f
+from krtool.emod import h01, h01_dual_dims, margolis
+from krtool.gf2 import F2Matrix
+from krtool.graded import Window, add_deg
+from krtool.rfun import apply_r
 from krtool.verify import SUITES, run_suite
 
 CRITERIA = [
     ("01", "a1-structure",
-     "free module: dimension 8, graded dims, relations, acyclicity"),
+     "free module: dimension 8, graded dims, relations, acyclicity, "
+     "dual to its -6 suspension"),
     ("02", "h01-a1",
-     "extension homology of the free module: exactly (6,0) and (3,-2)"),
+     "extension homology of the free module: exactly (6,0) and (3,-2), one "
+     "per cone, cones separated; Bockstein d1 squares to zero, kernel (6,0)"),
     ("03", "h01-pn",
      "closed form equals brute force for companions 0..4 on the big window"),
     ("04", "socles",
@@ -21,7 +31,8 @@ CRITERIA = [
     ("05", "brown-ossa",
      "tensor square and fourfold-loop periodicity are stably consistent"),
     ("06", "duality",
-     "pairing isomorphism commutes with both differentials"),
+     "pairing isomorphism commutes with both differentials; on q0-acyclic "
+     "extensions h01 at d equals the dual route at d-(1,0)"),
     ("07", "relext",
      "relative extension groups: shift identification and Tate agreement"),
     ("08", "les",
@@ -29,7 +40,8 @@ CRITERIA = [
     ("09", "towers",
      "random multiplication towers match the torsion-order oracle"),
     ("10", "borel-detect",
-     "Euler-linear endomorphism space of the Borel model vanishes"),
+     "Euler-linear endomorphism space of the Borel model vanishes; the "
+     "model is (-4,4)-periodic"),
     ("11", "hv",
      "group-cohomology homology equals closed form plus free part"),
     ("12", "kr-table",
@@ -37,8 +49,8 @@ CRITERIA = [
 ]
 
 RUNTIME_BUDGET = {
-    "01": 1, "02": 5, "03": 10, "05": 30, "08": 5, "09": 10, "10": 10,
-    "11": 10, "12": 10,
+    "01": 1, "02": 5, "03": 10, "04": 5, "05": 30, "06": 5, "07": 5,
+    "08": 5, "09": 10, "10": 10, "11": 10, "12": 10,
 }
 
 
@@ -76,3 +88,99 @@ def test_no_suite_reads_structure_from_a_basis_name(monkeypatch):
         assert res.ok, f"{res.name}: {res.detail}"
     assert kr.cross_check_hv(2, Window(-10, 10, -5, 5)).ok
     kr.chart.cache_clear()
+
+
+# Witnesses: each criterion promoted into a suite, broken by hand, fails
+# the suite with a detail naming the module and the degree.
+
+def failed_detail(suite: str) -> str:
+    res = run_suite(suite)
+    assert not res.ok, res.detail
+    return res.detail
+
+
+def test_a1_structure_names_a_missing_self_duality(monkeypatch):
+    monkeypatch.setattr(verify, "iso_search", lambda a, b, lo, hi: None)
+    assert failed_detail("a1-structure") == (
+        "dual of the free module: no isomorphism to its -6 suspension on "
+        "degrees -6..0")
+
+
+def test_h01_a1_names_a_cone_crossing(monkeypatch):
+    monkeypatch.setattr(verify, "cone_crossing", lambda rm: (4, 1))
+    assert failed_detail("h01-a1") == \
+        "free module: a differential leaves its cone at (4, 1)"
+
+
+def test_h01_a1_names_a_cone_holding_the_wrong_classes(monkeypatch):
+    # the whole extension in place of the positive cone
+    monkeypatch.setattr(verify, "cone_part", lambda rm, cone: rm.emod)
+    assert failed_detail("h01-a1") == (
+        "free module, + cone: classes at [(3, -2), (6, 0)], "
+        "expected [(6, 0)]")
+
+
+def test_h01_a1_names_where_the_bockstein_squares_to_nonzero(monkeypatch):
+    real = verify.bockstein_d1
+
+    def broken(rm):
+        bock = real(rm)
+        bock.nonzero_square = lambda: (4, 0)
+        return bock
+
+    monkeypatch.setattr(verify, "bockstein_d1", broken)
+    assert failed_detail("h01-a1") == \
+        "free module: Bockstein d1 squares to nonzero at (4, 0)"
+
+
+def test_h01_a1_names_the_bockstein_kernel(monkeypatch):
+    real = verify.bockstein_d1
+
+    def zero_d1(rm):
+        bock = real(rm)
+        bock.d1 = {d: F2Matrix.zero(x.nrows, x.ncols)
+                   for d, x in bock.d1.items()}
+        return bock
+
+    monkeypatch.setattr(verify, "bockstein_d1", zero_d1)
+    detail = failed_detail("h01-a1")
+    assert detail.startswith("free module: Bockstein kernel at [")
+    assert "(4, 0)" in detail and "(6, 0)" in detail
+
+
+def test_duality_names_a_q0_homology_class(monkeypatch):
+    monkeypatch.setattr(verify, "margolis_e", lambda em, which: {(0, 0): 1})
+    assert failed_detail("duality") == \
+        "free: extension not q0-acyclic at (0, 0)"
+
+
+def test_duality_names_where_the_dual_route_differs(monkeypatch):
+    monkeypatch.setattr(verify, "h01_dual_dims", lambda em: {})
+    assert failed_detail("duality") == (
+        "free: h01 at (3, -2) is 1 but the dual route at (2, -2) is 0")
+
+
+def test_duality_hypothesis_fails_and_matters_for_the_trivial_module():
+    """The trivial module is not q0-acyclic, and the shifted relation
+    between h01 and the dual route fails for it at (0,0)."""
+    w = Window(-8, 8, -4, 4)
+    em = apply_r(std_f(), w).emod
+    assert margolis(em, "q0").get((0, 0))
+    assert h01(em).dims().get((0, 0), 0) != \
+        h01_dual_dims(em).get((-1, 0), 0)
+
+
+def test_borel_detect_names_a_broken_periodicity(monkeypatch):
+    real = verify.borel_hv_closed
+    w = Window(-16, 16, -8, 8)
+    dims = real(1, w).dims()
+    gap = next(d for d in sorted(dims) if w.contains(add_deg(d, (-4, 4))))
+
+    def holed(n, win):
+        return SimpleNamespace(dims=lambda: {d: v for d, v in
+                                             real(n, win).dims().items()
+                                             if d != gap})
+
+    monkeypatch.setattr(verify, "borel_hv_closed", holed)
+    assert failed_detail("borel-detect") == \
+        f"rank 1: Borel model not (-4,4)-periodic at {gap}"

@@ -8,11 +8,10 @@ from krtool.closedform import (
     _euler_height,
     borel_hv_closed,
     borel_pn_dim,
-    h01_pn_closed,
     h01_pn_dim,
     hp_dim,
     hv_closed_dims,
-    sigma4_shift_bijective,
+    sigma4_shift_failure,
     soc_has,
 )
 from krtool.gf2 import F2Matrix
@@ -67,12 +66,6 @@ def test_h01_pn_positive_twist_is_loop_socle():
             assert h01_pn_dim(n, (m, t)) == expect, (t, m)
 
 
-def test_h01_pn_closed_space():
-    w = Window(-10, 10, -5, 5)
-    sp = h01_pn_closed(1, w)
-    assert sp.dims() == {d: 1 for d in w.degrees() if h01_pn_dim(1, d)}
-
-
 def test_truncation_complementarity():
     w = Window(-12, 12, -6, 6)
     for n in range(0, 4):
@@ -94,7 +87,12 @@ def test_hv_closed_binomials():
 def test_borel_periodicity():
     w = Window(-12, 12, -8, 8)
     b = borel_hv_closed(2, w)
-    assert sigma4_shift_bijective(b.dims(), w)
+    dims = b.dims()
+    assert sigma4_shift_failure(dims, w) is None
+    # a class removed from one end of a translation pair is found there
+    d = next(d for d in sorted(dims) if w.contains(add_deg(d, (-4, 4))))
+    del dims[d]
+    assert sigma4_shift_failure(dims, w) == d
 
 
 def test_borel_matches_truncation_on_positive_twists():

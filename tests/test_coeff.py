@@ -2,17 +2,19 @@
 
 import pytest
 
+from krtool.a1 import std_f
 from krtool.coeff import (
     A,
     S,
     CoeffMonomial,
-    CoeffRing,
     duality_w,
     multiply,
     q0_coeff,
     q1_coeff,
 )
+from krtool.emod import validate
 from krtool.graded import Window
+from krtool.rfun import apply_r
 
 
 def mono(text):
@@ -149,15 +151,10 @@ def test_cartan_vanishing_products():
                 names = names[2:]
 
 
-def test_discrepancy_report_names_transpose_action():
-    from krtool.coeff import q1_negative_discrepancy_report
-    text = q1_negative_discrepancy_report()
-    assert "(2, 1)" in text and "A3" in text
-
-
 def test_ring_window_dims_match_picture():
+    # the coefficient extension of the trivial module is the ring itself
     w = Window(-6, 6, -6, 6)
-    ring = CoeffRing(w)
+    ring = apply_r(std_f(), w).emod
     # positive cone: one class per (j, n); the twist -1 column is empty
     assert ring.dim((0, 0)) == 1
     assert ring.dim((0, 1)) == 1      # Euler class
@@ -165,7 +162,4 @@ def test_ring_window_dims_match_picture():
     assert ring.dim((2, -2)) == 1     # bottom dual class
     for m in range(-6, 7):
         assert ring.dim((m, -1)) == 0
-    from krtool.emod import EModule, validate
-    em = EModule(ring.space, ring.q0, ring.q1, w,
-                 act_a=ring.act_a, act_s=ring.act_s, s_compat_cartan=True)
-    assert validate(em) == []
+    assert validate(ring) == []

@@ -28,12 +28,11 @@ from krtool.emod import (
     find_lambda0_splitting,
     h01,
     h01_dual_dims,
-    is_rel_projective,
     les_h01,
+    margolis,
     rel_ext,
     rel_ext_tate,
     tate_complex,
-    tate_exactness_report,
     validate,
 )
 from krtool.gf2 import F2Matrix, common_kernel, rank, row_basis
@@ -46,7 +45,6 @@ from krtool.graded import (
     add_deg,
     identity_map,
     sub_deg,
-    zero_map,
 )
 from krtool.kr import bv_module
 from krtool.rfun import A1Map, apply_r, check_sec_r, required_top
@@ -54,7 +52,7 @@ from krtool.rfun import A1Map, apply_r, check_sec_r, required_top
 
 def trivial_emodule(w):
     s = GradedSpace(w, {(0, 0): ["i"]})
-    return EModule(s, zero_map(s, s, (1, 0)), zero_map(s, s, (2, 1)), w)
+    return EModule(s, GradedMap(s, s, (1, 0)), GradedMap(s, s, (2, 1)), w)
 
 
 def free_e(w):
@@ -95,19 +93,36 @@ def test_trivial_module_h01():
 
 
 def test_rel_projective_yes_no():
+    # projective for the relative theory iff the q1 homology vanishes
     w = Window(-4, 6, -3, 3)
-    assert is_rel_projective(free_e(w)) == (True, None)
-    ok, witness = is_rel_projective(trivial_emodule(w))
-    assert not ok and witness == (0, 0)
+    assert margolis(free_e(w), "q1") == {}
+    assert margolis(trivial_emodule(w), "q1") == {(0, 0): 1}
+    assert margolis(trivial_emodule(w), "q0") == {(0, 0): 1}
 
 
 def test_lambda1_tensor_is_projective():
     w = Window(-6, 8, -3, 4)
     rm = apply_r(std_pn(1, 0, 14), w)
     lam = _lambda1_tensor(rm.emod, (0, 0), 0)
-    ok, _ = is_rel_projective(lam)
-    assert ok
+    assert margolis(lam, "q1") == {}
     assert h01(lam).dims() == {}  # relative projectives are acyclic
+
+
+def tate_exactness_report(t: TateComplex, region: Window) -> list[str]:
+    """Image = kernel at the inner slots, degreewise on ``region``."""
+    problems = []
+    slots = sorted(t.terms)
+    for i in slots[1:-1]:
+        for d in region.degrees():
+            if not (t.terms[i].trusted(d)
+                    and t.terms[i + 1].trusted(d)
+                    and t.terms[i - 1].trusted(d)):
+                continue
+            into = t.diffs.get(i + 1)
+            ker = t.diffs[i].kernel_at(d)
+            if (into.rank_at(d) if into is not None else 0) != ker.nrows:
+                problems.append(f"slot {i} not exact at {d}")
+    return problems
 
 
 def test_tate_complex_of_trivial_module():
@@ -115,8 +130,7 @@ def test_tate_complex_of_trivial_module():
     f = trivial_emodule(w)
     t = tate_complex(f, -2, 2)
     for i, term in t.terms.items():
-        ok, _ = is_rel_projective(term)
-        assert ok, f"term {i}"
+        assert margolis(term, "q1") == {}, f"term {i}"
     inner = Window(-4, 4, -2, 2)
     assert tate_exactness_report(t, inner) == []
 
@@ -231,10 +245,10 @@ def test_lambda0_splitting_commutes_where_quotient_vanishes():
     c = GradedSpace(w, {(0, 0): ["c0"]})
     q0_b = GradedMap(b, b, (1, 0), {(0, 0): F2Matrix.identity(1)})
     g = GradedMap(b, c, (0, 0), {(0, 0): F2Matrix.identity(1)})
-    assert find_lambda0_splitting(g, w, q0_b, zero_map(c, c, (1, 0))) is None
+    assert find_lambda0_splitting(g, w, q0_b, GradedMap(c, c, (1, 0))) is None
     # with the q0 action removed, the identity section exists
-    split = find_lambda0_splitting(g, w, zero_map(b, b, (1, 0)),
-                                   zero_map(c, c, (1, 0)))
+    split = find_lambda0_splitting(g, w, GradedMap(b, b, (1, 0)),
+                                   GradedMap(c, c, (1, 0)))
     assert split is not None and split.compose(g) == identity_map(c)
 
 
@@ -281,12 +295,12 @@ def test_les_trivial_shapes():
     # identical ends with zero quotient: every connecting map vanishes
     w = Window(-6, 8, -3, 3)
     rm = apply_r(std_pn(1, 0, 14), w).emod
-    empty = EModule(GradedSpace(w, {}),
-                    zero_map(GradedSpace(w, {}), GradedSpace(w, {}), (1, 0)),
-                    zero_map(GradedSpace(w, {}), GradedSpace(w, {}), (2, 1)), w)
+    nothing = GradedSpace(w, {})
+    empty = EModule(nothing, GradedMap(nothing, nothing, (1, 0)),
+                    GradedMap(nothing, nothing, (2, 1)), w)
     from krtool.graded import identity_map
     out = les_h01(rm, rm, empty, identity_map(rm.space),
-                  zero_map(rm.space, empty.space, (0, 0)),
+                  GradedMap(rm.space, empty.space, (0, 0)),
                   Window(-4, 4, -2, 2))
     assert out.ok, out.detail
 

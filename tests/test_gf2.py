@@ -17,8 +17,6 @@ from krtool.gf2 import (
     row_basis,
     rref,
     solve,
-    solve_row,
-    span_contains,
     subquotient_basis,
 )
 
@@ -197,16 +195,6 @@ def test_intersection_oracle():
         assert 1 << inter.nrows == len(expected)
         for v in inter.rows:
             assert v in expected
-
-
-def test_solve_row_and_span_contains():
-    m = F2Matrix.from_rows([0b011, 0b110], 3)
-    assert span_contains(m, 0b101)
-    c = solve_row(0b101, m)
-    assert c == 0b11
-    assert solve_row(0b001, m) is None
-    with pytest.raises(ValueError):
-        solve_row(0b1000, m)
 
 
 @st.composite

@@ -1,4 +1,4 @@
-"""Graded spaces and maps: duality, twist truncation and operator-commuting
+"""Graded spaces and maps: duality and operator-commuting
 map solving."""
 
 import pytest
@@ -18,7 +18,6 @@ from krtool.graded import (
     hom_space,
     identity_map,
     pair_map,
-    truncate_twist,
 )
 
 
@@ -32,18 +31,6 @@ def test_dual_space_involution_and_reversal():
     assert [d.dim((-i, 0)) for i in range(7)] == [1, 1, 1, 2, 1, 1, 1]
     dd = dual_space(d)
     assert dd.basis == s.basis
-
-
-def test_truncate_twist():
-    w = Window(-4, 4, -4, 4)
-    s = GradedSpace(w, {(0, k): [f"c{k}"] for k in range(-3, 4)})
-    up = truncate_twist(s, ">=", 0)
-    dn = truncate_twist(s, "<=", -2)
-    assert sorted(d[1] for d in up.degrees()) == [0, 1, 2, 3]
-    assert sorted(d[1] for d in dn.degrees()) == [-3, -2]
-    assert not (set(up.degrees()) & set(dn.degrees()))
-    assert truncate_twist(up, ">=", 0).dims() == up.dims()
-    assert truncate_twist(up, "<=", -2).total_dim() == 0
 
 
 def test_hom_space_unconstrained_dimension():

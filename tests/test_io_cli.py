@@ -28,11 +28,9 @@ from krtool.io import (
     module_file_to_a1,
     module_file_to_e,
     parse_module_file,
-    tower_to_module_file_text,
 )
 from krtool.graded import Window
 from krtool.rfun import apply_r, required_top
-from krtool.towers import Summand, XTowerSpec
 
 
 def test_a1_round_trip_byte_exact():
@@ -71,7 +69,9 @@ def test_parse_rejects_degree_mismatch():
     "summand",
 ])
 def test_parse_rejects_bad_integer_fields(line):
-    text = f"kind tower\nwindow 0 4 0 0\n{line}\n"
+    # the directives of the former tower files (xdeg, levels, summand) are
+    # unknown to every kind, and are refused at their line too
+    text = f"kind a1\nwindow 0 4 0 0\n{line}\n"
     with pytest.raises(ParseError) as err:
         parse_module_file(text)
     assert err.value.line_no == 3
@@ -108,13 +108,6 @@ def test_parse_rejects_what_the_kind_cannot_hold(text, line_no, message):
         (module_file_to_a1 if mf.kind == "a1" else module_file_to_e)(mf)
     assert err.value.line_no == line_no
     assert message in str(err.value)
-
-
-def test_tower_file_keeps_generator_lines_unchecked():
-    mf = parse_module_file("kind tower\nwindow 0 4 0 0\ngen x 9 3\n"
-                           "sq1 x = 0\nsq1 x = 0\nsummand free 0\n")
-    assert mf.gens == {"x": (9, 3)}
-    assert mf.tower == XTowerSpec(1, (Summand("free", 0),))
 
 
 def test_a1_file_breaking_a_relation_is_rejected():
@@ -190,14 +183,6 @@ def test_e_module_round_trip():
     back = module_file_to_e(parse_module_file(text))
     assert e_to_module_file_text(back) == text
     assert back.space.dims() == em.space.dims()
-
-
-def test_tower_file_round_trip():
-    spec = XTowerSpec(2, (Summand("cyclic", 1, 2), Summand("free", 0)))
-    text = tower_to_module_file_text(spec, Window(-4, 10, 0, 0), (-1, 3))
-    mf = parse_module_file(text)
-    assert mf.tower == spec
-    assert mf.tower_levels == (-1, 3)
 
 
 @st.composite
@@ -311,7 +296,7 @@ def module_texts(draw):
     lo = st.integers(-1, 2)
     span = st.integers(0, 2)
     m_lo, k_lo = draw(lo), draw(lo)
-    lines = [f"kind {draw(st.sampled_from(['a1', 'e', 'tower']))}",
+    lines = [f"kind {draw(st.sampled_from(['a1', 'e']))}",
              f"window {m_lo} {m_lo + draw(span)} {k_lo} {k_lo + draw(span)}"]
     for _ in range(draw(st.integers(0, 4))):
         lines.append(" ".join(["gen", draw(name)]
@@ -455,6 +440,21 @@ def test_cli_tower_detect():
     assert "height1" in out.stdout and "valid\tTrue" in out.stdout
 
 
+def test_cli_prints_e_modules_canonically(tmp_path):
+    """``compute print`` writes an e module, from ``RP<n>`` or an e file,
+    in the canonical form, and printing the printed file is byte exact."""
+    w = Window(-4, 4, -2, 2)
+    window = ["--window", "-4", "4", "-2", "2"]
+    out = run_cli("compute", "print", "--builtin", "RP1", *window)
+    assert out.returncode == 0, out.stderr
+    m = std_pn(1, w.m_lo - 1, required_top(w))
+    assert out.stdout == e_to_module_file_text(apply_r(m, w).emod)
+    src = tmp_path / "rp1.e"
+    src.write_text(out.stdout)
+    again = run_cli("compute", "print", "--in", str(src))
+    assert again.returncode == 0 and again.stdout == out.stdout
+
+
 @pytest.mark.parametrize("argv, named", [
     (("compute", "h01", "--in", "/nonexistent/module.txt"),
      "/nonexistent/module.txt"),
@@ -468,9 +468,19 @@ def test_cli_tower_detect():
      "/nonexistent/x.tsv"),
     (("compute", "chart", "--bv", "-1"), "--bv -1"),
     (("compute", "chart", "--bv", "0"), "--bv 0"),
+    (("compute", "print", "--in", "{tower}"), "'tower'"),
+    (("compute", "reduce", "--in", "{tower}"), "'tower'"),
+    (("compute", "h01", "--in", "{tower}"), "'tower'"),
+    (("compute", "reduce", "--in", "{e}"), "is an e module"),
+    (("compute", "socle", "--builtin", "RP1"), "RP1 is an e module"),
 ])
-def test_cli_rejects_bad_input_on_one_line(argv, named):
-    out = run_cli(*argv)
+def test_cli_rejects_bad_input_on_one_line(argv, named, tmp_path):
+    files = {"{tower}": "kind tower\nwindow 0 4 0 0\nxdeg 1\n",
+             "{e}": "kind e\nwindow 0 2 0 1\ngen x 0 0\ngen y 1 0\nq0 x = y\n"}
+    for key, text in files.items():
+        (tmp_path / key.strip("{}")).write_text(text)
+    out = run_cli(*(str(tmp_path / a.strip("{}")) if a in files else a
+                    for a in argv))
     assert out.returncode == 2
     assert out.stdout == ""
     lines = out.stderr.splitlines()

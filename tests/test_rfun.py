@@ -24,7 +24,7 @@ from krtool.a1 import (
 )
 from krtool.closedform import h01_pn_dim
 from krtool.coeff import A, CoeffMonomial, S, multiply, q0_coeff, q1_coeff
-from krtool.emod import EModule, h01, is_rel_projective, validate
+from krtool.emod import EModule, h01, margolis, validate
 from krtool.gf2 import F2Matrix
 from krtool.graded import GradedMap, GradedSpace, Window, add_deg
 from krtool.kr import chart, cross_check_hv
@@ -32,7 +32,7 @@ from krtool.rfun import (
     A1Map,
     apply_r,
     bockstein_d1,
-    check_cone_separation,
+    cone_crossing,
     cone_part,
     lift_map,
     mod_a,
@@ -42,11 +42,13 @@ from krtool.rfun import (
 
 
 def test_r_of_trivial_module_is_coefficient_ring():
+    # a^j s^n sits at (-n, j + n) and a^-j sigma^(n+2) at (n + 2, -n - 2 - j),
+    # one monomial per degree
     w = Window(-6, 6, -5, 5)
     rm = apply_r(std_f(), w)
-    from krtool.coeff import CoeffRing
-    ring = CoeffRing(w)
-    assert rm.emod.space.dims() == ring.space.dims()
+    picture = {(m, k): 1 for m, k in w.degrees()
+               if (m <= 0 and k >= -m) or (m >= 2 and k <= -m)}
+    assert rm.emod.space.dims() == picture
     assert validate(rm.emod) == []
 
 
@@ -54,7 +56,7 @@ def test_r_structure_validates_on_projective_module():
     w = Window(-8, 8, -4, 4)
     rm = apply_r(std_p(1, 14), w)
     assert validate(rm.emod) == []
-    assert check_cone_separation(rm)
+    assert cone_crossing(rm) is None
 
 
 def test_q1_on_bottom_class_of_p():
@@ -89,12 +91,10 @@ def test_h01_cone_parts_of_free_module():
 def test_rel_projective_examples():
     w = Window(-8, 8, -4, 4)
     rm = apply_r(std_f(), w)
-    ok, witness = is_rel_projective(rm.emod)
-    assert not ok and witness is not None  # the ring itself is not
+    assert margolis(rm.emod, "q1")  # the ring itself is not
     from krtool.emod import _lambda1_tensor
     lam = _lambda1_tensor(rm.emod, (0, 0), 0)
-    ok2, _ = is_rel_projective(lam)
-    assert ok2
+    assert margolis(lam, "q1") == {}
 
 
 def test_h01_r_matches_closed_form_small_windows():
@@ -121,9 +121,9 @@ def test_mod_a_quotient_structure():
 
 
 def test_bockstein_d1_on_free_module():
-    w = Window(-8, 10, 0, 6)
-    b = bockstein_d1(std_a1(), w)
-    assert b.squares_to_zero()
+    w = Window(-8, 10, -2, 6)
+    b = bockstein_d1(apply_r(std_a1(), w))
+    assert b.nonzero_square() is None
     kd = b.kernel_dims()
     # the kernel of the first differential retains only the top class
     assert kd.get((6, 0), 0) == 1
@@ -138,7 +138,7 @@ def test_bockstein_kernel_computes_positive_cone_homology():
     rm = apply_r(std_a1(), w)
     plus = cone_part(rm, "+")
     hp = h01(plus)
-    b = bockstein_d1(std_a1(), w)
+    b = bockstein_d1(rm)
     kd = b.kernel_dims()
     for d in hp.region:
         if d[1] >= 0 and d in b.homology.region \
@@ -151,9 +151,11 @@ def test_bockstein_kernel_computes_positive_cone_homology():
 
 
 def test_bockstein_rejects_non_acyclic():
-    w = Window(-6, 6, 0, 4)
-    with pytest.raises(ValueError):
-        bockstein_d1(std_f(), w)
+    w = Window(-6, 6, -2, 4)
+    with pytest.raises(ValueError, match="not q0-acyclic"):
+        bockstein_d1(apply_r(std_f(), w))
+    with pytest.raises(ValueError, match="must reach twist -2"):
+        bockstein_d1(apply_r(std_a1(), Window(-6, 6, -1, 4)))
 
 
 def test_psi_duality_trivial_and_free():
@@ -199,11 +201,9 @@ def test_apply_r_refuses_thin_base():
 
 
 def test_q0_acyclic_base_gives_q0_acyclic_extension():
-    from krtool.emod import q0_acyclic_on
     w = Window(-8, 8, -4, 4)
     rm = apply_r(std_p(1, 14), w)
-    inner = Window(-6, 6, -3, 3)
-    assert q0_acyclic_on(rm.emod, inner)
+    assert margolis(rm.emod, "q0") == {}
 
 
 def test_apply_r_rank_two_large_window_within_budget():
@@ -255,7 +255,7 @@ def _ref_apply_r(m, w):
     basis = {}
     for mm in range(w.m_lo, w.m_hi + 1):
         for k in range(w.k_lo, w.k_hi + 1):
-            for mono in cf.monomials_with_twist(k, -math.inf, math.inf):
+            for mono in cf.monomials_with_twist(k):
                 for xn in m.names(mm - mono.degree()[0]):
                     basis.setdefault((mm, k), []).append(f"{mono.name()}|{xn}")
     space = GradedSpace(w, basis)
@@ -657,7 +657,7 @@ def test_psi_duality_reports_an_unpaired_basis_like_the_reference(monkeypatch):
     ids=["F", "A1", "P", "BV2", "dual-P"])
 def test_cone_separation_matches_name_keyed_reference(m, w):
     rm = apply_r(m, w)
-    assert check_cone_separation(rm) == _ref_cone_separation(rm) is True
+    assert cone_crossing(rm) is None and _ref_cone_separation(rm) is True
 
 
 def test_cone_separation_catches_a_crossing_entry():
@@ -671,4 +671,4 @@ def test_cone_separation_catches_a_crossing_entry():
     rm = rfun.RModule(base, EModule(space, q0, GradedMap(space, space, (2, 1)),
                                     w),
                       {(0, 0): [(plus, 0, 0)], (1, 0): [(minus, 1, 0)]})
-    assert check_cone_separation(rm) is _ref_cone_separation(rm) is False
+    assert cone_crossing(rm) == (0, 0) and _ref_cone_separation(rm) is False
