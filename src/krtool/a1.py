@@ -17,9 +17,11 @@ elementary abelian 2-groups assembled by tensoring copies of ``P``.
 Modules are built from blocks: suspension re-keys the ``sq1``/``sq2``
 blocks, the dual transposes them, the direct sum places them on the
 diagonal and the tensor product writes the Cartan formula as Kronecker
-products of rows.  One assembler sorts each degree's names and permutes
-rows and columns to match; only the standard diagrams and module files
-are name tables, which ``from_table`` turns into blocks.
+products of rows.  Each degree's basis is listed in the order its builder
+makes it, and that order is the coordinate order of every block; names
+are labels that must be distinct within a degree.  Only the standard
+diagrams and module files are name tables, which ``from_table`` turns
+into blocks.
 """
 
 from __future__ import annotations
@@ -85,8 +87,8 @@ class A1Module:
             d: tuple(names) for d, names in basis.items() if tuple(names)
         }
         for d, names in self.basis.items():
-            if list(names) != sorted(names) or len(set(names)) != len(names):
-                raise ValueError(f"basis at {d} not sorted or not unique")
+            if len(set(names)) != len(names):
+                raise ValueError(f"basis at {d} repeats a name")
         # name -> position, built per degree on its first lookup
         self._index: dict[int, dict[str, int]] = {}
         self.lo, self.hi = lo, hi
@@ -205,46 +207,17 @@ def _assemble(names: dict[int, list[str]],
               sq1_rows: dict[int, Sequence[int]],
               sq2_rows: dict[int, Sequence[int]],
               lo: int, hi: int, c_lo: float, c_hi: float) -> A1Module:
-    """Build a module from each degree's names and action rows, both in
-    construction order: row ``i`` of ``sq1_rows[d]`` is the image of
-    ``names[d][i]``, with bit ``j`` for ``names[d + 1][j]`` (likewise for
-    ``sq2_rows`` and ``d + 2``); a degree without rows acts by zero.
-
-    Each degree's names are sorted once, and its rows and the columns that
-    point into it are permuted to match; a degree already in order is left
-    as it is.  Names are never merged, so a repeated name raises
-    ``ValueError``.
-    """
-    order: dict[int, list[int]] = {}       # sorted position -> made index
-    place: dict[int, dict[int, int]] = {}  # made index -> sorted position
-    for d, ns in names.items():
-        o = sorted(range(len(ns)), key=ns.__getitem__)
-        if o != list(range(len(ns))):
-            order[d], place[d] = o, {old: new for new, old in enumerate(o)}
-
-    def permuted(bits: int, to: dict[int, int]) -> int:
-        out = 0
-        while bits:
-            low = bits & -bits
-            out |= 1 << to[low.bit_length() - 1]
-            bits ^= low
-        return out
-
+    """Build a module from each degree's names and action rows: row ``i``
+    of ``sq1_rows[d]`` is the image of ``names[d][i]``, with bit ``j`` for
+    ``names[d + 1][j]`` (likewise for ``sq2_rows`` and ``d + 2``); a degree
+    without rows acts by zero.  Names are never merged, so a repeated name
+    raises ``ValueError``."""
     def blocks(rows_at: dict[int, Sequence[int]], reach: int
                ) -> dict[int, F2Matrix]:
-        out = {}
-        for d, rows in rows_at.items():
-            if d in order:
-                rows = [rows[i] for i in order[d]]
-            to = place.get(d + reach)
-            if to is not None:
-                rows = [permuted(r, to) for r in rows]
-            out[d] = F2Matrix.from_rows(rows, len(names.get(d + reach, ())))
-        return out
+        return {d: F2Matrix.from_rows(rows, len(names.get(d + reach, ())))
+                for d, rows in rows_at.items()}
 
-    basis = {d: [ns[i] for i in order[d]] if d in order else ns
-             for d, ns in names.items()}
-    return A1Module(basis, blocks(sq1_rows, 1), blocks(sq2_rows, 2),
+    return A1Module(names, blocks(sq1_rows, 1), blocks(sq2_rows, 2),
                     lo, hi, c_lo, c_hi)
 
 
@@ -252,10 +225,10 @@ def from_table(basis: dict[int, list[str]],
                images1: dict[tuple[int, str], Iterable[str]],
                images2: dict[tuple[int, str], Iterable[str]],
                lo: int, hi: int, c_lo: float, c_hi: float) -> A1Module:
-    """Assemble a module from name-level tables: the names of each degree
-    and, under ``(d, name)``, the targets of Sq1 and Sq2 (absent means
-    zero).  Targets add over GF(2), so a repeated target cancels; targets
-    outside the basis are clipped."""
+    """Assemble a module from name-level tables: the names of each degree,
+    in basis order, and under ``(d, name)`` the targets of Sq1 and Sq2
+    (absent means zero).  Targets add over GF(2), so a repeated target
+    cancels; targets outside the basis are clipped."""
     where = {d: {n: i for i, n in enumerate(ns)} for d, ns in basis.items()}
 
     def row(tgt: dict[str, int], targets: Iterable[str]) -> int:
@@ -376,10 +349,10 @@ def suspend(m: A1Module, t: int) -> A1Module:
     tagged ``@t`` to stay distinct."""
     if t == 0:
         return m
-    return _assemble({d + t: [f"{n}@{t}" for n in ns] for d, ns in m.basis.items()},
-                     {d + t: b.rows for d, b in m.sq1.items()},
-                     {d + t: b.rows for d, b in m.sq2.items()},
-                     m.lo + t, m.hi + t, m.complete_lo + t, m.complete_hi + t)
+    return A1Module({d + t: [f"{n}@{t}" for n in ns] for d, ns in m.basis.items()},
+                    {d + t: b for d, b in m.sq1.items()},
+                    {d + t: b for d, b in m.sq2.items()},
+                    m.lo + t, m.hi + t, m.complete_lo + t, m.complete_hi + t)
 
 
 def direct_sum_a1(mods: list[A1Module], tags: list[str]) -> A1Module:
@@ -469,10 +442,10 @@ def tensor_a1(a: A1Module, b: A1Module, hi: Optional[int] = None) -> A1Module:
 def dual_a1(m: A1Module) -> A1Module:
     """Linear dual: each block transposed onto the negated degrees (the dual
     of the block from d to d + r acts from -d - r to -d), with dual names."""
-    return _assemble({-d: [_dual_name(n) for n in ns] for d, ns in m.basis.items()},
-                     {-d - 1: b.transpose().rows for d, b in m.sq1.items()},
-                     {-d - 2: b.transpose().rows for d, b in m.sq2.items()},
-                     -m.hi, -m.lo, -m.complete_hi, -m.complete_lo)
+    return A1Module({-d: [_dual_name(n) for n in ns] for d, ns in m.basis.items()},
+                    {-d - 1: b.transpose() for d, b in m.sq1.items()},
+                    {-d - 2: b.transpose() for d, b in m.sq2.items()},
+                    -m.hi, -m.lo, -m.complete_hi, -m.complete_lo)
 
 
 # -- validation and homological functionals -----------------------------------
@@ -507,12 +480,11 @@ def validate(m: A1Module) -> list[Violation]:
 
 def margolis(m: A1Module, which: str) -> dict[int, int]:
     """Degreewise Ker/Im dimensions for Sq1 (``q0``) or the degree-3
-    derived operation (``q1``), on the trustable range."""
-    reach = 1 if which == "q0" else 3
-
-    def op(d: int, bits: int) -> int:
-        return m.apply_sq1(d, bits) if which == "q0" else m.apply_q1(d, bits)
-
+    derived operation (``q1``), on the trustable range; any other
+    ``which`` raises ``ValueError``."""
+    if which not in ("q0", "q1"):
+        raise ValueError(f"unknown operation {which!r}: expected q0 or q1")
+    reach, op = (1, m.apply_sq1) if which == "q0" else (3, m.apply_q1)
     out: dict[int, int] = {}
     for d in m.trusted_degrees(reach):
         if not m.incoming_ok(d, reach):
@@ -559,11 +531,8 @@ def _submodule(m: A1Module, rows: dict[int, F2Matrix], prefix: str) -> A1Module:
     and is written as zero elsewhere.
     """
     kept = {d: b for d, b in rows.items() if b.nrows}
-    basis = {}
-    for d, b in kept.items():
-        # one index width per degree, so that the names sort in index order
-        width = max(4, len(str(b.nrows - 1)))
-        basis[d] = tuple(f"{prefix}{d}_{i:0{width}d}" for i in range(b.nrows))
+    basis = {d: [f"{prefix}{d}_{i}" for i in range(b.nrows)]
+             for d, b in kept.items()}
     spans = {d: Echelon(b.rows) for d, b in kept.items()}
     sq1: dict[int, F2Matrix] = {}
     sq2: dict[int, F2Matrix] = {}
@@ -692,10 +661,10 @@ def proj_cover_and_loop(m: A1Module) -> CoverResult:
     """Minimal free cover and its kernel (the loop of the module).
 
     The cover has one free summand per generator, in the order of
-    ``generator_degrees``, tagged ``g<j>.`` with ``j`` padded to one width
-    so that every degree lists the summands in that order.  So the row of
-    the epimorphism at the basis word ``a`` of summand ``j`` is ``a`` applied
-    to the ``j``-th generator."""
+    ``generator_degrees``, tagged ``g<j>.``, and every degree lists the
+    summands in that order and each summand's words in the order of
+    ``A1_WORDS``.  So the row of the epimorphism at the basis word ``a`` of
+    summand ``j`` is ``a`` applied to the ``j``-th generator."""
     if not is_reduced(m):
         raise ValueError("module has free summands; call reduce first")
     gens = generator_degrees(m)
@@ -703,9 +672,8 @@ def proj_cover_and_loop(m: A1Module) -> CoverResult:
     if not reps:
         empty = A1Module({}, {}, {}, m.lo, m.hi, m.complete_lo, m.complete_hi)
         return CoverResult(empty, gens, empty, {}, {})
-    width = len(str(len(reps) - 1))
     big = direct_sum_a1([std_a1(d) for d, _ in reps],
-                        [f"g{j:0{width}d}." for j in range(len(reps))])
+                        [f"g{j}." for j in range(len(reps))])
     top_gen = max(d for d in gens)
     cover_hi = m.hi
     if m.complete_hi >= max(m.hi, top_gen + 6):
@@ -723,7 +691,6 @@ def proj_cover_and_loop(m: A1Module) -> CoverResult:
     epi_blocks: dict[int, F2Matrix] = {}
     ker_rows: dict[int, F2Matrix] = {}
     for d in cover.degrees():
-        # the words of each degree are listed in the order of A1_WORDS
         rows = [m.apply_word(word, gd, rep) for gd, rep in reps
                 for word, wd in A1_WORDS if gd + wd == d]
         mat = F2Matrix.from_rows(rows, m.dim(d))

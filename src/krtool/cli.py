@@ -112,7 +112,12 @@ def _load_a1(args, w: Window) -> A1Module:
 
 def _load_e(args, w: Window) -> EModule:
     m = _load(args, w)
-    return apply_r(m, w).emod if isinstance(m, A1Module) else m
+    if isinstance(m, EModule):
+        return m
+    try:
+        return apply_r(m, w).emod
+    except ValueError as exc:   # the module is not exact where w reaches
+        raise UsageError(f"{args.builtin or args.infile}: {exc}") from None
 
 
 def _emit(text: str, out: Optional[str]) -> None:

@@ -25,7 +25,6 @@ brute-force comparison and is not used.
 from __future__ import annotations
 
 from math import comb
-from typing import Optional
 
 from .graded import Degree, GradedSpace, Window, add_deg, pair_map
 
@@ -127,15 +126,3 @@ class BorelClosedForm:
 def borel_hv_closed(n: int, w: Window) -> BorelClosedForm:
     return BorelClosedForm(n, w)
 
-
-def sigma4_shift_failure(dims: dict[Degree, int], w: Window
-                         ) -> Optional[Degree]:
-    """The first degree ``d`` where translation by (-4, 4) changes the
-    dimension, with ``d`` and ``d + (-4, 4)`` both in the window, or None
-    when the translation is a bijection there."""
-    for d in sorted(set(dims) | {add_deg(e, (4, -4)) for e in dims}):
-        up = add_deg(d, (-4, 4))
-        if w.contains(d) and w.contains(up) \
-                and dims.get(d, 0) != dims.get(up, 0):
-            return d
-    return None

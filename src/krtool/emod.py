@@ -231,7 +231,10 @@ def h01(m: EModule) -> H01Result:
 def margolis(m: EModule, which: str) -> dict[Degree, int]:
     """Degreewise Ker/Im dimensions of the (1,0) differential (``q0``) or
     the (2,1) differential (``q1``), on the trusted degrees.  A module is
-    projective for the relative theory iff its ``q1`` homology vanishes."""
+    projective for the relative theory iff its ``q1`` homology vanishes.
+    Any other ``which`` raises ``ValueError``."""
+    if which not in ("q0", "q1"):
+        raise ValueError(f"unknown differential {which!r}: expected q0 or q1")
     mp = m.q0 if which == "q0" else m.q1
     out: dict[Degree, int] = {}
     for d in m.complete.degrees():
@@ -258,10 +261,10 @@ def _lambda1_tensor(m: EModule, susp: Degree, tag: int) -> EModule:
 
     At each degree ``d`` the basis is the block ``u{tag}|x`` for ``x`` in
     ``m`` at ``d - susp`` followed by the block ``v{tag}|x`` for ``x`` at
-    ``d - susp - (2,1)``: ``u`` sorts before ``v`` and both blocks keep the
-    (sorted) order of ``m``, so the ``v`` block starts at offset
-    ``m.dim(d - susp)``.  Both differentials are those of ``m`` placed
-    block by block; the second one adds the unit from ``u|x`` to ``v|x``.
+    ``d - susp - (2,1)``, both blocks in the order of ``m``, so the ``v``
+    block starts at offset ``m.dim(d - susp)``.  Both differentials are
+    those of ``m`` placed block by block; the second one adds the unit from
+    ``u|x`` to ``v|x``.
     """
     w = m.space.window
     vsusp = add_deg(susp, Q1_SHIFT)

@@ -1,11 +1,13 @@
 """Bigraded vector spaces over GF(2) with truncation-window bookkeeping.
 
 Degrees are pairs ``(m, k)``: ``m`` is the integer part, ``k`` the twist.
-A ``GradedSpace`` holds named bases per degree inside a window; a
-``GradedMap`` holds one bit matrix per populated source degree, with rows
-indexed by the source basis and columns by the target basis at the shifted
-degree.  Every operation records the subwindow on which its output is
-complete, so downstream comparisons never read truncation artifacts.
+A ``GradedSpace`` holds named bases per degree inside a window, each in
+the order its builder listed it; a ``GradedMap`` holds one bit matrix per
+populated source degree, with rows indexed by the source basis and columns
+by the target basis at the shifted degree.  Names are labels: nothing
+sorts or parses them, so a dual keeps the positions it transposes.
+Every operation records the subwindow on which its output is complete, so
+downstream comparisons never read truncation artifacts.
 """
 
 from __future__ import annotations
@@ -93,8 +95,24 @@ def degrees_where(keep: Callable[[Any], bool], *degree_sets: Iterable
     return sorted({d for ds in degree_sets for d in ds if keep(d)})
 
 
+def shift_mismatch(a: dict[Degree, int], b: dict[Degree, int], shift: Degree,
+                   w: Window) -> Optional[Degree]:
+    """The first degree ``d``, in window order, with ``d`` and ``d + shift``
+    in ``w`` where the table ``a`` at ``d`` differs from ``b`` at
+    ``d + shift`` (an absent degree counts 0), or None when ``b`` is ``a``
+    moved by ``shift`` on ``w``."""
+    for d in degrees_where(
+            lambda d: w.contains(d) and w.contains(add_deg(d, shift)),
+            a, [sub_deg(e, shift) for e in b]):
+        if a.get(d, 0) != b.get(add_deg(d, shift), 0):
+            return d
+    return None
+
+
 class GradedSpace:
-    """Finite bigraded space with lexicographically ordered named bases."""
+    """Finite bigraded space with named bases.  Each degree's names are
+    kept in the order given, which is the order of the coordinates every
+    block over this space uses; a name may occur once per degree."""
 
     def __init__(self, window: Window,
                  basis: dict[Degree, Iterable[str]] | None = None):
@@ -102,7 +120,7 @@ class GradedSpace:
         self.basis: dict[Degree, tuple[str, ...]] = {}
         if basis:
             for d, names in basis.items():
-                names = tuple(sorted(names))
+                names = tuple(names)
                 if not names:
                     continue
                 if not window.contains(d):

@@ -6,7 +6,9 @@ The grammar is deliberately small: a ``kind`` header, a ``window`` line,
 over GF(2), through ``a1.from_table`` or ``graded.pair_map``).  Printing is
 canonical: generators sorted by degree then name, action lines sorted the
 same way with sorted right-hand sides, so parse-print round-trips are
-byte exact.
+byte exact.  The readers list each degree's generators in name order,
+whatever the order of the ``gen`` lines, so the first witness of a broken
+relation does not depend on how a file is laid out.
 
 An ``e`` file may declare its optional structure on one ``ops`` line:
 ``a`` and ``s`` when those actions are present (even if zero), and
@@ -158,7 +160,7 @@ def module_file_to_a1(mf: ModuleFile) -> A1Module:
     if mf.kind != "a1":
         raise ValueError("not an a1 module file")
     basis: dict[int, list[str]] = {}
-    for name, (m, _) in mf.gens.items():
+    for name, (m, _) in sorted(mf.gens.items()):
         basis.setdefault(m, []).append(name)
     images = {op: {(mf.gens[n][0], n): targets
                    for (o, n), targets in mf.actions.items() if o == op}
@@ -199,7 +201,7 @@ def module_file_to_e(mf: ModuleFile) -> EModule:
         raise ValueError("not an e module file")
     w = mf.window
     basis: dict[tuple[int, int], list[str]] = {}
-    for name, d in mf.gens.items():
+    for name, d in sorted(mf.gens.items()):
         basis.setdefault(d, []).append(name)
     space = GradedSpace(w, basis)
 

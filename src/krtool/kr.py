@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import Optional
 
 from . import closedform as cfm
 from .a1 import A1Module, ReduceResult, reduce, std_bv
@@ -35,6 +36,7 @@ from .graded import (
     Window,
     add_deg,
     hom_space,
+    shift_mismatch,
 )
 from .rfun import RModule, apply_r, required_top
 
@@ -175,31 +177,28 @@ class KRReport:
     layers: list[dict[Degree, int]]
     annotations: dict[Degree, list[str]]
 
-    def layer_periodicity_ok(self) -> bool:
+    def layer_periodicity_failure(self) -> Optional[tuple[int, Degree]]:
+        """The first layer ``j`` and degree ``d`` where layer ``j + 1`` at
+        ``d + (1,1)`` differs from layer ``j`` at ``d``, or None when each
+        layer is the one below it moved by (1,1) on the window."""
         for j in range(len(self.layers) - 1):
-            for d, v in self.layers[j].items():
-                dd = add_deg(d, (1, 1))
-                if self.window.contains(dd):
-                    if self.layers[j + 1].get(dd, 0) != v:
-                        return False
-            for d, v in self.layers[j + 1].items():
-                src = (d[0] - 1, d[1] - 1)
-                if self.window.contains(src):
-                    if self.layers[j].get(src, 0) != v:
-                        return False
-        return True
+            d = shift_mismatch(self.layers[j], self.layers[j + 1], (1, 1),
+                               self.window)
+            if d is not None:
+                return j, d
+        return None
+
+    def doubling_failure(self) -> Optional[Degree]:
+        """The first degree ``d`` where the companions at ``d`` differ from
+        the top classes at ``d + (1,1)``, or None."""
+        return shift_mismatch(self.f2_companions, self.f2_classes, (1, 1),
+                              self.window)
+
+    def layer_periodicity_ok(self) -> bool:
+        return self.layer_periodicity_failure() is None
 
     def doubling_ok(self) -> bool:
-        for d, v in self.f2_classes.items():
-            dd = (d[0] - 1, d[1] - 1)
-            if self.window.contains(dd):
-                if self.f2_companions.get(dd, 0) != v:
-                    return False
-        for d, v in self.f2_companions.items():
-            up = (d[0] + 1, d[1] + 1)
-            if self.window.contains(up) and self.f2_classes.get(up, 0) != v:
-                return False
-        return True
+        return self.doubling_failure() is None
 
     def to_tsv(self) -> str:
         lines = ["m\tk\tdim\tpart\tnotes"]

@@ -11,13 +11,10 @@ with all coefficient products taken in the window model.  The positive
 and negative cones never interact (the twist -1 column of the coefficient
 ring is empty), which is validated rather than assumed.
 
-Block layout.  The basis vector ``h | x`` is named ``"mono|x"``.  Since
-``|`` occurs in no monomial name, two such names with different monomials
-compare as ``mono.name() + "|"`` does, and two with the same monomial
-compare as the module names do, which ``A1Module`` keeps sorted.  So the
-sorted basis ``GradedSpace`` stores at each degree is a run of contiguous
-blocks, one per monomial in the order of ``name() + "|"``, each holding one
-module degree in module order.  The ``Layout`` records ``(monomial, module
+Block layout.  The basis vector ``h | x`` is named ``"mono|x"``.  The
+basis at each degree is a run of contiguous blocks, one per monomial of
+its twist in the order the builder lists them, each holding one module
+degree in module order.  The ``Layout`` records ``(monomial, module
 degree, offset)`` per degree, and every operator is built block by block:
 a build runs the coefficient rule once per monomial it reads, each term of
 the rule names the module rows it takes, computed once per module degree,
@@ -99,7 +96,7 @@ def _extension_basis(m: A1Module, w: Window,
     basis: dict[Degree, list[str]] = {}
     layout: Layout = {}
     for k, ms in monos.items():
-        tagged = sorted((mono.name() + "|", mono) for mono in ms)
+        tagged = [(mono.name() + "|", mono) for mono in ms]
         for mm in range(w.m_lo, w.m_hi + 1):
             names: list[str] = []
             blocks = []
@@ -210,10 +207,14 @@ def cone_crossing(rm: RModule) -> Optional[Degree]:
 
 
 def cone_part(rm: RModule, which: str) -> EModule:
-    """The positive or negative cone summand: the degrees of twist >= 0 or
-    <= -2.  The twist -1 column is empty and no operator lowers the twist
-    or raises it by more than one, so no stored block leaves a cone."""
-    plus = which in ("+", "plus")
+    """The positive (``which`` is ``"+"``) or negative (``"-"``) cone
+    summand: the degrees of twist >= 0 or <= -2.  The twist -1 column is
+    empty and no operator lowers the twist or raises it by more than one,
+    so no stored block leaves a cone.  Any other ``which`` raises
+    ``ValueError``."""
+    if which not in ("+", "-"):
+        raise ValueError(f"unknown cone {which!r}: expected + or -")
+    plus = which == "+"
     em = rm.emod
     new = GradedSpace(em.space.window, {d: ns for d, ns in em.space.basis.items()
                                         if (d[1] >= 0) == plus})

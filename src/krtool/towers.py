@@ -10,12 +10,12 @@ randomized tests exploit as an independent oracle.
 
 In the synthetic towers each basis vector is keyed by its summand: ``i``
 on the level spaces and the colimit, ``("g", i)`` or ``("q", i)`` on the
-layers, and a key occurs at most once in each degree.  Every structure map sends a key to the corresponding key of the target
-degree where that key is present (``e`` and ``f`` send ``i`` to ``i``,
-``c`` sends ``i`` to ``("q", i)``, ``delta`` sends ``("g", i)`` to ``i``),
-so its matrix is read off the key positions.  Names carry ``i`` padded to
-the width of the summand count, so the order ``GradedSpace`` sorts them
-into is the key order.
+layers, and a key occurs at most once in each degree.  Each degree lists
+its keys in the order the builder meets them, and the basis follows that
+order.  Every structure map sends a key to the corresponding key of the
+target degree where that key is present (``e`` and ``f`` send ``i`` to
+``i``, ``c`` sends ``i`` to ``("q", i)``, ``delta`` sends ``("g", i)`` to
+``i``), so its matrix is read off the key positions.
 """
 
 from __future__ import annotations
@@ -336,9 +336,9 @@ Keyed = tuple[GradedSpace, dict[Degree, dict]]
 
 
 def _keyed_space(window: Window, keys: dict[Degree, list], name) -> Keyed:
-    """The space with one basis vector ``name(key)`` per key; ``name`` must
-    sort as the keys do."""
-    pos = {dg: {k: p for p, k in enumerate(sorted(ks))}
+    """The space with one basis vector ``name(key)`` per key, in the order
+    of the keys."""
+    pos = {dg: {k: p for p, k in enumerate(ks)}
            for dg, ks in keys.items() if window.contains(dg)}
     return GradedSpace(window, {dg: [name(k) for k in ps]
                                 for dg, ps in pos.items()}), pos
@@ -368,7 +368,6 @@ def build_x_tower(spec: XTowerSpec, window: Window,
     d = spec.xdeg
     if window.k_lo != 0 or window.k_hi != 0:
         raise ValueError("multiplication towers are singly graded")
-    width = len(str(len(spec.summands)))
 
     def powers(prefix: str, n: int, member) -> Keyed:
         """Key ``i`` wherever ``member(summand, j)`` holds for the power
@@ -380,7 +379,7 @@ def build_x_tower(spec: XTowerSpec, window: Window,
                            (window.m_hi - at) // d + 1):
                 if member(s, j):
                     keys.setdefault((at + j * d, 0), []).append(i)
-        return _keyed_space(window, keys, lambda i: f"{prefix}.{i:0{width}}")
+        return _keyed_space(window, keys, lambda i: f"{prefix}.{i}")
 
     def layer(n: int) -> Keyed:
         keys: dict[Degree, list] = {}
@@ -390,7 +389,7 @@ def build_x_tower(spec: XTowerSpec, window: Window,
                 top = s.shift + (s.order + n) * d - 1
                 keys.setdefault((top, 0), []).append(("g", i))
         return _keyed_space(window, keys,
-                            lambda k: f"C{n}.{k[0]}.{k[1]:0{width}}")
+                            lambda k: f"C{n}.{k[0]}.{k[1]}")
 
     colim = powers("K", 0, lambda s, j: s.kind == "free")
     spaces = {n: powers(f"L{n}", n, lambda s, j: j >= 0 and (

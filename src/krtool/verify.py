@@ -30,10 +30,10 @@ from .a1 import (
     tensor_a1,
     validate,
 )
-from .closedform import borel_hv_closed, sigma4_shift_failure
+from .closedform import borel_hv_closed
 from .emod import h01, h01_dual_dims, rel_ext, rel_ext_tate
 from .emod import margolis as margolis_e
-from .graded import Window, sub_deg
+from .graded import Window, add_deg, shift_mismatch, sub_deg
 from .kr import (
     CrossCheckReport,
     assemble_kr,
@@ -257,7 +257,8 @@ def _suite_borel_detect() -> tuple[bool, str]:
             return False, f"rank {n}: {rep.detail}"
         if rep.unconstrained_dim == 0:
             return False, f"rank {n}: sanity count vanished"
-        bad = sigma4_shift_failure(borel_hv_closed(n, w).dims(), w)
+        dims = borel_hv_closed(n, w).dims()
+        bad = shift_mismatch(dims, dims, (-4, 4), w)
         if bad is not None:
             return False, f"rank {n}: Borel model not (-4,4)-periodic at {bad}"
     return True, "Euler-linear endomorphism space vanishes for ranks 1..3; " \
@@ -295,10 +296,15 @@ def _kr_table_failure(n: int) -> Optional[str]:
     next rank's chart is built."""
     w = Window(-16, 16, -8, 8)
     rep = assemble_kr(n, w, max_layer=3)
-    if not rep.layer_periodicity_ok():
-        return "layer periodicity fails"
-    if not rep.doubling_ok():
-        return "companion doubling fails"
+    bad = rep.layer_periodicity_failure()
+    if bad is not None:
+        j, d = bad
+        return f"layer periodicity fails: layer {j + 1} at " \
+               f"{add_deg(d, (1, 1))} differs from layer {j} at {d}"
+    d = rep.doubling_failure()
+    if d is not None:
+        return f"companion doubling fails: the companions at {d} differ " \
+               f"from the top classes at {add_deg(d, (1, 1))}"
     partners = compute_f2(n, w).partner_dims(w)
     cc = _hv_report(n)
     if not cc.ok:

@@ -5,3 +5,35 @@ from pathlib import Path
 src = Path(__file__).resolve().parent.parent / "src"
 if str(src) not in sys.path:
     sys.path.insert(0, str(src))
+
+from krtool.a1 import A1Module  # noqa: E402
+from krtool.graded import GradedMap, GradedSpace, add_deg  # noqa: E402
+
+
+def _image(names, bits):
+    return frozenset(n for j, n in enumerate(names) if (bits >> j) & 1)
+
+
+def by_name(x):
+    """``x`` read by basis name, so that two objects read alike exactly
+    when they agree up to the order of each degree's basis.
+
+    An ``A1Module`` reads as {degree: {name: (Sq1 image, Sq2 image)}}, a
+    ``GradedMap`` as {source degree: {name: image}}, each image the set of
+    target names it hits, and a ``GradedSpace`` as {degree: set of names}.
+    Names are unique within a degree, so comparing these is as strict as
+    comparing blocks over one fixed order of the bases.
+    """
+    if isinstance(x, A1Module):
+        return {d: {n: (_image(x.names(d + 1), x.apply_sq1(d, 1 << i)),
+                        _image(x.names(d + 2), x.apply_sq2(d, 1 << i)))
+                    for i, n in enumerate(ns)}
+                for d, ns in x.basis.items()}
+    if isinstance(x, GradedMap):
+        return {d: {n: _image(x.target.names(add_deg(d, x.shift)),
+                              x.apply(d, 1 << i))
+                    for i, n in enumerate(ns)}
+                for d, ns in x.source.basis.items()}
+    if isinstance(x, GradedSpace):
+        return {d: frozenset(ns) for d, ns in x.basis.items()}
+    raise TypeError(f"cannot read {type(x).__name__} by name")

@@ -184,3 +184,40 @@ def test_borel_detect_names_a_broken_periodicity(monkeypatch):
     monkeypatch.setattr(verify, "borel_hv_closed", holed)
     assert failed_detail("borel-detect") == \
         f"rank 1: Borel model not (-4,4)-periodic at {gap}"
+
+
+def test_kr_table_names_the_layer_and_degree_of_a_broken_periodicity(
+        monkeypatch):
+    real = verify.assemble_kr
+    holes = []
+
+    def holed(n, w, max_layer):
+        rep = real(n, w, max_layer=max_layer)
+        gap = min(d for d in rep.layers[2]
+                  if w.contains(add_deg(d, (-1, -1))))
+        del rep.layers[2][gap]
+        holes.append(gap)
+        return rep
+
+    monkeypatch.setattr(verify, "assemble_kr", holed)
+    detail = failed_detail("kr-table")
+    gap = holes[0]
+    assert detail == (f"rank 1: layer periodicity fails: layer 2 at {gap} "
+                      f"differs from layer 1 at {add_deg(gap, (-1, -1))}")
+
+
+def test_kr_table_names_where_the_companion_doubling_breaks(monkeypatch):
+    real = verify.assemble_kr
+
+    def shifted(n, w, max_layer):
+        rep = real(n, w, max_layer=max_layer)
+        rep.f2_companions = {add_deg(d, (0, -1)): v
+                             for d, v in rep.f2_companions.items()}
+        return rep
+
+    monkeypatch.setattr(verify, "assemble_kr", shifted)
+    # rank 1 has no free classes; the lowest rank-2 companion moves from
+    # (9, -1) to (9, -2), which comes first in window order
+    assert failed_detail("kr-table") == (
+        "rank 2: companion doubling fails: the companions at (9, -2) differ "
+        "from the top classes at (10, -1)")

@@ -32,6 +32,8 @@ from krtool.io import (
 from krtool.graded import Window
 from krtool.rfun import apply_r, required_top
 
+from conftest import by_name
+
 
 def test_a1_round_trip_byte_exact():
     m = std_pn(2, 0, 14)
@@ -237,16 +239,18 @@ def test_module_files_round_trip_names_and_blocks(a, e):
             a1_to_module_file_text(a)
     else:
         back = module_file_to_a1(parse_module_file(a1_to_module_file_text(a)))
-        assert back.basis == a.basis
-        assert back.sq1 == a.sq1 and back.sq2 == a.sq2
+        assert by_name(back) == by_name(a)
     back = module_file_to_e(parse_module_file(e_to_module_file_text(e)))
-    assert back.space == e.space
-    assert back.q0 == e.q0 and back.q1 == e.q1
+    assert back.space.window == e.space.window
+    assert by_name(back.space) == by_name(e.space)
+    assert by_name(back.q0) == by_name(e.q0)
+    assert by_name(back.q1) == by_name(e.q1)
     assert back.s_compat_cartan == e.s_compat_cartan
     # the ops line keeps a zero action present
     for got, want in ((back.act_a, e.act_a), (back.act_s, e.act_s)):
         assert (got is None) == (want is None)
-        assert (got.blocks if got else {}) == (want.blocks if want else {})
+        if got is not None:
+            assert by_name(got) == by_name(want)
 
 
 def test_a1_file_text_rejects_an_empty_window():
@@ -473,10 +477,16 @@ def test_cli_prints_e_modules_canonically(tmp_path):
     (("compute", "h01", "--in", "{tower}"), "'tower'"),
     (("compute", "reduce", "--in", "{e}"), "is an e module"),
     (("compute", "socle", "--builtin", "RP1"), "RP1 is an e module"),
+    # P2 printed for this window is exact on m -7..9, but its extension
+    # reads m -9..9
+    *[(("compute", task, "--in", "{p2}", "--window", "-6", "6", "-3", "3"),
+       "exact on [-7,9] but the window requires [-9,9]")
+      for task in ("h01", "relext", "chart")],
 ])
 def test_cli_rejects_bad_input_on_one_line(argv, named, tmp_path):
     files = {"{tower}": "kind tower\nwindow 0 4 0 0\nxdeg 1\n",
-             "{e}": "kind e\nwindow 0 2 0 1\ngen x 0 0\ngen y 1 0\nq0 x = y\n"}
+             "{e}": "kind e\nwindow 0 2 0 1\ngen x 0 0\ngen y 1 0\nq0 x = y\n",
+             "{p2}": a1_to_module_file_text(std_pn(2, -7, 9))}
     for key, text in files.items():
         (tmp_path / key.strip("{}")).write_text(text)
     out = run_cli(*(str(tmp_path / a.strip("{}")) if a in files else a

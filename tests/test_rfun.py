@@ -2,6 +2,7 @@
 computation for the free module, cone behavior, duality, Bockstein."""
 
 import math
+import re
 import time
 
 import pytest
@@ -39,6 +40,8 @@ from krtool.rfun import (
     psi_duality,
     required_top,
 )
+
+from conftest import by_name
 
 
 def test_r_of_trivial_module_is_coefficient_ring():
@@ -86,6 +89,14 @@ def test_h01_cone_parts_of_free_module():
     assert h01(minus).dims() == {(3, -2): 1}
     assert validate(plus) == []
     assert validate(minus) == []
+
+
+def test_cone_part_refuses_an_unknown_cone():
+    rm = apply_r(std_a1(), Window(-2, 2, -1, 1))
+    for which in ("plus", "+-", ""):
+        msg = re.escape(f"unknown cone {which!r}")
+        with pytest.raises(ValueError, match=msg):
+            cone_part(rm, which)
 
 
 def test_rel_projective_examples():
@@ -377,7 +388,7 @@ def _same_maps(got, want):
     for name, ref in want.items():
         mp = getattr(got, name)
         assert mp.shift == ref.shift, name
-        assert mp.blocks == ref.blocks, name
+        assert by_name(mp) == by_name(ref), name
 
 
 @settings(max_examples=80, deadline=None)
@@ -391,12 +402,12 @@ def test_block_builders_match_name_keyed_reference(data):
         return
     rm = apply_r(m, w)
     space, maps = _ref_apply_r(m, w)
-    assert rm.emod.space.basis == space.basis
+    assert by_name(rm.emod.space) == by_name(space)
     _same_maps(rm.emod, maps)
 
     fm = mod_a(m, w)
     space, maps = _ref_mod_a(m, w)
-    assert fm.space.basis == space.basis
+    assert by_name(fm.space) == by_name(space)
     assert fm.act_a is None
     _same_maps(fm, maps)
 
@@ -414,7 +425,7 @@ def test_block_builders_match_name_keyed_reference(data):
     rn = apply_r(n, w)
     got = lift_map(f, rm, rn)
     want = _ref_lift_map(f, rm.emod.space, rn.emod.space)
-    assert got.shift == want.shift and got.blocks == want.blocks
+    assert got.shift == want.shift and by_name(got) == by_name(want)
 
 
 def _counted_builds(monkeypatch):

@@ -319,16 +319,6 @@ def test_positional_tower_matches_name_keyed_reference():
             _reports(_ref_build_x_tower(spec, w, *levels)), spec
 
 
-def test_tower_names_sort_in_summand_order():
-    spec = XTowerSpec(1, tuple(Summand("cyclic", 0, 2) for _ in range(11)))
-    t = build_x_tower(spec, spec.window(-1, 1), -1, 1)
-    assert t.levels[0].space.names((0, 0)) == \
-        tuple(f"L0.{i:02}" for i in range(11))
-    assert t.levels[0].layer.names((1, 0))[:2] == ("C0.g.00", "C0.g.01")
-    # the top class of summand 10 reaches the next level's top class
-    assert t.levels[0].delta.block((1, 0)).rows[10] == 1 << 10
-
-
 # -- the framework against its eager reference -----------------------------------
 # The checks as they were before the filtration pieces were built on first
 # read: both filtrations built whole, ranks read off fresh row bases, maps
