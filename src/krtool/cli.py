@@ -85,16 +85,18 @@ def _builtin_a1(name: str, w: Window) -> Optional[A1Module]:
 
 def _load(args, w: Window) -> Union[A1Module, EModule]:
     """The module ``--builtin`` or ``--in`` names: an e module for ``RP<n>``
-    and for a file of kind e, an A(1)-module otherwise."""
+    (the extension of ``P<n>``) and for a file of kind e, an A(1)-module
+    otherwise."""
     name = args.builtin
-    if name and name.startswith("RP") and name[2:].isdigit():
-        m = std_pn(int(name[2:]), w.m_lo - 1, required_top(w))
-        return apply_r(m, w).emod
     if name:
-        m = _builtin_a1(name, w)
+        rp = name.startswith("RP") and name[2:].isdigit()
+        try:
+            m = _builtin_a1(name[1:] if rp else name, w)
+        except ValueError as exc:   # no generator lies in the window
+            raise UsageError(f"builtin {name}: {exc}") from None
         if m is None:
             raise UsageError(f"unknown builtin module {name!r}")
-        return m
+        return apply_r(m, w).emod if rp else m
     if args.infile:
         with open(args.infile) as fh:
             mf = parse_module_file(fh.read())

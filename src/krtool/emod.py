@@ -25,6 +25,7 @@ from .graded import (
     Degree,
     GradedMap,
     GradedSpace,
+    NameRuns,
     OperatorPair,
     Subquotient,
     Window,
@@ -262,16 +263,18 @@ def _lambda1_tensor(m: EModule, susp: Degree, tag: int) -> EModule:
     At each degree ``d`` the basis is the block ``u{tag}|x`` for ``x`` in
     ``m`` at ``d - susp`` followed by the block ``v{tag}|x`` for ``x`` at
     ``d - susp - (2,1)``, both blocks in the order of ``m``, so the ``v``
-    block starts at offset ``m.dim(d - susp)``.  Both differentials are
-    those of ``m`` placed block by block; the second one adds the unit from
-    ``u|x`` to ``v|x``.
+    block starts at offset ``m.dim(d - susp)``.  The names are runs over
+    those of ``m``, formatted when read.  Both differentials are those of
+    ``m`` placed block by block; the second one adds the unit from ``u|x``
+    to ``v|x``.
     """
     w = m.space.window
     vsusp = add_deg(susp, Q1_SHIFT)
     degrees = {add_deg(d, s) for d in m.space.degrees() for s in (susp, vsusp)}
+    u, v = f"u{tag}|", f"v{tag}|"
     space = GradedSpace(w, {
-        d: [f"u{tag}|{x}" for x in m.space.names(sub_deg(d, susp))]
-        + [f"v{tag}|{x}" for x in m.space.names(sub_deg(d, vsusp))]
+        d: NameRuns(((u, m.space.names(sub_deg(d, susp))),
+                     (v, m.space.names(sub_deg(d, vsusp)))))
         for d in degrees if w.contains(d)})
 
     def build(op: GradedMap, unit: bool) -> GradedMap:

@@ -2,7 +2,9 @@
 
 Degrees are pairs ``(m, k)``: ``m`` is the integer part, ``k`` the twist.
 A ``GradedSpace`` holds named bases per degree inside a window, each in
-the order its builder listed it; a ``GradedMap`` holds one bit matrix per
+the order its builder listed it: a ``NameRuns`` sequence is kept as given
+and formats its names when they are read, and any other iterable of names
+is copied to a tuple.  A ``GradedMap`` holds one bit matrix per
 populated source degree, with rows indexed by the source basis and columns
 by the target basis at the shifted degree.  Names are labels: nothing
 sorts or parses them, so a dual keeps the positions it transposes.
@@ -13,7 +15,7 @@ downstream comparisons never read truncation artifacts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .gf2 import (
     Echelon,
@@ -109,18 +111,65 @@ def shift_mismatch(a: dict[Degree, int], b: dict[Degree, int], shift: Degree,
     return None
 
 
+class NameRuns(Sequence[str]):
+    """A read-only sequence of names made of consecutive runs, each the
+    names ``prefix + name`` for ``name`` in a base sequence of names.
+
+    Only the runs are stored: a name is formatted when it is indexed or
+    iterated, so a large basis built from a few shared base sequences holds
+    no string of its own.  It compares equal, in both directions, to the
+    tuple of its names and to any ``NameRuns`` with the same names.
+    """
+
+    __slots__ = ("runs", "_len")
+
+    def __init__(self, runs: Iterable[tuple[str, Sequence[str]]]):
+        self.runs = tuple((p, ns) for p, ns in runs if ns)
+        self._len = sum(len(ns) for _, ns in self.runs)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[str]:
+        for prefix, names in self.runs:
+            for n in names:
+                yield prefix + n
+
+    def __getitem__(self, i: int) -> str:
+        if i < 0:
+            i += self._len
+        if 0 <= i < self._len:
+            for prefix, names in self.runs:
+                if i < len(names):
+                    return prefix + names[i]
+                i -= len(names)
+        raise IndexError("name index out of range")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (tuple, NameRuns)):
+            return NotImplemented
+        return len(other) == self._len and all(
+            a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 class GradedSpace:
     """Finite bigraded space with named bases.  Each degree's names are
     kept in the order given, which is the order of the coordinates every
-    block over this space uses; a name may occur once per degree."""
+    block over this space uses; a name may occur once per degree.  A
+    ``NameRuns`` is kept as given, and any other iterable is copied to a
+    tuple."""
 
     def __init__(self, window: Window,
                  basis: dict[Degree, Iterable[str]] | None = None):
         self.window = window
-        self.basis: dict[Degree, tuple[str, ...]] = {}
+        self.basis: dict[Degree, Sequence[str]] = {}
         if basis:
             for d, names in basis.items():
-                names = tuple(names)
+                if not isinstance(names, NameRuns):
+                    names = tuple(names)
                 if not names:
                     continue
                 if not window.contains(d):
@@ -134,7 +183,7 @@ class GradedSpace:
     def dim(self, d: Degree) -> int:
         return len(self.basis.get(d, ()))
 
-    def names(self, d: Degree) -> tuple[str, ...]:
+    def names(self, d: Degree) -> Sequence[str]:
         return self.basis.get(d, ())
 
     def _positions(self, d: Degree) -> dict[str, int]:

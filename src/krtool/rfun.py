@@ -11,17 +11,19 @@ with all coefficient products taken in the window model.  The positive
 and negative cones never interact (the twist -1 column of the coefficient
 ring is empty), which is validated rather than assumed.
 
-Block layout.  The basis vector ``h | x`` is named ``"mono|x"``.  The
-basis at each degree is a run of contiguous blocks, one per monomial of
-its twist in the order the builder lists them, each holding one module
-degree in module order.  The ``Layout`` records ``(monomial, module
-degree, offset)`` per degree, and every operator is built block by block:
-a build runs the coefficient rule once per monomial it reads, each term of
-the rule names the module rows it takes, computed once per module degree,
-and those rows are shifted to the target block's offset.  The checks read
-the layout too: the cone split takes each block's cone from its monomial,
-and the duality pairing matches blocks by their monomials and module
-degrees.  The names are labels only; nothing splits them.
+Block layout.  The basis at each degree is a run of contiguous blocks,
+one per monomial of its twist in the order the builder lists them, each
+holding one module degree in module order.  The names are formatted from
+the layout when they are read: the basis vector ``h | x`` reads as the
+monomial's name, ``|`` and the module's name of ``x``.  The ``Layout``
+records ``(monomial, module degree, offset)`` per degree, and every
+operator is built block by block: a build runs the coefficient rule once
+per monomial it reads, each term of the rule names the module rows it
+takes, computed once per module degree, and those rows are shifted to the
+target block's offset.  The checks read the layout too: the cone split
+takes each block's cone from its monomial, and the duality pairing matches
+blocks by their monomials and module degrees.  The names are labels only;
+nothing splits them.
 
 The two differentials are built at once.  The coefficient actions by
 ``a`` and ``s`` are handed to ``EModule`` as builders and built on first
@@ -44,6 +46,7 @@ from .graded import (
     Degree,
     GradedMap,
     GradedSpace,
+    NameRuns,
     OperatorPair,
     Window,
     _dual_name,
@@ -92,22 +95,25 @@ def _check_base_window(m: A1Module, w: Window) -> None:
 def _extension_basis(m: A1Module, w: Window,
                      monos: dict[int, list[CoeffMonomial]]
                      ) -> tuple[GradedSpace, Layout]:
-    """The basis ``mono|x`` for the monomials of each twist, and its layout."""
-    basis: dict[Degree, list[str]] = {}
+    """The basis ``mono|x`` for the monomials of each twist, and its layout;
+    the names are runs over the module's names, formatted when read."""
+    basis: dict[Degree, NameRuns] = {}
     layout: Layout = {}
     for k, ms in monos.items():
         tagged = [(mono.name() + "|", mono) for mono in ms]
         for mm in range(w.m_lo, w.m_hi + 1):
-            names: list[str] = []
+            runs: list[tuple[str, Sequence[str]]] = []
             blocks = []
+            size = 0
             for tag, mono in tagged:
                 xd = mm - mono.degree()[0]
                 xs = m.names(xd)
                 if xs:
-                    blocks.append((mono, xd, len(names)))
-                    names.extend(tag + x for x in xs)
+                    blocks.append((mono, xd, size))
+                    runs.append((tag, xs))
+                    size += len(xs)
             if blocks:
-                basis[(mm, k)] = names
+                basis[(mm, k)] = NameRuns(runs)
                 layout[(mm, k)] = blocks
     return GradedSpace(w, basis), layout
 

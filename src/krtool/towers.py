@@ -134,7 +134,6 @@ class Filtration:
     - ``t_n``: the kernel of the colimit map ``f_n``;
     - ``ker_e``: the kernel of the structure map ``e_n``;
     - ``f0``: ``ker_e`` meet the image of ``e_{n+1}``;
-    - ``f1``: the subquotient ``ker_e / f0``;
     - ``f2``: the subquotient ``t_n / ker_e``.
     """
 
@@ -157,23 +156,8 @@ class Filtration:
                 for d, ke in self.ker_e.items()}
 
     @cached_property
-    def f1(self) -> Subquotient:
-        return Subquotient(self._lev.space, self.ker_e, self.f0)
-
-    @cached_property
     def f2(self) -> Subquotient:
         return Subquotient(self._lev.space, self.t_n, self.ker_e)
-
-    def dims(self, which: str) -> dict[Degree, int]:
-        if which == "T":
-            return {d: m.nrows for d, m in self.t_n.items() if m.nrows}
-        if which == "F0":
-            return {d: m.nrows for d, m in self.f0.items() if m.nrows}
-        if which == "F1":
-            return self.f1.dims()
-        if which == "F2":
-            return self.f2.dims()
-        raise ValueError(which)
 
 
 def filtration(t: TowerData, n: int) -> Filtration:

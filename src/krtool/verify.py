@@ -197,14 +197,13 @@ def _suite_relext() -> tuple[bool, str]:
     for label, base in (("companion 0", std_pn(0, -11, required_top(w))),
                         ("free", std_a1())):
         m = apply_r(base, w).emod
-        for n in (1, 2):
-            direct = rel_ext(m, n)
+        r1, r2, r3 = rel_ext(m, 1), rel_ext(m, 2), rel_ext(m, 3)
+        for n, direct in ((1, r1), (2, r2)):
             indep = rel_ext_tate(m, n)
             for d in [x for x in set(direct) | set(indep)
                       if inner and inner.contains(x)]:
                 if direct.get(d, 0) != indep.get(d, 0):
                     return False, f"{label}: slot {n} differs at {d}"
-        r1, r2, r3 = rel_ext(m, 1), rel_ext(m, 2), rel_ext(m, 3)
         for d, v in r1.items():
             if r2.get((d[0] + 2, d[1] + 1), 0) != v:
                 return False, f"{label}: recursion 1->2 fails at {d}"

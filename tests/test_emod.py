@@ -11,6 +11,7 @@ from krtool.a1 import (
     direct_sum_a1,
     proj_cover_and_loop,
     std_a1,
+    std_bv,
     std_f,
     std_p,
     std_pn,
@@ -40,6 +41,7 @@ from krtool.graded import (
     Degree,
     GradedMap,
     GradedSpace,
+    NameRuns,
     Subquotient,
     Window,
     add_deg,
@@ -101,6 +103,22 @@ def test_rel_projective_yes_no():
     assert margolis(free_e(w), "q1") == {}
     assert margolis(trivial_emodule(w), "q1") == {(0, 0): 1}
     assert margolis(trivial_emodule(w), "q0") == {(0, 0): 1}
+
+
+def test_tate_terms_on_an_extension_read_the_eagerly_formatted_names():
+    m = apply_r(std_bv(2, 1, 9), Window(-6, 6, -3, 3)).emod
+    term = tate_complex(m, -2, 0).terms[-1]
+    want = {}
+    for d in term.space.window.degrees():
+        names = tuple([f"u-1|{x}" for x in m.space.names(add_deg(d, (2, 1)))]
+                      + [f"v-1|{x}" for x in m.space.names(d)])
+        if names:
+            want[d] = names
+    assert term.space.degrees() == sorted(want)
+    for d, names in want.items():
+        got = term.space.names(d)
+        assert isinstance(got, NameRuns)
+        assert tuple(got) == names and got == names and names == got
 
 
 def test_lambda1_tensor_is_projective():

@@ -10,6 +10,7 @@ from krtool.gf2 import F2Matrix, left_kernel_basis, rank, row_basis
 from krtool.graded import (
     GradedMap,
     GradedSpace,
+    NameRuns,
     OperatorPair,
     Subquotient,
     Window,
@@ -288,6 +289,29 @@ def test_name_lookups_build_their_tables_on_demand():
             m.index(d, name)
     with pytest.raises(ValueError, match="basis at 0 repeats a name"):
         A1Module({0: ["a", "a"]}, {}, {}, 0, 0, 0, 0)
+
+
+def test_name_runs_read_as_the_tuple_of_their_names():
+    runs = NameRuns([("a|", ("x", "y")), ("b|", ()), ("", ("z",))])
+    names = ("a|x", "a|y", "z")
+    assert len(runs) == 3 and list(runs) == list(names)
+    assert runs == names and names == runs
+    assert runs == NameRuns([("a", ("|x", "|y")), ("", ("z",))])
+    assert runs != names[:2] and names[::-1] != runs
+    assert [runs[i] for i in range(-3, 3)] == list(names * 2)
+    for i in (3, -4):
+        with pytest.raises(IndexError):
+            runs[i]
+    assert repr(runs) == repr(names)
+    w = Window(0, 1, 0, 0)
+    s = GradedSpace(w, {(0, 0): runs, (1, 0): NameRuns([("c|", ())])})
+    assert s.names((0, 0)) is runs and s.degrees() == [(0, 0)]
+    assert s == GradedSpace(w, {(0, 0): names})
+    assert s.index((0, 0), "z") == 2 and s.vector_name((0, 0), 0b101) == "a|x+z"
+    assert dual_space(s) == dual_space(GradedSpace(w, {(0, 0): names}))
+    # a run's prefix and another run's name can still make a repeat
+    with pytest.raises(ValueError, match=r"duplicate names at \(0, 0\)"):
+        GradedSpace(w, {(0, 0): NameRuns([("a|", ("x",)), ("a", ("|x",))])})
 
 
 # -- composition against the dense loop ----------------------------------------

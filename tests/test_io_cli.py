@@ -482,6 +482,13 @@ def test_cli_prints_e_modules_canonically(tmp_path):
     *[(("compute", task, "--in", "{p2}", "--window", "-6", "6", "-3", "3"),
        "exact on [-7,9] but the window requires [-9,9]")
       for task in ("h01", "relext", "chart")],
+    # no generator of these builtins lies in the window
+    *[(("compute", task, "--builtin", name, "--window", *window), name)
+      for task, name, window in (
+          ("margolis", "P9", ("-4", "4", "0", "0")),
+          ("socle", "P", ("-30", "-20", "0", "0")),
+          ("h01", "RP9", ("-4", "4", "0", "0")),
+          ("socle", "BV2", ("-30", "-20", "0", "0")))],
 ])
 def test_cli_rejects_bad_input_on_one_line(argv, named, tmp_path):
     files = {"{tower}": "kind tower\nwindow 0 4 0 0\nxdeg 1\n",
