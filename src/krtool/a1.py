@@ -22,6 +22,14 @@ makes it, and that order is the coordinate order of every block; names
 are labels that must be distinct within a degree.  Only the standard
 diagrams and module files are name tables, which ``from_table`` turns
 into blocks.
+
+``A1_OPS`` is the one place that defines an operation: each element the
+code evaluates (the basis words, Q1 among them, the top class theta and
+the defects of the two relations) is a sum of application sequences of
+Sq1 and Sq2 there, and ``A1Module.op`` evaluates one on a whole degree as
+a product of the stored blocks.  ``validate``, the Margolis homologies,
+``reduce``, the projective cover and the coefficient extension all read
+``op``.
 """
 
 from __future__ import annotations
@@ -64,8 +72,11 @@ A1_SQ2: dict[str, tuple[str, ...]] = {
     "Q1": ("Q1Sq2",), "Sq1Sq2": ("Q1Sq2",), "Q0Q1": ("Q0Q1Sq2",),
     "Q1Sq2": (), "Q0Q1Sq2": (),
 }
-# Each word as a sum of application sequences (first entry acts first).
-A1_WORD_SEQS: dict[str, tuple[tuple[int, ...], ...]] = {
+# Every element the code evaluates, as a sum of application sequences of
+# the generators (first entry acts first): the basis words of the free
+# module, Q1 among them, the top class theta, which detects free summands,
+# and the defects of the two relations, which vanish on a module.
+A1_OPS: dict[str, tuple[tuple[int, ...], ...]] = {
     "1": ((),),
     "Sq1": ((1,),),
     "Sq2": ((2,),),
@@ -74,6 +85,9 @@ A1_WORD_SEQS: dict[str, tuple[tuple[int, ...], ...]] = {
     "Q0Q1": ((2, 1, 1), (1, 2, 1)),
     "Q1Sq2": ((2, 2, 1), (2, 1, 2)),
     "Q0Q1Sq2": ((2, 2, 1, 1), (2, 1, 2, 1)),
+    "theta": ((2, 2, 2),),
+    "Sq1 Sq1 = 0": ((1, 1),),
+    "Sq2 Sq2 = Sq1 Sq2 Sq1": ((2, 2), (1, 2, 1)),
 }
 
 
@@ -89,8 +103,6 @@ class A1Module:
         for d, names in self.basis.items():
             if len(set(names)) != len(names):
                 raise ValueError(f"basis at {d} repeats a name")
-        # name -> position, built per degree on its first lookup
-        self._index: dict[int, dict[str, int]] = {}
         self.lo, self.hi = lo, hi
         self.complete_lo, self.complete_hi = complete_lo, complete_hi
         self.sq1 = {d: m for d, m in sq1.items() if not m.is_zero()}
@@ -109,12 +121,6 @@ class A1Module:
 
     def names(self, d: int) -> tuple[str, ...]:
         return self.basis.get(d, ())
-
-    def index(self, d: int, name: str) -> int:
-        got = self._index.get(d)
-        if got is None:
-            got = self._index[d] = {n: i for i, n in enumerate(self.basis[d])}
-        return got[name]
 
     def degrees(self) -> list[int]:
         return sorted(self.basis)
@@ -143,26 +149,32 @@ class A1Module:
         got = self.sq2.get(d)
         return 0 if got is None else got.vec_mul(bits)
 
-    def apply_q1(self, d: int, bits: int) -> int:
-        """The degree-3 derived operation Sq1 Sq2 + Sq2 Sq1."""
-        a = self.apply_sq1(d + 2, self.apply_sq2(d, bits))
-        b = self.apply_sq2(d + 1, self.apply_sq1(d, bits))
-        return a ^ b
-
-    def apply_theta(self, d: int, bits: int) -> int:
-        """The degree-6 operation Sq2 Sq2 Sq2 detecting free summands."""
-        return self.apply_sq2(d + 4, self.apply_sq2(d + 2, self.apply_sq2(d, bits)))
-
-    def apply_word(self, word: str, d: int, bits: int) -> int:
-        """Value of a free-module basis word on a vector of degree d."""
-        total = 0
-        for seq in A1_WORD_SEQS[word]:
-            vec, cd = bits, d
-            for sq in seq:
-                vec = self.apply_sq1(cd, vec) if sq == 1 else self.apply_sq2(cd, vec)
-                cd += sq
-            total ^= vec
-        return total
+    def op(self, name: str, d: int) -> F2Matrix:
+        """The element ``name`` of ``A1_OPS`` on degree d: row i is the image
+        of basis vector i, the sum over the element's sequences of the
+        products of the stored blocks they pass through.  A sequence that
+        meets a block of zeros adds nothing."""
+        seqs = A1_OPS[name]
+        terms: list[Sequence[int]] = []
+        for seq in seqs:
+            rows: Optional[Sequence[int]] = None
+            cd = d
+            for step in seq:
+                blk = (self.sq1 if step == 1 else self.sq2).get(cd)
+                if blk is None:
+                    break
+                rows = blk.rows if rows is None else [blk.vec_mul(r) for r in rows]
+                cd += step
+            else:
+                terms.append(F2Matrix.identity(self.dim(d)).rows
+                             if rows is None else rows)
+        ncols = self.dim(d + sum(seqs[0]))
+        if not terms:
+            return F2Matrix.zero(self.dim(d), ncols)
+        rows = terms[0]
+        for more in terms[1:]:
+            rows = [a ^ b for a, b in zip(rows, more)]
+        return F2Matrix(len(rows), ncols, tuple(rows))
 
     def vector_name(self, d: int, bits: int) -> str:
         names = self.names(d)
@@ -461,20 +473,13 @@ class Violation:
 
 
 def validate(m: A1Module) -> list[Violation]:
-    """Check Sq1 Sq1 = 0 and Sq2 Sq2 = Sq1 Sq2 Sq1 on the trustable range."""
-    def sq1sq1(d: int, v: int) -> int:
-        return m.apply_sq1(d + 1, m.apply_sq1(d, v))
-
-    def adem(d: int, v: int) -> int:
-        return (m.apply_sq2(d + 2, m.apply_sq2(d, v))
-                ^ m.apply_sq1(d + 3, m.apply_sq2(d + 1, m.apply_sq1(d, v))))
-
+    """Check Sq1 Sq1 = 0 and Sq2 Sq2 = Sq1 Sq2 Sq1 on the trustable range:
+    each basis vector with a nonzero row of a defect breaks its relation."""
     # ordered by degree, then relation, then basis element
     out = [Violation(relation, d, name)
-           for relation, reach, defect in (("Sq1 Sq1 = 0", 2, sq1sq1),
-                                           ("Sq2 Sq2 = Sq1 Sq2 Sq1", 4, adem))
-           for d in m.trusted_degrees(reach)
-           for i, name in enumerate(m.names(d)) if defect(d, 1 << i)]
+           for relation in ("Sq1 Sq1 = 0", "Sq2 Sq2 = Sq1 Sq2 Sq1")
+           for d in m.trusted_degrees(sum(A1_OPS[relation][0]))
+           for name, row in zip(m.names(d), m.op(relation, d).rows) if row]
     return sorted(out, key=lambda v: v.degree)
 
 
@@ -484,17 +489,13 @@ def margolis(m: A1Module, which: str) -> dict[int, int]:
     ``which`` raises ``ValueError``."""
     if which not in ("q0", "q1"):
         raise ValueError(f"unknown operation {which!r}: expected q0 or q1")
-    reach, op = (1, m.apply_sq1) if which == "q0" else (3, m.apply_q1)
+    op, reach = ("Sq1", 1) if which == "q0" else ("Q1", 3)
     out: dict[int, int] = {}
     for d in m.trusted_degrees(reach):
         if not m.incoming_ok(d, reach):
             continue
-        mat = F2Matrix.from_rows([op(d, 1 << i) for i in range(m.dim(d))],
-                                 m.dim(d + reach))
-        ker = left_kernel_basis(mat)
-        prev = F2Matrix.from_rows(
-            [op(d - reach, 1 << i) for i in range(m.dim(d - reach))], m.dim(d))
-        h = ker.nrows - Echelon(prev.rows).rank
+        ker = left_kernel_basis(m.op(op, d))
+        h = ker.nrows - Echelon(m.op(op, d - reach).rows).rank
         if h:
             out[d] = h
     return out
@@ -589,8 +590,7 @@ def reduce(m: A1Module) -> ReduceResult:
     dependent: list[int] = []               # generator degrees at fault
     for d in m.trusted_degrees(6):
         theta = Echelon()
-        images = [t for t in (m.apply_theta(d, 1 << i) for i in range(m.dim(d)))
-                  if theta.add(t)]
+        images = [t for t in m.op("theta", d).rows if theta.add(t)]
         if not images:
             continue
         gens += [d] * len(images)
@@ -600,8 +600,7 @@ def reduce(m: A1Module) -> ReduceResult:
         dual = Echelon(images + [1 << k for k in range(top)])
         for word, wd in A1_WORDS:
             x = d + 6 - wd
-            values = [dual.coords(m.apply_word(word, x, 1 << k))
-                      for k in range(m.dim(x))]
+            values = [dual.coords(r) for r in m.op(word, x).rows]
             pulled = F2Matrix.from_rows(values, len(images) + top).transpose()
             for row in pulled.rows[: len(images)]:
                 if spans.setdefault(x, Echelon()).add(row):
@@ -623,11 +622,7 @@ def reduce(m: A1Module) -> ReduceResult:
 
 
 def is_reduced(m: A1Module) -> bool:
-    for d in m.trusted_degrees(6):
-        for i in range(m.dim(d)):
-            if m.apply_theta(d, 1 << i):
-                return False
-    return True
+    return all(m.op("theta", d).is_zero() for d in m.trusted_degrees(6))
 
 
 # -- projective covers and loops --------------------------------------------------
@@ -647,9 +642,7 @@ def generator_degrees(m: A1Module) -> dict[int, F2Matrix]:
     for d in m.trusted_degrees():
         if not m.incoming_ok(d, 2):
             continue
-        img_rows = [m.apply_sq1(d - 1, 1 << i) for i in range(m.dim(d - 1))]
-        img_rows += [m.apply_sq2(d - 2, 1 << i) for i in range(m.dim(d - 2))]
-        img = row_basis(F2Matrix.from_rows(img_rows, m.dim(d)))
+        img = row_basis(m.sq1_block(d - 1).stack(m.sq2_block(d - 2)))
         full = F2Matrix.identity(m.dim(d))
         reps = subquotient_basis(full.stack(img), img)
         if reps.nrows:
@@ -688,10 +681,11 @@ def proj_cover_and_loop(m: A1Module) -> CoverResult:
                      {d: b for d, b in big.sq2.items() if d + 2 <= cover_hi},
                      m.lo, cover_hi, cover_c_lo, cover_c_hi)
 
+    words = {(word, gd): m.op(word, gd) for gd in gens for word, _ in A1_WORDS}
     epi_blocks: dict[int, F2Matrix] = {}
     ker_rows: dict[int, F2Matrix] = {}
     for d in cover.degrees():
-        rows = [m.apply_word(word, gd, rep) for gd, rep in reps
+        rows = [words[word, gd].vec_mul(rep) for gd, rep in reps
                 for word, wd in A1_WORDS if gd + wd == d]
         mat = F2Matrix.from_rows(rows, m.dim(d))
         epi_blocks[d] = mat

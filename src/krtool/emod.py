@@ -84,9 +84,6 @@ class EModule:
             self._act_s = self._act_s()
         return self._act_s
 
-    def window(self) -> Window:
-        return self.space.window
-
     def dim(self, d: Degree) -> int:
         return self.space.dim(d)
 
@@ -172,9 +169,6 @@ class H01Result:
 
     def dim(self, d: Degree) -> int:
         return self.sub.dim(d)
-
-    def space(self) -> GradedSpace:
-        return self.sub.space("h")
 
 
 def _h01_region(m: EModule) -> list[Degree]:

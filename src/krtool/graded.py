@@ -186,18 +186,11 @@ class GradedSpace:
     def names(self, d: Degree) -> Sequence[str]:
         return self.basis.get(d, ())
 
-    def _positions(self, d: Degree) -> dict[str, int]:
-        """The name -> position table at ``d``; KeyError when ``d`` is empty."""
+    def index(self, d: Degree, name: str) -> int:
         got = self._index.get(d)
         if got is None:
             got = self._index[d] = {n: i for i, n in enumerate(self.basis[d])}
-        return got
-
-    def index(self, d: Degree, name: str) -> int:
-        return self._positions(d)[name]
-
-    def has(self, d: Degree, name: str) -> bool:
-        return d in self.basis and name in self._positions(d)
+        return got[name]
 
     def degrees(self) -> list[Degree]:
         return sorted(self.basis)
@@ -411,12 +404,6 @@ class Subquotient:
             if n:
                 out[d] = n
         return out
-
-    def space(self, prefix: str = "c") -> GradedSpace:
-        basis = {}
-        for d, n in self.dims().items():
-            basis[d] = tuple(f"{prefix}({d[0]},{d[1]})#{i}" for i in range(n))
-        return GradedSpace(self.ambient.window, basis)
 
     def express(self, d: Degree, vec: int) -> Optional[int]:
         """Coordinates of an ambient vector in the rep basis, mod denominator."""

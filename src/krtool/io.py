@@ -19,15 +19,17 @@ gives it and ``s`` commutes with both differentials.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 from .a1 import A1Module, from_table, validate as validate_a1
 from .emod import EModule, validate as validate_e
+from .gf2 import F2Matrix
 from .graded import GradedMap, GradedSpace, Window, add_deg, pair_map
 
-A1_OPS = {"sq1": 1, "sq2": 2}
-E_OPS = {"q0": (1, 0), "q1": (2, 1), "a": (0, 1), "s": (-1, 1)}
+A1_ACTIONS = {"sq1": 1, "sq2": 2}
+E_ACTIONS = {"q0": (1, 0), "q1": (2, 1), "a": (0, 1), "s": (-1, 1)}
 E_OPTIONAL = {"a", "s", "cartan"}     # words of an e file's ``ops`` line
 
 
@@ -89,7 +91,7 @@ def parse_module_file(text: str) -> ModuleFile:
                                           f"{' '.join(parts[2:])!r}") from None
             gens[name] = (deg[0], deg[1] if len(deg) == 2 else 0)
             gen_lines[name] = line_no
-        elif head in A1_OPS or head in E_OPS:
+        elif head in A1_ACTIONS or head in E_ACTIONS:
             body = " ".join(parts[1:])
             if "=" not in body:
                 raise ParseError(line_no, "action line needs '='")
@@ -101,7 +103,8 @@ def parse_module_file(text: str) -> ModuleFile:
             for tname in targets:
                 if tname not in gens:
                     raise ParseError(line_no, f"unknown target {tname}")
-            shift = (A1_OPS[head], 0) if head in A1_OPS else E_OPS[head]
+            shift = ((A1_ACTIONS[head], 0) if head in A1_ACTIONS
+                     else E_ACTIONS[head])
             src = gens[lhs]
             for tname in targets:
                 td = gens[tname]
@@ -130,7 +133,7 @@ def parse_module_file(text: str) -> ModuleFile:
         raise ParseError(0, "missing kind header")
     if window is None:
         raise ParseError(0, "missing window header")
-    ops = A1_OPS if kind == "a1" else E_OPS
+    ops = A1_ACTIONS if kind == "a1" else E_ACTIONS
     held = window if kind == "e" else Window(window.m_lo, window.m_hi, 0, 0)
     bad += [(gen_lines[n], f"generator {n} at {d} lies outside {held}")
             for n, d in gens.items() if not held.contains(d)]
@@ -164,7 +167,7 @@ def module_file_to_a1(mf: ModuleFile) -> A1Module:
         basis.setdefault(m, []).append(name)
     images = {op: {(mf.gens[n][0], n): targets
                    for (o, n), targets in mf.actions.items() if o == op}
-              for op in A1_OPS}
+              for op in A1_ACTIONS}
     w = mf.window
     m = from_table(basis, images["sq1"], images["sq2"],
                    w.m_lo, w.m_hi, w.m_lo, w.m_hi)
@@ -176,24 +179,9 @@ def a1_to_module_file_text(m: A1Module) -> str:
     if m.lo > m.hi:
         raise ValueError(f"module has the empty window {m.lo}..{m.hi}, "
                          f"which no module file can state")
-    lines = ["kind a1", f"window {m.lo} {m.hi} 0 0"]
-    entries = []
-    for d in m.degrees():
-        for name in m.names(d):
-            entries.append((d, name))
-    for d, name in sorted(entries):
-        lines.append(f"gen {name} {d}")
-    action_lines = []
-    for d, name in sorted(entries):
-        i = m.index(d, name)
-        for op, img, td in (("sq1", m.apply_sq1(d, 1 << i), d + 1),
-                            ("sq2", m.apply_sq2(d, 1 << i), d + 2)):
-            targets = sorted(n for j, n in enumerate(m.names(td))
-                             if (img >> j) & 1)
-            if targets:
-                action_lines.append(f"{op} {name} = {' + '.join(targets)}")
-    lines.extend(sorted(action_lines))
-    return "\n".join(lines) + "\n"
+    return _module_text(["kind a1", f"window {m.lo} {m.hi} 0 0"], m.basis,
+                        [("sq1", 1, m.sq1), ("sq2", 2, m.sq2)], operator.add,
+                        str)
 
 
 def module_file_to_e(mf: ModuleFile) -> EModule:
@@ -206,7 +194,7 @@ def module_file_to_e(mf: ModuleFile) -> EModule:
     space = GradedSpace(w, basis)
 
     def build(op: str) -> GradedMap:
-        return pair_map(space, E_OPS[op],
+        return pair_map(space, E_ACTIONS[op],
                         ((mf.gens[n], n, targets)
                          for (o, n), targets in mf.actions.items() if o == op))
 
@@ -220,31 +208,35 @@ def module_file_to_e(mf: ModuleFile) -> EModule:
 
 
 def e_to_module_file_text(m: EModule) -> str:
-    declared = [op for op, mp in (("a", m.act_a), ("s", m.act_s))
-                if mp is not None] + ["cartan"] * m.s_compat_cartan
-    lines = ["kind e", f"window {m.space.window.m_lo} {m.space.window.m_hi} "
-                       f"{m.space.window.k_lo} {m.space.window.k_hi}",
-             " ".join(["ops"] + declared)]
-    entries = []
-    for d in m.space.degrees():
-        for name in m.space.names(d):
-            entries.append((d, name))
-    for d, name in sorted(entries):
-        lines.append(f"gen {name} {d[0]} {d[1]}")
-    action_lines = []
-    ops = [("q0", m.q0), ("q1", m.q1)]
-    if m.act_a is not None:
-        ops.append(("a", m.act_a))
-    if m.act_s is not None:
-        ops.append(("s", m.act_s))
-    for d, name in sorted(entries):
-        i = m.space.index(d, name)
-        for op, mp in ops:
-            td = add_deg(d, mp.shift)
-            img = mp.apply(d, 1 << i)
-            targets = sorted(n for j, n in enumerate(m.space.names(td))
-                             if (img >> j) & 1)
-            if targets:
-                action_lines.append(f"{op} {name} = {' + '.join(targets)}")
-    lines.extend(sorted(action_lines))
+    maps = [(op, mp) for op, mp in (("q0", m.q0), ("q1", m.q1),
+                                    ("a", m.act_a), ("s", m.act_s))
+            if mp is not None]
+    declared = [op for op, _ in maps[2:]] + ["cartan"] * m.s_compat_cartan
+    w = m.space.window
+    return _module_text(
+        ["kind e", f"window {w.m_lo} {w.m_hi} {w.k_lo} {w.k_hi}",
+         " ".join(["ops"] + declared)], m.space.basis,
+        [(op, mp.shift, mp.blocks) for op, mp in maps], add_deg,
+        lambda d: f"{d[0]} {d[1]}")
+
+
+def _module_text(head: list[str], basis: Mapping[Any, Sequence[str]],
+                 ops: list[tuple[str, Any, Mapping[Any, F2Matrix]]],
+                 add: Callable[[Any, Any], Any],
+                 degree: Callable[[Any], str]) -> str:
+    """A module file: the ``head`` lines, a ``gen`` line per basis name
+    with its degree written by ``degree``, and an action line per nonzero
+    row of each operation's blocks, ``ops`` giving its name, its shift
+    (added to a degree by ``add``) and its blocks; both kinds of line are
+    sorted."""
+    entries = sorted((d, n) for d, names in basis.items() for n in names)
+    actions = []
+    for op, shift, blocks in ops:
+        for d, blk in blocks.items():
+            into = basis.get(add(d, shift), ())
+            for name, row in zip(basis.get(d, ()), blk.rows):
+                hit = sorted(n for j, n in enumerate(into) if (row >> j) & 1)
+                if hit:
+                    actions.append(f"{op} {name} = {' + '.join(hit)}")
+    lines = head + [f"gen {n} {degree(d)}" for d, n in entries] + sorted(actions)
     return "\n".join(lines) + "\n"

@@ -102,16 +102,6 @@ class F2Part:
         return dict(Counter(d for d in (free_class(g, which) for g in self.gens)
                             if w.contains(d)))
 
-    def class_dims(self, w: Window) -> dict[Degree, int]:
-        return self.dims("top", w)
-
-    def companion_dims(self, w: Window) -> dict[Degree, int]:
-        return self.dims("companion", w)
-
-    def partner_dims(self, w: Window) -> dict[Degree, int]:
-        """The degree (3,-2)-relative classes paired by the connecting map."""
-        return self.dims("partner", w)
-
 
 def compute_f2(n: int, w: Window) -> F2Part:
     """Free generators of the group cohomology, shifted to the top class."""
@@ -222,9 +212,9 @@ def assemble_kr(n: int, w: Window, max_layer: int = 3) -> KRReport:
     annotations: dict[Degree, list[str]] = {}
     for d in f1:
         annotations.setdefault(d, []).append("v1-torsion order 1")
-    for d in f2.class_dims(w):
+    for d in f2.dims("top", w):
         annotations.setdefault(d, []).append("v1-torsion order 2: top class")
-    for d in f2.companion_dims(w):
+    for d in f2.dims("companion", w):
         annotations.setdefault(d, []).append("v1-torsion order 2: companion")
     for i in range(1, n + 1):
         for d in w.degrees():
@@ -232,7 +222,7 @@ def assemble_kr(n: int, w: Window, max_layer: int = 3) -> KRReport:
                     and d[1] >= 0:
                 annotations.setdefault(d, []).append(
                     "base of an Euler tower of height 3")
-    return KRReport(w, n, f1, f2.class_dims(w), f2.companion_dims(w),
+    return KRReport(w, n, f1, f2.dims("top", w), f2.dims("companion", w),
                     layers, annotations)
 
 
@@ -259,8 +249,8 @@ def cross_check_hv(n: int, w: Window) -> CrossCheckReport:
     brute = hom.dims()
     f2 = compute_f2(n, w)
     closed = Counter(cfm.hv_closed_dims(n, w))
-    closed.update(f2.class_dims(w))
-    closed.update(f2.partner_dims(w))
+    closed.update(f2.dims("top", w))
+    closed.update(f2.dims("partner", w))
     region = [d for d in hom.region
               if d[0] <= f2.certified_hi + 3 and w.contains(d)]
     mism = []

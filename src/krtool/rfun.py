@@ -40,20 +40,24 @@ from typing import Callable, Optional, Sequence
 from . import coeff as cf
 from .a1 import A1Module, dual_a1, margolis
 from .coeff import A, CoeffMonomial, S, multiply, q0_coeff, q1_coeff
-from .emod import EModule, H01Result, h01, les_h01, LesReport
+from .emod import (
+    EModule,
+    H01Result,
+    LesReport,
+    find_lambda0_splitting,
+    h01,
+    les_h01,
+)
 from .gf2 import Echelon, F2Matrix
 from .graded import (
     Degree,
     GradedMap,
     GradedSpace,
     NameRuns,
-    OperatorPair,
     Window,
     _dual_name,
     add_deg,
     degrees_where,
-    hom_space,
-    identity_map,
 )
 
 # (coefficient monomial, module degree, offset of its block) per degree
@@ -119,17 +123,16 @@ def _extension_basis(m: A1Module, w: Window,
 
 
 def _module_rows(m: A1Module) -> dict[str, Rows]:
-    """``rows[op]``: the images of the basis of ``m`` at each degree under
-    ``op`` ("1", "sq1", "sq2" or "q1"), computed once each and empty where
+    """``rows[op]``: the rows of ``m.op(op, d)`` at each degree ``d``, for
+    ``op`` "1", "Sq1", "Sq2" or "Q1", computed once each and empty where
     ``op`` vanishes."""
-    def table(op: Callable[[int, int], int]) -> Rows:
+    def table(op: str) -> Rows:
         @cache
         def rows(d: int) -> Sequence[int]:
-            got = [op(d, 1 << i) for i in range(m.dim(d))]
+            got = m.op(op, d).rows
             return got if any(got) else ()
         return rows
-    return {"1": table(lambda d, v: v), "sq1": table(m.apply_sq1),
-            "sq2": table(m.apply_sq2), "q1": table(m.apply_q1)}
+    return {op: table(op) for op in ("1", "Sq1", "Sq2", "Q1")}
 
 
 def _build(src: tuple[GradedSpace, Layout], dst: tuple[GradedSpace, Layout],
@@ -177,14 +180,14 @@ def apply_r(m: A1Module, w: Window) -> RModule:
     ext = (space, layout)
 
     def q0_rule(mono):
-        return [(q0_coeff(mono), rows["1"]), (mono, rows["sq1"])]
+        return [(q0_coeff(mono), rows["1"]), (mono, rows["Sq1"])]
 
     def q1_rule(mono):
         q0m = q0_coeff(mono)
         return [(q1_coeff(mono), rows["1"]),
-                (multiply(A, q0m) if q0m else None, rows["sq1"]),
-                (multiply(A, mono), rows["sq2"]),
-                (multiply(S, mono), rows["q1"])]
+                (multiply(A, q0m) if q0m else None, rows["Sq1"]),
+                (multiply(A, mono), rows["Sq2"]),
+                (multiply(S, mono), rows["Q1"])]
 
     em = EModule(space, _build(ext, ext, (1, 0), q0_rule),
                  _build(ext, ext, (2, 1), q1_rule), w,
@@ -248,9 +251,9 @@ def mod_a(m: A1Module, w: Window) -> EModule:
     rows = _module_rows(m)
     return EModule(
         ext[0],
-        _build(ext, ext, (1, 0), lambda mono: [(mono, rows["sq1"])]),
+        _build(ext, ext, (1, 0), lambda mono: [(mono, rows["Sq1"])]),
         _build(ext, ext, (2, 1),
-               lambda mono: [(multiply(S, mono), rows["q1"])]),
+               lambda mono: [(multiply(S, mono), rows["Q1"])]),
         w, act_s=lambda: _build(ext, ext, (-1, 1), _times(S, rows)))
 
 
@@ -439,21 +442,15 @@ class A1Map:
         return self.blocks.get(d) or F2Matrix.zero(self.source.dim(d),
                                                    self.target.dim(d))
 
-    def apply(self, d: int, bits: int) -> int:
-        got = self.blocks.get(d)
-        return 0 if got is None else got.vec_mul(bits)
-
     def commutes(self) -> bool:
         s, t = self.source, self.target
-        for reach, s_op, t_op in ((1, s.apply_sq1, t.apply_sq1),
-                                  (2, s.apply_sq2, t.apply_sq2)):
+        for op, reach in (("Sq1", 1), ("Sq2", 2)):
             for d in degrees_where(
                     lambda d: t.complete_lo <= d <= t.complete_hi - reach,
                     s.trusted_degrees(reach)):
-                for i in range(s.dim(d)):
-                    lhs = self.apply(d + reach, s_op(d, 1 << i))
-                    if lhs != t_op(d, self.apply(d, 1 << i)):
-                        return False
+                if (s.op(op, d).mul(self.block(d + reach))
+                        != self.block(d).mul(t.op(op, d))):
+                    return False
         return True
 
 
@@ -517,6 +514,5 @@ def _sq1_section(g: A1Map) -> Optional[GradedMap]:
     hi = min(b.complete_hi, c.complete_hi)
     g_map = GradedMap(b.space(), c.space(), (0, 0),
                       {(d, 0): blk for d, blk in g.blocks.items()})
-    return hom_space(c.space(), b.space(), (0, 0),
-                     [OperatorPair("sq1", c.sq1_map(), b.sq1_map())],
-                     Window(lo, hi, 0, 0), unit=(identity_map(c.space()), g_map))
+    return find_lambda0_splitting(g_map, Window(lo, hi, 0, 0),
+                                  b.sq1_map(), c.sq1_map())

@@ -56,9 +56,6 @@ class TowerData:
     level_hi: int
     region: Window                     # degrees where the data is complete
 
-    def level(self, n: int) -> TowerLevel:
-        return self.levels[n]
-
     def theta(self, n: int) -> Optional[GradedMap]:
         """Composite of the boundary with the next projection; degree (1,0)."""
         if n + 1 > self.level_hi:

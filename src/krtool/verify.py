@@ -304,7 +304,7 @@ def _kr_table_failure(n: int) -> Optional[str]:
     if d is not None:
         return f"companion doubling fails: the companions at {d} differ " \
                f"from the top classes at {add_deg(d, (1, 1))}"
-    partners = compute_f2(n, w).partner_dims(w)
+    partners = compute_f2(n, w).dims("partner", w)
     cc = _hv_report(n)
     if not cc.ok:
         return "column check input disagrees"

@@ -10,6 +10,40 @@ from krtool.a1 import A1Module  # noqa: E402
 from krtool.graded import GradedMap, GradedSpace, add_deg  # noqa: E402
 
 
+# The elements of the Sq1/Sq2 algebra the library evaluates, written as
+# sums of composites (the rightmost factor acts first), independently of
+# ``krtool.a1.A1_OPS``: the basis words of the free module, theta and the
+# defects of the two relations.
+ELEMENTS = {
+    "1": "1",
+    "Sq1": "Sq1",
+    "Sq2": "Sq2",
+    "Sq1Sq2": "Sq1 Sq2",
+    "Q1": "Sq1 Sq2 + Sq2 Sq1",
+    "Q0Q1": "Sq1 Sq1 Sq2 + Sq1 Sq2 Sq1",
+    "Q1Sq2": "Sq1 Sq2 Sq2 + Sq2 Sq1 Sq2",
+    "Q0Q1Sq2": "Sq1 Sq1 Sq2 Sq2 + Sq1 Sq2 Sq1 Sq2",
+    "theta": "Sq2 Sq2 Sq2",
+    "Sq1 Sq1 = 0": "Sq1 Sq1",
+    "Sq2 Sq2 = Sq1 Sq2 Sq1": "Sq2 Sq2 + Sq1 Sq2 Sq1",
+}
+
+
+def apply_element(m, name, d, bits):
+    """The element ``ELEMENTS[name]`` on the vector ``bits`` of degree
+    ``d`` of the module ``m``, one ``apply_sq1``/``apply_sq2`` at a time."""
+    total = 0
+    for term in ELEMENTS[name].split(" + "):
+        vec, cd = bits, d
+        for factor in reversed(term.split()):
+            if factor == "Sq1":
+                vec, cd = m.apply_sq1(cd, vec), cd + 1
+            elif factor == "Sq2":
+                vec, cd = m.apply_sq2(cd, vec), cd + 2
+        total ^= vec
+    return total
+
+
 def _image(names, bits):
     return frozenset(n for j, n in enumerate(names) if (bits >> j) & 1)
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from krtool.a1 import (
     A1_SQ1,
     A1_SQ2,
+    A1_OPS,
     A1_WORDS,
     A1Module,
     ReduceResult,
@@ -32,6 +33,7 @@ from krtool.a1 import (
     std_pn,
     suspend,
     tensor_a1,
+    Violation,
     validate,
 )
 from krtool.gf2 import Echelon, F2Matrix, left_kernel_basis, row_basis
@@ -45,7 +47,7 @@ from krtool.graded import (
 )
 from krtool.rfun import A1Map
 
-from conftest import by_name
+from conftest import ELEMENTS, apply_element, by_name
 
 
 def total_square_sq(i, s):
@@ -83,7 +85,7 @@ def test_std_p_actions_match_squaring_oracle():
     p = std_p(1, 20)
     assert validate(p) == []
     for s in range(1, 15):
-        i = p.index(s, f"x{s}")
+        i = p.names(s).index(f"x{s}")
         sq1 = p.apply_sq1(s, 1 << i)
         sq2 = p.apply_sq2(s, 1 << i)
         assert (sq1 != 0) == (total_square_sq(1, s) == 1)
@@ -122,12 +124,12 @@ def test_std_pn_tables_validate():
 
 def test_std_pn2_named_classes():
     m = std_pn(2, 0, 20)
-    i = m.index(2, "y2")
+    i = m.names(2).index("y2")
     assert m.vector_name(3, m.apply_sq1(2, 1 << i)) == "y3"
-    j = m.index(3, "x3")
+    j = m.names(3).index("x3")
     assert m.vector_name(4, m.apply_sq1(3, 1 << j)) == "x4"
     # the degree-4 class supports the square into the degree-6 named class
-    k = m.index(4, "x4")
+    k = m.names(4).index("x4")
     assert m.vector_name(6, m.apply_sq2(4, 1 << k)) == "y6"
 
 
@@ -315,7 +317,7 @@ def reference_reduce(m):
         progress = False
         for d in cur.trusted_degrees(6):
             hit = next((1 << i for i in range(cur.dim(d))
-                        if cur.apply_theta(d, 1 << i)), None)
+                        if apply_element(cur, "theta", d, 1 << i)), None)
             if hit is None:
                 continue
             cyc = _ref_cyclic_span(cur, d, hit)
@@ -380,6 +382,69 @@ def test_reduce_matches_per_summand_retraction_reference(m):
     assert validate(got.module) == []
     rep = stable_evidence(m, got.module)
     assert rep.consistent, rep.detail
+
+
+# -- the per-vector evaluation, kept as the reference for ``op`` and ``validate``
+
+
+def ref_validate(m):
+    """``validate`` as it was before ``A1Module.op``: each relation's defect
+    applied to one basis vector at a time."""
+    def sq1sq1(d, v):
+        return m.apply_sq1(d + 1, m.apply_sq1(d, v))
+
+    def adem(d, v):
+        return (m.apply_sq2(d + 2, m.apply_sq2(d, v))
+                ^ m.apply_sq1(d + 3, m.apply_sq2(d + 1, m.apply_sq1(d, v))))
+
+    out = [Violation(relation, d, name)
+           for relation, reach, defect in (("Sq1 Sq1 = 0", 2, sq1sq1),
+                                           ("Sq2 Sq2 = Sq1 Sq2 Sq1", 4, adem))
+           for d in m.trusted_degrees(reach)
+           for i, name in enumerate(m.names(d)) if defect(d, 1 << i)]
+    return sorted(out, key=lambda v: v.degree)
+
+
+@st.composite
+def modules_maybe_broken(draw):
+    """A composite module with duals, or one with a single bit of a Sq1 or
+    Sq2 block flipped, which usually breaks a relation."""
+    m = draw(composite_modules(duals=True))
+    spots = [(reach, d) for d in m.degrees() for reach in (1, 2)
+             if m.dim(d + reach)]
+    if not spots or not draw(st.booleans()):
+        return m
+    reach, d = draw(st.sampled_from(spots))
+    i = draw(st.integers(0, m.dim(d) - 1))
+    j = draw(st.integers(0, m.dim(d + reach) - 1))
+    blocks = {1: dict(m.sq1), 2: dict(m.sq2)}
+    blk = m.sq1_block(d) if reach == 1 else m.sq2_block(d)
+    rows = list(blk.rows)
+    rows[i] ^= 1 << j
+    blocks[reach][d] = F2Matrix.from_rows(rows, blk.ncols)
+    return A1Module(m.basis, blocks[1], blocks[2], m.lo, m.hi,
+                    m.complete_lo, m.complete_hi)
+
+
+@settings(max_examples=100, deadline=None)
+@given(modules_maybe_broken())
+def test_op_matches_the_per_vector_reference(m):
+    assert list(A1_OPS) == list(ELEMENTS)
+    for name in A1_OPS:
+        first = ELEMENTS[name].split(" + ")[0].split()
+        reach = sum({"Sq1": 1, "Sq2": 2}.get(f, 0) for f in first)
+        for d in range(min(m.degrees(), default=0) - 1,
+                       max(m.degrees(), default=0) + 2):
+            got = m.op(name, d)
+            assert (got.nrows, got.ncols) == (m.dim(d), m.dim(d + reach))
+            assert list(got.rows) == [apply_element(m, name, d, 1 << i)
+                                      for i in range(m.dim(d))], (name, d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(modules_maybe_broken())
+def test_validate_matches_the_per_vector_reference(m):
+    assert validate(m) == ref_validate(m)
 
 
 # -- the name-keyed builders, kept as the reference for the block builders --
@@ -616,8 +681,8 @@ def test_block_builders_refuse_a_repeated_name():
 
 def test_submodule_rejects_span_not_closed_under_sq1():
     m = std_a1()
-    rows = {2: F2Matrix.from_rows([1 << m.index(2, "Sq2")], 1),
-            3: F2Matrix.from_rows([1 << m.index(3, "Q1")], 2)}
+    rows = {2: F2Matrix.from_rows([1 << m.names(2).index("Sq2")], 1),
+            3: F2Matrix.from_rows([1 << m.names(3).index("Q1")], 2)}
     # Sq1 Sq2 is not in the span of Q1 at degree 3
     with pytest.raises(ValueError, match="degree 2 not closed under Sq1: "
                                          "the image of Sq2 "):
@@ -735,7 +800,7 @@ def _ref_epi_rows(m, res, d):
     for name in res.cover.names(d):
         tag, word = name.split(".", 1)
         gd, rep = reps[int(tag[1:])]
-        rows.append(m.apply_word(word.split("@", 1)[0], gd, rep))
+        rows.append(apply_element(m, word.split("@", 1)[0], gd, rep))
     return rows
 
 

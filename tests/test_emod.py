@@ -73,7 +73,7 @@ def free_e(w):
             for n in s.names(d):
                 bits = 0
                 for t in images.get(n, ()):
-                    if s.has(td, t):
+                    if t in s.names(td):
                         bits |= 1 << s.index(td, t)
                 rows.append(bits)
             blocks[d] = F2Matrix.from_rows(rows, s.dim(td))
@@ -242,12 +242,12 @@ def test_les_h01_split_sequence():
     for d in s.degrees():
         rows_f = []
         for n in a.names(d):
-            rows_f.append(1 << s.index(d, "u." + n))
+            rows_f.append(1 << s.names(d).index("u." + n))
         fb[d] = F2Matrix.from_rows(rows_f, s.dim(d))
         rows_g = []
         for n in s.names(d):
             if n.startswith("v."):
-                rows_g.append(1 << b.index(d, n[2:]))
+                rows_g.append(1 << b.names(d).index(n[2:]))
             else:
                 rows_g.append(0)
         gb[d] = F2Matrix.from_rows(rows_g, b.dim(d))
@@ -395,7 +395,7 @@ def _ref_lambda1_tensor(m: EModule, susp: Degree, tag: int) -> EModule:
         for i in range(len(names)):
             if (bits >> i) & 1:
                 nm = f"{lam}|{names[i]}"
-                if space.has(td, nm):
+                if nm in space.names(td):
                     out |= 1 << space.index(td, nm)
         return out
 
@@ -412,7 +412,7 @@ def _ref_lambda1_tensor(m: EModule, susp: Degree, tag: int) -> EModule:
         out = expand(td, lam, add_deg(sd, Q1_SHIFT), bits)
         if lam.startswith("u"):
             nm = f"v{lam[1:]}|{base}"
-            if space.has(td, nm):
+            if nm in space.names(td):
                 out ^= 1 << space.index(td, nm)
         return out
 
@@ -443,7 +443,7 @@ def _ref_tate_complex(m: EModule, lo: int, hi: int) -> TateComplex:
                 bits = 0
                 if lam.startswith("u"):
                     nm = f"v{i - 1}|{base}"
-                    if tgt.space.has(d, nm):
+                    if nm in tgt.space.names(d):
                         bits = 1 << tgt.space.index(d, nm)
                 rows.append(bits)
             blocks[d] = F2Matrix.from_rows(rows, tgt.space.dim(d))

@@ -53,8 +53,8 @@ def test_f2_rank_two_generators():
                        ((0, 1), (1, 1), (2, 1), (3, 2), (4, 1), (5, 1), (6, 1))
                        if d - g == wd for _ in range(mult))
         assert bv.dim(d) == 2 * (1 if d >= 1 else 0) + p2.dim(d) + free_dim, d
-    cls = f2.class_dims(w)
-    comp = f2.companion_dims(w)
+    cls = f2.dims("top", w)
+    comp = f2.dims("companion", w)
     for (m, k), v in cls.items():
         assert comp.get((m - 1, k - 1), 0) == v
 
@@ -197,12 +197,12 @@ def test_free_class_dims_match_one_loop_per_offset(gens):
     """The three class counts of ``F2Part`` against a loop per offset."""
     w = Window(-6, 14, -3, 3)
     part = kr.F2Part(gens, float("inf"))
-    for method, offset in ((part.class_dims, (6, 0)),
-                           (part.companion_dims, (5, -1)),
-                           (part.partner_dims, (3, -2))):
+    assert kr.FREE_CLASS_OFFSETS == {
+        "top": (6, 0), "companion": (5, -1), "partner": (3, -2)}
+    for which, offset in kr.FREE_CLASS_OFFSETS.items():
         want: dict = {}
         for g in gens:
             d = (g + offset[0], offset[1])
             if w.contains(d):
                 want[d] = want.get(d, 0) + 1
-        assert method(w) == want
+        assert part.dims(which, w) == want

@@ -49,7 +49,7 @@ from krtool.rfun import (
     required_top,
 )
 
-from conftest import by_name
+from conftest import apply_element, by_name
 
 
 def test_r_of_trivial_module_is_coefficient_ring():
@@ -302,7 +302,7 @@ def _ref_build(space, shift, row_of):
         for name in space.names(d):
             bits = 0
             for tname in row_of(d, name):
-                if space.has(td, tname):
+                if tname in space.names(td):
                     bits ^= 1 << space.index(td, tname)
             rows.append(bits)
         blocks[d] = F2Matrix.from_rows(rows, space.dim(td))
@@ -331,7 +331,7 @@ def _ref_apply_r(m, w):
             mono, xn = _ref_decompose(name)
             xd = d[0] - mono.degree()[0]
             out = []
-            for tmono, txd, tbits in rule(mono, xd, 1 << m.index(xd, xn)):
+            for tmono, txd, tbits in rule(mono, xd, 1 << m.names(xd).index(xn)):
                 out += _ref_names(m, tmono, txd, tbits)
             return out
         return row_of
@@ -341,7 +341,7 @@ def _ref_apply_r(m, w):
         return [(q1_coeff(mono), xd, xb),
                 (multiply(A, q0m) if q0m else None, xd + 1, m.apply_sq1(xd, xb)),
                 (multiply(A, mono), xd + 2, m.apply_sq2(xd, xb)),
-                (multiply(S, mono), xd + 3, m.apply_q1(xd, xb))]
+                (multiply(S, mono), xd + 3, apply_element(m, "Q1", xd, xb))]
 
     return space, {
         "q0": _ref_build(space, (1, 0), by(lambda mono, xd, xb: [
@@ -367,7 +367,7 @@ def _ref_mod_a(m, w):
         def row_of(d, name):
             mono, xn = _ref_decompose(name)
             xd = d[0] + mono.e2
-            tn, txd, txb = rule(mono.e2, xd, 1 << m.index(xd, xn))
+            tn, txd, txb = rule(mono.e2, xd, 1 << m.names(xd).index(xn))
             return _ref_names(m, CoeffMonomial("+", 0, tn), txd, txb)
         return row_of
 
@@ -375,7 +375,7 @@ def _ref_mod_a(m, w):
         "q0": _ref_build(space, (1, 0), by(
             lambda n, xd, xb: (n, xd + 1, m.apply_sq1(xd, xb)))),
         "q1": _ref_build(space, (2, 1), by(
-            lambda n, xd, xb: (n + 1, xd + 3, m.apply_q1(xd, xb)))),
+            lambda n, xd, xb: (n + 1, xd + 3, apply_element(m, "Q1", xd, xb)))),
         "act_s": _ref_build(space, (-1, 1), by(
             lambda n, xd, xb: (n + 1, xd, xb))),
     }
@@ -388,11 +388,11 @@ def _ref_lift_map(f, ssp, tsp):
         for name in ssp.names(d):
             mono, xn = _ref_decompose(name)
             xd = d[0] - mono.degree()[0]
-            img = f.apply(xd, 1 << f.source.index(xd, xn))
+            img = f.block(xd).vec_mul(1 << f.source.names(xd).index(xn))
             bits = 0
             for i, tn in enumerate(f.target.names(xd)):
                 nm = f"{mono.name()}|{tn}"
-                if (img >> i) & 1 and tsp.has(d, nm):
+                if (img >> i) & 1 and nm in tsp.names(d):
                     bits ^= 1 << tsp.index(d, nm)
             rows.append(bits)
         blocks[d] = F2Matrix.from_rows(rows, tsp.dim(d))

@@ -248,7 +248,7 @@ def _ref_build_x_tower(spec: XTowerSpec, window: Window,
             for nm in src.names(dg):
                 out = fn(dg, nm)
                 bits = 0
-                if out is not None and tgt.has(td, out):
+                if out is not None and out in tgt.names(td):
                     bits = 1 << tgt.index(td, out)
                 rows.append(bits)
             blocks[dg] = F2Matrix.from_rows(rows, tgt.dim(td))
