@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Optional, Sequence
 
 from .gf2 import (
@@ -43,6 +44,7 @@ from .gf2 import (
     F2Matrix,
     _spread,
     common_kernel,
+    homology,
     kernel_basis,
     left_kernel_basis,
     row_basis,
@@ -485,17 +487,20 @@ def validate(m: A1Module) -> list[Violation]:
 
 def margolis(m: A1Module, which: str) -> dict[int, int]:
     """Degreewise Ker/Im dimensions for Sq1 (``q0``) or the degree-3
-    derived operation (``q1``), on the trustable range; any other
-    ``which`` raises ``ValueError``."""
+    derived operation (``q1``), on the trustable range.  Any other
+    ``which``, or an operation whose square is not zero, raises
+    ``ValueError``."""
     if which not in ("q0", "q1"):
         raise ValueError(f"unknown operation {which!r}: expected q0 or q1")
     op, reach = ("Sq1", 1) if which == "q0" else ("Q1", 3)
+    block = cache(lambda d: m.op(op, d))  # out of d, and again into d + reach
     out: dict[int, int] = {}
     for d in m.trusted_degrees(reach):
         if not m.incoming_ok(d, reach):
             continue
-        ker = left_kernel_basis(m.op(op, d))
-        h = ker.nrows - Echelon(m.op(op, d - reach).rows).rank
+        h = homology(block(d - reach), block(d), m.dim(d))
+        if h is None:
+            raise ValueError(f"{op} {op} = 0 fails at degree {d - reach}")
         if h:
             out[d] = h
     return out

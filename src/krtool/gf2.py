@@ -21,6 +21,9 @@ stored rows, and the rank a second list of rows adds to a span is what
 answers at once: the kernel-intersection homology eliminates the rows of
 ``Ker q0 . q1`` once per degree and reads the numerator off its relations
 and the next degree's denominator off its echelon rows.
+
+Every homology count and exactness check runs through ``homology``, which
+checks that the composite vanishes before it subtracts the two ranks.
 """
 
 from __future__ import annotations
@@ -132,6 +135,26 @@ def rref(m: F2Matrix) -> tuple[F2Matrix, tuple[int, ...]]:
 
 def rank(m: F2Matrix) -> int:
     return len(rref(m)[1])
+
+
+def homology(into: Optional[F2Matrix], out: Optional[F2Matrix],
+             dim: int) -> Optional[int]:
+    """The dimension of ``Ker out / Im into`` at a space of dimension
+    ``dim``, or None when ``into`` followed by ``out`` is not zero; zero
+    means exact.  The rows of ``into`` are vectors of the space, ``out``
+    has one row per basis vector of it, and None stands for a zero map.
+    A shape that does not fit ``dim`` raises ``ValueError``."""
+    if ((into is not None and into.ncols != dim)
+            or (out is not None and out.nrows != dim)):
+        raise ValueError(f"homology shape mismatch at dimension {dim}")
+    h = dim
+    if out is not None:
+        if into is not None and any(map(out.vec_mul, into.rows)):
+            return None
+        h -= Echelon(out.rows).rank
+    if into is not None:
+        h -= Echelon(into.rows).rank
+    return h
 
 
 def row_basis(m: F2Matrix) -> F2Matrix:

@@ -21,6 +21,7 @@ from .gf2 import (
     Echelon,
     F2Matrix,
     _spread,
+    homology,
     kernel_basis,
     left_kernel_basis,
     row_basis,
@@ -208,10 +209,6 @@ class GradedSpace:
     def __repr__(self) -> str:
         return f"GradedSpace(dim={self.total_dim()}, window={self.window})"
 
-    def vector_name(self, d: Degree, bits: int) -> str:
-        names = self.names(d)
-        return "+".join(names[i] for i in range(len(names)) if (bits >> i) & 1) or "0"
-
 
 def _dual_name(n: str) -> str:
     """The name of a dual basis vector: the dual marker ``^`` is added, or
@@ -323,6 +320,15 @@ class GradedMap:
     def rank_at(self, d: Degree) -> int:
         got = self.blocks.get(d)
         return 0 if got is None else Echelon(got.rows).rank
+
+
+def homology_at(f: GradedMap, g: GradedMap, d: Degree) -> Optional[int]:
+    """``homology`` at degree ``d`` of the space that ``f`` maps into and
+    ``g`` maps out of: the dimension of ``Ker g / Im f`` there, or None when
+    ``f`` followed by ``g`` is not zero.  A missing block is passed as a
+    zero map, so no zero block is built."""
+    return homology(f.blocks.get(sub_deg(d, f.shift)), g.blocks.get(d),
+                    g.source.dim(d))
 
 
 def identity_map(space: GradedSpace) -> GradedMap:

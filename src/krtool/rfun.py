@@ -48,7 +48,7 @@ from .emod import (
     h01,
     les_h01,
 )
-from .gf2 import Echelon, F2Matrix
+from .gf2 import Echelon, F2Matrix, homology
 from .graded import (
     Degree,
     GradedMap,
@@ -350,12 +350,10 @@ class BocksteinD1:
     def kernel_dims(self) -> dict[Degree, int]:
         out: dict[Degree, int] = {}
         for d in self.homology.region:
-            n = self.homology.dim(d)
-            if n == 0:
-                continue
-            mat = self.d1.get(d, F2Matrix.zero(n, 0))
-            out[d] = n - Echelon(mat.rows).rank
-        return {d: v for d, v in out.items() if v}
+            k = homology(None, self.d1.get(d), self.homology.dim(d))
+            if k:
+                out[d] = k
+        return out
 
     def nonzero_square(self) -> Optional[Degree]:
         """The first degree where d1 followed by d1 is not zero, or None."""
@@ -485,8 +483,9 @@ def check_sec_r(f: A1Map, g: A1Map, w: Window) -> SecRResult:
     hi = min(a.complete_hi, b.complete_hi, c.complete_hi)
     # a degree where all three modules vanish is trivially short exact
     for d in degrees_where(lambda d: lo <= d <= hi, a.basis, b.basis, c.basis):
-        rank_f, rank_g = (Echelon(x.block(d).rows).rank for x in (f, g))
-        if rank_f != a.dim(d) or rank_g != c.dim(d) or rank_f + rank_g != b.dim(d):
+        fd, gd = f.blocks.get(d), g.blocks.get(d)
+        if (homology(None, fd, a.dim(d)) or homology(gd, None, c.dim(d))
+                or homology(fd, gd, b.dim(d)) != 0):
             return SecRResult(False, f"not short exact at degree {d}", None)
 
     # splitness over the first factor: the quotient must be q0-free

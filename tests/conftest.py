@@ -44,7 +44,8 @@ def apply_element(m, name, d, bits):
     return total
 
 
-def _image(names, bits):
+def image_names(names, bits):
+    """The names of the basis vectors that the vector ``bits`` sums."""
     return frozenset(n for j, n in enumerate(names) if (bits >> j) & 1)
 
 
@@ -59,13 +60,13 @@ def by_name(x):
     comparing blocks over one fixed order of the bases.
     """
     if isinstance(x, A1Module):
-        return {d: {n: (_image(x.names(d + 1), x.apply_sq1(d, 1 << i)),
-                        _image(x.names(d + 2), x.apply_sq2(d, 1 << i)))
+        return {d: {n: (image_names(x.names(d + 1), x.apply_sq1(d, 1 << i)),
+                        image_names(x.names(d + 2), x.apply_sq2(d, 1 << i)))
                     for i, n in enumerate(ns)}
                 for d, ns in x.basis.items()}
     if isinstance(x, GradedMap):
-        return {d: {n: _image(x.target.names(add_deg(d, x.shift)),
-                              x.apply(d, 1 << i))
+        return {d: {n: image_names(x.target.names(add_deg(d, x.shift)),
+                                   x.apply(d, 1 << i))
                     for i, n in enumerate(ns)}
                 for d, ns in x.source.basis.items()}
     if isinstance(x, GradedSpace):

@@ -73,6 +73,15 @@ def test_margolis_refuses_an_unknown_operation():
         margolis(std_a1(), "Q1")
 
 
+def test_margolis_refuses_an_operation_whose_square_is_not_zero():
+    # Sq1 Sq1 sends x0 to x2, so the homology at degree 1 has no dimension
+    one = F2Matrix.identity(1)
+    m = A1Module({0: ["x0"], 1: ["x1"], 2: ["x2"]}, {0: one, 1: one}, {},
+                 0, 2, -math.inf, math.inf)
+    with pytest.raises(ValueError, match=r"^Sq1 Sq1 = 0 fails at degree 0$"):
+        margolis(m, "q0")
+
+
 def test_std_f_and_unit():
     f = std_f()
     assert f.total_dim() == 1 and validate(f) == []

@@ -10,6 +10,7 @@ from krtool.gf2 import (
     Echelon,
     F2Matrix,
     common_kernel,
+    homology,
     intersect_row_spaces,
     kernel_basis,
     left_kernel_basis,
@@ -313,6 +314,36 @@ def test_echelon_rank_counts_the_rref_pivots(m):
     assert grown.rank == rank(m) == len(rref(m)[1])
     grown.reduced_rows()
     assert grown.rank == rank(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(large_matrices(), st.data())
+def test_homology_counts_kernel_modulo_image(out, data):
+    dim = out.nrows
+    # the reference: the left kernel of ``out`` and the span of ``into``
+    ker = kernel_basis(out.transpose())
+    combos = data.draw(st.lists(st.integers(0, (1 << ker.nrows) - 1),
+                                max_size=8))
+    into = F2Matrix.from_rows([combine(ker.rows, c) for c in combos], dim)
+    assert homology(into, out, dim) == ker.nrows - row_basis(into).nrows
+    # None is the zero map, on either side
+    assert homology(None, out, dim) == ker.nrows
+    assert homology(F2Matrix.zero(0, dim), out, dim) == ker.nrows
+    assert homology(into, None, dim) == dim - row_basis(into).nrows
+    assert homology(into, F2Matrix.zero(dim, 0), dim) == homology(into, None, dim)
+    assert homology(None, None, dim) == dim
+    # any rows: a row outside the kernel makes the composite nonzero
+    rows = data.draw(st.lists(st.integers(0, (1 << dim) - 1), max_size=6))
+    other = F2Matrix.from_rows(rows, dim)
+    if other.mul(out).is_zero():
+        assert homology(other, out, dim) == ker.nrows - row_basis(other).nrows
+    else:
+        assert homology(other, out, dim) is None
+    # a shape that does not fit the dimension raises
+    for bad in ((F2Matrix.zero(1, dim + 1), out), (into, F2Matrix.zero(dim + 1, 1)),
+                (F2Matrix.zero(1, dim + 1), None), (None, F2Matrix.zero(dim + 1, 1))):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            homology(*bad, dim)
 
 
 def test_transpose_involution():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from krtool.a1 import A1Module, std_a1
-from krtool.gf2 import F2Matrix, left_kernel_basis, rank, row_basis
+from krtool.gf2 import F2Matrix, homology, left_kernel_basis, rank, row_basis
 from krtool.graded import (
     GradedMap,
     GradedSpace,
@@ -17,9 +17,13 @@ from krtool.graded import (
     add_deg,
     dual_space,
     hom_space,
+    homology_at,
     identity_map,
     pair_map,
+    sub_deg,
 )
+
+from conftest import image_names
 
 
 def line(window, d, name="e"):
@@ -231,6 +235,26 @@ def test_rank_at_is_the_rank_of_the_block(data):
         assert mp.rank_at(d) == rank(mp.block(d)), d
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_homology_at_reads_a_missing_block_as_the_zero_block(data):
+    spaces = [tiny_space(tiny_dims(data.draw, 5, (3, 2, 1, 0)), tag)
+              for tag in "abc"]
+    shifts = [data.draw(st.sampled_from([(0, 0), (1, 0), (-1, 0)]))
+              for _ in range(2)]
+    maps = []
+    for src, tgt, shift in zip(spaces, spaces[1:], shifts):
+        mp = random_map(data.draw, src, tgt, shift)
+        kept = data.draw(st.sets(st.sampled_from(sorted(mp.blocks) or [(0, 0)])))
+        maps.append(GradedMap(src, tgt, shift,
+                              {d: b for d, b in mp.blocks.items() if d in kept}))
+    f, g = maps
+    for d in list(TINY.degrees()) + [(-3, 0), (9, 0)]:
+        want = homology(f.block(sub_deg(d, f.shift)), g.block(d),
+                        g.source.dim(d))
+        assert homology_at(f, g, d) == want, d
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 7), st.data())
 def test_subquotient_dim_is_the_rank_the_numerator_adds(ncols, data):
@@ -302,7 +326,8 @@ def test_name_runs_read_as_the_tuple_of_their_names():
     s = GradedSpace(w, {(0, 0): runs, (1, 0): NameRuns([("c|", ())])})
     assert s.names((0, 0)) is runs and s.degrees() == [(0, 0)]
     assert s == GradedSpace(w, {(0, 0): names})
-    assert s.index((0, 0), "z") == 2 and s.vector_name((0, 0), 0b101) == "a|x+z"
+    assert s.index((0, 0), "z") == 2
+    assert image_names(s.names((0, 0)), 0b101) == {"a|x", "z"}
     assert dual_space(s) == dual_space(GradedSpace(w, {(0, 0): names}))
     # a run's prefix and another run's name can still make a repeat
     with pytest.raises(ValueError, match=r"duplicate names at \(0, 0\)"):

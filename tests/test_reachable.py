@@ -7,15 +7,23 @@ The walk follows name references through the source with ``ast``.  A name
 used anywhere in reached code reaches the top-level definition it resolves
 to: in the same module, through ``from .x import y [as z]``, or as
 ``alias.y`` after ``from . import x as alias``.  Reaching a class reaches
-its class body and its private and special methods.  A public method is
-reached when its name is read as an attribute anywhere in reached code, on
-any object: the walk infers no types, so a method whose name some other
-attribute shares passes, but a method that is called is never reported.
+its class body and its private and special methods.
+
+A public method is reached when reached code reads its name as an
+attribute.  Where the class of the receiver is known, only that class's
+method is reached: ``self`` in a method is its class, and a parameter
+annotated with a class (``X``, ``"X"``, ``Optional[X]`` or ``X | None``)
+is that class, in a function that never assigns the name.  Any other
+receiver matches by name: the method of that name of every class passes.
+So a method that is called is never reported, and a method whose name
+another class shares is reported unless some read of the name has an
+unknown receiver.  The package's classes derive from none of its others,
+so a method is looked up on its own class only.
 """
 
 import ast
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "krtool"
 ROOTS = (("cli", "main"), ("verify", "SUITES"))
@@ -40,6 +48,62 @@ def _bound_names(stmt: ast.stmt) -> list[str]:
 def _is_public_method(stmt: ast.stmt) -> bool:
     return (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
             and not stmt.name.startswith("_"))
+
+
+def _annotated_class(ann: Optional[ast.expr]) -> Optional[str]:
+    """The name of the class an annotation names, or None."""
+    if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+        ann = ast.parse(ann.value, mode="eval").body
+    if (isinstance(ann, ast.Subscript) and isinstance(ann.value, ast.Name)
+            and ann.value.id == "Optional"):
+        ann = ann.slice
+    if isinstance(ann, ast.BinOp) and isinstance(ann.op, ast.BitOr):
+        sides = [s for s in (ann.left, ann.right)
+                 if not (isinstance(s, ast.Constant) and s.value is None)]
+        ann = sides[0] if len(sides) == 1 else None
+    return ann.id if isinstance(ann, ast.Name) else None
+
+
+def _typed_reads(top: ast.AST, self_class: Optional[str],
+                 classify: Callable[[Optional[str]], Optional[str]]
+                 ) -> dict[int, str]:
+    """``id`` of each attribute node under ``top`` whose receiver's class
+    is known, and that class.  ``self_class`` is the class whose body holds
+    ``top``, or None; ``classify`` turns an annotated name into a class."""
+    out: dict[int, str] = {}
+
+    def visit(node: ast.AST, scope: dict[str, str],
+              owner: Optional[str]) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            body = node.body if isinstance(node.body, list) else [node.body]
+            assigned = {n.id for b in body for n in ast.walk(b)
+                        if isinstance(n, ast.Name)
+                        and isinstance(n.ctx, ast.Store)}
+            inner = {k: v for k, v in scope.items() if k not in assigned}
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in getattr(node, "decorator_list", ()))
+            for i, arg in enumerate(params):
+                cls = (owner if i == 0 and owner and not static
+                       else classify(_annotated_class(arg.annotation)))
+                if cls and arg.arg not in assigned:
+                    inner[arg.arg] = cls
+                else:
+                    inner.pop(arg.arg, None)
+            inside = {id(b) for b in body}
+            for child in ast.iter_child_nodes(node):
+                visit(child, inner if id(child) in inside else scope, None)
+            return
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in scope):
+            out[id(node)] = scope[node.value.id]
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, None)
+
+    visit(top, {}, self_class)
+    return out
 
 
 def unreached(src: Path = SRC) -> list[str]:
@@ -69,6 +133,13 @@ def unreached(src: Path = SRC) -> list[str]:
             return None
         return resolve(target[0], target[1])
 
+    def class_named(mod: str, name: Optional[str]) -> Optional[str]:
+        """``module.Class`` of the class ``name`` resolves to, or None."""
+        key = name and resolve(mod, name)
+        if key and isinstance(defs[key], ast.ClassDef):
+            return f"{key[0]}.{key[1]}"
+        return None
+
     # each unit of code is (module, qualified name, its statement)
     Unit = tuple[str, str, ast.stmt]
 
@@ -82,31 +153,45 @@ def unreached(src: Path = SRC) -> list[str]:
                 next(s for s in body if getattr(s, "name", "") == name))
 
     seen: set[str] = set()
-    attrs: set[str] = set()                   # attribute names read so far
+    attrs: set[str] = set()    # attribute names read on unknown receivers
+    typed: set[str] = set()    # ``module.Class.name`` read on known receivers
     waiting: dict[str, list[Unit]] = {}       # method name -> public methods
+
+    def reach_typed(qual: str) -> None:
+        typed.add(qual)
+        todo.extend(u for u in waiting.get(qual.rsplit(".", 1)[1], ())
+                    if u[1] == qual)
+
     todo = [unit(key) for key in ROOTS] + [method(q) for q in BENCHMARK_ONLY]
     while todo:
         mod, qual, stmt = todo.pop()
         if qual in seen:
             continue
         seen.add(qual)
+        # the class whose body holds the walked code, if any
+        owner = qual.rsplit(".", 1)[0] if qual.count(".") == 2 else None
         walked: list[ast.AST] = [stmt]
         if isinstance(stmt, ast.ClassDef):
+            owner = qual
             walked = stmt.decorator_list + stmt.bases + stmt.keywords
             for sub in stmt.body:
                 if not _is_public_method(sub):
                     walked.append(sub)
-                elif sub.name in attrs:
+                elif sub.name in attrs or f"{qual}.{sub.name}" in typed:
                     todo.append((mod, f"{qual}.{sub.name}", sub))
                 else:
                     waiting.setdefault(sub.name, []).append(
                         (mod, f"{qual}.{sub.name}", sub))
+        known = {k: v for top in walked for k, v in _typed_reads(
+            top, owner, lambda name: class_named(mod, name)).items()}
         for node in (n for top in walked for n in ast.walk(top)):
             key = None
             if isinstance(node, ast.Name):
                 key = resolve(mod, node.id)
             elif isinstance(node, ast.Attribute):
-                if isinstance(node.ctx, ast.Load):
+                if isinstance(node.ctx, ast.Load) and id(node) in known:
+                    reach_typed(f"{known[id(node)]}.{node.attr}")
+                elif isinstance(node.ctx, ast.Load):
                     attrs.add(node.attr)
                     todo.extend(waiting.pop(node.attr, ()))
                 if isinstance(node.value, ast.Name):
@@ -156,3 +241,32 @@ def test_the_walk_finds_an_unreached_method_of_a_reached_class(tmp_path):
         "        return 0\n\n") + anchor))
     assert unreached(src) == ["gf2.Echelon.never_read",
                               "gf2.Echelon.orphan_method"]
+
+
+def test_the_walk_reports_a_method_another_class_shares_the_name_of(tmp_path):
+    src = _copy(tmp_path)
+    anchor = "    def is_zero(self) -> bool:\n        return not self.blocks\n"
+    text = (src / "graded.py").read_text()
+    assert text.count(anchor) == 1
+    # ``rfun.A1Map.commutes`` is read, but only as ``f.commutes()`` with
+    # ``f: A1Map``, so a name match alone would keep the planted method
+    (src / "graded.py").write_text(text.replace(anchor, anchor + (
+        "\n    def commutes(self) -> bool:\n"
+        "        return True\n")))
+    assert unreached(src) == ["graded.GradedMap.commutes"]
+
+
+def test_the_walk_resolves_self_to_the_enclosing_class(tmp_path):
+    src = _copy(tmp_path)
+    text = (src / "gf2.py").read_text()
+    count = "        return len(self._rows)\n"
+    anchor = "    def is_zero(self) -> bool:\n"
+    assert text.count(count) == 1 and text.count(anchor) == 1
+    # ``Echelon.rank`` reads ``self.stored``, which reaches Echelon's method
+    # and not the one of the same name planted on ``F2Matrix``
+    text = text.replace(count, "        return self.stored()\n\n"
+                               "    def stored(self) -> int:\n" + count)
+    text = text.replace(anchor, "    def stored(self) -> int:\n"
+                                "        return self.nrows\n\n" + anchor)
+    (src / "gf2.py").write_text(text)
+    assert unreached(src) == ["gf2.F2Matrix.stored"]

@@ -49,7 +49,7 @@ from krtool.rfun import (
     required_top,
 )
 
-from conftest import apply_element, by_name
+from conftest import apply_element, by_name, image_names
 
 
 def test_r_of_trivial_module_is_coefficient_ring():
@@ -77,7 +77,7 @@ def test_q1_on_bottom_class_of_p():
     d = (1, 0)
     i = sp.index(d, "1|x1")
     img = rm.emod.q1.apply(d, 1 << i)
-    assert sp.vector_name((3, 1), img) == "s1|x4"
+    assert image_names(sp.names((3, 1)), img) == {"s1|x4"}
 
 
 def test_h01_of_free_module_two_classes():

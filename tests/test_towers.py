@@ -407,7 +407,7 @@ def _ref_chain_complex_at(t: TowerData, n: int) -> ChainComplexReport:
                          {d: th_prev.image_at(d) for d in degrees})
     f0_next = Subquotient(t.levels[n + 1].space, fil_next["f0"], {})
     hom_dims, phi_dims, detail = {}, {}, []
-    ok = injective = surjective = True
+    ok = injective = True
     for d in degrees:
         if not t.region.contains(add_deg(d, (1, 0))):
             continue
@@ -430,11 +430,12 @@ def _ref_chain_complex_at(t: TowerData, n: int) -> ChainComplexReport:
             continue
         dbar = F2Matrix.from_rows(rows2, f0_next.dim(dd))
         if rank(dbar) != f0_next.dim(dd):
-            surjective = ok = False
+            ok = False
             detail.append(f"second map not surjective at {d}")
         if not cbar.mul(dbar).is_zero():
             ok = False
             detail.append(f"composite nonzero at {d}")
+            continue
         hom = (mid_reps.nrows - rank(dbar)) - rank(cbar)
         if hom:
             hom_dims[d] = hom
@@ -445,7 +446,7 @@ def _ref_chain_complex_at(t: TowerData, n: int) -> ChainComplexReport:
             ok = False
             detail.append(f"homology {hom} != filtration quotient {q} at {d}")
     return ChainComplexReport(ok, "; ".join(detail) or "certified",
-                              hom_dims, phi_dims, injective, surjective)
+                              hom_dims, phi_dims, injective)
 
 
 def _break(t: TowerData, rng: random.Random) -> None:
