@@ -760,7 +760,7 @@ def iso_search(a: A1Module, b: A1Module, lo: int, hi: int
             for i, t in enumerate(sols):
                 if (mask >> i) & 1:
                     acc = acc.add(t.block((d, 0)))
-            if Echelon(acc.rows).rank != a.dim(d):
+            if acc.rank != a.dim(d):
                 good = False
                 break
             blocks[d] = acc

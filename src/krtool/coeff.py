@@ -19,7 +19,10 @@ from .graded import Degree
 
 @dataclass(frozen=True, order=True)
 class CoeffMonomial:
-    """``(+, j, n)`` is ``a^j s^n``; ``(-, m, n)`` is ``a^-m sigma^(n+2)``."""
+    """``(+, j, n)`` is ``a^j s^n``; ``(-, m, n)`` is ``a^-m sigma^(n+2)``.
+
+    The hash is that of ``(cone, e1, e2)``, computed once: monomials are
+    dictionary keys wherever the extension is built."""
 
     cone: str
     e1: int
@@ -30,6 +33,11 @@ class CoeffMonomial:
             raise ValueError("cone must be '+' or '-'")
         if self.e1 < 0 or self.e2 < 0:
             raise ValueError("negative exponents")
+        # not a field, so equality, ordering and repr do not see it
+        object.__setattr__(self, "_hash", hash((self.cone, self.e1, self.e2)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def degree(self) -> Degree:
         if self.cone == "+":

@@ -1,9 +1,10 @@
 """Bit-packed linear algebra over the two-element field.
 
 A matrix row is a Python integer used as a bit vector (bit ``j`` is column
-``j``), so every row operation is a single big-int XOR.  Matrices are
-immutable and the functions are pure.  Pivoting is always leftmost, so
-results are deterministic and reproducible byte for byte.
+``j``), so every row operation is a single big-int XOR.  A matrix is an
+immutable value whose rank is computed once, on its first read, and the
+functions are pure.  Pivoting is always leftmost, so results are
+deterministic and reproducible byte for byte.
 
 Every elimination runs through ``Echelon``, whose one insertion loop,
 ``extend``, takes rows in order and keeps them semi-reduced: a new row is
@@ -28,25 +29,62 @@ checks that the composite vanishes before it subtracts the two ranks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 
-@dataclass(frozen=True)
 class F2Matrix:
-    """Dense GF(2) matrix with rows packed into integers."""
+    """Dense GF(2) matrix with rows packed into integers.
 
-    nrows: int
-    ncols: int
-    rows: tuple[int, ...]
+    An immutable value: equal and hashed by ``(nrows, ncols, rows)``, and
+    assigning or deleting a field raises ``AttributeError``.  Its rank is
+    eliminated on the first read of ``rank`` and kept."""
 
-    def __post_init__(self) -> None:
-        if len(self.rows) != self.nrows:
+    __slots__ = ("nrows", "ncols", "rows", "_rank")
+
+    def __init__(self, nrows: int, ncols: int, rows: tuple[int, ...]) -> None:
+        if len(rows) != nrows:
             raise ValueError("row count mismatch")
         # a row is negative or has a bit at or above ``ncols``
-        rows = self.rows
-        if rows and (max(rows) >> self.ncols or min(rows) < 0):
+        if rows and (max(rows) >> ncols or min(rows) < 0):
             raise ValueError("bits outside declared columns")
+        # the slot setters bypass the guard below at the cost of a plain store
+        _set_nrows(self, nrows)
+        _set_ncols(self, ncols)
+        _set_rows(self, rows)
+        _set_rank(self, None)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.nrows, self.ncols, self.rows)
+                == (other.nrows, other.ncols, other.rows))
+
+    def __hash__(self) -> int:
+        return hash((self.nrows, self.ncols, self.rows))
+
+    def __repr__(self) -> str:
+        return (f"F2Matrix(nrows={self.nrows!r}, ncols={self.ncols!r}, "
+                f"rows={self.rows!r})")
+
+    def __reduce__(self) -> tuple:
+        # copies and pickles rebuild through the checked constructor, since
+        # the default slot restore would assign through the guard
+        return F2Matrix, (self.nrows, self.ncols, self.rows)
+
+    @property
+    def rank(self) -> int:
+        """The dimension of the row span."""
+        r = self._rank
+        if r is None:
+            r = Echelon(self.rows).rank
+            _set_rank(self, r)
+        return r
 
     # -- constructors ------------------------------------------------------
 
@@ -68,7 +106,7 @@ class F2Matrix:
         return (self.rows[i] >> j) & 1
 
     def is_zero(self) -> bool:
-        return all(r == 0 for r in self.rows)
+        return not any(self.rows)
 
     # -- algebra -----------------------------------------------------------
 
@@ -111,6 +149,12 @@ class F2Matrix:
         return F2Matrix(self.nrows + other.nrows, self.ncols, self.rows + other.rows)
 
 
+_set_nrows = F2Matrix.__dict__["nrows"].__set__
+_set_ncols = F2Matrix.__dict__["ncols"].__set__
+_set_rows = F2Matrix.__dict__["rows"].__set__
+_set_rank = F2Matrix.__dict__["_rank"].__set__
+
+
 def _spread(bits: int, width: int) -> int:
     """Move bit ``p`` of ``bits`` to position ``p * width``.  For ``v`` of
     at most ``width`` bits, ``_spread(u, width) * v`` is the Kronecker
@@ -151,9 +195,9 @@ def homology(into: Optional[F2Matrix], out: Optional[F2Matrix],
     if out is not None:
         if into is not None and any(map(out.vec_mul, into.rows)):
             return None
-        h -= Echelon(out.rows).rank
+        h -= out.rank
     if into is not None:
-        h -= Echelon(into.rows).rank
+        h -= into.rank
     return h
 
 
@@ -185,6 +229,9 @@ class Echelon:
     sum of the earlier rows that enlarged the span.  In insertion order, the
     relations are the left kernel basis of the input rows.
     """
+
+    __slots__ = ("_rows", "_pivots", "_cover", "_stale", "_inserted",
+                 "relations")
 
     def __init__(self, rows: Iterable[int] = ()) -> None:
         self._rows: dict[int, tuple[int, int]] = {}  # pivot bit -> (row, inputs)

@@ -239,11 +239,12 @@ class GradedMap:
         self.target = target
         self.shift = shift
         self.blocks: dict[Degree, F2Matrix] = {}
+        sbasis, tbasis = source.basis, target.basis
         for d, m in (blocks or {}).items():
-            td = add_deg(d, shift)
-            if m.nrows != source.dim(d) or m.ncols != target.dim(td):
+            if (m.nrows != len(sbasis.get(d, ()))
+                    or m.ncols != len(tbasis.get(add_deg(d, shift), ()))):
                 raise ValueError(f"block shape mismatch at {d}")
-            if not m.is_zero():
+            if any(m.rows):
                 self.blocks[d] = m
 
     def block(self, d: Degree) -> F2Matrix:
@@ -319,7 +320,7 @@ class GradedMap:
 
     def rank_at(self, d: Degree) -> int:
         got = self.blocks.get(d)
-        return 0 if got is None else Echelon(got.rows).rank
+        return 0 if got is None else got.rank
 
 
 def homology_at(f: GradedMap, g: GradedMap, d: Degree) -> Optional[int]:

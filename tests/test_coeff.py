@@ -1,5 +1,8 @@
 """Coefficient ring: degrees, differentials, pairing, products."""
 
+import dataclasses
+import random
+
 import pytest
 
 from krtool.a1 import std_f
@@ -8,6 +11,7 @@ from krtool.coeff import (
     S,
     CoeffMonomial,
     duality_w,
+    monomials_with_twist,
     multiply,
     q0_coeff,
     q1_coeff,
@@ -163,3 +167,35 @@ def test_ring_window_dims_match_picture():
     for m in range(-6, 7):
         assert ring.dim((m, -1)) == 0
     assert validate(ring) == []
+
+
+# monomials_with_twist(k), as names, for k in -6..6
+TWIST_NAMES = {
+    -6: "A4.S2 A3.S3 A2.S4 A1.S5 S6", -5: "A3.S2 A2.S3 A1.S4 S5",
+    -4: "A2.S2 A1.S3 S4", -3: "A1.S2 S3", -2: "S2", -1: "", 0: "1",
+    1: "a1 s1", 2: "a2 a1.s1 s2", 3: "a3 a2.s1 a1.s2 s3",
+    4: "a4 a3.s1 a2.s2 a1.s3 s4", 5: "a5 a4.s1 a3.s2 a2.s3 a1.s4 s5",
+    6: "a6 a5.s1 a4.s2 a3.s3 a2.s4 a1.s5 s6",
+}
+
+
+def test_monomials_keep_their_value_semantics():
+    keys = [(c, e1, e2) for c in "+-" for e1 in range(4) for e2 in range(4)]
+    made = [CoeffMonomial(*k) for k in keys]
+    for k, x in zip(keys, made):
+        y = CoeffMonomial(*k)
+        assert x == y and x is not y and hash(x) == hash(y) == hash(k)
+    table = dict.fromkeys(made)
+    assert all(CoeffMonomial(*k) in table for k in keys)
+    assert len(set(made)) == len(keys)
+    shuffled = made[:]
+    random.Random(0).shuffle(shuffled)
+    assert [(m.cone, m.e1, m.e2) for m in sorted(shuffled)] == sorted(keys)
+    for name in ("cone", "e1", "e2"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(made[5], name, getattr(made[6], name))
+    assert (made[5].cone, made[5].e1, made[5].e2) == keys[5]
+    for k, names in TWIST_NAMES.items():
+        got = list(monomials_with_twist(k))
+        assert [m.name() for m in got] == names.split()
+        assert all(m.degree()[1] == k for m in got)

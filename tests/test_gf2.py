@@ -1,11 +1,14 @@
 """Bit-matrix layer, checked against exhaustive enumeration oracles."""
 
+import copy
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from krtool import gf2
 from krtool.gf2 import (
     Echelon,
     F2Matrix,
@@ -491,3 +494,60 @@ def test_bit_check_edge_cases():
     for rows, ncols in (([1], 0), ([0b1000], 3), ([0, -1], 3), ([-8], 64)):
         with pytest.raises(ValueError, match="bits outside declared columns"):
             F2Matrix.from_rows(rows, ncols)
+
+
+# -- a matrix as a value ---------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(bases(), bases())
+def test_matrix_is_an_immutable_value(a, b):
+    key = (a.nrows, a.ncols, a.rows)
+    twin = F2Matrix(a.nrows, a.ncols, tuple(a.rows))
+    assert twin == a and hash(twin) == hash(a) == hash(key)
+    assert (a == b) == (key == (b.nrows, b.ncols, b.rows))
+    assert a != key
+    assert copy.copy(a) == pickle.loads(pickle.dumps(a)) == a
+    assert repr(a) == f"F2Matrix(nrows={a.nrows}, ncols={a.ncols}, rows={a.rows})"
+    for name in ("nrows", "ncols", "rows"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(b, name))
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert (a.nrows, a.ncols, a.rows) == key
+
+
+@settings(max_examples=300, deadline=None)
+@given(bases(), st.data())
+def test_matrix_rejects_a_wrong_shape(m, data):
+    for nrows in (m.nrows + data.draw(st.integers(1, 3)), m.nrows - 1):
+        with pytest.raises(ValueError, match="row count mismatch"):
+            F2Matrix(nrows, m.ncols, m.rows)
+    high = data.draw(st.integers(m.ncols, m.ncols + 8))
+    bad = data.draw(st.one_of(
+        st.integers(0, (1 << m.ncols) - 1).map(lambda r: r | 1 << high),
+        st.integers(max_value=-1)))
+    i = data.draw(st.integers(0, m.nrows))
+    with pytest.raises(ValueError, match="bits outside declared columns"):
+        F2Matrix(m.nrows + 1, m.ncols, m.rows[:i] + (bad,) + m.rows[i:])
+
+
+@settings(max_examples=150, deadline=None)
+@given(large_matrices())
+def test_matrix_rank_is_eliminated_once(m):
+    want = len(rref(m)[1])
+    fresh = F2Matrix(m.nrows, m.ncols, m.rows)
+    made = []
+
+    class Counting(Echelon):
+        __slots__ = ()
+
+        def __init__(self, rows=()):
+            made.append(rows)
+            super().__init__(rows)
+
+    gf2.Echelon = Counting
+    try:
+        assert fresh.rank == want and len(made) == 1
+        assert fresh.rank == want and len(made) == 1
+    finally:
+        gf2.Echelon = Echelon

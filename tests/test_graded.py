@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from krtool.a1 import A1Module, std_a1
-from krtool.gf2 import F2Matrix, homology, left_kernel_basis, rank, row_basis
+from krtool.gf2 import (
+    Echelon,
+    F2Matrix,
+    homology,
+    left_kernel_basis,
+    rank,
+    row_basis,
+)
 from krtool.graded import (
     GradedMap,
     GradedSpace,
@@ -332,6 +339,14 @@ def test_name_runs_read_as_the_tuple_of_their_names():
     # a run's prefix and another run's name can still make a repeat
     with pytest.raises(ValueError, match=r"duplicate names at \(0, 0\)"):
         GradedSpace(w, {(0, 0): NameRuns([("a|", ("x",)), ("a", ("|x",))])})
+
+
+def test_small_values_carry_no_instance_dict():
+    # tens of thousands of these are built per run; a field added without
+    # a slot would bring back a dictionary per instance
+    for obj in (F2Matrix.identity(2), Echelon([0b11, 0b01]),
+                NameRuns([("a|", ("x",))])):
+        assert not hasattr(obj, "__dict__"), type(obj).__name__
 
 
 # -- composition against the dense loop ----------------------------------------

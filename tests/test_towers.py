@@ -6,7 +6,7 @@ from typing import Optional
 
 import pytest
 
-from krtool import verify
+from krtool import gf2, verify
 from krtool.gf2 import Echelon, F2Matrix, intersect_row_spaces, rank
 from krtool.graded import (
     Degree,
@@ -550,3 +550,35 @@ def test_towers_suite_names_the_chain_detail(monkeypatch):
     res = verify.run_suite("towers")
     assert res.detail == ("instance 0: chain homology mismatch: "
                           "homology 1 != filtration quotient 0 at (3, 0)")
+
+
+def test_validate_tower_eliminates_each_stored_block_once(monkeypatch):
+    # each exactness check reads a map's block once as the map into a space
+    # and once as the map out of one; its rank must be eliminated only once
+    eliminated: dict[int, tuple[int, ...]] = {}   # kept alive, so ids stay unique
+    repeats, witnesses = [], []
+
+    class Counting(Echelon):
+        __slots__ = ()
+
+        def __init__(self, rows=()):
+            if id(rows) in eliminated:
+                repeats.append(rows)
+            eliminated[id(rows)] = rows
+            super().__init__(rows)
+
+    def counted(t: TowerData) -> list[TowerWitness]:
+        gf2.Echelon = Counting
+        try:
+            witnesses.append(validate_tower(t))
+        finally:
+            gf2.Echelon = Echelon
+        return witnesses[-1]
+
+    monkeypatch.setattr(verify, "validate_tower", counted)
+    res = verify.run_suite("towers")
+    assert res.ok and res.detail == TOWERS_OK, res.detail
+    assert len(witnesses) == 100 and not any(witnesses)
+    assert eliminated and not repeats, (
+        f"{len(repeats)} of {len(eliminated) + len(repeats)} eliminations "
+        f"repeat a block")
