@@ -47,8 +47,6 @@ from .gf2 import (
     homology,
     kernel_basis,
     left_kernel_basis,
-    row_basis,
-    subquotient_basis,
 )
 from .graded import (
     GradedMap,
@@ -642,16 +640,17 @@ class CoverResult:
 
 
 def generator_degrees(m: A1Module) -> dict[int, F2Matrix]:
-    """Representatives of M / (Sq1 M + Sq2 M), degreewise where trustable."""
+    """Representatives of M / (Sq1 M + Sq2 M), degreewise where trustable:
+    the unit vectors that complete the image, reduced modulo it."""
     out: dict[int, F2Matrix] = {}
     for d in m.trusted_degrees():
         if not m.incoming_ok(d, 2):
             continue
-        img = row_basis(m.sq1_block(d - 1).stack(m.sq2_block(d - 2)))
-        full = F2Matrix.identity(m.dim(d))
-        reps = subquotient_basis(full.stack(img), img)
-        if reps.nrows:
-            out[d] = reps
+        img = Echelon(m.sq1_block(d - 1).rows + m.sq2_block(d - 2).rows)
+        n = m.dim(d)
+        reps = img.complete(1 << i for i in range(n))
+        if reps:
+            out[d] = F2Matrix.from_rows(reps, n)
     return out
 
 

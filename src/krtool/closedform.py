@@ -1,5 +1,5 @@
 """Closed-form bigraded dimension models for the loop companions of the
-projective module、their Borel periodicizations, and the assembled
+projective module, their Borel periodicizations, and the assembled
 non-free part for elementary abelian groups.
 
 The positive-twist slice at twist ``t`` of the homology of the extended

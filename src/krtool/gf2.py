@@ -21,7 +21,12 @@ stored rows, and the rank a second list of rows adds to a span is what
 ``extend`` returns for them.  One elimination can serve several
 answers at once: the kernel-intersection homology eliminates the rows of
 ``Ker q0 . q1`` once per degree and reads the numerator off its relations
-and the next degree's denominator off its echelon rows.
+and the next degree's denominator off its echelon rows.  A subquotient's
+representatives, coordinates and dimension come from one completed
+elimination: ``complete`` inserts the numerator rows' nonzero remainders
+into an ``Echelon`` of the denominator rows; they are the representatives,
+their count is the dimension, and a vector's input coordinates past the
+denominator rows are its coordinates over them.
 
 Every homology count and exactness check runs through ``homology``, which
 checks that the composite vanishes before it subtracts the two ranks.
@@ -142,11 +147,6 @@ class F2Matrix:
         return F2Matrix(
             self.nrows, self.ncols, tuple(a ^ b for a, b in zip(self.rows, other.rows))
         )
-
-    def stack(self, other: "F2Matrix") -> "F2Matrix":
-        if self.ncols != other.ncols:
-            raise ValueError("column mismatch in stack")
-        return F2Matrix(self.nrows + other.nrows, self.ncols, self.rows + other.rows)
 
 
 _set_nrows = F2Matrix.__dict__["nrows"].__set__
@@ -288,6 +288,18 @@ class Echelon:
         """Insert the next input row; True when it enlarges the span."""
         return self.extend((v,)) == 1
 
+    def complete(self, rows: Iterable[int]) -> list[int]:
+        """Complete the span by ``rows`` in order: insert each row's nonzero
+        remainder as the next input row and return those remainders.  They
+        are a basis of the span ``rows`` add, modulo the span before."""
+        out = []
+        for v in rows:
+            w = self.remainder(v)
+            if w:
+                self.add(w)
+                out.append(w)
+        return out
+
     @property
     def rank(self) -> int:
         """The dimension of the span: the count of stored rows."""
@@ -370,26 +382,6 @@ def solve(m: F2Matrix, b: int) -> Optional[int]:
     if b >> m.nrows:
         raise ValueError("right-hand side longer than row count")
     return Echelon(m.transpose().rows).coords(b)
-
-
-def subquotient_basis(a: F2Matrix, b: F2Matrix) -> F2Matrix:
-    """Rows completing a basis of span(b) to span(a).
-
-    Requires span(b) to be contained in span(a); raises otherwise.
-    """
-    if a.ncols != b.ncols:
-        raise ValueError("ambient dimension mismatch")
-    inside = Echelon(a.rows)
-    if any(inside.remainder(v) for v in b.rows):
-        raise ValueError("second span not contained in the first")
-    acc = Echelon(b.rows)
-    out = []
-    for v in a.rows:
-        w = acc.remainder(v)
-        if w:
-            out.append(w)
-            acc.add(w)
-    return F2Matrix(len(out), a.ncols, tuple(out))
 
 
 def intersect_row_spaces(a: F2Matrix, b: F2Matrix) -> F2Matrix:

@@ -26,7 +26,6 @@ from .gf2 import (
     left_kernel_basis,
     row_basis,
     solve,
-    subquotient_basis,
 )
 
 Degree = tuple[int, int]
@@ -362,32 +361,30 @@ def pair_map(space: GradedSpace, shift: Degree,
 class Subquotient:
     """Numerator/denominator row bases per degree in an ambient space.
 
-    Representatives are computed once per degree and cached together with
-    the elimination that ``express`` solves against, so the numerator and
-    denominator tables must not change after the first call.
+    A degree's representatives, coordinates and dimension come from one
+    completed elimination (``Echelon.complete``), built on the first
+    ``reps`` or ``express`` there and kept, so the numerator and denominator
+    tables must not change after that.
     """
 
     ambient: GradedSpace
     numerators: dict[Degree, F2Matrix]
     denominators: dict[Degree, F2Matrix]
-    _solved: dict[Degree, tuple[F2Matrix, Echelon]] = field(
+    # degree -> (representatives, their elimination, count of denominator rows)
+    _solved: dict[Degree, tuple[F2Matrix, Echelon, int]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
-    def _solver(self, d: Degree) -> tuple[F2Matrix, Echelon]:
-        """Representatives at ``d``, and the elimination of the
-        representatives followed by the denominator rows."""
+    def _solver(self, d: Degree) -> tuple[F2Matrix, Echelon, int]:
         got = self._solved.get(d)
         if got is None:
             num = self.numerators.get(d)
             den = self.denominators.get(d)
-            if num is None:
-                reps = F2Matrix.zero(0, self.ambient.dim(d))
-            elif den is None or den.nrows == 0:
-                reps = row_basis(num)
-            else:
-                reps = subquotient_basis(num.stack(den), den)
             den_rows = den.rows if den is not None else ()
-            got = self._solved[d] = (reps, Echelon(reps.rows + den_rows))
+            span = Echelon(den_rows)
+            reps = span.complete(num.rows if num is not None else ())
+            got = self._solved[d] = (
+                F2Matrix.from_rows(reps, self.ambient.dim(d)), span,
+                len(den_rows))
         return got
 
     def reps(self, d: Degree) -> F2Matrix:
@@ -395,7 +392,11 @@ class Subquotient:
 
     def dim(self, d: Degree) -> int:
         """rank(num + den) - rank(den): the rank the numerator rows add to
-        the eliminated denominator, which need not lie in the numerator."""
+        the eliminated denominator, which need not lie in the numerator.
+        An unsolved degree is counted without keeping its elimination."""
+        got = self._solved.get(d)
+        if got is not None:
+            return got[0].nrows
         num = self.numerators.get(d)
         if num is None:
             return 0
@@ -414,11 +415,9 @@ class Subquotient:
 
     def express(self, d: Degree, vec: int) -> Optional[int]:
         """Coordinates of an ambient vector in the rep basis, mod denominator."""
-        reps, span = self._solver(d)
+        _, span, skip = self._solver(d)
         c = span.coords(vec)
-        if c is None:
-            return None
-        return c & ((1 << reps.nrows) - 1)
+        return None if c is None else c >> skip
 
     def induced(self, mp: GradedMap, dst: "Subquotient",
                 d: Degree) -> Optional[F2Matrix]:

@@ -148,7 +148,7 @@ def detection_h1_borel(n: int, w: Window) -> BorelDetection:
             if t.block(d).entry(i, j):
                 bits |= 1 << pos
         rows.append(bits)
-    restricted = rank(F2Matrix.from_rows(rows, max(len(coords), 1)))
+    restricted = rank(F2Matrix.from_rows(rows, len(coords)))
 
     unconstrained = sum(borel.space.dim(d) * borel.space.dim(add_deg(d, (3, 2)))
                         for d in region.degrees())

@@ -19,6 +19,7 @@ from krtool.a1 import (
     _submodule,
     direct_sum_a1,
     dual_a1,
+    generator_degrees,
     is_reduced,
     loop_power,
     margolis,
@@ -36,7 +37,7 @@ from krtool.a1 import (
     Violation,
     validate,
 )
-from krtool.gf2 import Echelon, F2Matrix, left_kernel_basis, row_basis
+from krtool.gf2 import Echelon, F2Matrix, left_kernel_basis, rank, row_basis
 from krtool.graded import (
     GradedMap,
     GradedSpace,
@@ -811,6 +812,20 @@ def _ref_epi_rows(m, res, d):
         gd, rep = reps[int(tag[1:])]
         rows.append(apply_element(m, word.split("@", 1)[0], gd, rep))
     return rows
+
+
+@pytest.mark.parametrize("name", list(COVERED))
+def test_generators_complete_the_image_of_sq1_and_sq2(name):
+    m = COVERED[name]()
+    gens = generator_degrees(m)
+    checked = [d for d in m.trusted_degrees() if m.incoming_ok(d, 2)]
+    assert set(gens) <= set(checked)
+    for d in checked:
+        img = m.sq1_block(d - 1).rows + m.sq2_block(d - 2).rows
+        reps = gens[d].rows if d in gens else ()
+        n = m.dim(d)
+        assert len(reps) == n - rank(F2Matrix.from_rows(img, n)), d
+        assert rank(F2Matrix.from_rows(reps + img, n)) == n, d
 
 
 @pytest.mark.parametrize("name", list(COVERED))

@@ -527,7 +527,7 @@ def _ref_dims(sub: Subquotient) -> dict[Degree, int]:
     out = {}
     for d, num in sub.numerators.items():
         den = sub.denominators[d]
-        n = rank(num.stack(den)) - rank(den)
+        n = rank(F2Matrix.from_rows(num.rows + den.rows, num.ncols)) - rank(den)
         if n:
             out[d] = n
     return out

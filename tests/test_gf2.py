@@ -21,7 +21,6 @@ from krtool.gf2 import (
     row_basis,
     rref,
     solve,
-    subquotient_basis,
 )
 
 
@@ -154,16 +153,9 @@ def test_solve_dimension_mismatch():
 
 def test_subquotient_trivial_cases():
     ident = F2Matrix.identity(3)
-    empty = F2Matrix.zero(0, 3)
-    assert subquotient_basis(ident, empty).nrows == 3
-    assert subquotient_basis(ident, ident).nrows == 0
-
-
-def test_subquotient_containment_error():
-    a = F2Matrix.from_rows([0b01], 2)
-    b = F2Matrix.from_rows([0b10], 2)
-    with pytest.raises(ValueError):
-        subquotient_basis(a, b)
+    assert Echelon().complete(ident.rows) == list(ident.rows)
+    assert Echelon(ident.rows).complete(ident.rows) == []
+    assert Echelon(ident.rows).complete(()) == []
 
 
 def test_subquotient_coset_oracle():
@@ -181,12 +173,16 @@ def test_subquotient_coset_oracle():
                 r &= r - 1
             brows.append(acc)
         b = F2Matrix.from_rows(brows, 6)
-        reps = subquotient_basis(a, b)
-        assert reps.nrows == rank(a) - rank(b)
+        span = Echelon(b.rows)
+        reps = span.complete(a.rows)
+        assert len(reps) == rank(a) - rank(b) == span.rank - rank(b)
         # cosets of span(b) inside span(a) are enumerated exactly once
         span_b = span_vectors(b)
         cosets = {min(v ^ w for w in span_b) for v in span_vectors(a)}
-        assert len(cosets) == 1 << reps.nrows
+        assert len(cosets) == 1 << len(reps)
+        # and the remainders reach each of them
+        rep_span = span_vectors(F2Matrix.from_rows(reps, 6))
+        assert {min(v ^ w for w in span_b) for v in rep_span} == cosets
 
 
 def test_intersection_oracle():

@@ -262,6 +262,14 @@ def test_homology_at_reads_a_missing_block_as_the_zero_block(data):
         assert homology_at(f, g, d) == want, d
 
 
+def _span(rows):
+    """Every vector in the span of ``rows``, by enumerating their sums."""
+    out = {0}
+    for r in rows:
+        out |= {v ^ r for v in out}
+    return out
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 7), st.data())
 def test_subquotient_dim_is_the_rank_the_numerator_adds(ncols, data):
@@ -273,11 +281,23 @@ def test_subquotient_dim_is_the_rank_the_numerator_adds(ncols, data):
     inside = st.integers(0, (1 << num.nrows) - 1).map(num.vec_mul)
     den = data.draw(st.none() | st.lists(inside | vector, max_size=6).map(
         lambda rows: F2Matrix.from_rows(rows, ncols)))
+    den_rows = () if den is None else den.rows
     sub = Subquotient(sp, {d: num}, {} if den is None else {d: den})
-    want = rank(num) if den is None else rank(num.stack(den)) - rank(den)
+    want = (rank(F2Matrix.from_rows(num.rows + den_rows, ncols))
+            - rank(F2Matrix.from_rows(den_rows, ncols)))
     assert sub.dim(d) == want
     assert sub.dims() == ({d: want} if want else {})
     assert sub.dim((1, 0)) == 0
+    reps = sub.reps(d)
+    assert reps.nrows == sub.dim(d) == want
+    # a vector has coordinates exactly when it lies in span(num + den), and
+    # then the representatives they pick differ from it by a denominator
+    both, below = _span(num.rows + den_rows), _span(den_rows)
+    for v in range(1 << ncols):
+        c = sub.express(d, v)
+        assert (c is None) == (v not in both), v
+        if c is not None:
+            assert c >> reps.nrows == 0 and v ^ reps.vec_mul(c) in below, v
 
 
 def test_subquotient_dim_counts_past_a_denominator_outside_the_numerator():
