@@ -11,15 +11,15 @@ is detected by vanishing of the degree-(2,1) Margolis homology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 from .gf2 import (
     Echelon,
     F2Matrix,
+    combine,
     common_kernel,
     homology,
-    row_basis,
 )
 from .graded import (
     Degree,
@@ -30,6 +30,7 @@ from .graded import (
     Subquotient,
     Window,
     add_deg,
+    degrees_where,
     dual_space,
     hom_space,
     homology_at,
@@ -42,8 +43,16 @@ Q0_SHIFT: Degree = (1, 0)
 Q1_SHIFT: Degree = (2, 1)
 
 
+# a differential, or a zero-argument function building it
+Differential = Union[GradedMap, Callable[[], GradedMap]]
 # a coefficient action, or a zero-argument function building it (or None)
 Action = Union[GradedMap, Callable[[], Optional[GradedMap]], None]
+
+
+def _differential(mp: GradedMap, shift: Degree) -> GradedMap:
+    if mp.shift != shift:
+        raise ValueError("differential shifts must be (1,0) and (2,1)")
+    return mp
 
 
 class EModule:
@@ -56,22 +65,34 @@ class EModule:
 
     Each action is given as a map, as None when absent, or as a function
     of no arguments that builds it: the coefficient extension reads the
-    actions far less often than its differentials.  A function is called
-    when its attribute is first read, and its result is kept.
+    actions far less often than its differentials.  A differential may
+    likewise be given as a function, so a Tate term read only for its
+    dimensions never builds one.  A function is called when its attribute
+    is first read, and its result is kept.
     """
 
-    def __init__(self, space: GradedSpace, q0: GradedMap, q1: GradedMap,
-                 complete: Window, act_a: Action = None, act_s: Action = None,
-                 s_compat_cartan: bool = False):
-        if q0.shift != Q0_SHIFT or q1.shift != Q1_SHIFT:
-            raise ValueError("differential shifts must be (1,0) and (2,1)")
+    def __init__(self, space: GradedSpace, q0: Differential,
+                 q1: Differential, complete: Window, act_a: Action = None,
+                 act_s: Action = None, s_compat_cartan: bool = False):
+        self._q0 = q0 if callable(q0) else _differential(q0, Q0_SHIFT)
+        self._q1 = q1 if callable(q1) else _differential(q1, Q1_SHIFT)
         self.space = space
-        self.q0 = q0
-        self.q1 = q1
         self._act_a = act_a
         self._act_s = act_s
         self.s_compat_cartan = s_compat_cartan
         self.complete = complete
+
+    @property
+    def q0(self) -> GradedMap:
+        if callable(self._q0):
+            self._q0 = _differential(self._q0(), Q0_SHIFT)
+        return self._q0
+
+    @property
+    def q1(self) -> GradedMap:
+        if callable(self._q1):
+            self._q1 = _differential(self._q1(), Q1_SHIFT)
+        return self._q1
 
     @property
     def act_a(self) -> Optional[GradedMap]:
@@ -93,6 +114,15 @@ class EModule:
 
     def trusted(self, *degrees: Degree) -> bool:
         return all(self.complete.contains(d) for d in degrees)
+
+    def trusted_window(self, *shifts: Degree) -> Optional[Window]:
+        """The trusted degrees ``d`` with every ``d + s`` trusted as well,
+        as one rectangle: ``complete`` meets ``complete - s`` for each
+        shift ``s``.  None when there is no such degree."""
+        w: Optional[Window] = self.complete
+        for s in shifts:
+            w = w and w.intersect(self.complete.shift(neg_deg(s)))
+        return w
 
     def __repr__(self) -> str:
         return f"EModule(dim={self.space.total_dim()}, complete={self.complete})"
@@ -173,54 +203,57 @@ class H01Result:
 
 
 def _h01_region(m: EModule) -> list[Degree]:
-    out = []
-    for d in m.complete.degrees():
-        if m.trusted(add_deg(d, Q0_SHIFT), add_deg(d, Q1_SHIFT),
-                     sub_deg(d, Q1_SHIFT)):
-            out.append(d)
-    return out
+    w = m.trusted_window(Q0_SHIFT, Q1_SHIFT, neg_deg(Q1_SHIFT))
+    return list(w.degrees()) if w else []
 
 
-def _q1_on_q0_kernel(m: EModule, e: Degree) -> tuple[F2Matrix, Echelon]:
-    """``Ker q0`` at ``e`` and the elimination of its rows times ``q1``."""
-    k0 = m.q0.kernel_at(e)
-    return k0, Echelon(k0.mul(m.q1.block(e)).rows)
-
-
-def _q1_image(m: EModule, span: Echelon, e: Degree) -> F2Matrix:
-    """q1 of ``Ker q0`` at ``e``, in rref, inside degree ``e + (2,1)``."""
-    return F2Matrix.from_rows(span.reduced_rows(),
-                              m.dim(add_deg(e, Q1_SHIFT)))
+def _h01_step(m: EModule, e: Degree) -> tuple[list[int], list[int]]:
+    """The rref rows of ``Ker q0`` meet ``Ker q1`` at ``e`` and of q1 of
+    ``Ker q0`` inside ``e + (2,1)``.  The relations of the q0 rows are a
+    basis ``K0`` of ``Ker q0``; one elimination of the rows ``K0 . q1``
+    gives the second answer as its rref rows, and its relations, applied
+    to ``K0``, span the first, which one more elimination puts in rref."""
+    q0, q1 = m.q0.blocks.get(e), m.q1.blocks.get(e)
+    k0 = (Echelon(q0.rows).relations if q0 is not None
+          else [1 << i for i in range(m.dim(e))])
+    if q1 is None:
+        return Echelon(k0).reduced_rows(), []
+    image = Echelon([q1.vec_mul(v) for v in k0])
+    kernel = [combine(k0, r) for r in image.relations]
+    if kernel:
+        kernel = Echelon(kernel).reduced_rows()
+    return kernel, image.reduced_rows()
 
 
 def h01(m: EModule) -> H01Result:
     """Degreewise (Ker q1 and Ker q0) modulo q1 of Ker q0.
 
-    One pass eliminates each block once.  At a degree ``e`` the kernel
-    ``K0`` of q0 is the relations of the q0 rows, and the rows of
-    ``K0 . q1`` are eliminated once.  Their relations times ``K0`` span the
-    kernel intersection at ``e``: the numerator, put in rref.  Their rref
-    rows span q1 of ``Ker q0``: the denominator at ``e + (2,1)``, kept
-    until that degree is reached and then dropped.  A degree whose
+    One pass eliminates each block once, on lists of rows.  At a degree
+    ``e`` the kernel ``K0`` of q0 is the relations of the q0 rows, and the
+    rows of ``K0 . q1`` are eliminated once (``_h01_step``).  Their
+    relations applied to ``K0`` span the kernel intersection at ``e``: the
+    numerator, put in rref by one more elimination.  Their rref rows span
+    q1 of ``Ker q0``: the denominator at ``e + (2,1)``, which is kept until
+    that degree is reached and then dropped.  A degree whose
     ``(2,1)``-predecessor is not visited (outside the region, or zero)
-    eliminates that predecessor for its denominator alone.
+    eliminates that predecessor for its denominator.  Only the numerators
+    and denominators become matrices.
     """
     nums: dict[Degree, F2Matrix] = {}
     dens: dict[Degree, F2Matrix] = {}
     region = _h01_region(m)
-    wanted = {d for d in region if m.dim(d)}
-    pending: dict[Degree, F2Matrix] = {}   # denominators not yet reached
-    for d in sorted(wanted):
+    wanted = [d for d in region if m.dim(d)]    # in window order, so sorted
+    ahead = set(wanted)
+    pending: dict[Degree, list[int]] = {}   # denominators not yet reached
+    for d in wanted:
         den = pending.pop(d, None)
         if den is None:
-            prev = sub_deg(d, Q1_SHIFT)
-            den = _q1_image(m, _q1_on_q0_kernel(m, prev)[1], prev)
-        dens[d] = den
-        k0, span = _q1_on_q0_kernel(m, d)
-        nums[d] = row_basis(
-            F2Matrix.from_rows(span.relations, k0.nrows).mul(k0))
-        if add_deg(d, Q1_SHIFT) in wanted:
-            pending[add_deg(d, Q1_SHIFT)] = _q1_image(m, span, d)
+            den = _h01_step(m, sub_deg(d, Q1_SHIFT))[1]
+        num, image = _h01_step(m, d)
+        nums[d] = F2Matrix.from_rows(num, m.dim(d))
+        dens[d] = F2Matrix.from_rows(den, m.dim(d))
+        if add_deg(d, Q1_SHIFT) in ahead:
+            pending[add_deg(d, Q1_SHIFT)] = image
     return H01Result(Subquotient(m.space, nums, dens), region)
 
 
@@ -234,10 +267,8 @@ def margolis(m: EModule, which: str) -> dict[Degree, int]:
         raise ValueError(f"unknown differential {which!r}: expected q0 or q1")
     mp = m.q0 if which == "q0" else m.q1
     out: dict[Degree, int] = {}
-    for d in m.complete.degrees():
-        if m.dim(d) == 0 or not m.trusted(add_deg(d, mp.shift),
-                                          sub_deg(d, mp.shift)):
-            continue
+    w = m.trusted_window(mp.shift, neg_deg(mp.shift))
+    for d in (degrees_where(w.contains, m.space.basis) if w else ()):
         h = homology_at(mp, mp, d)
         if h is None:
             raise ValueError(f"{which} {which} = 0 fails at "
@@ -253,6 +284,16 @@ def margolis(m: EModule, which: str) -> dict[Degree, int]:
 class TateComplex:
     terms: dict[int, EModule]          # slot i holds the i-th suspension term
     diffs: dict[int, GradedMap]        # diffs[i]: terms[i] -> terms[i-1]
+    # slot -> kernel intersection of its term, built on first read
+    _kerker: dict[int, Subquotient] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+
+    def kerker(self, i: int) -> Subquotient:
+        """``kerker_space`` of the term at slot ``i``, built once."""
+        got = self._kerker.get(i)
+        if got is None:
+            got = self._kerker[i] = kerker_space(self.terms[i])
+        return got
 
 
 def _lambda1_tensor(m: EModule, susp: Degree, tag: int) -> EModule:
@@ -264,7 +305,7 @@ def _lambda1_tensor(m: EModule, susp: Degree, tag: int) -> EModule:
     block starts at offset ``m.dim(d - susp)``.  The names are runs over
     those of ``m``, formatted when read.  Both differentials are those of
     ``m`` placed block by block; the second one adds the unit from ``u|x``
-    to ``v|x``.
+    to ``v|x``.  They are built when first read.
     """
     w = m.space.window
     vsusp = add_deg(susp, Q1_SHIFT)
@@ -293,7 +334,8 @@ def _lambda1_tensor(m: EModule, susp: Degree, tag: int) -> EModule:
     comp = comp and comp.intersect(w)
     if comp is None:
         comp = Window(w.m_lo, w.m_lo, w.k_lo, w.k_lo)
-    return EModule(space, build(m.q0, False), build(m.q1, True), comp)
+    return EModule(space, lambda: build(m.q0, False),
+                   lambda: build(m.q1, True), comp)
 
 
 def tate_complex(m: EModule, lo: int, hi: int) -> TateComplex:
@@ -316,47 +358,50 @@ def tate_complex(m: EModule, lo: int, hi: int) -> TateComplex:
 
 def kerker_space(m: EModule) -> Subquotient:
     """Ker q0 intersected with Ker q1, degreewise, as a subquotient."""
-    nums: dict[Degree, F2Matrix] = {}
-    for d in m.complete.degrees():
-        if m.dim(d) == 0:
-            continue
-        if not m.trusted(add_deg(d, Q0_SHIFT), add_deg(d, Q1_SHIFT)):
-            continue
-        nums[d] = common_kernel(m.q0.block(d), m.q1.block(d))
-    return Subquotient(m.space, nums, {})
+    w = m.trusted_window(Q0_SHIFT, Q1_SHIFT)
+    return Subquotient(m.space, {
+        d: common_kernel(m.q0.block(d), m.q1.block(d))
+        for d in (degrees_where(w.contains, m.space.basis) if w else ())}, {})
 
 
-def rel_ext(m: EModule, n: int) -> dict[Degree, int]:
+def rel_ext(m: EModule, n: int,
+            hom: Optional[H01Result] = None) -> dict[Degree, int]:
     """Relative extension groups against the trivial module.
 
     Slot 0 is the plain kernel intersection; other slots are the
     kernel-intersection homology shifted by n times (2,1), which is also
-    what the Tate route computes (see ``rel_ext_tate``).
+    what the Tate route computes (see ``rel_ext_tate``).  ``hom``, when
+    given, is ``h01(m)``, so that several slots share one homology.
     """
     if n == 0:
         return {d: v for d, v in kerker_space(m).dims().items() if v}
-    h = h01(m)
+    h = h01(m) if hom is None else hom
     return {add_deg(d, (2 * n, n)): v for d, v in h.dims().items() if v}
 
 
-def rel_ext_tate(m: EModule, n: int) -> dict[Degree, int]:
+def rel_ext_tate(m: EModule, n: int,
+                 t: Optional[TateComplex] = None) -> dict[Degree, int]:
     """Same groups computed from the Tate complex, independently.
 
     The homology of the kernel-intersection functor applied to the Tate
     terms reproduces the shifted groups; the fixed suspension constant is
-    calibrated on the trivial module.  A differential that leaves the
-    kernel intersection, or two that do not compose to zero, raise
-    ``ValueError`` naming the degree.
+    calibrated on the trivial module.  The slots ``-n-1..-n+1`` are read
+    from ``t``, when given a Tate complex of ``m`` that holds them, so that
+    several slots share its terms; the bottom term is read only for its
+    dimensions and trusted degrees.  A differential that leaves the kernel
+    intersection, or two that do not compose to zero, raise ``ValueError``
+    naming the degree.
     """
-    t = tate_complex(m, -n - 1, -n + 1)
-    mid, down, up = t.terms[-n], t.diffs[-n], t.diffs[-n + 1]
-    kk_mid = kerker_space(mid)
-    kk_up = kerker_space(t.terms[-n + 1])
+    if t is None:
+        t = tate_complex(m, -n - 1, -n + 1)
+    bottom, mid, top = t.terms[-n - 1], t.terms[-n], t.terms[-n + 1]
+    down, up = t.diffs[-n], t.diffs[-n + 1]
+    kk_mid, kk_up = t.kerker(-n), t.kerker(-n + 1)
     out: dict[Degree, int] = {}
     shift = (2 * (2 * n - 1), (2 * n - 1))
-    for d in mid.complete.degrees():
-        if not (t.terms[-n - 1].trusted(d) and t.terms[-n + 1].trusted(d)):
-            continue
+    w = mid.complete.intersect(bottom.complete)
+    w = w and w.intersect(top.complete)
+    for d in (w.degrees() if w else ()):
         reps = kk_mid.reps(d)
         if reps.nrows == 0:
             continue
@@ -365,7 +410,7 @@ def rel_ext_tate(m: EModule, n: int) -> dict[Degree, int]:
             raise ValueError(f"Tate differential leaves the kernel "
                              f"intersection at {d}")
         h = homology(into, F2Matrix.from_rows(
-            [down.apply(d, v) for v in reps.rows], t.terms[-n - 1].dim(d)),
+            [down.apply(d, v) for v in reps.rows], bottom.dim(d)),
             reps.nrows)
         if h is None:
             raise ValueError(f"Tate differentials do not compose to zero at {d}")
@@ -431,10 +476,10 @@ def les_h01(a: EModule, b: EModule, c: EModule,
         return F2Matrix.from_rows(rows, ha.sub.dim(td))
 
     slots = 0
+    ra, rb, rc = set(ha.region), set(hb.region), set(hc.region)
     inner = [d for d in region.degrees()
-             if d in ha.region and d in hb.region and d in hc.region
-             and add_deg(d, Q1_SHIFT) in ha.region
-             and sub_deg(d, Q1_SHIFT) in hc.region
+             if d in ra and d in rb and d in rc
+             and add_deg(d, Q1_SHIFT) in ra and sub_deg(d, Q1_SHIFT) in rc
              and region.contains(sub_deg(d, Q1_SHIFT))]
     ahead = set(inner)
     # the connecting map out of d, kept for d + (2,1) where it comes in

@@ -4,24 +4,31 @@ A matrix row is a Python integer used as a bit vector (bit ``j`` is column
 ``j``), so every row operation is a single big-int XOR.  A matrix is an
 immutable value whose rank is computed once, on its first read, and the
 functions are pure.  Pivoting is always leftmost, so results are
-deterministic and reproducible byte for byte.
+deterministic and reproducible byte for byte.  Being immutable, the zero
+and identity matrices, and with them the empty matrix of each width, are
+built once per shape and shared.
 
 Every elimination runs through ``Echelon``, whose one insertion loop,
 ``extend``, takes rows in order and keeps them semi-reduced: a new row is
 reduced against the stored ones, which are left as they are.  The
 constructor and ``add`` run that loop too.  ``rref`` sorts its rows after
-one back-substitution, left kernels are the relations it records, and
-``solve`` reads coordinates from it; none of these answers depends on how
-far the stored rows are reduced.  It eliminates a list of rows once and
-then answers membership and coordinate questions for any number of
+one back-substitution, ``row_basis`` is those rows without the padding,
+left kernels are the relations it records, and ``solve`` reads
+coordinates from it; none of these answers depends on how far the stored
+rows are reduced.  A basis made of rows known to be independent keeps its
+rank, so no count eliminates it again.  It eliminates a list of rows once
+and then answers membership and coordinate questions for any number of
 vectors, each by clearing the pivots the vector reaches.  Loops that solve
 many right-hand sides against one fixed basis build one ``Echelon`` for
 it.  A count needs no back-substitution: ``Echelon.rank`` is the number of
 stored rows, and the rank a second list of rows adds to a span is what
 ``extend`` returns for them.  One elimination can serve several
-answers at once: the kernel-intersection homology eliminates the rows of
-``Ker q0 . q1`` once per degree and reads the numerator off its relations
-and the next degree's denominator off its echelon rows.  A subquotient's
+answers at once: ``intersect_row_spaces`` eliminates the rows ``(a | a)``
+and ``(b | 0)`` once and reads the intersection off the rref rows with a
+pivot in the second half, and the kernel-intersection homology eliminates
+the rows of ``Ker q0 . q1`` once per degree and reads the numerator off
+its relations (``combine`` applies them to the rows of ``Ker q0``) and the
+next degree's denominator off its echelon rows.  A subquotient's
 representatives, coordinates and dimension come from one completed
 elimination: ``complete`` inserts the numerator rows' nonzero remainders
 into an ``Echelon`` of the denominator rows; they are the representatives,
@@ -93,16 +100,28 @@ class F2Matrix:
 
     # -- constructors ------------------------------------------------------
 
+    # A zero matrix and an identity are built once per shape and shared, as
+    # is the empty matrix of each width.
+
     @staticmethod
     def zero(nrows: int, ncols: int) -> "F2Matrix":
-        return F2Matrix(nrows, ncols, (0,) * nrows)
+        got = _ZEROS.get((nrows, ncols))
+        if got is None:
+            got = _ZEROS[nrows, ncols] = F2Matrix(nrows, ncols, (0,) * nrows)
+            _set_rank(got, 0)
+        return got
 
     @staticmethod
     def identity(n: int) -> "F2Matrix":
-        return F2Matrix(n, n, tuple(1 << i for i in range(n)))
+        got = _IDENTITIES.get(n)
+        if got is None:
+            got = _IDENTITIES[n] = _basis(tuple(1 << i for i in range(n)), n)
+        return got
 
     @staticmethod
     def from_rows(rows: Sequence[int], ncols: int) -> "F2Matrix":
+        if not rows:
+            return F2Matrix.zero(0, ncols)
         return F2Matrix(len(rows), ncols, tuple(rows))
 
     # -- basic queries -----------------------------------------------------
@@ -126,13 +145,7 @@ class F2Matrix:
 
     def vec_mul(self, x: int) -> int:
         """Row vector times matrix: returns ``x . self`` as a bit vector."""
-        acc = 0
-        r = x
-        while r:
-            i = (r & -r).bit_length() - 1
-            acc ^= self.rows[i]
-            r &= r - 1
-        return acc
+        return combine(self.rows, x)
 
     def mul(self, other: "F2Matrix") -> "F2Matrix":
         if self.ncols != other.nrows:
@@ -153,6 +166,29 @@ _set_nrows = F2Matrix.__dict__["nrows"].__set__
 _set_ncols = F2Matrix.__dict__["ncols"].__set__
 _set_rows = F2Matrix.__dict__["rows"].__set__
 _set_rank = F2Matrix.__dict__["_rank"].__set__
+_ZEROS: dict[tuple[int, int], F2Matrix] = {}
+_IDENTITIES: dict[int, F2Matrix] = {}
+
+
+def _basis(rows: Sequence[int], ncols: int) -> F2Matrix:
+    """The matrix of the independent ``rows``, with its rank recorded rather
+    than eliminated; without rows, the shared empty matrix."""
+    if not rows:
+        return F2Matrix.zero(0, ncols)
+    out = F2Matrix(len(rows), ncols, tuple(rows))
+    _set_rank(out, len(rows))
+    return out
+
+
+def combine(rows: Sequence[int], x: int) -> int:
+    """The sum of the rows picked by the bits of ``x``: ``x`` times the
+    matrix with those rows."""
+    acc = 0
+    while x:
+        low = x & -x
+        acc ^= rows[low.bit_length() - 1]
+        x ^= low
+    return acc
 
 
 def _spread(bits: int, width: int) -> int:
@@ -202,9 +238,9 @@ def homology(into: Optional[F2Matrix], out: Optional[F2Matrix],
 
 
 def row_basis(m: F2Matrix) -> F2Matrix:
-    """Matrix whose rows are the nonzero rref rows (a canonical span basis)."""
-    r, piv = rref(m)
-    return F2Matrix(len(piv), m.ncols, r.rows[: len(piv)])
+    """Matrix whose rows are the nonzero rref rows (a canonical span basis),
+    read off one elimination."""
+    return _basis(Echelon(m.rows).reduced_rows(), m.ncols)
 
 
 class Echelon:
@@ -360,8 +396,7 @@ def left_kernel_basis(m: F2Matrix) -> F2Matrix:
     """Rows v with ``v . m = 0``; the kernel for row-vector conventions.
 
     Equal to ``kernel_basis(m.transpose())``, found without transposing."""
-    rel = Echelon(m.rows).relations
-    return F2Matrix(len(rel), m.nrows, tuple(rel))
+    return _basis(Echelon(m.rows).relations, m.nrows)
 
 
 def common_kernel(a: F2Matrix, b: F2Matrix) -> F2Matrix:
@@ -369,9 +404,8 @@ def common_kernel(a: F2Matrix, b: F2Matrix) -> F2Matrix:
     the left kernel of the side-by-side matrix ``[a | b]``."""
     if a.nrows != b.nrows:
         raise ValueError("row count mismatch")
-    side = F2Matrix(a.nrows, a.ncols + b.ncols,
-                    tuple(x | (y << a.ncols) for x, y in zip(a.rows, b.rows)))
-    return row_basis(left_kernel_basis(side))
+    side = [x | (y << a.ncols) for x, y in zip(a.rows, b.rows)]
+    return _basis(Echelon(Echelon(side).relations).reduced_rows(), a.nrows)
 
 
 def solve(m: F2Matrix, b: int) -> Optional[int]:
@@ -385,12 +419,14 @@ def solve(m: F2Matrix, b: int) -> Optional[int]:
 
 
 def intersect_row_spaces(a: F2Matrix, b: F2Matrix) -> F2Matrix:
-    """Basis of the intersection of two row spans (Zassenhaus)."""
+    """Canonical basis of the intersection of two row spans (Zassenhaus),
+    from one elimination of the rows ``(a | a)`` and ``(b | 0)``.  In its
+    reduced echelon form the rows that vanish on the first half are those
+    with a pivot in the second, so their second halves are already the
+    reduced echelon basis of the intersection."""
     if a.ncols != b.ncols:
         raise ValueError("ambient dimension mismatch")
     n = a.ncols
-    rows = [r | (r << n) for r in a.rows] + list(b.rows)
-    r, piv = rref(F2Matrix(len(rows), 2 * n, tuple(rows)))
     mask = (1 << n) - 1
-    out = [row >> n for row in r.rows[: len(piv)] if (row & mask) == 0 and row]
-    return row_basis(F2Matrix(len(out), n, tuple(out)))
+    span = Echelon([r | (r << n) for r in a.rows] + list(b.rows))
+    return _basis([r >> n for r in span.reduced_rows() if not r & mask], n)

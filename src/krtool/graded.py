@@ -229,7 +229,9 @@ class GradedMap:
 
     Blocks map row vectors: ``image_bits = block.vec_mul(source_bits)``.
     Missing blocks are zero.  Blocks whose shifted target degree falls
-    outside the target window are not stored.
+    outside the target window are not stored.  The blocks must not change
+    after the first ``kernel_at`` or ``image_at``, which keep their answer
+    per degree.
     """
 
     def __init__(self, source: GradedSpace, target: GradedSpace, shift: Degree,
@@ -245,6 +247,8 @@ class GradedMap:
                 raise ValueError(f"block shape mismatch at {d}")
             if any(m.rows):
                 self.blocks[d] = m
+        self._kernels: dict[Degree, F2Matrix] = {}
+        self._images: dict[Degree, F2Matrix] = {}
 
     def block(self, d: Degree) -> F2Matrix:
         td = add_deg(d, self.shift)
@@ -304,18 +308,25 @@ class GradedMap:
     # block, given without building or eliminating it.
 
     def kernel_at(self, d: Degree) -> F2Matrix:
-        """Rows spanning the kernel at source degree d."""
-        got = self.blocks.get(d)
+        """Rows spanning the kernel at source degree d, eliminated once."""
+        got = self._kernels.get(d)
         if got is None:
-            return F2Matrix.identity(self.source.dim(d))
-        return left_kernel_basis(got)
+            block = self.blocks.get(d)
+            got = self._kernels[d] = (
+                F2Matrix.identity(self.source.dim(d)) if block is None
+                else left_kernel_basis(block))
+        return got
 
     def image_at(self, d: Degree) -> F2Matrix:
-        """Rows spanning the image inside target degree ``d``."""
-        got = self.blocks.get(sub_deg(d, self.shift))
+        """Rows spanning the image inside target degree ``d``, in rref,
+        eliminated once."""
+        got = self._images.get(d)
         if got is None:
-            return F2Matrix(0, self.target.dim(d), ())
-        return row_basis(got)
+            block = self.blocks.get(sub_deg(d, self.shift))
+            got = self._images[d] = (
+                F2Matrix.zero(0, self.target.dim(d)) if block is None
+                else row_basis(block))
+        return got
 
     def rank_at(self, d: Degree) -> int:
         got = self.blocks.get(d)

@@ -391,12 +391,13 @@ def bockstein_d1(rm: RModule) -> BocksteinD1:
     # every degree of twist >= 0 lies wholly in the positive cone, so the
     # extension's blocks there are those of the positive cone
     d1: dict[Degree, F2Matrix] = {}
+    region = set(hom.region)
     for d in hom.region:
         reps = hom.sub.reps(d)
         if reps.nrows == 0:
             continue
         td = add_deg(d, (2, 0))
-        if td not in hom.region:
+        if td not in region:
             continue
         # the Euler class acts from td to td + (0, 1)
         euler = Echelon(rm.emod.act_a.block(td).rows)

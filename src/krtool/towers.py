@@ -20,12 +20,13 @@ target degree where that key is present (``e`` and ``f`` send ``i`` to
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .gf2 import F2Matrix, homology, intersect_row_spaces
+from .gf2 import Echelon, F2Matrix, homology, intersect_row_spaces
 from .graded import (
     Degree,
     GradedMap,
@@ -178,9 +179,10 @@ def detect(t: TowerData, h: int, n: int) -> DetectReport:
         tn = lev.f.kernel_at(d)
         if tn.nrows == 0:
             continue
+        # the two row bases are independent, so they meet exactly when the
+        # image adds fewer dimensions to the kernel than it has rows
         img = comp.image_at(d)
-        inter = intersect_row_spaces(tn, img)
-        if inter.nrows:
+        if Echelon(tn.rows).extend(img.rows) < img.nrows:
             return DetectReport(False, h, n, d)
     return DetectReport(True, h, n, None)
 
@@ -299,21 +301,27 @@ def _keyed_space(window: Window, keys: dict[Degree, list], name) -> Keyed:
                                 for dg, ps in pos.items()}), pos
 
 
-def _key_map(src: Keyed, tgt: Keyed, shift: Degree,
+def _key_map(src: Keyed, tgt: Keyed, shift: Degree, made: dict,
              to=lambda k: k) -> GradedMap:
     """The map sending the basis vector of each key ``k`` to that of
-    ``to(k)`` in the shifted degree, or to zero where that key is absent."""
+    ``to(k)`` in the shifted degree, or to zero where that key is absent.
+    A block is read off the key positions, and ``made`` keeps the blocks
+    already built by rows and width, so that equal blocks are one matrix
+    (most blocks of a tower are small identities)."""
     (source, src_pos), (target, tgt_pos) = src, tgt
     blocks: dict[Degree, F2Matrix] = {}
     for dg, pos in src_pos.items():
-        tpos = tgt_pos.get(add_deg(dg, shift), {})
-        rows = [0] * len(pos)
-        for k, p in pos.items():
-            t = tpos.get(to(k))
-            if t is not None:
-                rows[p] = 1 << t
+        tpos = tgt_pos.get(add_deg(dg, shift))
+        if not tpos:
+            continue
+        at = [tpos.get(to(k)) for k in pos]     # keys in position order
+        rows = tuple(0 if t is None else 1 << t for t in at)
         if any(rows):
-            blocks[dg] = F2Matrix.from_rows(rows, len(tpos))
+            got = made.get((rows, len(tpos)))
+            if got is None:
+                got = made[rows, len(tpos)] = F2Matrix(len(rows), len(tpos),
+                                                       rows)
+            blocks[dg] = got
     return GradedMap(source, target, shift, blocks)
 
 
@@ -324,16 +332,17 @@ def build_x_tower(spec: XTowerSpec, window: Window,
     if window.k_lo != 0 or window.k_hi != 0:
         raise ValueError("multiplication towers are singly graded")
 
-    def powers(prefix: str, n: int, member) -> Keyed:
-        """Key ``i`` wherever ``member(summand, j)`` holds for the power
-        ``x^j`` of summand ``i`` moved ``n`` steps of x."""
+    def powers(prefix: str, n: int, span) -> Keyed:
+        """Key ``i`` at each power ``x^j`` of summand ``i`` moved ``n``
+        steps of x that lies in the window, for ``lo <= j < hi`` where
+        ``span(summand)`` is ``(lo, hi)``; a bound may be infinite."""
         keys: dict[Degree, list] = {}
         for i, s in enumerate(spec.summands):
             at = s.shift + n * d          # the degree of x^0
-            for j in range(-((at - window.m_lo) // d),
-                           (window.m_hi - at) // d + 1):
-                if member(s, j):
-                    keys.setdefault((at + j * d, 0), []).append(i)
+            lo, hi = span(s)
+            for j in range(max(lo, -((at - window.m_lo) // d)),
+                           min(hi, (window.m_hi - at) // d + 1)):
+                keys.setdefault((at + j * d, 0), []).append(i)
         return _keyed_space(window, keys, lambda i: f"{prefix}.{i}")
 
     def layer(n: int) -> Keyed:
@@ -346,19 +355,25 @@ def build_x_tower(spec: XTowerSpec, window: Window,
         return _keyed_space(window, keys,
                             lambda k: f"C{n}.{k[0]}.{k[1]}")
 
-    colim = powers("K", 0, lambda s, j: s.kind == "free")
-    spaces = {n: powers(f"L{n}", n, lambda s, j: j >= 0 and (
-        s.kind == "free" or j < s.order)) for n in range(level_lo, level_hi + 1)}
+    # the colimit holds every power of the free summands, a level the
+    # nonnegative powers below each summand's torsion order
+    colim = powers("K", 0, lambda s: (-math.inf, math.inf)
+                   if s.kind == "free" else (0, 0))
+    spaces = {n: powers(f"L{n}", n, lambda s: (0, math.inf if s.kind == "free"
+                                                else s.order))
+              for n in range(level_lo, level_hi + 1)}
+    made: dict = {}
     levels: dict[int, TowerLevel] = {}
     for n, sp in spaces.items():
         lay = layer(n)
-        e = _key_map(sp, spaces[n - 1], (0, 0)) if n > level_lo else None
-        delta = (_key_map(lay, spaces[n + 1], (1, 0),
+        e = (_key_map(sp, spaces[n - 1], (0, 0), made) if n > level_lo
+             else None)
+        delta = (_key_map(lay, spaces[n + 1], (1, 0), made,
                           lambda k: k[1] if k[0] == "g" else None)
                  if n < level_hi else None)
-        levels[n] = TowerLevel(sp[0], lay[0], e, _key_map(sp, colim, (0, 0)),
-                               _key_map(sp, lay, (0, 0), lambda i: ("q", i)),
-                               delta)
+        levels[n] = TowerLevel(
+            sp[0], lay[0], e, _key_map(sp, colim, (0, 0), made),
+            _key_map(sp, lay, (0, 0), made, lambda i: ("q", i)), delta)
     return TowerData(levels, colim[0], level_lo, level_hi, window)
 
 

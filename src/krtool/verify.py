@@ -31,7 +31,7 @@ from .a1 import (
     validate,
 )
 from .closedform import borel_hv_closed
-from .emod import h01, h01_dual_dims, rel_ext, rel_ext_tate
+from .emod import h01, h01_dual_dims, rel_ext, rel_ext_tate, tate_complex
 from .emod import margolis as margolis_e
 from .graded import Window, add_deg, shift_mismatch, sub_deg
 from .kr import (
@@ -197,9 +197,10 @@ def _suite_relext() -> tuple[bool, str]:
     for label, base in (("companion 0", std_pn(0, -11, required_top(w))),
                         ("free", std_a1())):
         m = apply_r(base, w).emod
-        r1, r2, r3 = rel_ext(m, 1), rel_ext(m, 2), rel_ext(m, 3)
+        hom, tate = h01(m), tate_complex(m, -3, 0)
+        r1, r2, r3 = (rel_ext(m, n, hom) for n in (1, 2, 3))
         for n, direct in ((1, r1), (2, r2)):
-            indep = rel_ext_tate(m, n)
+            indep = rel_ext_tate(m, n, tate)
             for d in [x for x in set(direct) | set(indep)
                       if inner and inner.contains(x)]:
                 if direct.get(d, 0) != indep.get(d, 0):

@@ -29,6 +29,7 @@ from krtool.emod import (
     find_lambda0_splitting,
     h01,
     h01_dual_dims,
+    kerker_space,
     les_h01,
     margolis,
     rel_ext,
@@ -45,6 +46,7 @@ from krtool.graded import (
     Subquotient,
     Window,
     add_deg,
+    homology_at,
     identity_map,
     sub_deg,
 )
@@ -615,3 +617,61 @@ def test_h01_rank_three_within_budget():
     seconds = time.perf_counter() - start
     assert sum(dims.values()) > 0
     assert seconds < 1, f"h01 took {seconds:.2f}s"
+
+
+# -- trusted regions as rectangles -------------------------------------------------
+
+@st.composite
+def windows(draw):
+    m_lo, k_lo = draw(st.integers(-8, 8)), draw(st.integers(-4, 4))
+    return Window(m_lo, m_lo + draw(st.integers(0, 10)),
+                  k_lo, k_lo + draw(st.integers(0, 6)))
+
+
+def _scan(m: EModule, shifts) -> list[Degree]:
+    """The trusted degrees with every shift of them trusted, one by one."""
+    return [d for d in m.complete.degrees()
+            if m.trusted(*(add_deg(d, s) for s in shifts))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(windows(), st.lists(st.tuples(st.integers(-5, 5), st.integers(-3, 3)),
+                           max_size=4))
+def test_trusted_window_matches_a_per_degree_scan(complete, shifts):
+    nothing = GradedSpace(complete, {})
+    m = EModule(nothing, GradedMap(nothing, nothing, Q0_SHIFT),
+                GradedMap(nothing, nothing, Q1_SHIFT), complete)
+    w = m.trusted_window(*shifts)
+    assert (list(w.degrees()) if w else []) == _scan(m, shifts)
+    assert _h01_region(m) == _scan(
+        m, [Q0_SHIFT, Q1_SHIFT, (-Q1_SHIFT[0], -Q1_SHIFT[1])])
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_extensions())
+def test_rectangle_scans_match_per_degree_scans(m):
+    populated = [d for d in _scan(m, [Q0_SHIFT, Q1_SHIFT]) if m.dim(d)]
+    kk = kerker_space(m)
+    assert list(kk.numerators) == populated
+    assert all(kk.numerators[d] == common_kernel(m.q0.block(d), m.q1.block(d))
+               for d in populated)
+    for which, mp in (("q0", m.q0), ("q1", m.q1)):
+        want = {}
+        for d in _scan(m, [mp.shift, (-mp.shift[0], -mp.shift[1])]):
+            if m.dim(d):
+                h = homology_at(mp, mp, d)
+                if h:
+                    want[d] = h
+        assert margolis(m, which) == want
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_extensions())
+def test_slots_share_one_homology_and_one_tate_complex(m):
+    hom = h01(m)
+    assert all(rel_ext(m, n, hom) == rel_ext(m, n) for n in (1, 2, 3))
+    t = tate_complex(m, -3, 0)
+    for n in (1, 2):
+        assert rel_ext_tate(m, n, t) == rel_ext_tate(m, n)
+    # the bottom term is read only for its dimensions and trusted degrees
+    assert callable(t.terms[-3]._q0) and callable(t.terms[-3]._q1)

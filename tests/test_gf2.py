@@ -198,9 +198,10 @@ def test_intersection_oracle():
 
 
 @st.composite
-def bases(draw, nrows=None):
+def bases(draw, nrows=None, ncols=None):
     """Small matrices whose rows may be zero or sums of earlier rows."""
-    ncols = draw(st.integers(0, 6))
+    if ncols is None:
+        ncols = draw(st.integers(0, 6))
     rows = []
     for _ in range(draw(st.integers(0, 7)) if nrows is None else nrows):
         kind = draw(st.sampled_from(("random", "zero", "dependent")))
@@ -490,6 +491,46 @@ def test_bit_check_edge_cases():
     for rows, ncols in (([1], 0), ([0b1000], 3), ([0, -1], 3), ([-8], 64)):
         with pytest.raises(ValueError, match="bits outside declared columns"):
             F2Matrix.from_rows(rows, ncols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bases(), st.data())
+def test_intersection_spans_the_common_vectors(a, data):
+    b = data.draw(bases(ncols=a.ncols))
+    inter = intersect_row_spaces(a, b)
+    assert inter.ncols == a.ncols
+    assert span_vectors(inter) == span_vectors(a) & span_vectors(b)
+    assert inter == row_basis(inter)
+    # the recorded rank is that of an elimination: the rows are independent
+    assert inter.rank == inter.nrows == len(column_scan_rref(inter)[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(bases())
+def test_row_basis_is_the_nonzero_rref_rows(m):
+    r, piv = column_scan_rref(m)
+    basis = row_basis(m)
+    assert basis == F2Matrix.from_rows(r.rows[:len(piv)], m.ncols)
+    assert basis.rank == len(piv)
+
+
+@given(st.integers(0, 6), st.integers(0, 6))
+def test_constant_matrices_are_shared_values(nrows, ncols):
+    zero, ident = F2Matrix.zero(nrows, ncols), F2Matrix.identity(ncols)
+    assert zero is F2Matrix.zero(nrows, ncols)
+    assert ident is F2Matrix.identity(ncols)
+    assert F2Matrix.from_rows([], ncols) is F2Matrix.zero(0, ncols)
+    fresh_zero = F2Matrix(nrows, ncols, (0,) * nrows)
+    fresh_ident = F2Matrix(ncols, ncols, tuple(1 << i for i in range(ncols)))
+    assert zero == fresh_zero and zero.rank == fresh_zero.rank == 0
+    assert ident == fresh_ident and ident.rank == fresh_ident.rank == ncols
+    for shared in (zero, ident):
+        for name in ("nrows", "ncols", "rows", "_rank"):
+            with pytest.raises(AttributeError):
+                setattr(shared, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(shared, name)
+    assert zero == fresh_zero and ident == fresh_ident
 
 
 # -- a matrix as a value ---------------------------------------------------------

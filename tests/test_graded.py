@@ -244,6 +244,20 @@ def test_rank_at_is_the_rank_of_the_block(data):
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
+def test_kernel_and_image_are_eliminated_once_per_degree(data):
+    src = tiny_space(tiny_dims(data.draw, 5, (3, 2, 1, 0)), "s")
+    tgt = tiny_space(tiny_dims(data.draw, 5, (3, 2, 1, 0)), "t")
+    shift = data.draw(st.sampled_from([(0, 0), (1, 0), (2, 0), (-1, 0)]))
+    mp = random_map(data.draw, src, tgt, shift)
+    for d in list(TINY.degrees()) + [(-3, 0), (9, 0)]:
+        kernel, image = mp.kernel_at(d), mp.image_at(d)
+        assert kernel == left_kernel_basis(mp.block(d)), d
+        assert image == row_basis(mp.block(sub_deg(d, shift))), d
+        assert mp.kernel_at(d) is kernel and mp.image_at(d) is image
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
 def test_homology_at_reads_a_missing_block_as_the_zero_block(data):
     spaces = [tiny_space(tiny_dims(data.draw, 5, (3, 2, 1, 0)), tag)
               for tag in "abc"]

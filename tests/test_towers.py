@@ -5,6 +5,8 @@ import random
 from typing import Optional
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from krtool import gf2, verify
 from krtool.gf2 import Echelon, F2Matrix, intersect_row_spaces, rank
@@ -490,6 +492,22 @@ def test_checks_match_the_eager_reference(broken):
                 assert fil.f2.reps(d) == ref["f2"].reps(d), (spec, n, d)
     # the broken towers do reach the failure branches of the chain check
     assert (failures > 0) == broken
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2]),
+       st.sampled_from([0, 1]))
+def test_detect_witness_is_the_first_degree_where_the_spans_meet(seed, h, n):
+    spec = random_x_tower_spec(random.Random(seed))
+    t = build_x_tower(spec, spec.window(-2, 4), -2, 4)
+    lev, comp = t.levels[n], t.levels[n + h].e
+    for step in range(h - 1, 0, -1):
+        comp = comp.compose(t.levels[n + step].e)
+    want = next((d for d in degrees_where(t.region.contains, lev.space.basis)
+                 if intersect_row_spaces(lev.f.kernel_at(d),
+                                         comp.image_at(d)).nrows), None)
+    rep = detect(t, h, n)
+    assert rep.witness == want and rep.holds == (want is None)
 
 
 def test_filtration_builds_only_the_pieces_read():
