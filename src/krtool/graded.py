@@ -155,6 +155,19 @@ class NameRuns(Sequence[str]):
         return repr(tuple(self))
 
 
+def _distinct(names: Sequence[str]) -> bool:
+    """Whether no name occurs twice.  Runs whose prefixes are distinct and
+    none a prefix of another cannot share a name, so then only each base
+    sequence is checked, and no name is formatted; in sorted order a prefix
+    of another prefix is a prefix of the next one."""
+    if isinstance(names, NameRuns) and names.runs:
+        prefixes, bases = zip(*names.runs)
+        prefixes = sorted(prefixes)
+        if not any(map(str.startswith, prefixes[1:], prefixes)):
+            return sum(map(len, map(set, bases))) == len(names)
+    return len(set(names)) == len(names)
+
+
 class GradedSpace:
     """Finite bigraded space with named bases.  Each degree's names are
     kept in the order given, which is the order of the coordinates every
@@ -174,7 +187,7 @@ class GradedSpace:
                     continue
                 if not window.contains(d):
                     raise ValueError(f"degree {d} outside window")
-                if len(set(names)) != len(names):
+                if not _distinct(names):
                     raise ValueError(f"duplicate names at {d}")
                 self.basis[d] = names
         # name -> position, built per degree on its first lookup
@@ -374,8 +387,9 @@ class Subquotient:
 
     A degree's representatives, coordinates and dimension come from one
     completed elimination (``Echelon.complete``), built on the first
-    ``reps`` or ``express`` there and kept, so the numerator and denominator
-    tables must not change after that.
+    ``reps`` or ``express`` there and kept; a degree only counted keeps its
+    dimension.  So the numerator and denominator tables must not change
+    after the first read of a degree.
     """
 
     ambient: GradedSpace
@@ -383,6 +397,9 @@ class Subquotient:
     denominators: dict[Degree, F2Matrix]
     # degree -> (representatives, their elimination, count of denominator rows)
     _solved: dict[Degree, tuple[F2Matrix, Echelon, int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    # degree -> dimension, counted without a kept elimination
+    _counted: dict[Degree, int] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     def _solver(self, d: Degree) -> tuple[F2Matrix, Echelon, int]:
@@ -404,16 +421,19 @@ class Subquotient:
     def dim(self, d: Degree) -> int:
         """rank(num + den) - rank(den): the rank the numerator rows add to
         the eliminated denominator, which need not lie in the numerator.
-        An unsolved degree is counted without keeping its elimination."""
+        An unsolved degree is counted once, and only its count is kept."""
         got = self._solved.get(d)
         if got is not None:
             return got[0].nrows
-        num = self.numerators.get(d)
-        if num is None:
-            return 0
-        den = self.denominators.get(d)
-        span = Echelon(den.rows if den is not None else ())
-        return span.extend(num.rows)
+        n = self._counted.get(d)
+        if n is None:
+            num = self.numerators.get(d)
+            if num is None:
+                return 0
+            den = self.denominators.get(d)
+            span = Echelon(den.rows if den is not None else ())
+            n = self._counted[d] = span.extend(num.rows)
+        return n
 
     def dims(self) -> dict[Degree, int]:
         """The nonzero dimensions."""

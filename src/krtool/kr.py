@@ -29,7 +29,7 @@ from typing import Optional
 from . import closedform as cfm
 from .a1 import A1Module, ReduceResult, reduce, std_bv
 from .emod import h01
-from .gf2 import F2Matrix, rank
+from .gf2 import Echelon, F2Matrix, rank
 from .graded import (
     Degree,
     OperatorPair,
@@ -73,11 +73,26 @@ def chart(n: int, w: Window) -> Chart:
 
 
 def compute_f1(n: int, w: Window) -> dict[Degree, int]:
-    """Degreewise rank of the second differential on the extension."""
+    """Degreewise rank of the second differential on the extension.
+
+    Sorted sources walk each m column up the twists, and one elimination
+    follows the column: a block whose rows begin with the rows of the block
+    before it, as ``a`` makes them in the positive cone, extends that
+    elimination by its other rows; any other block is eliminated afresh."""
     q1 = chart(n, w).extension.emod.q1
     # only the stored blocks are nonzero, and each maps between two degrees
     # of the window; sorted sources give the targets in window order
-    return {add_deg(src, q1.shift): q1.rank_at(src) for src in sorted(q1.blocks)}
+    out: dict[Degree, int] = {}
+    span, prev = Echelon(), ()
+    for src in sorted(q1.blocks):
+        rows = q1.blocks[src].rows
+        if rows[:len(prev)] == prev:
+            span.extend(rows[len(prev):])
+        else:
+            span = Echelon(rows)
+        prev = rows
+        out[add_deg(src, q1.shift)] = span.rank
+    return out
 
 
 # The classes a free generator of degree g contributes, at (g, 0) plus

@@ -17,13 +17,32 @@ holding one module degree in module order.  The names are formatted from
 the layout when they are read: the basis vector ``h | x`` reads as the
 monomial's name, ``|`` and the module's name of ``x``.  The ``Layout``
 records ``(monomial, module degree, offset)`` per degree, and every
-operator is built block by block: a build runs the coefficient rule once
-per monomial it reads, each term of the rule names the module rows it
+operator is built block by block: a build runs the coefficient rule at
+most once per monomial, each term of the rule names the module rows it
 takes, computed once per module degree, and those rows are shifted to the
 target block's offset.  The checks read the layout too: the cone split
 takes each block's cone from its monomial, and the duality pairing matches
 blocks by their monomials and module degrees.  The names are labels only;
 nothing splits them.
+
+Multiplication by ``a``.  ``a`` keeps the module degree and the position
+in a twist's monomial list: in the positive cone it sends the monomials
+of twist k - 1 onto all those of twist k but the last, ``s^k``; in the
+negative cone it sends those of twist k - 1 onto all those of twist k
+and kills the last.  So at each m the blocks of twist k begin with ``a``
+times the blocks one twist below, at the same module degrees and
+offsets.  Every rule the builder takes commutes with ``a``: the terms of
+``a h`` are ``a`` times the terms of ``h``, with the same module rows,
+less those ``a`` kills (``q0``, ``q1``, the two actions and every lifted
+module map do).  So a block ``a`` carries has exactly the rows of the
+block one twist below, with the bits of the target blocks ``a`` kills
+cleared.  The builder walks the twists upwards and, at each m, copies
+those rows: in the positive cone they are a row prefix, the same ints,
+and only the ``s^k`` block runs the rule; in the negative cone they are
+the rows below cut to this degree's dimension and masked to the target
+width.  The first twist of each cone, a degree whose column below was not
+built, and a layout not of this shape (``mod_a`` has one monomial, ``s^k``,
+per twist) run the rule for every block.
 
 The two differentials are built at once.  The coefficient actions by
 ``a`` and ``s`` are handed to ``EModule`` as builders and built on first
@@ -135,23 +154,67 @@ def _module_rows(m: A1Module) -> dict[str, Rows]:
     return {op: table(op) for op in ("1", "Sq1", "Sq2", "Q1")}
 
 
+def _carried(below: list[tuple[CoeffMonomial, int, int]],
+             here: list[tuple[CoeffMonomial, int, int]]) -> Optional[int]:
+    """How many leading blocks of ``here`` are ``a`` times the blocks
+    ``below`` one twist down, at the same module degrees and offsets; None
+    unless ``a`` kills the monomials of the other blocks ``below`` and
+    divides none of the other blocks of ``here``.  A block's monomial lies
+    at its degree less its module degree, each bidegree holds at most one
+    monomial, and ``a`` takes the one at (m, k) to the one at (m, k + 1)
+    whenever both exist; so a block of ``here`` in the place of the block
+    ``below`` at the same position holds ``a`` times its monomial."""
+    for (_, xd, off), (_, hxd, hoff) in zip(below, here):
+        if xd != hxd or off != hoff:
+            return None
+    n = min(len(below), len(here))
+    for mono, _, _ in below[n:]:
+        if multiply(A, mono):
+            return None
+    for mono, _, _ in here[n:]:
+        if mono.cone == "-" or mono.e1:
+            return None
+    return n
+
+
 def _build(src: tuple[GradedSpace, Layout], dst: tuple[GradedSpace, Layout],
            shift: Degree, rule: BlockRule) -> GradedMap:
     """The map sending row i of block (mono, xd) to the sum of the rows i
     at ``xd`` of the terms of ``rule(mono)``, each placed at the block of
     the term's monomial in the target degree; a monomial without a block
-    there contributes nothing.  ``rule`` runs once for each monomial of a
-    source degree whose target degree is populated."""
+    there contributes nothing.  ``rule`` must commute with ``a``.
+
+    The source degrees are walked in layout order, a twist at a time.
+    Where the degree one twist below is built and both layouts carry it
+    onto this one (``_carried``), the rows of the carried blocks are those
+    one twist below, cut to the carried blocks and masked to the carried
+    target blocks, and ``rule`` builds only the blocks past them.  ``rule``
+    runs at most once per monomial."""
     (source, src_layout), (target, dst_layout) = src, dst
     terms: dict[CoeffMonomial, list] = {}
     blocks: dict[Degree, F2Matrix] = {}
     for d, entries in src_layout.items():
         td = add_deg(d, shift)
-        offsets = {mono: off for mono, _, off in dst_layout.get(td, ())}
-        if not offsets:
+        tentries = dst_layout.get(td)
+        if not tentries:
             continue
-        rows = [0] * source.dim(d)
-        for mono, xd, off in entries:
+        dim, width = source.dim(d), target.dim(td)
+        rows, start = [0] * dim, 0
+        below = (d[0], d[1] - 1)
+        prev = blocks.get(below)
+        if prev is not None:
+            n = _carried(src_layout[below], entries)
+            t = _carried(dst_layout[(td[0], td[1] - 1)], tentries)
+            if n is not None and t is not None:
+                size = entries[n][2] if n < len(entries) else dim
+                cut = tentries[t][2] if t < len(tentries) else width
+                rows = list(prev.rows[:size])
+                if cut < prev.ncols:
+                    rows = [r & ((1 << cut) - 1) for r in rows]
+                rows += [0] * (dim - size)
+                start = n
+        offsets = {mono: off for mono, _, off in tentries}
+        for mono, xd, off in entries[start:]:
             got = terms.get(mono)
             if got is None:
                 got = terms[mono] = rule(mono)
@@ -160,7 +223,7 @@ def _build(src: tuple[GradedSpace, Layout], dst: tuple[GradedSpace, Layout],
                 if toff is not None:
                     for i, r in enumerate(take(xd), off):
                         rows[i] ^= r << toff
-        blocks[d] = F2Matrix.from_rows(rows, target.dim(td))
+        blocks[d] = F2Matrix.from_rows(rows, width)
     return GradedMap(source, target, shift, blocks)
 
 

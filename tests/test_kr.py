@@ -191,6 +191,25 @@ def test_f1_from_stored_blocks_matches_the_window_scan(n):
         assert list(got.items()) == list(want.items())
 
 
+@st.composite
+def chart_windows(draw):
+    """Small windows reaching degree 4 at least, some wholly in one cone."""
+    k_lo = draw(st.integers(-6, 4))
+    m_lo = draw(st.integers(-4, 4))
+    return Window(m_lo, draw(st.integers(max(m_lo, 4), m_lo + 8)), k_lo,
+                  draw(st.integers(k_lo, k_lo + 4)))
+
+
+@given(st.integers(1, 3), chart_windows())
+@settings(max_examples=40, deadline=None)
+def test_f1_column_elimination_matches_the_block_ranks(n, w):
+    """The ranks ``compute_f1`` reads off one elimination per m column equal
+    the rank of each stored ``q1`` block eliminated on its own."""
+    q1 = chart(n, w).extension.emod.q1
+    want = {(d[0] + 2, d[1] + 1): q1.block(d).rank for d in q1.blocks}
+    assert compute_f1(n, w) == want
+
+
 @given(st.lists(st.integers(-12, 20), max_size=12))
 @settings(max_examples=100, deadline=None)
 def test_free_class_dims_match_one_loop_per_offset(gens):

@@ -403,9 +403,13 @@ def _ref_lift_map(f, ssp, tsp):
 def windows(draw):
     """Small windows; some reach twist -2 and below, some reach the twists
     >= 10 where exponents have two digits, so that names such as ``a1.s9``
-    and ``a10`` share a degree."""
-    k_lo = draw(st.integers(-6, 10))
-    k_hi = draw(st.integers(k_lo, min(k_lo + 3, 12)))
+    and ``a10`` share a degree.  Some lie wholly in one cone, with twists
+    >= 1 or <= -3, so that a build starts a cone at a twist whose column
+    below is outside the window."""
+    side = draw(st.sampled_from(["both", "+", "-"]))
+    k_lo = draw(st.integers(*{"both": (-6, 10), "+": (1, 10),
+                              "-": (-9, -3)}[side]))
+    k_hi = draw(st.integers(k_lo, min(k_lo + 3, -3 if side == "-" else 12)))
     m_lo = draw(st.integers(-4, 8))
     m_hi = draw(st.integers(m_lo, m_lo + 6))
     return Window(m_lo, m_hi, k_lo, k_hi)
@@ -543,9 +547,27 @@ def test_build_runs_each_rule_once_per_monomial(monkeypatch):
     assert rm.emod.act_a.shift == (0, 1) and rm.emod.act_s.shift == (-1, 1)
     assert [shift for shift, _ in calls] == [(1, 0), (2, 1), (0, 1), (-1, 1)]
     for shift, seen in calls:
-        # each monomial of a source degree whose target degree is populated
-        want = {mono for d, entries in rm.layout.items()
-                if add_deg(d, shift) in rm.layout for mono, _, _ in entries}
+        def built(d):
+            return d in rm.layout and add_deg(d, shift) in rm.layout
+
+        # exactly the monomials of blocks not derived from the twist below:
+        # where the degree one twist below is built, every block but the
+        # new s^k one is ``a`` times a block there
+        want = {mono for d, entries in rm.layout.items() if built(d)
+                for mono, _, _ in entries
+                if not built((d[0], d[1] - 1))
+                or (mono.cone == "+" and not mono.e1)}
+        every = {mono for d, entries in rm.layout.items() if built(d)
+                 for mono, _, _ in entries}
+        assert sorted(seen, key=str) == sorted(want, key=str), shift
+        assert len(want) < len(every), shift
+    # the mod-a layout has one monomial per twist, which is not ``a`` times
+    # the one below, so every block runs the rule
+    del calls[:]
+    fm = mod_a(std_bv(2, 1, required_top(w)), Window(-8, 8, 0, 4))
+    for shift, seen in calls:
+        want = {CoeffMonomial("+", 0, d[1]) for d in fm.space.basis
+                if fm.space.dim(add_deg(d, shift))}
         assert sorted(seen, key=str) == sorted(want, key=str), shift
     rf = apply_r(std_f(0), w)
     del calls[:]
