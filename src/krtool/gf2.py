@@ -2,11 +2,14 @@
 
 A matrix row is a Python integer used as a bit vector (bit ``j`` is column
 ``j``), so every row operation is a single big-int XOR.  A matrix is an
-immutable value whose rank is computed once, on its first read, and the
-functions are pure.  Pivoting is always leftmost, so results are
-deterministic and reproducible byte for byte.  Being immutable, the zero
-and identity matrices, and with them the empty matrix of each width, are
-built once per shape and shared.
+immutable value that keeps its rank, its left kernel and its row basis:
+each is eliminated on its first read, by ``rank``, ``left_kernel_basis``
+or ``row_basis``, and then kept on the matrix, so every map or tower that
+shares the matrix shares the answers too; the functions are pure.
+Pivoting is always leftmost, so results are deterministic and
+reproducible byte for byte.  Being immutable, the zero and identity
+matrices, and with them the empty matrix of each width, are built once per
+shape and shared.
 
 Every elimination runs through ``Echelon``, whose one insertion loop,
 ``extend``, takes rows in order and keeps them semi-reduced: a new row is
@@ -48,10 +51,11 @@ class F2Matrix:
     """Dense GF(2) matrix with rows packed into integers.
 
     An immutable value: equal and hashed by ``(nrows, ncols, rows)``, and
-    assigning or deleting a field raises ``AttributeError``.  Its rank is
-    eliminated on the first read of ``rank`` and kept."""
+    assigning or deleting a field raises ``AttributeError``.  Its rank, its
+    left kernel and its row basis are each eliminated on the first read
+    (``rank``, ``left_kernel_basis``, ``row_basis``) and kept."""
 
-    __slots__ = ("nrows", "ncols", "rows", "_rank")
+    __slots__ = ("nrows", "ncols", "rows", "_rank", "_kernel", "_row_basis")
 
     def __init__(self, nrows: int, ncols: int, rows: tuple[int, ...]) -> None:
         if len(rows) != nrows:
@@ -64,6 +68,8 @@ class F2Matrix:
         _set_ncols(self, ncols)
         _set_rows(self, rows)
         _set_rank(self, None)
+        _set_kernel(self, None)
+        _set_row_basis(self, None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -166,6 +172,8 @@ _set_nrows = F2Matrix.__dict__["nrows"].__set__
 _set_ncols = F2Matrix.__dict__["ncols"].__set__
 _set_rows = F2Matrix.__dict__["rows"].__set__
 _set_rank = F2Matrix.__dict__["_rank"].__set__
+_set_kernel = F2Matrix.__dict__["_kernel"].__set__
+_set_row_basis = F2Matrix.__dict__["_row_basis"].__set__
 _ZEROS: dict[tuple[int, int], F2Matrix] = {}
 _IDENTITIES: dict[int, F2Matrix] = {}
 
@@ -239,8 +247,12 @@ def homology(into: Optional[F2Matrix], out: Optional[F2Matrix],
 
 def row_basis(m: F2Matrix) -> F2Matrix:
     """Matrix whose rows are the nonzero rref rows (a canonical span basis),
-    read off one elimination."""
-    return _basis(Echelon(m.rows).reduced_rows(), m.ncols)
+    read off one elimination on the first call and kept on ``m``."""
+    got = m._row_basis
+    if got is None:
+        got = _basis(Echelon(m.rows).reduced_rows(), m.ncols)
+        _set_row_basis(m, got)
+    return got
 
 
 class Echelon:
@@ -395,8 +407,13 @@ def kernel_basis(m: F2Matrix) -> F2Matrix:
 def left_kernel_basis(m: F2Matrix) -> F2Matrix:
     """Rows v with ``v . m = 0``; the kernel for row-vector conventions.
 
-    Equal to ``kernel_basis(m.transpose())``, found without transposing."""
-    return _basis(Echelon(m.rows).relations, m.nrows)
+    Equal to ``kernel_basis(m.transpose())``, found without transposing,
+    by one elimination on the first call and kept on ``m``."""
+    got = m._kernel
+    if got is None:
+        got = _basis(Echelon(m.rows).relations, m.nrows)
+        _set_kernel(m, got)
+    return got
 
 
 def common_kernel(a: F2Matrix, b: F2Matrix) -> F2Matrix:

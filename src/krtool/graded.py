@@ -155,19 +155,6 @@ class NameRuns(Sequence[str]):
         return repr(tuple(self))
 
 
-def _distinct(names: Sequence[str]) -> bool:
-    """Whether no name occurs twice.  Runs whose prefixes are distinct and
-    none a prefix of another cannot share a name, so then only each base
-    sequence is checked, and no name is formatted; in sorted order a prefix
-    of another prefix is a prefix of the next one."""
-    if isinstance(names, NameRuns) and names.runs:
-        prefixes, bases = zip(*names.runs)
-        prefixes = sorted(prefixes)
-        if not any(map(str.startswith, prefixes[1:], prefixes)):
-            return sum(map(len, map(set, bases))) == len(names)
-    return len(set(names)) == len(names)
-
-
 class GradedSpace:
     """Finite bigraded space with named bases.  Each degree's names are
     kept in the order given, which is the order of the coordinates every
@@ -187,7 +174,7 @@ class GradedSpace:
                     continue
                 if not window.contains(d):
                     raise ValueError(f"degree {d} outside window")
-                if not _distinct(names):
+                if len(set(names)) != len(names):
                     raise ValueError(f"duplicate names at {d}")
                 self.basis[d] = names
         # name -> position, built per degree on its first lookup
@@ -242,9 +229,7 @@ class GradedMap:
 
     Blocks map row vectors: ``image_bits = block.vec_mul(source_bits)``.
     Missing blocks are zero.  Blocks whose shifted target degree falls
-    outside the target window are not stored.  The blocks must not change
-    after the first ``kernel_at`` or ``image_at``, which keep their answer
-    per degree.
+    outside the target window are not stored.
     """
 
     def __init__(self, source: GradedSpace, target: GradedSpace, shift: Degree,
@@ -260,8 +245,6 @@ class GradedMap:
                 raise ValueError(f"block shape mismatch at {d}")
             if any(m.rows):
                 self.blocks[d] = m
-        self._kernels: dict[Degree, F2Matrix] = {}
-        self._images: dict[Degree, F2Matrix] = {}
 
     def block(self, d: Degree) -> F2Matrix:
         td = add_deg(d, self.shift)
@@ -317,29 +300,17 @@ class GradedMap:
             out[neg_deg(td)] = m.transpose()
         return GradedMap(target_dual, source_dual, self.shift, out)
 
-    # Without a stored block the three answers below are those of the zero
-    # block, given without building or eliminating it.
+    # A block keeps its own kernel and row basis (``gf2``), so maps that
+    # share a block share those answers; a missing block is the shared zero
+    # block of its shape.
 
     def kernel_at(self, d: Degree) -> F2Matrix:
-        """Rows spanning the kernel at source degree d, eliminated once."""
-        got = self._kernels.get(d)
-        if got is None:
-            block = self.blocks.get(d)
-            got = self._kernels[d] = (
-                F2Matrix.identity(self.source.dim(d)) if block is None
-                else left_kernel_basis(block))
-        return got
+        """Rows spanning the kernel at source degree ``d``."""
+        return left_kernel_basis(self.block(d))
 
     def image_at(self, d: Degree) -> F2Matrix:
-        """Rows spanning the image inside target degree ``d``, in rref,
-        eliminated once."""
-        got = self._images.get(d)
-        if got is None:
-            block = self.blocks.get(sub_deg(d, self.shift))
-            got = self._images[d] = (
-                F2Matrix.zero(0, self.target.dim(d)) if block is None
-                else row_basis(block))
-        return got
+        """Rows spanning the image inside target degree ``d``, in rref."""
+        return row_basis(self.block(sub_deg(d, self.shift)))
 
     def rank_at(self, d: Degree) -> int:
         got = self.blocks.get(d)

@@ -588,3 +588,26 @@ def test_matrix_rank_is_eliminated_once(m):
         assert fresh.rank == want and len(made) == 1
     finally:
         gf2.Echelon = Echelon
+
+
+@settings(max_examples=150, deadline=None)
+@given(large_matrices(), st.permutations(["rank", "kernel", "basis"] * 2))
+def test_kept_answers_match_a_fresh_matrix_in_any_order(m, order):
+    """Rank, left kernel and row basis are kept on the matrix; read twice
+    each in any order, every answer is the one a fresh equal matrix gives."""
+    reads = {"rank": lambda x: x.rank, "kernel": left_kernel_basis,
+             "basis": row_basis}
+    got = {}
+    for name in order:
+        answer = reads[name](m)
+        assert got.setdefault(name, answer) == answer
+        fresh = F2Matrix(m.nrows, m.ncols, m.rows)
+        assert answer == reads[name](fresh), name
+    assert got["kernel"] == kernel_basis(m.transpose())
+    assert got["rank"] == got["basis"].nrows == m.nrows - got["kernel"].nrows
+    for name in ("_kernel", "_row_basis"):
+        with pytest.raises(AttributeError):
+            setattr(m, name, None)
+    for twin in (copy.copy(m), pickle.loads(pickle.dumps(m))):
+        assert twin == m and hash(twin) == hash(m)
+        assert [reads[name](twin) for name in order] == [got[n] for n in order]

@@ -256,6 +256,31 @@ def test_kernel_and_image_are_eliminated_once_per_degree(data):
         assert mp.kernel_at(d) is kernel and mp.image_at(d) is image
 
 
+def test_maps_sharing_a_block_share_its_kernel_and_image(monkeypatch):
+    """The answers are kept on the block, so a second map over the same
+    block eliminates nothing and returns the same objects."""
+    built = [0]
+    real = Echelon.__init__
+
+    def counting(self, *args):
+        built[0] += 1
+        real(self, *args)
+
+    w = Window(-2, 2, -2, 2)
+    sp = GradedSpace(w, {(0, 0): ["a", "b", "c"], (1, 0): ["x", "y"]})
+    block = F2Matrix.from_rows([0b01, 0b11, 0b10], 2)
+    first, second = (GradedMap(sp, sp, (1, 0), {(0, 0): block})
+                     for _ in range(2))
+    monkeypatch.setattr(Echelon, "__init__", counting)
+    kernels = [mp.kernel_at((0, 0)) for mp in (first, second)]
+    assert built[0] == 1
+    images = [mp.image_at((1, 0)) for mp in (first, second)]
+    assert built[0] == 2
+    assert kernels[0] is kernels[1] and images[0] is images[1]
+    assert kernels[0] == F2Matrix.from_rows([0b111], 3)
+    assert images[0] == F2Matrix.identity(2)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_homology_at_reads_a_missing_block_as_the_zero_block(data):

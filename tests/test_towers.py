@@ -2,13 +2,14 @@
 torsion-order criterion as the independent oracle."""
 
 import random
+import re
 from typing import Optional
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from krtool import gf2, verify
+from krtool import gf2, graded, verify
 from krtool.gf2 import Echelon, F2Matrix, intersect_row_spaces, rank
 from krtool.graded import (
     Degree,
@@ -568,6 +569,24 @@ def test_towers_suite_names_the_chain_detail(monkeypatch):
     res = verify.run_suite("towers")
     assert res.detail == ("instance 0: chain homology mismatch: "
                           "homology 1 != filtration quotient 0 at (3, 0)")
+
+
+@pytest.mark.parametrize("name", ["left_kernel_basis", "row_basis"])
+def test_towers_suite_fails_on_a_wrong_kept_answer(monkeypatch, name):
+    # the kernels and images that maps read are kept on their blocks; an
+    # answer missing its last row must fail the suite at a named degree
+    real = getattr(graded, name)
+
+    def drop_last(m):
+        got = real(m)
+        if got.nrows < 2:
+            return got
+        return F2Matrix.from_rows(got.rows[:-1], got.ncols)
+
+    monkeypatch.setattr(graded, name, drop_last)
+    ok, detail = verify._suite_towers()
+    assert not ok
+    assert re.match(r"instance \d+.* at \(-?\d+, -?\d+\)", detail), detail
 
 
 def test_validate_tower_eliminates_each_stored_block_once(monkeypatch):
