@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 from .gf2 import (
+    Column,
     Echelon,
     F2Matrix,
     combine,
@@ -207,54 +208,65 @@ def _h01_region(m: EModule) -> list[Degree]:
     return list(w.degrees()) if w else []
 
 
-def _h01_step(m: EModule, e: Degree) -> tuple[list[int], list[int]]:
-    """The rref rows of ``Ker q0`` meet ``Ker q1`` at ``e`` and of q1 of
-    ``Ker q0`` inside ``e + (2,1)``.  The relations of the q0 rows are a
-    basis ``K0`` of ``Ker q0``; one elimination of the rows ``K0 . q1``
-    gives the second answer as its rref rows, and its relations, applied
-    to ``K0``, span the first, which one more elimination puts in rref."""
-    q0, q1 = m.q0.blocks.get(e), m.q1.blocks.get(e)
-    k0 = (Echelon(q0.rows).relations if q0 is not None
-          else [1 << i for i in range(m.dim(e))])
-    if q1 is None:
-        return Echelon(k0).reduced_rows(), []
-    image = Echelon([q1.vec_mul(v) for v in k0])
-    kernel = [combine(k0, r) for r in image.relations]
-    if kernel:
-        kernel = Echelon(kernel).reduced_rows()
-    return kernel, image.reduced_rows()
-
-
 def h01(m: EModule) -> H01Result:
     """Degreewise (Ker q1 and Ker q0) modulo q1 of Ker q0.
 
-    One pass eliminates each block once, on lists of rows.  At a degree
-    ``e`` the kernel ``K0`` of q0 is the relations of the q0 rows, and the
-    rows of ``K0 . q1`` are eliminated once (``_h01_step``).  Their
-    relations applied to ``K0`` span the kernel intersection at ``e``: the
-    numerator, put in rref by one more elimination.  Their rref rows span
-    q1 of ``Ker q0``: the denominator at ``e + (2,1)``, which is kept until
-    that degree is reached and then dropped.  A degree whose
-    ``(2,1)``-predecessor is not visited (outside the region, or zero)
-    eliminates that predecessor for its denominator.  Only the numerators
-    and denominators become matrices.
+    One walk visits the region's populated degrees and their
+    ``(2,1)``-predecessors in window order, so up each m column, with three
+    eliminations at each degree ``e``: the ``q0`` rows, whose relations are
+    a basis ``K0`` of ``Ker q0``; the rows of ``K0 . q1``, whose echelon rows
+    span q1 of ``Ker q0``, the denominator at ``e + (2,1)``; and their
+    relations applied to ``K0``, which span the kernel intersection, the
+    numerator at ``e``.  A ``Column`` follows the ``q0`` blocks: where the
+    ``q0`` and the ``q1`` rows begin with those one degree down, as ``a``
+    makes them in the positive cone, the three eliminations are extended by
+    the new rows; where a ``q0`` block is the one below cut and masked, as
+    in the negative cone, ``K0`` is read off the elimination below it.
+    Only the live column's eliminations are kept.  A denominator is kept
+    only until its degree is reached, and each dimension is counted from
+    the walk: the numerator rows plus the rank the denominator rows add to
+    them, less the denominator rows.  Only numerators and denominators
+    become matrices.
     """
+    region = _h01_region(m)
+    wanted = {d for d in region if m.dim(d)}
+    walk = sorted(wanted | {e for e in (sub_deg(d, Q1_SHIFT) for d in wanted)
+                            if m.dim(e)})
+    q0, q1 = m.q0, m.q1
     nums: dict[Degree, F2Matrix] = {}
     dens: dict[Degree, F2Matrix] = {}
-    region = _h01_region(m)
-    wanted = [d for d in region if m.dim(d)]    # in window order, so sorted
-    ahead = set(wanted)
+    counts: dict[Degree, int] = {}
     pending: dict[Degree, list[int]] = {}   # denominators not yet reached
-    for d in wanted:
-        den = pending.pop(d, None)
-        if den is None:
-            den = _h01_step(m, sub_deg(d, Q1_SHIFT))[1]
-        num, image = _h01_step(m, d)
-        nums[d] = F2Matrix.from_rows(num, m.dim(d))
-        dens[d] = F2Matrix.from_rows(den, m.dim(d))
-        if add_deg(d, Q1_SHIFT) in ahead:
-            pending[add_deg(d, Q1_SHIFT)] = image
-    return H01Result(Subquotient(m.space, nums, dens), region)
+    col = Column()
+    k0: list[int] = []
+    image, kernel = Echelon(), Echelon()
+    prev1: tuple[int, ...] = ()
+    for e in walk:
+        dim = m.dim(e)
+        b0, rows1 = q0.block(e), q1.block(e).rows
+        if col.take(b0.rows, b0.ncols) and rows1[:len(prev1)] == prev1:
+            new = col.relations[len(k0):]
+            k0 += new
+            old = len(image.relations)
+            image.extend([combine(rows1, v) for v in new])
+            kernel.extend([combine(k0, r) for r in image.relations[old:]])
+        else:
+            # a copy, as k0 grows in place
+            k0 = list(col.relations)
+            image = Echelon([combine(rows1, v) for v in k0])
+            kernel = Echelon([combine(k0, r) for r in image.relations])
+        prev1 = rows1
+        up = add_deg(e, Q1_SHIFT)
+        if up in wanted:
+            pending[up] = image.reduced_rows()
+        if e in wanted:
+            num, den = kernel.reduced_rows(), pending.pop(e, [])
+            extra = [r for r in map(kernel.remainder, den) if r]
+            counts[e] = (len(num) - len(den)
+                         + (Echelon(extra).rank if extra else 0))
+            nums[e] = F2Matrix.from_rows(num, dim)
+            dens[e] = F2Matrix.from_rows(den, dim)
+    return H01Result(Subquotient(m.space, nums, dens, counts), region)
 
 
 def margolis(m: EModule, which: str) -> dict[Degree, int]:

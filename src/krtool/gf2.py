@@ -29,9 +29,15 @@ stored rows, and the rank a second list of rows adds to a span is what
 answers at once: ``intersect_row_spaces`` eliminates the rows ``(a | a)``
 and ``(b | 0)`` once and reads the intersection off the rref rows with a
 pivot in the second half, and the kernel-intersection homology eliminates
-the rows of ``Ker q0 . q1`` once per degree and reads the numerator off
-its relations (``combine`` applies them to the rows of ``Ker q0``) and the
-next degree's denominator off its echelon rows.  A subquotient's
+the rows of ``Ker q0 . q1`` and reads the numerator off its relations
+(``combine`` applies them to the rows of ``Ker q0``) and the next degree's
+denominator off its echelon rows.  One elimination can serve a column of
+blocks too (``Column``): a block whose rows begin with those of the block
+before extends its elimination, and a block that is the block before cut
+to its first ``s`` rows and masked to its low ``c`` bits, with the dropped
+rows zero under the mask, is read off it (``Echelon.masked``), since
+lowest-bit pivots reduce the low bits of a row as a fresh elimination of
+the masked rows would.  A subquotient's
 representatives, coordinates and dimension come from one completed
 elimination: ``complete`` inserts the numerator rows' nonzero remainders
 into an ``Echelon`` of the denominator rows; they are the representatives,
@@ -387,6 +393,82 @@ class Echelon:
         when inserted get coefficient zero, so the coefficients are unique."""
         w, used = self._reduce(v)
         return None if w else used
+
+    def masked(self, s: int, c: int) -> tuple[int, list[int]]:
+        """The rank and a left kernel basis, in insertion order, of the
+        first ``s`` input rows masked to their low ``c`` bits.  Exact when
+        every input row past the first ``s`` vanishes under the mask and no
+        ``reduced_rows`` has rewritten the stored rows.
+
+        A stored row has no bit below its pivot, so reducing a row by those
+        with pivots at ``c`` or above leaves its low ``c`` bits alone, and
+        its low bits are reduced exactly as the masked row is in a fresh
+        elimination of the masked rows.  So the masked rank is the count of
+        pivots below ``c``: a row past ``s``, zero under the mask, stores
+        none.  Each of the first ``s`` rows whose low bits reduced to zero,
+        left as a relation or stored with a pivot at ``c`` or above, took a
+        sum of itself and earlier rows that the mask sends to zero; these
+        ``s`` less the rank sums have distinct highest bits, so they are a
+        basis of the left kernel."""
+        low = (1 << c) - 1
+        kernel = [used for pivot, (_, used) in self._rows.items()
+                  if not pivot & low and not used >> s]
+        kernel += [used for used in self.relations if not used >> s]
+        kernel.sort()
+        return (self._pivots & low).bit_count(), kernel
+
+
+class Column:
+    """One elimination following a column of blocks upwards, for the rank
+    and the left kernel of each block.
+
+    A block is given by its rows and its width.  A block whose rows begin
+    with the rows of the block before it extends that block's elimination
+    by its other rows.  A block that is the block before cut to its first
+    ``s`` rows and masked to its low ``c`` bits, where the dropped rows
+    vanish under the mask and ``c`` is no wider than the block before, is
+    read off the last elimination by ``Echelon.masked``: such cuts compose,
+    so one elimination serves every cut above it.  Any other block is
+    eliminated afresh.  Each choice compares the rows themselves, so every
+    sequence of blocks gets exact answers, whatever its layout.
+    """
+
+    __slots__ = ("_span", "_rows", "_width", "_cut", "rank", "relations")
+
+    def __init__(self) -> None:
+        self._span = Echelon()
+        self._rows: tuple[int, ...] = ()   # the block before
+        self._width = 0
+        self._cut = False        # the block before is a cut of _span's inputs
+        self.rank = 0
+        # the left kernel basis of the block, in insertion order; unless the
+        # block is a cut, the elimination's own list, which the next block
+        # may extend
+        self.relations: list[int] = []
+
+    def take(self, rows: tuple[int, ...], width: int) -> bool:
+        """Take the next block, of ``width`` bits; True when it extended the
+        elimination of the block before, whose relations then begin the
+        block's ``relations``."""
+        prev, wide = self._rows, self._width
+        self._rows, self._width = rows, width
+        n = len(prev)
+        if not self._cut and rows[:n] == prev:
+            span = self._span
+            span.extend(rows[n:])
+            self.rank, self.relations = span.rank, span.relations
+            return True
+        s, low = len(rows), (1 << width) - 1
+        if (s <= n and width <= wide
+                and not any(r & low for r in prev[s:])
+                and all(r == p & low for r, p in zip(rows, prev))):
+            self._cut = True
+            self.rank, self.relations = self._span.masked(s, width)
+            return False
+        span = self._span = Echelon(rows)
+        self._cut = False
+        self.rank, self.relations = span.rank, span.relations
+        return False
 
 
 def kernel_basis(m: F2Matrix) -> F2Matrix:

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .gf2 import (
+    Column,
     Echelon,
     F2Matrix,
     _spread,
@@ -316,6 +317,18 @@ class GradedMap:
         got = self.blocks.get(d)
         return 0 if got is None else got.rank
 
+    def ranks(self) -> dict[Degree, int]:
+        """The rank of every stored block, keyed by its target degree, in
+        window order: one ``Column`` takes the blocks in source order, so up
+        each m column, and reads each rank off its elimination."""
+        col = Column()
+        out: dict[Degree, int] = {}
+        for d in sorted(self.blocks):
+            blk = self.blocks[d]
+            col.take(blk.rows, blk.ncols)
+            out[add_deg(d, self.shift)] = col.rank
+        return out
+
 
 def homology_at(f: GradedMap, g: GradedMap, d: Degree) -> Optional[int]:
     """``homology`` at degree ``d`` of the space that ``f`` maps into and
@@ -360,17 +373,18 @@ class Subquotient:
     completed elimination (``Echelon.complete``), built on the first
     ``reps`` or ``express`` there and kept; a degree only counted keeps its
     dimension.  So the numerator and denominator tables must not change
-    after the first read of a degree.
+    after the first read of a degree.  A builder that has counted some
+    dimensions already passes them as ``counted``.
     """
 
     ambient: GradedSpace
     numerators: dict[Degree, F2Matrix]
     denominators: dict[Degree, F2Matrix]
+    # degree -> dimension, counted without a kept elimination
+    counted: dict[Degree, int] = field(
+        default_factory=dict, repr=False, compare=False)
     # degree -> (representatives, their elimination, count of denominator rows)
     _solved: dict[Degree, tuple[F2Matrix, Echelon, int]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    # degree -> dimension, counted without a kept elimination
-    _counted: dict[Degree, int] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     def _solver(self, d: Degree) -> tuple[F2Matrix, Echelon, int]:
@@ -396,14 +410,14 @@ class Subquotient:
         got = self._solved.get(d)
         if got is not None:
             return got[0].nrows
-        n = self._counted.get(d)
+        n = self.counted.get(d)
         if n is None:
             num = self.numerators.get(d)
             if num is None:
                 return 0
             den = self.denominators.get(d)
             span = Echelon(den.rows if den is not None else ())
-            n = self._counted[d] = span.extend(num.rows)
+            n = self.counted[d] = span.extend(num.rows)
         return n
 
     def dims(self) -> dict[Degree, int]:

@@ -29,7 +29,7 @@ from typing import Optional
 from . import closedform as cfm
 from .a1 import A1Module, ReduceResult, reduce, std_bv
 from .emod import h01
-from .gf2 import Echelon, F2Matrix, rank
+from .gf2 import F2Matrix, rank
 from .graded import (
     Degree,
     OperatorPair,
@@ -73,26 +73,14 @@ def chart(n: int, w: Window) -> Chart:
 
 
 def compute_f1(n: int, w: Window) -> dict[Degree, int]:
-    """Degreewise rank of the second differential on the extension.
-
-    Sorted sources walk each m column up the twists, and one elimination
-    follows the column: a block whose rows begin with the rows of the block
-    before it, as ``a`` makes them in the positive cone, extends that
-    elimination by its other rows; any other block is eliminated afresh."""
-    q1 = chart(n, w).extension.emod.q1
-    # only the stored blocks are nonzero, and each maps between two degrees
-    # of the window; sorted sources give the targets in window order
-    out: dict[Degree, int] = {}
-    span, prev = Echelon(), ()
-    for src in sorted(q1.blocks):
-        rows = q1.blocks[src].rows
-        if rows[:len(prev)] == prev:
-            span.extend(rows[len(prev):])
-        else:
-            span = Echelon(rows)
-        prev = rows
-        out[add_deg(src, q1.shift)] = span.rank
-    return out
+    """Degreewise rank of the second differential on the extension, read
+    off one elimination per m column and cone (``GradedMap.ranks``): in the
+    positive cone a block extends the elimination of the block below it by
+    its new rows, and in the negative cone each block is the block below it
+    cut and masked, whose rank the elimination of the bottom block gives.
+    Only the stored blocks are nonzero, and each maps between two degrees
+    of the window."""
+    return chart(n, w).extension.emod.q1.ranks()
 
 
 # The classes a free generator of degree g contributes, at (g, 0) plus
@@ -221,9 +209,16 @@ def assemble_kr(n: int, w: Window, max_layer: int = 3) -> KRReport:
     """Associated-graded report for the rank-n group on the window."""
     f1 = compute_f1(n, w)
     f2 = compute_f2(n, w)
-    layers = [{add_deg(d, (j, j)): v
-               for d, v in cfm.hv_closed_dims(n, w.shift((-j, -j))).items()}
-              for j in range(max_layer + 1)]
+    # layer j is the closed form on w moved by (-j, -j), shifted back: each
+    # is cut from one table over the union of those windows
+    top = max(max_layer, 0)
+    closed = cfm.hv_closed_dims(n, Window(w.m_lo - top, w.m_hi,
+                                          w.k_lo - top, w.k_hi))
+    layers = []
+    for j in range(max_layer + 1):
+        below = w.shift((-j, -j))
+        layers.append({add_deg(d, (j, j)): v for d, v in closed.items()
+                       if below.contains(d)})
     annotations: dict[Degree, list[str]] = {}
     for d in f1:
         annotations.setdefault(d, []).append("v1-torsion order 1")

@@ -87,6 +87,8 @@ Rows = Callable[[int], Sequence[int]]
 # a block rule: monomial -> terms (target monomial or None, module rows)
 BlockRule = Callable[[CoeffMonomial],
                      list[tuple[Optional[CoeffMonomial], Rows]]]
+# a space, its layout and its carries (``_with_carries``)
+Extension = tuple[GradedSpace, Layout, dict[Degree, int]]
 
 
 @dataclass
@@ -123,13 +125,13 @@ def _extension_basis(m: A1Module, w: Window,
     basis: dict[Degree, NameRuns] = {}
     layout: Layout = {}
     for k, ms in monos.items():
-        tagged = [(mono.name() + "|", mono) for mono in ms]
+        tagged = [(mono.name() + "|", mono, mono.degree()[0]) for mono in ms]
         for mm in range(w.m_lo, w.m_hi + 1):
             runs: list[tuple[str, Sequence[str]]] = []
             blocks = []
             size = 0
-            for tag, mono in tagged:
-                xd = mm - mono.degree()[0]
+            for tag, mono, md in tagged:
+                xd = mm - md
                 xs = m.names(xd)
                 if xs:
                     blocks.append((mono, xd, size))
@@ -177,8 +179,21 @@ def _carried(below: list[tuple[CoeffMonomial, int, int]],
     return n
 
 
-def _build(src: tuple[GradedSpace, Layout], dst: tuple[GradedSpace, Layout],
-           shift: Degree, rule: BlockRule) -> GradedMap:
+def _with_carries(space: GradedSpace, layout: Layout) -> Extension:
+    """The space and its layout with their carries: ``_carried`` at each
+    degree from the degree one twist below, where that is laid out and
+    carried onto it.  Every map built on them reads the one table."""
+    carries: dict[Degree, int] = {}
+    for d, here in layout.items():
+        below = layout.get((d[0], d[1] - 1))
+        n = None if below is None else _carried(below, here)
+        if n is not None:
+            carries[d] = n
+    return space, layout, carries
+
+
+def _build(src: Extension, dst: Extension, shift: Degree,
+           rule: BlockRule) -> GradedMap:
     """The map sending row i of block (mono, xd) to the sum of the rows i
     at ``xd`` of the terms of ``rule(mono)``, each placed at the block of
     the term's monomial in the target degree; a monomial without a block
@@ -186,11 +201,12 @@ def _build(src: tuple[GradedSpace, Layout], dst: tuple[GradedSpace, Layout],
 
     The source degrees are walked in layout order, a twist at a time.
     Where the degree one twist below is built and both layouts carry it
-    onto this one (``_carried``), the rows of the carried blocks are those
-    one twist below, cut to the carried blocks and masked to the carried
-    target blocks, and ``rule`` builds only the blocks past them.  ``rule``
-    runs at most once per monomial."""
-    (source, src_layout), (target, dst_layout) = src, dst
+    onto this one (their carries), the rows of the carried blocks are
+    those one twist below, cut to the carried blocks and masked to the
+    carried target blocks, and ``rule`` builds only the blocks past them.
+    ``rule`` runs at most once per monomial."""
+    (source, src_layout, src_carries), (target, dst_layout, dst_carries) = (
+        src, dst)
     terms: dict[CoeffMonomial, list] = {}
     blocks: dict[Degree, F2Matrix] = {}
     for d, entries in src_layout.items():
@@ -203,8 +219,7 @@ def _build(src: tuple[GradedSpace, Layout], dst: tuple[GradedSpace, Layout],
         below = (d[0], d[1] - 1)
         prev = blocks.get(below)
         if prev is not None:
-            n = _carried(src_layout[below], entries)
-            t = _carried(dst_layout[(td[0], td[1] - 1)], tentries)
+            n, t = src_carries.get(d), dst_carries.get(td)
             if n is not None and t is not None:
                 size = entries[n][2] if n < len(entries) else dim
                 cut = tentries[t][2] if t < len(tentries) else width
@@ -240,7 +255,7 @@ def apply_r(m: A1Module, w: Window) -> RModule:
         m, w, {k: list(cf.monomials_with_twist(k))
                for k in range(w.k_lo, w.k_hi + 1)})
     rows = _module_rows(m)
-    ext = (space, layout)
+    ext = _with_carries(space, layout)
 
     def q0_rule(mono):
         return [(q0_coeff(mono), rows["1"]), (mono, rows["Sq1"])]
@@ -309,8 +324,9 @@ def mod_a(m: A1Module, w: Window) -> EModule:
     orientation times the derived degree-3 operation as the second.
     """
     _check_base_window(m, w)
-    ext = _extension_basis(m, w, {k: [CoeffMonomial("+", 0, k)]
-                                  for k in range(max(0, w.k_lo), w.k_hi + 1)})
+    ext = _with_carries(*_extension_basis(
+        m, w, {k: [CoeffMonomial("+", 0, k)]
+               for k in range(max(0, w.k_lo), w.k_hi + 1)}))
     rows = _module_rows(m)
     return EModule(
         ext[0],
@@ -522,7 +538,8 @@ def lift_map(f: A1Map, src: RModule, dst: RModule) -> GradedMap:
         blk = f.blocks.get(xd)
         return blk.rows if blk is not None else ()
 
-    return _build((src.space(), src.layout), (dst.space(), dst.layout), (0, 0),
+    return _build(_with_carries(src.space(), src.layout),
+                  _with_carries(dst.space(), dst.layout), (0, 0),
                   lambda mono: [(mono, rows)])
 
 

@@ -34,8 +34,12 @@ REL_EXT_BUDGET = 90
 # after
 MODULE_ROW_BUDGET = 1_000
 # rows eliminated by the rank-2 ``compute_f1``: 7,524 before one
-# elimination followed each m column, 3,144 after
-F1_ROW_BUDGET = 3_300
+# elimination followed each m column, 3,144 before the negative cone was
+# read off its bottom elimination, 1,848 after
+F1_ROW_BUDGET = 1_950
+# rows eliminated by the rank-2 ``h01(...).dims()``: 15,121 before the
+# walk up each m column and the counts taken from it, 3,971 after
+H01_ROW_BUDGET = 4_150
 
 
 @pytest.fixture
@@ -99,9 +103,16 @@ def test_extension_reads_module_rows_within_budget(monkeypatch):
     assert reads[0] <= MODULE_ROW_BUDGET, reads[0]
 
 
-def test_f1_eliminates_rows_within_budget(monkeypatch):
-    """A ``q1`` block that begins with the block one twist below extends
-    its elimination by the other rows only."""
+# the rank-2 chart whose row counts are pinned
+RANK2_WINDOW = Window(-16, 16, -8, 8)
+
+
+@pytest.fixture
+def eliminated_rows(monkeypatch):
+    """The count, in a one-element list, of the rows ``Echelon.extend``
+    inserts once the rank-2 chart has built its extension."""
+    chart.cache_clear()
+    chart(2, RANK2_WINDOW).extension
     rows = [0]
     real = gf2.Echelon.extend
 
@@ -110,11 +121,24 @@ def test_f1_eliminates_rows_within_budget(monkeypatch):
         rows[0] += len(new)
         return real(self, new)
 
-    w = Window(-16, 16, -8, 8)
-    chart.cache_clear()
-    chart(2, w).extension
     monkeypatch.setattr(gf2.Echelon, "extend", counting)
-    f1 = compute_f1(2, w)
+    yield rows
     chart.cache_clear()
+
+
+def test_f1_eliminates_rows_within_budget(eliminated_rows):
+    """A ``q1`` block that begins with the block one twist below extends
+    its elimination by the other rows only, and one cut and masked from it
+    is read off the elimination below."""
+    f1 = compute_f1(2, RANK2_WINDOW)
     assert (len(f1), sum(f1.values())) == (211, 4525)
-    assert rows[0] <= F1_ROW_BUDGET, rows[0]
+    assert eliminated_rows[0] <= F1_ROW_BUDGET, eliminated_rows[0]
+
+
+def test_h01_eliminates_rows_within_budget(eliminated_rows):
+    """``h01`` extends each degree's three eliminations by the new rows up
+    the positive cone, reads ``Ker q0`` off the elimination below in the
+    negative cone, and counts the dimensions as it goes."""
+    dims = h01(chart(2, RANK2_WINDOW).extension.emod).dims()
+    assert (len(dims), sum(dims.values())) == (68, 172)
+    assert eliminated_rows[0] <= H01_ROW_BUDGET, eliminated_rows[0]

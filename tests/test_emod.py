@@ -585,6 +585,65 @@ def test_h01_matches_two_elimination_reference(m):
     assert _same_h01(got.sub, _ref_h01(m))
 
 
+def _flipped(m: EModule, which: str, d: Degree, i: int, j: int) -> EModule:
+    """``m`` with entry ``(i, j)`` of its ``which`` block at ``d`` flipped.
+    The result need not be a complex; ``h01`` and the reference are defined
+    for any two maps."""
+    mp = getattr(m, which)
+    rows = list(mp.block(d).rows)
+    rows[i] ^= 1 << j
+    blocks = {**mp.blocks, d: F2Matrix.from_rows(rows, mp.block(d).ncols)}
+    maps = {"q0": m.q0, "q1": m.q1,
+            which: GradedMap(mp.source, mp.target, mp.shift, blocks)}
+    return EModule(m.space, maps["q0"], maps["q1"], m.complete)
+
+
+@st.composite
+def flipped_extensions(draw):
+    """A small extension with one entry of ``q0`` or ``q1`` flipped, half
+    the time in the rows a block shares with the block one twist below, so
+    that the blocks of ``q0`` keep the shape ``a`` gives them while those of
+    ``q1`` lose it, or the other way round."""
+    m = draw(small_extensions())
+    which = draw(st.sampled_from(["q0", "q1"]))
+    mp = getattr(m, which)
+    assume(mp.blocks)
+
+    def shared(d):
+        below = mp.blocks.get((d[0], d[1] - 1))
+        return below is not None and (
+            mp.blocks[d].rows[:below.nrows] == below.rows)
+
+    carried = [d for d in sorted(mp.blocks) if shared(d)]
+    if carried and draw(st.booleans()):
+        d = draw(st.sampled_from(carried))
+        i = draw(st.integers(0, mp.blocks[(d[0], d[1] - 1)].nrows - 1))
+    else:
+        d = draw(st.sampled_from(sorted(mp.blocks)))
+        i = draw(st.integers(0, mp.blocks[d].nrows - 1))
+    j = draw(st.integers(0, mp.blocks[d].ncols - 1))
+    return _flipped(m, which, d, i, j)
+
+
+@settings(max_examples=80, deadline=None)
+@given(flipped_extensions())
+def test_h01_matches_two_elimination_reference_with_a_flipped_entry(m):
+    got = h01(m)
+    assert got.region == _h01_region(m)
+    assert _same_h01(got.sub, _ref_h01(m))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(small_extensions(), flipped_extensions()))
+def test_block_ranks_match_a_fresh_elimination_of_each_block(m):
+    """``GradedMap.ranks``, one elimination per m column and cone, against
+    each stored block eliminated on its own, in window order."""
+    for mp in (m.q0, m.q1):
+        want = [(add_deg(d, mp.shift), mp.blocks[d].rank)
+                for d in sorted(mp.blocks)]
+        assert list(mp.ranks().items()) == want
+
+
 def test_h01_reference_comparison_sees_a_misplaced_denominator():
     w = Window(-10, 10, -5, 5)
     for m in (apply_r(std_p(1, 20), w).emod, apply_r(std_a1(), w).emod):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from krtool import gf2
 from krtool.gf2 import (
+    Column,
     Echelon,
     F2Matrix,
     common_kernel,
@@ -459,6 +460,93 @@ def test_extend_matches_the_per_row_reference(m, rng, data):
     for r in rows:
         ref.add(r)
     _same_answers(grown, ref, vectors)
+
+
+# -- one elimination up a column of blocks ---------------------------------------
+
+def _is_left_kernel_basis(got, rows):
+    """Whether ``got`` is a basis of the row combinations that vanish on
+    ``rows``: each kills the rows, they are independent and as many as the
+    kernel's dimension."""
+    return (all(v >> len(rows) == 0 and combine(rows, v) == 0 for v in got)
+            and Echelon(got).rank == len(got) == len(rows) - Echelon(rows).rank)
+
+
+@settings(max_examples=300, deadline=None)
+@given(large_matrices(), st.data())
+def test_masked_rows_read_off_the_elimination_of_the_block_below(m, data):
+    """The first ``s`` rows masked to ``c`` bits, where the rows past ``s``
+    vanish under the mask: their rank and left kernel read off the
+    elimination of all the rows equal those of a fresh elimination."""
+    s = data.draw(st.integers(0, m.nrows))
+    c = data.draw(st.integers(0, m.ncols))
+    low = (1 << c) - 1
+    rows = list(m.rows[:s]) + [r & ~low for r in m.rows[s:]]
+    cut = [r & low for r in rows[:s]]
+    got_rank, got = Echelon(rows).masked(s, c)
+    fresh = Echelon(cut)
+    assert got_rank == fresh.rank
+    assert got == sorted(got) and _is_left_kernel_basis(got, cut)
+    assert row_basis(F2Matrix.from_rows(got, s)) == row_basis(
+        F2Matrix.from_rows(fresh.relations, s))
+    # unmasked, the first s rows are the whole block
+    assert Echelon(rows[:s]).masked(s, m.ncols) == (
+        rank(F2Matrix.from_rows(rows[:s], m.ncols)),
+        Echelon(rows[:s]).relations)
+
+
+@st.composite
+def columns(draw):
+    """Blocks up a column, as ``(rows, width)``: each is the block before
+    extended by rows with no bit below a drawn one, cut to its first rows
+    and masked to its low bits where the dropped rows vanish under the mask
+    (as in the negative cone), or where they need not, the same rows under
+    a wider mask, or new."""
+    def rows_of(width, lowest=0):
+        if lowest >= width:
+            return [0] * draw(st.integers(0, 4))
+        return [draw(st.integers(0, (1 << (width - lowest)) - 1)) << lowest
+                for _ in range(draw(st.integers(0, 6)))]
+
+    width = draw(st.integers(0, 12))
+    blocks = [(tuple(rows_of(width)), width)]
+    for _ in range(draw(st.integers(1, 7))):
+        rows, width = blocks[-1]
+        kind = draw(st.sampled_from(["extend", "cut", "any cut", "widen",
+                                     "new"]))
+        if kind == "extend":
+            width = draw(st.integers(width, width + 4))
+            rows += tuple(rows_of(width, draw(st.integers(0, width))))
+        elif kind in ("cut", "any cut"):
+            width = draw(st.integers(0, width))
+            low = (1 << width) - 1
+            least = 0
+            if kind == "cut":
+                least = max((i + 1 for i, r in enumerate(rows) if r & low),
+                            default=0)
+            rows = tuple(r & low for r in
+                         rows[:draw(st.integers(least, len(rows)))])
+        elif kind == "widen":
+            width = draw(st.integers(width, width + 4))
+        else:
+            width = draw(st.integers(0, 12))
+            rows = tuple(rows_of(width))
+        blocks.append((rows, width))
+    return blocks
+
+
+@settings(max_examples=400, deadline=None)
+@given(columns())
+def test_column_matches_a_fresh_elimination_of_every_block(blocks):
+    col = Column()
+    before: list[int] = []
+    for rows, width in blocks:
+        grown = col.take(rows, width)
+        assert col.rank == Echelon(rows).rank
+        assert _is_left_kernel_basis(col.relations, rows)
+        if grown:
+            assert col.relations[:len(before)] == before
+        before = list(col.relations)
 
 
 # -- the bit check on construction ---------------------------------------------
