@@ -28,8 +28,8 @@ code evaluates (the basis words, Q1 among them, the top class theta and
 the defects of the two relations) is a sum of application sequences of
 Sq1 and Sq2 there, and ``A1Module.op`` evaluates one on a whole degree as
 a product of the stored blocks.  ``validate``, the Margolis homologies,
-``reduce``, the projective cover and the coefficient extension all read
-``op``.
+``free_generators``, ``reduce``, the projective cover and the coefficient
+extension all read ``op``.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .gf2 import (
     Echelon,
@@ -559,6 +559,51 @@ def _submodule(m: A1Module, rows: dict[int, F2Matrix], prefix: str) -> A1Module:
     return A1Module(basis, sq1, sq2, m.lo, m.hi, m.complete_lo, m.complete_hi)
 
 
+def _certified_hi(m: A1Module) -> float:
+    """The top degree whose free generators theta can see, ``complete_hi``
+    less 6; a window with fewer than 7 complete degrees raises
+    ``ValueError``."""
+    certified_hi = m.complete_hi - 6
+    if certified_hi < m.complete_lo and m.total_dim():
+        raise ValueError(
+            "window too narrow to certify reduction: need at least 7 complete "
+            f"degrees, have [{m.complete_lo},{m.complete_hi}]")
+    return certified_hi
+
+
+def _theta_images(m: A1Module) -> Iterator[tuple[int, list[int]]]:
+    """Each degree d with d + 6 in the complete range where theta is not
+    zero, with the theta-images of the basis vectors of M_d that enlarge
+    the span of the earlier ones, found by one elimination: a basis of
+    theta(M_d), one image per free generator in degree d."""
+    for d in m.trusted_degrees(6):
+        theta = Echelon()
+        images = [t for t in m.op("theta", d).rows if theta.add(t)]
+        if images:
+            yield d, images
+
+
+def free_generators(m: A1Module) -> tuple[list[int], float]:
+    """The degrees of the generators of the free summands of ``m``, with
+    multiplicity and in degree order, and the degree ``certified_hi``
+    through which the list is complete: ``reduce(m)``'s ``free_gens`` and
+    ``certified_hi``, without building the complement.
+
+    The algebra is Frobenius with socle spanned by theta = Sq2 Sq2 Sq2
+    (see ``reduce``), so on a module the free summands generated in degree
+    d number the rank of theta: M_d -> M_{d+6} (Margolis, *Spectra and the
+    Steenrod Algebra*, 1983), which one elimination per degree counts.
+    The theorem holds for modules only, so ``validate`` runs first, and a
+    break of either relation raises ``ValueError`` naming its first
+    witness: the relation, the degree and the basis element.  A window
+    with fewer than 7 complete degrees raises ``ValueError`` too."""
+    bad = validate(m)
+    if bad:
+        raise ValueError(f"not a module over the algebra: {bad[0]}")
+    certified_hi = _certified_hi(m)
+    return [d for d, images in _theta_images(m) for _ in images], certified_hi
+
+
 def reduce(m: A1Module) -> ReduceResult:
     """Split off every free summand in one pass over the trusted degrees.
 
@@ -569,8 +614,9 @@ def reduce(m: A1Module) -> ReduceResult:
     of theta: M_d -> M_{d+6} (Margolis, *Spectra and the Steenrod Algebra*,
     1983).  In each degree d with d + 6 in the complete range, the
     generators g_j are the basis vectors whose theta-images enlarge the
-    span of the earlier ones, the functionals phi_i on M_{d+6} satisfy
-    phi_i(theta g_j) = delta_ij, and the complement N is
+    span of the earlier ones, the elimination ``free_generators`` counts,
+    the functionals phi_i on M_{d+6} satisfy phi_i(theta g_j) = delta_ij,
+    and the complement N is
     N_x = {v in M_x : phi_i(a v) = 0 for every basis word a of degree
     d + 6 - x} (N_x = M_x in degrees nothing constrains).
 
@@ -582,20 +628,12 @@ def reduce(m: A1Module) -> ReduceResult:
     M = F + N is a direct sum.  A codimension below 8 per generator means
     the module breaks the algebra's relations and raises ``RuntimeError``.
     """
-    certified_hi = m.complete_hi - 6
-    if certified_hi < m.complete_lo and m.total_dim():
-        raise ValueError(
-            "window too narrow to certify reduction: need at least 7 complete "
-            f"degrees, have [{m.complete_lo},{m.complete_hi}]")
+    certified_hi = _certified_hi(m)
     gens: list[int] = []
     constraints: dict[int, list[int]] = {}  # independent functionals on M_x
     spans: dict[int, Echelon] = {}
     dependent: list[int] = []               # generator degrees at fault
-    for d in m.trusted_degrees(6):
-        theta = Echelon()
-        images = [t for t in m.op("theta", d).rows if theta.add(t)]
-        if not images:
-            continue
+    for d, images in _theta_images(m):
         gens += [d] * len(images)
         # bit i of dual.coords(w) is phi_i(w): the coefficient of images[i]
         # over a basis of M_{d+6} completing the images with unit vectors

@@ -11,12 +11,16 @@ asserted.
 
 Everything the report and its cross-check read about one (rank, window)
 pair lives on one ``Chart``: the group cohomology module, its coefficient
-extension and its free-summand split, each built on first use and then
-kept.  ``chart(n, w)`` memoises the last chart asked for, one slot only,
-so ``compute kr-table`` followed by ``cross_check_hv`` on the same rank
-and window builds each piece once, and a chart for another pair drops
-the previous one as soon as it is created.  The functions below return
-fresh containers, never the chart's own.
+extension and its free part, each built on first use and then kept.  The
+free part is the list of free generators, counted by the rank of the top
+class theta in each degree (``a1.free_generators``) once ``a1.validate``
+has checked the module's relations; the chart never splits the free
+summands off (``a1.reduce``), since it reads only where they start.
+``chart(n, w)`` memoises the last chart asked for, one slot only, so
+``compute kr-table`` followed by ``cross_check_hv`` on the same rank and
+window builds each piece once, and a chart for another pair drops the
+previous one as soon as it is created.  The functions below return fresh
+containers, never the chart's own.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from functools import cached_property, lru_cache
 from typing import Optional
 
 from . import closedform as cfm
-from .a1 import A1Module, ReduceResult, reduce, std_bv
+from .a1 import A1Module, free_generators, std_bv
 from .emod import h01
 from .gf2 import F2Matrix, rank
 from .graded import (
@@ -47,7 +51,7 @@ def bv_module(n: int, w: Window) -> A1Module:
 
 class Chart:
     """The rank-``n`` group cohomology on the window ``w``, its coefficient
-    extension and its free-summand split, each built once on first use."""
+    extension and its free part, each built once on first use."""
 
     def __init__(self, n: int, w: Window):
         self.n = n
@@ -62,8 +66,8 @@ class Chart:
         return apply_r(self.module, self.w)
 
     @cached_property
-    def reduced(self) -> ReduceResult:
-        return reduce(self.module)
+    def free_part(self) -> F2Part:
+        return F2Part(*free_generators(self.module))
 
 
 @lru_cache(maxsize=1)
@@ -108,8 +112,8 @@ class F2Part:
 
 def compute_f2(n: int, w: Window) -> F2Part:
     """Free generators of the group cohomology, shifted to the top class."""
-    red = chart(n, w).reduced
-    return F2Part(list(red.free_gens), red.certified_hi)
+    part = chart(n, w).free_part
+    return F2Part(list(part.gens), part.certified_hi)
 
 
 @dataclass
@@ -228,8 +232,8 @@ def assemble_kr(n: int, w: Window, max_layer: int = 3) -> KRReport:
         annotations.setdefault(d, []).append("v1-torsion order 2: companion")
     for i in range(1, n + 1):
         for d in w.degrees():
-            if cfm.h01_pn_dim(i, d) and cfm._euler_height(i, d) == 0 \
-                    and d[1] >= 0:
+            if d[1] >= 0 and cfm.h01_pn_dim(i, d) \
+                    and cfm._euler_height(i, d) == 0:
                 annotations.setdefault(d, []).append(
                     "base of an Euler tower of height 3")
     return KRReport(w, n, f1, f2.dims("top", w), f2.dims("companion", w),

@@ -79,7 +79,8 @@ def _suite_a1_structure() -> tuple[bool, str]:
         return False, f"relations fail: {bad[0]}"
     if margolis(m, "q0") or margolis(m, "q1"):
         return False, "homology of the free module does not vanish"
-    # the Frobenius property behind ``reduce``'s free splitting
+    # the Frobenius property behind the free-generator count and
+    # ``reduce``'s free splitting
     if iso_search(dual_a1(m), suspend(m, -6), -6, 0) is None:
         return False, "dual of the free module: no isomorphism to its " \
                       "-6 suspension on degrees -6..0"

@@ -3,6 +3,7 @@ reduction, covers and loops, checked against direct evaluation oracles."""
 
 import math
 import time
+from collections import Counter
 from math import comb
 
 import pytest
@@ -19,6 +20,7 @@ from krtool.a1 import (
     _submodule,
     direct_sum_a1,
     dual_a1,
+    free_generators,
     generator_degrees,
     is_reduced,
     loop_power,
@@ -392,6 +394,89 @@ def test_reduce_matches_per_summand_retraction_reference(m):
     assert validate(got.module) == []
     rep = stable_evidence(m, got.module)
     assert rep.consistent, rep.detail
+
+
+# -- the free generators counted by the rank of theta, against two oracles --
+
+@st.composite
+def summed_modules(draw):
+    """Direct sums of suspended free modules, loop companions, companions
+    tensored with ``P`` and group cohomologies of rank at most 3, all cut
+    at one random top degree."""
+    hi = draw(st.integers(8, 18))
+    parts = []
+    for _ in range(draw(st.integers(1, 3))):
+        which = draw(st.sampled_from(["a1", "pn", "pn*p", "bv"]))
+        if which == "a1":
+            parts.append(std_a1(draw(st.integers(-6, 10))))
+        elif which == "pn":
+            parts.append(std_pn(draw(st.integers(-1, 4)), -8, hi))
+        elif which == "pn*p":
+            parts.append(tensor_a1(std_pn(draw(st.integers(0, 3)), -8, hi),
+                                   std_p(1, hi), hi=hi))
+        else:
+            parts.append(std_bv(draw(st.integers(1, 3)), 1, hi))
+    return direct_sum_a1(parts, [f"s{j}." for j in range(len(parts))])
+
+
+@settings(max_examples=100, deadline=None)
+@given(summed_modules())
+def test_free_generators_match_the_constructive_split(m):
+    red = reduce(m)
+    assert free_generators(m) == (red.free_gens, red.certified_hi)
+
+
+@pytest.mark.parametrize("n, total", [(1, 0), (2, 15), (3, 140), (4, 821)])
+def test_free_generators_match_the_poincare_series_quotient(n, total):
+    """The group cohomology is the sum of C(n, i) copies of each companion
+    P_i and a free module (Brown-Ossa), so the series of the free
+    generators is the excess of its series over the companions' divided by
+    the series of the free rank-one module: exact through ``hi``, with no
+    negative coefficient, and equal to the count through ``certified_hi``."""
+    hi = 21
+    bv = std_bv(n, 1, hi)
+    companions = [std_pn(i, 1, hi) for i in range(1, n + 1)]
+    free_series = Counter(d for _, d in A1_WORDS)
+    quotient: dict[int, int] = {}
+    for d in range(1, hi + 1):
+        excess = bv.dim(d) - sum(comb(n, i) * p.dim(d)
+                                 for i, p in enumerate(companions, 1))
+        quotient[d] = excess - sum(free_series[j] * quotient.get(d - j, 0)
+                                   for j in range(1, 7))
+    assert min(quotient.values()) >= 0, quotient
+    gens, certified_hi = free_generators(bv)
+    assert certified_hi == hi - 6
+    assert Counter(gens) == {d: q for d, q in quotient.items()
+                             if q and d <= certified_hi}
+    assert len(gens) == total
+
+
+def test_free_generators_name_the_first_broken_relation():
+    p = std_p(1, 14)
+    # Sq2 on the bottom class, which P does not have: then Sq2 Sq2 x1 = x5
+    # while Sq1 Sq2 Sq1 x1 = 0
+    sq2 = dict(p.sq2)
+    sq2[1] = F2Matrix.from_rows([1], 1)
+    broken = A1Module(p.basis, p.sq1, sq2, p.lo, p.hi,
+                      p.complete_lo, p.complete_hi)
+    witness = "Sq2 Sq2 = Sq1 Sq2 Sq1 fails at degree 1 on x1"
+    assert str(validate(broken)[0]) == witness
+    with pytest.raises(ValueError, match=witness):
+        free_generators(broken)
+
+
+def test_free_generators_refuse_a_window_too_narrow_to_certify():
+    # P cut at 8 and a dual P complete from 3 up: complete on 3..8, one
+    # degree short of theta's reach
+    p = std_p(1, 8)
+    narrow = direct_sum_a1([p, suspend(dual_a1(p), 11)], ["p.", "d."])
+    assert (narrow.complete_lo, narrow.complete_hi) == (3, 8)
+    assert validate(narrow) == []
+    for split in (free_generators, reduce):
+        with pytest.raises(ValueError, match="window too narrow"):
+            split(narrow)
+    wide = direct_sum_a1([p, suspend(dual_a1(p), 10)], ["p.", "d."])
+    assert free_generators(wide) == (reduce(wide).free_gens, 2)
 
 
 # -- the per-vector evaluation, kept as the reference for ``op`` and ``validate``

@@ -17,7 +17,7 @@ from krtool import gf2, rfun, verify
 from krtool.a1 import std_bv, std_pn
 from krtool.emod import h01, rel_ext
 from krtool.graded import Window
-from krtool.kr import chart, compute_f1
+from krtool.kr import chart, compute_f1, compute_f2
 from krtool.rfun import apply_r, required_top
 
 # (F2Matrix, Echelon) constructions: the bound, and the counts of the code
@@ -40,6 +40,11 @@ F1_ROW_BUDGET = 1_950
 # rows eliminated by the rank-2 ``h01(...).dims()``: 15,121 before the
 # walk up each m column and the counts taken from it, 3,971 after
 H01_ROW_BUDGET = 4_150
+# rank -> (window, bound) for the rows eliminated by ``compute_f2``: 925
+# (rank 3) and 35,848 (rank 4) while the chart split the free summands off
+# with ``reduce``, 83 and 3,875 since it counts them by the rank of theta
+F2_ROW_BUDGETS = {3: (Window(-8, 8, -4, 4), 90),
+                  4: (Window(-14, 14, -7, 7), 4_100)}
 
 
 @pytest.fixture
@@ -107,12 +112,9 @@ def test_extension_reads_module_rows_within_budget(monkeypatch):
 RANK2_WINDOW = Window(-16, 16, -8, 8)
 
 
-@pytest.fixture
-def eliminated_rows(monkeypatch):
+def counting_rows(monkeypatch):
     """The count, in a one-element list, of the rows ``Echelon.extend``
-    inserts once the rank-2 chart has built its extension."""
-    chart.cache_clear()
-    chart(2, RANK2_WINDOW).extension
+    inserts from now on."""
     rows = [0]
     real = gf2.Echelon.extend
 
@@ -122,7 +124,16 @@ def eliminated_rows(monkeypatch):
         return real(self, new)
 
     monkeypatch.setattr(gf2.Echelon, "extend", counting)
-    yield rows
+    return rows
+
+
+@pytest.fixture
+def eliminated_rows(monkeypatch):
+    """The rows ``Echelon.extend`` inserts once the rank-2 chart has built
+    its extension."""
+    chart.cache_clear()
+    chart(2, RANK2_WINDOW).extension
+    yield counting_rows(monkeypatch)
     chart.cache_clear()
 
 
@@ -142,3 +153,17 @@ def test_h01_eliminates_rows_within_budget(eliminated_rows):
     dims = h01(chart(2, RANK2_WINDOW).extension.emod).dims()
     assert (len(dims), sum(dims.values())) == (68, 172)
     assert eliminated_rows[0] <= H01_ROW_BUDGET, eliminated_rows[0]
+
+
+@pytest.mark.parametrize("n, gens", [(3, 17), (4, 821)])
+def test_f2_eliminates_rows_within_budget(monkeypatch, n, gens):
+    """The chart's free part eliminates theta's rows once per degree and
+    builds no complement."""
+    w, bound = F2_ROW_BUDGETS[n]
+    chart.cache_clear()
+    chart(n, w).module
+    rows = counting_rows(monkeypatch)
+    f2 = compute_f2(n, w)
+    chart.cache_clear()
+    assert len(f2.gens) == gens
+    assert rows[0] <= bound, rows[0]

@@ -1,12 +1,13 @@
 """Pipeline pieces and the assembled report."""
 
+import hashlib
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from krtool import kr
+from krtool import a1, cli, kr
 from krtool.graded import Window
 from krtool.kr import (
     assemble_kr,
@@ -131,15 +132,21 @@ def _counted(monkeypatch, name):
     return calls
 
 
-def test_chart_builds_extension_and_reduction_once(monkeypatch):
+def test_chart_builds_extension_and_free_part_once(monkeypatch):
+    """One chart builds its module, its extension and its free-generator
+    count once each, and never splits the free summands off."""
     chart.cache_clear()
     applied = _counted(monkeypatch, "apply_r")
-    reduced = _counted(monkeypatch, "reduce")
+    counted = _counted(monkeypatch, "free_generators")
     built = _counted(monkeypatch, "bv_module")
+    split = []
+    monkeypatch.setattr(a1, "reduce", lambda *args: split.append(args))
+    assert not hasattr(kr, "reduce")
     w = Window(-8, 8, -4, 4)
     assemble_kr(2, w)
     assert cross_check_hv(2, w).ok
-    assert (len(applied), len(reduced), len(built)) == (1, 1, 1)
+    assert compute_f2(2, w).gens == [4, 4, 6]
+    assert (len(applied), len(counted), len(built), len(split)) == (1, 1, 1, 0)
 
 
 def test_chart_for_another_window_evicts_the_previous_one():
@@ -225,3 +232,20 @@ def test_free_class_dims_match_one_loop_per_offset(gens):
             if w.contains(d):
                 want[d] = want.get(d, 0) + 1
         assert part.dims(which, w) == want
+
+
+# sha256 of ``compute kr-table --bv N --layers 3 --window -14 14 -7 7``
+KR_TABLE_SHA256 = {
+    2: "53b1fea271ade32048468878b7036bae00b84d5bac737ebd4e5df986e975b12e",
+    3: "95d68c152e8a66f4c85483ffba456bf7af0a486d6f33930b243769a911d202bd",
+    4: "02adfceca512a0cb118deae54c6457a08b896b14c3579164e039b951a0929c5e",
+}
+
+
+@pytest.mark.parametrize("n", sorted(KR_TABLE_SHA256))
+def test_kr_table_prints_the_pinned_bytes(n, capsys):
+    argv = ["compute", "kr-table", "--bv", str(n), "--layers", "3",
+            "--window", "-14", "14", "-7", "7"]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == KR_TABLE_SHA256[n]
