@@ -59,13 +59,15 @@ def _window(args) -> Window:
                          + " ".join(map(str, args.window))) from None
 
 
-def _group_rank(bv: Optional[int]) -> int:
-    """The group rank ``--bv``, counting an absent one as 0; below 1 is
-    rejected."""
-    n = 0 if bv is None else bv
-    if n < 1:
-        raise UsageError(f"group rank --bv {n} must be at least 1")
-    return n
+def _at_least(args, flag: str, lo: int) -> int:
+    """The value of the option ``flag``, which the task needs; below ``lo``
+    it is rejected."""
+    value = getattr(args, flag.lstrip("-"))
+    if value is None:
+        raise UsageError(f"compute {args.task} needs {flag} N")
+    if value < lo:
+        raise UsageError(f"{flag} {value} must be at least {lo}")
+    return value
 
 
 def _builtin_a1(name: str, w: Window) -> Optional[A1Module]:
@@ -230,8 +232,8 @@ def cmd_compute(args) -> int:
         em = _load_e(args, w)
         _emit_dims(h01(em).dims(), w, args)
     elif task == "relext":
-        em = _load_e(args, w)
-        _emit_dims(rel_ext(em, args.n), w, args)
+        n = _at_least(args, "--n", 0)
+        _emit_dims(rel_ext(_load_e(args, w), n), w, args)
     elif task == "tower-detect":
         rng = random.Random(args.seed)
         spec = random_x_tower_spec(rng)
@@ -244,7 +246,8 @@ def cmd_compute(args) -> int:
             lines.append(f"height{h}\t{'holds' if holds else 'fails'}")
         _emit("\n".join(lines) + "\n", args.out)
     elif task == "kr-table":
-        rep = assemble_kr(_group_rank(args.bv), w, max_layer=args.layers)
+        rep = assemble_kr(_at_least(args, "--bv", 1), w,
+                          max_layer=_at_least(args, "--layers", 0))
         _emit(rep.to_tsv(), args.out)
     elif task == "chart":
         if args.builtin == "HP":
@@ -253,7 +256,7 @@ def cmd_compute(args) -> int:
             em = _load_e(args, w)
             dims = h01(em).dims()
         elif args.bv is not None:
-            dims = cfm.hv_closed_dims(_group_rank(args.bv), w)
+            dims = cfm.hv_closed_dims(_at_least(args, "--bv", 1), w)
         else:
             em = _load_e(args, w)
             dims = em.space.dims()

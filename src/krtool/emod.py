@@ -383,8 +383,11 @@ def rel_ext(m: EModule, n: int,
     Slot 0 is the plain kernel intersection; other slots are the
     kernel-intersection homology shifted by n times (2,1), which is also
     what the Tate route computes (see ``rel_ext_tate``).  ``hom``, when
-    given, is ``h01(m)``, so that several slots share one homology.
+    given, is ``h01(m)``, so that several slots share one homology.  A
+    negative slot raises ``ValueError``.
     """
+    if n < 0:
+        raise ValueError(f"extension slot {n} is negative")
     if n == 0:
         return {d: v for d, v in kerker_space(m).dims().items() if v}
     h = h01(m) if hom is None else hom

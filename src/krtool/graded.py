@@ -6,7 +6,8 @@ the order its builder listed it: a ``NameRuns`` sequence is kept as given
 and formats its names when they are read, and any other iterable of names
 is copied to a tuple.  A ``GradedMap`` holds one bit matrix per
 populated source degree, with rows indexed by the source basis and columns
-by the target basis at the shifted degree.  Names are labels: nothing
+by the target basis at the shifted degree.  A ``Subquotient`` eliminates
+each degree it reads at most once.  Names are labels: nothing
 sorts or parses them, so a dual keeps the positions it transposes.
 Every operation records the subwindow on which its output is complete, so
 downstream comparisons never read truncation artifacts.
@@ -212,7 +213,7 @@ class GradedSpace:
 
 def _dual_name(n: str) -> str:
     """The name of a dual basis vector: the dual marker ``^`` is added, or
-    taken off (involutive)."""
+    taken off (involutive except on names that end in ``^^``)."""
     return n[:-1] if n.endswith("^") else n + "^"
 
 
@@ -370,17 +371,17 @@ class Subquotient:
     """Numerator/denominator row bases per degree in an ambient space.
 
     A degree's representatives, coordinates and dimension come from one
-    completed elimination (``Echelon.complete``), built on the first
-    ``reps`` or ``express`` there and kept; a degree only counted keeps its
-    dimension.  So the numerator and denominator tables must not change
+    completed elimination (``Echelon.complete``), built on the first read
+    there and kept, so the numerator and denominator tables must not change
     after the first read of a degree.  A builder that has counted some
-    dimensions already passes them as ``counted``.
+    dimensions already passes them as ``counted``, which ``dim`` reads in
+    place of an elimination and nothing writes.
     """
 
     ambient: GradedSpace
     numerators: dict[Degree, F2Matrix]
     denominators: dict[Degree, F2Matrix]
-    # degree -> dimension, counted without a kept elimination
+    # degree -> dimension, as the builder counted it; only read
     counted: dict[Degree, int] = field(
         default_factory=dict, repr=False, compare=False)
     # degree -> (representatives, their elimination, count of denominator rows)
@@ -406,28 +407,15 @@ class Subquotient:
     def dim(self, d: Degree) -> int:
         """rank(num + den) - rank(den): the rank the numerator rows add to
         the eliminated denominator, which need not lie in the numerator.
-        An unsolved degree is counted once, and only its count is kept."""
-        got = self._solved.get(d)
-        if got is not None:
-            return got[0].nrows
-        n = self.counted.get(d)
-        if n is None:
-            num = self.numerators.get(d)
-            if num is None:
-                return 0
-            den = self.denominators.get(d)
-            span = Echelon(den.rows if den is not None else ())
-            n = self.counted[d] = span.extend(num.rows)
-        return n
+        The builder's count where it gave one, else the count of ``reps``;
+        0, with no elimination, where no numerator is given."""
+        if d in self.counted:
+            return self.counted[d]
+        return self._solver(d)[0].nrows if d in self.numerators else 0
 
     def dims(self) -> dict[Degree, int]:
         """The nonzero dimensions."""
-        out = {}
-        for d in set(self.numerators):
-            n = self.dim(d)
-            if n:
-                out[d] = n
-        return out
+        return {d: n for d in self.numerators if (n := self.dim(d))}
 
     def express(self, d: Degree, vec: int) -> Optional[int]:
         """Coordinates of an ambient vector in the rep basis, mod denominator."""

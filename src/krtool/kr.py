@@ -210,14 +210,16 @@ class KRReport:
 
 
 def assemble_kr(n: int, w: Window, max_layer: int = 3) -> KRReport:
-    """Associated-graded report for the rank-n group on the window."""
+    """Associated-graded report for the rank-n group on the window, with
+    layers 0 to ``max_layer``, which must not be negative."""
+    if max_layer < 0:
+        raise ValueError(f"layer count {max_layer} is negative")
     f1 = compute_f1(n, w)
     f2 = compute_f2(n, w)
     # layer j is the closed form on w moved by (-j, -j), shifted back: each
     # is cut from one table over the union of those windows
-    top = max(max_layer, 0)
-    closed = cfm.hv_closed_dims(n, Window(w.m_lo - top, w.m_hi,
-                                          w.k_lo - top, w.k_hi))
+    closed = cfm.hv_closed_dims(n, Window(w.m_lo - max_layer, w.m_hi,
+                                          w.k_lo - max_layer, w.k_hi))
     layers = []
     for j in range(max_layer + 1):
         below = w.shift((-j, -j))

@@ -371,8 +371,9 @@ def psi_duality(m: A1Module, w: Window) -> PsiCertificate:
     def module_pairing(xd: int) -> Optional[list[int]]:
         """Position at ``-xd`` of the right base paired with each basis
         vector of the left base at ``xd``, or None if some has no pair."""
-        where = {n: i for i, n in enumerate(rhs.base.names(-xd))}
-        got = [where.get(_dual_name(n)) for n in lhs.base.names(xd)]
+        # keyed as ``dual_a1`` named the left base: "x^^" has dual "x^"
+        where = {_dual_name(n): i for i, n in enumerate(rhs.base.names(-xd))}
+        got = [where.get(n) for n in lhs.base.names(xd)]
         return None if None in got else got
 
     def pairing(d: Degree) -> Optional[F2Matrix]:

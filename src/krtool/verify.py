@@ -309,7 +309,7 @@ def _kr_table_failure(n: int) -> Optional[str]:
     partners = compute_f2(n, w).dims("partner", w)
     cc = _hv_report(n)
     if not cc.ok:
-        return "column check input disagrees"
+        return f"column check input disagrees: {cc.detail()}"
     # column sums: layer zero plus the doubled free classes reproduce
     # the brute-force homology on the common region
     f2cls = rep.f2_classes

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from krtool import verify
+from krtool import closedform, kr, verify
 from krtool.a1 import std_f
 from krtool.emod import h01, h01_dual_dims, margolis
 from krtool.gf2 import F2Matrix
@@ -204,6 +204,24 @@ def test_kr_table_names_the_layer_and_degree_of_a_broken_periodicity(
     gap = holes[0]
     assert detail == (f"rank 1: layer periodicity fails: layer 2 at {gap} "
                       f"differs from layer 1 at {add_deg(gap, (-1, -1))}")
+
+
+def test_kr_table_names_where_the_column_check_input_disagrees(monkeypatch):
+    """One closed-form dimension flipped: the cross-check that feeds the
+    column sums fails, and the detail names the degree with both values."""
+    real = closedform.h01_pn_dim
+    wrong = (0, 0)
+    monkeypatch.setattr(closedform, "h01_pn_dim",
+                        lambda n, d: real(n, d) ^ (d == wrong))
+    kr.chart.cache_clear()
+    verify._hv_report.cache_clear()
+    try:
+        detail = failed_detail("kr-table")
+    finally:
+        kr.chart.cache_clear()
+        verify._hv_report.cache_clear()
+    assert detail.startswith("rank 1: column check input disagrees: 1 mism")
+    assert f"{wrong}: brute {real(1, wrong)} vs closed " in detail, detail
 
 
 def test_kr_table_names_where_the_companion_doubling_breaks(monkeypatch):

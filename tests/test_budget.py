@@ -21,10 +21,11 @@ from krtool.kr import chart, compute_f1, compute_f2
 from krtool.rfun import apply_r, required_top
 
 # (F2Matrix, Echelon) constructions: the bound, and the counts of the code
-# before each kernel, image and constant matrix was built once, and before
-# a matrix kept its kernel and row basis for every map that shares it
-TOWERS_BUDGET = (7_500, 8_100)         # was 41,164 and 24,303; then 8,133
-                                       # and 11,194
+# before each kernel, image and constant matrix was built once, before a
+# matrix kept its kernel and row basis for every map that shares it, and
+# before a subquotient's ``dim`` read its degree's one elimination
+TOWERS_BUDGET = (7_500, 6_800)         # was 41,164 and 24,303; then 8,133
+                                       # and 11,194; then 7,360 and 7,896
 H01_BUDGET = (100, 255)                # was 697 and 283
 # Echelon constructions of three rel_ext slots on one h01: 252 before a
 # counted degree kept its count, 84 after

@@ -168,6 +168,11 @@ def test_rel_ext_of_trivial_module():
     assert rel_ext_tate(f, 2) == {(4, 2): 1}
 
 
+def test_rel_ext_refuses_a_negative_slot():
+    with pytest.raises(ValueError, match="slot -1"):
+        rel_ext(trivial_emodule(Window(-6, 8, -3, 4)), -1)
+
+
 def test_rel_ext_tate_refuses_an_induced_map_that_fails(monkeypatch):
     # a failed induced map is an error, not a zero map
     monkeypatch.setattr(Subquotient, "induced", lambda self, mp, dst, d: None)

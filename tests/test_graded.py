@@ -353,6 +353,81 @@ def test_subquotient_dim_counts_past_a_denominator_outside_the_numerator():
     assert dim([0b011, 0b100], [0b110]) == 3 - 1
 
 
+def counting_echelons(monkeypatch):
+    """The count, in a one-element list, of the ``Echelon`` constructions
+    from now on."""
+    built = [0]
+    real = Echelon.__init__
+
+    def counting(self, *args):
+        built[0] += 1
+        real(self, *args)
+
+    monkeypatch.setattr(Echelon, "__init__", counting)
+    return built
+
+
+def test_subquotient_eliminates_each_degree_once(monkeypatch):
+    """``dim`` read first builds the one elimination of its degree, which
+    ``reps`` and ``express`` read after it; a degree with no numerator
+    reads 0 and builds none."""
+    degs = [(0, 0), (1, 0), (2, 0)]
+    sp = GradedSpace(TINY, {d: ["e0", "e1", "e2"] for d in degs})
+    table = {(0, 0): ([0b011, 0b100], [0b110]), (1, 0): ([0b001], []),
+             (2, 0): ([0b111, 0b110], [0b001])}
+    sub = Subquotient(
+        sp, {d: F2Matrix.from_rows(num, 3) for d, (num, _) in table.items()},
+        {d: F2Matrix.from_rows(den, 3) for d, (_, den) in table.items()})
+    built = counting_echelons(monkeypatch)
+    assert [sub.dim(d) for d in degs] == [2, 1, 1]
+    assert sub.dim((3, 0)) == 0 and built[0] == len(degs)
+    for d in degs:
+        assert sub.reps(d).nrows == sub.dim(d)
+        assert sub.express(d, 0b001) is not None
+    assert built[0] == len(degs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_subquotient_reads_agree_in_any_order(data):
+    """In any order of ``dim``, ``dims``, ``reps`` and ``express``, each
+    dimension is the rank the numerator adds to the denominator, it counts
+    the representatives, and each degree is eliminated at most once."""
+    degs = [(m, 0) for m in range(4)]
+    sp = GradedSpace(TINY, {d: ["e0", "e1", "e2"] for d in degs})
+    rows = st.lists(st.integers(0, 7), max_size=4).map(
+        lambda r: F2Matrix.from_rows(r, 3))
+    nums, dens = (data.draw(st.dictionaries(st.sampled_from(degs), rows))
+                  for _ in range(2))
+    empty = F2Matrix.from_rows([], 3)
+    want, spans = {}, {}
+    for d in degs:
+        num, den = nums.get(d, empty).rows, dens.get(d, empty).rows
+        want[d] = Echelon(num + den).rank - Echelon(den).rank
+        spans[d] = _span(num + den)
+    reads = data.draw(st.lists(st.tuples(
+        st.sampled_from(["dim", "dims", "reps", "express"]),
+        st.sampled_from(degs), st.integers(0, 7)), max_size=12))
+    sub = Subquotient(sp, nums, dens)
+    with pytest.MonkeyPatch.context() as mp:
+        built = counting_echelons(mp)
+        for op, d, v in reads:
+            if op == "dim":
+                assert sub.dim(d) == want[d]
+            elif op == "dims":
+                assert sub.dims() == {e: n for e, n in want.items() if n}
+            elif op == "reps":
+                assert sub.reps(d).nrows == want[d]
+            else:
+                c = sub.express(d, v)
+                assert (c is None) == (v not in spans[d])
+                assert c is None or c >> want[d] == 0
+        for d in degs:
+            assert sub.dim(d) == want[d]
+            assert sub.reps(d).nrows == sub.dim(d)
+    assert built[0] <= len(degs)
+
+
 def test_name_lookups_build_their_tables_on_demand():
     w = Window(-3, 3, -2, 2)
     basis = {(0, 0): ["b", "a", "c"], (1, 1): ["x"], (2, 0): []}

@@ -463,7 +463,7 @@ def test_cli_prints_e_modules_canonically(tmp_path):
     (("compute", "h01", "--in", "/nonexistent/module.txt"),
      "/nonexistent/module.txt"),
     (("compute", "kr-table", "--bv", "0"), "--bv 0"),
-    (("compute", "kr-table", "--builtin", "BV0"), "--bv 0"),
+    (("compute", "kr-table", "--builtin", "BV0"), "needs --bv N"),
     (("compute", "chart", "--builtin", "BV0"), "'BV0'"),
     (("compute", "socle", "--window", "4", "-4", "0", "0"),
      "--window 4 -4 0 0"),
@@ -489,6 +489,9 @@ def test_cli_prints_e_modules_canonically(tmp_path):
           ("socle", "P", ("-30", "-20", "0", "0")),
           ("h01", "RP9", ("-4", "4", "0", "0")),
           ("socle", "BV2", ("-30", "-20", "0", "0")))],
+    (("compute", "kr-table"), "compute kr-table needs --bv N"),
+    (("compute", "kr-table", "--bv", "1", "--layers", "-1"), "--layers -1"),
+    (("compute", "relext", "--builtin", "RP1", "--n", "-1"), "--n -1"),
 ])
 def test_cli_rejects_bad_input_on_one_line(argv, named, tmp_path):
     files = {"{tower}": "kind tower\nwindow 0 4 0 0\nxdeg 1\n",

@@ -111,6 +111,12 @@ def test_assemble_kr_rank_two_doubling_and_totals():
     assert rep.doubling_ok()
 
 
+def test_assemble_kr_refuses_a_negative_layer_count():
+    with pytest.raises(ValueError, match="layer count -1"):
+        assemble_kr(1, Window(-4, 4, -2, 2), max_layer=-1)
+    assert len(assemble_kr(1, Window(-4, 4, -2, 2), max_layer=0).layers) == 1
+
+
 def test_assemble_kr_torsion_annotations_bounded():
     w = Window(-10, 12, -5, 5)
     rep = assemble_kr(2, w, max_layer=2)

@@ -664,12 +664,20 @@ def test_psi_duality_matches_name_keyed_reference(m, w):
     assert got[0]
 
 
-@pytest.mark.parametrize("m", [dual_a1(std_p(1, 26)), dual_a1(std_a1())],
-                         ids=["dual-P", "dual-A1"])
+def _marked_twice(m):
+    """``m`` with ``^^`` appended to every name: the same module."""
+    return A1Module({d: [n + "^^" for n in ns] for d, ns in m.basis.items()},
+                    m.sq1, m.sq2, m.lo, m.hi, m.complete_lo, m.complete_hi)
+
+
+@pytest.mark.parametrize("m", [dual_a1(std_p(1, 26)), dual_a1(std_a1()),
+                               _marked_twice(std_a1())],
+                         ids=["dual-P", "dual-A1", "A1-marked-twice"])
 def test_psi_duality_holds_on_modules_named_as_duals(m):
     """Base names ending in ``^`` pair with their duals: the name-keyed
     version stripped the marker from the wrong side and reported a
-    failed bijection here."""
+    failed bijection here.  Names ending in ``^^`` lose one marker in the
+    dual, so the dual names are paired as ``dual_a1`` made them."""
     cert = psi_duality(m, Window(-9, 9, -4, 4))
     assert _report(cert) == (
         True, "bijection commuting with both differentials on 171 degrees", 171)
