@@ -220,7 +220,10 @@ def cmd_compute(args) -> int:
         _emit_dims({(d, 0): v for d, v in socle_dims(m).items()}, w, args)
     elif task == "reduce":
         m = _load_a1(args, w)
-        red = reduce(m)
+        try:
+            red = reduce(m)
+        except ValueError as exc:   # too few complete degrees to certify
+            raise UsageError(f"{args.builtin or args.infile}: {exc}") from None
         lines = ["degree\tfree_generators"]
         for g in sorted(set(red.free_gens)):
             lines.append(f"{g}\t{red.free_gens.count(g)}")

@@ -138,9 +138,6 @@ class F2Matrix:
 
     # -- basic queries -----------------------------------------------------
 
-    def entry(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
-
     def is_zero(self) -> bool:
         return not any(self.rows)
 

@@ -449,29 +449,6 @@ class OperatorPair:
     on_target: GradedMap
 
 
-def _components(degrees: list[Degree], shifts: list[Degree]) -> list[list[Degree]]:
-    parent = {d: d for d in degrees}
-
-    def find(x: Degree) -> Degree:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    degset = set(degrees)
-    for d in degrees:
-        for s in shifts:
-            e = add_deg(d, s)
-            if e in degset:
-                ra, rb = find(d), find(e)
-                if ra != rb:
-                    parent[ra] = rb
-    comps: dict[Degree, list[Degree]] = {}
-    for d in degrees:
-        comps.setdefault(find(d), []).append(d)
-    return list(comps.values())
-
-
 def hom_space(source: GradedSpace, target: GradedSpace, shift: Degree,
               operators: list[OperatorPair], region: Window,
               unit: Optional[tuple[GradedMap, GradedMap]] = None,
@@ -492,50 +469,45 @@ def hom_space(source: GradedSpace, target: GradedSpace, shift: Degree,
     matrix.  Variables are ordered by degree, then source row, then target
     column.  Commutation is imposed at every source degree whose operator
     image stays inside the region, so truncated data is never trusted.
-    The system splits into independent components along operator shifts;
-    since elimination is leftmost-pivot, neither the split nor the order of
-    the equations changes the answer.
+    The whole problem is one linear system over all variables, passed once
+    to ``solve`` with ``unit`` and once to ``kernel_basis`` without.  The
+    basis maps come back ordered by the free variable each one sets to 1,
+    so by that variable's degree, source row and target column.
     """
     def tdim(d: Degree) -> int:
         return target.dim(add_deg(d, shift))
 
-    var_degrees = [d for d in source.degrees()
-                   if region.contains(d) and tdim(d)]
-    op_shifts = [op.on_source.shift for op in operators]
-    comps = [sorted(c) for c in _components(
-        var_degrees, op_shifts + [neg_deg(s) for s in op_shifts])]
-    where: dict[Degree, tuple[int, int]] = {}   # degree -> (component, offset)
-    nvars = [0] * len(comps)
-    for c, comp in enumerate(comps):
-        for d in comp:
-            where[d] = (c, nvars[c])
-            nvars[c] += source.dim(d) * tdim(d)
-    eqs: list[list[int]] = [[] for _ in comps]
-    rhs = [0] * len(comps)
+    offset: dict[Degree, int] = {}   # degree -> its first map variable
+    nvars = 0
+    for d in source.degrees():
+        if region.contains(d) and tdim(d):
+            offset[d] = nvars
+            nvars += source.dim(d) * tdim(d)
+    eqs: list[int] = []
+    rhs = 0
 
     for op in operators:
         for d in source.degrees():
             d2 = add_deg(d, op.on_source.shift)
             if not (region.contains(d) and region.contains(d2)):
                 continue
-            at1, at2 = where.get(d), where.get(d2)
-            if at1 is None and at2 is None:
+            off1, off2 = offset.get(d), offset.get(d2)
+            if off1 is None and off2 is None:
                 continue
             # phi_d2 at row p, column j is bit off2 + p*ct + j, and phi_d at
             # row i, column q is bit off1 + i*cs + q: one equation per (i, j)
             # reads (a . phi_d2)[i, j] = (phi_d . b)[i, j].
-            c = (at1 if at1 is not None else at2)[0]
             a = op.on_source.block(d)
             bt = op.on_target.block(add_deg(d, shift)).transpose().rows
             cs, ct = tdim(d), tdim(d2)
             for i in range(source.dim(d)):
-                spread = _spread(a.rows[i], ct) if at2 is not None else 0
+                spread = _spread(a.rows[i], ct) if off2 is not None else 0
                 for j in range(ct):
-                    row = spread << (at2[1] + j) if at2 is not None else 0
-                    if at1 is not None:
-                        row ^= bt[j] << (at1[1] + i * cs)
+                    row = spread << (off2 + j) if off2 is not None else 0
+                    if off1 is not None:
+                        row ^= bt[j] << (off1 + i * cs)
                     if row:
-                        eqs[c].append(row)
+                        eqs.append(row)
 
     if unit is not None:
         before, after = unit
@@ -545,10 +517,9 @@ def hom_space(source: GradedSpace, target: GradedSpace, shift: Degree,
             if not region.contains(d):
                 continue
             e = add_deg(d, before.shift)
-            at = where.get(e)
-            if at is None:
+            off = offset.get(e)
+            if off is None:
                 return None            # phi vanishes here, so no identity
-            c, off = at
             b = before.block(d)
             after_cols = after.block(add_deg(e, shift)).transpose().rows
             cs = tdim(e)
@@ -556,26 +527,20 @@ def hom_space(source: GradedSpace, target: GradedSpace, shift: Degree,
                 spread = _spread(b.rows[x], cs)
                 for y, col in enumerate(after_cols):
                     if x == y:
-                        rhs[c] |= 1 << len(eqs[c])
-                    eqs[c].append((spread * col) << off)
+                        rhs |= 1 << len(eqs)
+                    eqs.append((spread * col) << off)
 
-    def unpack(comp: list[Degree], sol: int) -> dict[Degree, F2Matrix]:
+    def as_map(sol: int) -> GradedMap:
         blocks = {}
-        for d in comp:
-            cs, off = tdim(d), where[d][1]
+        for d, off in offset.items():
+            cs = tdim(d)
             mask = (1 << cs) - 1
             blocks[d] = F2Matrix.from_rows(
                 [(sol >> (off + i * cs)) & mask for i in range(source.dim(d))], cs)
-        return blocks
+        return GradedMap(source, target, shift, blocks)
 
-    if unit is not None:
-        found: dict[Degree, F2Matrix] = {}
-        for c, comp in enumerate(comps):
-            sol = solve(F2Matrix.from_rows(eqs[c], nvars[c]), rhs[c])
-            if sol is None:
-                return None
-            found.update(unpack(comp, sol))
-        return GradedMap(source, target, shift, found)
-    return [GradedMap(source, target, shift, unpack(comp, sol))
-            for c, comp in enumerate(comps)
-            for sol in kernel_basis(F2Matrix.from_rows(eqs[c], nvars[c])).rows]
+    system = F2Matrix.from_rows(eqs, nvars)
+    if unit is None:
+        return [as_map(sol) for sol in kernel_basis(system).rows]
+    sol = solve(system, rhs)
+    return None if sol is None else as_map(sol)

@@ -3,7 +3,8 @@
 The grammar is deliberately small: a ``kind`` header, a ``window`` line,
 ``gen`` lines declaring named classes with their degree, and action lines
 ``op name = name [+ name]...`` (omitted lines mean zero; the targets add
-over GF(2), through ``a1.from_table`` or ``graded.pair_map``).  Printing is
+over GF(2), through ``a1.from_table`` or ``graded.pair_map``), so no
+generator is named ``0`` or holds ``+`` or ``=``.  Printing is
 canonical: generators sorted by degree then name, action lines sorted the
 same way with sorted right-hand sides, so parse-print round-trips are
 byte exact.  The readers list each degree's generators in name order,
@@ -84,6 +85,10 @@ def parse_module_file(text: str) -> ModuleFile:
             name = parts[1]
             if name in gens:
                 raise ParseError(line_no, f"duplicate generator {name}")
+            if name == "0" or "+" in name or "=" in name:
+                raise ParseError(line_no, f"generator name {name!r} is 0 or "
+                                          f"holds + or =, which action lines "
+                                          f"cannot read")
             try:
                 deg = [int(x) for x in parts[2:]]
             except ValueError:

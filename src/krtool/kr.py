@@ -140,25 +140,20 @@ def detection_h1_borel(n: int, w: Window) -> BorelDetection:
     if region is None:
         raise ValueError("window too small for an interior region")
 
-    # rank of the solution space restricted to interior variables
-    coords: list[tuple[Degree, int, int]] = []
-    for d in region.degrees():
-        sdim = borel.space.dim(d)
-        tdim = borel.space.dim(add_deg(d, (3, 2)))
-        for i in range(sdim):
-            for j in range(tdim):
-                coords.append((d, i, j))
+    # rank of the solution space restricted to interior variables: each
+    # solution packed as the rows of its interior blocks, in window order
     rows = []
     for t in sols:
-        bits = 0
-        for pos, (d, i, j) in enumerate(coords):
-            if t.block(d).entry(i, j):
-                bits |= 1 << pos
+        bits, width = 0, 0
+        for d in region.degrees():
+            blk = t.block(d)
+            for r in blk.rows:
+                bits |= r << width
+                width += blk.ncols
         rows.append(bits)
-    restricted = rank(F2Matrix.from_rows(rows, len(coords)))
-
     unconstrained = sum(borel.space.dim(d) * borel.space.dim(add_deg(d, (3, 2)))
                         for d in region.degrees())
+    restricted = rank(F2Matrix.from_rows(rows, unconstrained))
     return BorelDetection(
         restricted == 0, restricted, unconstrained, region,
         f"{len(sols)} window solutions, {restricted} surviving on the interior")

@@ -652,7 +652,8 @@ def ref_dual(m):
             blk = m.sq1_block(d) if reach == 1 else m.sq2_block(d)
             for j, tn in enumerate(m.names(d + reach)):
                 im[-d - reach, nm(tn)] = tuple(
-                    nm(sn) for i, sn in enumerate(m.names(d)) if blk.entry(i, j))
+                    nm(sn) for i, sn in enumerate(m.names(d))
+                    if blk.rows[i] >> j & 1)
     return _ref_module(basis, im1, im2, -m.hi, -m.lo,
                        -m.complete_hi, -m.complete_lo)
 

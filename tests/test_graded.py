@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from krtool import graded
 from krtool.a1 import A1Module, std_a1
 from krtool.gf2 import (
     Echelon,
@@ -59,7 +60,7 @@ def test_hom_space_identity_only():
     a = line(w, (0, 0))
     sols = hom_space(a, a, (0, 0), [], w)
     assert len(sols) == 1
-    assert sols[0].block((0, 0)).entry(0, 0) == 1
+    assert sols[0].block((0, 0)).rows == (1,)
 
 
 def test_hom_space_empty_target():
@@ -80,6 +81,42 @@ def test_hom_space_with_operator_constraint():
     assert sols[0] == identity_map(s)
     free = hom_space(s, s, (0, 0), [], w)
     assert len(free) == 2
+
+
+def count_solver_calls(monkeypatch):
+    """Count the calls ``hom_space`` makes to ``solve`` and
+    ``kernel_basis``, by name."""
+    calls = {"solve": 0, "kernel_basis": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(graded, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(graded, name, counted)
+    return calls
+
+
+def test_hom_space_solves_one_system_in_unit_mode(monkeypatch):
+    # a (1, 0) operator links no two twists: the problem is still one system
+    w = Window(0, 2, 0, 2)
+    s = GradedSpace(w, {d: [f"u{d[0]}{d[1]}"] for d in w.degrees()})
+    step = GradedMap(s, s, (1, 0), {d: F2Matrix.identity(1)
+                                    for d in s.degrees() if d[0] < 2})
+    calls = count_solver_calls(monkeypatch)
+    found = hom_space(s, s, (0, 0), [OperatorPair("step", step, step)], w,
+                      unit=(identity_map(s), identity_map(s)))
+    assert found == identity_map(s)
+    assert calls == {"solve": 1, "kernel_basis": 0}
+
+
+def test_hom_space_solves_one_system_in_basis_mode(monkeypatch):
+    # no operator links two degrees: the problem is still one system
+    w = Window(0, 4, 0, 0)
+    s = GradedSpace(w, {d: [f"v{d[0]}"] for d in w.degrees()})
+    calls = count_solver_calls(monkeypatch)
+    sols = hom_space(s, s, (0, 0), [], w)
+    # one map per free variable, in variable order
+    assert [list(phi.blocks) for phi in sols] == [[d] for d in w.degrees()]
+    assert calls == {"solve": 0, "kernel_basis": 1}
 
 
 # -- brute-force check of the solver on tiny problems ------------------------
@@ -192,7 +229,7 @@ def test_hom_space_matches_enumeration(problem):
 
     basis = hom_space(source, target, shift, ops, region)
     assert all(commutes(phi, ops, region) for phi in basis)
-    coords = [sum(phi.block(d).entry(i, j) << bit
+    coords = [sum((phi.block(d).rows[i] >> j & 1) << bit
                   for bit, (d, i, j) in enumerate(cells)) for phi in basis]
     assert rank(F2Matrix.from_rows(coords, len(cells))) == len(basis)
     assert 1 << len(basis) == n_commuting

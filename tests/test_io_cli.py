@@ -103,6 +103,13 @@ def test_parse_rejects_bad_integer_fields(line):
     ("kind e\nwindow 0 4 0 2\nops a q0\n", 3,
      "ops takes a, s and cartan"),
     ("kind a1\nwindow 0 4 0 0\nops\n", 3, "ops lines belong to e files"),
+    # no action line can name these generators
+    ("kind a1\nwindow 0 4 0 0\ngen s 0\ngen a+b 1\nsq1 s = a+b\n", 4,
+     "generator name 'a+b'"),
+    ("kind a1\nwindow 0 4 0 0\ngen x=y 0\ngen t 1\nsq1 x=y = t\n", 3,
+     "generator name 'x=y'"),
+    ("kind a1\nwindow 0 4 0 0\ngen s 0\ngen 0 1\nsq1 s = 0\n", 4,
+     "generator name '0'"),
 ])
 def test_parse_rejects_what_the_kind_cannot_hold(text, line_no, message):
     with pytest.raises(ParseError) as err:
@@ -492,11 +499,15 @@ def test_cli_prints_e_modules_canonically(tmp_path):
     (("compute", "kr-table"), "compute kr-table needs --bv N"),
     (("compute", "kr-table", "--bv", "1", "--layers", "-1"), "--layers -1"),
     (("compute", "relext", "--builtin", "RP1", "--n", "-1"), "--n -1"),
+    (("compute", "reduce", "--in", "{narrow}"),
+     "narrow: window too narrow to certify reduction"),
 ])
 def test_cli_rejects_bad_input_on_one_line(argv, named, tmp_path):
     files = {"{tower}": "kind tower\nwindow 0 4 0 0\nxdeg 1\n",
              "{e}": "kind e\nwindow 0 2 0 1\ngen x 0 0\ngen y 1 0\nq0 x = y\n",
-             "{p2}": a1_to_module_file_text(std_pn(2, -7, 9))}
+             "{p2}": a1_to_module_file_text(std_pn(2, -7, 9)),
+             "{narrow}": "kind a1\nwindow 0 4 0 0\ngen g 0\ngen h 1\n"
+                         "sq1 g = h\n"}
     for key, text in files.items():
         (tmp_path / key.strip("{}")).write_text(text)
     out = run_cli(*(str(tmp_path / a.strip("{}")) if a in files else a

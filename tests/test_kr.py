@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from krtool import a1, cli, kr
-from krtool.graded import Window
+from krtool import a1, cli, closedform, kr
+from krtool.gf2 import F2Matrix
+from krtool.graded import GradedMap, Window, add_deg
 from krtool.kr import (
     assemble_kr,
     bv_module,
@@ -66,6 +67,33 @@ def test_detection_h1_borel_small():
         rep = detection_h1_borel(n, w)
         assert rep.certified, rep.detail
         assert rep.unconstrained_dim > 0
+
+
+def test_detection_h1_borel_ranks_solutions_on_the_interior(monkeypatch):
+    # Stand-in solutions, each one entry: two rows of one interior block and
+    # a second interior block, which must land in different bits, and one
+    # block outside the interior, which must not count.
+    w = Window(-12, 12, -6, 6)
+    space = closedform.borel_hv_closed(2, w).space
+    region = w.shrink(0, 3, 2, 2)
+    used = [d for d in space.degrees() if space.dim(add_deg(d, (3, 2)))]
+    inside = [d for d in used if region.contains(d)]
+    outside = [d for d in used if not region.contains(d)]
+    assert space.dim(inside[0]) >= 2 and outside
+
+    def one_entry(d, i):
+        rows = [0] * space.dim(d)
+        rows[i] = 1
+        return GradedMap(space, space, (3, 2), {d: F2Matrix.from_rows(
+            rows, space.dim(add_deg(d, (3, 2))))})
+
+    sols = [one_entry(inside[0], 0), one_entry(inside[0], 1),
+            one_entry(inside[-1], 0), one_entry(outside[0], 0)]
+    monkeypatch.setattr(kr, "hom_space", lambda *args: sols)
+    rep = detection_h1_borel(2, w)
+    assert (rep.certified, rep.constrained_dim) == (False, 3)
+    assert rep.unconstrained_dim == sum(
+        space.dim(d) * space.dim(add_deg(d, (3, 2))) for d in region.degrees())
 
 
 def test_cross_check_rank_one():

@@ -620,7 +620,7 @@ def _ref_psi_duality(m, w):
                 blk = rmap.block(zdeg)
                 yi = rsp.index(ydeg, pair_name(n))
                 rhs_set = {zn for zi, zn in enumerate(rsp.names(zdeg))
-                           if blk.entry(zi, yi)}
+                           if blk.rows[zi] >> yi & 1}
                 if lhs_set != rhs_set:
                     return False, (f"commutation with shift {shift} fails "
                                    f"at {d} on {n}"), checked
@@ -638,7 +638,7 @@ def _ref_cone_separation(rm):
             tnames = sp.names(add_deg(d, mp.shift))
             for i, n in enumerate(sp.names(d)):
                 for j, tn in enumerate(tnames):
-                    if blk.entry(i, j) and cone_of_name(tn) != cone_of_name(n):
+                    if blk.rows[i] >> j & 1 and cone_of_name(tn) != cone_of_name(n):
                         return False
     return True
 
