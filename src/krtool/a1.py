@@ -54,7 +54,6 @@ from .graded import (
     OperatorPair,
     Window,
     _dual_name,
-    degrees_where,
     hom_space,
 )
 
@@ -776,55 +775,59 @@ ISO_SEARCH_BUDGET = 4096
 
 def iso_search(a: A1Module, b: A1Module, lo: int, hi: int
                ) -> Optional[dict[int, F2Matrix]]:
-    """Exhaustive search for a degreewise bijection commuting with both
-    operations on [lo, hi].  Exponential in the solution-space dimension,
-    so the enumeration is capped by ``ISO_SEARCH_BUDGET``; None means none
-    found within the cap (or dimensions already disagree)."""
-    for d in range(lo, hi + 1):
-        if a.dim(d) != b.dim(d):
-            return None
+    """An isomorphism from ``a`` to ``b`` on degrees [lo, hi]: invertible
+    blocks that commute with Sq1 and Sq2 wherever an action stays in range.
+    Every sum of the ``hom_space`` basis is tried; a basis of k maps with
+    2^k above ``ISO_SEARCH_BUDGET`` raises ``ValueError``, since a cut
+    search decides nothing.  None means no isomorphism exists on the range.
+    The map found is checked against both operations through
+    ``A1Module.op``, and a failure raises ``RuntimeError``."""
+    if any(a.dim(d) != b.dim(d) for d in range(lo, hi + 1)):
+        return None
     region = Window(lo, hi, 0, 0)
     ops = [OperatorPair("sq1", a.sq1_map(), b.sq1_map()),
            OperatorPair("sq2", a.sq2_map(), b.sq2_map())]
     sols = hom_space(a.space(), b.space(), (0, 0), ops, region)
     if 1 << len(sols) > ISO_SEARCH_BUDGET:
-        sols = sols[: ISO_SEARCH_BUDGET.bit_length() - 1]
-    for mask in range(1, 1 << len(sols)):
+        raise ValueError(
+            f"iso_search on degrees [{lo},{hi}]: {len(sols)} commuting basis "
+            f"maps give {1 << len(sols)} sums, over ISO_SEARCH_BUDGET "
+            f"({ISO_SEARCH_BUDGET})")
+    for mask in range(1 << len(sols)):
         blocks: dict[int, F2Matrix] = {}
-        good = True
         for d in range(lo, hi + 1):
             acc = F2Matrix.zero(a.dim(d), b.dim(d))
             for i, t in enumerate(sols):
                 if (mask >> i) & 1:
                     acc = acc.add(t.block((d, 0)))
             if acc.rank != a.dim(d):
-                good = False
                 break
             blocks[d] = acc
-        if good:
+        else:
+            for name, reach in (("Sq1", 1), ("Sq2", 2)):
+                for d in range(lo, hi + 1 - reach):
+                    if (a.op(name, d).mul(blocks[d + reach])
+                            != blocks[d].mul(b.op(name, d))):
+                        raise RuntimeError(f"iso_search: the map found fails "
+                                           f"{name} at degree {d}")
             return blocks
     return None
 
 
 def stable_evidence(a: A1Module, b: A1Module) -> EvidenceReport:
-    """Compare reduced graded dimensions and both Margolis homologies on
-    the common certified range."""
+    """Whether ``a`` and ``b`` are stably isomorphic: one ``iso_search`` on
+    the reduced modules from the lower bottom (raised to a cut-off module's
+    ``complete_lo``) to the lower ``certified_hi``.  The detail names that
+    range, or on failure the first degree where the dimensions differ.
+    ``reduce`` and ``iso_search`` raise ``ValueError`` as they document."""
     ra, rb = reduce(a), reduce(b)
-    # a module known to vanish below its window is exact in every lower degree
-    lo = max(-math.inf if m.is_complete_below() else m.complete_lo
-             for m in (ra.module, rb.module))
-    hi = min(ra.certified_hi, rb.certified_hi)
-    for d in degrees_where(lambda d: lo <= d <= hi,
-                           ra.module.basis, rb.module.basis):
-        if ra.module.dim(d) != rb.module.dim(d):
-            return EvidenceReport(
-                False, f"reduced dimensions differ at degree {d}: "
-                       f"{ra.module.dim(d)} vs {rb.module.dim(d)}")
-    for which in ("q0", "q1"):
-        ma = margolis(ra.module, which)
-        mb = margolis(rb.module, which)
-        for d in degrees_where(lambda d: lo <= d <= hi - 3, ma, mb):
-            if ma.get(d, 0) != mb.get(d, 0):
-                return EvidenceReport(
-                    False, f"{which}-homology differs at degree {d}")
-    return EvidenceReport(True, f"consistent on degrees [{lo},{hi}]")
+    ma, mb = ra.module, rb.module
+    lo = int(max([min((m.bottom() for m in (ma, mb) if m.basis), default=0),
+                  *(m.complete_lo for m in (ma, mb) if not m.is_complete_below())]))
+    hi = int(min(ra.certified_hi, rb.certified_hi, max(ma.hi, mb.hi)))
+    if iso_search(ma, mb, lo, hi) is not None:
+        return EvidenceReport(True, f"isomorphic on degrees [{lo},{hi}]")
+    d = next((d for d in range(lo, hi + 1) if ma.dim(d) != mb.dim(d)), None)
+    return EvidenceReport(False, f"no isomorphism on degrees [{lo},{hi}]"
+                          if d is None else f"reduced dimensions differ at "
+                          f"degree {d}: {ma.dim(d)} vs {mb.dim(d)}")

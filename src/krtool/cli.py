@@ -17,6 +17,7 @@ import json
 import math
 import random
 import sys
+from collections import Counter
 from typing import Optional, Union
 
 from . import closedform as cfm
@@ -145,10 +146,10 @@ def _grid_txt(dims: dict, w: Window) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _grid_tsv(dims: dict, w: Window, tag: str = "dim") -> str:
+def _grid_tsv(dims: dict, w: Window) -> str:
     lines = ["m\tk\tdim\ttag"]
     for (m, k) in sorted(d for d in dims if w.contains(d)):
-        lines.append(f"{m}\t{k}\t{dims[(m, k)]}\t{tag}")
+        lines.append(f"{m}\t{k}\t{dims[(m, k)]}\tdim")
     return "\n".join(lines) + "\n"
 
 
@@ -172,12 +173,8 @@ def _grid_svg(dims: dict, w: Window) -> str:
 
 
 def _emit_dims(dims: dict, w: Window, args) -> None:
-    if args.format == "txt":
-        _emit(_grid_txt(dims, w), args.out)
-    elif args.format == "svg":
-        _emit(_grid_svg(dims, w), args.out)
-    else:
-        _emit(_grid_tsv(dims, w), args.out)
+    grid = {"txt": _grid_txt, "svg": _grid_svg, "tsv": _grid_tsv}[args.format]
+    _emit(grid(dims, w), args.out)
 
 
 def cmd_verify(args) -> int:
@@ -191,21 +188,18 @@ def cmd_verify(args) -> int:
         return 2
     results = run_all(names)
     rows = ["suite\tstatus\tseconds\tdetail"]
-    worst = 0
     for r in results:
         status = "PASS" if r.ok else "FAIL"
         if not args.json:
             print(f"{status} {r.name} ({r.seconds:.2f}s): {r.detail}")
         rows.append(f"{r.name}\t{status}\t{r.seconds:.2f}\t{r.detail}")
-        if not r.ok:
-            worst = 1
     if args.json:
         json.dump([dataclasses.asdict(r) for r in results], sys.stdout, indent=1)
         print()
     if args.out:
         with open(args.out, "w") as fh:
             fh.write("\n".join(rows) + "\n")
-    return worst
+    return int(not all(r.ok for r in results))
 
 
 def cmd_compute(args) -> int:
@@ -225,8 +219,8 @@ def cmd_compute(args) -> int:
         except ValueError as exc:   # too few complete degrees to certify
             raise UsageError(f"{args.builtin or args.infile}: {exc}") from None
         lines = ["degree\tfree_generators"]
-        for g in sorted(set(red.free_gens)):
-            lines.append(f"{g}\t{red.free_gens.count(g)}")
+        for g, count in sorted(Counter(red.free_gens).items()):
+            lines.append(f"{g}\t{count}")
         lines.append(f"# reduced dims: {red.module.dims()}")
         lines.append("# certified in every degree" if red.certified_hi == math.inf
                      else f"# certified through degree {red.certified_hi}")

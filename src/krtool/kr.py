@@ -220,12 +220,13 @@ def assemble_kr(n: int, w: Window, max_layer: int = 3) -> KRReport:
         below = w.shift((-j, -j))
         layers.append({add_deg(d, (j, j)): v for d, v in closed.items()
                        if below.contains(d)})
+    tops, companions = f2.dims("top", w), f2.dims("companion", w)
     annotations: dict[Degree, list[str]] = {}
     for d in f1:
         annotations.setdefault(d, []).append("v1-torsion order 1")
-    for d in f2.dims("top", w):
+    for d in tops:
         annotations.setdefault(d, []).append("v1-torsion order 2: top class")
-    for d in f2.dims("companion", w):
+    for d in companions:
         annotations.setdefault(d, []).append("v1-torsion order 2: companion")
     for i in range(1, n + 1):
         for d in w.degrees():
@@ -233,8 +234,7 @@ def assemble_kr(n: int, w: Window, max_layer: int = 3) -> KRReport:
                     and cfm._euler_height(i, d) == 0:
                 annotations.setdefault(d, []).append(
                     "base of an Euler tower of height 3")
-    return KRReport(w, n, f1, f2.dims("top", w), f2.dims("companion", w),
-                    layers, annotations)
+    return KRReport(w, n, f1, tops, companions, layers, annotations)
 
 
 @dataclass

@@ -392,8 +392,8 @@ def test_reduce_matches_per_summand_retraction_reference(m):
         assert margolis(got.module, which) == margolis(want.module, which)
     assert is_reduced(got.module) and is_reduced(want.module)
     assert validate(got.module) == []
-    rep = stable_evidence(m, got.module)
-    assert rep.consistent, rep.detail
+    # reduction is idempotent: a module without free summands comes back as is
+    assert reduce(got.module).module is got.module
 
 
 # -- the free generators counted by the rank of theta, against two oracles --
@@ -871,6 +871,31 @@ def test_iso_search_finds_dual_of_free():
     assert found is not None
     # and it rejects genuinely different modules
     assert iso_search(std_pn(1, 0, 12), std_pn(2, 0, 12), 2, 8) is None
+
+
+def test_iso_search_over_budget_raises_and_does_not_answer(monkeypatch):
+    from krtool import a1
+    pp = reduce(tensor_a1(std_p(1, 24), std_p(1, 24))).module
+    p2 = reduce(std_pn(2, 0, 25)).module
+    assert a1.iso_search(pp, p2, 2, 19) is not None  # three basis maps
+    monkeypatch.setattr(a1, "ISO_SEARCH_BUDGET", 4)
+    with pytest.raises(ValueError, match=r"3 commuting basis maps give 8 "
+                                         r"sums, over ISO_SEARCH_BUDGET \(4\)"):
+        a1.iso_search(pp, p2, 2, 19)
+
+
+def test_stable_evidence_names_the_range_it_decided_on():
+    rep = stable_evidence(tensor_a1(std_p(1, 24), std_p(1, 24)),
+                          std_pn(2, 0, 25))
+    assert rep.detail == "isomorphic on degrees [2,19]"
+    rep = stable_evidence(std_pn(1, 0, 24), std_pn(2, 0, 24))
+    assert rep.detail == "reduced dimensions differ at degree 1: 1 vs 0"
+    # the duals are cut off below at -20 and -24: the range starts at -20
+    rep = stable_evidence(dual_a1(std_p(1, 20)), dual_a1(std_p(1, 24)))
+    assert rep.detail == "isomorphic on degrees [-20,-1]"
+    # free modules reduce to zero, and the zero map is the isomorphism
+    rep = stable_evidence(std_a1(), std_a1(3))
+    assert rep.detail == "isomorphic on degrees [0,9]"
 
 
 def test_loop_power_four_is_twelve_fold_suspension():

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from krtool import closedform, kr, verify
+from krtool import a1, closedform, kr, verify
 from krtool.a1 import std_f
 from krtool.emod import h01, h01_dual_dims, margolis
 from krtool.gf2 import F2Matrix
@@ -29,7 +29,8 @@ CRITERIA = [
     ("04", "socles",
      "socle patterns of the four companions, stable under window growth"),
     ("05", "brown-ossa",
-     "tensor square and fourfold-loop periodicity are stably consistent"),
+     "tensor square and fourfold-loop periodicity hold by explicit "
+     "isomorphisms of the reduced modules"),
     ("06", "duality",
      "pairing isomorphism commutes with both differentials; on q0-acyclic "
      "extensions h01 at d equals the dual route at d-(1,0)"),
@@ -104,6 +105,25 @@ def test_a1_structure_names_a_missing_self_duality(monkeypatch):
     assert failed_detail("a1-structure") == (
         "dual of the free module: no isomorphism to its -6 suspension on "
         "degrees -6..0")
+
+
+def test_brown_ossa_names_the_range_without_an_isomorphism(monkeypatch):
+    # one Sq2 entry of the second companion flipped at degree 2 breaks
+    # Sq2 Sq2 = Sq1 Sq2 Sq1, yet the reduced dimensions and both Margolis
+    # homologies still agree with those of the tensor square
+    def std_pn(n, lo, hi):
+        m = a1.std_pn(n, lo, hi)
+        if n != 2:
+            return m
+        blk = m.sq2[2]
+        sq2 = {**m.sq2, 2: F2Matrix(blk.nrows, blk.ncols,
+                                    (blk.rows[0] ^ 1,) + blk.rows[1:])}
+        return a1.A1Module(m.basis, m.sq1, sq2, m.lo, m.hi, m.complete_lo,
+                           m.complete_hi)
+
+    monkeypatch.setattr(verify, "std_pn", std_pn)
+    assert failed_detail("brown-ossa") == (
+        "tensor square vs second companion: no isomorphism on degrees [2,20]")
 
 
 def test_h01_a1_names_a_cone_crossing(monkeypatch):

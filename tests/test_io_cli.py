@@ -437,6 +437,17 @@ def test_cli_reduce_module_exact_in_every_degree():
     assert "# certified through degree 2" in out.stdout
 
 
+def test_cli_reduce_counts_the_free_generators_of_each_degree():
+    out = run_cli("compute", "reduce", "--builtin", "BV3",
+                  "--window", "1", "14", "0", "0")
+    assert out.returncode == 0
+    assert out.stdout == (
+        "degree\tfree_generators\n4\t8\n5\t3\n6\t6\n7\t3\n8\t15\n"
+        "# reduced dims: {1: 3, 2: 6, 3: 10, 4: 7, 5: 10, 6: 11, 7: 8, 8: 7, "
+        "9: 14, 10: 28, 11: 36, 12: 67, 13: 87, 14: 105}\n"
+        "# certified through degree 8\n")
+
+
 def test_cli_kr_table():
     out = run_cli("compute", "kr-table", "--bv", "1",
                   "--window", "-8", "8", "-4", "4", "--layers", "2")
