@@ -9,9 +9,10 @@ target both lie in that range is exact.  A bound of ``-math.inf`` or
 operation states where its output can be trusted, and degree loops run
 over populated degrees only (``A1Module.trusted_degrees``).
 
-Standard modules: the trivial module, the free rank-one module, the
-reduced projective-space module ``P = x F[x]`` and its loop companions
-``P0..P3`` (period eight under four loops), and the reduced cohomology of
+Standard modules: the trivial module, the free rank-one module, the loop
+companions ``P0..P3`` of the reduced projective-space module (period
+eight under four loops), of which ``P = x F[x]`` is companion 1
+(``std_p`` is ``std_pn(1, ...)``), and the reduced cohomology of
 elementary abelian 2-groups assembled by tensoring copies of ``P``.
 
 Modules are built from blocks: suspension re-keys the ``sq1``/``sq2``
@@ -28,8 +29,14 @@ code evaluates (the basis words, Q1 among them, the top class theta and
 the defects of the two relations) is a sum of application sequences of
 Sq1 and Sq2 there, and ``A1Module.op`` evaluates one on a whole degree as
 a product of the stored blocks.  ``validate``, the Margolis homologies,
-``free_generators``, ``reduce``, the projective cover and the coefficient
-extension all read ``op``.
+``free_generators``, ``reduce``, the projective cover, module maps and the
+coefficient extension all read ``op``.
+
+Theta counts free summands of modules only, so its one entry,
+``_certified_hi``, runs ``validate`` first, and ``free_generators``,
+``reduce``, ``loop_power`` and ``stable_evidence`` name the first broken
+relation.  ``A1Map.commute_failure`` is the one check that a map of
+modules commutes with Sq1 and Sq2.
 """
 
 from __future__ import annotations
@@ -278,29 +285,17 @@ def std_a1(shift: int = 0) -> A1Module:
                           0, 6, -math.inf, math.inf)
 
 
-def _p_sq1(s: int) -> bool:
-    return s % 2 == 1
-
-
-def _p_sq2(s: int) -> bool:
-    return s % 4 in (2, 3)
-
-
 def std_p(lo: int, hi: int) -> A1Module:
     """Truncation of the reduced projective-space module x F[x]."""
-    if hi < 1:
-        raise ValueError("window too small to contain any generator")
-    return _assemble({s: [f"x{s}"] for s in range(1, hi + 1)},
-                     {s: [1] for s in range(1, hi) if _p_sq1(s)},
-                     {s: [1] for s in range(1, hi - 1) if _p_sq2(s)},
-                     min(lo, 1), hi, -math.inf, hi)
+    return std_pn(1, lo, hi)
 
 
 def std_pn(n: int, lo: int, hi: int) -> A1Module:
     """Loop companions of the projective module, period eight in fours.
 
     Transcribes the standard diagrams for the residues 0..3; other indices
-    are suspensions by eight per four steps.
+    are suspensions by eight per four steps.  On the generic classes x^s,
+    Sq1 acts for s odd and Sq2 for s = 2, 3 mod 4.
     """
     r = n % 4
     s8 = 8 * ((n - r) // 4)
@@ -322,37 +317,32 @@ def std_pn(n: int, lo: int, hi: int) -> A1Module:
 
     def generic(s_min: int, override2: dict[int, tuple[str, ...]]) -> None:
         for s in range(s_min, hi - s8 + 1):
-            t1 = (x(s + 1),) if _p_sq1(s) else ()
-            t2 = override2.get(s, (x(s + 2),) if _p_sq2(s) else ())
+            t1 = (x(s + 1),) if s % 2 else ()
+            t2 = override2.get(s, (x(s + 2),) if s % 4 in (2, 3) else ())
             add(x(s), s, t1, t2)
 
     if r == 0:
         add(x(-1), -1, (x(0),), (x(1),))
         add(x(0), 0, (), ())
         generic(1, {})
-        bottom = -1 + s8
     elif r == 1:
         generic(1, {})
-        bottom = 1 + s8
     elif r == 2:
         add(y(2), 2, (y(3),), (x(4),))
         add(y(3), 3, (), (y(5),))
         add(y(5), 5, (y(6),), ())
         add(y(6), 6, (), ())
         generic(3, {4: (y(6),)})
-        bottom = 2 + s8
     else:
         add(y(3), 3, (y(4),), (x(5),))
         add(y(4), 4, (), (y(6),))
         add(y(6), 6, (y(7),), ())
         add(y(7), 7, (), ())
         generic(5, {5: (y(7),)})
-        bottom = 3 + s8
 
-    if hi < bottom:
+    if not basis:
         raise ValueError("window too small to contain any generator")
-    eff_lo = min(lo, bottom)
-    return from_table(basis, im1, im2, eff_lo, hi, -math.inf, hi)
+    return from_table(basis, im1, im2, min(lo, *basis), hi, -math.inf, hi)
 
 
 def suspend(m: A1Module, t: int) -> A1Module:
@@ -560,8 +550,13 @@ def _submodule(m: A1Module, rows: dict[int, F2Matrix], prefix: str) -> A1Module:
 
 def _certified_hi(m: A1Module) -> float:
     """The top degree whose free generators theta can see, ``complete_hi``
-    less 6; a window with fewer than 7 complete degrees raises
-    ``ValueError``."""
+    less 6.  Theta counts free summands of modules only, so a broken
+    relation raises ``ValueError`` naming ``validate``'s first witness
+    (relation, degree, element), and so does a window with fewer than 7
+    complete degrees."""
+    bad = validate(m)
+    if bad:
+        raise ValueError(f"not a module over the algebra: {bad[0]}")
     certified_hi = m.complete_hi - 6
     if certified_hi < m.complete_lo and m.total_dim():
         raise ValueError(
@@ -582,25 +577,19 @@ def _theta_images(m: A1Module) -> Iterator[tuple[int, list[int]]]:
             yield d, images
 
 
-def free_generators(m: A1Module) -> tuple[list[int], float]:
-    """The degrees of the generators of the free summands of ``m``, with
-    multiplicity and in degree order, and the degree ``certified_hi``
-    through which the list is complete: ``reduce(m)``'s ``free_gens`` and
-    ``certified_hi``, without building the complement.
+def free_generators(m: A1Module) -> tuple[dict[int, int], float]:
+    """How many generators of the free summands of ``m`` lie in each
+    degree that has any, in degree order, and the degree ``certified_hi``
+    through which the table is complete: ``reduce(m)``'s ``free_gens``
+    counted and its ``certified_hi``, without building the complement.
 
     The algebra is Frobenius with socle spanned by theta = Sq2 Sq2 Sq2
     (see ``reduce``), so on a module the free summands generated in degree
     d number the rank of theta: M_d -> M_{d+6} (Margolis, *Spectra and the
     Steenrod Algebra*, 1983), which one elimination per degree counts.
-    The theorem holds for modules only, so ``validate`` runs first, and a
-    break of either relation raises ``ValueError`` naming its first
-    witness: the relation, the degree and the basis element.  A window
-    with fewer than 7 complete degrees raises ``ValueError`` too."""
-    bad = validate(m)
-    if bad:
-        raise ValueError(f"not a module over the algebra: {bad[0]}")
+    ``_certified_hi`` raises ``ValueError`` as it documents."""
     certified_hi = _certified_hi(m)
-    return [d for d, images in _theta_images(m) for _ in images], certified_hi
+    return {d: len(images) for d, images in _theta_images(m)}, certified_hi
 
 
 def reduce(m: A1Module) -> ReduceResult:
@@ -624,8 +613,9 @@ def reduce(m: A1Module) -> ReduceResult:
     injective on the socle theta F of F = A(1){g_j}, which every nonzero
     submodule of the free module F meets, so N meets F only in 0.  N is
     cut out by 8 functionals per generator, so dim N >= dim M - dim F and
-    M = F + N is a direct sum.  A codimension below 8 per generator means
-    the module breaks the algebra's relations and raises ``RuntimeError``.
+    M = F + N is a direct sum.  ``_certified_hi`` raises ``ValueError`` as
+    it documents; a codimension below 8 per generator, which a module
+    cannot have, raises ``RuntimeError``.
     """
     certified_hi = _certified_hi(m)
     gens: list[int] = []
@@ -662,7 +652,7 @@ def reduce(m: A1Module) -> ReduceResult:
 
 
 def is_reduced(m: A1Module) -> bool:
-    return all(m.op("theta", d).is_zero() for d in m.trusted_degrees(6))
+    return next(_theta_images(m), None) is None
 
 
 # -- projective covers and loops --------------------------------------------------
@@ -761,7 +751,41 @@ def std_bv(n: int, lo: int, hi: int) -> A1Module:
     return direct_sum_a1([m for _, m in parts], [tag for tag, _ in parts])
 
 
-# -- stable comparison ---------------------------------------------------------
+# -- module maps and stable comparison -------------------------------------------
+
+@dataclass
+class A1Map:
+    """A degree-preserving map: ``blocks[d]`` sends the basis of
+    ``source`` at d to the basis of ``target`` at d, zero where absent."""
+    source: A1Module
+    target: A1Module
+    blocks: dict[int, F2Matrix]
+
+    def __post_init__(self) -> None:
+        for d, m in self.blocks.items():
+            if m.nrows != self.source.dim(d) or m.ncols != self.target.dim(d):
+                raise ValueError(f"block shape mismatch at {d}")
+
+    def block(self, d: int) -> F2Matrix:
+        return self.blocks.get(d) or F2Matrix.zero(self.source.dim(d),
+                                                   self.target.dim(d))
+
+    def commute_failure(self, lo: float = -math.inf, hi: float = math.inf
+                        ) -> Optional[tuple[str, int]]:
+        """The first operation (Sq1 before Sq2) and source degree where the
+        map does not commute with it, or None, over the source's trusted
+        degrees whose action stays in [lo, hi] and the target's complete
+        range."""
+        s, t = self.source, self.target
+        lo, hi = max(lo, t.complete_lo), min(hi, t.complete_hi)
+        for op, reach in (("Sq1", 1), ("Sq2", 2)):
+            for d in s.trusted_degrees(reach):
+                if lo <= d <= hi - reach and (
+                        s.op(op, d).mul(self.block(d + reach))
+                        != self.block(d).mul(t.op(op, d))):
+                    return op, d
+        return None
+
 
 @dataclass
 class EvidenceReport:
@@ -780,8 +804,8 @@ def iso_search(a: A1Module, b: A1Module, lo: int, hi: int
     Every sum of the ``hom_space`` basis is tried; a basis of k maps with
     2^k above ``ISO_SEARCH_BUDGET`` raises ``ValueError``, since a cut
     search decides nothing.  None means no isomorphism exists on the range.
-    The map found is checked against both operations through
-    ``A1Module.op``, and a failure raises ``RuntimeError``."""
+    The map found is checked against both operations by
+    ``A1Map.commute_failure``, and a failure raises ``RuntimeError``."""
     if any(a.dim(d) != b.dim(d) for d in range(lo, hi + 1)):
         return None
     region = Window(lo, hi, 0, 0)
@@ -804,12 +828,11 @@ def iso_search(a: A1Module, b: A1Module, lo: int, hi: int
                 break
             blocks[d] = acc
         else:
-            for name, reach in (("Sq1", 1), ("Sq2", 2)):
-                for d in range(lo, hi + 1 - reach):
-                    if (a.op(name, d).mul(blocks[d + reach])
-                            != blocks[d].mul(b.op(name, d))):
-                        raise RuntimeError(f"iso_search: the map found fails "
-                                           f"{name} at degree {d}")
+            failure = A1Map(a, b, blocks).commute_failure(lo, hi)
+            if failure is not None:
+                op, d = failure
+                raise RuntimeError(f"iso_search: the map found fails {op} at "
+                                   f"degree {d}")
             return blocks
     return None
 

@@ -216,7 +216,7 @@ def cmd_compute(args) -> int:
         m = _load_a1(args, w)
         try:
             red = reduce(m)
-        except ValueError as exc:   # too few complete degrees to certify
+        except ValueError as exc:   # not a module, or too narrow to certify
             raise UsageError(f"{args.builtin or args.infile}: {exc}") from None
         lines = ["degree\tfree_generators"]
         for g, count in sorted(Counter(red.free_gens).items()):

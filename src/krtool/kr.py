@@ -12,10 +12,10 @@ asserted.
 Everything the report and its cross-check read about one (rank, window)
 pair lives on one ``Chart``: the group cohomology module, its coefficient
 extension and its free part, each built on first use and then kept.  The
-free part is the list of free generators, counted by the rank of the top
-class theta in each degree (``a1.free_generators``) once ``a1.validate``
-has checked the module's relations; the chart never splits the free
-summands off (``a1.reduce``), since it reads only where they start.
+free part is the count of free generators per degree, the rank of the top
+class theta there (``a1.free_generators``, which names a broken relation
+first); the chart never splits the free summands off (``a1.reduce``),
+since it reads only where they start.
 ``chart(n, w)`` memoises the last chart asked for, one slot only, so
 ``compute kr-table`` followed by ``cross_check_hv`` on the same rank and
 window builds each piece once, and a chart for another pair drops the
@@ -101,19 +101,19 @@ def free_class(g: int, which: str) -> Degree:
 
 @dataclass
 class F2Part:
-    gens: list[int]               # degrees of free generators, with multiplicity
+    gens: dict[int, int]          # free generators per degree
     certified_hi: float           # every degree when math.inf
 
     def dims(self, which: str, w: Window) -> dict[Degree, int]:
         """How many ``which`` classes lie in each degree of ``w``."""
-        return dict(Counter(d for d in (free_class(g, which) for g in self.gens)
-                            if w.contains(d)))
+        got = {free_class(g, which): n for g, n in self.gens.items()}
+        return {d: n for d, n in got.items() if w.contains(d)}
 
 
 def compute_f2(n: int, w: Window) -> F2Part:
     """Free generators of the group cohomology, shifted to the top class."""
     part = chart(n, w).free_part
-    return F2Part(list(part.gens), part.certified_hi)
+    return F2Part(dict(part.gens), part.certified_hi)
 
 
 @dataclass
@@ -243,7 +243,6 @@ class CrossCheckReport:
     region: list[Degree]
     mismatches: list[tuple[Degree, int, int]]
     brute: dict[Degree, int]
-    closed: dict[Degree, int]
 
     def detail(self) -> str:
         if self.ok:
@@ -270,5 +269,4 @@ def cross_check_hv(n: int, w: Window) -> CrossCheckReport:
         if a != b:
             mism.append((d, a, b))
     return CrossCheckReport(not mism, region, mism,
-                            {d: brute.get(d, 0) for d in region},
-                            {d: closed.get(d, 0) for d in region})
+                            {d: brute.get(d, 0) for d in region})

@@ -57,7 +57,7 @@ from functools import cache
 from typing import Callable, Optional, Sequence
 
 from . import coeff as cf
-from .a1 import A1Module, dual_a1, margolis
+from .a1 import A1Map, A1Module, dual_a1, margolis
 from .coeff import A, CoeffMonomial, S, multiply, q0_coeff, q1_coeff
 from .emod import (
     EModule,
@@ -423,7 +423,6 @@ def psi_duality(m: A1Module, w: Window) -> PsiCertificate:
 
 @dataclass
 class BocksteinD1:
-    fm: EModule
     homology: H01Result
     d1: dict[Degree, F2Matrix]
 
@@ -501,37 +500,10 @@ def bockstein_d1(rm: RModule) -> BocksteinD1:
             rows.append(c)
         if ok and rows:
             d1[d] = F2Matrix.from_rows(rows, hom.sub.dim(td))
-    return BocksteinD1(fm, hom, d1)
+    return BocksteinD1(hom, d1)
 
 
 # -- short exact sequences through the extension --------------------------------------
-
-@dataclass
-class A1Map:
-    source: A1Module
-    target: A1Module
-    blocks: dict[int, F2Matrix]
-
-    def __post_init__(self) -> None:
-        for d, m in self.blocks.items():
-            if m.nrows != self.source.dim(d) or m.ncols != self.target.dim(d):
-                raise ValueError(f"block shape mismatch at {d}")
-
-    def block(self, d: int) -> F2Matrix:
-        return self.blocks.get(d) or F2Matrix.zero(self.source.dim(d),
-                                                   self.target.dim(d))
-
-    def commutes(self) -> bool:
-        s, t = self.source, self.target
-        for op, reach in (("Sq1", 1), ("Sq2", 2)):
-            for d in degrees_where(
-                    lambda d: t.complete_lo <= d <= t.complete_hi - reach,
-                    s.trusted_degrees(reach)):
-                if (s.op(op, d).mul(self.block(d + reach))
-                        != self.block(d).mul(t.op(op, d))):
-                    return False
-        return True
-
 
 def lift_map(f: A1Map, src: RModule, dst: RModule) -> GradedMap:
     """The extension applied to a degree-zero module map."""
@@ -555,12 +527,17 @@ def check_sec_r(f: A1Map, g: A1Map, w: Window) -> SecRResult:
     """Verify a short exact sequence of base modules split over the first
     exterior factor, extend it, and certify the induced long exact
     sequence degreewise on ``w`` less two degrees and one twist at each
-    end."""
+    end.  A map that does not commute is named (``f`` or ``g``) with the
+    operation and degree ``A1Map.commute_failure`` gives."""
     a, b, c = f.source, f.target, g.target
     if g.source is not b:
         return SecRResult(False, "maps not composable", None)
-    if not (f.commutes() and g.commutes()):
-        return SecRResult(False, "maps do not commute with the operations", None)
+    for name, failure in (("f", f.commute_failure()),
+                          ("g", g.commute_failure())):
+        if failure is not None:
+            op, d = failure
+            return SecRResult(False, f"map {name} does not commute with {op} "
+                                     f"at degree {d}", None)
     lo = max(a.complete_lo, b.complete_lo, c.complete_lo)
     hi = min(a.complete_hi, b.complete_hi, c.complete_hi)
     # a degree where all three modules vanish is trivially short exact

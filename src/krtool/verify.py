@@ -15,6 +15,7 @@ from typing import Callable, Optional
 
 from . import closedform as cfm
 from .a1 import (
+    A1Map,
     dual_a1,
     iso_search,
     loop_power,
@@ -42,7 +43,6 @@ from .kr import (
     detection_h1_borel,
 )
 from .rfun import (
-    A1Map,
     apply_r,
     bockstein_d1,
     check_sec_r,

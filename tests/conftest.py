@@ -7,6 +7,7 @@ if str(src) not in sys.path:
     sys.path.insert(0, str(src))
 
 from krtool.a1 import A1Module  # noqa: E402
+from krtool.gf2 import F2Matrix  # noqa: E402
 from krtool.graded import GradedMap, GradedSpace, add_deg  # noqa: E402
 
 
@@ -27,6 +28,18 @@ ELEMENTS = {
     "Sq1 Sq1 = 0": "Sq1 Sq1",
     "Sq2 Sq2 = Sq1 Sq2 Sq1": "Sq2 Sq2 + Sq1 Sq2 Sq1",
 }
+
+
+def flip_sq2_at_2(m):
+    """``m`` with the entry (0, 0) of its Sq2 block at degree 2 flipped: on
+    the second companion this breaks Sq2 Sq2 = Sq1 Sq2 Sq1 at degree 2 and
+    nowhere below, while the reduced dimensions and both Margolis
+    homologies still agree with those of the tensor square of P."""
+    blk = m.sq2[2]
+    sq2 = {**m.sq2, 2: F2Matrix(blk.nrows, blk.ncols,
+                                (blk.rows[0] ^ 1,) + blk.rows[1:])}
+    return A1Module(m.basis, m.sq1, sq2, m.lo, m.hi, m.complete_lo,
+                    m.complete_hi)
 
 
 def apply_element(m, name, d, bits):

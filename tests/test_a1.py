@@ -10,11 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from krtool import a1
 from krtool.a1 import (
     A1_SQ1,
     A1_SQ2,
     A1_OPS,
     A1_WORDS,
+    A1Map,
     A1Module,
     ReduceResult,
     _submodule,
@@ -48,9 +50,8 @@ from krtool.graded import (
     hom_space,
     identity_map,
 )
-from krtool.rfun import A1Map
 
-from conftest import ELEMENTS, apply_element, by_name
+from conftest import ELEMENTS, apply_element, by_name, flip_sq2_at_2
 
 
 def total_square_sq(i, s):
@@ -270,16 +271,37 @@ def test_reduce_rank_three_large_window_within_budget():
     assert seconds < 2, f"reduce took {seconds:.1f}s"
 
 
-def test_reduce_rejects_nonzero_top_operation_on_a_non_free_module():
+def test_reduce_rejects_nonzero_top_operation_on_a_non_free_module(
+        monkeypatch):
     # Sq2 Sq2 Sq2 is nonzero on the bottom class, but Sq2 Sq2 is not
     # Sq1 Sq2 Sq1 there: the classes do not form a free module
     m = A1Module({0: ["g"], 2: ["a"], 4: ["b"], 6: ["c"]}, {},
                  {d: F2Matrix.from_rows([1], 1) for d in (0, 2, 4)},
                  0, 6, -math.inf, math.inf)
-    assert validate(m) != []
+    with pytest.raises(ValueError, match="not a module over the algebra: "
+                                         "Sq2 Sq2 = Sq1 Sq2 Sq1 fails at "
+                                         "degree 0 on g"):
+        reduce(m)
+    # past the relation check, the split's own guard still refuses it
+    monkeypatch.setattr(a1, "validate", lambda m: [])
     with pytest.raises(RuntimeError, match="generators in degree 0 are "
                                            "dependent"):
         reduce(m)
+
+
+@pytest.mark.parametrize("split", [
+    free_generators,
+    reduce,
+    lambda m: stable_evidence(tensor_a1(std_p(1, 26), std_p(1, 26)), m),
+    lambda m: loop_power(m, 4),
+], ids=["free_generators", "reduce", "stable_evidence", "loop_power"])
+def test_splits_name_the_broken_relation_of_a_flipped_companion(split):
+    witness = "Sq2 Sq2 = Sq1 Sq2 Sq1 fails at degree 2 on y2"
+    m = flip_sq2_at_2(std_pn(2, 0, 26))
+    assert str(validate(m)[0]) == witness
+    with pytest.raises(ValueError, match=f"not a module over the algebra: "
+                                         f"{witness}"):
+        split(m)
 
 
 # -- the per-summand retraction route, kept as the reference for ``reduce`` --
@@ -423,7 +445,7 @@ def summed_modules(draw):
 @given(summed_modules())
 def test_free_generators_match_the_constructive_split(m):
     red = reduce(m)
-    assert free_generators(m) == (red.free_gens, red.certified_hi)
+    assert free_generators(m) == (Counter(red.free_gens), red.certified_hi)
 
 
 @pytest.mark.parametrize("n, total", [(1, 0), (2, 15), (3, 140), (4, 821)])
@@ -446,9 +468,9 @@ def test_free_generators_match_the_poincare_series_quotient(n, total):
     assert min(quotient.values()) >= 0, quotient
     gens, certified_hi = free_generators(bv)
     assert certified_hi == hi - 6
-    assert Counter(gens) == {d: q for d, q in quotient.items()
-                             if q and d <= certified_hi}
-    assert len(gens) == total
+    assert gens == {d: q for d, q in quotient.items()
+                    if q and d <= certified_hi}
+    assert sum(gens.values()) == total
 
 
 def test_free_generators_name_the_first_broken_relation():
@@ -476,7 +498,7 @@ def test_free_generators_refuse_a_window_too_narrow_to_certify():
         with pytest.raises(ValueError, match="window too narrow"):
             split(narrow)
     wide = direct_sum_a1([p, suspend(dual_a1(p), 10)], ["p.", "d."])
-    assert free_generators(wide) == (reduce(wide).free_gens, 2)
+    assert free_generators(wide) == (Counter(reduce(wide).free_gens), 2)
 
 
 # -- the per-vector evaluation, kept as the reference for ``op`` and ``validate``
@@ -874,7 +896,6 @@ def test_iso_search_finds_dual_of_free():
 
 
 def test_iso_search_over_budget_raises_and_does_not_answer(monkeypatch):
-    from krtool import a1
     pp = reduce(tensor_a1(std_p(1, 24), std_p(1, 24))).module
     p2 = reduce(std_pn(2, 0, 25)).module
     assert a1.iso_search(pp, p2, 2, 19) is not None  # three basis maps
@@ -882,6 +903,32 @@ def test_iso_search_over_budget_raises_and_does_not_answer(monkeypatch):
     with pytest.raises(ValueError, match=r"3 commuting basis maps give 8 "
                                          r"sums, over ISO_SEARCH_BUDGET \(4\)"):
         a1.iso_search(pp, p2, 2, 19)
+
+
+def test_iso_search_names_where_the_map_found_fails_to_commute(monkeypatch):
+    # Sq1 joins the two classes of ``a`` and not those of ``b``, so the
+    # identity, which a broken solver hands back, is invertible and fails
+    # Sq1 at degree 0
+    a = A1Module({0: ["u"], 1: ["v"]}, {0: F2Matrix.identity(1)}, {},
+                 0, 1, -math.inf, math.inf)
+    b = A1Module({0: ["u"], 1: ["v"]}, {}, {}, 0, 1, -math.inf, math.inf)
+    ident = GradedMap(a.space(), b.space(), (0, 0),
+                      {(d, 0): F2Matrix.identity(1) for d in (0, 1)})
+    monkeypatch.setattr(a1, "hom_space", lambda *args: [ident])
+    with pytest.raises(RuntimeError, match="iso_search: the map found fails "
+                                           "Sq1 at degree 0"):
+        a1.iso_search(a, b, 0, 1)
+
+
+def test_stable_evidence_names_the_range_without_an_isomorphism():
+    # P and a sum of trivial modules, one in each degree 1..24: the same
+    # dimensions, but a map from P to the sum commutes with Sq1 only if it
+    # kills x2 = Sq1 x1, so none is invertible
+    p = std_p(1, 24)
+    trivial = direct_sum_a1([std_f(d) for d in range(1, 25)],
+                            [f"f{d}." for d in range(1, 25)])
+    rep = stable_evidence(p, trivial)
+    assert rep.detail == "no isomorphism on degrees [1,18]"
 
 
 def test_stable_evidence_names_the_range_it_decided_on():
@@ -950,7 +997,7 @@ def test_cover_lists_summands_in_order_and_its_epimorphism_matches_names(name):
         assert list(res.epi_blocks[d].rows) == _ref_epi_rows(m, res, d), d
         assert res.epi_blocks[d].ncols == m.dim(d)
     # the epimorphism commutes with both operations, its kernel is the loop
-    assert A1Map(res.cover, m, res.epi_blocks).commutes()
+    assert A1Map(res.cover, m, res.epi_blocks).commute_failure() is None
     assert validate(res.loop) == []
     for d, rows in res.loop_rows.items():
         assert all(res.epi_blocks[d].vec_mul(v) == 0 for v in rows.rows)

@@ -17,6 +17,8 @@ from krtool.graded import Window, add_deg
 from krtool.rfun import apply_r
 from krtool.verify import SUITES, run_suite
 
+from conftest import flip_sq2_at_2
+
 CRITERIA = [
     ("01", "a1-structure",
      "free module: dimension 8, graded dims, relations, acyclicity, "
@@ -107,23 +109,15 @@ def test_a1_structure_names_a_missing_self_duality(monkeypatch):
         "degrees -6..0")
 
 
-def test_brown_ossa_names_the_range_without_an_isomorphism(monkeypatch):
-    # one Sq2 entry of the second companion flipped at degree 2 breaks
-    # Sq2 Sq2 = Sq1 Sq2 Sq1, yet the reduced dimensions and both Margolis
-    # homologies still agree with those of the tensor square
+def test_brown_ossa_names_a_broken_relation_of_the_companion(monkeypatch):
     def std_pn(n, lo, hi):
         m = a1.std_pn(n, lo, hi)
-        if n != 2:
-            return m
-        blk = m.sq2[2]
-        sq2 = {**m.sq2, 2: F2Matrix(blk.nrows, blk.ncols,
-                                    (blk.rows[0] ^ 1,) + blk.rows[1:])}
-        return a1.A1Module(m.basis, m.sq1, sq2, m.lo, m.hi, m.complete_lo,
-                           m.complete_hi)
+        return flip_sq2_at_2(m) if n == 2 else m
 
     monkeypatch.setattr(verify, "std_pn", std_pn)
     assert failed_detail("brown-ossa") == (
-        "tensor square vs second companion: no isomorphism on degrees [2,20]")
+        "exception: not a module over the algebra: Sq2 Sq2 = Sq1 Sq2 Sq1 "
+        "fails at degree 2 on y2")
 
 
 def test_h01_a1_names_a_cone_crossing(monkeypatch):

@@ -8,6 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from krtool.a1 import (
+    A1Map,
+    A1Module,
     direct_sum_a1,
     proj_cover_and_loop,
     std_a1,
@@ -52,7 +54,7 @@ from krtool.graded import (
 )
 from krtool.io import module_file_to_e, parse_module_file
 from krtool.kr import bv_module
-from krtool.rfun import A1Map, apply_r, check_sec_r, required_top
+from krtool.rfun import apply_r, check_sec_r, required_top
 
 from conftest import by_name
 
@@ -291,7 +293,6 @@ def test_lambda0_splitting_commutes_where_quotient_vanishes():
 def test_sec_r_cover_of_trivial_module_has_no_sq1_section():
     # a section would send the generator to 1 in the free module, but
     # Sq1 of 1 is nonzero while Sq1 of the generator is zero
-    from krtool.a1 import A1Module
     from krtool.rfun import _sq1_section
     res = proj_cover_and_loop(std_f(0))
     assert _sq1_section(A1Map(res.cover, std_f(0), res.epi_blocks)) is None
@@ -309,7 +310,6 @@ def test_sec_r_cover_of_trivial_module_has_no_sq1_section():
 def test_sec_r_rejects_non_split():
     # the nontrivial extension of the trivial module by its suspension
     # is not split over the first generator
-    from krtool.a1 import A1Module
     basis = {0: ("u",), 1: ("v",)}
     sq1 = {0: F2Matrix.from_rows([1], 1)}
     lam = A1Module(basis, sq1, {}, 0, 1, -math.inf, math.inf)
@@ -331,6 +331,23 @@ def test_sec_r_names_the_base_degree_of_a_non_complex():
     out = check_sec_r(f, g, Window(-6, 6, -3, 3))
     assert not out.ok and out.les is None
     assert out.detail == "not short exact at degree 0"
+
+
+def test_sec_r_names_the_map_that_does_not_commute():
+    # Sq1 joins the two classes of ``joined`` and not those of ``apart``,
+    # so the identity between them commutes in neither direction
+    basis = {0: ["u"], 1: ["v"]}
+    joined = A1Module(basis, {0: F2Matrix.identity(1)}, {}, 0, 1,
+                      -math.inf, math.inf)
+    apart = A1Module(basis, {}, {}, 0, 1, -math.inf, math.inf)
+    ident = {d: F2Matrix.identity(1) for d in (0, 1)}
+    for name, f, g in (
+            ("f", A1Map(joined, apart, ident), A1Map(apart, apart, ident)),
+            ("g", A1Map(apart, apart, ident), A1Map(apart, joined, ident))):
+        out = check_sec_r(f, g, Window(-6, 6, -3, 3))
+        assert not out.ok and out.les is None
+        assert out.detail == \
+            f"map {name} does not commute with Sq1 at degree 0"
 
 
 def test_a1_map_rejects_block_of_wrong_shape():

@@ -11,10 +11,11 @@ its class body and its private and special methods.
 
 A public method is reached when reached code reads its name as an
 attribute.  Where the class of the receiver is known, only that class's
-method is reached: ``self`` in a method is its class, and a parameter
-annotated with a class (``X``, ``"X"``, ``Optional[X]`` or ``X | None``)
-is that class, in a function that never assigns the name.  Any other
-receiver matches by name: the method of that name of every class passes.
+method is reached: ``self`` in a method is its class, a call of a class
+(``X(...)``) is that class, and a parameter annotated with a class
+(``X``, ``"X"``, ``Optional[X]`` or ``X | None``) is that class, in a
+function that never assigns the name.  Any other receiver matches by
+name: the method of that name of every class passes.
 So a method that is called is never reported, and a method whose name
 another class shares is reported unless some read of the name has an
 unknown receiver.  The package's classes derive from none of its others,
@@ -96,9 +97,14 @@ def _typed_reads(top: ast.AST, self_class: Optional[str],
             for child in ast.iter_child_nodes(node):
                 visit(child, inner if id(child) in inside else scope, None)
             return
-        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                and node.value.id in scope):
-            out[id(node)] = scope[node.value.id]
+        if isinstance(node, ast.Attribute):
+            recv = node.value
+            if isinstance(recv, ast.Name) and recv.id in scope:
+                out[id(node)] = scope[recv.id]
+            elif isinstance(recv, ast.Call) and isinstance(recv.func, ast.Name):
+                cls = classify(recv.func.id)
+                if cls:
+                    out[id(node)] = cls
         for child in ast.iter_child_nodes(node):
             visit(child, scope, None)
 
@@ -248,12 +254,13 @@ def test_the_walk_reports_a_method_another_class_shares_the_name_of(tmp_path):
     anchor = "    def is_zero(self) -> bool:\n        return not self.blocks\n"
     text = (src / "graded.py").read_text()
     assert text.count(anchor) == 1
-    # ``rfun.A1Map.commutes`` is read, but only as ``f.commutes()`` with
-    # ``f: A1Map``, so a name match alone would keep the planted method
+    # ``a1.A1Map.commute_failure`` is read, but only as
+    # ``f.commute_failure()`` with ``f: A1Map`` and on ``A1Map(...)``, so a
+    # name match alone would keep the planted method
     (src / "graded.py").write_text(text.replace(anchor, anchor + (
-        "\n    def commutes(self) -> bool:\n"
-        "        return True\n")))
-    assert unreached(src) == ["graded.GradedMap.commutes"]
+        "\n    def commute_failure(self) -> None:\n"
+        "        return None\n")))
+    assert unreached(src) == ["graded.GradedMap.commute_failure"]
 
 
 def test_the_walk_resolves_self_to_the_enclosing_class(tmp_path):

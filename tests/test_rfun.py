@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from krtool import cli, rfun
 from krtool import coeff as cf
 from krtool.a1 import (
+    A1Map,
     A1Module,
     direct_sum_a1,
     dual_a1,
@@ -38,7 +39,6 @@ from krtool.graded import (
 )
 from krtool.kr import chart, cross_check_hv
 from krtool.rfun import (
-    A1Map,
     apply_r,
     bockstein_d1,
     cone_crossing,
