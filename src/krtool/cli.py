@@ -243,8 +243,12 @@ def cmd_compute(args) -> int:
             lines.append(f"height{h}\t{'holds' if holds else 'fails'}")
         _emit("\n".join(lines) + "\n", args.out)
     elif task == "kr-table":
-        rep = assemble_kr(_at_least(args, "--bv", 1), w,
-                          max_layer=_at_least(args, "--layers", 0))
+        n = _at_least(args, "--bv", 1)
+        try:
+            rep = assemble_kr(n, w, max_layer=_at_least(args, "--layers", 0))
+        except ValueError as exc:   # no generator lies in the window
+            window = " ".join(map(str, args.window))
+            raise UsageError(f"--bv {n} --window {window}: {exc}") from None
         _emit(rep.to_tsv(), args.out)
     elif task == "chart":
         if args.builtin == "HP":

@@ -59,7 +59,8 @@ def _differential(mp: GradedMap, shift: Degree) -> GradedMap:
 class EModule:
     """Bigraded module with commuting square-zero differentials.
 
-    ``complete`` is the rectangle on which basis and blocks are exact.
+    ``complete`` is the rectangle on which basis and blocks are exact, or
+    None when no degree is.
     When the coefficient actions are present, ``q0 . act_s`` differs from
     ``act_s . q0`` by ``act_a`` and ``q1 . act_s`` from ``act_s . q1`` by
     ``act_a^2 . q0``; these relations are recorded and re-checked.
@@ -72,8 +73,8 @@ class EModule:
     is first read, and its result is kept.
     """
 
-    def __init__(self, space: GradedSpace, q0: Differential,
-                 q1: Differential, complete: Window, act_a: Action = None,
+    def __init__(self, space: GradedSpace, q0: Differential, q1: Differential,
+                 complete: Optional[Window], act_a: Action = None,
                  act_s: Action = None, s_compat_cartan: bool = False):
         self._q0 = q0 if callable(q0) else _differential(q0, Q0_SHIFT)
         self._q1 = q1 if callable(q1) else _differential(q1, Q1_SHIFT)
@@ -114,13 +115,13 @@ class EModule:
         return self.space.dims()
 
     def trusted(self, *degrees: Degree) -> bool:
-        return all(self.complete.contains(d) for d in degrees)
+        return all(self.complete and self.complete.contains(d) for d in degrees)
 
     def trusted_window(self, *shifts: Degree) -> Optional[Window]:
         """The trusted degrees ``d`` with every ``d + s`` trusted as well,
         as one rectangle: ``complete`` meets ``complete - s`` for each
         shift ``s``.  None when there is no such degree."""
-        w: Optional[Window] = self.complete
+        w = self.complete
         for s in shifts:
             w = w and w.intersect(self.complete.shift(neg_deg(s)))
         return w
@@ -315,9 +316,11 @@ def _lambda1_tensor(m: EModule, susp: Degree, tag: int) -> EModule:
     ``m`` at ``d - susp`` followed by the block ``v{tag}|x`` for ``x`` at
     ``d - susp - (2,1)``, both blocks in the order of ``m``, so the ``v``
     block starts at offset ``m.dim(d - susp)``.  The names are runs over
-    those of ``m``, formatted when read.  Both differentials are those of
+    those of ``m``, formatted when read, and distinct since the prefixes
+    differ in their first character.  Both differentials are those of
     ``m`` placed block by block; the second one adds the unit from ``u|x``
-    to ``v|x``.  They are built when first read.
+    to ``v|x``.  They are built when first read.  The term is complete
+    where both blocks come from complete degrees of ``m``, if anywhere.
     """
     w = m.space.window
     vsusp = add_deg(susp, Q1_SHIFT)
@@ -342,10 +345,9 @@ def _lambda1_tensor(m: EModule, susp: Degree, tag: int) -> EModule:
             blocks[d] = F2Matrix.from_rows(rows, space.dim(td))
         return GradedMap(space, space, op.shift, blocks)
 
-    comp = m.complete.shift(susp).intersect(m.complete.shift(vsusp))
+    comp = m.complete and m.complete.shift(susp).intersect(
+        m.complete.shift(vsusp))
     comp = comp and comp.intersect(w)
-    if comp is None:
-        comp = Window(w.m_lo, w.m_lo, w.k_lo, w.k_lo)
     return EModule(space, lambda: build(m.q0, False),
                    lambda: build(m.q1, True), comp)
 
@@ -414,8 +416,9 @@ def rel_ext_tate(m: EModule, n: int,
     kk_mid, kk_up = t.kerker(-n), t.kerker(-n + 1)
     out: dict[Degree, int] = {}
     shift = (2 * (2 * n - 1), (2 * n - 1))
-    w = mid.complete.intersect(bottom.complete)
-    w = w and w.intersect(top.complete)
+    w = mid.complete
+    for term in (bottom, top):
+        w = w and term.complete and w.intersect(term.complete)
     for d in (w.degrees() if w else ()):
         reps = kk_mid.reps(d)
         if reps.nrows == 0:
@@ -525,7 +528,8 @@ def les_h01(a: EModule, b: EModule, c: EModule,
 def dual_e(m: EModule) -> EModule:
     """Linear dual with transposed differentials on the negated grading."""
     sp = dual_space(m.space)
-    return EModule(sp, m.q0.dual(sp, sp), m.q1.dual(sp, sp), m.complete.negate())
+    return EModule(sp, m.q0.dual(sp, sp), m.q1.dual(sp, sp),
+                   m.complete and m.complete.negate())
 
 
 def h01_dual_dims(m: EModule) -> dict[Degree, int]:

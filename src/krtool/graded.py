@@ -3,10 +3,10 @@
 Degrees are pairs ``(m, k)``: ``m`` is the integer part, ``k`` the twist.
 A ``GradedSpace`` holds named bases per degree inside a window, each in
 the order its builder listed it: a ``NameRuns`` sequence is kept as given
-and formats its names when they are read, and any other iterable of names
-is copied to a tuple.  A ``GradedMap`` holds one bit matrix per
-populated source degree, with rows indexed by the source basis and columns
-by the target basis at the shifted degree.  A ``Subquotient`` eliminates
+and formats its names when read, and any other iterable of names is
+checked for repeats and copied to a tuple.  A ``GradedMap`` holds one bit
+matrix per populated source degree, with rows indexed by the source basis
+and columns by the target basis at the shifted degree.  A ``Subquotient`` eliminates
 each degree it reads at most once.  Names are labels: nothing
 sorts or parses them, so a dual keeps the positions it transposes.
 Every operation records the subwindow on which its output is complete, so
@@ -121,6 +121,12 @@ class NameRuns(Sequence[str]):
     iterated, so a large basis built from a few shared base sequences holds
     no string of its own.  It compares equal, in both directions, to the
     tuple of its names and to any ``NameRuns`` with the same names.
+
+    Its two builders make distinct names, so nothing checks: each run's
+    base names are one degree's of a module or space, distinct already; in
+    the coefficient extension the prefix ``mono|`` ends at a name's first
+    ``|``, as no monomial's name holds one; the Tate terms' prefixes
+    ``u{i}|`` and ``v{i}|`` differ in their first character.
     """
 
     __slots__ = ("runs", "_len")
@@ -161,8 +167,8 @@ class GradedSpace:
     """Finite bigraded space with named bases.  Each degree's names are
     kept in the order given, which is the order of the coordinates every
     block over this space uses; a name may occur once per degree.  A
-    ``NameRuns`` is kept as given, and any other iterable is copied to a
-    tuple."""
+    ``NameRuns`` is kept as given and unread, and any other iterable is
+    copied to a tuple and refused if a name repeats."""
 
     def __init__(self, window: Window,
                  basis: dict[Degree, Iterable[str]] | None = None):
@@ -172,12 +178,12 @@ class GradedSpace:
             for d, names in basis.items():
                 if not isinstance(names, NameRuns):
                     names = tuple(names)
+                    if len(set(names)) != len(names):
+                        raise ValueError(f"duplicate names at {d}")
                 if not names:
                     continue
                 if not window.contains(d):
                     raise ValueError(f"degree {d} outside window")
-                if len(set(names)) != len(names):
-                    raise ValueError(f"duplicate names at {d}")
                 self.basis[d] = names
         # name -> position, built per degree on its first lookup
         self._index: dict[Degree, dict[str, int]] = {}

@@ -133,12 +133,12 @@ def detection_h1_borel(n: int, w: Window) -> BorelDetection:
     interior region where every Euler tower has its anchors in range, so
     truncation cannot fabricate or hide maps.
     """
-    borel = cfm.borel_hv_closed(n, w)
-    ops = [OperatorPair("a", borel.act_a, borel.act_a)]
-    sols = hom_space(borel.space, borel.space, (3, 2), ops, w)
     region = w.shrink(0, 3, 2, 2)
     if region is None:
         raise ValueError("window too small for an interior region")
+    borel = cfm.borel_hv_closed(n, w)
+    ops = [OperatorPair("a", borel.act_a, borel.act_a)]
+    sols = hom_space(borel.space, borel.space, (3, 2), ops, w)
 
     # rank of the solution space restricted to interior variables: each
     # solution packed as the rows of its interior blocks, in window order

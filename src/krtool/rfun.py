@@ -15,15 +15,15 @@ Block layout.  The basis at each degree is a run of contiguous blocks,
 one per monomial of its twist in the order the builder lists them, each
 holding one module degree in module order.  The names are formatted from
 the layout when they are read: the basis vector ``h | x`` reads as the
-monomial's name, ``|`` and the module's name of ``x``.  The ``Layout``
-records ``(monomial, module degree, offset)`` per degree, and every
-operator is built block by block: a build runs the coefficient rule at
-most once per monomial, each term of the rule names the module rows it
-takes, computed once per module degree, and those rows are shifted to the
-target block's offset.  The checks read the layout too: the cone split
-takes each block's cone from its monomial, and the duality pairing matches
-blocks by their monomials and module degrees.  The names are labels only;
-nothing splits them.
+monomial's name, ``|`` and the module's name of ``x``, distinct by the
+layout (see ``NameRuns``).  The ``Layout`` records ``(monomial, module
+degree, offset)`` per degree, and every operator is built block by block:
+a build runs the coefficient rule at most once per monomial, each term of
+the rule names the module rows it takes, computed once per module degree,
+and those rows are shifted to the target block's offset.  The checks read
+the layout too: the cone split takes each block's cone from its monomial,
+and the duality pairing matches blocks by their monomials and module
+degrees.  The names are labels only; nothing splits them.
 
 Multiplication by ``a``.  ``a`` keeps the module degree and the position
 in a twist's monomial list: in the positive cone it sends the monomials
@@ -31,18 +31,20 @@ of twist k - 1 onto all those of twist k but the last, ``s^k``; in the
 negative cone it sends those of twist k - 1 onto all those of twist k
 and kills the last.  So at each m the blocks of twist k begin with ``a``
 times the blocks one twist below, at the same module degrees and
-offsets.  Every rule the builder takes commutes with ``a``: the terms of
-``a h`` are ``a`` times the terms of ``h``, with the same module rows,
-less those ``a`` kills (``q0``, ``q1``, the two actions and every lifted
-module map do).  So a block ``a`` carries has exactly the rows of the
-block one twist below, with the bits of the target blocks ``a`` kills
-cleared.  The builder walks the twists upwards and, at each m, copies
-those rows: in the positive cone they are a row prefix, the same ints,
-and only the ``s^k`` block runs the rule; in the negative cone they are
-the rows below cut to this degree's dimension and masked to the target
-width.  The first twist of each cone, a degree whose column below was not
-built, and a layout not of this shape (``mod_a`` has one monomial, ``s^k``,
-per twist) run the rule for every block.
+offsets.  The layout walk decides this once per twist from the monomial
+lists, and records at each m the carry: the number of blocks below that
+``a`` does not kill.  Every rule the builder takes commutes with ``a``:
+the terms of ``a h`` are ``a`` times the terms of ``h``, with the same
+module rows, less those ``a`` kills (``q0``, ``q1``, the two actions and
+every lifted module map do).  So a block ``a`` carries has exactly the
+rows of the block one twist below, with the bits of the target blocks
+``a`` kills cleared.  The builder walks the twists upwards and, at each
+m, copies those rows: in the positive cone they are a row prefix, the
+same ints, and only the ``s^k`` block runs the rule; in the negative cone
+they are the rows below cut to this degree's dimension and masked to the
+target width.  The first twist of each cone, a degree whose column below
+was not built, and a twist ``a`` does not carry (``mod_a`` has one
+monomial, ``s^k``, per twist) run the rule for every block.
 
 The two differentials are built at once.  The coefficient actions by
 ``a`` and ``s`` are handed to ``EModule`` as builders and built on first
@@ -87,8 +89,10 @@ Rows = Callable[[int], Sequence[int]]
 # a block rule: monomial -> terms (target monomial or None, module rows)
 BlockRule = Callable[[CoeffMonomial],
                      list[tuple[Optional[CoeffMonomial], Rows]]]
-# a space, its layout and its carries (``_with_carries``)
-Extension = tuple[GradedSpace, Layout, dict[Degree, int]]
+# degree -> how many of its leading blocks ``a`` carries from the twist below
+Carries = dict[Degree, int]
+# a space, its layout and its carries
+Extension = tuple[GradedSpace, Layout, Carries]
 
 
 @dataclass
@@ -96,6 +100,7 @@ class RModule:
     base: A1Module
     emod: EModule
     layout: Layout
+    carries: Carries
 
     def space(self) -> GradedSpace:
         return self.emod.space
@@ -118,29 +123,45 @@ def _check_base_window(m: A1Module, w: Window) -> None:
 
 
 def _extension_basis(m: A1Module, w: Window,
-                     monos: dict[int, list[CoeffMonomial]]
-                     ) -> tuple[GradedSpace, Layout]:
-    """The basis ``mono|x`` for the monomials of each twist, and its layout;
-    the names are runs over the module's names, formatted when read."""
+                     monos: dict[int, list[CoeffMonomial]]) -> Extension:
+    """The basis ``mono|x`` for the monomials of each twist (in ascending
+    order), as runs over the module's names, its layout and its carries.
+    No monomial's name holds ``|``, so the names are distinct.
+
+    ``a`` carries the twist below onto twist k when ``a`` times its
+    monomials, but for those ``a`` kills, which must come last, lead the
+    monomials of k in order, and ``a`` divides none of the others.  ``a``
+    has degree (0, 1), so at each m those leading monomials have blocks
+    where their factors have blocks a twist below, at the same module
+    degrees and offsets; the carry is their number."""
     basis: dict[Degree, NameRuns] = {}
     layout: Layout = {}
+    carries: Carries = {}
     for k, ms in monos.items():
+        images = [multiply(A, mono) for mono in monos.get(k - 1, ())]
+        lead = images.index(None) if None in images else len(images)
+        carried = (ms[:lead] == images[:lead] and not any(images[lead:])
+                   and not any(mono.cone == "-" or mono.e1
+                               for mono in ms[lead:]))
         tagged = [(mono.name() + "|", mono, mono.degree()[0]) for mono in ms]
         for mm in range(w.m_lo, w.m_hi + 1):
             runs: list[tuple[str, Sequence[str]]] = []
             blocks = []
-            size = 0
-            for tag, mono, md in tagged:
+            size = carry = 0
+            for i, (tag, mono, md) in enumerate(tagged):
                 xd = mm - md
                 xs = m.names(xd)
                 if xs:
                     blocks.append((mono, xd, size))
                     runs.append((tag, xs))
                     size += len(xs)
+                    carry += i < lead
             if blocks:
                 basis[(mm, k)] = NameRuns(runs)
                 layout[(mm, k)] = blocks
-    return GradedSpace(w, basis), layout
+                if carried and (mm, k - 1) in layout:
+                    carries[(mm, k)] = carry
+    return GradedSpace(w, basis), layout, carries
 
 
 def _module_rows(m: A1Module) -> dict[str, Rows]:
@@ -154,42 +175,6 @@ def _module_rows(m: A1Module) -> dict[str, Rows]:
             return got if any(got) else ()
         return rows
     return {op: table(op) for op in ("1", "Sq1", "Sq2", "Q1")}
-
-
-def _carried(below: list[tuple[CoeffMonomial, int, int]],
-             here: list[tuple[CoeffMonomial, int, int]]) -> Optional[int]:
-    """How many leading blocks of ``here`` are ``a`` times the blocks
-    ``below`` one twist down, at the same module degrees and offsets; None
-    unless ``a`` kills the monomials of the other blocks ``below`` and
-    divides none of the other blocks of ``here``.  A block's monomial lies
-    at its degree less its module degree, each bidegree holds at most one
-    monomial, and ``a`` takes the one at (m, k) to the one at (m, k + 1)
-    whenever both exist; so a block of ``here`` in the place of the block
-    ``below`` at the same position holds ``a`` times its monomial."""
-    for (_, xd, off), (_, hxd, hoff) in zip(below, here):
-        if xd != hxd or off != hoff:
-            return None
-    n = min(len(below), len(here))
-    for mono, _, _ in below[n:]:
-        if multiply(A, mono):
-            return None
-    for mono, _, _ in here[n:]:
-        if mono.cone == "-" or mono.e1:
-            return None
-    return n
-
-
-def _with_carries(space: GradedSpace, layout: Layout) -> Extension:
-    """The space and its layout with their carries: ``_carried`` at each
-    degree from the degree one twist below, where that is laid out and
-    carried onto it.  Every map built on them reads the one table."""
-    carries: dict[Degree, int] = {}
-    for d, here in layout.items():
-        below = layout.get((d[0], d[1] - 1))
-        n = None if below is None else _carried(below, here)
-        if n is not None:
-            carries[d] = n
-    return space, layout, carries
 
 
 def _build(src: Extension, dst: Extension, shift: Degree,
@@ -216,18 +201,16 @@ def _build(src: Extension, dst: Extension, shift: Degree,
             continue
         dim, width = source.dim(d), target.dim(td)
         rows, start = [0] * dim, 0
-        below = (d[0], d[1] - 1)
-        prev = blocks.get(below)
-        if prev is not None:
-            n, t = src_carries.get(d), dst_carries.get(td)
-            if n is not None and t is not None:
-                size = entries[n][2] if n < len(entries) else dim
-                cut = tentries[t][2] if t < len(tentries) else width
-                rows = list(prev.rows[:size])
-                if cut < prev.ncols:
-                    rows = [r & ((1 << cut) - 1) for r in rows]
-                rows += [0] * (dim - size)
-                start = n
+        prev = blocks.get((d[0], d[1] - 1))
+        n, t = src_carries.get(d), dst_carries.get(td)
+        if prev is not None and n is not None and t is not None:
+            size = entries[n][2] if n < len(entries) else dim
+            cut = tentries[t][2] if t < len(tentries) else width
+            rows = list(prev.rows[:size])
+            if cut < prev.ncols:
+                rows = [r & ((1 << cut) - 1) for r in rows]
+            rows += [0] * (dim - size)
+            start = n
         offsets = {mono: off for mono, _, off in tentries}
         for mono, xd, off in entries[start:]:
             got = terms.get(mono)
@@ -251,11 +234,10 @@ def apply_r(m: A1Module, w: Window) -> RModule:
     """Build the coefficient extension of ``m`` on the window ``w``; its
     actions by ``a`` and ``s`` are built when first read."""
     _check_base_window(m, w)
-    space, layout = _extension_basis(
+    ext = space, layout, carries = _extension_basis(
         m, w, {k: list(cf.monomials_with_twist(k))
                for k in range(w.k_lo, w.k_hi + 1)})
     rows = _module_rows(m)
-    ext = _with_carries(space, layout)
 
     def q0_rule(mono):
         return [(q0_coeff(mono), rows["1"]), (mono, rows["Sq1"])]
@@ -272,7 +254,7 @@ def apply_r(m: A1Module, w: Window) -> RModule:
                  act_a=lambda: _build(ext, ext, (0, 1), _times(A, rows)),
                  act_s=lambda: _build(ext, ext, (-1, 1), _times(S, rows)),
                  s_compat_cartan=True)
-    return RModule(m, em, layout)
+    return RModule(m, em, layout, carries)
 
 
 def cone_crossing(rm: RModule) -> Optional[Degree]:
@@ -324,9 +306,8 @@ def mod_a(m: A1Module, w: Window) -> EModule:
     orientation times the derived degree-3 operation as the second.
     """
     _check_base_window(m, w)
-    ext = _with_carries(*_extension_basis(
-        m, w, {k: [CoeffMonomial("+", 0, k)]
-               for k in range(max(0, w.k_lo), w.k_hi + 1)}))
+    ext = _extension_basis(m, w, {k: [CoeffMonomial("+", 0, k)]
+                                  for k in range(max(0, w.k_lo), w.k_hi + 1)})
     rows = _module_rows(m)
     return EModule(
         ext[0],
@@ -511,8 +492,8 @@ def lift_map(f: A1Map, src: RModule, dst: RModule) -> GradedMap:
         blk = f.blocks.get(xd)
         return blk.rows if blk is not None else ()
 
-    return _build(_with_carries(src.space(), src.layout),
-                  _with_carries(dst.space(), dst.layout), (0, 0),
+    return _build((src.space(), src.layout, src.carries),
+                  (dst.space(), dst.layout, dst.carries), (0, 0),
                   lambda mono: [(mono, rows)])
 
 
@@ -556,11 +537,11 @@ def check_sec_r(f: A1Map, g: A1Map, w: Window) -> SecRResult:
                 False, f"quotient not q0-acyclic (witness {min(mg)}) and no "
                        "sq1-linear section exists", None)
 
-    ra, rb, rc = apply_r(a, w), apply_r(b, w), apply_r(c, w)
-    rf, rg = lift_map(f, ra, rb), lift_map(g, rb, rc)
     region = w.shrink(2, 2, 1, 1)
     if region is None:
         return SecRResult(False, "window too small for the sequence check", None)
+    ra, rb, rc = apply_r(a, w), apply_r(b, w), apply_r(c, w)
+    rf, rg = lift_map(f, ra, rb), lift_map(g, rb, rc)
     rep = les_h01(ra.emod, rb.emod, rc.emod, rf, rg, region)
     return SecRResult(rep.ok, rep.detail, rep)
 

@@ -1,6 +1,6 @@
 """Construction budgets: how many matrices and eliminations a fixed piece of
-work builds, counted by wrapping the two constructors, and how many module
-rows it reads and rows it eliminates.
+work builds, counted by wrapping the two constructors, how many module
+rows it reads and rows it eliminates, and how many basis names it formats.
 
 The bounds sit a little above the counts of the current code, so a change
 that rebuilds a matrix or an elimination inside a loop fails here before it
@@ -16,8 +16,14 @@ import pytest
 from krtool import gf2, rfun, verify
 from krtool.a1 import std_bv, std_pn
 from krtool.emod import h01, rel_ext
-from krtool.graded import Window
-from krtool.kr import chart, compute_f1, compute_f2
+from krtool.graded import NameRuns, Window
+from krtool.kr import (
+    assemble_kr,
+    chart,
+    compute_f1,
+    compute_f2,
+    cross_check_hv,
+)
 from krtool.rfun import apply_r, required_top
 
 # (F2Matrix, Echelon) constructions: the bound, and the counts of the code
@@ -46,6 +52,11 @@ H01_ROW_BUDGET = 4_150
 # with ``reduce``, 83 and 3,875 since it counts them by the rank of theta
 F2_ROW_BUDGETS = {3: (Window(-8, 8, -4, 4), 90),
                   4: (Window(-14, 14, -7, 7), 4_100)}
+# basis names a chart (``assemble_kr`` and ``cross_check_hv``) formats
+# from ``NameRuns``: 26,950 at rank 2 on m +-20, k +-10 and 4,124 at rank 3
+# on m +-8, k +-4 while ``GradedSpace`` read every basis for repeats, none
+# since
+CHART_NAME_BUDGET = 0
 
 
 @pytest.fixture
@@ -168,3 +179,29 @@ def test_f2_eliminates_rows_within_budget(monkeypatch, n, gens):
     chart.cache_clear()
     assert sum(f2.gens.values()) == gens
     assert rows[0] <= bound, rows[0]
+
+
+@pytest.mark.parametrize("n, w", [(2, Window(-20, 20, -10, 10)),
+                                  (3, Window(-8, 8, -4, 4))])
+def test_charts_format_no_run_name(monkeypatch, n, w):
+    """A chart reads its extension's blocks by position and keeps its
+    bases unchecked, so it formats none of their names."""
+    formatted = [0]
+    real_iter, real_item = NameRuns.__iter__, NameRuns.__getitem__
+
+    def counting_iter(self):
+        for name in real_iter(self):
+            formatted[0] += 1
+            yield name
+
+    def counting_item(self, i):
+        formatted[0] += 1
+        return real_item(self, i)
+
+    monkeypatch.setattr(NameRuns, "__iter__", counting_iter)
+    monkeypatch.setattr(NameRuns, "__getitem__", counting_item)
+    chart.cache_clear()
+    assemble_kr(n, w)
+    assert cross_check_hv(n, w).ok
+    chart.cache_clear()
+    assert formatted[0] <= CHART_NAME_BUDGET, formatted[0]

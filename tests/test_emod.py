@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from krtool import rfun
 from krtool.a1 import (
     A1Map,
     A1Module,
@@ -160,6 +161,20 @@ def test_tate_complex_of_trivial_module():
     assert tate_exactness_report(t, inner) == []
 
 
+def test_a_tate_term_without_a_complete_degree_trusts_none():
+    """Slot 2 over an extension on m -2..2, k -1..0: at (-2, -1) its two
+    blocks come from (-6, -3) and (-8, -4), and at every degree from
+    outside the extension's complete window, so no degree is trusted; the
+    dual and the Tate slots accept such a term."""
+    m = apply_r(std_a1(), Window(-2, 2, -1, 0)).emod
+    term = tate_complex(m, 2, 2).terms[2]
+    assert term.complete is None and term.trusted_window() is None
+    assert not any(term.trusted(d) for d in term.space.window.degrees())
+    assert dual_e(term).complete is None and kerker_space(term).dims() == {}
+    t = tate_complex(m, -2, 0)
+    assert t.terms[-2].complete is None and rel_ext_tate(m, 1, t) == {}
+
+
 def test_rel_ext_of_trivial_module():
     w = Window(-6, 8, -3, 4)
     f = trivial_emodule(w)
@@ -247,6 +262,28 @@ def test_les_h01_cover_sequence():
     out = check_sec_r(f, g, w)
     assert out.ok, out.detail
     assert out.les is not None and out.les.slots_checked > 0
+
+
+def test_sec_r_refuses_maps_that_do_not_compose():
+    res = proj_cover_and_loop(std_p(1, 20))
+    f = A1Map(res.loop, res.cover, res.loop_rows)
+    g = A1Map(res.cover, std_p(1, 20), res.epi_blocks)
+    out = check_sec_r(g, f, Window(-8, 10, -4, 4))
+    assert (out.ok, out.detail, out.les) == (False, "maps not composable",
+                                             None)
+
+
+def test_sec_r_refuses_a_window_without_an_interior(monkeypatch):
+    """Two degrees and one twist come off each end of the window; on m 0..3
+    nothing is left, which is reported before any extension is built."""
+    p1 = std_p(1, 20)
+    res = proj_cover_and_loop(p1)
+    f = A1Map(res.loop, res.cover, res.loop_rows)
+    g = A1Map(res.cover, p1, res.epi_blocks)
+    monkeypatch.setattr(rfun, "apply_r", None)
+    out = check_sec_r(f, g, Window(0, 3, -1, 0))
+    assert (out.ok, out.detail, out.les) == (
+        False, "window too small for the sequence check", None)
 
 
 def test_les_h01_split_sequence():
@@ -475,8 +512,6 @@ def _ref_lambda1_tensor(m: EModule, susp: Degree, tag: int) -> EModule:
     comp = m.complete.shift(susp).intersect(
         m.complete.shift(add_deg(susp, Q1_SHIFT)))
     comp = comp and comp.intersect(w)
-    if comp is None:
-        comp = Window(w.m_lo, w.m_lo, w.k_lo, w.k_lo)
     return EModule(space, build(Q0_SHIFT, q0_rule), build(Q1_SHIFT, q1_rule),
                    comp)
 

@@ -507,28 +507,6 @@ def test_name_runs_read_as_the_tuple_of_their_names():
     assert s.index((0, 0), "z") == 2
     assert image_names(s.names((0, 0)), 0b101) == {"a|x", "z"}
     assert dual_space(s) == dual_space(GradedSpace(w, {(0, 0): names}))
-    # a run's prefix and another run's name can still make a repeat
-    with pytest.raises(ValueError, match=r"duplicate names at \(0, 0\)"):
-        GradedSpace(w, {(0, 0): NameRuns([("a|", ("x",)), ("a", ("|x",))])})
-
-
-_SHORT = st.text("abc", max_size=3)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(_SHORT, st.lists(_SHORT, max_size=4)), max_size=4)
-       | st.just([("a", ["bc"]), ("ab", ["c"])]))
-def test_name_runs_are_refused_exactly_when_a_name_repeats(runs):
-    """The run-level check refuses the same bases as a count of the
-    formatted names, a repeat across runs (``a`` + ``bc`` = ``ab`` + ``c``)
-    and within one base sequence included."""
-    names = NameRuns((p, tuple(ns)) for p, ns in runs)
-    w = Window(0, 0, 0, 0)
-    if len(set(names)) == len(names):
-        assert GradedSpace(w, {(0, 0): names}).names((0, 0)) == tuple(names)
-    else:
-        with pytest.raises(ValueError, match=r"duplicate names at \(0, 0\)"):
-            GradedSpace(w, {(0, 0): names})
 
 
 def test_small_values_carry_no_instance_dict():

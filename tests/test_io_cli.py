@@ -512,6 +512,8 @@ def test_cli_prints_e_modules_canonically(tmp_path):
     (("compute", "relext", "--builtin", "RP1", "--n", "-1"), "--n -1"),
     (("compute", "reduce", "--in", "{narrow}"),
      "narrow: window too narrow to certify reduction"),
+    (("compute", "kr-table", "--bv", "2", "--window", "-14", "0", "-7", "0"),
+     "--bv 2 --window -14 0 -7 0: window too small to contain any generator"),
 ])
 def test_cli_rejects_bad_input_on_one_line(argv, named, tmp_path):
     files = {"{tower}": "kind tower\nwindow 0 4 0 0\nxdeg 1\n",

@@ -97,6 +97,16 @@ def test_detection_h1_borel_ranks_solutions_on_the_interior(monkeypatch):
         space.dim(d) * space.dim(add_deg(d, (3, 2))) for d in region.degrees())
 
 
+def test_detection_h1_borel_refuses_a_window_without_an_interior(
+        monkeypatch):
+    """Two twists come off each end; on k 0..3 nothing is left, which is
+    reported before the hom space is solved."""
+    monkeypatch.setattr(kr, "hom_space", None)
+    with pytest.raises(ValueError) as err:
+        detection_h1_borel(1, Window(-4, 4, 0, 3))
+    assert str(err.value) == "window too small for an interior region"
+
+
 def test_cross_check_rank_one():
     w = Window(-10, 10, -5, 5)
     rep = cross_check_hv(1, w)

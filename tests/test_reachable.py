@@ -20,6 +20,10 @@ So a method that is called is never reported, and a method whose name
 another class shares is reported unless some read of the name has an
 unknown receiver.  The package's classes derive from none of its others,
 so a method is looked up on its own class only.
+
+Private top-level functions and classes are checked apart: each must be
+named by other code in the package, so a helper whose callers went is
+found.
 """
 
 import ast
@@ -213,6 +217,51 @@ def unreached(src: Path = SRC) -> list[str]:
     dead += [qual for units in waiting.values() for _, qual, _ in units
              if qual not in seen]
     return sorted(dead)
+
+
+def unreferenced_private(src: Path = SRC) -> list[str]:
+    """``module.name`` of each private top-level function or class that no
+    other code names, sorted.  Code names it as ``name`` in its module
+    outside its own definition, by ``from .module import name``, or as
+    ``alias.name`` after ``from . import module as alias``."""
+    private: set[Key] = set()
+    named: set[Key] = set()
+    for path in sorted(src.glob("*.py")):
+        mod = path.stem
+        body = ast.parse(path.read_text()).body
+        aliases = {a.asname or a.name: a.name for stmt in body
+                   if isinstance(stmt, ast.ImportFrom) and stmt.level == 1
+                   and stmt.module is None for a in stmt.names}
+        for stmt in body:
+            refs: set[Key] = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    refs.add((mod, node.id))
+                elif (isinstance(node, ast.Attribute)
+                      and isinstance(node.value, ast.Name)
+                      and node.value.id in aliases):
+                    refs.add((aliases[node.value.id], node.attr))
+                elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                    refs.update((node.module, a.name) for a in node.names)
+            if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))
+                    and stmt.name.startswith("_")):
+                private.add((mod, stmt.name))
+                refs.discard((mod, stmt.name))
+            named |= refs
+    return sorted(f"{mod}.{name}" for mod, name in private - named)
+
+
+def test_every_private_definition_is_named_elsewhere():
+    dead = unreferenced_private()
+    assert not dead, "named by no other code: " + ", ".join(dead)
+
+
+def test_the_private_check_finds_a_helper_whose_callers_went(tmp_path):
+    src = _copy(tmp_path)
+    with open(src / "gf2.py", "a") as fh:
+        fh.write("\n\ndef _orphan(n):\n    return _orphan(n - 1) if n else rank\n")
+    assert unreferenced_private(src) == ["gf2._orphan"]
 
 
 def test_every_public_definition_is_reached():

@@ -27,7 +27,7 @@ from krtool.a1 import (
 )
 from krtool.closedform import h01_pn_dim
 from krtool.coeff import A, CoeffMonomial, S, multiply, q0_coeff, q1_coeff
-from krtool.emod import EModule, h01, margolis, validate
+from krtool.emod import EModule, h01, margolis, tate_complex, validate
 from krtool.gf2 import F2Matrix
 from krtool.graded import (
     GradedMap,
@@ -37,6 +37,7 @@ from krtool.graded import (
     add_deg,
     dual_space,
 )
+from krtool.io import module_file_to_a1, parse_module_file
 from krtool.kr import chart, cross_check_hv
 from krtool.rfun import (
     apply_r,
@@ -46,6 +47,7 @@ from krtool.rfun import (
     lift_map,
     mod_a,
     psi_duality,
+    required_bottom,
     required_top,
 )
 
@@ -175,6 +177,12 @@ def test_bockstein_rejects_non_acyclic():
         bockstein_d1(apply_r(std_f(), w))
     with pytest.raises(ValueError, match="must reach twist -2"):
         bockstein_d1(apply_r(std_a1(), Window(-6, 6, -1, 4)))
+
+
+def test_bockstein_names_the_witness_of_a_base_that_is_not_acyclic():
+    with pytest.raises(ValueError) as err:
+        bockstein_d1(apply_r(std_f(), Window(-4, 4, -2, 2)))
+    assert str(err.value) == "base module is not q0-acyclic (witness 0)"
 
 
 def test_psi_duality_trivial_and_free():
@@ -487,6 +495,99 @@ def test_block_builders_match_name_keyed_reference(data):
     assert got.shift == want.shift and by_name(got) == by_name(want)
 
 
+def _ref_carries(layout):
+    """The carries read back from a layout, degree by degree: the leading
+    blocks at the module degrees and offsets of the blocks one twist below,
+    where ``a`` kills the other blocks below and divides none of the other
+    blocks here."""
+    out = {}
+    for d, here in layout.items():
+        below = layout.get((d[0], d[1] - 1))
+        if below is None or any(
+                (xd, off) != (hxd, hoff)
+                for (_, xd, off), (_, hxd, hoff) in zip(below, here)):
+            continue
+        n = min(len(below), len(here))
+        if (not any(multiply(A, mono) for mono, _, _ in below[n:])
+                and not any(mono.cone == "-" or mono.e1
+                            for mono, _, _ in here[n:])):
+            out[d] = n
+    return out
+
+
+@pytest.mark.parametrize("w", [Window(-9, 9, -5, 4), Window(-4, 6, -3, 0),
+                               Window(-6, 8, -7, -2), Window(-6, 3, 1, 6)],
+                         ids=["both", "to-twist-0", "negative", "positive"])
+def test_the_layout_walk_carries_what_the_layout_comparison_finds(
+        monkeypatch, w):
+    """The carries ``apply_r`` and ``mod_a`` decide per twist equal those
+    read back from their layouts degree by degree; ``mod_a``, with one
+    monomial ``s^k`` per twist, has none."""
+    built = []
+    real = rfun._build
+
+    def recording(src, dst, shift, rule):
+        built.append(src)
+        return real(src, dst, shift, rule)
+
+    monkeypatch.setattr(rfun, "_build", recording)
+    lo, hi = required_bottom(w), required_top(w)
+    for m in [std_f(), std_a1(), *(std_pn(n, lo, hi) for n in range(4)),
+              std_bv(2, lo, hi)]:
+        rm = apply_r(m, w)
+        assert rm.carries == _ref_carries(rm.layout)
+        assert any(rm.carries.values()) == (w.k_lo < w.k_hi)
+        built.clear()
+        mod_a(m, w)
+        for _, layout, carries in built:
+            assert carries == _ref_carries(layout) == {}
+
+
+@st.composite
+def named_modules(draw):
+    """Modules with zero actions whose names hold ``|`` and pieces of
+    monomial and Tate names: read from a module file, where each name is
+    one generator, or built directly, where a name may recur in other
+    degrees."""
+    names = st.text("|1asAS.2uv", min_size=1, max_size=4).filter(
+        lambda n: n != "0")
+    if draw(st.booleans()):
+        gens = draw(st.lists(names, min_size=1, max_size=6, unique=True))
+        lines = ["kind a1", "window -20 30 0 0"] + [
+            f"gen {n} {draw(st.integers(-3, 3))}" for n in gens]
+        return module_file_to_a1(parse_module_file("\n".join(lines)))
+    basis = {d: draw(st.lists(names, max_size=3, unique=True))
+             for d in range(-3, 4)}
+    return A1Module(basis, {}, {}, -20, 30, -20, 30)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_extension_and_tate_bases_name_each_vector_once(data):
+    """The bases that ``apply_r``, ``mod_a`` and the Tate terms build from
+    runs are kept unchecked; their names are distinct, for modules whose
+    own names hold ``|`` and, under the Tate terms over a space, recur
+    from degree to degree."""
+    w = data.draw(windows())
+    m = data.draw(named_modules() | base_modules(required_top(w)))
+    if m.complete_hi < required_top(w):
+        return
+    rm = apply_r(m, w)
+    small = Window(0, 4, 0, 2)
+    sp = GradedSpace(small, {d: data.draw(st.lists(
+        st.sampled_from(["x", "u0|x", "v0|x", "1|x"]), max_size=2,
+        unique=True)) for d in small.degrees()})
+    flat = EModule(sp, GradedMap(sp, sp, (1, 0)), GradedMap(sp, sp, (2, 1)),
+                   small)
+    spaces = [rm.emod.space, mod_a(m, w).space]
+    for em in (rm.emod, flat):
+        spaces += [t.space for t in tate_complex(em, -2, 2).terms.values()]
+    for sp in spaces:
+        for d in sp.degrees():
+            names = list(sp.names(d))
+            assert len(set(names)) == len(names), d
+
+
 def _counted_builds(monkeypatch):
     """The shifts of the maps ``rfun._build`` makes from now on."""
     shifts = []
@@ -694,7 +795,7 @@ def _flip(rm, which, d, i, j):
                         {**mp.blocks, d: F2Matrix.from_rows(rows, blk.ncols)})
     maps = {"q0": em.q0, "q1": em.q1, which: flipped}
     return rfun.RModule(rm.base, EModule(em.space, maps["q0"], maps["q1"],
-                                         em.complete), rm.layout)
+                                         em.complete), rm.layout, rm.carries)
 
 
 def test_psi_duality_matches_reference_with_one_flipped_bit(monkeypatch):
@@ -766,5 +867,5 @@ def test_cone_separation_catches_a_crossing_entry():
     q0 = GradedMap(space, space, (1, 0), {(0, 0): F2Matrix.from_rows([1], 1)})
     rm = rfun.RModule(base, EModule(space, q0, GradedMap(space, space, (2, 1)),
                                     w),
-                      {(0, 0): [(plus, 0, 0)], (1, 0): [(minus, 1, 0)]})
+                      {(0, 0): [(plus, 0, 0)], (1, 0): [(minus, 1, 0)]}, {})
     assert cone_crossing(rm) == (0, 0) and _ref_cone_separation(rm) is False
