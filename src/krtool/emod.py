@@ -407,8 +407,11 @@ def rel_ext_tate(m: EModule, n: int,
     several slots share its terms; the bottom term is read only for its
     dimensions and trusted degrees.  A differential that leaves the kernel
     intersection, or two that do not compose to zero, raise ``ValueError``
-    naming the degree.
+    naming the degree.  A negative slot raises ``ValueError``, as it does
+    in ``rel_ext``.
     """
+    if n < 0:
+        raise ValueError(f"extension slot {n} is negative")
     if t is None:
         t = tate_complex(m, -n - 1, -n + 1)
     bottom, mid, top = t.terms[-n - 1], t.terms[-n], t.terms[-n + 1]

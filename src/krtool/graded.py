@@ -6,8 +6,10 @@ the order its builder listed it: a ``NameRuns`` sequence is kept as given
 and formats its names when read, and any other iterable of names is
 checked for repeats and copied to a tuple.  A ``GradedMap`` holds one bit
 matrix per populated source degree, with rows indexed by the source basis
-and columns by the target basis at the shifted degree.  A ``Subquotient`` eliminates
-each degree it reads at most once.  Names are labels: nothing
+and columns by the target basis at the shifted degree.  A ``Subquotient``
+eliminates each distinct (numerator, denominator, dimension) it reads at
+most once, and ``GradedMap.compose`` multiplies each distinct pair of
+blocks once.  Names are labels: nothing
 sorts or parses them, so a dual keeps the positions it transposes.
 Every operation records the subwindow on which its output is complete, so
 downstream comparisons never read truncation artifacts.
@@ -176,7 +178,7 @@ class GradedSpace:
         self.basis: dict[Degree, Sequence[str]] = {}
         if basis:
             for d, names in basis.items():
-                if not isinstance(names, NameRuns):
+                if type(names) is not NameRuns:
                     names = tuple(names)
                     if len(set(names)) != len(names):
                         raise ValueError(f"duplicate names at {d}")
@@ -280,15 +282,22 @@ class GradedMap:
     def compose(self, then: "GradedMap") -> "GradedMap":
         """self followed by ``then`` (shifts add).  The middle dimensions
         must agree at every source degree; only stored block pairs are
-        multiplied, since a missing block is zero."""
+        multiplied, since a missing block is zero, and each distinct pair
+        of block matrices once: degrees that share both blocks share the
+        product."""
         out: dict[Degree, F2Matrix] = {}
+        products: dict[tuple[int, int], F2Matrix] = {}
         for d in self.source.basis:
             mid = add_deg(d, self.shift)
             if self.target.dim(mid) != then.source.dim(mid):
                 raise ValueError("composition block mismatch")
             b1, b2 = self.blocks.get(d), then.blocks.get(mid)
             if b1 is not None and b2 is not None:
-                out[d] = b1.mul(b2)
+                pair = (id(b1), id(b2))
+                got = products.get(pair)
+                if got is None:
+                    got = products[pair] = b1.mul(b2)
+                out[d] = got
         return GradedMap(self.source, then.target,
                          add_deg(self.shift, then.shift), out)
 
@@ -379,9 +388,13 @@ class Subquotient:
     A degree's representatives, coordinates and dimension come from one
     completed elimination (``Echelon.complete``), built on the first read
     there and kept, so the numerator and denominator tables must not change
-    after the first read of a degree.  A builder that has counted some
-    dimensions already passes them as ``counted``, which ``dim`` reads in
-    place of an elimination and nothing writes.
+    after the first read of a degree.  Degrees whose tables hold the same
+    numerator and denominator matrices, and whose ambient dimensions agree,
+    share one elimination: each distinct (numerator, denominator,
+    dimension) is solved once, and every degree keeps its own entry.  A
+    builder that has counted some dimensions already passes them as
+    ``counted``, which ``dim`` reads in place of an elimination and nothing
+    writes.
     """
 
     ambient: GradedSpace
@@ -393,18 +406,25 @@ class Subquotient:
     # degree -> (representatives, their elimination, count of denominator rows)
     _solved: dict[Degree, tuple[F2Matrix, Echelon, int]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+    # (id of the numerator, id of the denominator, ambient dimension) -> the
+    # entry of every degree that reads them; the tables hold both matrices
+    _shared: dict[tuple[int, int, int], tuple[F2Matrix, Echelon, int]] = \
+        field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _solver(self, d: Degree) -> tuple[F2Matrix, Echelon, int]:
         got = self._solved.get(d)
         if got is None:
             num = self.numerators.get(d)
             den = self.denominators.get(d)
-            den_rows = den.rows if den is not None else ()
-            span = Echelon(den_rows)
-            reps = span.complete(num.rows if num is not None else ())
-            got = self._solved[d] = (
-                F2Matrix.from_rows(reps, self.ambient.dim(d)), span,
-                len(den_rows))
+            dim = self.ambient.dim(d)
+            got = self._shared.get((id(num), id(den), dim))
+            if got is None:
+                den_rows = den.rows if den is not None else ()
+                span = Echelon(den_rows)
+                reps = span.complete(num.rows if num is not None else ())
+                got = self._shared[id(num), id(den), dim] = (
+                    F2Matrix.from_rows(reps, dim), span, len(den_rows))
+            self._solved[d] = got
         return got
 
     def reps(self, d: Degree) -> F2Matrix:

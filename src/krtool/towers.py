@@ -16,6 +16,13 @@ order.  Every structure map sends a key to the corresponding key of the
 target degree where that key is present (``e`` and ``f`` send ``i`` to
 ``i``, ``c`` sends ``i`` to ``("q", i)``, ``delta`` sends ``("g", i)`` to
 ``i``), so its matrix is read off the key positions.
+
+Within one tower a space keeps its keys as one tuple per degree, each
+distinct key tuple gets one tuple of names and each distinct (source
+keys, target keys, key translation) one block, and equal blocks are one
+matrix.  The checks do each distinct piece of work once per call, keyed
+by the ids of the matrices the maps hold, so every witness is still the
+first failing level and degree.  Nothing is shared between towers.
 """
 
 from __future__ import annotations
@@ -35,7 +42,6 @@ from .graded import (
     Window,
     add_deg,
     degrees_where,
-    homology_at,
     sub_deg,
 )
 
@@ -90,24 +96,38 @@ def validate_tower(t: TowerData) -> list[TowerWitness]:
                 out.append(TowerWitness(n, d, "colimit maps do not commute"))
                 break
     # where all three compared spaces are empty every span below is empty,
-    # so only populated degrees can fail
+    # so only populated degrees can fail; the blocks repeat from degree to
+    # degree, so each distinct (into, out, dimension) is counted once
+    counted: dict[tuple[int, int, int], bool] = {}
+
+    def exact(into: Optional[F2Matrix], out_of: Optional[F2Matrix],
+              dim: int) -> bool:
+        key = (id(into), id(out_of), dim)
+        got = counted.get(key)
+        if got is None:
+            got = counted[key] = homology(into, out_of, dim) == 0
+        return got
+
     for n in range(t.level_lo, t.level_hi):
         lev, above = t.levels[n], t.levels[n + 1]
-        below = [sub_deg(d, (1, 0)) for d in above.space.basis]
-        for d in degrees_where(t.region.contains, lev.space.basis,
-                               lev.layer.basis, below):
-            if not t.region.contains(add_deg(d, (1, 0))):
+        # e_{n+1} and c_n keep degrees, delta_n raises them by (1, 0)
+        e, c, delta = above.e.blocks, lev.c.blocks, lev.delta.blocks
+        space, layer, up = lev.space.basis, lev.layer.basis, above.space.basis
+        below = [sub_deg(d, (1, 0)) for d in up]
+        for d in degrees_where(t.region.contains, space, layer, below):
+            d1 = add_deg(d, (1, 0))
+            if not t.region.contains(d1):
                 continue
             # exactness at k_n: image of e_{n+1} = kernel of c_n
-            if homology_at(above.e, lev.c, d) != 0:
+            if not exact(e.get(d), c.get(d), len(space.get(d, ()))):
                 out.append(TowerWitness(n, d, "not exact at the level space"))
                 break
             # exactness at C_n: image of c_n = kernel of delta_n
-            if homology_at(lev.c, lev.delta, d) != 0:
+            if not exact(c.get(d), delta.get(d), len(layer.get(d, ()))):
                 out.append(TowerWitness(n, d, "not exact at the layer"))
                 break
             # exactness at k_{n+1}: image of delta_n = kernel of e_{n+1}
-            if homology_at(lev.delta, above.e, add_deg(d, (1, 0))) != 0:
+            if not exact(delta.get(d), e.get(d1), len(up.get(d1, ()))):
                 out.append(TowerWitness(n, d, "not exact at the next level"))
                 break
     return out
@@ -175,15 +195,21 @@ def detect(t: TowerData, h: int, n: int) -> DetectReport:
     comp = t.levels[n + h].e
     for step in range(h - 1, 0, -1):
         comp = comp.compose(t.levels[n + step].e)
+    # a kernel and an image are kept on their blocks, which repeat from
+    # degree to degree, so each distinct pair of them is tested once
+    apart: set[tuple[int, int]] = set()
     for d in degrees_where(t.region.contains, lev.space.basis):
         tn = lev.f.kernel_at(d)
         if tn.nrows == 0:
             continue
+        img = comp.image_at(d)
+        if (id(tn), id(img)) in apart:
+            continue
         # the two row bases are independent, so they meet exactly when the
         # image adds fewer dimensions to the kernel than it has rows
-        img = comp.image_at(d)
         if Echelon(tn.rows).extend(img.rows) < img.nrows:
             return DetectReport(False, h, n, d)
+        apart.add((id(tn), id(img)))
     return DetectReport(True, h, n, None)
 
 
@@ -288,41 +314,68 @@ class XTowerSpec:
         return Window(min(shifts) + level_lo * d - 1, top + 2, 0, 0)
 
 
-# a space with its basis keys: the position of each key at each degree
-Keyed = tuple[GradedSpace, dict[Degree, dict]]
+# a space with its basis keys: one tuple of keys per degree, in basis order
+Keyed = tuple[GradedSpace, dict[Degree, tuple]]
 
 
 def _keyed_space(window: Window, keys: dict[Degree, list], name) -> Keyed:
     """The space with one basis vector ``name(key)`` per key, in the order
-    of the keys."""
-    pos = {dg: {k: p for p, k in enumerate(ks)}
-           for dg, ks in keys.items() if window.contains(dg)}
-    return GradedSpace(window, {dg: [name(k) for k in ps]
-                                for dg, ps in pos.items()}), pos
+    of the keys; degrees with equal keys share one tuple of names."""
+    kept = {dg: tuple(ks) for dg, ks in keys.items() if window.contains(dg)}
+    names: dict[tuple, tuple[str, ...]] = {}
+    for ks in kept.values():
+        if ks not in names:
+            names[ks] = tuple(name(k) for k in ks)
+    return GradedSpace(window, {dg: names[ks]
+                                for dg, ks in kept.items()}), kept
+
+
+def _to_layer(i: int) -> tuple:
+    """The layer key of level key ``i``: its bottom class."""
+    return ("q", i)
+
+
+def _boundary(k: tuple) -> Optional[int]:
+    """The next level's key of layer key ``k``: summand ``i`` for the top
+    class ``("g", i)``, none for a bottom class."""
+    return k[1] if k[0] == "g" else None
 
 
 def _key_map(src: Keyed, tgt: Keyed, shift: Degree, made: dict,
              to=lambda k: k) -> GradedMap:
     """The map sending the basis vector of each key ``k`` to that of
     ``to(k)`` in the shifted degree, or to zero where that key is absent.
-    A block is read off the key positions, and ``made`` keeps the blocks
-    already built by rows and width, so that equal blocks are one matrix
-    (most blocks of a tower are small identities)."""
-    (source, src_pos), (target, tgt_pos) = src, tgt
+    A block is read off the key positions once per distinct (source keys,
+    target keys, ``to``), and ``made`` keeps those blocks, and the blocks
+    by rows and width, so that equal blocks are one matrix (most blocks of
+    a tower are small identities)."""
+    (source, src_keys), (target, tgt_keys) = src, tgt
     blocks: dict[Degree, F2Matrix] = {}
-    for dg, pos in src_pos.items():
-        tpos = tgt_pos.get(add_deg(dg, shift))
-        if not tpos:
+    for dg, ks in src_keys.items():
+        tks = tgt_keys.get(add_deg(dg, shift))
+        if tks is None:
             continue
-        at = [tpos.get(to(k)) for k in pos]     # keys in position order
-        rows = tuple(0 if t is None else 1 << t for t in at)
-        if any(rows):
-            got = made.get((rows, len(tpos)))
-            if got is None:
-                got = made[rows, len(tpos)] = F2Matrix(len(rows), len(tpos),
-                                                       rows)
+        try:
+            got = made[ks, tks, to]
+        except KeyError:
+            got = made[ks, tks, to] = _key_block(ks, tks, to, made)
+        if got is not None:
             blocks[dg] = got
     return GradedMap(source, target, shift, blocks)
+
+
+def _key_block(ks: tuple, tks: tuple, to, made: dict) -> Optional[F2Matrix]:
+    """The block sending key ``k`` of ``ks`` to ``to(k)`` of ``tks``, the
+    one matrix ``made`` keeps for its rows and width, or None when zero."""
+    pos = {k: p for p, k in enumerate(tks)}
+    at = [pos.get(to(k)) for k in ks]
+    rows = tuple(0 if t is None else 1 << t for t in at)
+    if not any(rows):
+        return None
+    got = made.get((rows, len(tks)))
+    if got is None:
+        got = made[rows, len(tks)] = F2Matrix(len(rows), len(tks), rows)
+    return got
 
 
 def build_x_tower(spec: XTowerSpec, window: Window,
@@ -368,12 +421,11 @@ def build_x_tower(spec: XTowerSpec, window: Window,
         lay = layer(n)
         e = (_key_map(sp, spaces[n - 1], (0, 0), made) if n > level_lo
              else None)
-        delta = (_key_map(lay, spaces[n + 1], (1, 0), made,
-                          lambda k: k[1] if k[0] == "g" else None)
+        delta = (_key_map(lay, spaces[n + 1], (1, 0), made, _boundary)
                  if n < level_hi else None)
         levels[n] = TowerLevel(
             sp[0], lay[0], e, _key_map(sp, colim, (0, 0), made),
-            _key_map(sp, lay, (0, 0), made, lambda i: ("q", i)), delta)
+            _key_map(sp, lay, (0, 0), made, _to_layer), delta)
     return TowerData(levels, colim[0], level_lo, level_hi, window)
 
 

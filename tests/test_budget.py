@@ -1,6 +1,7 @@
 """Construction budgets: how many matrices and eliminations a fixed piece of
 work builds, counted by wrapping the two constructors, how many module
-rows it reads and rows it eliminates, and how many basis names it formats.
+rows it reads and rows it eliminates, how many basis names it formats, and
+how many exactness checks the towers suite's ``validate_tower`` runs.
 
 The bounds sit a little above the counts of the current code, so a change
 that rebuilds a matrix or an elimination inside a loop fails here before it
@@ -13,7 +14,7 @@ or eliminated them already.
 
 import pytest
 
-from krtool import gf2, rfun, verify
+from krtool import gf2, graded, rfun, towers, verify
 from krtool.a1 import std_bv, std_pn
 from krtool.emod import h01, rel_ext
 from krtool.graded import NameRuns, Window
@@ -28,10 +29,18 @@ from krtool.rfun import apply_r, required_top
 
 # (F2Matrix, Echelon) constructions: the bound, and the counts of the code
 # before each kernel, image and constant matrix was built once, before a
-# matrix kept its kernel and row basis for every map that shares it, and
-# before a subquotient's ``dim`` read its degree's one elimination
-TOWERS_BUDGET = (7_500, 6_800)         # was 41,164 and 24,303; then 8,133
-                                       # and 11,194; then 7,360 and 7,896
+# matrix kept its kernel and row basis for every map that shares it, before
+# a subquotient's ``dim`` read its degree's one elimination, and before a
+# composite multiplied, ``detect`` tested and a subquotient solved each
+# distinct pair of matrices once
+TOWERS_BUDGET = (2_950, 3_750)         # was 41,164 and 24,303; then 8,133
+                                       # and 11,194; then 7,360 and 7,896;
+                                       # then 7,360 and 6,645; 2,867 and
+                                       # 3,678 since
+# ``gf2.homology`` calls of the suite's ``validate_tower``: 22,671 while
+# it checked every degree, 704 since it checks each distinct (into, out,
+# dimension) once per tower
+TOWER_HOMOLOGY_BUDGET = 720
 H01_BUDGET = (100, 255)                # was 697 and 283
 # Echelon constructions of three rel_ext slots on one h01: 252 before a
 # counted degree kept its count, 84 after
@@ -77,6 +86,30 @@ def test_towers_suite_construction_budget(constructions):
     assert ok, detail
     got = (constructions["F2Matrix"], constructions["Echelon"])
     assert all(n <= bound for n, bound in zip(got, TOWERS_BUDGET)), got
+
+
+def test_validate_tower_counts_each_distinct_check_once(monkeypatch):
+    """The exactness checks of one tower repeat the same three blocks from
+    degree to degree; each distinct triple is counted once."""
+    calls, inside = [0], [False]
+
+    def counting(into, out, dim):
+        calls[0] += inside[0]
+        return gf2.homology(into, out, dim)
+
+    def validating(t):
+        inside[0] = True
+        try:
+            return towers.validate_tower(t)
+        finally:
+            inside[0] = False
+
+    for module in (towers, graded):
+        monkeypatch.setattr(module, "homology", counting)
+    monkeypatch.setattr(verify, "validate_tower", validating)
+    ok, detail = verify._suite_towers()
+    assert ok, detail
+    assert 0 < calls[0] <= TOWER_HOMOLOGY_BUDGET, calls[0]
 
 
 def test_h01_construction_budget(constructions):

@@ -190,6 +190,13 @@ def test_rel_ext_refuses_a_negative_slot():
         rel_ext(trivial_emodule(Window(-6, 8, -3, 4)), -1)
 
 
+@pytest.mark.parametrize("route", [rel_ext, rel_ext_tate])
+def test_both_routes_refuse_a_negative_slot_alike(route):
+    with pytest.raises(ValueError) as err:
+        route(trivial_emodule(Window(-6, 8, -3, 4)), -1)
+    assert str(err.value) == "extension slot -1 is negative"
+
+
 def test_rel_ext_tate_refuses_an_induced_map_that_fails(monkeypatch):
     # a failed induced map is an error, not a zero map
     monkeypatch.setattr(Subquotient, "induced", lambda self, mp, dst, d: None)

@@ -424,6 +424,35 @@ def test_subquotient_eliminates_each_degree_once(monkeypatch):
     assert built[0] == len(degs)
 
 
+def test_subquotient_solves_each_distinct_pair_once(monkeypatch):
+    """Degrees whose tables hold the same numerator and denominator share
+    one elimination, and each reads as a subquotient of its own degree
+    alone does."""
+    degs = [(m, 0) for m in range(6)]
+    sp = GradedSpace(TINY, {d: ["e0", "e1", "e2"] for d in degs[:5]})
+    a = F2Matrix.from_rows([0b011, 0b100], 3)
+    b = F2Matrix.from_rows([0b110], 3)
+    c = F2Matrix.from_rows([0b001], 3)
+    nums = dict(zip(degs, [a, a, c, a, c]))
+    dens = dict(zip(degs, [b, b, b, c]))
+    # (a, b), (c, b), (a, c) and (c, none), and one more for the degree
+    # that has neither
+    pairs = {(id(nums[d]), id(dens.get(d))) for d in nums}
+    sub = Subquotient(sp, nums, dens)
+    built = counting_echelons(monkeypatch)
+    for d in degs:
+        sub.reps(d)
+    assert built[0] == len(pairs) + 1 == 5
+    monkeypatch.undo()
+    for d in degs:
+        alone = Subquotient(sp, {d: nums[d]} if d in nums else {},
+                            {d: dens[d]} if d in dens else {})
+        assert sub.dim(d) == alone.dim(d), d
+        assert sub.reps(d) == alone.reps(d), d
+        for v in range(8):
+            assert sub.express(d, v) == alone.express(d, v), (d, v)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_subquotient_reads_agree_in_any_order(data):

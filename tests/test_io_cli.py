@@ -459,7 +459,15 @@ def test_cli_kr_table():
 def test_cli_tower_detect():
     out = run_cli("compute", "tower-detect", "--seed", "5")
     assert out.returncode == 0
-    assert "height1" in out.stdout and "valid\tTrue" in out.stdout
+    assert out.stdout == (
+        "# seed 5: XTowerSpec(xdeg=2, summands=("
+        "Summand(kind='cyclic', shift=4, order=3), "
+        "Summand(kind='free', shift=3, order=0), "
+        "Summand(kind='cyclic', shift=2, order=1)))\n"
+        "valid\tTrue\n"
+        "height1\tfails\n"
+        "height2\tfails\n"
+        "height3\tholds\n")
 
 
 def test_cli_prints_e_modules_canonically(tmp_path):

@@ -495,6 +495,55 @@ def test_checks_match_the_eager_reference(broken):
     assert (failures > 0) == broken
 
 
+def _break_twice(t: TowerData, rng: random.Random) -> bool:
+    """Flip one entry of a block that one structure map stores at two
+    degrees, and store the one flipped matrix at both; False when no map
+    stores a block twice."""
+    shared = []
+    for lev in t.levels.values():
+        for name in ("e", "f", "c", "delta"):
+            mp = getattr(lev, name)
+            at: dict[int, list] = {}
+            for d, blk in sorted((mp.blocks if mp else {}).items()):
+                at.setdefault(id(blk), []).append(d)
+            shared += [(lev, name, mp, ds[:2]) for ds in at.values()
+                       if len(ds) > 1]
+    if not shared:
+        return False
+    lev, name, mp, (d1, d2) = rng.choice(shared)
+    blk = mp.blocks[d1]
+    rows = list(blk.rows)
+    rows[rng.randrange(blk.nrows)] ^= 1 << rng.randrange(blk.ncols)
+    bad = F2Matrix.from_rows(rows, blk.ncols)
+    setattr(lev, name, GradedMap(mp.source, mp.target, mp.shift,
+                                 {**mp.blocks, d1: bad, d2: bad}))
+    return True
+
+
+def test_a_block_broken_at_two_degrees_is_named_at_the_first():
+    # two free summands: e_1 is the identity of rank two at every degree
+    spec = XTowerSpec(1, (Summand("free", 0), Summand("free", 0)))
+    t = build_x_tower(spec, spec.window(-2, 3), -2, 3)
+    lev = t.levels[1]
+    assert lev.e.blocks[(3, 0)] is lev.e.blocks[(5, 0)]
+    bad = F2Matrix.from_rows([0b01, 0b01], 2)
+    lev.e = GradedMap(lev.e.source, lev.e.target, (0, 0),
+                      {**lev.e.blocks, (3, 0): bad, (5, 0): bad})
+    want = [TowerWitness(1, (3, 0), "colimit maps do not commute"),
+            TowerWitness(0, (2, 0), "not exact at the next level")]
+    assert validate_tower(t) == _ref_validate_tower(t) == want
+    # and on random towers, wherever the shared block lies
+    rng = random.Random(35)
+    broken = 0
+    for _ in range(40):
+        spec = random_x_tower_spec(rng)
+        t = build_x_tower(spec, spec.window(-2, 4), -2, 4)
+        if _break_twice(t, rng):
+            broken += 1
+            assert validate_tower(t) == _ref_validate_tower(t), spec
+    assert broken > 20
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2]),
        st.sampled_from([0, 1]))
