@@ -408,12 +408,18 @@ def rel_ext_tate(m: EModule, n: int,
     dimensions and trusted degrees.  A differential that leaves the kernel
     intersection, or two that do not compose to zero, raise ``ValueError``
     naming the degree.  A negative slot raises ``ValueError``, as it does
-    in ``rel_ext``.
+    in ``rel_ext``, and so does a given ``t`` that lacks one of the three
+    slots, naming the missing slots and those ``t`` holds.
     """
     if n < 0:
         raise ValueError(f"extension slot {n} is negative")
     if t is None:
         t = tate_complex(m, -n - 1, -n + 1)
+    missing = [i for i in range(-n - 1, -n + 2) if i not in t.terms]
+    if missing:
+        raise ValueError(f"extension slot {n} needs Tate slots {missing} "
+                         f"that the complex lacks; it holds slots "
+                         f"{sorted(t.terms)}")
     bottom, mid, top = t.terms[-n - 1], t.terms[-n], t.terms[-n + 1]
     down, up = t.diffs[-n], t.diffs[-n + 1]
     kk_mid, kk_up = t.kerker(-n), t.kerker(-n + 1)

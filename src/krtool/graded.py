@@ -4,7 +4,8 @@ Degrees are pairs ``(m, k)``: ``m`` is the integer part, ``k`` the twist.
 A ``GradedSpace`` holds named bases per degree inside a window, each in
 the order its builder listed it: a ``NameRuns`` sequence is kept as given
 and formats its names when read, and any other iterable of names is
-checked for repeats and copied to a tuple.  A ``GradedMap`` holds one bit
+checked for repeats and copied to a tuple; each degree's dimension is
+counted once, when the space is built.  A ``GradedMap`` holds one bit
 matrix per populated source degree, with rows indexed by the source basis
 and columns by the target basis at the shifted degree.  A ``Subquotient``
 eliminates each distinct (numerator, denominator, dimension) it reads at
@@ -97,8 +98,9 @@ def degrees_where(keep: Callable[[Any], bool], *degree_sets: Iterable
     """The degrees found in any of the collections, such as bases or
     degreewise tables, that ``keep`` accepts (for instance
     ``Window.contains`` or an interval test), each once and sorted: in
-    window order for bidegrees, ascending for integer degrees."""
-    return sorted({d for ds in degree_sets for d in ds if keep(d)})
+    window order for bidegrees, ascending for integer degrees.  ``keep``
+    reads each distinct degree once."""
+    return sorted(d for d in set().union(*degree_sets) if keep(d))
 
 
 def shift_mismatch(a: dict[Degree, int], b: dict[Degree, int], shift: Degree,
@@ -134,8 +136,13 @@ class NameRuns(Sequence[str]):
     __slots__ = ("runs", "_len")
 
     def __init__(self, runs: Iterable[tuple[str, Sequence[str]]]):
-        self.runs = tuple((p, ns) for p, ns in runs if ns)
-        self._len = sum(len(ns) for _, ns in self.runs)
+        kept, size = [], 0
+        for prefix, names in runs:
+            n = len(names)
+            if n:
+                kept.append((prefix, names))
+                size += n
+        self.runs, self._len = tuple(kept), size
 
     def __len__(self) -> int:
         return self._len
@@ -170,28 +177,35 @@ class GradedSpace:
     kept in the order given, which is the order of the coordinates every
     block over this space uses; a name may occur once per degree.  A
     ``NameRuns`` is kept as given and unread, and any other iterable is
-    copied to a tuple and refused if a name repeats."""
+    copied to a tuple and refused if a name repeats.  Each degree's
+    dimension is counted once, when the space is built, and kept in
+    ``sizes``: ``dim`` is one lookup, and a ``NameRuns`` basis is measured
+    once."""
 
     def __init__(self, window: Window,
                  basis: dict[Degree, Iterable[str]] | None = None):
         self.window = window
         self.basis: dict[Degree, Sequence[str]] = {}
+        # degree -> dimension, for the populated degrees; only read
+        self.sizes: dict[Degree, int] = {}
         if basis:
             for d, names in basis.items():
                 if type(names) is not NameRuns:
                     names = tuple(names)
                     if len(set(names)) != len(names):
                         raise ValueError(f"duplicate names at {d}")
-                if not names:
+                n = len(names)
+                if not n:
                     continue
                 if not window.contains(d):
                     raise ValueError(f"degree {d} outside window")
                 self.basis[d] = names
+                self.sizes[d] = n
         # name -> position, built per degree on its first lookup
         self._index: dict[Degree, dict[str, int]] = {}
 
     def dim(self, d: Degree) -> int:
-        return len(self.basis.get(d, ()))
+        return self.sizes.get(d, 0)
 
     def names(self, d: Degree) -> Sequence[str]:
         return self.basis.get(d, ())
@@ -206,10 +220,10 @@ class GradedSpace:
         return sorted(self.basis)
 
     def total_dim(self) -> int:
-        return sum(len(v) for v in self.basis.values())
+        return sum(self.sizes.values())
 
     def dims(self) -> dict[Degree, int]:
-        return {d: len(v) for d, v in self.basis.items()}
+        return dict(self.sizes)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, GradedSpace)
@@ -248,20 +262,21 @@ class GradedMap:
         self.target = target
         self.shift = shift
         self.blocks: dict[Degree, F2Matrix] = {}
-        sbasis, tbasis = source.basis, target.basis
+        sizes, widths = source.sizes, target.sizes
+        dm, dk = shift
         for d, m in (blocks or {}).items():
-            if (m.nrows != len(sbasis.get(d, ()))
-                    or m.ncols != len(tbasis.get(add_deg(d, shift), ()))):
+            if (m.nrows != sizes.get(d, 0)
+                    or m.ncols != widths.get((d[0] + dm, d[1] + dk), 0)):
                 raise ValueError(f"block shape mismatch at {d}")
             if any(m.rows):
                 self.blocks[d] = m
 
     def block(self, d: Degree) -> F2Matrix:
-        td = add_deg(d, self.shift)
         got = self.blocks.get(d)
         if got is not None:
             return got
-        return F2Matrix.zero(self.source.dim(d), self.target.dim(td))
+        return F2Matrix.zero(self.source.dim(d),
+                             self.target.dim(add_deg(d, self.shift)))
 
     def apply(self, d: Degree, bits: int) -> int:
         got = self.blocks.get(d)
@@ -281,15 +296,17 @@ class GradedMap:
 
     def compose(self, then: "GradedMap") -> "GradedMap":
         """self followed by ``then`` (shifts add).  The middle dimensions
-        must agree at every source degree; only stored block pairs are
+        must agree at every source degree, as they do when the two maps
+        share their middle space; only stored block pairs are
         multiplied, since a missing block is zero, and each distinct pair
         of block matrices once: degrees that share both blocks share the
         product."""
         out: dict[Degree, F2Matrix] = {}
         products: dict[tuple[int, int], F2Matrix] = {}
+        same = self.target is then.source
         for d in self.source.basis:
             mid = add_deg(d, self.shift)
-            if self.target.dim(mid) != then.source.dim(mid):
+            if not same and self.target.dim(mid) != then.source.dim(mid):
                 raise ValueError("composition block mismatch")
             b1, b2 = self.blocks.get(d), then.blocks.get(mid)
             if b1 is not None and b2 is not None:

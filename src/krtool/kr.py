@@ -26,7 +26,7 @@ containers, never the chart's own.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Optional
 
@@ -123,11 +123,13 @@ class BorelDetection:
     unconstrained_dim: int
     region: Window
     detail: str
+    # the Borel model the detection solved on
+    model: cfm.BorelClosedForm = field(repr=False, compare=False)
 
 
 def detection_h1_borel(n: int, w: Window) -> BorelDetection:
     """Zero-ness of the Euler-linear endomorphism space of degree (3,2)
-    on the periodic Borel model.
+    on the periodic Borel model, which the report carries.
 
     Solutions are computed on the full window and then restricted to an
     interior region where every Euler tower has its anchors in range, so
@@ -156,7 +158,8 @@ def detection_h1_borel(n: int, w: Window) -> BorelDetection:
     restricted = rank(F2Matrix.from_rows(rows, unconstrained))
     return BorelDetection(
         restricted == 0, restricted, unconstrained, region,
-        f"{len(sols)} window solutions, {restricted} surviving on the interior")
+        f"{len(sols)} window solutions, {restricted} surviving on the interior",
+        borel)
 
 
 @dataclass

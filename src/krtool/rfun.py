@@ -16,14 +16,21 @@ one per monomial of its twist in the order the builder lists them, each
 holding one module degree in module order.  The names are formatted from
 the layout when they are read: the basis vector ``h | x`` reads as the
 monomial's name, ``|`` and the module's name of ``x``, distinct by the
-layout (see ``NameRuns``).  The ``Layout`` records ``(monomial, module
-degree, offset)`` per degree, and every operator is built block by block:
-a build runs the coefficient rule at most once per monomial, each term of
+layout (see ``NameRuns``).  One walk over the monomials lays the blocks
+out and records, once each, what the builds and checks read: a number for
+each monomial and, per degree, the ``Layout`` of ``(monomial, module
+degree, offset)``, the ``Offsets`` of the blocks keyed by their
+monomials' numbers, and the carry (below); the space keeps each degree's
+size.  The walk reads each module degree's names once.  Every operator
+is built block by block: a build runs the coefficient rule at most once
+per monomial, and numbers the rule's target monomials then; each term of
 the rule names the module rows it takes, computed once per module degree,
-and those rows are shifted to the target block's offset.  The checks read
-the layout too: the cone split takes each block's cone from its monomial,
-and the duality pairing matches blocks by their monomials and module
-degrees.  The names are labels only; nothing splits them.
+and those rows are shifted to the offset the target degree records for
+the term's monomial.  The checks read the records too: the cone split
+takes each block's cone from its monomial, the duality pairing finds the
+block paired with each block by its monomial's offset, and the Bockstein
+finds the ``s^k`` block by its offset.  The names are labels only;
+nothing splits them.
 
 Multiplication by ``a``.  ``a`` keeps the module degree and the position
 in a twist's monomial list: in the positive cone it sends the monomials
@@ -91,16 +98,27 @@ BlockRule = Callable[[CoeffMonomial],
                      list[tuple[Optional[CoeffMonomial], Rows]]]
 # degree -> how many of its leading blocks ``a`` carries from the twist below
 Carries = dict[Degree, int]
-# a space, its layout and its carries
-Extension = tuple[GradedSpace, Layout, Carries]
+# degree -> the offset of each block there, keyed by its monomial's number
+Offsets = dict[Degree, dict[int, int]]
+
+
+@dataclass
+class Extension:
+    """The records of one layout walk: the space, a number for each
+    monomial of the walk, and per degree the blocks, their offsets by
+    monomial number and the carry."""
+    space: GradedSpace
+    layout: Layout
+    numbers: dict[CoeffMonomial, int]
+    offsets: Offsets
+    carries: Carries
 
 
 @dataclass
 class RModule:
     base: A1Module
     emod: EModule
-    layout: Layout
-    carries: Carries
+    ext: Extension
 
     def space(self) -> GradedSpace:
         return self.emod.space
@@ -125,8 +143,9 @@ def _check_base_window(m: A1Module, w: Window) -> None:
 def _extension_basis(m: A1Module, w: Window,
                      monos: dict[int, list[CoeffMonomial]]) -> Extension:
     """The basis ``mono|x`` for the monomials of each twist (in ascending
-    order), as runs over the module's names, its layout and its carries.
-    No monomial's name holds ``|``, so the names are distinct.
+    order), as runs over the module's names, and the walk's records.  No
+    monomial's name holds ``|``, so the names are distinct.  Each module
+    degree's names are read once.
 
     ``a`` carries the twist below onto twist k when ``a`` times its
     monomials, but for those ``a`` kills, which must come last, lead the
@@ -134,8 +153,12 @@ def _extension_basis(m: A1Module, w: Window,
     has degree (0, 1), so at each m those leading monomials have blocks
     where their factors have blocks a twist below, at the same module
     degrees and offsets; the carry is their number."""
+    names = {xd: m.names(xd) for xd in m.degrees()}
+    numbers = {mono: i for i, mono in enumerate(
+        mono for ms in monos.values() for mono in ms)}
     basis: dict[Degree, NameRuns] = {}
     layout: Layout = {}
+    offsets: Offsets = {}
     carries: Carries = {}
     for k, ms in monos.items():
         images = [multiply(A, mono) for mono in monos.get(k - 1, ())]
@@ -143,25 +166,28 @@ def _extension_basis(m: A1Module, w: Window,
         carried = (ms[:lead] == images[:lead] and not any(images[lead:])
                    and not any(mono.cone == "-" or mono.e1
                                for mono in ms[lead:]))
-        tagged = [(mono.name() + "|", mono, mono.degree()[0]) for mono in ms]
+        tagged = [(mono.name() + "|", mono, numbers[mono], mono.degree()[0],
+                   i < lead) for i, mono in enumerate(ms)]
         for mm in range(w.m_lo, w.m_hi + 1):
             runs: list[tuple[str, Sequence[str]]] = []
             blocks = []
+            where: dict[int, int] = {}
             size = carry = 0
-            for i, (tag, mono, md) in enumerate(tagged):
-                xd = mm - md
-                xs = m.names(xd)
+            for tag, mono, number, md, lead_block in tagged:
+                xs = names.get(mm - md)
                 if xs:
-                    blocks.append((mono, xd, size))
+                    blocks.append((mono, mm - md, size))
+                    where[number] = size
                     runs.append((tag, xs))
                     size += len(xs)
-                    carry += i < lead
+                    carry += lead_block
             if blocks:
                 basis[(mm, k)] = NameRuns(runs)
                 layout[(mm, k)] = blocks
+                offsets[(mm, k)] = where
                 if carried and (mm, k - 1) in layout:
                     carries[(mm, k)] = carry
-    return GradedSpace(w, basis), layout, carries
+    return Extension(GradedSpace(w, basis), layout, numbers, offsets, carries)
 
 
 def _module_rows(m: A1Module) -> dict[str, Rows]:
@@ -189,21 +215,24 @@ def _build(src: Extension, dst: Extension, shift: Degree,
     onto this one (their carries), the rows of the carried blocks are
     those one twist below, cut to the carried blocks and masked to the
     carried target blocks, and ``rule`` builds only the blocks past them.
-    ``rule`` runs at most once per monomial."""
-    (source, src_layout, src_carries), (target, dst_layout, dst_carries) = (
-        src, dst)
-    terms: dict[CoeffMonomial, list] = {}
+    ``rule`` runs at most once per monomial.  Sizes, target offsets and
+    carries are read from the two walks' records."""
+    sizes, widths = src.space.sizes, dst.space.sizes
+    dm, dk = shift
+    # monomial -> its terms, each with the target monomial's number
+    terms: dict[CoeffMonomial, list[tuple[Optional[int], Rows]]] = {}
     blocks: dict[Degree, F2Matrix] = {}
-    for d, entries in src_layout.items():
-        td = add_deg(d, shift)
-        tentries = dst_layout.get(td)
-        if not tentries:
+    for d, entries in src.layout.items():
+        td = (d[0] + dm, d[1] + dk)
+        offsets = dst.offsets.get(td)
+        if offsets is None:
             continue
-        dim, width = source.dim(d), target.dim(td)
+        dim, width = sizes[d], widths[td]
         rows, start = [0] * dim, 0
         prev = blocks.get((d[0], d[1] - 1))
-        n, t = src_carries.get(d), dst_carries.get(td)
+        n, t = src.carries.get(d), dst.carries.get(td)
         if prev is not None and n is not None and t is not None:
+            tentries = dst.layout[td]
             size = entries[n][2] if n < len(entries) else dim
             cut = tentries[t][2] if t < len(tentries) else width
             rows = list(prev.rows[:size])
@@ -211,18 +240,19 @@ def _build(src: Extension, dst: Extension, shift: Degree,
                 rows = [r & ((1 << cut) - 1) for r in rows]
             rows += [0] * (dim - size)
             start = n
-        offsets = {mono: off for mono, _, off in tentries}
         for mono, xd, off in entries[start:]:
             got = terms.get(mono)
             if got is None:
-                got = terms[mono] = rule(mono)
-            for tmono, take in got:
-                toff = offsets.get(tmono)
+                got = terms[mono] = [
+                    (None if tmono is None else dst.numbers.get(tmono), take)
+                    for tmono, take in rule(mono)]
+            for number, take in got:
+                toff = offsets.get(number)
                 if toff is not None:
                     for i, r in enumerate(take(xd), off):
                         rows[i] ^= r << toff
         blocks[d] = F2Matrix.from_rows(rows, width)
-    return GradedMap(source, target, shift, blocks)
+    return GradedMap(src.space, dst.space, shift, blocks)
 
 
 def _times(h: CoeffMonomial, rows: dict[str, Rows]) -> BlockRule:
@@ -234,9 +264,8 @@ def apply_r(m: A1Module, w: Window) -> RModule:
     """Build the coefficient extension of ``m`` on the window ``w``; its
     actions by ``a`` and ``s`` are built when first read."""
     _check_base_window(m, w)
-    ext = space, layout, carries = _extension_basis(
-        m, w, {k: list(cf.monomials_with_twist(k))
-               for k in range(w.k_lo, w.k_hi + 1)})
+    ext = _extension_basis(m, w, {k: list(cf.monomials_with_twist(k))
+                                  for k in range(w.k_lo, w.k_hi + 1)})
     rows = _module_rows(m)
 
     def q0_rule(mono):
@@ -249,12 +278,12 @@ def apply_r(m: A1Module, w: Window) -> RModule:
                 (multiply(A, mono), rows["Sq2"]),
                 (multiply(S, mono), rows["Q1"])]
 
-    em = EModule(space, _build(ext, ext, (1, 0), q0_rule),
+    em = EModule(ext.space, _build(ext, ext, (1, 0), q0_rule),
                  _build(ext, ext, (2, 1), q1_rule), w,
                  act_a=lambda: _build(ext, ext, (0, 1), _times(A, rows)),
                  act_s=lambda: _build(ext, ext, (-1, 1), _times(S, rows)),
                  s_compat_cartan=True)
-    return RModule(m, em, layout, carries)
+    return RModule(m, em, ext)
 
 
 def cone_crossing(rm: RModule) -> Optional[Degree]:
@@ -264,7 +293,8 @@ def cone_crossing(rm: RModule) -> Optional[Degree]:
     def negative(d: Degree) -> int:
         """The mask of the negative-cone positions at ``d``."""
         return sum(((1 << rm.base.dim(xd)) - 1) << off
-                   for mono, xd, off in rm.layout.get(d, ()) if mono.cone == "-")
+                   for mono, xd, off in rm.ext.layout.get(d, ())
+                   if mono.cone == "-")
 
     for mp in (rm.emod.q0, rm.emod.q1):
         for d, blk in mp.blocks.items():
@@ -310,7 +340,7 @@ def mod_a(m: A1Module, w: Window) -> EModule:
                                   for k in range(max(0, w.k_lo), w.k_hi + 1)})
     rows = _module_rows(m)
     return EModule(
-        ext[0],
+        ext.space,
         _build(ext, ext, (1, 0), lambda mono: [(mono, rows["Sq1"])]),
         _build(ext, ext, (2, 1),
                lambda mono: [(multiply(S, mono), rows["Q1"])]),
@@ -335,10 +365,12 @@ def psi_duality(m: A1Module, w: Window) -> PsiCertificate:
     basis vector ``duality_w(mono)|x`` at the reflected degree (2,-2) - d.
     The pairing is read from the two layouts, not from the names: the
     block of ``mono`` at module degree ``xd`` pairs with the block of
-    ``duality_w(mono)`` at ``-xd``, permuted within by the dual module
-    names once per module degree.  So it is a permutation matrix P(d), and
-    a differential with left block L at d and right block R into the
-    reflected degree commutes with it when ``L P(d + shift) = P(d) R^T``.
+    ``duality_w(mono)`` at the reflected degree, whose module degree is
+    ``-xd`` as the two monomials' first degrees sum to 2, permuted within
+    by the dual module names once per module degree.  So it is a
+    permutation matrix P(d), and a differential with left block L at d
+    and right block R into the reflected degree commutes with it when
+    ``L P(d + shift) = P(d) R^T``.
     """
     lhs = apply_r(dual_a1(m), w)
     wref = Window(2 - w.m_hi, 2 - w.m_lo, -2 - w.k_hi, -2 - w.k_lo)
@@ -361,10 +393,11 @@ def psi_duality(m: A1Module, w: Window) -> PsiCertificate:
         """P(d), or None when the blocks at d and at the reflected degree
         do not pair off."""
         rd = reflect(d)
-        at = {(mono, xd): off for mono, xd, off in rhs.layout.get(rd, ())}
+        at, numbers = rhs.ext.offsets.get(rd, {}), rhs.ext.numbers
         rows: list[int] = []
-        for mono, xd, _ in lhs.layout.get(d, ()):
-            off, perm = at.get((cf.duality_w(mono), -xd)), module_pairing(xd)
+        for mono, xd, _ in lhs.ext.layout.get(d, ()):
+            off = at.get(numbers.get(cf.duality_w(mono)))
+            perm = module_pairing(xd)
             if off is None or perm is None:
                 return None
             rows += [1 << (off + i) for i in perm]
@@ -441,12 +474,10 @@ def bockstein_d1(rm: RModule) -> BocksteinD1:
 
     def unit_block(d: Degree) -> tuple[int, int]:
         """Offset and width of the block ``s^k|x`` at ``d``, whose lines
-        are those of the quotient at ``d``."""
-        one = CoeffMonomial("+", 0, d[1])
-        for mono, xd, off in rm.layout.get(d, ()):
-            if mono == one:
-                return off, m.dim(xd)
-        return 0, 0
+        are those of the quotient at ``d``; ``s^k`` has degree (-k, k)."""
+        unit = rm.ext.numbers.get(CoeffMonomial("+", 0, d[1]))
+        off = rm.ext.offsets.get(d, {}).get(unit)
+        return (0, 0) if off is None else (off, m.dim(d[0] + d[1]))
 
     # every degree of twist >= 0 lies wholly in the positive cone, so the
     # extension's blocks there are those of the positive cone
@@ -492,9 +523,7 @@ def lift_map(f: A1Map, src: RModule, dst: RModule) -> GradedMap:
         blk = f.blocks.get(xd)
         return blk.rows if blk is not None else ()
 
-    return _build((src.space(), src.layout, src.carries),
-                  (dst.space(), dst.layout, dst.carries), (0, 0),
-                  lambda mono: [(mono, rows)])
+    return _build(src.ext, dst.ext, (0, 0), lambda mono: [(mono, rows)])
 
 
 @dataclass

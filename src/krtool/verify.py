@@ -31,7 +31,6 @@ from .a1 import (
     tensor_a1,
     validate,
 )
-from .closedform import borel_hv_closed
 from .emod import h01, h01_dual_dims, rel_ext, rel_ext_tate, tate_complex
 from .emod import margolis as margolis_e
 from .graded import Window, add_deg, shift_mismatch, sub_deg
@@ -259,7 +258,7 @@ def _suite_borel_detect() -> tuple[bool, str]:
             return False, f"rank {n}: {rep.detail}"
         if rep.unconstrained_dim == 0:
             return False, f"rank {n}: sanity count vanished"
-        dims = borel_hv_closed(n, w).dims()
+        dims = rep.model.dims()
         bad = shift_mismatch(dims, dims, (-4, 4), w)
         if bad is not None:
             return False, f"rank {n}: Borel model not (-4,4)-periodic at {bad}"

@@ -5,11 +5,14 @@ The same suites back the command-line verifier, so `krtool verify all`
 reproduces this module outside pytest.
 """
 
+import dataclasses
+import hashlib
+import re
 from types import SimpleNamespace
 
 import pytest
 
-from krtool import a1, closedform, kr, verify
+from krtool import a1, cli, closedform, kr, verify
 from krtool.a1 import std_f
 from krtool.emod import h01, h01_dual_dims, margolis
 from krtool.gf2 import F2Matrix
@@ -185,17 +188,18 @@ def test_duality_hypothesis_fails_and_matters_for_the_trivial_module():
 
 
 def test_borel_detect_names_a_broken_periodicity(monkeypatch):
-    real = verify.borel_hv_closed
+    real = verify.detection_h1_borel
     w = Window(-16, 16, -8, 8)
-    dims = real(1, w).dims()
+    dims = closedform.borel_hv_closed(1, w).dims()
     gap = next(d for d in sorted(dims) if w.contains(add_deg(d, (-4, 4))))
 
     def holed(n, win):
-        return SimpleNamespace(dims=lambda: {d: v for d, v in
-                                             real(n, win).dims().items()
-                                             if d != gap})
+        rep = real(n, win)
+        dims = {d: v for d, v in rep.model.dims().items() if d != gap}
+        return dataclasses.replace(rep, model=SimpleNamespace(
+            dims=lambda: dims))
 
-    monkeypatch.setattr(verify, "borel_hv_closed", holed)
+    monkeypatch.setattr(verify, "detection_h1_borel", holed)
     assert failed_detail("borel-detect") == \
         f"rank 1: Borel model not (-4,4)-periodic at {gap}"
 
@@ -253,3 +257,21 @@ def test_kr_table_names_where_the_companion_doubling_breaks(monkeypatch):
     assert failed_detail("kr-table") == (
         "rank 2: companion doubling fails: the companions at (9, -2) differ "
         "from the top classes at (10, -1)")
+
+
+# sha256 of the ``krtool verify`` text with the first ``(N.NNs)`` of each
+# line removed, as ``sed -E 's/\([0-9]+\.[0-9]+s\)//'`` does
+VERIFY_TEXT_SHA256 = (
+    "09b365b30534bb79c11146f98a090677f25d239ca6ad768bedecd18b6cd1e486")
+
+
+def test_verify_text_keeps_its_digest(capsys):
+    """Every suite's detail, timings aside, is byte for byte the text the
+    digest was taken from."""
+    verify._hv_report.cache_clear()
+    kr.chart.cache_clear()
+    assert cli.main(["verify"]) == 0
+    text = "".join(re.sub(r"\([0-9]+\.[0-9]+s\)", "", line, count=1)
+                   for line in capsys.readouterr().out.splitlines(True))
+    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_TEXT_SHA256
+    kr.chart.cache_clear()

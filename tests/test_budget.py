@@ -1,7 +1,9 @@
 """Construction budgets: how many matrices and eliminations a fixed piece of
 work builds, counted by wrapping the two constructors, how many module
-rows it reads and rows it eliminates, how many basis names it formats, and
-how many exactness checks the towers suite's ``validate_tower`` runs.
+rows it reads and rows it eliminates, how many basis names it formats and
+measures, how many times it reads a module degree's names, how many Borel
+models it builds, and how many exactness checks and intersections the
+towers suite runs.
 
 The bounds sit a little above the counts of the current code, so a change
 that rebuilds a matrix or an elimination inside a loop fails here before it
@@ -14,8 +16,8 @@ or eliminated them already.
 
 import pytest
 
-from krtool import gf2, graded, rfun, towers, verify
-from krtool.a1 import std_bv, std_pn
+from krtool import closedform, gf2, graded, rfun, towers, verify
+from krtool.a1 import A1Module, std_bv, std_pn
 from krtool.emod import h01, rel_ext
 from krtool.graded import NameRuns, Window
 from krtool.kr import (
@@ -32,15 +34,23 @@ from krtool.rfun import apply_r, required_top
 # matrix kept its kernel and row basis for every map that shares it, before
 # a subquotient's ``dim`` read its degree's one elimination, and before a
 # composite multiplied, ``detect`` tested and a subquotient solved each
-# distinct pair of matrices once
-TOWERS_BUDGET = (2_950, 3_750)         # was 41,164 and 24,303; then 8,133
+# distinct pair of matrices once, and before ``validate_tower`` multiplied
+# and ``Filtration.f0`` intersected each distinct pair once
+TOWERS_BUDGET = (2_330, 3_240)         # was 41,164 and 24,303; then 8,133
                                        # and 11,194; then 7,360 and 7,896;
-                                       # then 7,360 and 6,645; 2,867 and
-                                       # 3,678 since
+                                       # then 7,360 and 6,645; then 2,867
+                                       # and 3,678; 2,247 and 3,156 since
 # ``gf2.homology`` calls of the suite's ``validate_tower``: 22,671 while
 # it checked every degree, 704 since it checks each distinct (into, out,
 # dimension) once per tower
 TOWER_HOMOLOGY_BUDGET = 720
+# ``intersect_row_spaces`` calls of the suite's ``Filtration.f0``: 897
+# while it met ``ker_e`` with the image at every degree, 380 since, one per
+# distinct (kernel, image) pair of a tower
+TOWER_INTERSECT_BUDGET = 400
+# ``BorelClosedForm`` constructions of the borel-detect suite: 6 while its
+# periodicity check built each rank's model again, 3 since
+BOREL_MODEL_BUDGET = 3
 H01_BUDGET = (100, 255)                # was 697 and 283
 # Echelon constructions of three rel_ext slots on one h01: 252 before a
 # counted degree kept its count, 84 after
@@ -61,6 +71,11 @@ H01_ROW_BUDGET = 4_150
 # with ``reduce``, 83 and 3,875 since it counts them by the rank of theta
 F2_ROW_BUDGETS = {3: (Window(-8, 8, -4, 4), 90),
                   4: (Window(-14, 14, -7, 7), 4_100)}
+# ``A1Module.names`` calls of one rank-2 ``apply_r`` on m +-20, k +-10:
+# 4,551 while the layout walk looked the names up for every monomial at
+# every m, 30 (one per module degree) since; ``NameRuns.__len__`` calls of
+# the same extension: 3,517 while ``GradedSpace.dim`` and the block shape
+# checks measured a basis on every read, 437 (one per degree) since
 # basis names a chart (``assemble_kr`` and ``cross_check_hv``) formats
 # from ``NameRuns``: 26,950 at rank 2 on m +-20, k +-10 and 4,124 at rank 3
 # on m +-8, k +-4 while ``GradedSpace`` read every basis for repeats, none
@@ -238,3 +253,68 @@ def test_charts_format_no_run_name(monkeypatch, n, w):
     assert cross_check_hv(n, w).ok
     chart.cache_clear()
     assert formatted[0] <= CHART_NAME_BUDGET, formatted[0]
+
+
+def test_towers_suite_intersects_each_distinct_pair_once(monkeypatch):
+    """``Filtration.f0`` meets the same kernel and image at many degrees
+    of a tower; each distinct pair of them is intersected once."""
+    calls, pairs, held = [0], [set()], []
+    real_build, real_meet = towers.build_x_tower, towers.intersect_row_spaces
+
+    def building(*args):
+        pairs.append(set())            # pairs are counted tower by tower
+        return real_build(*args)
+
+    def meeting(a, b):
+        calls[0] += 1
+        held.append((a, b))            # kept alive, so ids stay unique
+        pairs[-1].add((id(a), id(b)))
+        return real_meet(a, b)
+
+    monkeypatch.setattr(verify, "build_x_tower", building)
+    monkeypatch.setattr(towers, "intersect_row_spaces", meeting)
+    ok, detail = verify._suite_towers()
+    assert ok, detail
+    distinct = sum(len(p) for p in pairs)
+    assert 0 < calls[0] <= distinct, (calls[0], distinct)
+    assert calls[0] <= TOWER_INTERSECT_BUDGET, calls[0]
+
+
+def test_borel_detect_builds_each_model_once(monkeypatch):
+    built = [0]
+    real = closedform.BorelClosedForm.__init__
+
+    def counting(self, *args):
+        built[0] += 1
+        real(self, *args)
+
+    monkeypatch.setattr(closedform.BorelClosedForm, "__init__", counting)
+    ok, detail = verify._suite_borel_detect()
+    assert ok, detail
+    assert built[0] == BOREL_MODEL_BUDGET, built[0]
+
+
+def test_extension_reads_each_module_degree_and_basis_once(monkeypatch):
+    """The layout walk reads each module degree's names once, and the
+    extension's space measures each run basis once, when it is built;
+    every later size is read from the records."""
+    w = Window(-20, 20, -10, 10)
+    m = std_bv(2, 1, required_top(w))
+    names, lengths = [0], [0]
+    real_names, real_len = A1Module.names, NameRuns.__len__
+
+    def reading(self, d):
+        names[0] += 1
+        return real_names(self, d)
+
+    def measuring(self):
+        lengths[0] += 1
+        return real_len(self)
+
+    monkeypatch.setattr(A1Module, "names", reading)
+    monkeypatch.setattr(NameRuns, "__len__", measuring)
+    rm = apply_r(m, w)
+    space = rm.emod.space
+    assert space.total_dim() == 26950
+    assert 0 < names[0] <= len(m.degrees()), names[0]
+    assert 0 < lengths[0] <= len(space.degrees()), lengths[0]

@@ -197,6 +197,19 @@ def test_both_routes_refuse_a_negative_slot_alike(route):
     assert str(err.value) == "extension slot -1 is negative"
 
 
+@pytest.mark.parametrize("n, missing", [(3, [-4]), (0, [1])])
+def test_rel_ext_tate_refuses_a_complex_without_its_slots(n, missing):
+    """Slot n reads the Tate slots -n-1..-n+1; a given complex that lacks
+    one is refused with the slots it lacks and those it holds."""
+    m = free_e(Window(-10, 10, -5, 5))
+    t = tate_complex(m, -3, 0)
+    with pytest.raises(ValueError) as err:
+        rel_ext_tate(m, n, t)
+    assert str(err.value) == (
+        f"extension slot {n} needs Tate slots {missing} that the complex "
+        f"lacks; it holds slots [-3, -2, -1, 0]")
+
+
 def test_rel_ext_tate_refuses_an_induced_map_that_fails(monkeypatch):
     # a failed induced map is an error, not a zero map
     monkeypatch.setattr(Subquotient, "induced", lambda self, mp, dst, d: None)

@@ -535,12 +535,12 @@ def test_the_layout_walk_carries_what_the_layout_comparison_finds(
     for m in [std_f(), std_a1(), *(std_pn(n, lo, hi) for n in range(4)),
               std_bv(2, lo, hi)]:
         rm = apply_r(m, w)
-        assert rm.carries == _ref_carries(rm.layout)
-        assert any(rm.carries.values()) == (w.k_lo < w.k_hi)
+        assert rm.ext.carries == _ref_carries(rm.ext.layout)
+        assert any(rm.ext.carries.values()) == (w.k_lo < w.k_hi)
         built.clear()
         mod_a(m, w)
-        for _, layout, carries in built:
-            assert carries == _ref_carries(layout) == {}
+        for ext in built:
+            assert ext.carries == _ref_carries(ext.layout) == {}
 
 
 @st.composite
@@ -649,17 +649,18 @@ def test_build_runs_each_rule_once_per_monomial(monkeypatch):
     assert [shift for shift, _ in calls] == [(1, 0), (2, 1), (0, 1), (-1, 1)]
     for shift, seen in calls:
         def built(d):
-            return d in rm.layout and add_deg(d, shift) in rm.layout
+            return d in rm.ext.layout and add_deg(d, shift) in rm.ext.layout
 
         # exactly the monomials of blocks not derived from the twist below:
         # where the degree one twist below is built, every block but the
         # new s^k one is ``a`` times a block there
-        want = {mono for d, entries in rm.layout.items() if built(d)
+        want = {mono for d, entries in rm.ext.layout.items()
+                if built(d)
                 for mono, _, _ in entries
                 if not built((d[0], d[1] - 1))
                 or (mono.cone == "+" and not mono.e1)}
-        every = {mono for d, entries in rm.layout.items() if built(d)
-                 for mono, _, _ in entries}
+        every = {mono for d, entries in rm.ext.layout.items()
+                 if built(d) for mono, _, _ in entries}
         assert sorted(seen, key=str) == sorted(want, key=str), shift
         assert len(want) < len(every), shift
     # the mod-a layout has one monomial per twist, which is not ``a`` times
@@ -795,7 +796,7 @@ def _flip(rm, which, d, i, j):
                         {**mp.blocks, d: F2Matrix.from_rows(rows, blk.ncols)})
     maps = {"q0": em.q0, "q1": em.q1, which: flipped}
     return rfun.RModule(rm.base, EModule(em.space, maps["q0"], maps["q1"],
-                                         em.complete), rm.layout, rm.carries)
+                                         em.complete), rm.ext)
 
 
 def test_psi_duality_matches_reference_with_one_flipped_bit(monkeypatch):
@@ -865,7 +866,9 @@ def test_cone_separation_catches_a_crossing_entry():
     w = Window(0, 1, 0, 0)
     space = GradedSpace(w, {(0, 0): ["1|x"], (1, 0): ["A1.S2|y"]})
     q0 = GradedMap(space, space, (1, 0), {(0, 0): F2Matrix.from_rows([1], 1)})
+    ext = rfun.Extension(
+        space, {(0, 0): [(plus, 0, 0)], (1, 0): [(minus, 1, 0)]},
+        {plus: 0, minus: 1}, {(0, 0): {0: 0}, (1, 0): {1: 0}}, {})
     rm = rfun.RModule(base, EModule(space, q0, GradedMap(space, space, (2, 1)),
-                                    w),
-                      {(0, 0): [(plus, 0, 0)], (1, 0): [(minus, 1, 0)]}, {})
+                                    w), ext)
     assert cone_crossing(rm) == (0, 0) and _ref_cone_separation(rm) is False

@@ -520,6 +520,22 @@ def _break_twice(t: TowerData, rng: random.Random) -> bool:
     return True
 
 
+def test_validate_tower_refuses_colimit_maps_whose_middle_spaces_differ():
+    """``e_1`` lands in a space one vector short of ``k_0`` at one degree,
+    so it cannot be followed by ``f_0``; the check refuses it as
+    ``compose`` would, not as a failed commutation."""
+    _, t = constant_free_tower()
+    lev, prev = t.levels[1], t.levels[0]
+    d = next(iter(lev.e.source.basis))
+    short = GradedSpace(prev.space.window, {
+        dg: names[1:] if dg == d else names
+        for dg, names in prev.space.basis.items()})
+    assert short.dim(d) != prev.space.dim(d)
+    lev.e = GradedMap(lev.e.source, short, lev.e.shift)
+    with pytest.raises(ValueError, match="composition block mismatch"):
+        validate_tower(t)
+
+
 def test_a_block_broken_at_two_degrees_is_named_at_the_first():
     # two free summands: e_1 is the identity of rank two at every degree
     spec = XTowerSpec(1, (Summand("free", 0), Summand("free", 0)))
