@@ -42,7 +42,6 @@ modules commutes with Sq1 and Sq2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -63,6 +62,7 @@ from .graded import (
     _dual_name,
     hom_space,
 )
+from .record import Record
 
 # Basis words of the free rank-one module and their degrees.
 A1_WORDS: tuple[tuple[str, int], ...] = (
@@ -451,11 +451,11 @@ def dual_a1(m: A1Module) -> A1Module:
 
 # -- validation and homological functionals -----------------------------------
 
-@dataclass
-class Violation:
-    relation: str
-    degree: int
-    element: str
+class Violation(Record):
+    __slots__ = ("relation", "degree", "element")
+
+    def __init__(self, relation: str, degree: int, element: str) -> None:
+        self.relation, self.degree, self.element = relation, degree, element
 
     def __str__(self) -> str:
         return f"{self.relation} fails at degree {self.degree} on {self.element}"
@@ -509,11 +509,15 @@ def socle_dims(m: A1Module) -> dict[int, int]:
 
 # -- free-summand reduction -----------------------------------------------------
 
-@dataclass
-class ReduceResult:
-    module: A1Module
-    free_gens: list[int]          # degrees of split-off free generators
-    certified_hi: float           # theta known to vanish up to here
+class ReduceResult(Record):
+    # free_gens: the degrees of split-off free generators; certified_hi:
+    # theta is known to vanish up to there
+    __slots__ = ("module", "free_gens", "certified_hi")
+
+    def __init__(self, module: A1Module, free_gens: list[int],
+                 certified_hi: float) -> None:
+        self.module, self.free_gens = module, free_gens
+        self.certified_hi = certified_hi
 
 
 def _submodule(m: A1Module, rows: dict[int, F2Matrix], prefix: str) -> A1Module:
@@ -657,13 +661,16 @@ def is_reduced(m: A1Module) -> bool:
 
 # -- projective covers and loops --------------------------------------------------
 
-@dataclass
-class CoverResult:
-    cover: A1Module
-    gen_reps: dict[int, F2Matrix]   # generator degree -> chosen lift rows
-    loop: A1Module
-    loop_rows: dict[int, F2Matrix]  # loop basis in cover coordinates
-    epi_blocks: dict[int, F2Matrix]  # cover basis -> module coordinates
+class CoverResult(Record):
+    # gen_reps: generator degree -> chosen lift rows; loop_rows: the loop
+    # basis in cover coordinates; epi_blocks: cover basis -> module coordinates
+    __slots__ = ("cover", "gen_reps", "loop", "loop_rows", "epi_blocks")
+
+    def __init__(self, cover: A1Module, gen_reps: dict[int, F2Matrix],
+                 loop: A1Module, loop_rows: dict[int, F2Matrix],
+                 epi_blocks: dict[int, F2Matrix]) -> None:
+        self.cover, self.gen_reps, self.loop = cover, gen_reps, loop
+        self.loop_rows, self.epi_blocks = loop_rows, epi_blocks
 
 
 def generator_degrees(m: A1Module) -> dict[int, F2Matrix]:
@@ -753,17 +760,17 @@ def std_bv(n: int, lo: int, hi: int) -> A1Module:
 
 # -- module maps and stable comparison -------------------------------------------
 
-@dataclass
-class A1Map:
+class A1Map(Record):
     """A degree-preserving map: ``blocks[d]`` sends the basis of
     ``source`` at d to the basis of ``target`` at d, zero where absent."""
-    source: A1Module
-    target: A1Module
-    blocks: dict[int, F2Matrix]
 
-    def __post_init__(self) -> None:
-        for d, m in self.blocks.items():
-            if m.nrows != self.source.dim(d) or m.ncols != self.target.dim(d):
+    __slots__ = ("source", "target", "blocks")
+
+    def __init__(self, source: A1Module, target: A1Module,
+                 blocks: dict[int, F2Matrix]) -> None:
+        self.source, self.target, self.blocks = source, target, blocks
+        for d, m in blocks.items():
+            if m.nrows != source.dim(d) or m.ncols != target.dim(d):
                 raise ValueError(f"block shape mismatch at {d}")
 
     def block(self, d: int) -> F2Matrix:
@@ -787,10 +794,11 @@ class A1Map:
         return None
 
 
-@dataclass
-class EvidenceReport:
-    consistent: bool
-    detail: str
+class EvidenceReport(Record):
+    __slots__ = ("consistent", "detail")
+
+    def __init__(self, consistent: bool, detail: str) -> None:
+        self.consistent, self.detail = consistent, detail
 
 
 # the most combinations of solution-basis maps ``iso_search`` tries

@@ -12,7 +12,6 @@ Builtin module names: A1, F, P, P0..P3, BV<n>, RP<n>, HP.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import random
@@ -194,7 +193,8 @@ def cmd_verify(args) -> int:
             print(f"{status} {r.name} ({r.seconds:.2f}s): {r.detail}")
         rows.append(f"{r.name}\t{status}\t{r.seconds:.2f}\t{r.detail}")
     if args.json:
-        json.dump([dataclasses.asdict(r) for r in results], sys.stdout, indent=1)
+        json.dump([{"name": r.name, "ok": r.ok, "detail": r.detail,
+                    "seconds": r.seconds} for r in results], sys.stdout, indent=1)
         print()
     if args.out:
         with open(args.out, "w") as fh:

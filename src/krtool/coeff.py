@@ -11,33 +11,39 @@ degree-consistent extension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import total_ordering
 from typing import Iterator, Optional
 
 from .graded import Degree
+from .record import FrozenRecord
 
 
-@dataclass(frozen=True, order=True)
-class CoeffMonomial:
+@total_ordering
+class CoeffMonomial(FrozenRecord):
     """``(+, j, n)`` is ``a^j s^n``; ``(-, m, n)`` is ``a^-m sigma^(n+2)``.
 
-    The hash is that of ``(cone, e1, e2)``, computed once: monomials are
-    dictionary keys wherever the extension is built."""
+    An immutable value, ordered as ``(cone, e1, e2)``.  The hash is that of
+    ``(cone, e1, e2)``, computed once: monomials are dictionary keys
+    wherever the extension is built."""
 
-    cone: str
-    e1: int
-    e2: int
+    __slots__ = ("cone", "e1", "e2", "_hash")
 
-    def __post_init__(self) -> None:
-        if self.cone not in "+-":
+    def __init__(self, cone: str, e1: int, e2: int) -> None:
+        if cone not in "+-":
             raise ValueError("cone must be '+' or '-'")
-        if self.e1 < 0 or self.e2 < 0:
+        if e1 < 0 or e2 < 0:
             raise ValueError("negative exponents")
+        super().__init__(cone, e1, e2)
         # not a field, so equality, ordering and repr do not see it
-        object.__setattr__(self, "_hash", hash((self.cone, self.e1, self.e2)))
+        object.__setattr__(self, "_hash", hash((cone, e1, e2)))
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __lt__(self, other: "CoeffMonomial") -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values < other._values
 
     def degree(self) -> Degree:
         if self.cone == "+":

@@ -11,7 +11,6 @@ is detected by vanishing of the degree-(2,1) Margolis homology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 from .gf2 import (
@@ -39,6 +38,7 @@ from .graded import (
     neg_deg,
     sub_deg,
 )
+from .record import Record
 
 Q0_SHIFT: Degree = (1, 0)
 Q1_SHIFT: Degree = (2, 1)
@@ -130,11 +130,11 @@ class EModule:
         return f"EModule(dim={self.space.total_dim()}, complete={self.complete})"
 
 
-@dataclass
-class EViolation:
-    relation: str
-    degree: Degree
-    element: str
+class EViolation(Record):
+    __slots__ = ("relation", "degree", "element")
+
+    def __init__(self, relation: str, degree: Degree, element: str) -> None:
+        self.relation, self.degree, self.element = relation, degree, element
 
     def __str__(self) -> str:
         return f"{self.relation} fails at {self.degree} on {self.element}"
@@ -190,12 +190,13 @@ def validate(m: EModule) -> list[EViolation]:
 
 # -- kernel-intersection homology ------------------------------------------------
 
-@dataclass
-class H01Result:
+class H01Result(Record):
     """The homology, its representative vectors, and where it is valid."""
 
-    sub: Subquotient
-    region: list[Degree]
+    __slots__ = ("sub", "region")
+
+    def __init__(self, sub: Subquotient, region: list[Degree]) -> None:
+        self.sub, self.region = sub, region
 
     def dims(self) -> dict[Degree, int]:
         return self.sub.dims()
@@ -293,13 +294,15 @@ def margolis(m: EModule, which: str) -> dict[Degree, int]:
 
 # -- functorial Tate complex ------------------------------------------------------
 
-@dataclass
-class TateComplex:
-    terms: dict[int, EModule]          # slot i holds the i-th suspension term
-    diffs: dict[int, GradedMap]        # diffs[i]: terms[i] -> terms[i-1]
-    # slot -> kernel intersection of its term, built on first read
-    _kerker: dict[int, Subquotient] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+class TateComplex(Record):
+    # terms[i] is the i-th suspension term, diffs[i]: terms[i] -> terms[i-1]
+    __slots__ = ("terms", "diffs", "_kerker")
+
+    def __init__(self, terms: dict[int, EModule],
+                 diffs: dict[int, GradedMap]) -> None:
+        self.terms, self.diffs = terms, diffs
+        # slot -> kernel intersection of its term, built on first read
+        self._kerker: dict[int, Subquotient] = {}
 
     def kerker(self, i: int) -> Subquotient:
         """``kerker_space`` of the term at slot ``i``, built once."""
@@ -448,11 +451,11 @@ def rel_ext_tate(m: EModule, n: int,
 
 # -- long exact sequence ------------------------------------------------------------
 
-@dataclass
-class LesReport:
-    ok: bool
-    detail: str
-    slots_checked: int
+class LesReport(Record):
+    __slots__ = ("ok", "detail", "slots_checked")
+
+    def __init__(self, ok: bool, detail: str, slots_checked: int) -> None:
+        self.ok, self.detail, self.slots_checked = ok, detail, slots_checked
 
 
 def find_lambda0_splitting(g: GradedMap, region: Window,

@@ -52,8 +52,10 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
+from .record import FrozenRecord
 
-class F2Matrix:
+
+class F2Matrix(FrozenRecord):
     """Dense GF(2) matrix with rows packed into integers.
 
     An immutable value: equal and hashed by ``(nrows, ncols, rows)``, and
@@ -61,7 +63,8 @@ class F2Matrix:
     left kernel and its row basis are each eliminated on the first read
     (``rank``, ``left_kernel_basis``, ``row_basis``) and kept."""
 
-    __slots__ = ("nrows", "ncols", "rows", "_rank", "_kernel", "_row_basis")
+    # ``_memo`` holds (rank, left kernel, row basis), None where not read yet
+    __slots__ = ("nrows", "ncols", "rows", "_memo")
 
     def __init__(self, nrows: int, ncols: int, rows: tuple[int, ...]) -> None:
         if len(rows) != nrows:
@@ -69,45 +72,19 @@ class F2Matrix:
         # a row is negative or has a bit at or above ``ncols``
         if rows and (max(rows) >> ncols or min(rows) < 0):
             raise ValueError("bits outside declared columns")
-        # the slot setters bypass the guard below at the cost of a plain store
+        # the slot setters bypass the frozen guard at the cost of a plain store
         _set_nrows(self, nrows)
         _set_ncols(self, ncols)
         _set_rows(self, rows)
-        _set_rank(self, None)
-        _set_kernel(self, None)
-        _set_row_basis(self, None)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.nrows, self.ncols, self.rows)
-                == (other.nrows, other.ncols, other.rows))
-
-    def __hash__(self) -> int:
-        return hash((self.nrows, self.ncols, self.rows))
-
-    def __repr__(self) -> str:
-        return (f"F2Matrix(nrows={self.nrows!r}, ncols={self.ncols!r}, "
-                f"rows={self.rows!r})")
-
-    def __reduce__(self) -> tuple:
-        # copies and pickles rebuild through the checked constructor, since
-        # the default slot restore would assign through the guard
-        return F2Matrix, (self.nrows, self.ncols, self.rows)
+        _set_memo(self, _UNREAD)
 
     @property
     def rank(self) -> int:
         """The dimension of the row span."""
-        r = self._rank
+        r = self._memo[0]
         if r is None:
             r = Echelon(self.rows).rank
-            _set_rank(self, r)
+            _keep(self, 0, r)
         return r
 
     # -- constructors ------------------------------------------------------
@@ -120,7 +97,7 @@ class F2Matrix:
         got = _ZEROS.get((nrows, ncols))
         if got is None:
             got = _ZEROS[nrows, ncols] = F2Matrix(nrows, ncols, (0,) * nrows)
-            _set_rank(got, 0)
+            _set_memo(got, (0, None, None))
         return got
 
     @staticmethod
@@ -174,9 +151,8 @@ class F2Matrix:
 _set_nrows = F2Matrix.__dict__["nrows"].__set__
 _set_ncols = F2Matrix.__dict__["ncols"].__set__
 _set_rows = F2Matrix.__dict__["rows"].__set__
-_set_rank = F2Matrix.__dict__["_rank"].__set__
-_set_kernel = F2Matrix.__dict__["_kernel"].__set__
-_set_row_basis = F2Matrix.__dict__["_row_basis"].__set__
+_set_memo = F2Matrix.__dict__["_memo"].__set__
+_UNREAD = (None, None, None)
 _ZEROS: dict[tuple[int, int], F2Matrix] = {}
 _IDENTITIES: dict[int, F2Matrix] = {}
 
@@ -187,8 +163,13 @@ def _basis(rows: Sequence[int], ncols: int) -> F2Matrix:
     if not rows:
         return F2Matrix.zero(0, ncols)
     out = F2Matrix(len(rows), ncols, tuple(rows))
-    _set_rank(out, len(rows))
+    _set_memo(out, (len(rows), None, None))
     return out
+
+
+def _keep(m: F2Matrix, i: int, answer: object) -> None:
+    """Record ``answer`` as entry ``i`` of ``m``'s memo."""
+    _set_memo(m, m._memo[:i] + (answer,) + m._memo[i + 1:])
 
 
 def combine(rows: Sequence[int], x: int) -> int:
@@ -251,10 +232,10 @@ def homology(into: Optional[F2Matrix], out: Optional[F2Matrix],
 def row_basis(m: F2Matrix) -> F2Matrix:
     """Matrix whose rows are the nonzero rref rows (a canonical span basis),
     read off one elimination on the first call and kept on ``m``."""
-    got = m._row_basis
+    got = m._memo[2]
     if got is None:
         got = _basis(Echelon(m.rows).reduced_rows(), m.ncols)
-        _set_row_basis(m, got)
+        _keep(m, 2, got)
     return got
 
 
@@ -488,10 +469,10 @@ def left_kernel_basis(m: F2Matrix) -> F2Matrix:
 
     Equal to ``kernel_basis(m.transpose())``, found without transposing,
     by one elimination on the first call and kept on ``m``."""
-    got = m._kernel
+    got = m._memo[1]
     if got is None:
         got = _basis(Echelon(m.rows).relations, m.nrows)
-        _set_kernel(m, got)
+        _keep(m, 1, got)
     return got
 
 

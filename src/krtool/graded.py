@@ -18,7 +18,6 @@ downstream comparisons never read truncation artifacts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .gf2 import (
@@ -32,20 +31,21 @@ from .gf2 import (
     row_basis,
     solve,
 )
+from .record import FrozenRecord, Record
 
 Degree = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class Window:
-    m_lo: int
-    m_hi: int
-    k_lo: int
-    k_hi: int
+class Window(FrozenRecord):
+    """The degrees ``(m, k)`` with ``m_lo <= m <= m_hi`` and
+    ``k_lo <= k <= k_hi``, none of them empty; an immutable value."""
 
-    def __post_init__(self) -> None:
-        if self.m_lo > self.m_hi or self.k_lo > self.k_hi:
+    __slots__ = ("m_lo", "m_hi", "k_lo", "k_hi")
+
+    def __init__(self, m_lo: int, m_hi: int, k_lo: int, k_hi: int) -> None:
+        if m_lo > m_hi or k_lo > k_hi:
             raise ValueError("empty window bounds")
+        super().__init__(m_lo, m_hi, k_lo, k_hi)
 
     def contains(self, d: Degree) -> bool:
         m, k = d
@@ -398,8 +398,7 @@ def pair_map(space: GradedSpace, shift: Degree,
 
 # -- subquotient helpers -----------------------------------------------------
 
-@dataclass
-class Subquotient:
+class Subquotient(Record):
     """Numerator/denominator row bases per degree in an ambient space.
 
     A degree's representatives, coordinates and dimension come from one
@@ -414,19 +413,22 @@ class Subquotient:
     writes.
     """
 
-    ambient: GradedSpace
-    numerators: dict[Degree, F2Matrix]
-    denominators: dict[Degree, F2Matrix]
-    # degree -> dimension, as the builder counted it; only read
-    counted: dict[Degree, int] = field(
-        default_factory=dict, repr=False, compare=False)
-    # degree -> (representatives, their elimination, count of denominator rows)
-    _solved: dict[Degree, tuple[F2Matrix, Echelon, int]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    # (id of the numerator, id of the denominator, ambient dimension) -> the
-    # entry of every degree that reads them; the tables hold both matrices
-    _shared: dict[tuple[int, int, int], tuple[F2Matrix, Echelon, int]] = \
-        field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("ambient", "numerators", "denominators", "counted",
+                 "_solved", "_shared")
+    _fields = ("ambient", "numerators", "denominators")
+
+    def __init__(self, ambient: GradedSpace, numerators: dict[Degree, F2Matrix],
+                 denominators: dict[Degree, F2Matrix],
+                 counted: Optional[dict[Degree, int]] = None) -> None:
+        self.ambient, self.numerators = ambient, numerators
+        self.denominators = denominators
+        # degree -> dimension, as the builder counted it; only read
+        self.counted = {} if counted is None else counted
+        # degree -> (representatives, their elimination, count of denominator rows)
+        self._solved: dict[Degree, tuple[F2Matrix, Echelon, int]] = {}
+        # (id of the numerator, id of the denominator, ambient dimension) -> the
+        # entry of every degree that reads them; the tables hold both matrices
+        self._shared: dict[tuple[int, int, int], tuple[F2Matrix, Echelon, int]] = {}
 
     def _solver(self, d: Degree) -> tuple[F2Matrix, Echelon, int]:
         got = self._solved.get(d)
@@ -483,13 +485,15 @@ class Subquotient:
 
 # -- solver for operator-commuting graded maps -------------------------------
 
-@dataclass(frozen=True)
-class OperatorPair:
-    """An operator present on both source and target of a hom problem."""
+class OperatorPair(FrozenRecord):
+    """An operator present on both source and target of a hom problem; an
+    immutable value."""
 
-    name: str
-    on_source: GradedMap
-    on_target: GradedMap
+    __slots__ = ("name", "on_source", "on_target")
+
+    def __init__(self, name: str, on_source: GradedMap,
+                 on_target: GradedMap) -> None:
+        super().__init__(name, on_source, on_target)
 
 
 def hom_space(source: GradedSpace, target: GradedSpace, shift: Degree,

@@ -21,13 +21,13 @@ gives it and ``s`` commutes with both differentials.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 from .a1 import A1Module, from_table, validate as validate_a1
 from .emod import EModule, validate as validate_e
 from .gf2 import F2Matrix
 from .graded import GradedMap, GradedSpace, Window, add_deg, pair_map
+from .record import Record
 
 A1_ACTIONS = {"sq1": 1, "sq2": 2}
 E_ACTIONS = {"q0": (1, 0), "q1": (2, 1), "a": (0, 1), "s": (-1, 1)}
@@ -40,14 +40,17 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-@dataclass
-class ModuleFile:
-    kind: str
-    window: Window
-    gens: dict[str, tuple[int, int]]
-    actions: dict[tuple[str, str], tuple[str, ...]]   # (op, name) -> targets
-    gen_lines: dict[str, int]
-    ops: Optional[frozenset[str]]           # the ``ops`` line of an e file
+class ModuleFile(Record):
+    # actions: (op, name) -> targets; ops: the ``ops`` line of an e file
+    __slots__ = ("kind", "window", "gens", "actions", "gen_lines", "ops")
+
+    def __init__(self, kind: str, window: Window,
+                 gens: dict[str, tuple[int, int]],
+                 actions: dict[tuple[str, str], tuple[str, ...]],
+                 gen_lines: dict[str, int],
+                 ops: Optional[frozenset[str]]) -> None:
+        self.kind, self.window, self.gens = kind, window, gens
+        self.actions, self.gen_lines, self.ops = actions, gen_lines, ops
 
 
 def parse_module_file(text: str) -> ModuleFile:

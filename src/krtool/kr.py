@@ -26,7 +26,6 @@ containers, never the chart's own.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Optional
 
@@ -42,6 +41,7 @@ from .graded import (
     hom_space,
     shift_mismatch,
 )
+from .record import Record
 from .rfun import RModule, apply_r, required_top
 
 
@@ -99,10 +99,12 @@ def free_class(g: int, which: str) -> Degree:
     return add_deg((g, 0), FREE_CLASS_OFFSETS[which])
 
 
-@dataclass
-class F2Part:
-    gens: dict[int, int]          # free generators per degree
-    certified_hi: float           # every degree when math.inf
+class F2Part(Record):
+    # gens: free generators per degree; certified_hi: every degree when math.inf
+    __slots__ = ("gens", "certified_hi")
+
+    def __init__(self, gens: dict[int, int], certified_hi: float) -> None:
+        self.gens, self.certified_hi = gens, certified_hi
 
     def dims(self, which: str, w: Window) -> dict[Degree, int]:
         """How many ``which`` classes lie in each degree of ``w``."""
@@ -116,15 +118,18 @@ def compute_f2(n: int, w: Window) -> F2Part:
     return F2Part(dict(part.gens), part.certified_hi)
 
 
-@dataclass
-class BorelDetection:
-    certified: bool
-    constrained_dim: int
-    unconstrained_dim: int
-    region: Window
-    detail: str
-    # the Borel model the detection solved on
-    model: cfm.BorelClosedForm = field(repr=False, compare=False)
+class BorelDetection(Record):
+    # model: the Borel model the detection solved on, not compared or printed
+    __slots__ = ("certified", "constrained_dim", "unconstrained_dim",
+                 "region", "detail", "model")
+    _fields = __slots__[:-1]
+
+    def __init__(self, certified: bool, constrained_dim: int,
+                 unconstrained_dim: int, region: Window, detail: str,
+                 model: cfm.BorelClosedForm) -> None:
+        self.certified, self.constrained_dim = certified, constrained_dim
+        self.unconstrained_dim, self.region = unconstrained_dim, region
+        self.detail, self.model = detail, model
 
 
 def detection_h1_borel(n: int, w: Window) -> BorelDetection:
@@ -162,15 +167,18 @@ def detection_h1_borel(n: int, w: Window) -> BorelDetection:
         borel)
 
 
-@dataclass
-class KRReport:
-    window: Window
-    rank: int
-    f1: dict[Degree, int]
-    f2_classes: dict[Degree, int]
-    f2_companions: dict[Degree, int]
-    layers: list[dict[Degree, int]]
-    annotations: dict[Degree, list[str]]
+class KRReport(Record):
+    __slots__ = ("window", "rank", "f1", "f2_classes", "f2_companions",
+                 "layers", "annotations")
+
+    def __init__(self, window: Window, rank: int, f1: dict[Degree, int],
+                 f2_classes: dict[Degree, int],
+                 f2_companions: dict[Degree, int],
+                 layers: list[dict[Degree, int]],
+                 annotations: dict[Degree, list[str]]) -> None:
+        self.window, self.rank, self.f1 = window, rank, f1
+        self.f2_classes, self.f2_companions = f2_classes, f2_companions
+        self.layers, self.annotations = layers, annotations
 
     def layer_periodicity_failure(self) -> Optional[tuple[int, Degree]]:
         """The first layer ``j`` and degree ``d`` where layer ``j + 1`` at
@@ -240,12 +248,14 @@ def assemble_kr(n: int, w: Window, max_layer: int = 3) -> KRReport:
     return KRReport(w, n, f1, tops, companions, layers, annotations)
 
 
-@dataclass
-class CrossCheckReport:
-    ok: bool
-    region: list[Degree]
-    mismatches: list[tuple[Degree, int, int]]
-    brute: dict[Degree, int]
+class CrossCheckReport(Record):
+    __slots__ = ("ok", "region", "mismatches", "brute")
+
+    def __init__(self, ok: bool, region: list[Degree],
+                 mismatches: list[tuple[Degree, int, int]],
+                 brute: dict[Degree, int]) -> None:
+        self.ok, self.region = ok, region
+        self.mismatches, self.brute = mismatches, brute
 
     def detail(self) -> str:
         if self.ok:

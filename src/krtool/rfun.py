@@ -61,7 +61,6 @@ them, and no chart does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Optional, Sequence
 
@@ -87,6 +86,7 @@ from .graded import (
     add_deg,
     degrees_where,
 )
+from .record import Record
 
 # (coefficient monomial, module degree, offset of its block) per degree
 Layout = dict[Degree, list[tuple[CoeffMonomial, int, int]]]
@@ -102,23 +102,25 @@ Carries = dict[Degree, int]
 Offsets = dict[Degree, dict[int, int]]
 
 
-@dataclass
-class Extension:
+class Extension(Record):
     """The records of one layout walk: the space, a number for each
     monomial of the walk, and per degree the blocks, their offsets by
     monomial number and the carry."""
-    space: GradedSpace
-    layout: Layout
-    numbers: dict[CoeffMonomial, int]
-    offsets: Offsets
-    carries: Carries
+
+    __slots__ = ("space", "layout", "numbers", "offsets", "carries")
+
+    def __init__(self, space: GradedSpace, layout: Layout,
+                 numbers: dict[CoeffMonomial, int], offsets: Offsets,
+                 carries: Carries) -> None:
+        self.space, self.layout, self.numbers = space, layout, numbers
+        self.offsets, self.carries = offsets, carries
 
 
-@dataclass
-class RModule:
-    base: A1Module
-    emod: EModule
-    ext: Extension
+class RModule(Record):
+    __slots__ = ("base", "emod", "ext")
+
+    def __init__(self, base: A1Module, emod: EModule, ext: Extension) -> None:
+        self.base, self.emod, self.ext = base, emod, ext
 
     def space(self) -> GradedSpace:
         return self.emod.space
@@ -349,11 +351,11 @@ def mod_a(m: A1Module, w: Window) -> EModule:
 
 # -- duality -----------------------------------------------------------------------
 
-@dataclass
-class PsiCertificate:
-    ok: bool
-    detail: str
-    checked_degrees: int
+class PsiCertificate(Record):
+    __slots__ = ("ok", "detail", "checked_degrees")
+
+    def __init__(self, ok: bool, detail: str, checked_degrees: int) -> None:
+        self.ok, self.detail, self.checked_degrees = ok, detail, checked_degrees
 
 
 def psi_duality(m: A1Module, w: Window) -> PsiCertificate:
@@ -435,10 +437,12 @@ def psi_duality(m: A1Module, w: Window) -> PsiCertificate:
 
 # -- Euler-class Bockstein ------------------------------------------------------------
 
-@dataclass
-class BocksteinD1:
-    homology: H01Result
-    d1: dict[Degree, F2Matrix]
+class BocksteinD1(Record):
+    # with a ``__dict__``, so that one report's method can be replaced
+    __slots__ = ("homology", "d1", "__dict__")
+
+    def __init__(self, homology: H01Result, d1: dict[Degree, F2Matrix]) -> None:
+        self.homology, self.d1 = homology, d1
 
     def kernel_dims(self) -> dict[Degree, int]:
         out: dict[Degree, int] = {}
@@ -526,11 +530,11 @@ def lift_map(f: A1Map, src: RModule, dst: RModule) -> GradedMap:
     return _build(src.ext, dst.ext, (0, 0), lambda mono: [(mono, rows)])
 
 
-@dataclass
-class SecRResult:
-    ok: bool
-    detail: str
-    les: Optional[LesReport]
+class SecRResult(Record):
+    __slots__ = ("ok", "detail", "les")
+
+    def __init__(self, ok: bool, detail: str, les: Optional[LesReport]) -> None:
+        self.ok, self.detail, self.les = ok, detail, les
 
 
 def check_sec_r(f: A1Map, g: A1Map, w: Window) -> SecRResult:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -44,25 +43,30 @@ from .graded import (
     degrees_where,
     sub_deg,
 )
+from .record import FrozenRecord, Record
 
 
-@dataclass
-class TowerLevel:
-    space: GradedSpace                 # k_n
-    layer: GradedSpace                 # C_n
-    e: Optional[GradedMap]            # k_n -> k_{n-1}
-    f: GradedMap                      # k_n -> K
-    c: GradedMap                      # k_n -> C_n
-    delta: Optional[GradedMap]        # C_n -> k_{n+1}, degree (1,0)
+class TowerLevel(Record):
+    """Level n: the space k_n, the layer C_n, and the maps e: k_n -> k_{n-1},
+    f: k_n -> K, c: k_n -> C_n and delta: C_n -> k_{n+1} of degree (1,0)."""
+
+    __slots__ = ("space", "layer", "e", "f", "c", "delta")
+
+    def __init__(self, space: GradedSpace, layer: GradedSpace,
+                 e: Optional[GradedMap], f: GradedMap, c: GradedMap,
+                 delta: Optional[GradedMap]) -> None:
+        self.space, self.layer, self.e = space, layer, e
+        self.f, self.c, self.delta = f, c, delta
 
 
-@dataclass
-class TowerData:
-    levels: dict[int, TowerLevel]
-    colimit: GradedSpace
-    level_lo: int
-    level_hi: int
-    region: Window                     # degrees where the data is complete
+class TowerData(Record):
+    # region: the degrees where the data is complete
+    __slots__ = ("levels", "colimit", "level_lo", "level_hi", "region")
+
+    def __init__(self, levels: dict[int, TowerLevel], colimit: GradedSpace,
+                 level_lo: int, level_hi: int, region: Window) -> None:
+        self.levels, self.colimit = levels, colimit
+        self.level_lo, self.level_hi, self.region = level_lo, level_hi, region
 
     def theta(self, n: int) -> Optional[GradedMap]:
         """Composite of the boundary with the next projection; degree (1,0)."""
@@ -74,11 +78,11 @@ class TowerData:
         return dn.compose(self.levels[n + 1].c)
 
 
-@dataclass
-class TowerWitness:
-    level: int
-    degree: Degree
-    relation: str
+class TowerWitness(Record):
+    __slots__ = ("level", "degree", "relation")
+
+    def __init__(self, level: int, degree: Degree, relation: str) -> None:
+        self.level, self.degree, self.relation = level, degree, relation
 
     def __str__(self) -> str:
         return f"level {self.level} degree {self.degree}: {self.relation}"
@@ -205,12 +209,13 @@ def filtration(t: TowerData, n: int) -> Filtration:
                       degrees_where(t.region.contains, lev.space.basis))
 
 
-@dataclass
-class DetectReport:
-    holds: bool
-    height: int
-    level: int
-    witness: Optional[Degree]
+class DetectReport(Record):
+    __slots__ = ("holds", "height", "level", "witness")
+
+    def __init__(self, holds: bool, height: int, level: int,
+                 witness: Optional[Degree]) -> None:
+        self.holds, self.height, self.level = holds, height, level
+        self.witness = witness
 
 
 def detect(t: TowerData, h: int, n: int) -> DetectReport:
@@ -239,13 +244,17 @@ def detect(t: TowerData, h: int, n: int) -> DetectReport:
     return DetectReport(True, h, n, None)
 
 
-@dataclass
-class ChainComplexReport:
-    ok: bool
-    detail: str
-    homology_dims: dict[Degree, int]
-    phi_quotient_dims: dict[Degree, int]
-    first_injective: bool = True
+class ChainComplexReport(Record):
+    __slots__ = ("ok", "detail", "homology_dims", "phi_quotient_dims",
+                 "first_injective")
+
+    def __init__(self, ok: bool, detail: str,
+                 homology_dims: dict[Degree, int],
+                 phi_quotient_dims: dict[Degree, int],
+                 first_injective: bool = True) -> None:
+        self.ok, self.detail, self.homology_dims = ok, detail, homology_dims
+        self.phi_quotient_dims = phi_quotient_dims
+        self.first_injective = first_injective
 
 
 def chain_complex_at(t: TowerData, n: int) -> ChainComplexReport:
@@ -309,23 +318,27 @@ def chain_complex_at(t: TowerData, n: int) -> ChainComplexReport:
 
 # -- synthetic multiplication towers ------------------------------------------
 
-@dataclass(frozen=True)
-class Summand:
-    kind: str          # "cyclic" or "free"
-    shift: int
-    order: int = 0     # torsion order for cyclic summands
+class Summand(FrozenRecord):
+    """A ``"cyclic"`` summand of torsion ``order``, or a ``"free"`` one; an
+    immutable value."""
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("cyclic", "free"):
+    __slots__ = ("kind", "shift", "order")
+
+    def __init__(self, kind: str, shift: int, order: int = 0) -> None:
+        if kind not in ("cyclic", "free"):
             raise ValueError("summand kind must be cyclic or free")
-        if self.kind == "cyclic" and self.order < 1:
+        if kind == "cyclic" and order < 1:
             raise ValueError("cyclic summand needs a positive order")
+        super().__init__(kind, shift, order)
 
 
-@dataclass(frozen=True)
-class XTowerSpec:
-    xdeg: int
-    summands: tuple[Summand, ...]
+class XTowerSpec(FrozenRecord):
+    """A tower's x degree and its summands; an immutable value."""
+
+    __slots__ = ("xdeg", "summands")
+
+    def __init__(self, xdeg: int, summands: tuple[Summand, ...]) -> None:
+        super().__init__(xdeg, summands)
 
     def max_order(self) -> int:
         orders = [s.order for s in self.summands if s.kind == "cyclic"]

@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import random
 import time
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import closedform as cfm
@@ -41,6 +40,7 @@ from .kr import (
     cross_check_hv,
     detection_h1_borel,
 )
+from .record import Record
 from .rfun import (
     apply_r,
     bockstein_d1,
@@ -60,12 +60,12 @@ from .towers import (
 )
 
 
-@dataclass
-class VerifyResult:
-    name: str
-    ok: bool
-    detail: str
-    seconds: float        # elapsed time, read off a monotonic clock
+class VerifyResult(Record):
+    # seconds: the elapsed time, read off a monotonic clock
+    __slots__ = ("name", "ok", "detail", "seconds")
+
+    def __init__(self, name: str, ok: bool, detail: str, seconds: float) -> None:
+        self.name, self.ok, self.detail, self.seconds = name, ok, detail, seconds
 
 
 def _suite_a1_structure() -> tuple[bool, str]:

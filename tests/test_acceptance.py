@@ -5,7 +5,7 @@ The same suites back the command-line verifier, so `krtool verify all`
 reproduces this module outside pytest.
 """
 
-import dataclasses
+import copy
 import hashlib
 import re
 from types import SimpleNamespace
@@ -196,8 +196,9 @@ def test_borel_detect_names_a_broken_periodicity(monkeypatch):
     def holed(n, win):
         rep = real(n, win)
         dims = {d: v for d, v in rep.model.dims().items() if d != gap}
-        return dataclasses.replace(rep, model=SimpleNamespace(
-            dims=lambda: dims))
+        copied = copy.copy(rep)
+        copied.model = SimpleNamespace(dims=lambda: dims)
+        return copied
 
     monkeypatch.setattr(verify, "detection_h1_borel", holed)
     assert failed_detail("borel-detect") == \

@@ -340,12 +340,26 @@ def test_malformed_module_files_fail_only_with_parse_error(text):
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_cli(*argv):
-    """Run the command line of this checkout in a fresh interpreter."""
+def run_python(*argv):
+    """Run a fresh interpreter with this checkout's ``src`` on its path."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "krtool.cli", *argv],
+        [sys.executable, *argv],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+
+
+def run_cli(*argv):
+    """Run the command line of this checkout in a fresh interpreter."""
+    return run_python("-m", "krtool.cli", *argv)
+
+
+def test_starting_krtool_loads_neither_dataclasses_nor_inspect():
+    # ``-S``: no site hooks, whose imports are not krtool's
+    out = run_python(
+        "-S", "-c", "import sys, krtool.cli, krtool.kr, krtool.verify; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
 
 
 def test_cli_verify_single_suite():
@@ -360,7 +374,7 @@ def test_cli_verify_json_lists_each_suite():
     got = json.loads(out.stdout)
     assert [r["name"] for r in got] == ["a1-structure", "h01-a1"]
     for r in got:
-        assert set(r) == {"name", "ok", "seconds", "detail"}
+        assert list(r) == ["name", "ok", "detail", "seconds"]
         assert r["ok"] is True and r["seconds"] >= 0 and r["detail"]
 
 

@@ -18,8 +18,9 @@ function that never assigns the name.  Any other receiver matches by
 name: the method of that name of every class passes.
 So a method that is called is never reported, and a method whose name
 another class shares is reported unless some read of the name has an
-unknown receiver.  The package's classes derive from none of its others,
-so a method is looked up on its own class only.
+unknown receiver.  The package's classes derive from none of its others
+but the bases in ``record``, which have no public method, so a method is
+looked up on its own class only.
 
 Private top-level functions and classes are checked apart: each must be
 named by other code in the package, so a helper whose callers went is
