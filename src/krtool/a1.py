@@ -454,9 +454,6 @@ def dual_a1(m: A1Module) -> A1Module:
 class Violation(Record):
     __slots__ = ("relation", "degree", "element")
 
-    def __init__(self, relation: str, degree: int, element: str) -> None:
-        self.relation, self.degree, self.element = relation, degree, element
-
     def __str__(self) -> str:
         return f"{self.relation} fails at degree {self.degree} on {self.element}"
 
@@ -513,11 +510,6 @@ class ReduceResult(Record):
     # free_gens: the degrees of split-off free generators; certified_hi:
     # theta is known to vanish up to there
     __slots__ = ("module", "free_gens", "certified_hi")
-
-    def __init__(self, module: A1Module, free_gens: list[int],
-                 certified_hi: float) -> None:
-        self.module, self.free_gens = module, free_gens
-        self.certified_hi = certified_hi
 
 
 def _submodule(m: A1Module, rows: dict[int, F2Matrix], prefix: str) -> A1Module:
@@ -666,12 +658,6 @@ class CoverResult(Record):
     # basis in cover coordinates; epi_blocks: cover basis -> module coordinates
     __slots__ = ("cover", "gen_reps", "loop", "loop_rows", "epi_blocks")
 
-    def __init__(self, cover: A1Module, gen_reps: dict[int, F2Matrix],
-                 loop: A1Module, loop_rows: dict[int, F2Matrix],
-                 epi_blocks: dict[int, F2Matrix]) -> None:
-        self.cover, self.gen_reps, self.loop = cover, gen_reps, loop
-        self.loop_rows, self.epi_blocks = loop_rows, epi_blocks
-
 
 def generator_degrees(m: A1Module) -> dict[int, F2Matrix]:
     """Representatives of M / (Sq1 M + Sq2 M), degreewise where trustable:
@@ -796,9 +782,6 @@ class A1Map(Record):
 
 class EvidenceReport(Record):
     __slots__ = ("consistent", "detail")
-
-    def __init__(self, consistent: bool, detail: str) -> None:
-        self.consistent, self.detail = consistent, detail
 
 
 # the most combinations of solution-basis maps ``iso_search`` tries

@@ -133,9 +133,6 @@ class EModule:
 class EViolation(Record):
     __slots__ = ("relation", "degree", "element")
 
-    def __init__(self, relation: str, degree: Degree, element: str) -> None:
-        self.relation, self.degree, self.element = relation, degree, element
-
     def __str__(self) -> str:
         return f"{self.relation} fails at {self.degree} on {self.element}"
 
@@ -194,9 +191,6 @@ class H01Result(Record):
     """The homology, its representative vectors, and where it is valid."""
 
     __slots__ = ("sub", "region")
-
-    def __init__(self, sub: Subquotient, region: list[Degree]) -> None:
-        self.sub, self.region = sub, region
 
     def dims(self) -> dict[Degree, int]:
         return self.sub.dims()
@@ -453,9 +447,6 @@ def rel_ext_tate(m: EModule, n: int,
 
 class LesReport(Record):
     __slots__ = ("ok", "detail", "slots_checked")
-
-    def __init__(self, ok: bool, detail: str, slots_checked: int) -> None:
-        self.ok, self.detail, self.slots_checked = ok, detail, slots_checked
 
 
 def find_lambda0_splitting(g: GradedMap, region: Window,

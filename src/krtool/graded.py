@@ -491,10 +491,6 @@ class OperatorPair(FrozenRecord):
 
     __slots__ = ("name", "on_source", "on_target")
 
-    def __init__(self, name: str, on_source: GradedMap,
-                 on_target: GradedMap) -> None:
-        super().__init__(name, on_source, on_target)
-
 
 def hom_space(source: GradedSpace, target: GradedSpace, shift: Degree,
               operators: list[OperatorPair], region: Window,

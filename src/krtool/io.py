@@ -44,14 +44,6 @@ class ModuleFile(Record):
     # actions: (op, name) -> targets; ops: the ``ops`` line of an e file
     __slots__ = ("kind", "window", "gens", "actions", "gen_lines", "ops")
 
-    def __init__(self, kind: str, window: Window,
-                 gens: dict[str, tuple[int, int]],
-                 actions: dict[tuple[str, str], tuple[str, ...]],
-                 gen_lines: dict[str, int],
-                 ops: Optional[frozenset[str]]) -> None:
-        self.kind, self.window, self.gens = kind, window, gens
-        self.actions, self.gen_lines, self.ops = actions, gen_lines, ops
-
 
 def parse_module_file(text: str) -> ModuleFile:
     kind = ""

@@ -103,9 +103,6 @@ class F2Part(Record):
     # gens: free generators per degree; certified_hi: every degree when math.inf
     __slots__ = ("gens", "certified_hi")
 
-    def __init__(self, gens: dict[int, int], certified_hi: float) -> None:
-        self.gens, self.certified_hi = gens, certified_hi
-
     def dims(self, which: str, w: Window) -> dict[Degree, int]:
         """How many ``which`` classes lie in each degree of ``w``."""
         got = {free_class(g, which): n for g, n in self.gens.items()}
@@ -113,7 +110,8 @@ class F2Part(Record):
 
 
 def compute_f2(n: int, w: Window) -> F2Part:
-    """Free generators of the group cohomology, shifted to the top class."""
+    """How many free generators the group cohomology has in each degree,
+    unshifted: ``F2Part.dims`` shifts them to their classes."""
     part = chart(n, w).free_part
     return F2Part(dict(part.gens), part.certified_hi)
 
@@ -170,15 +168,6 @@ def detection_h1_borel(n: int, w: Window) -> BorelDetection:
 class KRReport(Record):
     __slots__ = ("window", "rank", "f1", "f2_classes", "f2_companions",
                  "layers", "annotations")
-
-    def __init__(self, window: Window, rank: int, f1: dict[Degree, int],
-                 f2_classes: dict[Degree, int],
-                 f2_companions: dict[Degree, int],
-                 layers: list[dict[Degree, int]],
-                 annotations: dict[Degree, list[str]]) -> None:
-        self.window, self.rank, self.f1 = window, rank, f1
-        self.f2_classes, self.f2_companions = f2_classes, f2_companions
-        self.layers, self.annotations = layers, annotations
 
     def layer_periodicity_failure(self) -> Optional[tuple[int, Degree]]:
         """The first layer ``j`` and degree ``d`` where layer ``j + 1`` at
@@ -250,12 +239,6 @@ def assemble_kr(n: int, w: Window, max_layer: int = 3) -> KRReport:
 
 class CrossCheckReport(Record):
     __slots__ = ("ok", "region", "mismatches", "brute")
-
-    def __init__(self, ok: bool, region: list[Degree],
-                 mismatches: list[tuple[Degree, int, int]],
-                 brute: dict[Degree, int]) -> None:
-        self.ok, self.region = ok, region
-        self.mismatches, self.brute = mismatches, brute
 
     def detail(self) -> str:
         if self.ok:

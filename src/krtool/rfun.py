@@ -69,8 +69,6 @@ from .a1 import A1Map, A1Module, dual_a1, margolis
 from .coeff import A, CoeffMonomial, S, multiply, q0_coeff, q1_coeff
 from .emod import (
     EModule,
-    H01Result,
-    LesReport,
     find_lambda0_splitting,
     h01,
     les_h01,
@@ -109,18 +107,9 @@ class Extension(Record):
 
     __slots__ = ("space", "layout", "numbers", "offsets", "carries")
 
-    def __init__(self, space: GradedSpace, layout: Layout,
-                 numbers: dict[CoeffMonomial, int], offsets: Offsets,
-                 carries: Carries) -> None:
-        self.space, self.layout, self.numbers = space, layout, numbers
-        self.offsets, self.carries = offsets, carries
-
 
 class RModule(Record):
     __slots__ = ("base", "emod", "ext")
-
-    def __init__(self, base: A1Module, emod: EModule, ext: Extension) -> None:
-        self.base, self.emod, self.ext = base, emod, ext
 
     def space(self) -> GradedSpace:
         return self.emod.space
@@ -354,9 +343,6 @@ def mod_a(m: A1Module, w: Window) -> EModule:
 class PsiCertificate(Record):
     __slots__ = ("ok", "detail", "checked_degrees")
 
-    def __init__(self, ok: bool, detail: str, checked_degrees: int) -> None:
-        self.ok, self.detail, self.checked_degrees = ok, detail, checked_degrees
-
 
 def psi_duality(m: A1Module, w: Window) -> PsiCertificate:
     """Explicit isomorphism between the extension of the dual and the
@@ -438,11 +424,8 @@ def psi_duality(m: A1Module, w: Window) -> PsiCertificate:
 # -- Euler-class Bockstein ------------------------------------------------------------
 
 class BocksteinD1(Record):
-    # with a ``__dict__``, so that one report's method can be replaced
-    __slots__ = ("homology", "d1", "__dict__")
-
-    def __init__(self, homology: H01Result, d1: dict[Degree, F2Matrix]) -> None:
-        self.homology, self.d1 = homology, d1
+    # d1: degree d -> the block from the homology at d to that at d + (2, 0)
+    __slots__ = ("homology", "d1")
 
     def kernel_dims(self) -> dict[Degree, int]:
         out: dict[Degree, int] = {}
@@ -532,9 +515,6 @@ def lift_map(f: A1Map, src: RModule, dst: RModule) -> GradedMap:
 
 class SecRResult(Record):
     __slots__ = ("ok", "detail", "les")
-
-    def __init__(self, ok: bool, detail: str, les: Optional[LesReport]) -> None:
-        self.ok, self.detail, self.les = ok, detail, les
 
 
 def check_sec_r(f: A1Map, g: A1Map, w: Window) -> SecRResult:

@@ -52,21 +52,10 @@ class TowerLevel(Record):
 
     __slots__ = ("space", "layer", "e", "f", "c", "delta")
 
-    def __init__(self, space: GradedSpace, layer: GradedSpace,
-                 e: Optional[GradedMap], f: GradedMap, c: GradedMap,
-                 delta: Optional[GradedMap]) -> None:
-        self.space, self.layer, self.e = space, layer, e
-        self.f, self.c, self.delta = f, c, delta
-
 
 class TowerData(Record):
     # region: the degrees where the data is complete
     __slots__ = ("levels", "colimit", "level_lo", "level_hi", "region")
-
-    def __init__(self, levels: dict[int, TowerLevel], colimit: GradedSpace,
-                 level_lo: int, level_hi: int, region: Window) -> None:
-        self.levels, self.colimit = levels, colimit
-        self.level_lo, self.level_hi, self.region = level_lo, level_hi, region
 
     def theta(self, n: int) -> Optional[GradedMap]:
         """Composite of the boundary with the next projection; degree (1,0)."""
@@ -80,9 +69,6 @@ class TowerData(Record):
 
 class TowerWitness(Record):
     __slots__ = ("level", "degree", "relation")
-
-    def __init__(self, level: int, degree: Degree, relation: str) -> None:
-        self.level, self.degree, self.relation = level, degree, relation
 
     def __str__(self) -> str:
         return f"level {self.level} degree {self.degree}: {self.relation}"
@@ -212,11 +198,6 @@ def filtration(t: TowerData, n: int) -> Filtration:
 class DetectReport(Record):
     __slots__ = ("holds", "height", "level", "witness")
 
-    def __init__(self, holds: bool, height: int, level: int,
-                 witness: Optional[Degree]) -> None:
-        self.holds, self.height, self.level = holds, height, level
-        self.witness = witness
-
 
 def detect(t: TowerData, h: int, n: int) -> DetectReport:
     """Injectivity of the colimit kernel into the h-fold cokernel."""
@@ -247,14 +228,6 @@ def detect(t: TowerData, h: int, n: int) -> DetectReport:
 class ChainComplexReport(Record):
     __slots__ = ("ok", "detail", "homology_dims", "phi_quotient_dims",
                  "first_injective")
-
-    def __init__(self, ok: bool, detail: str,
-                 homology_dims: dict[Degree, int],
-                 phi_quotient_dims: dict[Degree, int],
-                 first_injective: bool = True) -> None:
-        self.ok, self.detail, self.homology_dims = ok, detail, homology_dims
-        self.phi_quotient_dims = phi_quotient_dims
-        self.first_injective = first_injective
 
 
 def chain_complex_at(t: TowerData, n: int) -> ChainComplexReport:
@@ -336,9 +309,6 @@ class XTowerSpec(FrozenRecord):
     """A tower's x degree and its summands; an immutable value."""
 
     __slots__ = ("xdeg", "summands")
-
-    def __init__(self, xdeg: int, summands: tuple[Summand, ...]) -> None:
-        super().__init__(xdeg, summands)
 
     def max_order(self) -> int:
         orders = [s.order for s in self.summands if s.kind == "cyclic"]

@@ -64,9 +64,6 @@ class VerifyResult(Record):
     # seconds: the elapsed time, read off a monotonic clock
     __slots__ = ("name", "ok", "detail", "seconds")
 
-    def __init__(self, name: str, ok: bool, detail: str, seconds: float) -> None:
-        self.name, self.ok, self.detail, self.seconds = name, ok, detail, seconds
-
 
 def _suite_a1_structure() -> tuple[bool, str]:
     m = std_a1()

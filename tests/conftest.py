@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 import sys
 from pathlib import Path
 
@@ -6,9 +8,11 @@ src = Path(__file__).resolve().parent.parent / "src"
 if str(src) not in sys.path:
     sys.path.insert(0, str(src))
 
+import krtool  # noqa: E402
 from krtool.a1 import A1Module  # noqa: E402
 from krtool.gf2 import F2Matrix  # noqa: E402
 from krtool.graded import GradedMap, GradedSpace, add_deg  # noqa: E402
+from krtool.record import Record  # noqa: E402
 
 
 # The elements of the Sq1/Sq2 algebra the library evaluates, written as
@@ -85,3 +89,16 @@ def by_name(x):
     if isinstance(x, GradedSpace):
         return {d: frozenset(ns) for d, ns in x.basis.items()}
     raise TypeError(f"cannot read {type(x).__name__} by name")
+
+
+def record_classes() -> list[type]:
+    """Every record type of krtool: each subclass of ``record.Record``,
+    with every module of the package imported, sorted by name."""
+    for info in pkgutil.iter_modules(krtool.__path__):
+        importlib.import_module(f"krtool.{info.name}")
+    found, todo = [], [Record]
+    while todo:
+        sub = todo.pop().__subclasses__()
+        found += sub
+        todo += sub
+    return sorted(set(found), key=lambda c: (c.__module__, c.__qualname__))

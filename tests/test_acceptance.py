@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from krtool import a1, cli, closedform, kr, verify
+from krtool import a1, cli, closedform, kr, rfun, verify
 from krtool.a1 import std_f
 from krtool.emod import h01, h01_dual_dims, margolis
 from krtool.gf2 import F2Matrix
@@ -138,14 +138,7 @@ def test_h01_a1_names_a_cone_holding_the_wrong_classes(monkeypatch):
 
 
 def test_h01_a1_names_where_the_bockstein_squares_to_nonzero(monkeypatch):
-    real = verify.bockstein_d1
-
-    def broken(rm):
-        bock = real(rm)
-        bock.nonzero_square = lambda: (4, 0)
-        return bock
-
-    monkeypatch.setattr(verify, "bockstein_d1", broken)
+    monkeypatch.setattr(rfun.BocksteinD1, "nonzero_square", lambda self: (4, 0))
     assert failed_detail("h01-a1") == \
         "free module: Bockstein d1 squares to nonzero at (4, 0)"
 

@@ -31,7 +31,7 @@ from krtool.graded import (
     sub_deg,
 )
 
-from conftest import image_names
+from conftest import image_names, record_classes
 
 
 def line(window, d, name="e"):
@@ -544,6 +544,14 @@ def test_small_values_carry_no_instance_dict():
     for obj in (F2Matrix.identity(2), Echelon([0b11, 0b01]),
                 NameRuns([("a|", ("x",))])):
         assert not hasattr(obj, "__dict__"), type(obj).__name__
+
+
+def test_no_record_carries_an_instance_dict():
+    # a record's fields live in slots; a ``__dict__`` slot, or a base class
+    # without ``__slots__``, would give every instance a dictionary
+    classes = record_classes()
+    with_dict = [c.__qualname__ for c in classes if c.__dictoffset__]
+    assert len(classes) > 30 and not with_dict, with_dict
 
 
 # -- composition against the dense loop ----------------------------------------

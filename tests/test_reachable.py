@@ -24,7 +24,8 @@ looked up on its own class only.
 
 Private top-level functions and classes are checked apart: each must be
 named by other code in the package, so a helper whose callers went is
-found.
+found.  Record classes are checked apart too: none may write an
+``__init__`` that only does what ``Record``'s constructor does.
 """
 
 import ast
@@ -251,6 +252,93 @@ def unreferenced_private(src: Path = SRC) -> list[str]:
                 refs.discard((mod, stmt.name))
             named |= refs
     return sorted(f"{mod}.{name}" for mod, name in private - named)
+
+
+def _stores_only(fn: ast.FunctionDef) -> bool:
+    """Whether the body of ``fn`` (a method) only stores parameters in
+    attributes of their own names on ``self``, or only passes all of them,
+    in order and unchanged, to ``super().__init__``."""
+    me, *params = [a.arg for a in fn.args.args]
+    body = fn.body[1:] if ast.get_docstring(fn) else fn.body
+
+    def stored(target: ast.expr, value: ast.expr) -> bool:
+        return (isinstance(target, ast.Attribute)
+                and isinstance(target.value, ast.Name)
+                and target.value.id == me and isinstance(value, ast.Name)
+                and value.id == target.attr and value.id in params)
+
+    for stmt in body:
+        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
+            target, value = stmt.targets[0], stmt.value
+            pairs = ([(target, value)] if not isinstance(target, ast.Tuple)
+                     else zip(target.elts, getattr(value, "elts", [None])))
+            if not all(stored(t, v) for t, v in pairs):
+                return False
+        elif not (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call)
+                  and ast.unparse(stmt.value.func) == "super().__init__"
+                  and not stmt.value.keywords
+                  and [ast.unparse(a) for a in stmt.value.args] == params):
+            return False
+    return bool(body)
+
+
+def storing_constructors(src: Path = SRC) -> list[str]:
+    """``module.Class`` of each record class, a subclass of ``Record`` or
+    ``FrozenRecord``, whose ``__init__`` does only what ``Record``'s
+    constructor does: it stores its parameters or passes them on, sorted.
+    A class that names its ``_fields`` is left out, since its constructor
+    sets a slot that is no field."""
+    classes = {(path.stem, stmt): {ast.unparse(b).rsplit(".")[-1]
+                                   for b in stmt.bases}
+               for path in sorted(src.glob("*.py"))
+               for stmt in ast.parse(path.read_text()).body
+               if isinstance(stmt, ast.ClassDef)}
+    records, grown = {"Record", "FrozenRecord"}, True
+    while grown:
+        more = {c.name for (_, c), bases in classes.items() if bases & records}
+        grown = not more <= records
+        records |= more
+    found = []
+    for (mod, cls), bases in classes.items():
+        names = {t.id for s in cls.body if isinstance(s, ast.Assign)
+                 for t in s.targets if isinstance(t, ast.Name)}
+        if bases & records and "_fields" not in names:
+            found += [f"{mod}.{cls.name}" for s in cls.body
+                      if isinstance(s, ast.FunctionDef)
+                      and s.name == "__init__" and _stores_only(s)]
+    return sorted(found)
+
+
+def test_no_record_writes_the_constructor_record_gives_it():
+    found = storing_constructors()
+    assert not found, ("only store or pass on their parameters, which "
+                       "Record.__init__ does: " + ", ".join(found))
+
+
+def test_the_constructor_check_finds_a_storing_record(tmp_path):
+    src = _copy(tmp_path)
+    with open(src / "towers.py", "a") as fh:
+        fh.write(
+            "\n\nclass Stores(TowerWitness):\n"
+            "    __slots__ = (\"x\", \"y\")\n\n"
+            "    def __init__(self, x, y=0):\n"
+            "        self.x, self.y = x, y\n"
+            "\n\nclass Passes(FrozenRecord):\n"
+            "    __slots__ = (\"x\", \"y\")\n\n"
+            "    def __init__(self, x, y):\n"
+            "        \"\"\"Passes both on.\"\"\"\n"
+            "        super().__init__(x, y)\n"
+            "\n\nclass Checks(Record):\n"
+            "    __slots__ = (\"x\", \"y\")\n\n"
+            "    def __init__(self, x, y):\n"
+            "        if x > y:\n"
+            "            raise ValueError(\"x above y\")\n"
+            "        self.x, self.y = x, y\n"
+            "\n\nclass Swaps(Record):\n"
+            "    __slots__ = (\"x\", \"y\")\n\n"
+            "    def __init__(self, x, y):\n"
+            "        super().__init__(y, x)\n")
+    assert storing_constructors(src) == ["towers.Passes", "towers.Stores"]
 
 
 def test_every_private_definition_is_named_elsewhere():

@@ -1,4 +1,5 @@
-"""Record types: the immutable values hash and print as their fields and
+"""Record types: the shared constructor takes every field once, by position
+or by keyword, the immutable values hash and print as their fields and
 refuse bad input, and caches stay out of a record's equality and repr."""
 
 import copy
@@ -9,9 +10,15 @@ import pytest
 from krtool.coeff import CoeffMonomial
 from krtool.gf2 import F2Matrix
 from krtool.graded import GradedSpace, OperatorPair, Subquotient, Window
+from krtool.record import Record
 from krtool.towers import Summand, XTowerSpec
 
+from conftest import record_classes
+
 SUMMANDS = (Summand("free", 0), Summand("cyclic", 1, 2))
+# the record types built by ``Record``'s constructor, not one of their own
+SHARED = [c for c in record_classes() if c.__init__ is Record.__init__
+          and c._fields]
 
 # each immutable value type: its field names, one value of each, its repr,
 # and bad fields with the message of the ``ValueError`` they raise
@@ -69,3 +76,34 @@ def test_caches_stay_out_of_equality_and_repr():
     assert read != Subquotient(space, {}, {})
     with pytest.raises(TypeError):
         hash(read)
+
+
+@pytest.mark.parametrize("cls", SHARED, ids=[c.__qualname__ for c in SHARED])
+def test_the_shared_constructor_takes_each_field_once(cls):
+    names = cls._fields
+    values = tuple(f"<{n}>" for n in names)
+    a = cls(*values)
+    for twin in (cls(**dict(zip(names, values))),
+                 cls(values[0], **dict(zip(names[1:], values[1:])))):
+        assert twin == a and repr(twin) == repr(a)
+    assert tuple(getattr(a, n) for n in names) == values
+    for args, named in [(values[:-1], {}),              # too few
+                        (values + ("extra",), {}),      # too many
+                        (values, {"unknown": 0}),       # no such field
+                        (values, {names[0]: 0})]:       # given twice
+        with pytest.raises(TypeError) as err:
+            cls(*args, **named)
+        assert str(err.value).startswith(f"{cls.__qualname__}({', '.join(names)})")
+
+
+def test_the_shared_constructor_names_what_does_not_fit():
+    w = Window(0, 0, 0, 0)
+    head = "OperatorPair(name, on_source, on_target): "
+    for args, named, problem in [
+            (("q0",), {}, "missing field 'on_source'"),
+            (("q0", w, w, w), {}, "4 values for 3 fields"),
+            (("q0", w), {"on_target": w, "on_sauce": w}, "no field 'on_sauce'"),
+            (("q0", w), {"on_source": w}, "field 'on_source' given twice")]:
+        with pytest.raises(TypeError) as err:
+            OperatorPair(*args, **named)
+        assert str(err.value) == head + problem

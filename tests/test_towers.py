@@ -630,7 +630,8 @@ def test_towers_suite_names_the_detection_witness(monkeypatch):
 
 def test_towers_suite_names_the_chain_detail(monkeypatch):
     monkeypatch.setattr(verify, "chain_complex_at", lambda t, n: ChainComplexReport(
-        False, "homology 1 != filtration quotient 0 at (3, 0)", {(3, 0): 1}, {}))
+        False, "homology 1 != filtration quotient 0 at (3, 0)", {(3, 0): 1}, {},
+        True))
     res = verify.run_suite("towers")
     assert res.detail == ("instance 0: chain homology mismatch: "
                           "homology 1 != filtration quotient 0 at (3, 0)")
