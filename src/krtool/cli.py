@@ -77,11 +77,11 @@ def _builtin_a1(name: str, w: Window) -> Optional[A1Module]:
     if name == "F":
         return std_f()
     if name == "P":
-        return std_p(w.m_lo, max(top, w.m_hi))
+        return std_p(w.m_lo, top)
     if name.startswith("P") and name[1:].isdigit():
-        return std_pn(int(name[1:]), w.m_lo - 1, max(top, w.m_hi))
+        return std_pn(int(name[1:]), w.m_lo - 1, top)
     if name.startswith("BV") and name[2:].isdigit() and int(name[2:]) >= 1:
-        return std_bv(int(name[2:]), 1, max(top, w.m_hi))
+        return std_bv(int(name[2:]), 1, top)
     return None
 
 
@@ -234,7 +234,7 @@ def cmd_compute(args) -> int:
     elif task == "tower-detect":
         rng = random.Random(args.seed)
         spec = random_x_tower_spec(rng)
-        t = build_x_tower(spec, spec.window(-2, 4), -2, 4)
+        t = build_x_tower(spec, -2, 4)
         bad = validate_tower(t)
         lines = [f"# seed {args.seed}: {spec}"]
         lines.append(f"valid\t{not bad}")
@@ -285,7 +285,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     pv.add_argument("--out", help="write a TSV summary")
     pv.add_argument("--json", action="store_true",
                     help="print a JSON list with one object per suite: "
-                         "name, ok, seconds, detail")
+                         "name, ok, detail, seconds")
     pv.set_defaults(func=cmd_verify)
 
     pc = sub.add_parser("compute", help="run one computation")

@@ -121,8 +121,3 @@ class BorelClosedForm:
 
     def dims(self) -> dict[Degree, int]:
         return self.space.dims()
-
-
-def borel_hv_closed(n: int, w: Window) -> BorelClosedForm:
-    return BorelClosedForm(n, w)
-

@@ -11,18 +11,16 @@ degree-consistent extension.
 
 from __future__ import annotations
 
-from functools import total_ordering
 from typing import Iterator, Optional
 
 from .graded import Degree
 from .record import FrozenRecord
 
 
-@total_ordering
 class CoeffMonomial(FrozenRecord):
     """``(+, j, n)`` is ``a^j s^n``; ``(-, m, n)`` is ``a^-m sigma^(n+2)``.
 
-    An immutable value, ordered as ``(cone, e1, e2)``.  The hash is that of
+    An immutable value, with no order.  The hash is that of
     ``(cone, e1, e2)``, computed once: monomials are dictionary keys
     wherever the extension is built."""
 
@@ -34,16 +32,11 @@ class CoeffMonomial(FrozenRecord):
         if e1 < 0 or e2 < 0:
             raise ValueError("negative exponents")
         super().__init__(cone, e1, e2)
-        # not a field, so equality, ordering and repr do not see it
+        # not a field, so equality and repr do not see it
         object.__setattr__(self, "_hash", hash((cone, e1, e2)))
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __lt__(self, other: "CoeffMonomial") -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values < other._values
 
     def degree(self) -> Degree:
         if self.cone == "+":

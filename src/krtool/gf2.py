@@ -16,10 +16,11 @@ Every elimination runs through ``Echelon``, whose one insertion loop,
 reduced against the stored ones, which are left as they are.  The
 constructor and ``add`` run that loop too.  ``rref`` sorts its rows after
 one back-substitution, ``row_basis`` is those rows without the padding,
-left kernels are the relations it records, and ``solve`` reads
-coordinates from it; none of these answers depends on how far the stored
-rows are reduced.  A basis made of rows known to be independent keeps its
-rank, so no count eliminates it again.  It eliminates a list of rows once
+left kernels are the relations it records, right kernels are those of
+the transpose's elimination, and ``solve`` reads coordinates from it;
+none of these answers depends on how far the stored rows are reduced.
+A basis made of rows known to be independent keeps its rank, so no count
+eliminates it again.  It eliminates a list of rows once
 and then answers membership and coordinate questions for any number of
 vectors, each by clearing the pivots the vector reaches.  Loops that solve
 many right-hand sides against one fixed basis build one ``Echelon`` for
@@ -450,25 +451,14 @@ class Column:
 
 
 def kernel_basis(m: F2Matrix) -> F2Matrix:
-    """Rows form a basis of ``{v : m . v^T = 0}`` (right null space)."""
-    r, piv = rref(m)
-    pivset = set(piv)
-    free = [j for j in range(m.ncols) if j not in pivset]
-    out = []
-    for f in free:
-        v = 1 << f
-        for i, p in enumerate(piv):
-            if (r.rows[i] >> f) & 1:
-                v |= 1 << p
-        out.append(v)
-    return F2Matrix(len(out), m.ncols, tuple(out))
+    """Rows form a basis of ``{v : m . v^T = 0}`` (right null space): the
+    relations among the columns of ``m``, in column order."""
+    return left_kernel_basis(m.transpose())
 
 
 def left_kernel_basis(m: F2Matrix) -> F2Matrix:
-    """Rows v with ``v . m = 0``; the kernel for row-vector conventions.
-
-    Equal to ``kernel_basis(m.transpose())``, found without transposing,
-    by one elimination on the first call and kept on ``m``."""
+    """Rows v with ``v . m = 0``; the kernel for row-vector conventions,
+    found by one elimination on the first call and kept on ``m``."""
     got = m._memo[1]
     if got is None:
         got = _basis(Echelon(m.rows).relations, m.nrows)

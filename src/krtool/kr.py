@@ -141,7 +141,7 @@ def detection_h1_borel(n: int, w: Window) -> BorelDetection:
     region = w.shrink(0, 3, 2, 2)
     if region is None:
         raise ValueError("window too small for an interior region")
-    borel = cfm.borel_hv_closed(n, w)
+    borel = cfm.BorelClosedForm(n, w)
     ops = [OperatorPair("a", borel.act_a, borel.act_a)]
     sols = hom_space(borel.space, borel.space, (3, 2), ops, w)
 

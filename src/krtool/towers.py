@@ -387,12 +387,12 @@ def _key_block(ks: tuple, tks: tuple, to, made: dict) -> Optional[F2Matrix]:
     return got
 
 
-def build_x_tower(spec: XTowerSpec, window: Window,
-                  level_lo: int, level_hi: int) -> TowerData:
-    """The multiplication tower of a graded module over one variable."""
+def build_x_tower(spec: XTowerSpec, level_lo: int,
+                  level_hi: int) -> TowerData:
+    """The multiplication tower of a graded module over one variable, on
+    the window ``spec.window(level_lo, level_hi)``."""
     d = spec.xdeg
-    if window.k_lo != 0 or window.k_hi != 0:
-        raise ValueError("multiplication towers are singly graded")
+    window = spec.window(level_lo, level_hi)
 
     def powers(prefix: str, n: int, span) -> Keyed:
         """Key ``i`` at each power ``x^j`` of summand ``i`` moved ``n``

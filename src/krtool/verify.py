@@ -39,6 +39,7 @@ from .kr import (
     compute_f2,
     cross_check_hv,
     detection_h1_borel,
+    free_class,
 )
 from .record import Record
 from .rfun import (
@@ -87,14 +88,15 @@ def _suite_a1_structure() -> tuple[bool, str]:
 def _suite_h01_a1() -> tuple[bool, str]:
     w = Window(-12, 12, -6, 6)
     rm = apply_r(std_a1(), w)
+    top, partner = free_class(0, "top"), free_class(0, "partner")
     dims = h01(rm.emod).dims()
-    if dims != {(6, 0): 1, (3, -2): 1}:
+    if dims != {top: 1, partner: 1}:
         return False, f"classes at {sorted(dims)}"
     crossing = cone_crossing(rm)
     if crossing is not None:
         return False, f"free module: a differential leaves its cone at " \
                       f"{crossing}"
-    for cone, want in (("+", {(6, 0): 1}), ("-", {(3, -2): 1})):
+    for cone, want in (("+", {top: 1}), ("-", {partner: 1})):
         got = h01(cone_part(rm, cone)).dims()
         if got != want:
             return False, f"free module, {cone} cone: classes at " \
@@ -104,9 +106,9 @@ def _suite_h01_a1() -> tuple[bool, str]:
     if bad is not None:
         return False, f"free module: Bockstein d1 squares to nonzero at {bad}"
     kernel = bock.kernel_dims()
-    if kernel != {(6, 0): 1}:
+    if kernel != {top: 1}:
         return False, f"free module: Bockstein kernel at {sorted(kernel)}, " \
-                      f"expected [(6, 0)]"
+                      f"expected [{top}]"
     return True, "exactly two classes, at (6,0) and (3,-2), one per cone; " \
                  "the cones do not meet; the Bockstein d1 squares to zero " \
                  "and keeps (6,0)"
@@ -129,17 +131,11 @@ def _suite_h01_pn() -> tuple[bool, str]:
 
 
 def _suite_socles() -> tuple[bool, str]:
-    pats = {
-        0: lambda d: d >= 0 and d % 4 == 0,
-        1: lambda d: d >= 4 and d % 4 == 0,
-        2: lambda d: d == 6 or (d >= 8 and d % 4 == 0),
-        3: lambda d: d == 7 or (d >= 8 and d % 4 == 0),
-    }
-    for n, pat in pats.items():
+    for n in range(4):
         small = socle_dims(std_pn(n, -2, 22))
         large = socle_dims(std_pn(n, -2, 30))
         for d in range(-1, 19):
-            if small.get(d, 0) != (1 if pat(d) else 0):
+            if small.get(d, 0) != cfm.soc_has(n, d):
                 return False, f"companion {n} socle wrong at {d}"
             if small.get(d, 0) != large.get(d, 0):
                 return False, f"companion {n} socle unstable at {d}"
@@ -228,7 +224,7 @@ def _suite_towers() -> tuple[bool, str]:
     rng = random.Random(20260808)
     for i in range(100):
         spec = random_x_tower_spec(rng)
-        t = build_x_tower(spec, spec.window(-2, 4), -2, 4)
+        t = build_x_tower(spec, -2, 4)
         bad = validate_tower(t)
         if bad:
             return False, f"instance {i} fails validation: {bad[0]}"

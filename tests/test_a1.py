@@ -135,6 +135,17 @@ def test_std_pn_tables_validate():
         assert validate(m) == [], f"companion {n}"
 
 
+def test_std_pn_is_periodic_by_eight_in_fours():
+    """The companion four steps on is the companion moved up by eight,
+    block for block, with the same range of exactness."""
+    for i in range(6):
+        got, moved = std_pn(i + 4, 6, 34), suspend(std_pn(i, -2, 26), 8)
+        assert got.dims() == moved.dims(), i
+        assert (got.sq1, got.sq2) == (moved.sq1, moved.sq2), i
+        assert (got.lo, got.hi, got.complete_lo, got.complete_hi) == \
+            (moved.lo, moved.hi, moved.complete_lo, moved.complete_hi), i
+
+
 def test_std_pn2_named_classes():
     m = std_pn(2, 0, 20)
     i = m.names(2).index("y2")

@@ -180,10 +180,27 @@ def test_duality_hypothesis_fails_and_matters_for_the_trivial_module():
         h01_dual_dims(em).get((-1, 0), 0)
 
 
+def test_h01_a1_fails_when_the_top_class_moves(monkeypatch):
+    """The suite reads the free module's classes from ``kr.free_class``,
+    so a moved top-class offset fails it."""
+    monkeypatch.setitem(kr.FREE_CLASS_OFFSETS, "top", (7, 0))
+    assert failed_detail("h01-a1") == "classes at [(3, -2), (6, 0)]"
+
+
+def test_socles_names_the_companion_and_degree_of_a_flipped_class(
+        monkeypatch):
+    """The suite reads the socle patterns from ``closedform.soc_has``, so
+    one flipped class fails it, named by companion and degree."""
+    real = closedform.soc_has
+    monkeypatch.setattr(closedform, "soc_has",
+                        lambda n, d: real(n, d) ^ ((n, d) == (2, 6)))
+    assert failed_detail("socles") == "companion 2 socle wrong at 6"
+
+
 def test_borel_detect_names_a_broken_periodicity(monkeypatch):
     real = verify.detection_h1_borel
     w = Window(-16, 16, -8, 8)
-    dims = closedform.borel_hv_closed(1, w).dims()
+    dims = closedform.BorelClosedForm(1, w).dims()
     gap = next(d for d in sorted(dims) if w.contains(add_deg(d, (-4, 4))))
 
     def holed(n, win):

@@ -4,9 +4,9 @@ from math import comb
 
 from krtool.a1 import loop_power, socle_dims, std_pn
 from krtool.closedform import (
+    BorelClosedForm,
     _class_name,
     _euler_height,
-    borel_hv_closed,
     borel_pn_dim,
     h01_pn_dim,
     hp_dim,
@@ -94,7 +94,7 @@ def test_hv_closed_binomials():
 
 def test_borel_periodicity():
     w = Window(-12, 12, -8, 8)
-    b = borel_hv_closed(2, w)
+    b = BorelClosedForm(2, w)
     dims = b.dims()
     assert shift_mismatch(dims, dims, (-4, 4), w) is None
     # a class removed from one end of a translation pair is found there
@@ -112,7 +112,7 @@ def test_borel_matches_truncation_on_positive_twists():
 
 def test_borel_euler_action_squares_and_heights():
     w = Window(-12, 12, -6, 6)
-    b = borel_hv_closed(1, w)
+    b = BorelClosedForm(1, w)
     a3 = b.act_a.compose(b.act_a).compose(b.act_a)
     assert a3.is_zero()
     a2 = b.act_a.compose(b.act_a)
@@ -122,7 +122,7 @@ def test_borel_euler_action_squares_and_heights():
 def test_borel_euler_action_per_class_model():
     # injective on tower classes below the top, zero on the lattice
     w = Window(-12, 12, -6, 6)
-    b = borel_hv_closed(2, w)
+    b = BorelClosedForm(2, w)
     inner = Window(-8, 8, -4, 4)
     for d in b.space.degrees():
         if not inner.contains(d):
@@ -178,7 +178,7 @@ def test_borel_model_matches_name_keyed_reference():
     for n, w in ((1, Window(-12, 12, -6, 6)), (2, Window(-12, 12, -8, 8)),
                  (3, Window(-9, 7, -5, 3)), (4, Window(-8, 8, -4, 4)),
                  (5, Window(-6, 10, -3, 5)), (6, Window(-4, 8, -2, 4))):
-        b = borel_hv_closed(n, w)
+        b = BorelClosedForm(n, w)
         space, act_a = _ref_borel(n, w)
         assert by_name(b.act_a) == by_name(act_a), n
         assert by_name(b.space) == by_name(space), n

@@ -304,6 +304,24 @@ def test_echelon_on_large_matrices(m, rng, data):
     assert all(grown.coords(v) == ech.coords(v) for v in vectors)
 
 
+@settings(max_examples=200, deadline=None)
+@given(large_matrices())
+def test_kernel_basis_rows_are_the_column_relations(m):
+    """One row per column spanned by the columns before it, in column
+    order: that column plus columns that are not spanned by the ones before
+    them, annihilated by ``m``.  Such a row is unique, so these conditions
+    fix every row."""
+    pivots = column_scan_rref(m)[1]
+    pivot_mask = sum(1 << p for p in pivots)
+    ker = kernel_basis(m)
+    tops = [v.bit_length() - 1 for v in ker.rows]
+    assert tops == [j for j in range(m.ncols) if j not in pivots]
+    assert ker.nrows == m.ncols - rank(m)
+    for v, top in zip(ker.rows, tops):
+        assert not (v ^ (1 << top)) & ~pivot_mask
+        assert all(bin(row & v).count("1") % 2 == 0 for row in m.rows)
+
+
 @settings(max_examples=150, deadline=None)
 @given(large_matrices())
 def test_echelon_rank_counts_the_rref_pivots(m):

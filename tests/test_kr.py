@@ -75,7 +75,7 @@ def test_detection_h1_borel_ranks_solutions_on_the_interior(monkeypatch):
     # a second interior block, which must land in different bits, and one
     # block outside the interior, which must not count.
     w = Window(-12, 12, -6, 6)
-    space = closedform.borel_hv_closed(2, w).space
+    space = closedform.BorelClosedForm(2, w).space
     region = w.shrink(0, 3, 2, 2)
     used = [d for d in space.degrees() if space.dim(add_deg(d, (3, 2)))]
     inside = [d for d in used if region.contains(d)]

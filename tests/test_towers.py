@@ -41,7 +41,7 @@ from krtool.towers import (
 
 def constant_free_tower(levels=(-2, 3)):
     spec = XTowerSpec(1, (Summand("free", 0),))
-    return spec, build_x_tower(spec, spec.window(*levels), *levels)
+    return spec, build_x_tower(spec, *levels)
 
 
 def test_validate_free_tower():
@@ -52,13 +52,13 @@ def test_validate_free_tower():
 def test_validate_mixed_tower():
     spec = XTowerSpec(2, (Summand("cyclic", 1, 2), Summand("free", 0),
                           Summand("cyclic", -1, 3)))
-    t = build_x_tower(spec, spec.window(-2, 4), -2, 4)
+    t = build_x_tower(spec, -2, 4)
     assert validate_tower(t) == []
 
 
 def test_broken_tower_is_caught():
     spec = XTowerSpec(1, (Summand("cyclic", 0, 2),))
-    t = build_x_tower(spec, spec.window(-2, 3), -2, 3)
+    t = build_x_tower(spec, -2, 3)
     lev = t.levels[0]
     lev.delta = GradedMap(lev.layer, t.levels[1].space, (1, 0))
     assert validate_tower(t) != []
@@ -72,7 +72,7 @@ def test_torsion_free_tower_detects_height_one():
 
 def test_filtration_on_truncated_polynomial_tower():
     spec = XTowerSpec(1, (Summand("cyclic", 0, 3),))
-    t = build_x_tower(spec, spec.window(-2, 4), -2, 4)
+    t = build_x_tower(spec, -2, 4)
     fil = filtration(t, 0)
     # the colimit vanishes, so the comparison kernel is everything
     assert any(k.nrows for k in fil.t_n.values())
@@ -86,7 +86,7 @@ def test_filtration_on_truncated_polynomial_tower():
 
 def test_spec_example_order_two_and_one():
     spec = XTowerSpec(1, (Summand("cyclic", 0, 2), Summand("cyclic", 0, 1)))
-    t = build_x_tower(spec, spec.window(-2, 4), -2, 4)
+    t = build_x_tower(spec, -2, 4)
     assert validate_tower(t) == []
     assert not detect(t, 1, 0).holds
     assert detect(t, 2, 0).holds
@@ -97,7 +97,7 @@ def test_monotonicity_of_detection():
     for _ in range(10):
         spec = random_x_tower_spec(rng)
         levels = (-2, 4)
-        t = build_x_tower(spec, spec.window(*levels), *levels)
+        t = build_x_tower(spec, *levels)
         if detect(t, 1, 0).holds:
             assert detect(t, 2, 0).holds
 
@@ -108,7 +108,7 @@ def test_detection_matches_oracle_randomized():
     for _ in range(100):
         spec = random_x_tower_spec(rng)
         levels = (-2, 4)
-        t = build_x_tower(spec, spec.window(*levels), *levels)
+        t = build_x_tower(spec, *levels)
         assert validate_tower(t) == []
         for h in (1, 2):
             got = all(detect(t, h, n).holds for n in (0, 1))
@@ -146,7 +146,7 @@ def test_iota_always_injective():
     rng = random.Random(7)
     for _ in range(20):
         spec = random_x_tower_spec(rng)
-        t = build_x_tower(spec, spec.window(-2, 4), -2, 4)
+        t = build_x_tower(spec, -2, 4)
         assert iota_injective(t, 0)
 
 
@@ -156,7 +156,7 @@ def test_chain_complex_homology_matches_image_filtration():
     for _ in range(40):
         spec = random_x_tower_spec(rng)
         levels = (-2, 4)
-        t = build_x_tower(spec, spec.window(*levels), *levels)
+        t = build_x_tower(spec, *levels)
         rep = chain_complex_at(t, 1)
         assert rep.ok, rep.detail
         assert rep.homology_dims == rep.phi_quotient_dims
@@ -170,7 +170,7 @@ def test_chain_complex_homology_matches_image_filtration():
 def test_zero_structure_maps_detect_trivially():
     # a tower whose structure maps vanish satisfies height-one detection
     spec = XTowerSpec(1, (Summand("cyclic", 0, 1),))  # x acts by zero
-    t = build_x_tower(spec, spec.window(-2, 3), -2, 3)
+    t = build_x_tower(spec, -2, 3)
     for n in (-1, 0, 1):
         assert detect(t, 1, n).holds
 
@@ -319,7 +319,7 @@ def test_positional_tower_matches_name_keyed_reference():
     levels = (-1, 3)
     for spec in specs:
         w = spec.window(*levels)
-        assert _reports(build_x_tower(spec, w, *levels)) == \
+        assert _reports(build_x_tower(spec, *levels)) == \
             _reports(_ref_build_x_tower(spec, w, *levels)), spec
 
 
@@ -473,7 +473,7 @@ def test_checks_match_the_eager_reference(broken):
     failures = 0
     for _ in range(60):
         spec = random_x_tower_spec(rng)
-        t = build_x_tower(spec, spec.window(-2, 4), -2, 4)
+        t = build_x_tower(spec, -2, 4)
         if broken:
             _break(t, rng)
         assert validate_tower(t) == _ref_validate_tower(t), spec
@@ -539,7 +539,7 @@ def test_validate_tower_refuses_colimit_maps_whose_middle_spaces_differ():
 def test_a_block_broken_at_two_degrees_is_named_at_the_first():
     # two free summands: e_1 is the identity of rank two at every degree
     spec = XTowerSpec(1, (Summand("free", 0), Summand("free", 0)))
-    t = build_x_tower(spec, spec.window(-2, 3), -2, 3)
+    t = build_x_tower(spec, -2, 3)
     lev = t.levels[1]
     assert lev.e.blocks[(3, 0)] is lev.e.blocks[(5, 0)]
     bad = F2Matrix.from_rows([0b01, 0b01], 2)
@@ -553,7 +553,7 @@ def test_a_block_broken_at_two_degrees_is_named_at_the_first():
     broken = 0
     for _ in range(40):
         spec = random_x_tower_spec(rng)
-        t = build_x_tower(spec, spec.window(-2, 4), -2, 4)
+        t = build_x_tower(spec, -2, 4)
         if _break_twice(t, rng):
             broken += 1
             assert validate_tower(t) == _ref_validate_tower(t), spec
@@ -565,7 +565,7 @@ def test_a_block_broken_at_two_degrees_is_named_at_the_first():
        st.sampled_from([0, 1]))
 def test_detect_witness_is_the_first_degree_where_the_spans_meet(seed, h, n):
     spec = random_x_tower_spec(random.Random(seed))
-    t = build_x_tower(spec, spec.window(-2, 4), -2, 4)
+    t = build_x_tower(spec, -2, 4)
     lev, comp = t.levels[n], t.levels[n + h].e
     for step in range(h - 1, 0, -1):
         comp = comp.compose(t.levels[n + step].e)
@@ -578,7 +578,7 @@ def test_detect_witness_is_the_first_degree_where_the_spans_meet(seed, h, n):
 
 def test_filtration_builds_only_the_pieces_read():
     spec = XTowerSpec(1, (Summand("cyclic", 0, 3), Summand("free", 1)))
-    t = build_x_tower(spec, spec.window(-2, 4), -2, 4)
+    t = build_x_tower(spec, -2, 4)
     pieces = ("t_n", "ker_e", "f0", "f2")
     fil = filtration(t, 1)
     assert not any(p in vars(fil) for p in pieces)
